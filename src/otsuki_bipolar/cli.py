@@ -47,20 +47,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _json_ready(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.15g}") if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return _json_ready(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _emit(text: str, out_path: str | None):
     if out_path:
         with open(out_path, "w") as fh:
@@ -106,7 +92,8 @@ def cmd_solve(cfg) -> int:
         "upper_bound": spectrum.lambda_functional_bound(sol),
     }
     if cfg.output_format == "json":
-        _emit(json.dumps(_json_ready(payload), indent=2), cfg.output_path)
+        _emit(json.dumps(spectrum.json_ready(payload), indent=2),
+              cfg.output_path)
     elif cfg.output_format == "csv":
         keys = list(payload)
         _emit(",".join(keys) + "\n"
@@ -175,7 +162,8 @@ def cmd_spectrum(cfg) -> int:
                  "at_threshold": pin}
                 for (l, i, lam, m, kept, reason, z, pin) in rows],
         }
-        _emit(json.dumps(_json_ready(payload), indent=2), cfg.output_path)
+        _emit(json.dumps(spectrum.json_ready(payload), indent=2),
+              cfg.output_path)
     else:
         header = "l,i,lambda,multiplicity,kept,reason,zero_count,at_threshold"
         body = "\n".join(
@@ -229,13 +217,18 @@ def cmd_cross_check(cfg) -> int:
     table = spectrum.assemble(sol, prof, l_max=cfg.l_max,
                               lambda_cut=cfg.lambda_cut,
                               grid_size=cfg.grid_size)
+    # The table's multiplicity below the cut, removed modes included
+    # (the oracle grid double-covers the surface for even q), sizes the
+    # oracle's first Lanczos request; the oracle grows k on its own if
+    # this is short, so its count stays independent of the table.
+    k_start = sum(e.multiplicity for e in table.entries) + 2
     fine = oracle.dense_spectrum(
         oracle.TorusGrid(prof, cfg.oracle_n_alpha, cfg.oracle_n_t),
-        cfg.lambda_cut)
+        cfg.lambda_cut, k_start=k_start)
     coarse = oracle.dense_spectrum(
         oracle.TorusGrid(prof, max(32, (2 * cfg.oracle_n_alpha) // 3),
                          max(32, ((2 * cfg.oracle_n_t) // 3) // 2 * 2)),
-        cfg.lambda_cut)
+        cfg.lambda_cut, k_start=k_start)
 
     kept_fine = np.sort(fine.kept_eigenvalues())
     kept_coarse = np.sort(coarse.kept_eigenvalues())
@@ -260,7 +253,8 @@ def cmd_cross_check(cfg) -> int:
         "pass": bool(ok),
     }
     if cfg.output_format == "json":
-        _emit(json.dumps(_json_ready(payload), indent=2), cfg.output_path)
+        _emit(json.dumps(spectrum.json_ready(payload), indent=2),
+              cfg.output_path)
     else:
         _emit("\n".join(f"{k} = {_fmt(v) if isinstance(v, float) else v}"
                         for k, v in payload.items()), cfg.output_path)

@@ -63,7 +63,7 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key.startswith("tol."):
+            if key.startswith("tol.") and key[4:] in DEFAULT_TOLERANCES:
                 overrides.setdefault("tolerances", {})[key[4:]] = float(value)
             elif key in _INT_KEYS:
                 overrides[key] = int(value)

@@ -153,19 +153,34 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
 
     Solves K f = lambda W f through its symmetric form D K D with
     D = W^-1/2 (same eigenvalues; D commutes with the deck shift, so the
-    characters are those of f), by shift-invert Lanczos from sigma = -1
-    with a deterministic start vector; k grows until the window provably
-    covers the cutoff.
+    characters are those of f), by shift-invert Lanczos about a shift
+    inside the window, with a deterministic start vector.  A - sigma I is
+    factored once (minimum-degree ordering on A + A^T) and reused while
+    k grows from ``k_start`` until the window provably covers the cutoff;
+    ``k_start`` only sizes the first request.
     """
+    if lambda_cut <= 0.0:
+        raise ValueError("lambda_cut must be positive")
     d = scipy.sparse.diags(1.0 / np.sqrt(grid.mass))
     a = (d @ _operator_matrix(grid) @ d).tocsc()
     n = a.shape[0]
+    # A is PSD, so with 0 < sigma < lambda_cut / 2 every eigenvalue below
+    # the cut is nearer to sigma than lambda_cut - sigma, and every one at
+    # or above the cut is at least that far away.  The k eigenvalues
+    # nearest sigma therefore hold the whole window as soon as the largest
+    # of them reaches the cut.
+    sigma = 0.45 * lambda_cut
+    lu = scipy.sparse.linalg.splu(
+        a - sigma * scipy.sparse.identity(n, format="csc"),
+        permc_spec="MMD_AT_PLUS_A")
+    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve,
+                                                dtype=a.dtype)
     v0 = np.random.default_rng(_ORACLE_SEED).standard_normal(n)
     k = min(k_start, n - 2)
     while True:
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(
-                a, k=k, sigma=-1.0, which="LM", v0=v0)
+                a, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op_inv)
         except scipy.sparse.linalg.ArpackNoConvergence as exc:
             raise ConvergenceFailure(f"oracle eigensolver failed: {exc}") from exc
         order = np.argsort(vals)

@@ -30,6 +30,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InsufficientLMax, VerificationFailed
 from .geodesic import (
     GeodesicProfile,
@@ -305,20 +307,25 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(_round_floats(self.to_dict()), indent=2)
+        return json.dumps(json_ready(self.to_dict()), indent=2)
 
 
-def _round_floats(obj):
+def json_ready(obj):
     """Round floats to 15 significant digits for stable diffable output.
 
-    Non-finite values map to null so the emitted JSON stays strict.
+    Non-finite values map to null so the emitted JSON stays strict;
+    numpy scalars become Python numbers and tuples become lists.
     """
     if isinstance(obj, float):
         return float(f"{obj:.15g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
+        return {k: json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_ready(v) for v in obj]
+    if isinstance(obj, np.floating):
+        return json_ready(float(obj))
+    if isinstance(obj, np.integer):
+        return int(obj)
     return obj
 
 

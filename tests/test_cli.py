@@ -123,6 +123,15 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key" in err
 
 
+def test_config_file_rejects_unknown_tolerance_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# typo below\ntol.functional_agreemnt = 1e-7\n")
+    code, _, err = run(["verify", "--p", "3", "--q", "5",
+                        "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "unknown key" in err and f"{cfg}:2" in err
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "sol.json"
     code, out, _ = run(["solve", "--p", "3", "--q", "5", "--format", "json",

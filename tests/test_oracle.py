@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from otsuki_bipolar.oracle import (
     TorusGrid,
@@ -39,6 +41,8 @@ def test_constant_mode(cases):
     grid = TorusGrid(cases.profile((3, 5)), 32, 160)
     spec = dense_spectrum(grid, 0.05)
     assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
+    with pytest.raises(ValueError):
+        dense_spectrum(grid, 0.0)   # no shift fits inside an empty window
 
 
 @pytest.mark.parametrize("pq,na,nt", [((3, 5), 64, 512), ((5, 8), 64, 512)])
@@ -64,6 +68,46 @@ def test_even_q_filter_drops_non_invariant_modes(cases):
     assert np.sum(~spec.kept) > 0
     below = spec.kept_eigenvalues()
     assert int(np.sum(below[np.abs(below - 2.0) > 0.02] < 2.0)) == 16
+
+
+def test_growth_loop_reuses_one_factorization(cases, monkeypatch):
+    grid = TorusGrid(cases.profile((5, 8)), 64, 512)
+    ref = dense_spectrum(grid, 2.2, k_start=48)
+
+    calls = {"splu": 0, "eigsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(scipy.sparse.linalg, name,
+                            counted(name, getattr(scipy.sparse.linalg, name)))
+    grown = dense_spectrum(grid, 2.2, k_start=4)
+    assert calls["eigsh"] > 1 and calls["splu"] == 1
+
+    assert grown.eigenvalues.size == ref.eigenvalues.size
+    assert np.max(np.abs(grown.eigenvalues - ref.eigenvalues)) < 1e-10
+    assert np.array_equal(grown.deck_characters, ref.deck_characters)
+    assert np.array_equal(grown.kept, ref.kept)
+
+
+def test_window_matches_dense_generalized_eigensolve(cases):
+    """All eigenvalues below the cut, against LAPACK on K f = lambda W f.
+
+    Asking for one more than the window holds leaves the stop test
+    vals[-1] >= cut to prove that the window is complete.
+    """
+    grid = TorusGrid(cases.profile((3, 5)), 32, 32)
+    cut = 2.5
+    exact = scipy.linalg.eigh(_operator_matrix(grid).toarray(),
+                              np.diag(grid.mass), eigvals_only=True)
+    exact = exact[exact < cut]
+    spec = dense_spectrum(grid, cut, k_start=exact.size + 1)
+    assert spec.eigenvalues.size == exact.size > 0
+    assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9
 
 
 def test_theorem2_residual_converges_quadratically(cases):

@@ -9,6 +9,8 @@ from otsuki_bipolar.errors import InsufficientLMax, VerificationFailed
 from otsuki_bipolar.geodesic import RotationNumber, i2
 from otsuki_bipolar.immersion import area
 from otsuki_bipolar.spectrum import (
+    Certificate,
+    VerificationReport,
     assemble,
     expected_n2,
     lambda_functional,
@@ -141,6 +143,21 @@ def test_verification_report(pq, cases):
         "functional_below_upper_bound",
     }
     assert all(c["pass"] for c in payload["certificates"])
+
+
+def test_report_json_rounds_to_15_digits_and_nulls_nan():
+    report = VerificationReport(
+        rotation=RotationNumber(3, 5), a=0.1 + 0.2, b=1.0 / 3.0, t0=1.0,
+        n2_computed=20, n2_expected=20, lambda_value=math.inf,
+        upper_bound=2.0, threshold_multiplicity=5, eps_grid=math.nan,
+        certificates=[Certificate.less_than("c", 1.0, math.nan)])
+    payload = json.loads(report.to_json())
+    assert payload["a"] == 0.3
+    assert payload["b"] == float(f"{1.0 / 3.0:.15g}") != 1.0 / 3.0
+    assert payload["eps_grid"] is None
+    assert payload["lambda_functional"] is None
+    assert payload["certificates"][0]["rhs"] is None
+    assert "NaN" not in report.to_json()
 
 
 def test_counting_survives_very_coarse_grids():
