@@ -110,8 +110,8 @@ def cmd_verify(cfg) -> int:
         report = spectrum.verify_theorem3(
             r, grid_size=cfg.grid_size, l_max=cfg.l_max,
             lambda_cut=cfg.lambda_cut,
-            samples_per_half_period=cfg.samples_per_half_period,
             functional_tol=cfg.tolerances["functional_agreement"],
+            omega_tol=cfg.tolerances["omega_residual"],
             raise_on_failure=False)
     except InsufficientLMax as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -146,8 +146,7 @@ def _emit_report(report, cfg):
 def cmd_spectrum(cfg) -> int:
     r = _rotation(cfg)
     sol = geodesic.solve_rotation(r)
-    prof = geodesic.profile(sol, cfg.samples_per_half_period)
-    table = spectrum.assemble(sol, prof, l_max=cfg.l_max,
+    table = spectrum.assemble(sol, None, l_max=cfg.l_max,
                               lambda_cut=cfg.lambda_cut,
                               grid_size=cfg.grid_size)
     n2 = spectrum.weyl_N(table, 2.0)
@@ -192,7 +191,8 @@ def cmd_table(cfg, pairs) -> int:
         report = spectrum.verify_theorem3(
             r, grid_size=cfg.grid_size, l_max=cfg.l_max,
             lambda_cut=cfg.lambda_cut,
-            samples_per_half_period=cfg.samples_per_half_period,
+            functional_tol=cfg.tolerances["functional_agreement"],
+            omega_tol=cfg.tolerances["omega_residual"],
             raise_on_failure=True)
         rows.append((p, q, report.a, report.b, report.t0,
                      report.n2_computed, report.lambda_value,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 
@@ -11,6 +12,8 @@ DEFAULT_TOLERANCES = {
     "correspondence": 1e-6,
     "hausdorff": 1e-5,
 }
+# Accepted in config files, but no command reads them yet.
+UNREAD_TOLERANCES = ("correspondence", "hausdorff")
 
 _INT_KEYS = {"p", "q", "grid_size", "oracle_n_alpha", "oracle_n_t", "l_max",
              "samples_per_half_period", "n_alpha", "n_t"}
@@ -81,6 +84,11 @@ def make_config(file_path: str | None = None, **flag_overrides) -> RunConfig:
     merged: dict = {}
     if file_path:
         merged.update(parse_config_file(file_path))
+        unread = [f"tol.{k}" for k in UNREAD_TOLERANCES
+                  if k in merged.get("tolerances", {})]
+        if unread:
+            print(f"warning: {file_path}: {', '.join(unread)} read by no"
+                  " command; ignored", file=sys.stderr)
     for key, value in flag_overrides.items():
         if value is not None:
             merged[key] = value

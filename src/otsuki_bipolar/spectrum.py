@@ -11,7 +11,7 @@ h(t + t0/2) = (-1)^l h(t) descend to the quotient.
 Three radial eigenfunctions are known in closed form at eigenvalue 2
 (the immersed coordinates): sin(phi) at l = 0 with 2q sign changes, and
 cos(phi)sin(theta), cos(phi)cos(theta) at l = 1 with 2p sign changes.
-Discretized eigenvalues straddle 2 by the grid error, so modes matching
+Computed eigenvalues straddle 2 by the solver error, so modes matching
 those zero counts and positions are pinned to the threshold instead of
 being compared against 2 numerically.
 
@@ -32,13 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientLMax, VerificationFailed
+from .errors import ConvergenceFailure, InsufficientLMax, VerificationFailed
 from .geodesic import (
     GeodesicProfile,
     OtsukiSolution,
     RotationNumber,
     i2,
-    profile as build_profile,
     solve_rotation,
 )
 from .immersion import area
@@ -46,16 +45,21 @@ from .sturm import (
     Boundary,
     SLSpectrum,
     build_problem,
-    eigen,
-    half_period_characters,
+    count_sign_changes,
 )
+
+# Not called here, but kept bound in this module's namespace: tracing
+# tools wrap ``spectrum.build_profile`` and ``spectrum.eigen`` by name.
+from .geodesic import profile as build_profile  # noqa: F401,E402
+from .sturm import eigen  # noqa: F401,E402
 
 
 def pipeline_grid_size(requested: int, q: int) -> int:
     """Round a grid size up to a multiple of 8q.
 
-    Keeps every sub-period shift (t0/(4q) and coarser) and the
-    half-resolution Richardson solve exactly representable on the grid.
+    Keeps every sub-period shift (t0/(4q) and coarser) exactly
+    representable on the grid, so the eigenfunction samples of one
+    half-oscillation tile the whole period.
     """
     unit = 8 * q
     return ((max(requested, unit) + unit - 1) // unit) * unit
@@ -149,7 +153,7 @@ def _pin_threshold_modes(r: RotationNumber, l: int, spec: SLSpectrum,
     return pinned
 
 
-def assemble(sol: OtsukiSolution, profile: GeodesicProfile,
+def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
              l_max: int = 3, lambda_cut: float = 2.5,
              grid_size: int = 2048,
              spectra: dict[int, SLSpectrum] | None = None) -> ModeTable:
@@ -159,7 +163,9 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile,
     supplied spectra), applies the even-q quotient filter, and pins the
     known eigenvalue-2 modes to the threshold.  Raises InsufficientLMax
     unless the ground eigenvalue at l_max already clears the cutoff, so
-    "no l >= 2 modes below 2" is measured rather than assumed.
+    "no l >= 2 modes below 2" is measured rather than assumed.  For even
+    q the filter keeps the modes of Bloch sectors k = l (mod 2), so
+    supplied spectra must carry ``sectors``.  ``profile`` is ignored.
     """
     if lambda_cut < 2.0:
         raise ValueError("lambda_cut must be at least 2")
@@ -191,17 +197,17 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile,
         spec = spectra[l]
         vals = spec.eigenvalues
         pinned = _pin_threshold_modes(r, l, spec, pin_window)
-        if r.even_q:
-            chars = half_period_characters(spec)
-            want = 1.0 if l % 2 == 0 else -1.0
+        if r.even_q and spec.sectors is None:
+            raise ValueError("the even-q quotient filter needs the Bloch"
+                             f" sectors of the radial spectrum at l = {l}")
         for i, lam in enumerate(vals):
             pinned_two = i in pinned
             if lam >= lambda_cut and not pinned_two:
                 continue
             kept, reason = True, "below-cut"
-            if r.even_q:
-                if not chars[i] == want:
-                    kept, reason = False, "removed-by-quotient-symmetry"
+            # The deck shift x -> x + q pi acts as (-1)^k on sector k.
+            if r.even_q and (spec.sectors[i] - l) % 2:
+                kept, reason = False, "removed-by-quotient-symmetry"
             if pinned_two and kept:
                 reason = "at-threshold-2"
             entries.append(ModeEntry(
@@ -216,19 +222,191 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile,
                      entries=entries)
 
 
-def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile, l: int,
-                 grid_size: int,
+# Fourier-Galerkin radial solve, see solve_radial.
+_FFT_POINTS = 2048      # coefficient samples per half-oscillation x in [0, pi)
+_FIRST_MODES = 8        # M of the first solve; each sector has 2M + 1 modes
+_MAX_MODES = 256        # lags up to 2M stay below _FFT_POINTS / 2
+_MODE_TOL = 1e-10       # M-versus-M/2 change that stops the doubling
+_NEWTON_STEPS = 30
+
+
+class _RadialChart:
+    """Radial coefficients in the analytic chart sin(phi) = sin(b) cos(x).
+
+    One period t0 of the bipolar geodesic is x in [0, 2 q pi), and
+
+        P = 2 pi sqrt(cos^2 phi + cos^2 b),
+        S = 2 pi / sqrt(cos^2 phi + cos^2 b),
+        W = dt/dx = 2 pi cos^2 phi / sqrt(cos^2 phi + cos^2 b)
+
+    are analytic and pi-periodic.  Each is held by its Fourier
+    coefficients f_j of f(x) = sum_j f_j e^{2ijx} (real and even in j,
+    since f is even in x), from one FFT.  The map t(x) is the exact
+    integral of the series of W; its inverse x(t) is found by Newton on
+    one half-oscillation and tiled by x(t + t_half) = x(t) + pi.
+    ``t0``, ``t_half`` and ``cos2_phi_at`` let ``sturm.build_problem``
+    bind a radial problem to the chart as it does to a profile.
+    """
+
+    def __init__(self, b: float, q: int):
+        self.b = b
+        x = np.arange(_FFT_POINTS) * (math.pi / _FFT_POINTS)
+        cos2 = 1.0 - (math.sin(b) * np.cos(x)) ** 2
+        root = np.sqrt(cos2 + math.cos(b) ** 2)
+        self.p_hat, self.s_hat, self.w_hat = (
+            np.fft.fft(f).real / _FFT_POINTS
+            for f in (2.0 * math.pi * root, 2.0 * math.pi / root,
+                      2.0 * math.pi * cos2 / root))
+        self.t_half = math.pi * self.w_hat[0]
+        self.t0 = 2 * q * self.t_half
+        # Terms of the W series above the rounding noise of the FFT.
+        tail = np.abs(self.w_hat[:_FFT_POINTS // 2]) > 1e-15 * self.w_hat[0]
+        self._j = np.arange(1, np.flatnonzero(tail)[-1] + 1)
+        self._x_table = np.linspace(0.0, math.pi, 257)
+        self._t_table = self._t_local(self._x_table)
+
+    def _t_local(self, x):
+        return (self.w_hat[0] * x
+                + np.sin(2.0 * np.multiply.outer(x, self._j))
+                @ (self.w_hat[self._j] / self._j))
+
+    def _w(self, x):
+        return (self.w_hat[0] + 2.0 * np.cos(2.0 * np.multiply.outer(x, self._j))
+                @ self.w_hat[self._j])
+
+    def x_of_t(self, t):
+        """Chart value x at parameter values t (any real t)."""
+        t = np.asarray(t, dtype=float)
+        turns = np.floor(t / self.t_half)
+        tau = t - turns * self.t_half
+        x = np.interp(tau, self._t_table, self._x_table)
+        for _ in range(_NEWTON_STEPS):
+            step = (self._t_local(x) - tau) / self._w(x)
+            x = x - step
+            if np.all(np.abs(step) <= 1e-12):   # quadratic: x is now exact
+                break
+        else:
+            raise ConvergenceFailure("Newton inversion of t(x) did not converge")
+        return turns * math.pi + x
+
+    def cos2_phi_at(self, t):
+        return 1.0 - (math.sin(self.b) * np.cos(self.x_of_t(t))) ** 2
+
+    def sector_matrices(self, kappa: np.ndarray, l: int, modes: int):
+        """Standard-form Galerkin matrices of every Bloch sector.
+
+        For h = e^{i kappa x} sum_{|m|<=M} c_m e^{2imx} the problem
+        -(P h')' + l^2 S h = lambda W h becomes A c = lambda T_W c with
+        A = D T_P D + l^2 T_S, D = diag(kappa + 2m) and T_f the Toeplitz
+        matrix of f_j.  T_W, the same for every sector and l, is reduced
+        once by its Cholesky factor L: returns (L^-1 A L^-T per sector,
+        L^-1).  The coefficient vectors are c = L^-T y.
+        """
+        m = np.arange(-modes, modes + 1)
+        lag = np.abs(m[:, None] - m[None, :])
+        d = kappa[:, None] + 2.0 * m
+        a = (d[:, :, None] * self.p_hat[lag] * d[:, None, :]
+             + float(l * l) * self.s_hat[lag])
+        l_inv = np.linalg.inv(np.linalg.cholesky(self.w_hat[lag]))
+        return l_inv @ a @ l_inv.T, l_inv
+
+
+def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
+                 l: int, grid_size: int,
                  boundary: Boundary = Boundary.PERIODIC) -> SLSpectrum:
-    """Solve one radial problem with enough modes to clear lambda_cut + 2."""
+    """Radial spectrum of angular index l by Bloch sectors in the chart.
+
+    Solves -(P h')' + l^2 S h = lambda W h on x in [0, 2 q pi) (see
+    ``_RadialChart``).  The coefficients are pi-periodic, so the problem
+    splits into 2q Bloch sectors h(x + pi) = e^{i pi kappa} h(x) with
+    kappa = k/q (periodic) or (k + 1/2)/q (antiperiodic),
+    k = 0..2q-1; sector 2q-k (periodic) or 2q-1-k (antiperiodic) is the
+    complex conjugate of sector k, so only half of them are solved, in
+    one batched Hermitian eigensolve.  Each sector is a Fourier-Galerkin
+    problem with 2M + 1 modes; M doubles from 8 until the lowest
+    eigenvalues move by less than 1e-10, and ``eps_grid`` is that
+    M-versus-M/2 change, floored at 1e-10.  The returned window holds at
+    least 2 max(p, q) + 8 eigenvalues and reaches 4.
+
+    Eigenfunctions are sampled on the uniform t-grid of
+    ``pipeline_grid_size(grid_size, q)`` points, which only sets the
+    sampling: the real and imaginary parts of h for a conjugate pair, h
+    turned real for a self-conjugate sector.  ``sectors`` holds each
+    row's k.  ``profile`` is ignored; the chart needs only b and q.
+    """
+    if l < 0:
+        raise ValueError("angular index l must be non-negative")
     r = sol.rotation
-    count = 2 * max(r.q, r.p) + 8
-    prob = build_problem(profile, l, boundary)
-    spec = eigen(prob, count, grid_size)
-    # Ensure the returned window truly covers the cutoff region.
-    while spec.eigenvalues[-1] < 4.0 and count < grid_size // 4:
-        count *= 2
-        spec = eigen(prob, count, grid_size)
-    return spec
+    q = r.q
+    chart = _RadialChart(sol.b, q)
+    anti = boundary is Boundary.ANTIPERIODIC
+    ks = np.arange(q if anti else q + 1)
+    kappa = (ks + (0.5 if anti else 0.0)) / q
+    partner = (2 * q - 1 - ks) if anti else (2 * q - ks) % (2 * q)
+    paired = partner != ks
+    base = 2 * max(q, r.p) + 8
+
+    modes, prev = _FIRST_MODES, None
+    while True:
+        mats, l_inv = chart.sector_matrices(kappa, l, modes)
+        lam = np.linalg.eigvalsh(mats)
+        vals = np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
+        count = max(base, int(np.searchsorted(vals, 4.0)) + 1)
+        if prev is not None:
+            change = float(np.max(np.abs(vals[:count] - prev[:count])))
+            if change < _MODE_TOL:
+                break
+        if modes >= _MAX_MODES:
+            raise ConvergenceFailure(
+                f"radial eigenvalues at l = {l} still move by {change:.1e}"
+                f" at M = {modes} Fourier modes per sector")
+        prev, modes = vals, 2 * modes
+
+    lam, y = np.linalg.eigh(mats)
+    # The operator is positive semidefinite: a negative value (the
+    # constant mode at l = 0) is rounding.
+    lam = np.maximum(lam, 0.0)
+    coef = l_inv.T @ y                   # columns: c of each sector level
+    # Every level with its multiplicity; the second copy of a conjugate
+    # pair becomes the imaginary part of h and carries the partner sector.
+    n = lam.shape[1]
+    src = np.repeat(np.arange(ks.size), n)
+    idx = np.tile(np.arange(n), ks.size)
+    dup = paired[src]
+    level_lam = np.concatenate([lam.ravel(), lam.ravel()[dup]])
+    src = np.concatenate([src, src[dup]])
+    idx = np.concatenate([idx, idx[dup]])
+    imag = np.concatenate([np.zeros(dup.size, bool), np.ones(dup.sum(), bool)])
+    order = np.lexsort((imag, level_lam))[:count]
+    src, idx, imag = src[order], idx[order], imag[order]
+
+    size = pipeline_grid_size(grid_size, q)
+    per_half = size // (2 * q)
+    x_loc = chart.x_of_t(np.arange(per_half) * (chart.t_half / per_half))
+    kap = kappa[src]
+    m = np.arange(-modes, modes + 1)
+    local = (np.exp(1j * np.multiply.outer(x_loc, kap))
+             * (np.exp(2j * np.multiply.outer(x_loc, m)) @ coef[src, :, idx].T))
+    turns = np.exp(1j * math.pi * np.multiply.outer(np.arange(2 * q), kap))
+    h = (turns[:, None, :] * local[None, :, :]).reshape(size, count).T
+    real = ~paired[src]
+    h[real] *= np.exp(-0.5j * np.angle(np.sum(h[real] ** 2, axis=1)))[:, None]
+    funcs = np.where(imag[:, None], h.imag, h.real)
+
+    dt = chart.t0 / size
+    funcs /= np.sqrt(dt * np.sum(funcs ** 2, axis=1))[:, None]
+    peak = np.argmax(np.abs(funcs), axis=1)
+    signs = np.sign(funcs[np.arange(count), peak])
+    signs[signs == 0] = 1.0
+    funcs *= signs[:, None]
+    zero_counts = np.array([count_sign_changes(f, antiperiodic=anti)
+                            for f in funcs])
+    return SLSpectrum(problem=build_problem(chart, l, boundary),
+                      grid=np.arange(size) * dt,
+                      eigenvalues=level_lam[order], eigenfunctions=funcs,
+                      zero_counts=zero_counts, labels=np.arange(count),
+                      eps_grid=max(change, _MODE_TOL),
+                      sectors=np.where(imag, partner[src], ks[src]))
 
 
 @dataclass(frozen=True)
@@ -333,6 +511,7 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
                     l_max: int = 3, lambda_cut: float = 2.5,
                     samples_per_half_period: int = 512,
                     functional_tol: float = 1e-8,
+                    omega_tol: float = 1e-11,
                     raise_on_failure: bool = True) -> VerificationReport:
     """Run the full counting pipeline and certify every named inequality.
 
@@ -342,16 +521,18 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
     oscillation positions; the ground eigenvalue at l = 2 clears 2 (and
     the pointwise potential bound 4); the functional value computed from
     the period agrees with the closed elliptic form and respects its
-    strict upper bound.
+    strict upper bound; the geodesic closes, |omega(a) - p pi/q| <=
+    ``omega_tol``.  The radial spectra come from the analytic chart, so
+    no sampled profile is built and ``samples_per_half_period`` is
+    ignored.
     """
     if isinstance(r, tuple):
         r = RotationNumber(*r)
     sol = solve_rotation(r)
-    prof = build_profile(sol, samples_per_half_period)
     n = pipeline_grid_size(grid_size, r.q)
 
-    spectra = {l: solve_radial(sol, prof, l, n) for l in range(l_max + 1)}
-    table = assemble(sol, prof, l_max=l_max, lambda_cut=lambda_cut,
+    spectra = {l: solve_radial(sol, None, l, n) for l in range(l_max + 1)}
+    table = assemble(sol, None, l_max=l_max, lambda_cut=lambda_cut,
                      grid_size=n, spectra=spectra)
     n2 = weyl_N(table, 2.0)
     n2_expected = expected_n2(r)
@@ -393,6 +574,9 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
                                       functional_tol))
     certs.append(Certificate.less_than("functional_below_upper_bound",
                                        lam_from_period, bound))
+    certs.append(Certificate.close_to("closed_geodesic_residual",
+                                      r.target_angle + sol.omega_residual,
+                                      r.target_angle, omega_tol))
 
     report = VerificationReport(
         rotation=r, a=sol.a, b=sol.b, t0=sol.t0,

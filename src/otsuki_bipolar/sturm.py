@@ -103,7 +103,9 @@ class SLSpectrum:
     Eigenfunctions are rows sampled on ``grid``, normalized to unit L2
     norm over the period; ``zero_counts[i]`` is the number of sign
     changes of eigenfunction i per period and ``labels[i] = i`` its
-    position in the classical ordering.
+    position in the classical ordering.  ``sectors[i]`` is the Bloch
+    sector k of eigenfunction i when the solver separates the problem
+    by sectors (see ``spectrum.solve_radial``), and None otherwise.
     """
 
     problem: SLProblem
@@ -113,6 +115,7 @@ class SLSpectrum:
     zero_counts: np.ndarray
     labels: np.ndarray
     eps_grid: float
+    sectors: np.ndarray | None = None
 
     @property
     def grid_size(self) -> int:
@@ -433,21 +436,3 @@ def classify_subperiod(spec: SLSpectrum, n: int) -> list[SubperiodTag]:
                                  antiperiodic_t0_over_2n=bool(is_anti)))
     return tags
 
-
-def half_period_characters(spec: SLSpectrum) -> np.ndarray:
-    """Character of each eigenfunction under the half-period shift.
-
-    Returns +1 / -1 / nan per eigenfunction for h(t + T/2) = +-h(t);
-    used by the even-q quotient filter.
-    """
-    N = spec.grid_size
-    if N % 2:
-        raise ValueError("grid size must be even")
-    vals = spec.eigenvalues
-    vecs = spec.eigenfunctions.T.copy()
-    anti_bc = spec.problem.boundary is Boundary.ANTIPERIODIC
-    scale = max(abs(float(vals[0])), abs(float(vals[-1])), 1.0)
-    cluster_tol = 1e-8 * scale
-    chars, _ = symmetry_characters(
-        vals, vecs, shift_operator(N, N // 2, anti_bc), cluster_tol)
-    return chars

@@ -36,8 +36,7 @@ class CaseCache:
         key = (pq, l, boundary, doubled)
         if key not in self._spectra:
             self._spectra[key] = solve_radial(
-                self.solution(pq), self.profile(pq), l,
-                self.grid(pq, doubled), boundary)
+                self.solution(pq), None, l, self.grid(pq, doubled), boundary)
         return self._spectra[key]
 
     def table(self, pq, doubled=False):
@@ -46,7 +45,7 @@ class CaseCache:
             spectra = {l: self.spectrum(pq, l, doubled=doubled)
                        for l in range(4)}
             self._tables[key] = assemble(
-                self.solution(pq), self.profile(pq),
+                self.solution(pq), None,
                 grid_size=self.grid(pq, doubled), spectra=spectra)
         return self._tables[key]
 

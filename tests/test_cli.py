@@ -114,6 +114,30 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert payload["N2"] == 20
 
 
+def test_config_omega_tolerance_reaches_verify(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol.omega_residual = 0.5\n")
+    code, out, err = run(["verify", "--p", "3", "--q", "5",
+                          "--config", str(cfg), "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    certs = {c["name"]: c for c in json.loads(out)["certificates"]}
+    assert certs["closed_geodesic_residual"]["pass"]
+    assert certs["closed_geodesic_residual"]["margin"] == pytest.approx(
+        0.5, abs=1e-12)
+
+
+def test_config_warns_about_unread_tolerances(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol.correspondence = 1e-5\ntol.hausdorff = 1e-4\n")
+    code, _, err = run(["solve", "--p", "3", "--q", "5",
+                        "--config", str(cfg)], capsys)
+    assert code == 0
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "tol.correspondence" in lines[0] and "tol.hausdorff" in lines[0]
+    assert "read by no command" in lines[0]
+
+
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("gridsize = 10\n")

@@ -94,6 +94,22 @@ def test_growth_loop_reuses_one_factorization(cases, monkeypatch):
     assert np.array_equal(grown.kept, ref.kept)
 
 
+@pytest.mark.parametrize("pq,cut", [((3, 5), 2.5), ((5, 8), 2.5),
+                                    ((5, 8), 0.05)])
+def test_default_k_start_needs_one_lanczos_run(pq, cut, cases, monkeypatch):
+    calls = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
+    spec = dense_spectrum(TorusGrid(cases.profile(pq), 32, 256), cut)
+    assert len(calls) == 1
+    assert calls[0] > spec.eigenvalues.size
+
+
 def test_window_matches_dense_generalized_eigensolve(cases):
     """All eigenvalues below the cut, against LAPACK on K f = lambda W f.
 

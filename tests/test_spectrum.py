@@ -1,8 +1,10 @@
 """Spectrum assembly, the counting function, and the verification report."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from otsuki_bipolar.errors import InsufficientLMax, VerificationFailed
@@ -18,6 +20,12 @@ from otsuki_bipolar.spectrum import (
     pipeline_grid_size,
     verify_theorem3,
     weyl_N,
+)
+from otsuki_bipolar.sturm import (
+    build_problem,
+    eigen,
+    shift_operator,
+    symmetry_characters,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -176,3 +184,76 @@ def test_verification_failure_carries_report(monkeypatch):
     assert err.value.report is not None
     bad = err.value.report.first_failure()
     assert bad is not None and bad.name == "mode_count_matches_closed_form"
+
+
+# -- Bloch-sector radial solve ----------------------------------------------
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_bloch_agrees_with_finite_differences(pq, l, cases):
+    """The independent FD solver lands within 4.5x its own Richardson
+    estimate of the Bloch eigenvalues."""
+    bloch = cases.spectrum(pq, l)
+    fd = eigen(build_problem(cases.profile(pq), l), bloch.eigenvalues.size,
+               cases.grid(pq))
+    diff = np.max(np.abs(fd.eigenvalues - bloch.eigenvalues))
+    assert diff < 4.5 * fd.eps_grid
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8), (4, 7), (5, 9), (7, 10)])
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_bloch_eigenvalues_do_not_depend_on_the_grid(pq, l, cases):
+    base = cases.spectrum(pq, l)
+    doubled = cases.spectrum(pq, l, doubled=True)
+    assert doubled.grid_size == 2 * base.grid_size
+    assert np.max(np.abs(base.eigenvalues - doubled.eigenvalues)) <= 1e-10
+    assert base.eps_grid >= 1e-10
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_sector_parity_is_the_half_period_character(l, cases):
+    """On 5/8 the shift t -> t + t0/2 acts on each sampled row as (-1)^k
+    of its Bloch sector k, which the even-q filter relies on."""
+    spec = cases.spectrum((5, 8), l)
+    n = spec.grid_size
+    chars, _ = symmetry_characters(spec.eigenvalues, spec.eigenfunctions.T,
+                                   shift_operator(n, n // 2), 1e-8)
+    assert np.array_equal(chars, np.where(spec.sectors % 2, -1.0, 1.0))
+
+
+def test_eigenvalue_two_modes_to_solver_precision(cases):
+    for pq in [(3, 5), (5, 8), (7, 10)]:
+        p, q = pq
+        assert abs(cases.spectrum(pq, 0).eigenvalues[2 * q] - 2.0) < 1e-11
+        pair = cases.spectrum(pq, 1).eigenvalues[[2 * p - 1, 2 * p]]
+        assert np.max(np.abs(pair - 2.0)) < 1e-11
+
+
+def _reduced_fractions(q_max):
+    return [(p, q) for q in range(3, q_max + 1) for p in range(1, q)
+            if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q]
+
+
+@pytest.mark.parametrize("pq", _reduced_fractions(20)
+                         + [(26, 51), (41, 58), (70, 99)])
+def test_verify_across_the_admissible_range(pq):
+    report = verify_theorem3(RotationNumber(*pq), raise_on_failure=False)
+    assert report.passed, report.first_failure()
+    assert report.n2_computed == expected_n2(RotationNumber(*pq))
+    assert report.threshold_multiplicity == 5
+    assert report.eps_grid <= 1e-9
+
+
+def test_closed_geodesic_residual_certificate(monkeypatch):
+    import otsuki_bipolar.spectrum as spec_mod
+    solve = spec_mod.solve_rotation
+    monkeypatch.setattr(spec_mod, "solve_rotation", lambda r: dataclasses.replace(
+        solve(r), omega_residual=2e-11))
+    report = verify_theorem3(RotationNumber(3, 5), raise_on_failure=False)
+    assert report.first_failure().name == "closed_geodesic_residual"
+    loose = verify_theorem3(RotationNumber(3, 5), omega_tol=1e-10,
+                            raise_on_failure=False)
+    assert loose.passed
+    cert = {c.name: c for c in loose.certificates}["closed_geodesic_residual"]
+    assert cert.rhs == RotationNumber(3, 5).target_angle
+    assert cert.margin == pytest.approx(8e-11, rel=1e-3)

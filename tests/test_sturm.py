@@ -156,10 +156,11 @@ def test_ground_l2_exceeds_pointwise_bound(cases):
 
 
 def test_grid_refinement_second_order(cases):
-    coarse = cases.spectrum((3, 5), 0)           # base grid
-    fine = cases.spectrum((3, 5), 0, doubled=True)
-    n = min(coarse.eigenvalues.size, fine.eigenvalues.size)
-    diff = np.abs(coarse.eigenvalues[:n] - fine.eigenvalues[:n])
+    prob = build_problem(cases.profile((3, 5)), 0)
+    n = cases.grid((3, 5))
+    coarse = eigen(prob, 18, n)                  # base grid
+    fine = eigen(prob, 18, 2 * n)
+    diff = np.abs(coarse.eigenvalues - fine.eigenvalues)
     # second order: the doubled grid removes ~3/4 of the error, so the
     # Richardson estimate at the base grid bounds the decrease
     assert np.max(diff) < 4.5 * max(coarse.eps_grid, 1e-12)
