@@ -118,12 +118,20 @@ def _nu_of_chi(a: float, chi):
     return 0.5 * np.arccos(np.clip(math.cos(2.0 * a) * np.cos(chi), -1.0, 1.0))
 
 
-def _sinc(x):
+# The scalar forms below serve the ``quad`` integrands, where numpy calls on
+# 0-d values cost ~15 us each.  They keep np.arccos and np.arcsin: math.acos
+# and math.asin differ from them in the last bit on some inputs, while
+# math.sin, math.cos and math.sqrt agree with numpy exactly, so the period
+# values stay bitwise equal to the vectorized forms.  Squares stay ``** 2``:
+# ``x * x`` differs from numpy's scalar power in the last bit on some inputs.
+
+def _nu_of_chi_scalar(cos_2a: float, chi: float) -> float:
+    return 0.5 * float(np.arccos(min(max(cos_2a * math.cos(chi), -1.0), 1.0)))
+
+
+def _sinc(x: float) -> float:
     """sin(x)/x, stable at 0."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x == 0.0, 1.0, np.sin(np.where(x == 0.0, 1.0, x))
-                   / np.where(x == 0.0, 1.0, x))
-    return out if out.shape else float(out)
+    return 1.0 if x == 0.0 else math.sin(x) / x
 
 
 def _omega_small_a(a: float) -> float:
@@ -163,9 +171,10 @@ def omega(a: float) -> float:
     if a < 0.05:
         return _omega_small_a(a)
     c = math.sin(a) * math.cos(a)
+    cos_2a = math.cos(2.0 * a)
 
     def integrand(chi):
-        nu = _nu_of_chi(a, chi)
+        nu = _nu_of_chi_scalar(cos_2a, chi)
         return c / (math.cos(nu) * math.sin(2.0 * nu))
 
     val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=800)
@@ -307,18 +316,24 @@ def _torus_speeds(a: float):
 def bipolar_half_period(b: float) -> float:
     """Half-oscillation length of the bipolar geodesic by direct quadrature."""
     b = _check_b_closed_open(b)
-    _, dt_dx, _ = _bipolar_speeds(b)
-    val, _ = quad(lambda x: float(dt_dx(x)), 0.0, math.pi,
-                  epsabs=1e-13, epsrel=1e-13, limit=400)
+    sb = math.sin(b)
+    cb2 = math.cos(b) ** 2
+
+    def dt_dx(x):
+        phi = float(np.arcsin(min(max(sb * math.cos(x), -1.0), 1.0)))
+        c2 = math.cos(phi) ** 2
+        return 2.0 * math.pi * c2 / math.sqrt(c2 + cb2)
+
+    val, _ = quad(dt_dx, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=400)
     return val
 
 
 def torus_half_period(a: float) -> float:
     """Half-oscillation length of the torus-side geodesic by direct quadrature."""
     a = _check_a(a)
-    _, ds_dchi, _ = _torus_speeds(a)
-    val, _ = quad(lambda x: float(ds_dchi(x)), 0.0, math.pi,
-                  epsabs=1e-13, epsrel=1e-13, limit=400)
+    cos_2a = math.cos(2.0 * a)
+    val, _ = quad(lambda chi: math.pi * math.sin(_nu_of_chi_scalar(cos_2a, chi)),
+                  0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=400)
     return val
 
 

@@ -35,6 +35,7 @@ from .errors import IntegrationFailure
 from .geodesic import GeodesicProfile, OtsukiSolution
 
 _TWO_PI = 2.0 * math.pi
+_CSV_COLUMNS = ["alpha", "t", "x", "y", "z", "u", "v"]
 
 
 def immerse_otsuki(profile: GeodesicProfile, alpha, s) -> np.ndarray:
@@ -91,13 +92,13 @@ def immerse_bipolar(profile: GeodesicProfile, alpha, t) -> np.ndarray:
 
 def _bipolar_point(alpha, phi, theta) -> np.ndarray:
     cp = np.cos(phi)
-    return np.stack([
+    return np.stack(np.broadcast_arrays(
         np.cos(alpha) * cp * np.sin(theta),
         np.sin(alpha) * cp * np.sin(theta),
         np.cos(alpha) * cp * np.cos(theta),
         np.sin(alpha) * cp * np.cos(theta),
         np.sin(phi),
-    ], axis=-1)
+    ), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -260,8 +261,10 @@ def build_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int) -> SurfaceMesh:
         raise ValueError("mesh resolutions must be at least 8")
     alphas = np.linspace(0.0, _TWO_PI, n_alpha, endpoint=False)
     ts = np.linspace(0.0, profile.t0, n_t, endpoint=False)
-    aa, tt = np.meshgrid(alphas, ts, indexing="ij")
-    verts = immerse_bipolar(profile, aa, tt).reshape(-1, 5)
+    # phi and theta depend on t alone: evaluate them once per t and
+    # broadcast over the alpha rows.
+    verts = _bipolar_point(alphas[:, None], profile.phi_at(ts),
+                           profile.theta_at(ts)).reshape(-1, 5)
     return SurfaceMesh(n_alpha=n_alpha, n_t=n_t, alphas=alphas, ts=ts,
                        vertices=verts)
 
@@ -275,25 +278,26 @@ def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
     largest variance, which is lossy by construction.
     """
     mesh = build_mesh(profile, n_alpha, n_t)
+    rows = mesh.vertices.reshape(n_alpha, n_t, 5)
     if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["alpha", "t", "x", "y", "z", "u", "v"])
-            k = 0
-            for i in range(mesh.n_alpha):
-                for j in range(mesh.n_t):
-                    row = [mesh.alphas[i], mesh.ts[j], *mesh.vertices[k]]
-                    writer.writerow([f"{x:.15g}" for x in row])
-                    k += 1
+        header = ",".join(_CSV_COLUMNS) + "\n"
+        line = ",".join(["%.15g"] * len(_CSV_COLUMNS)) + "\n"
+        blocks = (np.column_stack((np.full(n_t, alpha), mesh.ts, verts))
+                  for alpha, verts in zip(mesh.alphas, rows))
     elif fmt == "obj":
         variances = np.var(mesh.vertices, axis=0)
         keep = np.sort(np.argsort(variances)[-3:])
-        with open(path, "w") as fh:
-            fh.write(f"# bipolar surface mesh, axes kept: {keep.tolist()}\n")
-            for vert in mesh.vertices[:, keep]:
-                fh.write("v " + " ".join(f"{x:.15g}" for x in vert) + "\n")
+        header = f"# bipolar surface mesh, axes kept: {keep.tolist()}\n"
+        line = "v %.15g %.15g %.15g\n"
+        blocks = (verts[:, keep] for verts in rows)
     else:
         raise ValueError(f"unknown mesh format {fmt!r} (use csv or obj)")
+    # One %-format per alpha row of the grid; "%.15g" on a float gives the
+    # same text as f"{x:.15g}".
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for block in blocks:
+            fh.write(line * n_t % tuple(block.ravel().tolist()))
     return mesh
 
 
@@ -302,6 +306,6 @@ def read_mesh_csv(path: str) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header != ["alpha", "t", "x", "y", "z", "u", "v"]:
+        if header != _CSV_COLUMNS:
             raise ValueError(f"unexpected mesh header {header!r}")
         return np.array([[float(x) for x in row] for row in reader])

@@ -399,8 +399,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     signs = np.sign(funcs[np.arange(count), peak])
     signs[signs == 0] = 1.0
     funcs *= signs[:, None]
-    zero_counts = np.array([count_sign_changes(f, antiperiodic=anti)
-                            for f in funcs])
+    zero_counts = count_sign_changes(funcs, antiperiodic=anti)
     return SLSpectrum(problem=build_problem(chart, l, boundary),
                       grid=np.arange(size) * dt,
                       eigenvalues=level_lam[order], eigenfunctions=funcs,

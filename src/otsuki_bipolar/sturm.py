@@ -130,27 +130,34 @@ class SLSpectrum:
 
 
 def count_sign_changes(values, antiperiodic: bool = False,
-                       rel_tol: float = 1e-9) -> int:
+                       rel_tol: float = 1e-9) -> int | np.ndarray:
     """Sign changes of a sampled function around the circle.
 
     Samples within rel_tol of zero (relative to the max) are treated as
     zeros and skipped; the surviving signs are compared cyclically.  For
     antiperiodic functions the wrap pair is compared with a flipped
-    sign, so the result counts zeros on one period.
+    sign, so the result counts zeros on one period.  A 2-D array is
+    counted row by row into an integer array; a 1-D array gives an int.
     """
     v = np.asarray(values, dtype=float)
-    scale = np.max(np.abs(v))
-    if scale == 0.0:
-        return 0
-    signs = np.sign(v)
-    signs[np.abs(v) < rel_tol * scale] = 0
-    nz = signs[signs != 0]
-    if nz.size < 2:
-        return 0
-    pairs = nz * np.roll(nz, -1)
-    if antiperiodic:
-        pairs[-1] = -pairs[-1]
-    return int(np.sum(pairs < 0))
+    rows = np.atleast_2d(v)
+    # Sign of v where |v| >= rel_tol * max|v|, else 0; an exact zero meets
+    # both tests when the floor underflows to 0 and also gets 0.
+    floor = rel_tol * np.max(np.abs(rows), axis=1)[:, None]
+    signs = (rows >= floor).view(np.int8) - (rows <= -floor).view(np.int8)
+    nnz = np.count_nonzero(signs, axis=1)
+    counts = np.zeros(rows.shape[0], dtype=int)
+    ok = nnz >= 2
+    kept = signs[ok]
+    s = kept[kept != 0]                # the surviving signs, row after row
+    last = np.cumsum(nnz[ok]) - 1
+    first = last - nnz[ok] + 1
+    # flips[k]: s[k] differs from s[k-1]; at each row's first sample this
+    # slot holds the cyclic wrap pair instead.
+    flips = np.diff(s, prepend=s[:1]) != 0
+    flips[first] = s[first] * s[last] * (-1 if antiperiodic else 1) < 0
+    counts[ok] = np.add.reduceat(flips, first, dtype=int)
+    return counts if v.ndim == 2 else int(counts[0])
 
 
 def _flux_form_matrix(prob: SLProblem, n: int):
@@ -321,8 +328,7 @@ def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
     signs[signs == 0] = 1.0
     vecs = vecs * signs
 
-    zero_counts = np.array([count_sign_changes(vecs[:, i], antiperiodic=anti)
-                            for i in range(count)])
+    zero_counts = count_sign_changes(vecs.T, antiperiodic=anti)
     eps_grid = _estimate_grid_error(prob, count, n, vals)
     return SLSpectrum(problem=prob, grid=t, eigenvalues=vals,
                       eigenfunctions=vecs.T.copy(), zero_counts=zero_counts,

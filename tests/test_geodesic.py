@@ -75,6 +75,33 @@ def profile_integral_quadrature(b, power):
                 epsabs=1e-13, epsrel=1e-13)[0]
 
 
+def omega_numpy_scalar_quadrature(a):
+    """omega with numpy ufuncs on 0-d values in the integrand: the same
+    charts, quad settings and 0.05 branch point as ``omega``."""
+    c = math.sin(a) * math.cos(a)
+    if a < 0.05:
+        def sinc(x):
+            x = np.asarray(x, dtype=float)
+            out = np.where(x == 0.0, 1.0, np.sin(np.where(x == 0.0, 1.0, x))
+                           / np.where(x == 0.0, 1.0, x))
+            return float(out)
+
+        def f(u):
+            y = 4.0 * a * math.sinh(0.5 * u) ** 2
+            m = a + 0.5 * y
+            kernel = 1.0 / math.sqrt(sinc(y) * sinc(y + 4.0 * a))
+            return c * (1.0 / math.cos(m) + 1.0 / math.sin(m)) * kernel
+
+        u_max = 2.0 * math.asinh(math.sqrt((0.5 * math.pi - 2.0 * a) / (4.0 * a)))
+        return quad(f, 0.0, u_max, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+
+    def g(chi):
+        nu = 0.5 * np.arccos(np.clip(math.cos(2.0 * a) * np.cos(chi), -1.0, 1.0))
+        return c / (math.cos(nu) * math.sin(2.0 * nu))
+
+    return quad(g, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=800)[0]
+
+
 # -- rotation numbers ----------------------------------------------------
 
 def test_rotation_number_validation():
@@ -97,6 +124,11 @@ def test_omega_at_quarter_pi():
 
 def test_omega_limit_at_zero():
     assert abs(omega(1e-6) - 0.5 * math.pi) < 1e-3
+
+
+@pytest.mark.parametrize("a", [1e-6, 1e-3, 0.049, 0.05, 0.3, 0.25 * math.pi])
+def test_omega_bitwise_equals_numpy_scalar_integrands(a):
+    assert omega(a) == omega_numpy_scalar_quadrature(a)
 
 
 def test_omega_against_clipped_extrapolated_quadrature():

@@ -150,12 +150,31 @@ def test_periodic_closure_of_parameter_grid(cases):
     assert np.max(np.abs(a_row - b_row)) < 1e-10
 
 
+def reference_mesh_text(mesh, fmt):
+    """The mesh file written one vertex and one f-string at a time."""
+    if fmt == "csv":
+        lines = ["alpha,t,x,y,z,u,v"]
+        for k, vert in enumerate(mesh.vertices):
+            row = [mesh.alphas[k // mesh.n_t], mesh.ts[k % mesh.n_t], *vert]
+            lines.append(",".join(f"{x:.15g}" for x in row))
+    else:
+        keep = np.sort(np.argsort(np.var(mesh.vertices, axis=0))[-3:])
+        lines = [f"# bipolar surface mesh, axes kept: {keep.tolist()}"]
+        for vert in mesh.vertices[:, keep]:
+            lines.append("v " + " ".join(f"{x:.15g}" for x in vert))
+    return "\n".join(lines) + "\n"
+
+
 def test_mesh_export_csv_roundtrip(tmp_path, cases):
     prof = cases.profile((3, 5))
     path = tmp_path / "mesh.csv"
     mesh = export_mesh(prof, 16, 64, "csv", str(path))
     assert mesh.vertices.shape == (16 * 64, 5)
     assert np.max(np.abs(np.linalg.norm(mesh.vertices, axis=1) - 1.0)) < 1e-10
+    aa, tt = np.meshgrid(mesh.alphas, mesh.ts, indexing="ij")
+    assert np.array_equal(mesh.vertices,
+                          immerse_bipolar(prof, aa, tt).reshape(-1, 5))
+    assert path.read_bytes() == reference_mesh_text(mesh, "csv").encode()
     data = read_mesh_csv(str(path))
     assert data.shape == (16 * 64, 7)
     assert np.max(np.abs(data[:, 2:] - mesh.vertices)) < 1e-12
@@ -174,10 +193,11 @@ def test_mesh_export_even_q_cover(tmp_path, cases):
 def test_mesh_export_obj(tmp_path, cases):
     prof = cases.profile((3, 5))
     path = tmp_path / "mesh.obj"
-    export_mesh(prof, 8, 16, "obj", str(path))
+    mesh = export_mesh(prof, 8, 16, "obj", str(path))
     lines = [l for l in path.read_text().splitlines() if l.startswith("v ")]
     assert len(lines) == 8 * 16
     assert all(len(l.split()) == 4 for l in lines)
+    assert path.read_bytes() == reference_mesh_text(mesh, "obj").encode()
 
 
 def test_mesh_rejects_coarse_resolutions(cases):

@@ -55,6 +55,54 @@ def test_count_sign_changes_with_exact_zeros():
     assert count_sign_changes(v) == 4
 
 
+def count_sign_changes_by_row(v, antiperiodic=False, rel_tol=1e-9):
+    """One row at a time: the zero counter as a plain loop over nonzeros."""
+    scale = np.max(np.abs(v))
+    if scale == 0.0:
+        return 0
+    signs = np.sign(v)
+    signs[np.abs(v) < rel_tol * scale] = 0
+    nz = signs[signs != 0]
+    if nz.size < 2:
+        return 0
+    pairs = nz * np.roll(nz, -1)
+    if antiperiodic:
+        pairs[-1] = -pairs[-1]
+    return int(np.sum(pairs < 0))
+
+
+@pytest.mark.parametrize("antiperiodic", [False, True])
+def test_count_sign_changes_rows_match_the_row_loop(antiperiodic):
+    rng = np.random.default_rng(11)
+    n = 48
+    rows = [rng.standard_normal(n) for _ in range(40)]
+    for _ in range(40):                      # exact zeros and near-zeros
+        v = rng.standard_normal(n)
+        v[rng.random(n) < 0.3] = 0.0
+        v[rng.random(n) < 0.2] *= 1e-12
+        rows.append(v)
+    t = np.linspace(0, TWO_PI, n, endpoint=False)
+    rows += [np.zeros(n), -np.zeros(n), np.sin(2.5 * t), np.cos(1.5 * t)]
+    edge = np.where(np.arange(n) % 3 == 0, 1.0, -1e-9)   # |v| == rel_tol * max
+    edge[1::6] = 0.999e-9
+    rows += [edge, -edge, 1e-315 * np.sign(rows[0])]       # rel_tol * max underflows
+    for k in range(n):                       # a single surviving sample
+        v = np.zeros(n)
+        v[k] = -1.0
+        rows.append(v)
+    for lo, hi in ((0, 2), (n - 2, n), (0, n - 1), (5, 9)):  # two survivors
+        v = np.zeros(n)
+        v[lo], v[hi - 1] = 1.0, -1.0
+        rows += [v, np.abs(v), -np.abs(v)]
+    rows = np.array(rows)
+    expected = [count_sign_changes_by_row(v, antiperiodic) for v in rows]
+    got = count_sign_changes(rows, antiperiodic=antiperiodic)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == expected
+    assert [count_sign_changes(v, antiperiodic) for v in rows] == expected
+    assert all(type(count_sign_changes(v, antiperiodic)) is int for v in rows[:3])
+
+
 # -- constant-coefficient exactness ---------------------------------------
 
 def test_constant_periodic_eigenvalues_and_order():
