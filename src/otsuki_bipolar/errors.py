@@ -10,7 +10,8 @@ class NoRoot(RuntimeError):
 
 
 class ResolutionTooCoarse(RuntimeError):
-    """A sampled profile fails its unit-speed consistency threshold."""
+    """A geodesic chart's Fourier series does not resolve its rates, or
+    the charts do not close the geodesic to the profile's tolerance."""
 
 
 class IntegrationFailure(RuntimeError):

@@ -19,8 +19,8 @@ All turning-point integrals are regularized before quadrature:
 
 which removes the square-root endpoint singularities.  Scalar period
 values use adaptive Gauss-Kronrod quadrature on the regularized
-integrands; cumulative profile tables use fixed-order Gauss-Legendre
-panels (the substituted integrands are analytic).
+integrands.  The substituted integrands are analytic and periodic, so
+the profiles integrate their Fourier series term by term (``_HalfChart``).
 """
 
 from __future__ import annotations
@@ -30,17 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .elliptic import complete_E, complete_K, complete_Pi
-from .errors import DomainError, NoRoot, ResolutionTooCoarse
+from .errors import ConvergenceFailure, DomainError, NoRoot, ResolutionTooCoarse
 
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
-
-# 10-point Gauss-Legendre rule used per panel for cumulative tables.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 
 
 @dataclass(frozen=True)
@@ -274,45 +270,6 @@ def i_ratio(b: float) -> float:
     return math.pi ** 2 * i1(b) / i2(b) ** 3
 
 
-def _bipolar_speeds(b: float):
-    """dt/dx and dtheta/dx on the substituted half-oscillation chart.
-
-    x in [0, pi] with sin(phi) = sin(b) cos(x); phi runs b -> -b.
-    """
-    sb = math.sin(b)
-    cb2 = math.cos(b) ** 2
-
-    def phi_of_x(x):
-        return np.arcsin(np.clip(sb * np.cos(x), -1.0, 1.0))
-
-    def dt_dx(x):
-        c2 = np.cos(phi_of_x(x)) ** 2
-        return 2.0 * math.pi * c2 / np.sqrt(c2 + cb2)
-
-    def dtheta_dx(x):
-        c2 = np.cos(phi_of_x(x)) ** 2
-        return cb2 / (c2 * np.sqrt(c2 + cb2))
-
-    return phi_of_x, dt_dx, dtheta_dx
-
-
-def _torus_speeds(a: float):
-    """ds/dchi and dlambda/dchi on the substituted nu half-oscillation chart."""
-    c = math.sin(a) * math.cos(a)
-
-    def nu_of(chi):
-        return _nu_of_chi(a, chi)
-
-    def ds_dchi(chi):
-        return math.pi * np.sin(nu_of(chi))
-
-    def dlam_dchi(chi):
-        nu = nu_of(chi)
-        return c / (2.0 * np.sin(nu) * np.cos(nu) ** 2)
-
-    return nu_of, ds_dchi, dlam_dchi
-
-
 def bipolar_half_period(b: float) -> float:
     """Half-oscillation length of the bipolar geodesic by direct quadrature."""
     b = _check_b_closed_open(b)
@@ -371,59 +328,198 @@ def solve_rotation(r: RotationNumber) -> OtsukiSolution:
 
 
 # ---------------------------------------------------------------------------
-# Sampled profiles
+# Analytic charts of the geodesics
+
+_FIRST_SAMPLES = 2048    # samples per chart period of the first FFT
+_MAX_SAMPLES = 2 ** 18   # a tail not resolved by then is taken as non-analytic
+_TAIL = 1e-15            # coefficients below this share of sum |f_j| are rounding
+_TABLE_REFINEMENT = 8    # table points per FFT node for Newton's first guess
+_SERIES_BLOCK = 2 ** 18  # points times angles per group of a series evaluation
+_NEWTON_STEPS = 30
 
 
-def _cumulative_table(fns, n_panels: int):
-    """Cumulative integrals of the vectorized integrands over [0, pi].
+def radial_coefficients(b: float, x):
+    """P, S and W of the radial operator at chart values x.
 
-    Returns the panel edges and one cumulative array per integrand,
-    integrated with a fixed-order Gauss-Legendre rule per panel.
+    In the chart sin(phi) = sin(b) cos(x) of the bipolar geodesic,
+
+        P = 2 pi sqrt(cos^2 phi + cos^2 b),
+        S = 2 pi / sqrt(cos^2 phi + cos^2 b),
+        W = dt/dx = 2 pi cos^2 phi / sqrt(cos^2 phi + cos^2 b),
+
+    all analytic, even and pi-periodic in x.
     """
-    edges = np.linspace(0.0, math.pi, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    nodes = mids[:, None] + half * _GL_NODES[None, :]
-    flat = nodes.ravel()
-    out = []
-    for fn in fns:
-        vals = np.asarray(fn(flat)).reshape(nodes.shape)
-        panel = half * (vals * _GL_WEIGHTS).sum(axis=1)
-        out.append(np.concatenate(([0.0], np.cumsum(panel))))
-    return edges, out
+    cos2 = 1.0 - (math.sin(b) * np.cos(x)) ** 2
+    root = np.sqrt(cos2 + math.cos(b) ** 2)
+    return (2.0 * math.pi * root, 2.0 * math.pi / root,
+            2.0 * math.pi * cos2 / root)
 
 
-class _HalfOscillation:
-    """Monotone half-oscillation chart with spline inversion.
+def _last_term(f_hat) -> int:
+    """Index of the last Fourier coefficient above the rounding noise."""
+    size = np.abs(f_hat)
+    return int(np.flatnonzero(size > _TAIL * (2.0 * size.sum() - size[0]))[-1])
 
-    Maps the arclength-like parameter u in [0, length] to the substituted
-    angle x(u) in [0, pi] and the accumulated swept angle ang(u).
+
+def _sine_series(coef, k0: float, x):
+    """sum_j coef[j-1] sin(j k0 x) at every x.
+
+    Terms go in blocks of B ~ sqrt(J): sin((mB + k) y) =
+    sin(mBy) cos(ky) + cos(mBy) sin(ky), so each point needs sines and
+    cosines of only the B + J/B angles ky and mBy.  Points are taken in
+    groups of bounded size.
+    """
+    block = math.isqrt(coef.size) + 1
+    blocks = coef.size // block + 1
+    c = np.zeros(blocks * block)
+    c[1:coef.size + 1] = coef
+    c = c.reshape(blocks, block).T.copy()   # c[k, m] multiplies sin((mB + k) y)
+    k = np.arange(block)
+    m = np.arange(blocks) * block
+    flat = k0 * np.ravel(x)
+    out = np.empty(flat.size)
+    step = max(1, _SERIES_BLOCK // (block + blocks))
+    for i in range(0, flat.size, step):
+        y = flat[i:i + step, None]
+        my = y * m
+        out[i:i + step] = (np.sin(my) * (np.cos(y * k) @ c)
+                           + np.cos(my) * (np.sin(y * k) @ c)).sum(axis=1)
+    return out.reshape(np.shape(x))
+
+
+class _HalfChart:
+    """Arc length u and swept angle of a geodesic in a turning-free chart.
+
+    ``rates(x)`` returns du/dx and d(angle)/dx, analytic and even in x
+    with period ``period``; one half-oscillation is x in [0, pi], from a
+    turning point at x = 0.  Each rate is held by its Fourier series
+    f(x) = sum_j f_j e^{2 pi i j x / period} from an FFT of N samples per
+    period: N starts at 2048 and doubles until the last coefficient above
+    rounding lies below N/4 (else ResolutionTooCoarse), and the series is
+    cut there.  ``u`` and ``angle`` are the exact term-wise integrals,
+    zero at x = 0; ``x_of`` inverts u by Newton, from a table of u.
     """
 
-    def __init__(self, x_grid, u_of_x, ang_of_x):
-        self.length = float(u_of_x[-1])
-        self.angle_advance = float(ang_of_x[-1])
-        # u(x) is strictly increasing; invert by spline.  Both x(u) and
-        # ang(u) have vanishing second derivative at the endpoints, so
-        # natural boundary conditions are exact.
-        self._x_of_u = CubicSpline(u_of_x, x_grid, bc_type="natural")
-        self._ang_of_u = CubicSpline(u_of_x, ang_of_x, bc_type="natural")
+    def __init__(self, rates, period: float):
+        self.period = period
+        self._rates = rates
+        n = _FIRST_SAMPLES
+        while True:
+            nodes = np.arange(n) * (period / n)
+            hats = [np.fft.rfft(f).real / n for f in rates(nodes)]
+            cuts = [_last_term(h) for h in hats]
+            if max(cuts) < n // 4:
+                break
+            if n >= _MAX_SAMPLES:
+                raise ResolutionTooCoarse(
+                    f"chart rates keep terms above rounding up to j ="
+                    f" {max(cuts)} at {n} samples per period")
+            n *= 2
+        self._k0 = k0 = 2.0 * math.pi / period
 
-    def x(self, u):
-        return np.clip(self._x_of_u(np.clip(u, 0.0, self.length)), 0.0, math.pi)
+        def integral(f_hat, cut):
+            j = np.arange(1, cut + 1)
+            return f_hat[0], 2.0 * f_hat[j] / (j * k0)
 
-    def angle(self, u):
-        return self._ang_of_u(np.clip(u, 0.0, self.length))
+        (self._u0, self._u_coef), (self._a0, self._a_coef) = map(integral, hats, cuts)
+        self.length = math.pi * self._u0
+        self.angle_advance = math.pi * self._a0
+        # u on a grid finer than the FFT nodes, by one zero-padded inverse
+        # FFT: the table of Newton's first guesses.
+        fine = _TABLE_REFINEMENT * n
+        spectrum = np.zeros(fine // 2 + 1, dtype=complex)
+        spectrum[1:self._u_coef.size + 1] = -0.5j * fine * self._u_coef
+        self._x_table = np.linspace(0.0, period, fine + 1)
+        self._u_table = self._u0 * self._x_table + np.append(
+            np.fft.irfft(spectrum, fine), 0.0)
+
+    def u(self, x):
+        return self._u0 * x + _sine_series(self._u_coef, self._k0, x)
+
+    def angle(self, x):
+        return self._a0 * x + _sine_series(self._a_coef, self._k0, x)
+
+    def x_of(self, u):
+        """Chart value x at arc lengths u (any real u)."""
+        u = np.asarray(u, dtype=float)
+        per_period = self._u0 * self.period
+        turns = np.floor(u / per_period)
+        tau = u - turns * per_period
+        x = np.interp(tau, self._u_table, self._x_table)
+        for _ in range(_NEWTON_STEPS):
+            step = (self.u(x) - tau) / self._rates(x)[0]
+            x = x - step
+            if np.all(np.abs(step) <= 1e-12):   # quadratic: x is now exact
+                break
+        else:
+            raise ConvergenceFailure("Newton inversion of the chart did not converge")
+        return turns * self.period + x
+
+    def samples(self, per_half: int, halves: int):
+        """x and angle on the u-grid of ``per_half`` steps per
+        half-oscillation over ``halves`` half-oscillations: one period is
+        evaluated and shifted by whole periods."""
+        per_period = round(per_half * self.period / math.pi)
+        x = self.x_of(np.arange(per_period) * (self.length / per_half))
+        ang = self.angle(x)
+        shift = np.arange(halves * per_half // per_period)[:, None]
+        return ((x + shift * self.period).ravel(),
+                (ang + shift * (self._a0 * self.period)).ravel())
+
+
+def bipolar_chart(b: float) -> _HalfChart:
+    """t and theta of the bipolar geodesic in its chart
+    sin(phi) = sin(b) cos(x), with dt/dx = W and
+    dtheta/dx = W dtheta/dt = W cos^2 b / (2 pi cos^4 phi); period pi."""
+    sb, cb2 = math.sin(b), math.cos(b) ** 2
+
+    def rates(x):
+        w = radial_coefficients(b, x)[2]
+        cos2 = 1.0 - (sb * np.cos(x)) ** 2
+        return w, cb2 * w / (2.0 * math.pi * cos2 ** 2)
+
+    return _HalfChart(rates, math.pi)
+
+
+def _torus_chart(a: float) -> _HalfChart:
+    """s and lambda of the torus-side geodesic in its chart
+    cos(2 nu) = cos(2a) cos(chi), with ds/dchi = pi sin(nu) and
+    dlambda/dchi = c / (2 sin(nu) cos^2(nu)); period 2 pi.
+
+    sin^2 nu = sin^2 a + cos(2a) sin^2(chi/2) and
+    cos^2 nu = sin^2 a + cos(2a) cos^2(chi/2) carry no cancellation at
+    the turning points, where the rates peak when a is small.
+    """
+    c = math.sin(a) * math.cos(a)
+    sa2, cos_2a = math.sin(a) ** 2, math.cos(2.0 * a)
+
+    def rates(chi):
+        sin_nu = np.sqrt(sa2 + cos_2a * np.sin(0.5 * chi) ** 2)
+        cos2_nu = sa2 + cos_2a * np.cos(0.5 * chi) ** 2
+        return math.pi * sin_nu, c / (2.0 * sin_nu * cos2_nu)
+
+    return _HalfChart(rates, 2.0 * math.pi)
+
+
+def _value(out):
+    return out if out.shape else float(out)
 
 
 class GeodesicProfile:
-    """Sampled closed geodesic on both orbit spheres.
+    """Closed geodesic on both orbit spheres, from its analytic charts.
 
     Exposes uniform samples over one full period (attributes ``t_grid``,
     ``phi``, ``theta`` on the bipolar side; ``s_grid``, ``nu``,
     ``lambda_angle`` on the torus side) plus vectorized evaluators valid
     for any parameter value, with velocities from the first integrals of
-    the geodesic flow rather than numerical differentiation.
+    the geodesic flow rather than numerical differentiation.  Every value
+    comes from the Fourier series of the two charts (``bipolar_chart``,
+    sin(phi) = sin(b) cos(x); the torus chart, cos(2 nu) = cos(2a) cos(chi)),
+    which are exact to rounding; the profile raises ResolutionTooCoarse
+    when the charts do not close the geodesic to 1e-10 or do not
+    reproduce the quadrature periods t0 and s_total to 1e-10 relative.
+    ``unit_speed_residual`` is a finite-difference diagnostic of the
+    samples only.  ``table_panels`` is accepted and ignored.
 
     The phase convention puts t = 0 at a turning point with
     phi(0) = b, theta(0) = 0 (phi decreasing), and s = 0 at nu(0) = a,
@@ -435,23 +531,11 @@ class GeodesicProfile:
         if samples_per_half_period < 16:
             raise ValueError("samples_per_half_period must be at least 16")
         self.solution = solution
-        self.samples_per_half_period = int(samples_per_half_period)
-        a, b = solution.a, solution.b
-        q = solution.rotation.q
-
-        phi_of_x, dt_dx, dtheta_dx = _bipolar_speeds(b)
-        x_edges, (t_of_x, theta_of_x) = _cumulative_table((dt_dx, dtheta_dx),
-                                                          table_panels)
-        self._phi_of_x = phi_of_x
-        self._dt_dx = dt_dx
-        self._x_edges, self._t_of_x_table = x_edges, t_of_x
-        self._bip = _HalfOscillation(x_edges, t_of_x, theta_of_x)
-
-        nu_of_chi, ds_dchi, dlam_dchi = _torus_speeds(a)
-        chi_edges, (s_of_chi, lam_of_chi) = _cumulative_table(
-            (ds_dchi, dlam_dchi), table_panels)
-        self._nu_of_chi_fn = nu_of_chi
-        self._tor = _HalfOscillation(chi_edges, s_of_chi, lam_of_chi)
+        self.samples_per_half_period = m = int(samples_per_half_period)
+        r = solution.rotation
+        q = r.q
+        self._bip = bipolar_chart(solution.b)
+        self._tor = _torus_chart(solution.a)
 
         self.t_half = self._bip.length
         self.s_half = self._tor.length
@@ -460,135 +544,87 @@ class GeodesicProfile:
         self.t0 = 2 * q * self.t_half
         self.s_total = 2 * q * self.s_half
 
-        m = self.samples_per_half_period
+        closure = max(abs(2 * q * self.xi_half - 2 * r.p * math.pi),
+                      abs(2 * q * self.omega_half - 2 * r.p * math.pi))
+        mismatch = max(abs(self.t0 - solution.t0) / solution.t0,
+                       abs(self.s_total - solution.s_total) / solution.s_total)
+        if closure > 1e-10 or mismatch > 1e-10:
+            raise ResolutionTooCoarse(
+                f"charts of {r} close to {closure:.3e} and match the periods"
+                f" to {mismatch:.3e} (limit 1e-10)")
+
         n = 2 * q * m
         self.t_grid = np.arange(n) * (self.t0 / n)
-        self.phi = self.phi_at(self.t_grid)
-        self.theta = self.theta_at(self.t_grid)
+        x, self.theta = self._bip.samples(m, 2 * q)
+        self.phi = self._phi_of_x(x)
         self.s_grid = np.arange(n) * (self.s_total / n)
-        self.nu = self.nu_at(self.s_grid)
-        self.lambda_angle = self.lambda_at(self.s_grid)
+        chi, self.lambda_angle = self._tor.samples(m, 2 * q)
+        self.nu = _nu_of_chi(solution.a, chi)
 
         self.unit_speed_residual = self._unit_speed_residual()
-        if self.unit_speed_residual > 1e-5:
-            raise ResolutionTooCoarse(
-                f"unit-speed residual {self.unit_speed_residual:.3e} exceeds 1e-5 "
-                f"at {samples_per_half_period} samples per half-oscillation"
-            )
 
     # -- bipolar side -------------------------------------------------
 
-    def _fold_t(self, t):
-        """Reduce t to (half-oscillation parity, local parameter)."""
-        u = np.asarray(t, dtype=float) % self.t0
-        d = np.floor(u / self.t_half).astype(int)
-        d = np.minimum(d, 2 * self.solution.rotation.q - 1)
-        r = u - d * self.t_half
-        return d, np.clip(r, 0.0, self.t_half)
+    def _phi_of_x(self, x):
+        return np.arcsin(math.sin(self.solution.b) * np.cos(x))
 
     def phi_at(self, t):
-        d, r = self._fold_t(t)
-        r_eff = np.where(d % 2 == 0, r, self.t_half - r)
-        out = self._phi_of_x(self._bip.x(r_eff))
-        return out if out.shape else float(out)
+        return _value(self._phi_of_x(self._bip.x_of(t)))
 
     def theta_at(self, t):
-        t = np.asarray(t, dtype=float)
-        turns = np.floor(t / self.t0)
-        d, r = self._fold_t(t)
-        even = d % 2 == 0
-        local = np.where(even,
-                         d * self.xi_half + self._bip.angle(r),
-                         (d + 1) * self.xi_half
-                         - self._bip.angle(self.t_half - r))
-        out = local + turns * (2 * self.solution.rotation.q * self.xi_half)
-        return out if out.shape else float(out)
+        return _value(self._bip.angle(self._bip.x_of(t)))
 
     def t_of_x(self, x):
-        """Parameter t at chart values x >= 0, where sin(phi) = sin(b) cos(x).
+        """Parameter t at chart values x, where sin(phi) = sin(b) cos(x).
 
-        The forward map of the chart: t(k pi + r) = k t_half + tau(r),
-        with tau read from the cumulative dt/dx table at the nearest
-        panel edge below r plus one Gauss-Legendre panel up to r, so it
-        agrees with ``t_half`` and ``t0`` to rounding.
+        The exact integral of the Fourier series of dt/dx, so t(pi) =
+        ``t_half`` and t(2 q pi) = ``t0`` to rounding.
         """
-        x = np.asarray(x, dtype=float)
-        turns = np.floor(x / math.pi)
-        r = x - turns * math.pi
-        edges = self._x_edges
-        i = np.minimum((r / edges[1]).astype(int), edges.size - 2)
-        half = 0.5 * (r - edges[i])
-        nodes = (edges[i] + half)[..., None] + half[..., None] * _GL_NODES
-        tau = self._t_of_x_table[i] + half * (self._dt_dx(nodes)
-                                              * _GL_WEIGHTS).sum(axis=-1)
-        out = turns * self.t_half + tau
-        return out if out.shape else float(out)
+        return _value(self._bip.u(np.asarray(x, dtype=float)))
 
     def phi_dot_at(self, t):
-        """Velocity d phi/dt from the first integral, with the segment sign."""
-        d, _ = self._fold_t(t)
-        phi = np.asarray(self.phi_at(t))
-        c4b = math.cos(self.solution.b) ** 4
-        cphi = np.cos(phi)
-        mag = np.sqrt(np.maximum(cphi ** 4 - c4b, 0.0)) / (2.0 * math.pi * cphi ** 3)
-        out = np.where(d % 2 == 0, -mag, mag)
-        return out if out.shape else float(out)
+        """Velocity d phi/dt = (d phi/dx) / W in the chart."""
+        b = self.solution.b
+        x = self._bip.x_of(t)
+        w = radial_coefficients(b, x)[2]
+        return _value(-math.sin(b) * np.sin(x) / (np.cos(self._phi_of_x(x)) * w))
 
     def theta_dot_at(self, t):
         phi = np.asarray(self.phi_at(t))
         out = math.cos(self.solution.b) ** 2 / (2.0 * math.pi * np.cos(phi) ** 4)
-        return out if out.shape else float(out)
+        return _value(out)
 
     # -- torus side ----------------------------------------------------
 
-    def _fold_s(self, s):
-        u = np.asarray(s, dtype=float) % self.s_total
-        d = np.floor(u / self.s_half).astype(int)
-        d = np.minimum(d, 2 * self.solution.rotation.q - 1)
-        r = u - d * self.s_half
-        return d, np.clip(r, 0.0, self.s_half)
-
     def nu_at(self, s):
-        d, r = self._fold_s(s)
-        r_eff = np.where(d % 2 == 0, r, self.s_half - r)
-        out = self._nu_of_chi_fn(self._tor.x(r_eff))
-        return out if out.shape else float(out)
+        return _value(_nu_of_chi(self.solution.a, self._tor.x_of(s)))
 
     def lambda_at(self, s):
-        s = np.asarray(s, dtype=float)
-        turns = np.floor(s / self.s_total)
-        d, r = self._fold_s(s)
-        even = d % 2 == 0
-        local = np.where(even,
-                         d * self.omega_half + self._tor.angle(r),
-                         (d + 1) * self.omega_half
-                         - self._tor.angle(self.s_half - r))
-        out = local + turns * (2 * self.solution.rotation.q * self.omega_half)
-        return out if out.shape else float(out)
+        return _value(self._tor.angle(self._tor.x_of(s)))
 
     def nu_dot_at(self, s):
-        d, _ = self._fold_s(s)
-        nu = np.asarray(self.nu_at(s))
-        c2 = self.solution.c ** 2
-        sn, cn = np.sin(nu), np.cos(nu)
-        mag = np.sqrt(np.maximum(sn ** 2 * cn ** 2 - c2, 0.0)) / (
-            2.0 * math.pi * sn ** 2 * cn)
-        out = np.where(d % 2 == 0, mag, -mag)
-        return out if out.shape else float(out)
+        """Velocity d nu/ds = (d nu/dchi) / (ds/dchi) in the chart."""
+        a = self.solution.a
+        chi = self._tor.x_of(s)
+        nu = _nu_of_chi(a, chi)
+        return _value(math.cos(2.0 * a) * np.sin(chi)
+                      / (2.0 * math.pi * np.sin(nu) * np.sin(2.0 * nu)))
 
     def lambda_dot_at(self, s):
         nu = np.asarray(self.nu_at(s))
         out = self.solution.c / (2.0 * math.pi * np.cos(nu) ** 2 * np.sin(nu) ** 2)
-        return out if out.shape else float(out)
+        return _value(out)
 
     # -- diagnostics ----------------------------------------------------
 
     def _unit_speed_residual(self) -> float:
         """Max deviation of the finite-differenced speed from 1.
 
-        Uses 4th-order centered differences of the sampled phi, theta as
-        a resolution diagnostic (the closed-form velocities satisfy the
-        speed identity exactly and would hide undersampling).
+        Uses 6th-order centered differences of the sampled phi, theta
+        (the closed-form velocities satisfy the speed identity exactly).
+        A diagnostic of the sampling only: at few samples per
+        half-oscillation the differences, not the charts, miss the speed
+        near the turning points.
         """
         n = self.t_grid.size
         h = self.t0 / n
@@ -608,8 +644,7 @@ class GeodesicProfile:
 
     def cos2_phi_at(self, t):
         phi = np.asarray(self.phi_at(t))
-        out = np.cos(phi) ** 2
-        return out if out.shape else float(out)
+        return _value(np.cos(phi) ** 2)
 
 
 def profile(sol: OtsukiSolution, samples_per_half_period: int = 512) -> GeodesicProfile:

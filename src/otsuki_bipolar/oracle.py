@@ -38,7 +38,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConvergenceFailure
-from .geodesic import GeodesicProfile
+from .geodesic import GeodesicProfile, radial_coefficients
 from .spectrum import ModeTable
 from .sturm import symmetry_characters
 
@@ -84,18 +84,11 @@ class TorusGrid:
     @property
     def mass(self) -> np.ndarray:
         """Diagonal mass W = dt/dx at every unknown."""
-        b = self.profile.solution.b
-        cos2 = 1.0 - (math.sin(b) * np.cos(self.xs)) ** 2
-        return np.repeat(2.0 * math.pi * cos2 / _chart_root(b, self.xs),
-                         self.n_alpha)
+        w = radial_coefficients(self.profile.solution.b, self.xs)[2]
+        return np.repeat(w, self.n_alpha)
 
     def points_per_half_oscillation(self) -> float:
         return self.n_t / (2 * self.profile.solution.rotation.q)
-
-
-def _chart_root(b: float, x):
-    """sqrt(cos^2 phi + cos^2 b) at chart values x."""
-    return np.sqrt(1.0 + math.cos(b) ** 2 - (math.sin(b) * np.cos(x)) ** 2)
 
 
 def _operator_matrix(grid: TorusGrid) -> scipy.sparse.csc_matrix:
@@ -105,8 +98,8 @@ def _operator_matrix(grid: TorusGrid) -> scipy.sparse.csc_matrix:
     h_a, h_x = 2.0 * math.pi / na, grid.h_x
     xs = grid.xs
 
-    w_alpha = 2.0 * math.pi / _chart_root(b, xs) / h_a ** 2          # per x-row
-    w_x = 2.0 * math.pi * _chart_root(b, xs + 0.5 * h_x) / h_x ** 2  # rows j, j+1
+    w_alpha = radial_coefficients(b, xs)[1] / h_a ** 2               # per x-row
+    w_x = radial_coefficients(b, xs + 0.5 * h_x)[0] / h_x ** 2      # rows j, j+1
 
     n = na * nt
     idx = np.arange(n).reshape(nt, na)
@@ -231,17 +224,18 @@ def theorem2_residual(profile: GeodesicProfile, grid: TorusGrid) -> float:
     """
     a = _operator_matrix(grid)
     w = grid.mass
-    alphas, ts = grid.alphas, grid.ts
-    aa, tt = np.meshgrid(alphas, ts, indexing="xy")   # shape (nt, na)
-    phi = profile.phi_at(tt)
-    theta = profile.theta_at(tt)
+    aa = grid.alphas[None, :]                          # grid shape (nt, na)
+    # phi and theta depend on t alone: evaluate them once per node row.
+    ts = grid.ts[:, None]
+    phi = profile.phi_at(ts)
+    theta = profile.theta_at(ts)
     cp = np.cos(phi)
     coords = [
         np.cos(aa) * cp * np.sin(theta),
         np.sin(aa) * cp * np.sin(theta),
         np.cos(aa) * cp * np.cos(theta),
         np.sin(aa) * cp * np.cos(theta),
-        np.sin(phi) * np.ones_like(aa),
+        np.broadcast_to(np.sin(phi), (grid.n_t, grid.n_alpha)),
     ]
     worst = 0.0
     for f in coords:

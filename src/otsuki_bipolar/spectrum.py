@@ -37,7 +37,9 @@ from .geodesic import (
     GeodesicProfile,
     OtsukiSolution,
     RotationNumber,
+    bipolar_chart,
     i2,
+    radial_coefficients,
     solve_rotation,
 )
 from .immersion import area
@@ -227,70 +229,32 @@ _FFT_POINTS = 2048      # coefficient samples per half-oscillation x in [0, pi)
 _FIRST_MODES = 8        # M of the first solve; each sector has 2M + 1 modes
 _MAX_MODES = 256        # lags up to 2M stay below _FFT_POINTS / 2
 _MODE_TOL = 1e-10       # M-versus-M/2 change that stops the doubling
-_NEWTON_STEPS = 30
 
 
 class _RadialChart:
     """Radial coefficients in the analytic chart sin(phi) = sin(b) cos(x).
 
-    One period t0 of the bipolar geodesic is x in [0, 2 q pi), and
-
-        P = 2 pi sqrt(cos^2 phi + cos^2 b),
-        S = 2 pi / sqrt(cos^2 phi + cos^2 b),
-        W = dt/dx = 2 pi cos^2 phi / sqrt(cos^2 phi + cos^2 b)
-
+    One period t0 of the bipolar geodesic is x in [0, 2 q pi), and the
+    coefficients P, S and W = dt/dx of ``geodesic.radial_coefficients``
     are analytic and pi-periodic.  Each is held by its Fourier
     coefficients f_j of f(x) = sum_j f_j e^{2ijx} (real and even in j,
-    since f is even in x), from one FFT.  The map t(x) is the exact
-    integral of the series of W; its inverse x(t) is found by Newton on
-    one half-oscillation and tiled by x(t + t_half) = x(t) + pi.
-    ``t0``, ``t_half`` and ``cos2_phi_at`` let ``sturm.build_problem``
-    bind a radial problem to the chart as it does to a profile.
+    since f is even in x), from one FFT.  t(x) and x(t) come from the
+    bipolar geodesic's own chart, ``geodesic.bipolar_chart``.  ``t0``,
+    ``t_half`` and ``cos2_phi_at`` let ``sturm.build_problem`` bind a
+    radial problem to the chart as it does to a profile.
     """
 
     def __init__(self, b: float, q: int):
         self.b = b
         x = np.arange(_FFT_POINTS) * (math.pi / _FFT_POINTS)
-        cos2 = 1.0 - (math.sin(b) * np.cos(x)) ** 2
-        root = np.sqrt(cos2 + math.cos(b) ** 2)
         self.p_hat, self.s_hat, self.w_hat = (
-            np.fft.fft(f).real / _FFT_POINTS
-            for f in (2.0 * math.pi * root, 2.0 * math.pi / root,
-                      2.0 * math.pi * cos2 / root))
-        self.t_half = math.pi * self.w_hat[0]
+            np.fft.fft(f).real / _FFT_POINTS for f in radial_coefficients(b, x))
+        self.geodesic = bipolar_chart(b)
+        self.t_half = self.geodesic.length
         self.t0 = 2 * q * self.t_half
-        # Terms of the W series above the rounding noise of the FFT.
-        tail = np.abs(self.w_hat[:_FFT_POINTS // 2]) > 1e-15 * self.w_hat[0]
-        self._j = np.arange(1, np.flatnonzero(tail)[-1] + 1)
-        self._x_table = np.linspace(0.0, math.pi, 257)
-        self._t_table = self._t_local(self._x_table)
-
-    def _t_local(self, x):
-        return (self.w_hat[0] * x
-                + np.sin(2.0 * np.multiply.outer(x, self._j))
-                @ (self.w_hat[self._j] / self._j))
-
-    def _w(self, x):
-        return (self.w_hat[0] + 2.0 * np.cos(2.0 * np.multiply.outer(x, self._j))
-                @ self.w_hat[self._j])
-
-    def x_of_t(self, t):
-        """Chart value x at parameter values t (any real t)."""
-        t = np.asarray(t, dtype=float)
-        turns = np.floor(t / self.t_half)
-        tau = t - turns * self.t_half
-        x = np.interp(tau, self._t_table, self._x_table)
-        for _ in range(_NEWTON_STEPS):
-            step = (self._t_local(x) - tau) / self._w(x)
-            x = x - step
-            if np.all(np.abs(step) <= 1e-12):   # quadratic: x is now exact
-                break
-        else:
-            raise ConvergenceFailure("Newton inversion of t(x) did not converge")
-        return turns * math.pi + x
 
     def cos2_phi_at(self, t):
-        return 1.0 - (math.sin(self.b) * np.cos(self.x_of_t(t))) ** 2
+        return 1.0 - (math.sin(self.b) * np.cos(self.geodesic.x_of(t))) ** 2
 
     def sector_matrices(self, kappa: np.ndarray, l: int, modes: int):
         """Standard-form Galerkin matrices of every Bloch sector.
@@ -382,7 +346,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
 
     size = pipeline_grid_size(grid_size, q)
     per_half = size // (2 * q)
-    x_loc = chart.x_of_t(np.arange(per_half) * (chart.t_half / per_half))
+    x_loc = chart.geodesic.x_of(np.arange(per_half) * (chart.t_half / per_half))
     kap = kappa[src]
     m = np.arange(-modes, modes + 1)
     local = (np.exp(1j * np.multiply.outer(x_loc, kap))
@@ -402,7 +366,8 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     zero_counts = count_sign_changes(funcs, antiperiodic=anti)
     return SLSpectrum(problem=build_problem(chart, l, boundary),
                       grid=np.arange(size) * dt,
-                      eigenvalues=level_lam[order], eigenfunctions=funcs,
+                      eigenvalues=level_lam[order],
+                      eigenfunctions=np.ascontiguousarray(funcs),
                       zero_counts=zero_counts, labels=np.arange(count),
                       eps_grid=max(change, _MODE_TOL),
                       sectors=np.where(imag, partner[src], ks[src]))

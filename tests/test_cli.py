@@ -2,12 +2,15 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from otsuki_bipolar.cli import main
+from otsuki_bipolar.immersion import read_mesh_csv
 
 
 def run(args, capsys):
@@ -92,6 +95,21 @@ def test_export_mesh_csv(tmp_path, capsys):
     assert len(rows) == 1 + 16 * 32
     x = [float(v) for v in rows[1].split(",")]
     assert sum(v * v for v in x[2:]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_export_mesh_covers_the_admissible_range(tmp_path, capsys):
+    fractions = [(p, q) for q in range(3, 41) for p in range(1, q)
+                 if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q]
+    assert len(fractions) == 100
+    path = tmp_path / "m.csv"
+    for p, q in fractions + [(51, 101)]:
+        code, _, err = run(["export-mesh", "--p", str(p), "--q", str(q),
+                            "--n-alpha", "9", "--n-t", "13",
+                            "--mesh-out", str(path)], capsys)
+        assert code == 0, (p, q, err)
+        verts = read_mesh_csv(str(path))[:, 2:]
+        assert len(verts) == 9 * 13
+        assert np.max(np.abs(np.sum(verts ** 2, axis=1) - 1.0)) <= 1e-12, (p, q)
 
 
 def test_cross_check_coarse_grid_warns(capsys):

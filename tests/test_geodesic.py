@@ -1,5 +1,6 @@
 """Period functions, the closed-geodesic solve, and sampled profiles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from otsuki_bipolar.errors import DomainError, ResolutionTooCoarse
 from otsuki_bipolar.geodesic import (
     GeodesicProfile,
+    _HalfChart,
     RotationNumber,
     a_of_b,
     b_of_a,
@@ -329,8 +331,51 @@ def test_profile_rejects_too_few_samples(cases):
         GeodesicProfile(cases.solution((3, 5)), 8)
 
 
-def test_profile_coarse_grid_unit_speed_guard(cases):
-    # 16 samples per half-oscillation cannot meet the 1e-5 speed check
-    # on the most curved torus of the batch.
+def test_profile_evaluators_do_not_depend_on_the_sampling(cases):
+    # The evaluators read the analytic charts, so 16 samples per
+    # half-oscillation, where the finite-difference speed check is poor,
+    # give the same values as 512.
+    sol = cases.solution((5, 9))
+    coarse, fine = GeodesicProfile(sol, 16), GeodesicProfile(sol, 512)
+    assert coarse.unit_speed_residual > 1e-5 > fine.unit_speed_residual
+    ts = np.linspace(-1.0, 2.5 * sol.t0, 701)
+    ss = np.linspace(-1.0, 2.5 * sol.s_total, 701)
+    for name, args in (("phi_at", ts), ("theta_at", ts),
+                       ("nu_at", ss), ("lambda_at", ss)):
+        assert np.array_equal(getattr(coarse, name)(args),
+                              getattr(fine, name)(args)), name
+
+
+def test_chart_rejects_rates_whose_tail_never_resolves():
+    # |cos x| has a kink, so its Fourier coefficients decay only like
+    # 1/j^2 and never drop below rounding.
     with pytest.raises(ResolutionTooCoarse):
-        GeodesicProfile(cases.solution((5, 9)), 16)
+        _HalfChart(lambda x: (np.abs(np.cos(x)), np.ones_like(x)), math.pi)
+
+
+@pytest.mark.parametrize("change", [
+    lambda sol: {"t0": sol.t0 * (1 + 1e-9)},
+    lambda sol: {"s_total": sol.s_total * (1 - 1e-9)},
+    lambda sol: {"rotation": RotationNumber(5, 8)},     # does not close
+])
+def test_profile_rejects_a_solution_its_charts_do_not_reproduce(change, cases):
+    sol = cases.solution((3, 5))
+    with pytest.raises(ResolutionTooCoarse):
+        GeodesicProfile(dataclasses.replace(sol, **change(sol)), 16)
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (7, 13), (10, 19), (51, 101)])
+def test_profile_theta_against_adaptive_quadrature(pq):
+    sol = solve_rotation(RotationNumber(*pq))
+    prof = GeodesicProfile(sol, 16)
+    sb2, cb2 = math.sin(sol.b) ** 2, math.cos(sol.b) ** 2
+
+    def dtheta_dx(x):
+        cos2 = cb2 + sb2 * math.sin(x) ** 2     # cos^2 phi, no cancellation
+        return cb2 / (cos2 * math.sqrt(cos2 + cb2))
+
+    xs = np.linspace(0.0, 2.5 * math.pi, 11)
+    theta = prof.theta_at(prof.t_of_x(xs))
+    ref = [quad(dtheta_dx, 0.0, x, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+           for x in xs]
+    assert np.max(np.abs(theta - ref)) <= 1e-12

@@ -215,6 +215,7 @@ def test_sector_parity_is_the_half_period_character(l, cases):
     """On 5/8 the shift t -> t + t0/2 acts on each sampled row as (-1)^k
     of its Bloch sector k, which the even-q filter relies on."""
     spec = cases.spectrum((5, 8), l)
+    assert spec.eigenfunctions.flags.c_contiguous      # one row per mode
     n = spec.grid_size
     chars, _ = symmetry_characters(spec.eigenvalues, spec.eigenfunctions.T,
                                    shift_operator(n, n // 2), 1e-8)
