@@ -250,21 +250,23 @@ def match_table(oracle: OracleSpectrum, table: ModeTable, lam: float,
                 exclusion_window: float, pair_tol: float):
     """Pair oracle and assembled eigenvalues below ``lam``.
 
-    Eigenvalues within ``exclusion_window`` of the threshold are set
-    aside on both sides (they straddle it by grid error).  Returns
-    (count_match, max_pairwise_difference, n_oracle, n_table).
+    The ``table.threshold_multiplicity()`` kept oracle eigenvalues nearest
+    ``lam`` stand for the table's pinned modes and are set aside; the match
+    fails if one lies farther than ``exclusion_window`` from ``lam``.  The
+    rest below ``lam`` are paired on both sides.  Returns
+    (match, max_pairwise_difference, n_oracle, n_table).
     """
-    kept = np.sort(oracle.kept_eigenvalues())
-    kept = kept[np.abs(kept - lam) > exclusion_window]
-    oracle_vals = kept[kept < lam]
+    kept = oracle.kept_eigenvalues()
+    aside = np.argsort(np.abs(kept - lam), kind="stable")[
+        :table.threshold_multiplicity()]
+    clustered = bool(np.all(np.abs(kept[aside] - lam) <= exclusion_window))
+    rest = np.sort(np.delete(kept, aside))
+    oracle_vals = rest[rest < lam]
 
-    table_vals = []
-    for e in table.kept_below(lam):
-        if not e.pinned_two:
-            table_vals.extend([e.lam] * e.multiplicity)
-    table_vals = np.sort(np.array(table_vals))
+    table_vals = np.sort([e.lam for e in table.kept_below(lam)
+                          if not e.pinned_two for _ in range(e.multiplicity)])
 
     if oracle_vals.size != table_vals.size:
         return False, float("inf"), int(oracle_vals.size), int(table_vals.size)
     diff = float(np.max(np.abs(oracle_vals - table_vals))) if table_vals.size else 0.0
-    return bool(diff <= pair_tol), diff, int(oracle_vals.size), int(table_vals.size)
+    return clustered and diff <= pair_tol, diff, int(oracle_vals.size), int(table_vals.size)

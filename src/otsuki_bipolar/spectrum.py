@@ -9,11 +9,11 @@ l >= 1.  For even q the immersion double-covers the surface through
 h(t + t0/2) = (-1)^l h(t) descend to the quotient.
 
 Three radial eigenfunctions are known in closed form at eigenvalue 2
-(the immersed coordinates): sin(phi) at l = 0 with 2q sign changes, and
-cos(phi)sin(theta), cos(phi)cos(theta) at l = 1 with 2p sign changes.
-Computed eigenvalues straddle 2 by the solver error, so modes matching
-those zero counts and positions are pinned to the threshold instead of
-being compared against 2 numerically.
+(the immersed coordinates): sin(phi) ~ cos x, level 2 of Bloch sector q
+at l = 0 (position 2q), and cos(phi)sin(theta), cos(phi)cos(theta), level
+1 of sectors p and 2q - p at l = 1 (positions 2p - 1 and 2p).  Computed
+eigenvalues straddle 2 by the solver error, so the modes at those
+positions and sectors are pinned to 2 instead of compared numerically.
 
 The eigenvalue counting function N(lambda) is the total multiplicity of
 eigenvalues strictly below lambda, the zero mode included (equivalently
@@ -137,22 +137,22 @@ def lambda_functional_bound(sol: OtsukiSolution) -> float:
     return bound / 2.0 if sol.rotation.even_q else bound
 
 
-def _pin_threshold_modes(r: RotationNumber, l: int, spec: SLSpectrum,
-                         window: float) -> set[int]:
-    """Indices of modes identified with the closed-form eigenvalue-2
-    eigenfunctions (by position and zero count within the window)."""
-    pinned = set()
-    vals = spec.eigenvalues
-    zeros = spec.zero_counts
+def _threshold_sectors(r: RotationNumber, l: int) -> dict[int, set[int]]:
+    """Positions of the closed-form eigenvalue-2 modes in the radial
+    spectrum at l, each with the Bloch sectors its row may carry."""
     if l == 0:
-        i = 2 * r.q
-        if i < vals.size and abs(vals[i] - 2.0) <= window and zeros[i] == 2 * r.q:
-            pinned.add(i)
-    elif l == 1:
-        for i in (2 * r.p - 1, 2 * r.p):
-            if i < vals.size and abs(vals[i] - 2.0) <= window and zeros[i] == 2 * r.p:
-                pinned.add(i)
-    return pinned
+        return {2 * r.q: {r.q}}
+    if l == 1:
+        return dict.fromkeys((2 * r.p - 1, 2 * r.p), {r.p, 2 * r.q - r.p})
+    return {}
+
+
+def _pin_threshold_modes(r: RotationNumber, l: int,
+                         spec: SLSpectrum) -> set[int]:
+    """Indices of the modes identified with the closed-form eigenvalue-2
+    eigenfunctions: their positions, where the row carries their sector."""
+    return {i for i, ks in _threshold_sectors(r, l).items()
+            if i < spec.eigenvalues.size and spec.sectors[i] in ks}
 
 
 def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
@@ -163,11 +163,12 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
 
     Solves the periodic radial problem for l = 0..l_max (or reuses the
     supplied spectra), applies the even-q quotient filter, and pins the
-    known eigenvalue-2 modes to the threshold.  Raises InsufficientLMax
-    unless the ground eigenvalue at l_max already clears the cutoff, so
-    "no l >= 2 modes below 2" is measured rather than assumed.  For even
-    q the filter keeps the modes of Bloch sectors k = l (mod 2), so
-    supplied spectra must carry ``sectors``.  ``profile`` is ignored.
+    known eigenvalue-2 modes to the threshold by position and Bloch
+    sector, so supplied spectra must carry ``sectors``.  Raises
+    InsufficientLMax unless the ground eigenvalue at l_max already clears
+    the cutoff, so "no l >= 2 modes below 2" is measured rather than
+    assumed.  For even q the filter keeps the modes of Bloch sectors
+    k = l (mod 2).  ``profile`` is ignored.
     """
     if lambda_cut < 2.0:
         raise ValueError("lambda_cut must be at least 2")
@@ -176,9 +177,7 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
     r = sol.rotation
     n = pipeline_grid_size(grid_size, r.q)
 
-    if spectra is None:
-        spectra = {}
-    spectra = dict(spectra)
+    spectra = dict(spectra or {})
     for l in range(l_max + 1):
         if l not in spectra:
             spectra[l] = solve_radial(sol, profile, l, n)
@@ -189,20 +188,16 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
             f"ground eigenvalue {ground_top:.6f} at l = {l_max} is below the"
             f" cutoff {lambda_cut}; raise l_max")
 
-    finite_eps = [s.eps_grid for s in spectra.values()
-                  if math.isfinite(s.eps_grid)]
-    eps_grid = max(finite_eps) if finite_eps else float("nan")
-    pin_window = max(50.0 * eps_grid, 1e-6) if finite_eps else 1e-6
+    eps_grid = max((s.eps_grid for s in spectra.values()
+                    if math.isfinite(s.eps_grid)), default=float("nan"))
 
     entries = []
     for l in range(l_max + 1):
         spec = spectra[l]
-        vals = spec.eigenvalues
-        pinned = _pin_threshold_modes(r, l, spec, pin_window)
-        if r.even_q and spec.sectors is None:
-            raise ValueError("the even-q quotient filter needs the Bloch"
-                             f" sectors of the radial spectrum at l = {l}")
-        for i, lam in enumerate(vals):
+        if spec.sectors is None:
+            raise ValueError(f"radial spectrum at l = {l} carries no sectors")
+        pinned = _pin_threshold_modes(r, l, spec)
+        for i, lam in enumerate(spec.eigenvalues):
             pinned_two = i in pinned
             if lam >= lambda_cut and not pinned_two:
                 continue
@@ -295,8 +290,9 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     Eigenfunctions are sampled on the uniform t-grid of
     ``pipeline_grid_size(grid_size, q)`` points, which only sets the
     sampling: the real and imaginary parts of h for a conjugate pair, h
-    turned real for a self-conjugate sector.  ``sectors`` holds each
-    row's k.  ``profile`` is ignored; the chart needs only b and q.
+    turned real for a self-conjugate sector, each of unit norm in t by
+    its Galerkin coefficients.  ``sectors`` holds each row's k.
+    ``profile`` is ignored; the chart needs only b and q.
     """
     if l < 0:
         raise ValueError("angular index l must be non-negative")
@@ -357,15 +353,15 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     h[real] *= np.exp(-0.5j * np.angle(np.sum(h[real] ** 2, axis=1)))[:, None]
     funcs = np.where(imag[:, None], h.imag, h.real)
 
-    dt = chart.t0 / size
-    funcs /= np.sqrt(dt * np.sum(funcs ** 2, axis=1))[:, None]
+    # c^H T_W c = 1: |h|^2 integrates to 2 q pi in t, q pi in Re h and Im h.
+    funcs /= np.sqrt(np.where(real, 2.0, 1.0) * q * math.pi)[:, None]
     peak = np.argmax(np.abs(funcs), axis=1)
     signs = np.sign(funcs[np.arange(count), peak])
     signs[signs == 0] = 1.0
     funcs *= signs[:, None]
     zero_counts = count_sign_changes(funcs, antiperiodic=anti)
     return SLSpectrum(problem=build_problem(chart, l, boundary),
-                      grid=np.arange(size) * dt,
+                      grid=np.arange(size) * (chart.t0 / size),
                       eigenvalues=level_lam[order],
                       eigenfunctions=np.ascontiguousarray(funcs),
                       zero_counts=zero_counts, labels=np.arange(count),
@@ -482,7 +478,7 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
     Certificates: the mode count N(2) equals the closed form; the last
     sub-threshold radial eigenvalue at l = 0 sits strictly below 2 with
     measured margin; the known eigenvalue-2 modes appear at their
-    oscillation positions; the ground eigenvalue at l = 2 clears 2 (and
+    closed-form positions; the ground eigenvalue at l = 2 clears 2 (and
     the pointwise potential bound 4); the functional value computed from
     the period agrees with the closed elliptic form and respects its
     strict upper bound; the geodesic closes, |omega(a) - p pi/q| <=
@@ -505,24 +501,25 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
     eps = table.eps_grid
     window = max(50.0 * eps, 1e-6)
     p, q = r.p, r.q
+    [i0], (i1, i1b) = _threshold_sectors(r, 0), _threshold_sectors(r, 1)
 
     certs = [
         Certificate.integer_equal("mode_count_matches_closed_form",
                                   n2, n2_expected),
         Certificate.less_than("subcritical_radial_mode_below_two",
-                              sp0.eigenvalues[2 * q - 1], 2.0),
+                              sp0.eigenvalues[i0 - 1], 2.0),
         Certificate.close_to("radial_eigenvalue_two_at_l0_position_2q",
-                             sp0.eigenvalues[2 * q], 2.0, window),
+                             sp0.eigenvalues[i0], 2.0, window),
         Certificate.integer_equal("sin_phi_zero_count",
-                                  int(sp0.zero_counts[2 * q]), 2 * q),
+                                  int(sp0.zero_counts[i0]), 2 * q),
         Certificate.close_to("radial_eigenvalue_two_at_l1_position_2p_minus_1",
-                             sp1.eigenvalues[2 * p - 1], 2.0, window),
+                             sp1.eigenvalues[i1], 2.0, window),
         Certificate.close_to("radial_eigenvalue_two_at_l1_position_2p",
-                             sp1.eigenvalues[2 * p], 2.0, window),
+                             sp1.eigenvalues[i1b], 2.0, window),
         Certificate.integer_equal("l1_pair_zero_count",
-                                  int(sp1.zero_counts[2 * p - 1]), 2 * p),
+                                  int(sp1.zero_counts[i1]), 2 * p),
         Certificate.less_than("l1_predecessor_below_two",
-                              sp1.eigenvalues[2 * p - 2], 2.0),
+                              sp1.eigenvalues[i1 - 1], 2.0),
         Certificate.less_than("ground_l2_above_two", 2.0,
                               sp2.eigenvalues[0]),
         Certificate.less_than("ground_l2_above_potential_floor",

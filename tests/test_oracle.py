@@ -7,14 +7,16 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from otsuki_bipolar.geodesic import RotationNumber
 from otsuki_bipolar.oracle import (
+    OracleSpectrum,
     TorusGrid,
     _operator_matrix,
     dense_spectrum,
     match_table,
     theorem2_residual,
 )
-from otsuki_bipolar.spectrum import weyl_N
+from otsuki_bipolar.spectrum import ModeEntry, ModeTable, weyl_N
 
 
 def test_grid_validation(cases):
@@ -54,6 +56,48 @@ def test_oracle_matches_assembly(pq, na, nt, cases):
                                      exclusion_window=0.02, pair_tol=5e-3)
     assert n_o == n_t == weyl_N(table, 2.0)
     assert ok and diff < 5e-3
+
+
+def _hand_built(oracle_vals, table_modes):
+    """An oracle spectrum and a table whose three threshold modes (one at
+    l = 0, a pair at l = 1) carry multiplicity 5."""
+    vals = np.sort(np.array(oracle_vals))
+    spec = OracleSpectrum(grid=None, lambda_cut=2.5, eigenvalues=vals,
+                          deck_characters=np.ones(vals.size),
+                          kept=np.ones(vals.size, dtype=bool))
+    entries = [ModeEntry(l=l, i=i, lam=lam, multiplicity=1 if l == 0 else 2,
+                         kept=True, reason="below-cut", zero_count=0)
+               for l, i, lam in table_modes]
+    entries += [ModeEntry(l=l, i=i, lam=2.0 + d, multiplicity=1 if l == 0 else 2,
+                          kept=True, reason="at-threshold-2", zero_count=0,
+                          pinned_two=True)
+                for l, i, d in [(0, 6, 1e-12), (1, 5, -1e-12), (1, 6, 2e-12)]]
+    table = ModeTable(rotation=RotationNumber(3, 5), lambda_cut=2.5,
+                      eps_grid=1e-10, entries=entries)
+    return spec, table
+
+
+def test_match_keeps_a_genuine_mode_inside_the_window():
+    """A table mode at 1.984 sits 0.016 below 2, inside the 0.02 window:
+    only the five values nearest 2 are set aside for the pinned modes,
+    so its oracle pair is compared, not dropped."""
+    threshold = [1.999, 1.9995, 2.0003, 2.0008, 2.001]
+    spec, table = _hand_built([0.0, 1.9841, 1.9842] + threshold,
+                              [(0, 0, 0.0), (1, 3, 1.984)])
+    assert table.threshold_multiplicity() == 5
+    ok, diff, n_o, n_t = match_table(spec, table, 2.0,
+                                     exclusion_window=0.02, pair_tol=5e-3)
+    assert (n_o, n_t) == (3, 3) == (weyl_N(table, 2.0),) * 2
+    assert ok and diff == pytest.approx(2e-4)
+
+
+def test_match_fails_when_a_set_aside_value_leaves_the_window():
+    spec, table = _hand_built([0.0, 1.999, 2.0, 2.001, 2.002, 2.05],
+                              [(0, 0, 0.0)])
+    ok, diff, n_o, n_t = match_table(spec, table, 2.0,
+                                     exclusion_window=0.02, pair_tol=5e-3)
+    assert n_o == n_t == 1 and diff == 0.0
+    assert not ok
 
 
 def test_oracle_threshold_cluster_multiplicity(cases):

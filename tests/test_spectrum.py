@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from otsuki_bipolar.errors import InsufficientLMax, VerificationFailed
-from otsuki_bipolar.geodesic import RotationNumber, i2
+from otsuki_bipolar.geodesic import RotationNumber, i2, solve_rotation
 from otsuki_bipolar.immersion import area
 from otsuki_bipolar.spectrum import (
     Certificate,
@@ -18,6 +18,7 @@ from otsuki_bipolar.spectrum import (
     lambda_functional,
     lambda_functional_bound,
     pipeline_grid_size,
+    solve_radial,
     verify_theorem3,
     weyl_N,
 )
@@ -98,9 +99,13 @@ def test_no_l_ge_2_modes_at_or_below_two(cases):
 
 
 def test_threshold_multiplicity_is_five(cases):
-    # the five immersed coordinates sit exactly at eigenvalue 2
-    for pq in [(3, 5), (5, 8), (7, 10)]:
-        assert cases.table(pq).threshold_multiplicity() == 5
+    # the five immersed coordinates sit exactly at eigenvalue 2, pinned at
+    # their closed-form positions 2q (l = 0) and 2p - 1, 2p (l = 1)
+    for p, q in [(3, 5), (5, 8), (7, 10)]:
+        table = cases.table((p, q))
+        assert table.threshold_multiplicity() == 5
+        pinned = sorted((e.l, e.i) for e in table.entries if e.pinned_two)
+        assert pinned == [(0, 2 * q), (1, 2 * p - 1), (1, 2 * p)]
 
 
 def test_table_sorted_and_reasons(cases):
@@ -169,8 +174,8 @@ def test_report_json_rounds_to_15_digits_and_nulls_nan():
 
 
 def test_counting_survives_very_coarse_grids():
-    # the threshold windows self-calibrate, so even an 80-point radial
-    # grid reproduces the count for (3, 5)
+    # the grid only sets the sampling of the Bloch solve, so even an
+    # 80-point radial grid reproduces the count for (3, 5)
     report = verify_theorem3(RotationNumber(3, 5), grid_size=64,
                              raise_on_failure=False)
     assert report.passed and report.n2_computed == 20
@@ -222,6 +227,23 @@ def test_sector_parity_is_the_half_period_character(l, cases):
     assert np.array_equal(chars, np.where(spec.sectors % 2, -1.0, 1.0))
 
 
+def test_rows_are_normalized_independently_of_the_grid():
+    """Rows take their norm from the Galerkin coefficients, not from a
+    rectangle rule on the sampling grid.  On 9/17 that rule is off by
+    6.7e-5 on the base grid; on an 8x finer grid it is exact to rounding,
+    and the base rows are the fine rows, sampled."""
+    sol = solve_rotation(RotationNumber(9, 17))
+    n = pipeline_grid_size(2048, 17)
+    base = solve_radial(sol, None, 0, n).eigenfunctions
+    fine = solve_radial(sol, None, 0, 8 * n)
+    norms = fine.grid[1] * np.sum(fine.eigenfunctions ** 2, axis=1)
+    assert np.max(np.abs(norms - 1.0)) < 1e-13
+    sub = fine.eigenfunctions[:, ::8]
+    apart = np.minimum(np.abs(sub - base).max(axis=1),
+                       np.abs(sub + base).max(axis=1))
+    assert np.max(apart) < 1e-12
+
+
 def test_eigenvalue_two_modes_to_solver_precision(cases):
     for pq in [(3, 5), (5, 8), (7, 10)]:
         p, q = pq
@@ -235,14 +257,26 @@ def _reduced_fractions(q_max):
             if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q]
 
 
-@pytest.mark.parametrize("pq", _reduced_fractions(20)
-                         + [(26, 51), (41, 58), (70, 99)])
-def test_verify_across_the_admissible_range(pq):
+def _verify_passes_with_the_closed_form(pq):
     report = verify_theorem3(RotationNumber(*pq), raise_on_failure=False)
     assert report.passed, report.first_failure()
     assert report.n2_computed == expected_n2(RotationNumber(*pq))
     assert report.threshold_multiplicity == 5
     assert report.eps_grid <= 1e-9
+
+
+@pytest.mark.parametrize("pq", _reduced_fractions(20)
+                         + [(26, 51), (41, 58), (70, 99)])
+def test_verify_across_the_admissible_range(pq):
+    _verify_passes_with_the_closed_form(pq)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("pq", _reduced_fractions(40) + [(51, 101)])
+def test_verify_sweep_q_up_to_40(pq):
+    """All 100 reduced p/q with q <= 40, and 51/101.  Deselected by
+    default; run with ``pytest -m sweep`` (~22 s on 2 cores)."""
+    _verify_passes_with_the_closed_form(pq)
 
 
 def test_closed_geodesic_residual_certificate(monkeypatch):
