@@ -21,11 +21,12 @@ product (not the uniform one).  Its spectrum below a cutoff, from
 K f = lambda W f, is compared one-to-one against the assembled
 separated-variable table.
 
-For even q the parameter grid double-covers the surface; eigenfunctions
-are filtered by their character under the deck transformation
-(alpha, t) -> (alpha + pi, t + t0/2), mirroring the quotient filter of
-the assembly.  On the grid it is a shift by half the nodes on each
-axis; in the chart, x -> x + q pi.
+For even q the parameter grid double-covers the surface.  The deck
+transformation (alpha, t) -> (alpha + pi, t + t0/2) is a shift by half
+the nodes on each axis (in the chart, x -> x + q pi); it commutes with
+the operator, which splits exactly into a deck-even and a deck-odd
+block.  Only the even block descends to the surface, mirroring the
+quotient filter of the assembly.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import scipy.sparse.linalg
 from .errors import ConvergenceFailure
 from .geodesic import GeodesicProfile, radial_coefficients
 from .spectrum import ModeTable
-from .sturm import symmetry_characters
 
 _ORACLE_SEED = 0xFEEDFACE
 
@@ -124,10 +124,11 @@ def _operator_matrix(grid: TorusGrid) -> scipy.sparse.csc_matrix:
 class OracleSpectrum:
     """Eigenvalues of the 2-D operator below a cutoff.
 
-    ``deck_characters`` is the per-eigenfunction character (+1/-1/nan)
-    under the half-period deck transformation; ``kept`` marks
-    eigenfunctions that descend to the quotient surface (all of them
-    for odd q).
+    ``deck_characters`` is each eigenvalue's character, +1 or -1, under
+    the half-period deck transformation: the block it was solved in.
+    ``kept`` marks the +1 eigenvalues, whose eigenfunctions descend to
+    the quotient surface (all of them for odd q, where every character
+    is +1).
     """
 
     grid: TorusGrid
@@ -144,32 +145,23 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
                    k_start: int | None = None) -> OracleSpectrum:
     """All eigenvalues of the discretized operator below ``lambda_cut``.
 
-    Solves K f = lambda W f through its symmetric form D K D with
-    D = W^-1/2 (same eigenvalues; D commutes with the deck shift, so the
-    characters are those of f), by shift-invert Lanczos about a shift
-    inside the window, with a deterministic start vector.  A - sigma I is
-    factored once (minimum-degree ordering on A + A^T) and reused while
-    k grows from ``k_start`` until the window provably covers the cutoff;
-    ``k_start`` only sizes the first request, and defaults to a Weyl
-    estimate.
+    Solves K f = lambda W f through its symmetric form A = D K D with
+    D = W^-1/2 (same eigenvalues), by shift-invert Lanczos about a shift
+    inside the window, with a deterministic start vector and no
+    eigenvectors.  For even q, A splits into A[R, R] + c A[R, P(R)] for
+    the deck characters c = +1 and -1, where R are the unknowns of the
+    first n_t/2 x-rows and P is the deck shift: P has no fixed point and
+    commutes with A.  Each block is factored once (minimum-degree
+    ordering on A + A^T) and that LU is reused while k grows from its
+    first request until the window provably covers the cutoff.
+    ``k_start`` sizes the first request over the whole grid, a Weyl
+    estimate by default; odd q asks for ``k_start`` and even q for
+    ceil(k_start / 2) + 2 in each block.
     """
     if lambda_cut <= 0.0:
         raise ValueError("lambda_cut must be positive")
     d = scipy.sparse.diags(1.0 / np.sqrt(grid.mass))
     a = (d @ _operator_matrix(grid) @ d).tocsc()
-    n = a.shape[0]
-    # A is PSD, so with 0 < sigma < lambda_cut / 2 every eigenvalue below
-    # the cut is nearer to sigma than lambda_cut - sigma, and every one at
-    # or above the cut is at least that far away.  The k eigenvalues
-    # nearest sigma therefore hold the whole window as soon as the largest
-    # of them reaches the cut.
-    sigma = 0.45 * lambda_cut
-    lu = scipy.sparse.linalg.splu(
-        a - sigma * scipy.sparse.identity(n, format="csc"),
-        permc_spec="MMD_AT_PLUS_A")
-    op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve,
-                                                dtype=a.dtype)
-    v0 = np.random.default_rng(_ORACLE_SEED).standard_normal(n)
     if k_start is None:
         # The parameter torus has area t0, so Weyl's law puts about
         # t0 lambda / (4 pi) eigenvalues below lambda.  The counts below the
@@ -178,40 +170,48 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
         # the margin covers both, so one Lanczos run holds the window.
         weyl = grid.profile.t0 * lambda_cut / (4.0 * math.pi)
         k_start = math.ceil(1.35 * weyl) + 3
-    k = min(k_start, n - 2)
-    while True:
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                a, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op_inv)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceFailure(f"oracle eigensolver failed: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        if vals[-1] >= lambda_cut or k >= n - 2:
-            break
-        k = min(2 * k, n - 2)
+    blocks = {1.0: a}
+    if grid.profile.solution.rotation.even_q:
+        idx = np.arange(a.shape[0]).reshape(grid.n_t, grid.n_alpha)
+        deck = np.roll(idx[grid.n_t // 2:], -(grid.n_alpha // 2), axis=1).ravel()
+        top = a[:deck.size]
+        blocks = {c: (top[:, :deck.size] + c * top[:, deck]).tocsc()
+                  for c in (1.0, -1.0)}
+        k_start = math.ceil(k_start / 2) + 2
 
-    below = vals < lambda_cut
-    vals, vecs = vals[below], vecs[:, below]
+    # Each block is PSD, so with 0 < sigma < lambda_cut / 2 every eigenvalue
+    # below the cut is nearer to sigma than lambda_cut - sigma, and every one
+    # at or above it is at least that far away: the k eigenvalues nearest
+    # sigma hold the whole window once the largest of them reaches the cut.
+    sigma = 0.45 * lambda_cut
+    vals, chars = [], []
+    for c, block in blocks.items():
+        n = block.shape[0]
+        lu = scipy.sparse.linalg.splu(
+            block - sigma * scipy.sparse.identity(n, format="csc"),
+            permc_spec="MMD_AT_PLUS_A")
+        op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve,
+                                                    dtype=block.dtype)
+        v0 = np.random.default_rng(_ORACLE_SEED).standard_normal(n)
+        k = min(k_start, n - 2)
+        while True:
+            try:
+                found = np.sort(scipy.sparse.linalg.eigsh(
+                    block, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op_inv,
+                    return_eigenvectors=False))
+            except scipy.sparse.linalg.ArpackNoConvergence as exc:
+                raise ConvergenceFailure(f"oracle eigensolver failed: {exc}") from exc
+            if found[-1] >= lambda_cut or k >= n - 2:
+                break
+            k = min(2 * k, n - 2)
+        vals.append(found[found < lambda_cut])
+        chars.append(np.full(vals[-1].size, c))
 
-    r = grid.profile.solution.rotation
-    if r.even_q:
-        na, nt = grid.n_alpha, grid.n_t
-
-        def deck(mat):
-            cube = mat.reshape(nt, na, -1)
-            return np.roll(np.roll(cube, -nt // 2, axis=0),
-                           -na // 2, axis=1).reshape(mat.shape)
-
-        scale = max(abs(float(vals[0])), abs(float(vals[-1])), 1.0)
-        chars, _ = symmetry_characters(vals, vecs, deck, 1e-8 * scale)
-        kept = chars == 1.0
-    else:
-        chars = np.ones(vals.size)
-        kept = np.ones(vals.size, dtype=bool)
-
+    vals, chars = np.concatenate(vals), np.concatenate(chars)
+    order = np.argsort(vals, kind="stable")
     return OracleSpectrum(grid=grid, lambda_cut=lambda_cut,
-                          eigenvalues=vals, deck_characters=chars, kept=kept)
+                          eigenvalues=vals[order],
+                          deck_characters=chars[order], kept=chars[order] == 1.0)
 
 
 def theorem2_residual(profile: GeodesicProfile, grid: TorusGrid) -> float:

@@ -309,7 +309,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     modes, prev = _FIRST_MODES, None
     while True:
         mats, l_inv = chart.sector_matrices(kappa, l, modes)
-        lam = np.linalg.eigvalsh(mats)
+        lam, y = np.linalg.eigh(mats)
         vals = np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
         count = max(base, int(np.searchsorted(vals, 4.0)) + 1)
         if prev is not None:
@@ -322,7 +322,6 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
                 f" at M = {modes} Fourier modes per sector")
         prev, modes = vals, 2 * modes
 
-    lam, y = np.linalg.eigh(mats)
     # The operator is positive semidefinite: a negative value (the
     # constant mode at l = 0) is rounding.
     lam = np.maximum(lam, 0.0)

@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import otsuki_bipolar
 from otsuki_bipolar.cli import main
 from otsuki_bipolar.immersion import read_mesh_csv
 
@@ -121,6 +123,20 @@ def test_cross_check_coarse_grid_warns(capsys):
     assert code in (0, 1)     # warned, not silent
 
 
+@pytest.mark.sweep
+@pytest.mark.parametrize("pq", [(p, q) for q in range(4, 21, 2)
+                                for p in range(1, q) if math.gcd(p, q) == 1
+                                and q < 2 * p and 2 * p * p < q * q])
+def test_cross_check_even_q_sweep(pq, capsys):
+    """cross-check at the default oracle grid on the 9 even-q reduced p/q
+    with q <= 20.  Deselected by default; run with ``pytest -m sweep``
+    (~43 s on 2 cores)."""
+    code, out, _ = run(["cross-check", "--p", str(pq[0]), "--q", str(pq[1]),
+                        "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["counts_agree"] and payload["pass"]
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\ngrid_size = 1040\nlambda_cut = 2.4\n"
@@ -184,10 +200,14 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_console_script_entrypoint():
+    # The child process imports the same package as this one.
+    src = os.path.dirname(os.path.dirname(otsuki_bipolar.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "otsuki_bipolar.cli", "solve",
          "--p", "5", "--q", "8", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["q"] == 8

@@ -114,8 +114,10 @@ def test_even_q_filter_drops_non_invariant_modes(cases):
     assert int(np.sum(below[np.abs(below - 2.0) > 0.02] < 2.0)) == 16
 
 
-def test_growth_loop_reuses_one_factorization(cases, monkeypatch):
-    grid = TorusGrid(cases.profile((5, 8)), 64, 512)
+@pytest.mark.parametrize("pq,blocks", [((3, 5), 1), ((5, 8), 2)])
+def test_growth_loop_reuses_one_factorization(pq, blocks, cases, monkeypatch):
+    """One LU per deck block: one for odd q, one per character for even q."""
+    grid = TorusGrid(cases.profile(pq), 64, 512)
     ref = dense_spectrum(grid, 2.2, k_start=48)
 
     calls = {"splu": 0, "eigsh": 0}
@@ -130,7 +132,7 @@ def test_growth_loop_reuses_one_factorization(cases, monkeypatch):
         monkeypatch.setattr(scipy.sparse.linalg, name,
                             counted(name, getattr(scipy.sparse.linalg, name)))
     grown = dense_spectrum(grid, 2.2, k_start=4)
-    assert calls["eigsh"] > 1 and calls["splu"] == 1
+    assert calls["eigsh"] > 1 and calls["splu"] == blocks
 
     assert grown.eigenvalues.size == ref.eigenvalues.size
     assert np.max(np.abs(grown.eigenvalues - ref.eigenvalues)) < 1e-10
@@ -150,8 +152,10 @@ def test_default_k_start_needs_one_lanczos_run(pq, cut, cases, monkeypatch):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
     spec = dense_spectrum(TorusGrid(cases.profile(pq), 32, 256), cut)
-    assert len(calls) == 1
-    assert calls[0] > spec.eigenvalues.size
+    chars = [1.0, -1.0] if pq[1] % 2 == 0 else [1.0]
+    assert len(calls) == len(chars)      # one run per deck block
+    for k, c in zip(calls, chars):
+        assert k > np.sum(spec.deck_characters == c)
 
 
 def test_window_matches_dense_generalized_eigensolve(cases):
@@ -167,6 +171,35 @@ def test_window_matches_dense_generalized_eigensolve(cases):
     exact = exact[exact < cut]
     spec = dense_spectrum(grid, cut, k_start=exact.size + 1)
     assert spec.eigenvalues.size == exact.size > 0
+    assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9
+
+
+def test_deck_blocks_match_dense_generalized_eigensolve(cases):
+    """Each deck character's window, against LAPACK on K f = lambda W f
+    restricted to the functions of that character, f(P r) = c f(r) with
+    P the half-period shift; together they are the whole window."""
+    grid = TorusGrid(cases.profile((5, 8)), 32, 32)
+    cut = 2.5
+    k, w = _operator_matrix(grid).toarray(), np.diag(grid.mass)
+    n, half = k.shape[0], k.shape[0] // 2
+    idx = np.arange(n).reshape(grid.n_t, grid.n_alpha)
+    shifted = np.roll(np.roll(idx, -grid.n_t // 2, axis=0),
+                      -grid.n_alpha // 2, axis=1).ravel()
+    spec = dense_spectrum(grid, cut)
+    assert set(spec.deck_characters) == {1.0, -1.0}
+    assert np.array_equal(spec.kept, spec.deck_characters == 1.0)
+    for c in (1.0, -1.0):
+        s = np.zeros((n, half))
+        s[np.arange(half), np.arange(half)] = 1.0
+        s[shifted[:half], np.arange(half)] = c
+        exact = scipy.linalg.eigh(s.T @ k @ s, s.T @ w @ s, eigvals_only=True)
+        exact = exact[exact < cut]
+        mine = spec.eigenvalues[spec.deck_characters == c]
+        assert mine.size == exact.size > 0
+        assert np.max(np.abs(mine - exact)) < 1e-9
+    exact = scipy.linalg.eigh(k, w, eigvals_only=True)
+    exact = exact[exact < cut]
+    assert spec.eigenvalues.size == exact.size
     assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9
 
 
