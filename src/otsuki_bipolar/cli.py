@@ -17,6 +17,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -24,7 +25,7 @@ import sys
 import numpy as np
 
 from . import geodesic, immersion, oracle, spectrum
-from .config import make_config
+from .config import RunConfig, make_config
 from .errors import (
     ConvergenceFailure,
     DegenerateGrid,
@@ -208,12 +209,6 @@ def cmd_cross_check(cfg) -> int:
     sol = geodesic.solve_rotation(r)
     prof = geodesic.profile(sol, cfg.samples_per_half_period)
 
-    points_per_half = cfg.oracle_n_t / (2 * r.q)
-    if points_per_half < 24:
-        print(f"warning: oracle t-resolution gives only {points_per_half:.1f}"
-              " points per half-oscillation; modes near the threshold may be"
-              " unresolved", file=sys.stderr)
-
     table = spectrum.assemble(sol, prof, l_max=cfg.l_max,
                               lambda_cut=cfg.lambda_cut,
                               grid_size=cfg.grid_size)
@@ -225,9 +220,13 @@ def cmd_cross_check(cfg) -> int:
     fine = oracle.dense_spectrum(
         oracle.TorusGrid(prof, cfg.oracle_n_alpha, cfg.oracle_n_t),
         cfg.lambda_cut, k_start=k_start)
+
+    def coarser(n):         # two thirds of n, rounded down to even
+        return max(32, (2 * n) // 3 // 2 * 2)
+
     coarse = oracle.dense_spectrum(
-        oracle.TorusGrid(prof, max(32, (2 * cfg.oracle_n_alpha) // 3),
-                         max(32, ((2 * cfg.oracle_n_t) // 3) // 2 * 2)),
+        oracle.TorusGrid(prof, coarser(cfg.oracle_n_alpha),
+                         coarser(cfg.oracle_n_t)),
         cfg.lambda_cut, k_start=k_start)
 
     kept_fine = np.sort(fine.kept_eigenvalues())
@@ -236,6 +235,12 @@ def cmd_cross_check(cfg) -> int:
     eps_oracle = float(np.max(np.abs(kept_fine[:m] - kept_coarse[:m])) / 1.25)
 
     window = max(2.0 * eps_oracle, 0.02)
+    if window > 0.02:
+        print(f"warning: oracle error {eps_oracle:.3g} widens the threshold"
+              f" window to {window:.3g} at"
+              f" {cfg.oracle_n_t / (2 * r.q):.1f} points per"
+              " half-oscillation; modes near the threshold may be"
+              " unresolved", file=sys.stderr)
     pair_tol = max(2.0 * eps_oracle, 1e-3)
     ok, diff, n_oracle, n_table = oracle.match_table(
         fine, table, 2.0, window, pair_tol)
@@ -317,11 +322,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        flag_names = ("p", "q", "grid_size", "oracle_n_alpha", "oracle_n_t",
-                      "l_max", "lambda_cut", "output_format", "output_path",
-                      "n_alpha", "n_t", "mesh_format")
-        overrides = {k: getattr(args, k) for k in flag_names
-                     if hasattr(args, k)}
+        overrides = {f.name: getattr(args, f.name)
+                     for f in dataclasses.fields(RunConfig)
+                     if hasattr(args, f.name)}
         cfg = make_config(getattr(args, "config_path", None), **overrides)
 
         if args.command == "solve":

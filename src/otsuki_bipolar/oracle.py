@@ -40,6 +40,7 @@ import scipy.sparse.linalg
 
 from .errors import ConvergenceFailure
 from .geodesic import GeodesicProfile, radial_coefficients
+from .immersion import _bipolar_point
 from .spectrum import ModeTable
 
 _ORACLE_SEED = 0xFEEDFACE
@@ -224,22 +225,13 @@ def theorem2_residual(profile: GeodesicProfile, grid: TorusGrid) -> float:
     """
     a = _operator_matrix(grid)
     w = grid.mass
-    aa = grid.alphas[None, :]                          # grid shape (nt, na)
     # phi and theta depend on t alone: evaluate them once per node row.
     ts = grid.ts[:, None]
-    phi = profile.phi_at(ts)
-    theta = profile.theta_at(ts)
-    cp = np.cos(phi)
-    coords = [
-        np.cos(aa) * cp * np.sin(theta),
-        np.sin(aa) * cp * np.sin(theta),
-        np.cos(aa) * cp * np.cos(theta),
-        np.sin(aa) * cp * np.cos(theta),
-        np.broadcast_to(np.sin(phi), (grid.n_t, grid.n_alpha)),
-    ]
+    coords = _bipolar_point(grid.alphas[None, :], profile.phi_at(ts),
+                            profile.theta_at(ts))       # (nt, na, 5)
     worst = 0.0
-    for f in coords:
-        flat = f.ravel()
+    for j in range(coords.shape[-1]):
+        flat = coords[..., j].ravel()
         resid = (a @ flat) / w - 2.0 * flat
         worst = max(worst, float(np.max(np.abs(resid))
                                  / np.max(np.abs(flat))))

@@ -14,10 +14,10 @@ Richardson estimate of the remaining discretization error.
 Classical oscillation theory labels the eigenfunctions: sorted by
 eigenvalue, the periodic ones have 0, 2, 2, 4, 4, ... sign changes per
 period and the antiperiodic ones 1, 1, 3, 3, ...; the two families
-interlace.  Zero counts are the load-bearing identification step
-downstream, so near-degenerate pairs are first rotated to definite
-parity about t = 0 whenever the coefficients have that reflection
-symmetry.
+interlace.  By the same oscillation theorem every function in a
+degenerate eigenspace has that eigenvalue's zero count, so the solver
+counts the zeros of the vectors it returns without rotating
+near-degenerate pairs to a preferred basis.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .errors import (
     SubperiodViolation,
     ZeroFunction,
 )
-from .geodesic import GeodesicProfile
 
 _ARPACK_SEED = 0xC0FFEE
 _DENSE_LIMIT = 640
@@ -69,9 +68,13 @@ class SLProblem:
     coefficient_subperiod: float | None = None
 
 
-def build_problem(profile: GeodesicProfile, l: int,
+def build_problem(profile, l: int,
                   boundary: Boundary = Boundary.PERIODIC) -> SLProblem:
     """Bind the radial problem of angular index l to a geodesic profile.
+
+    ``profile`` is anything with ``t0`` (the period), ``t_half`` (the
+    half-oscillation) and a vectorized ``cos2_phi_at(t)``, such as a
+    ``geodesic.GeodesicProfile`` or a ``spectrum._RadialChart``.
 
     p(t) = 4 pi^2 cos^2 phi(t) and V(t) = l^2 / cos^2 phi(t); both have
     period t0/(2q) because cos^2 phi repeats every half-oscillation.
@@ -235,68 +238,21 @@ def shift_operator(n: int, shift: int, antiperiodic: bool = False):
     return apply
 
 
-def reflection_operator(n: int, antiperiodic: bool = False):
-    """Column-wise reflection v(t) -> v(-t) about the grid origin."""
+def symmetry_characters(vecs, apply_op, match_tol=1e-5) -> np.ndarray:
+    """Character of each column of vecs under an orthogonal operator.
 
-    def apply(mat):
-        out = np.roll(mat[::-1, ...], 1, axis=0)
-        if antiperiodic:
-            # v(-t_i) = -v(period - t_i) once the seam is crossed (i >= 1)
-            out[1:, ...] = -out[1:, ...]
-        return out
-
-    return apply
-
-
-def _cluster_slices(vals: np.ndarray, tol: float):
-    """Contiguous index ranges of eigenvalues closer than tol."""
-    edges = [0]
-    for i in range(1, vals.size):
-        if vals[i] - vals[i - 1] > tol:
-            edges.append(i)
-    edges.append(vals.size)
-    return [slice(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]
-
-
-def _align_clusters(vals, vecs, apply_op, tol):
-    """Rotate near-degenerate clusters to eigenvectors of a commuting
-    orthogonal involution (acting column-wise through apply_op)."""
-    out = vecs.copy()
-    for sl in _cluster_slices(vals, tol):
-        if sl.stop - sl.start < 2:
-            continue
-        v = vecs[:, sl]
-        mat = v.T @ apply_op(v)
-        mat = 0.5 * (mat + mat.T)
-        _, rot = np.linalg.eigh(mat)
-        out[:, sl] = v @ rot
-    return out
-
-
-def symmetry_characters(vals, vecs, apply_op, cluster_tol, match_tol=1e-5):
-    """Per-vector character under a commuting orthogonal operator.
-
-    Near-degenerate clusters are rotated to definite characters first.
-    Returns (characters, rotated_vectors); a character is +1, -1, or nan
-    when the vector has no real character (complex rotation pair).
+    +1 where ||S v - v|| <= match_tol ||v||, -1 where
+    ||S v + v|| <= match_tol ||v||, and nan otherwise.  For an operator
+    that commutes with the problem, S acts on a degenerate eigenspace as
+    +-I or as a rotation with no real eigenvector, so the character does
+    not depend on which basis of the eigenspace the solver returned.
     """
-    vecs = _align_clusters(vals, vecs, apply_op, cluster_tol)
     sv = apply_op(vecs)
-    chars = np.full(vals.size, np.nan)
-    for i in range(vals.size):
-        v = vecs[:, i]
-        norm = np.linalg.norm(v)
-        if np.linalg.norm(sv[:, i] - v) <= match_tol * norm:
-            chars[i] = 1.0
-        elif np.linalg.norm(sv[:, i] + v) <= match_tol * norm:
-            chars[i] = -1.0
-    return chars, vecs
-
-
-def _coefficients_even(prob: SLProblem, t: np.ndarray) -> bool:
-    p = np.asarray(prob.p_fn(t), dtype=float)
-    pr = np.asarray(prob.p_fn(prob.period - t), dtype=float)
-    return bool(np.max(np.abs(p - pr)) <= 1e-9 * np.max(np.abs(p)))
+    tol = match_tol * np.linalg.norm(vecs, axis=0)
+    chars = np.full(vecs.shape[1], np.nan)
+    chars[np.linalg.norm(sv + vecs, axis=0) <= tol] = -1.0
+    chars[np.linalg.norm(sv - vecs, axis=0) <= tol] = 1.0
+    return chars
 
 
 def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
@@ -305,7 +261,9 @@ def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
     Small systems use a dense symmetric solve (exact for degenerate
     pairs); larger ones a shift-invert Lanczos with a deterministic
     start vector.  Eigenfunctions are normalized to unit L2 norm over
-    the period with a positive-peak sign convention.
+    the period with a positive-peak sign convention.  A degenerate pair
+    comes back in whatever basis the solver returns; its zero counts do
+    not depend on that basis (oscillation theorem).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -315,12 +273,6 @@ def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
     diag, off, wrap, t = _flux_form_matrix(prob, n)
     vals, vecs = _solve_matrix(diag, off, wrap, count)
 
-    anti = prob.boundary is Boundary.ANTIPERIODIC
-    scale = max(abs(float(vals[0])), abs(float(vals[-1])), 1.0)
-    if _coefficients_even(prob, t):
-        vecs = _align_clusters(vals, vecs, reflection_operator(n, anti),
-                               1e-8 * scale)
-
     h = prob.period / n
     vecs = vecs / np.sqrt(h * np.sum(vecs ** 2, axis=0))
     peak = np.argmax(np.abs(vecs), axis=0)
@@ -328,7 +280,8 @@ def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
     signs[signs == 0] = 1.0
     vecs = vecs * signs
 
-    zero_counts = count_sign_changes(vecs.T, antiperiodic=anti)
+    zero_counts = count_sign_changes(
+        vecs.T, antiperiodic=prob.boundary is Boundary.ANTIPERIODIC)
     eps_grid = _estimate_grid_error(prob, count, n, vals)
     return SLSpectrum(problem=prob, grid=t, eigenvalues=vals,
                       eigenfunctions=vecs.T.copy(), zero_counts=zero_counts,
@@ -401,8 +354,11 @@ def _coefficient_period_holds(prob: SLProblem, grid: np.ndarray,
 
 
 def classify_subperiod(spec: SLSpectrum, n: int) -> list[SubperiodTag]:
-    """Tag each eigenfunction by its behaviour under period/n shifts.
+    """Tag each row of ``spec.eigenfunctions`` by its behaviour under
+    period/n shifts.
 
+    Each row is tested as the solver returned it (``symmetry_characters``);
+    a shift that rotates a degenerate pair tags both rows "neither".
     Requires the coefficients to be period/n periodic (and period/(2n)
     periodic for the antiperiodic test to be meaningful).
     """
@@ -418,23 +374,16 @@ def classify_subperiod(spec: SLSpectrum, n: int) -> list[SubperiodTag]:
     half_ok = _coefficient_period_holds(prob, spec.grid,
                                         prob.period / (2 * n))
 
-    vals = spec.eigenvalues
-    vecs = spec.eigenfunctions.T.copy()
+    vecs = spec.eigenfunctions.T
     anti_bc = prob.boundary is Boundary.ANTIPERIODIC
-    # Discrete symmetry degeneracies are exact up to solver precision;
-    # analytically distinct levels sit far above this scale.
-    scale = max(abs(float(vals[0])), abs(float(vals[-1])), 1.0)
-    cluster_tol = 1e-8 * scale
-
-    full_chars, _ = symmetry_characters(
-        vals, vecs, shift_operator(N, N // n, anti_bc), cluster_tol)
-    anti_chars = np.full(vals.size, np.nan)
+    full_chars = symmetry_characters(vecs, shift_operator(N, N // n, anti_bc))
+    anti_chars = np.full(vecs.shape[1], np.nan)
     if half_ok:
-        anti_chars, _ = symmetry_characters(
-            vals, vecs, shift_operator(N, N // (2 * n), anti_bc), cluster_tol)
+        anti_chars = symmetry_characters(
+            vecs, shift_operator(N, N // (2 * n), anti_bc))
 
     tags = []
-    for i in range(vals.size):
+    for i in range(vecs.shape[1]):
         is_anti = anti_chars[i] == -1.0
         is_per = full_chars[i] == 1.0 or anti_chars[i] == 1.0 or is_anti
         tag = "antiperiodic" if is_anti else ("periodic" if is_per else "neither")

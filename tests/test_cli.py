@@ -123,6 +123,28 @@ def test_cross_check_coarse_grid_warns(capsys):
     assert code in (0, 1)     # warned, not silent
 
 
+def test_cross_check_resolved_grid_does_not_warn(capsys):
+    """At 20 points per half-oscillation the measured oracle error of 3/5
+    (6.7e-3) leaves the threshold window at its 0.02 floor: no warning."""
+    code, out, err = run(["cross-check", "--p", "3", "--q", "5",
+                          "--grid-size", "1040",
+                          "--oracle-n-alpha", "32", "--oracle-n-t", "200",
+                          "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["pass"]
+    assert payload["threshold_window"] == 0.02
+    assert "warning" not in err
+
+
+def test_cross_check_odd_coarse_alpha_grid(capsys):
+    """--oracle-n-alpha 50 gives a coarse grid of 2*50//3 = 33 columns,
+    rounded down to an even 32."""
+    code, _, err = run(["cross-check", "--p", "2", "--q", "3",
+                        "--oracle-n-alpha", "50", "--oracle-n-t", "96",
+                        "--format", "json"], capsys)
+    assert code in (0, 1), err
+
+
 @pytest.mark.sweep
 @pytest.mark.parametrize("pq", [(p, q) for q in range(4, 21, 2)
                                 for p in range(1, q) if math.gcd(p, q) == 1

@@ -165,6 +165,33 @@ def test_zero_count_ladders(pq, l, cases):
                               spec.expected_zero_counts()[:n_check])
 
 
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_rotated_degenerate_pairs_keep_the_ladder_count(pq, l, boundary,
+                                                        cases):
+    """Every function in a degenerate eigenspace has the ladder's zero
+    count, so neither solver rotates a pair before counting: 20 random
+    rotations inside each degenerate pair of the Bloch and of the
+    finite-difference spectrum count the same."""
+    rng = np.random.default_rng(7)
+    anti = boundary is Boundary.ANTIPERIODIC
+    fd = eigen(build_problem(cases.profile(pq), l, boundary),
+               2 * pq[1] + 4, cases.grid(pq))
+    for spec in (cases.spectrum(pq, l, boundary), fd):
+        lam = spec.eigenvalues
+        pairs = np.flatnonzero(
+            np.diff(lam) <= 1e-8 * max(1.0, float(np.max(np.abs(lam)))))
+        assert pairs.size >= pq[1] - 1
+        expected = spec.expected_zero_counts()
+        for i in pairs:
+            theta = rng.uniform(0.0, TWO_PI, 20)[:, None]
+            mixed = (np.cos(theta) * spec.eigenfunctions[i]
+                     + np.sin(theta) * spec.eigenfunctions[i + 1])
+            assert expected[i] == expected[i + 1]
+            assert np.all(count_sign_changes(mixed, anti) == expected[i])
+
+
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8), (4, 7), (5, 9), (7, 10)])
 @pytest.mark.parametrize("l", [0, 1, 2, 3])
 def test_interlacing(pq, l, cases):
@@ -282,6 +309,44 @@ def test_classify_otsuki_l0(cases):
         tags_n = classify_subperiod(spec, n)
         assert tags_n[0].periodic_t0_over_n
         assert tags_n[0].tag == "periodic"
+
+
+def shifted(v, m, antiperiodic):
+    """Samples of v(t + m h), with the boundary sign past the seam."""
+    idx = np.arange(v.size) + m
+    sign = np.where(idx >= v.size, -1.0 if antiperiodic else 1.0, 1.0)
+    return sign * v[idx % v.size]
+
+
+@pytest.mark.parametrize("build, n", [
+    pytest.param(lambda c: eigen(constant_problem(), 9, 512), 2,
+                 id="constant-n2"),
+    pytest.param(lambda c: eigen(cosine_problem(4), 10, 512), 2,
+                 id="cosine4-n2"),
+    pytest.param(lambda c: eigen(cosine_problem(4), 10, 512), 1,
+                 id="cosine4-n1"),
+    pytest.param(lambda c: eigen(build_problem(c.profile((3, 5)), 1), 14,
+                                 c.grid((3, 5))), 5, id="fd-3/5-l1-n5"),
+    pytest.param(lambda c: c.spectrum((3, 5), 0), 5, id="bloch-3/5-l0-n5"),
+    pytest.param(lambda c: c.spectrum((5, 8), 1), 4, id="bloch-5/8-l1-n4"),
+])
+def test_classify_tags_match_a_direct_shift_of_each_row(build, n, cases):
+    """Each tag describes the row of ``spec.eigenfunctions`` it is listed
+    against, degenerate pairs included."""
+    spec = build(cases)
+    N = spec.grid_size
+    anti = spec.problem.boundary is Boundary.ANTIPERIODIC
+    tags = classify_subperiod(spec, n)
+    assert len(tags) == spec.eigenvalues.size
+    for v, tag in zip(spec.eigenfunctions, tags):
+        tol = 1e-5 * np.linalg.norm(v)
+        per = np.linalg.norm(shifted(v, N // n, anti) - v) <= tol
+        half = np.linalg.norm(shifted(v, N // (2 * n), anti) + v) <= tol
+        assert tag.periodic_t0_over_n == per
+        assert tag.antiperiodic_t0_over_2n == half
+        assert tag.tag == ("antiperiodic" if half
+                           else "periodic" if per else "neither")
+    assert len({t.tag for t in tags}) >= 2
 
 
 def test_classify_rejects_wrong_subperiod():
