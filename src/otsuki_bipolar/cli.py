@@ -56,6 +56,18 @@ def _emit(text: str, out_path: str | None):
         print(text)
 
 
+def _emit_flat(payload: dict, cfg):
+    """One flat payload as indented JSON, a one-row CSV or key = value text."""
+    if cfg.output_format == "json":
+        text = json.dumps(spectrum.json_ready(payload), indent=2)
+    elif cfg.output_format == "csv":
+        text = (",".join(payload) + "\n"
+                + ",".join(_fmt(v) for v in payload.values()))
+    else:
+        text = "\n".join(f"{k} = {_fmt(v)}" for k, v in payload.items())
+    _emit(text, cfg.output_path)
+
+
 def _rotation(cfg) -> geodesic.RotationNumber:
     if cfg.p is None or cfg.q is None:
         raise argparse.ArgumentTypeError("--p and --q are required")
@@ -92,16 +104,7 @@ def cmd_solve(cfg) -> int:
         "lambda_functional": lam,
         "upper_bound": spectrum.lambda_functional_bound(sol),
     }
-    if cfg.output_format == "json":
-        _emit(json.dumps(spectrum.json_ready(payload), indent=2),
-              cfg.output_path)
-    elif cfg.output_format == "csv":
-        keys = list(payload)
-        _emit(",".join(keys) + "\n"
-              + ",".join(_fmt(payload[k]) for k in keys), cfg.output_path)
-    else:
-        _emit("\n".join(f"{k} = {_fmt(v)}" for k, v in payload.items()),
-              cfg.output_path)
+    _emit_flat(payload, cfg)
     return 0
 
 
@@ -207,7 +210,7 @@ def cmd_table(cfg, pairs) -> int:
 def cmd_cross_check(cfg) -> int:
     r = _rotation(cfg)
     sol = geodesic.solve_rotation(r)
-    prof = geodesic.profile(sol, cfg.samples_per_half_period)
+    prof = geodesic.profile(sol)
 
     table = spectrum.assemble(sol, prof, l_max=cfg.l_max,
                               lambda_cut=cfg.lambda_cut,
@@ -238,7 +241,7 @@ def cmd_cross_check(cfg) -> int:
     if window > 0.02:
         print(f"warning: oracle error {eps_oracle:.3g} widens the threshold"
               f" window to {window:.3g} at"
-              f" {cfg.oracle_n_t / (2 * r.q):.1f} points per"
+              f" {fine.grid.points_per_half_oscillation():.1f} points per"
               " half-oscillation; modes near the threshold may be"
               " unresolved", file=sys.stderr)
     pair_tol = max(2.0 * eps_oracle, 1e-3)
@@ -257,19 +260,14 @@ def cmd_cross_check(cfg) -> int:
         "counts_agree": bool(n_oracle == n_table),
         "pass": bool(ok),
     }
-    if cfg.output_format == "json":
-        _emit(json.dumps(spectrum.json_ready(payload), indent=2),
-              cfg.output_path)
-    else:
-        _emit("\n".join(f"{k} = {_fmt(v) if isinstance(v, float) else v}"
-                        for k, v in payload.items()), cfg.output_path)
+    _emit_flat(payload, cfg)
     return 0 if ok else 1
 
 
 def cmd_export_mesh(cfg, path: str) -> int:
     r = _rotation(cfg)
     sol = geodesic.solve_rotation(r)
-    prof = geodesic.profile(sol, cfg.samples_per_half_period)
+    prof = geodesic.profile(sol)
     immersion.export_mesh(prof, cfg.n_alpha, cfg.n_t, cfg.mesh_format, path)
     print(f"wrote {cfg.n_alpha * cfg.n_t} vertices to {path}")
     return 0

@@ -12,11 +12,12 @@ DEFAULT_TOLERANCES = {
     "correspondence": 1e-6,
     "hausdorff": 1e-5,
 }
-# Accepted in config files, but no command reads them yet.
+# Accepted in config files, but no command reads them.
 UNREAD_TOLERANCES = ("correspondence", "hausdorff")
+UNREAD_KEYS = ("samples_per_half_period",)
 
 _INT_KEYS = {"p", "q", "grid_size", "oracle_n_alpha", "oracle_n_t", "l_max",
-             "samples_per_half_period", "n_alpha", "n_t"}
+             "n_alpha", "n_t"}
 _FLOAT_KEYS = {"lambda_cut"}
 _STR_KEYS = {"output_format", "output_path", "mesh_format"}
 
@@ -36,7 +37,6 @@ class RunConfig:
     oracle_n_t: int = 768
     l_max: int = 3
     lambda_cut: float = 2.5
-    samples_per_half_period: int = 512
     n_alpha: int = 64
     n_t: int = 256
     mesh_format: str = "csv"
@@ -46,7 +46,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("grid_size", "oracle_n_alpha", "oracle_n_t", "l_max",
-                     "samples_per_half_period", "n_alpha", "n_t"):
+                     "n_alpha", "n_t"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.lambda_cut <= 2.0:
@@ -56,7 +56,11 @@ class RunConfig:
 
 
 def parse_config_file(path: str) -> dict:
-    """Parse the flat key-value config format into an override dict."""
+    """Parse the flat key-value config format into an override dict.
+
+    Keys in ``UNREAD_KEYS`` are kept as their raw text for the caller
+    to warn about.
+    """
     overrides: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -66,16 +70,24 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key.startswith("tol.") and key[4:] in DEFAULT_TOLERANCES:
-                overrides.setdefault("tolerances", {})[key[4:]] = float(value)
+            tol = key[4:] if key.startswith("tol.") else None
+            if tol in DEFAULT_TOLERANCES or key in _FLOAT_KEYS:
+                parse = float
             elif key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            elif key in _STR_KEYS:
-                overrides[key] = value
+                parse = int
+            elif key in _STR_KEYS or key in UNREAD_KEYS:
+                parse = str
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                parsed = parse(value)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            if tol in DEFAULT_TOLERANCES:
+                overrides.setdefault("tolerances", {})[tol] = parsed
+            else:
+                overrides[key] = parsed
     return overrides
 
 
@@ -84,8 +96,11 @@ def make_config(file_path: str | None = None, **flag_overrides) -> RunConfig:
     merged: dict = {}
     if file_path:
         merged.update(parse_config_file(file_path))
-        unread = [f"tol.{k}" for k in UNREAD_TOLERANCES
-                  if k in merged.get("tolerances", {})]
+        unread = [k for k in UNREAD_KEYS if k in merged]
+        for key in unread:
+            del merged[key]
+        unread += [f"tol.{k}" for k in UNREAD_TOLERANCES
+                   if k in merged.get("tolerances", {})]
         if unread:
             print(f"warning: {file_path}: {', '.join(unread)} read by no"
                   " command; ignored", file=sys.stderr)

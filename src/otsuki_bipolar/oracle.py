@@ -42,6 +42,7 @@ from .errors import ConvergenceFailure
 from .geodesic import GeodesicProfile, radial_coefficients
 from .immersion import _bipolar_point
 from .spectrum import ModeTable
+from .sturm import flux_stencil
 
 _ORACLE_SEED = 0xFEEDFACE
 
@@ -93,32 +94,21 @@ class TorusGrid:
 
 
 def _operator_matrix(grid: TorusGrid) -> scipy.sparse.csc_matrix:
-    """Stiffness K of -(P f_x)_x - S f_aa, symmetric with constants in its kernel."""
+    """Stiffness K of -(P f_x)_x - S f_aa, symmetric with constants in its kernel.
+
+    The Kronecker sum of the flux stencil along alpha, weighted per x-row
+    by S / h_a^2, and the flux stencil along x with P / h_x^2 at the half
+    nodes; both axes are periodic.
+    """
     b = grid.profile.solution.b
-    na, nt = grid.n_alpha, grid.n_t
-    h_a, h_x = 2.0 * math.pi / na, grid.h_x
-    xs = grid.xs
-
-    w_alpha = radial_coefficients(b, xs)[1] / h_a ** 2               # per x-row
-    w_x = radial_coefficients(b, xs + 0.5 * h_x)[0] / h_x ** 2      # rows j, j+1
-
-    n = na * nt
-    idx = np.arange(n).reshape(nt, na)
-    right = np.roll(idx, -1, axis=1)
-    up = np.roll(idx, -1, axis=0)
-
-    wa = np.repeat(w_alpha, na)
-    wx = np.repeat(w_x, na)
-    diag = 2.0 * wa + wx + np.repeat(np.roll(w_x, 1), na)
-
-    rows = np.concatenate([idx.ravel(), right.ravel(),
-                           idx.ravel(), up.ravel(),
-                           np.arange(n)])
-    cols = np.concatenate([right.ravel(), idx.ravel(),
-                           up.ravel(), idx.ravel(),
-                           np.arange(n)])
-    vals = np.concatenate([-wa, -wa, -wx, -wx, diag])
-    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    h_a, h_x = 2.0 * math.pi / grid.n_alpha, grid.h_x
+    s_rows = radial_coefficients(b, grid.xs)[1] / h_a ** 2
+    p_half = radial_coefficients(b, grid.xs + 0.5 * h_x)[0] / h_x ** 2
+    k = (scipy.sparse.kron(scipy.sparse.diags(s_rows),
+                           flux_stencil(np.ones(grid.n_alpha)))
+         + scipy.sparse.kron(flux_stencil(p_half),
+                             scipy.sparse.identity(grid.n_alpha)))
+    return k.tocsc()
 
 
 @dataclass

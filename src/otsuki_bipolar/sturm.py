@@ -4,12 +4,13 @@ Solves -(p(t) h')' + V(t) h = lambda h on a circle of circumference
 ``period`` with h(t + period) = +h (periodic) or -h (antiperiodic),
 for smooth positive p and non-negative V.
 
-The discretization is a self-adjoint flux-form finite-difference scheme:
-p is evaluated at half-grid points and the antiperiodic condition is
-realized by sign-flipped wraparound couplings, producing a symmetric
-cyclic-tridiagonal matrix.  Eigenvalues converge at second order in the
-grid spacing; the per-spectrum attribute ``eps_grid`` carries a
-Richardson estimate of the remaining discretization error.
+The discretization is the self-adjoint flux-form finite-difference
+stencil ``flux_stencil``: p is evaluated at half-grid points and the
+antiperiodic condition is realized by sign-flipped wraparound couplings,
+producing a symmetric cyclic-tridiagonal matrix.  The 2-D oracle builds
+both of its axes from the same stencil.  Eigenvalues converge at second
+order in the grid spacing; the per-spectrum attribute ``eps_grid``
+carries a Richardson estimate of the remaining discretization error.
 
 Classical oscillation theory labels the eigenfunctions: sorted by
 eigenvalue, the periodic ones have 0, 2, 2, 4, 4, ... sign changes per
@@ -163,8 +164,23 @@ def count_sign_changes(values, antiperiodic: bool = False,
     return counts if v.ndim == 2 else int(counts[0])
 
 
+def flux_stencil(w, wrap: float = 1.0) -> scipy.sparse.csc_matrix:
+    """Symmetric cyclic matrix of -(w f')' in flux form, unit spacing.
+
+    ``w[j]`` is the flux weight between nodes j and j+1, so row j holds
+    w[j-1] + w[j] on the diagonal and -w[j-1], -w[j] beside it.  The last
+    node couples to the first through ``wrap * w[-1]``: +1 closes the
+    circle periodically, -1 antiperiodically.  Needs at least 3 nodes.
+    """
+    w = np.asarray(w, dtype=float)
+    n = w.size
+    off, corner = -w[:-1], -wrap * w[-1:]
+    return scipy.sparse.diags([w + np.roll(w, 1), off, off, corner, corner],
+                              [0, 1, -1, n - 1, 1 - n], format="csc")
+
+
 def _flux_form_matrix(prob: SLProblem, n: int):
-    """Symmetric cyclic-tridiagonal flux-form discretization."""
+    """Flux-form discretization of -(p h')' + V h and its grid."""
     h = prob.period / n
     t = np.arange(n) * h
     p_half = np.asarray(prob.p_fn(t + 0.5 * h), dtype=float)
@@ -173,44 +189,16 @@ def _flux_form_matrix(prob: SLProblem, n: int):
         raise DegenerateGrid("coefficient p(t) evaluated non-positive on the grid")
     if not np.all(np.isfinite(v)):
         raise DegenerateGrid("potential V(t) evaluated non-finite on the grid")
-
-    inv_h2 = 1.0 / (h * h)
-    diag = (p_half + np.roll(p_half, 1)) * inv_h2 + v
-    off = -p_half * inv_h2          # couples i <-> i+1 via p at i+1/2
-    wrap = off[-1]
-    if prob.boundary is Boundary.ANTIPERIODIC:
-        wrap = -wrap
-    return diag, off, wrap, t
+    wrap = -1.0 if prob.boundary is Boundary.ANTIPERIODIC else 1.0
+    a = flux_stencil(p_half, wrap) * (1.0 / (h * h)) + scipy.sparse.diags(v)
+    return a.tocsc(), t
 
 
-def _dense_matrix(diag, off, wrap):
-    n = diag.size
-    a = np.diag(diag)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = off[:-1]
-    a[idx + 1, idx] = off[:-1]
-    a[0, n - 1] += wrap
-    a[n - 1, 0] += wrap
-    return a
-
-
-def _sparse_matrix(diag, off, wrap):
-    n = diag.size
-    rows = np.concatenate([np.arange(n), np.arange(n - 1), np.arange(1, n),
-                           [0, n - 1]])
-    cols = np.concatenate([np.arange(n), np.arange(1, n), np.arange(n - 1),
-                           [n - 1, 0]])
-    vals = np.concatenate([diag, off[:-1], off[:-1], [wrap, wrap]])
-    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _solve_matrix(diag, off, wrap, count: int):
-    n = diag.size
+def _solve_matrix(a, count: int):
+    n = a.shape[0]
     if n <= _DENSE_LIMIT or count > n // 4:
-        a = _dense_matrix(diag, off, wrap)
-        vals, vecs = scipy.linalg.eigh(a)
+        vals, vecs = scipy.linalg.eigh(a.toarray())
         return vals[:count], vecs[:, :count]
-    a = _sparse_matrix(diag, off, wrap)
     v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(n)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
@@ -270,8 +258,8 @@ def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
     n = int(grid_size)
-    diag, off, wrap, t = _flux_form_matrix(prob, n)
-    vals, vecs = _solve_matrix(diag, off, wrap, count)
+    a, t = _flux_form_matrix(prob, n)
+    vals, vecs = _solve_matrix(a, count)
 
     h = prob.period / n
     vecs = vecs / np.sqrt(h * np.sum(vecs ** 2, axis=0))
@@ -293,8 +281,8 @@ def _estimate_grid_error(prob, count, n, vals) -> float:
     if n <= 64:
         return float("nan")
     half = max(n // 2, 64)
-    diag, off, wrap, _ = _flux_form_matrix(prob, half)
-    coarse, _ = _solve_matrix(diag, off, wrap, min(count, half // 2))
+    coarse, _ = _solve_matrix(_flux_form_matrix(prob, half)[0],
+                              min(count, half // 2))
     m = min(count, coarse.size)
     return float(np.max(np.abs(vals[:m] - coarse[:m])) / 3.0)
 

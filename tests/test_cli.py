@@ -136,6 +136,22 @@ def test_cross_check_resolved_grid_does_not_warn(capsys):
     assert "warning" not in err
 
 
+def test_cross_check_csv_is_one_row(capsys):
+    """--format csv gives a header and one row with the JSON keys."""
+    args = ["cross-check", "--p", "3", "--q", "5", "--grid-size", "1040",
+            "--oracle-n-alpha", "32", "--oracle-n-t", "200"]
+    code, out, _ = run(args + ["--format", "csv"], capsys)
+    rows = list(csv.DictReader(out.splitlines()))
+    assert code == 0 and len(rows) == 1
+    _, out_json, _ = run(args + ["--format", "json"], capsys)
+    payload = json.loads(out_json)
+    assert list(rows[0]) == list(payload)
+    assert rows[0]["pass"] == "True" and rows[0]["counts_agree"] == "True"
+    assert int(rows[0]["n_below_2_oracle"]) == payload["n_below_2_oracle"]
+    assert float(rows[0]["oracle_eps"]) == pytest.approx(
+        payload["oracle_eps"], rel=1e-14)
+
+
 def test_cross_check_odd_coarse_alpha_grid(capsys):
     """--oracle-n-alpha 50 gives a coarse grid of 2*50//3 = 33 columns,
     rounded down to an even 32."""
@@ -194,6 +210,21 @@ def test_config_warns_about_unread_tolerances(tmp_path, capsys):
     assert "read by no command" in lines[0]
 
 
+def test_config_warns_about_the_unread_sampling_key(tmp_path, capsys):
+    """samples_per_half_period changes no output; a value the profile
+    would reject (8 < 16) is ignored with a warning, not an error."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples_per_half_period = 8\n")
+    code, _, err = run(["export-mesh", "--p", "3", "--q", "5",
+                        "--n-alpha", "16", "--n-t", "32", "--config", str(cfg),
+                        "--mesh-out", str(tmp_path / "m.csv")], capsys)
+    assert code == 0
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert "samples_per_half_period" in lines[0]
+    assert "read by no command" in lines[0]
+
+
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("gridsize = 10\n")
@@ -210,6 +241,17 @@ def test_config_file_rejects_unknown_tolerance_key(tmp_path, capsys):
                         "--config", str(cfg)], capsys)
     assert code == 2
     assert "unknown key" in err and f"{cfg}:2" in err
+
+
+@pytest.mark.parametrize("line", ["grid_size = 1e3", "lambda_cut = two",
+                                  "tol.omega_residual = tiny"])
+def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# bad value below\n" + line + "\n")
+    code, _, err = run(["verify", "--p", "3", "--q", "5",
+                        "--config", str(cfg)], capsys)
+    assert code == 2
+    assert f"{cfg}:2" in err and repr(line.split(" = ")[0]) in err
 
 
 def test_out_file(tmp_path, capsys):

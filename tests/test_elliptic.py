@@ -18,6 +18,13 @@ from otsuki_bipolar.elliptic import (
 )
 from otsuki_bipolar.errors import DomainError
 
+# The brute-force reference quadratures below ask quad for 1e-14, which
+# its error estimate cannot confirm in double precision, so quad warns of
+# roundoff.  The library's own quad calls must not warn: the suite treats
+# IntegrationWarning as an error everywhere else.
+reference_quadrature = pytest.mark.filterwarnings(
+    "ignore::scipy.integrate.IntegrationWarning")
+
 HALF_PI = 0.5 * math.pi
 
 
@@ -44,16 +51,19 @@ def test_special_values():
     assert complete_Pi(0.0, 0.0) == pytest.approx(HALF_PI, abs=1e-15)
 
 
+@reference_quadrature
 @pytest.mark.parametrize("k", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
 def test_K_matches_quadrature(k):
     assert complete_K(k) == pytest.approx(quad_K(k), rel=1e-12)
 
 
+@reference_quadrature
 @pytest.mark.parametrize("k", [0.1, 0.3, 0.6, 0.9, 0.999])
 def test_E_matches_quadrature(k):
     assert complete_E(k) == pytest.approx(quad_E(k), rel=1e-12)
 
 
+@reference_quadrature
 @pytest.mark.parametrize("n,k", [(0.5, 0.5), (0.2, 0.8), (0.9, 0.3),
                                  (0.3, 0.4), (0.75, 0.75)])
 def test_Pi_matches_quadrature(n, k):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
-from otsuki_bipolar.geodesic import RotationNumber
+from otsuki_bipolar.geodesic import RotationNumber, radial_coefficients
 from otsuki_bipolar.oracle import (
     OracleSpectrum,
     TorusGrid,
@@ -37,6 +38,41 @@ def test_operator_symmetric_psd(cases):
     for _ in range(5):
         v = rng.standard_normal(a.shape[0])
         assert float(v @ (a @ v)) > -1e-9 * float(v @ v)
+
+
+def operator_matrix_by_coordinates(grid):
+    """K assembled from COO triples: each node's right (alpha) and up (x)
+    neighbour couplings, both ways, and the diagonal."""
+    b = grid.profile.solution.b
+    na, nt = grid.n_alpha, grid.n_t
+    h_a, h_x = 2.0 * math.pi / na, grid.h_x
+    w_alpha = radial_coefficients(b, grid.xs)[1] / h_a ** 2
+    w_x = radial_coefficients(b, grid.xs + 0.5 * h_x)[0] / h_x ** 2
+    n = na * nt
+    idx = np.arange(n).reshape(nt, na)
+    right = np.roll(idx, -1, axis=1)
+    up = np.roll(idx, -1, axis=0)
+    wa = np.repeat(w_alpha, na)
+    wx = np.repeat(w_x, na)
+    diag = 2.0 * wa + wx + np.repeat(np.roll(w_x, 1), na)
+    rows = np.concatenate([idx.ravel(), right.ravel(), idx.ravel(),
+                           up.ravel(), np.arange(n)])
+    cols = np.concatenate([right.ravel(), idx.ravel(), up.ravel(),
+                           idx.ravel(), np.arange(n)])
+    vals = np.concatenate([-wa, -wa, -wx, -wx, diag])
+    return scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+def test_operator_is_the_kronecker_sum_of_flux_stencils(pq, cases):
+    grid = TorusGrid(cases.profile(pq), 32, 64)
+    k = _operator_matrix(grid)
+    ref = operator_matrix_by_coordinates(grid)
+    ref.sort_indices()
+    assert k.format == "csc" and k.nnz == ref.nnz == 5 * 32 * 64
+    assert np.array_equal(k.indptr, ref.indptr)
+    assert np.array_equal(k.indices, ref.indices)
+    assert np.max(np.abs(k.data - ref.data)) <= 1e-15 * np.max(np.abs(ref.data))
 
 
 def test_constant_mode(cases):

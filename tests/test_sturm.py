@@ -10,6 +10,7 @@ from otsuki_bipolar.errors import DegenerateGrid, SubperiodViolation, ZeroFuncti
 from otsuki_bipolar.sturm import (
     Boundary,
     SLProblem,
+    _flux_form_matrix,
     build_problem,
     classify_subperiod,
     count_sign_changes,
@@ -138,6 +139,36 @@ def test_degenerate_grid_guard():
                     boundary=Boundary.PERIODIC)
     with pytest.raises(DegenerateGrid):
         eigen(bad, 4, 128)
+
+
+def flux_form_matrix_by_entries(prob, n):
+    """The flux-form matrix written entry by entry into a dense array:
+    diagonal, neighbour couplings and the boundary-signed wrap pair."""
+    h = prob.period / n
+    t = np.arange(n) * h
+    p_half = prob.p_fn(t + 0.5 * h)
+    inv_h2 = 1.0 / (h * h)
+    diag = (p_half + np.roll(p_half, 1)) * inv_h2 + prob.v_fn(t)
+    off = -p_half * inv_h2
+    wrap = -off[-1] if prob.boundary is Boundary.ANTIPERIODIC else off[-1]
+    a = np.diag(diag)
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = off[:-1]
+    a[idx + 1, idx] = off[:-1]
+    a[0, n - 1] += wrap
+    a[n - 1, 0] += wrap
+    return a
+
+
+@pytest.mark.parametrize("l", [0, 2])
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_flux_stencil_matches_the_entrywise_matrix(l, boundary, cases):
+    prob = build_problem(cases.profile((3, 5)), l, boundary)
+    a = _flux_form_matrix(prob, 512)[0]
+    ref = flux_form_matrix_by_entries(prob, 512)
+    assert a.nnz == np.count_nonzero(ref) == 3 * 512
+    assert np.array_equal(a.toarray() != 0, ref != 0)
+    assert np.max(np.abs(a.toarray() - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 # -- Otsuki problems -----------------------------------------------------
