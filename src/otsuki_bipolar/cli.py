@@ -9,9 +9,10 @@ Commands:
   cross-check  2-D brute-force spectrum vs the separated assembly
   export-mesh  vertex grid of the immersed surface (CSV or OBJ)
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numerical failure.  All floating-point output is printed with 15
-significant digits.
+Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
+argument or config value, an unreadable config file, an unwritable
+output path), 3 numerical failure (stderr names its class).  All
+floating-point output is printed with 15 significant digits.
 """
 
 from __future__ import annotations
@@ -26,17 +27,7 @@ import numpy as np
 
 from . import geodesic, immersion, oracle, spectrum
 from .config import RunConfig, make_config
-from .errors import (
-    ConvergenceFailure,
-    DegenerateGrid,
-    DomainError,
-    IntegrationFailure,
-    InsufficientLMax,
-    NoRoot,
-    ResolutionTooCoarse,
-    SubperiodViolation,
-    VerificationFailed,
-)
+from .errors import NumericalFailure, VerificationFailed
 
 _USAGE_ERROR = 2
 _NUMERICAL_ERROR = 3
@@ -68,15 +59,6 @@ def _emit_flat(payload: dict, cfg):
     _emit(text, cfg.output_path)
 
 
-def _rotation(cfg) -> geodesic.RotationNumber:
-    if cfg.p is None or cfg.q is None:
-        raise argparse.ArgumentTypeError("--p and --q are required")
-    try:
-        return geodesic.RotationNumber(cfg.p, cfg.q)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _parse_pairs(spec_str: str) -> list[tuple[int, int]]:
     pairs = []
     for token in spec_str.split(","):
@@ -93,7 +75,7 @@ def _parse_pairs(spec_str: str) -> list[tuple[int, int]]:
 
 
 def cmd_solve(cfg) -> int:
-    r = _rotation(cfg)
+    r = geodesic.RotationNumber(cfg.p, cfg.q)
     sol = geodesic.solve_rotation(r)
     lam = spectrum.lambda_functional(sol)
     payload = {
@@ -109,17 +91,13 @@ def cmd_solve(cfg) -> int:
 
 
 def cmd_verify(cfg) -> int:
-    r = _rotation(cfg)
-    try:
-        report = spectrum.verify_theorem3(
-            r, grid_size=cfg.grid_size, l_max=cfg.l_max,
-            lambda_cut=cfg.lambda_cut,
-            functional_tol=cfg.tolerances["functional_agreement"],
-            omega_tol=cfg.tolerances["omega_residual"],
-            raise_on_failure=False)
-    except InsufficientLMax as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _NUMERICAL_ERROR
+    r = geodesic.RotationNumber(cfg.p, cfg.q)
+    report = spectrum.verify_theorem3(
+        r, grid_size=cfg.grid_size, l_max=cfg.l_max,
+        lambda_cut=cfg.lambda_cut,
+        functional_tol=cfg.tolerances["functional_agreement"],
+        omega_tol=cfg.tolerances["omega_residual"],
+        raise_on_failure=False)
     _emit_report(report, cfg)
     return 0 if report.passed else 1
 
@@ -148,7 +126,7 @@ def _emit_report(report, cfg):
 
 
 def cmd_spectrum(cfg) -> int:
-    r = _rotation(cfg)
+    r = geodesic.RotationNumber(cfg.p, cfg.q)
     sol = geodesic.solve_rotation(r)
     table = spectrum.assemble(sol, None, l_max=cfg.l_max,
                               lambda_cut=cfg.lambda_cut,
@@ -192,12 +170,16 @@ def cmd_table(cfg, pairs) -> int:
     rows = []
     for p, q in unique:
         r = geodesic.RotationNumber(p, q)
-        report = spectrum.verify_theorem3(
-            r, grid_size=cfg.grid_size, l_max=cfg.l_max,
-            lambda_cut=cfg.lambda_cut,
-            functional_tol=cfg.tolerances["functional_agreement"],
-            omega_tol=cfg.tolerances["omega_residual"],
-            raise_on_failure=True)
+        try:
+            report = spectrum.verify_theorem3(
+                r, grid_size=cfg.grid_size, l_max=cfg.l_max,
+                lambda_cut=cfg.lambda_cut,
+                functional_tol=cfg.tolerances["functional_agreement"],
+                omega_tol=cfg.tolerances["omega_residual"],
+                raise_on_failure=True)
+        except VerificationFailed as exc:
+            _emit_report(exc.report, cfg)   # an OSError here is exit 2
+            raise
         rows.append((p, q, report.a, report.b, report.t0,
                      report.n2_computed, report.lambda_value,
                      report.upper_bound))
@@ -208,7 +190,7 @@ def cmd_table(cfg, pairs) -> int:
 
 
 def cmd_cross_check(cfg) -> int:
-    r = _rotation(cfg)
+    r = geodesic.RotationNumber(cfg.p, cfg.q)
     sol = geodesic.solve_rotation(r)
     prof = geodesic.profile(sol)
 
@@ -265,7 +247,7 @@ def cmd_cross_check(cfg) -> int:
 
 
 def cmd_export_mesh(cfg, path: str) -> int:
-    r = _rotation(cfg)
+    r = geodesic.RotationNumber(cfg.p, cfg.q)
     sol = geodesic.solve_rotation(r)
     prof = geodesic.profile(sol)
     immersion.export_mesh(prof, cfg.n_alpha, cfg.n_t, cfg.mesh_format, path)
@@ -338,19 +320,15 @@ def main(argv=None) -> int:
         if args.command == "export-mesh":
             return cmd_export_mesh(cfg, args.mesh_out)
         parser.error(f"unknown command {args.command!r}")
-    except (argparse.ArgumentTypeError, ValueError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
     except VerificationFailed as exc:
-        if exc.report is not None:
-            _emit_report(exc.report, cfg)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NoRoot, ResolutionTooCoarse, IntegrationFailure,
-            ConvergenceFailure, DegenerateGrid, SubperiodViolation,
-            InsufficientLMax) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except NumericalFailure as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _NUMERICAL_ERROR
+    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _USAGE_ERROR
     return 0
 
 

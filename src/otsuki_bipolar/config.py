@@ -12,11 +12,12 @@ DEFAULT_TOLERANCES = {
     "correspondence": 1e-6,
     "hausdorff": 1e-5,
 }
-# Accepted in config files, but no command reads them.
+# Accepted in config files, but no command reads them (p and q come
+# only from the --p/--q flags).
 UNREAD_TOLERANCES = ("correspondence", "hausdorff")
-UNREAD_KEYS = ("samples_per_half_period",)
+UNREAD_KEYS = ("p", "q", "samples_per_half_period")
 
-_INT_KEYS = {"p", "q", "grid_size", "oracle_n_alpha", "oracle_n_t", "l_max",
+_INT_KEYS = {"grid_size", "oracle_n_alpha", "oracle_n_t", "l_max",
              "n_alpha", "n_t"}
 _FLOAT_KEYS = {"lambda_cut"}
 _STR_KEYS = {"output_format", "output_path", "mesh_format"}

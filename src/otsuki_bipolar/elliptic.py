@@ -19,38 +19,17 @@ and for the third kind
 
 from __future__ import annotations
 
-import math
-
 from scipy.special import elliprd, elliprf, elliprj
 
-from .errors import DomainError
+from .errors import DomainError, in_interval
 
 # K and Pi diverge at k = 1; reject anything closer than this.
 _K_MAX = 1.0 - 1e-12
 
 
-def _check_modulus(k: float, *, allow_one: bool = False) -> float:
-    k = float(k)
-    if not math.isfinite(k) or k < 0.0:
-        raise DomainError(f"modulus k must be non-negative and finite, got {k!r}")
-    if allow_one:
-        if k > 1.0:
-            raise DomainError(f"modulus k must lie in [0, 1], got {k!r}")
-    elif k > _K_MAX:
-        raise DomainError(f"modulus k must lie in [0, 1), got {k!r}")
-    return k
-
-
-def _check_characteristic(n: float) -> float:
-    n = float(n)
-    if not math.isfinite(n) or n < 0.0 or n > _K_MAX:
-        raise DomainError(f"characteristic n must lie in [0, 1), got {n!r}")
-    return n
-
-
 def complete_K(k: float) -> float:
     """Complete elliptic integral of the first kind, K(k)."""
-    k = _check_modulus(k)
+    k = in_interval(k, "modulus k", 0.0, _K_MAX, lo_closed=True, hi_closed=True)
     return float(elliprf(0.0, 1.0 - k * k, 1.0))
 
 
@@ -59,7 +38,7 @@ def complete_E(k: float) -> float:
 
     Defined for k in [0, 1]; E(1) = 1.
     """
-    k = _check_modulus(k, allow_one=True)
+    k = in_interval(k, "modulus k", 0.0, 1.0, lo_closed=True, hi_closed=True)
     if k == 1.0:
         return 1.0
     m = k * k
@@ -68,8 +47,8 @@ def complete_E(k: float) -> float:
 
 def complete_Pi(n: float, k: float) -> float:
     """Complete elliptic integral of the third kind, Pi(n, k)."""
-    n = _check_characteristic(n)
-    k = _check_modulus(k)
+    n = in_interval(n, "characteristic n", 0.0, _K_MAX, lo_closed=True, hi_closed=True)
+    k = in_interval(k, "modulus k", 0.0, _K_MAX, lo_closed=True, hi_closed=True)
     m = k * k
     val = elliprf(0.0, 1.0 - m, 1.0)
     if n != 0.0:
@@ -77,29 +56,22 @@ def complete_Pi(n: float, k: float) -> float:
     return float(val)
 
 
-def _check_open_unit(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x) or not 0.0 < x < 1.0:
-        raise DomainError(f"{name} must lie strictly inside (0, 1), got {x!r}")
-    return x
-
-
 def dE_dk(k: float) -> float:
     """Derivative of E with respect to the modulus, (E - K)/k."""
-    k = _check_open_unit(k, "modulus k")
+    k = in_interval(k, "modulus k", 0.0, 1.0)
     return (complete_E(k) - complete_K(k)) / k
 
 
 def dK_dk(k: float) -> float:
     """Derivative of K with respect to the modulus."""
-    k = _check_open_unit(k, "modulus k")
+    k = in_interval(k, "modulus k", 0.0, 1.0)
     return complete_E(k) / (k * (1.0 - k * k)) - complete_K(k) / k
 
 
 def dPi_dn(n: float, k: float) -> float:
     """Partial derivative of Pi(n, k) in the characteristic n."""
-    n = _check_open_unit(n, "characteristic n")
-    k = _check_open_unit(k, "modulus k")
+    n = in_interval(n, "characteristic n", 0.0, 1.0)
+    k = in_interval(k, "modulus k", 0.0, 1.0)
     m = k * k
     if n == m:
         raise DomainError("dPi/dn is singular on the line n = k^2")
@@ -111,8 +83,8 @@ def dPi_dn(n: float, k: float) -> float:
 
 def dPi_dk(n: float, k: float) -> float:
     """Partial derivative of Pi(n, k) in the modulus k."""
-    n = _check_open_unit(n, "characteristic n")
-    k = _check_open_unit(k, "modulus k")
+    n = in_interval(n, "characteristic n", 0.0, 1.0)
+    k = in_interval(k, "modulus k", 0.0, 1.0)
     m = k * k
     if n == m:
         raise DomainError("dPi/dk is singular on the line n = k^2")

@@ -1,28 +1,50 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one range check."""
+
+import math
 
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class NoRoot(RuntimeError):
+def in_interval(x, name: str, lo: float, hi: float, *,
+                lo_closed: bool = False, hi_closed: bool = False) -> float:
+    """``float(x)`` if it lies between ``lo`` and ``hi``, else DomainError.
+
+    Each end is open unless its flag closes it; nan and inf never pass.
+    """
+    x = float(x)
+    above = x >= lo if lo_closed else x > lo
+    below = x <= hi if hi_closed else x < hi
+    if not (math.isfinite(x) and above and below):
+        raise DomainError(
+            f"{name} must lie in {'[' if lo_closed else '('}{lo:.15g},"
+            f" {hi:.15g}{']' if hi_closed else ')'}, got {x!r}")
+    return x
+
+
+class NumericalFailure(RuntimeError):
+    """A numerical stage could not deliver a trustworthy result."""
+
+
+class NoRoot(NumericalFailure):
     """The closed-geodesic equation has no root in the admissible bracket."""
 
 
-class ResolutionTooCoarse(RuntimeError):
+class ResolutionTooCoarse(NumericalFailure):
     """A geodesic chart's Fourier series does not resolve its rates, or
     the charts do not close the geodesic to the profile's tolerance."""
 
 
-class IntegrationFailure(RuntimeError):
+class IntegrationFailure(NumericalFailure):
     """An ODE step controller could not meet the requested tolerance."""
 
 
-class ConvergenceFailure(RuntimeError):
+class ConvergenceFailure(NumericalFailure):
     """An iterative eigensolver did not converge."""
 
 
-class DegenerateGrid(RuntimeError):
+class DegenerateGrid(NumericalFailure):
     """A Sturm-Liouville coefficient evaluated non-positive on the grid."""
 
 
@@ -30,11 +52,11 @@ class ZeroFunction(ValueError):
     """A Rayleigh quotient was requested for the zero function."""
 
 
-class SubperiodViolation(RuntimeError):
+class SubperiodViolation(NumericalFailure):
     """Coefficients lack the sub-period claimed for eigenfunction tagging."""
 
 
-class InsufficientLMax(RuntimeError):
+class InsufficientLMax(NumericalFailure):
     """The angular cutoff is too small: modes below the threshold may be missing."""
 
 

@@ -33,7 +33,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .elliptic import complete_E, complete_K, complete_Pi
-from .errors import ConvergenceFailure, DomainError, NoRoot, ResolutionTooCoarse
+from .errors import ConvergenceFailure, NoRoot, ResolutionTooCoarse, in_interval
 
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -102,13 +102,6 @@ class OtsukiSolution:
         return self.s_total / (2 * self.rotation.q)
 
 
-def _check_a(a: float) -> float:
-    a = float(a)
-    if not math.isfinite(a) or not 0.0 < a <= _QUARTER_PI:
-        raise DomainError(f"a must lie in (0, pi/4], got {a!r}")
-    return a
-
-
 def _nu_of_chi(a: float, chi):
     """Turning-free chart of the nu half-oscillation: cos(2 nu) = cos(2a) cos(chi)."""
     return 0.5 * np.arccos(np.clip(math.cos(2.0 * a) * np.cos(chi), -1.0, 1.0))
@@ -163,7 +156,7 @@ def omega(a: float) -> float:
 
     Strictly increasing from pi/2 (a -> 0) to pi/sqrt(2) (a = pi/4).
     """
-    a = _check_a(a)
+    a = in_interval(a, "a", 0.0, _QUARTER_PI, hi_closed=True)
     if a < 0.05:
         return _omega_small_a(a)
     c = math.sin(a) * math.cos(a)
@@ -179,23 +172,14 @@ def omega(a: float) -> float:
 
 def b_of_a(a: float) -> float:
     """Turning value of the bipolar chart: cos^4 b = 4 sin^2 a cos^2 a."""
-    a = _check_a(a)
+    a = in_interval(a, "a", 0.0, _QUARTER_PI, hi_closed=True)
     return math.acos(math.sqrt(math.sin(2.0 * a)))
 
 
 def a_of_b(b: float) -> float:
     """Inverse of ``b_of_a`` on (0, pi/2) -> (0, pi/4)."""
-    b = float(b)
-    if not 0.0 <= b < _HALF_PI:
-        raise DomainError(f"b must lie in [0, pi/2), got {b!r}")
+    b = in_interval(b, "b", 0.0, _HALF_PI, lo_closed=True)
     return 0.5 * math.asin(math.cos(b) ** 2)
-
-
-def _check_b_open(b: float) -> float:
-    b = float(b)
-    if not math.isfinite(b) or not 0.0 < b < _HALF_PI:
-        raise DomainError(f"b must lie in (0, pi/2), got {b!r}")
-    return b
 
 
 def xi(b: float) -> float:
@@ -205,7 +189,7 @@ def xi(b: float) -> float:
     2 (1-n)/sqrt(2-n) * Pi(n, sqrt(n/(2-n))) with n = sin^2 b; strictly
     decreasing from pi/sqrt(2) (b -> 0) to pi/2 (b -> pi/2).
     """
-    b = _check_b_open(b)
+    b = in_interval(b, "b", 0.0, _HALF_PI)
     n = math.sin(b) ** 2
     k = math.sqrt(n / (2.0 - n))
     return 2.0 * (1.0 - n) / math.sqrt(2.0 - n) * complete_Pi(n, k)
@@ -218,18 +202,9 @@ def xi_derivative(n: float) -> float:
     validated against finite differences and against the chain rule
     through the derivatives of the third-kind integral.
     """
-    n = float(n)
-    if not math.isfinite(n) or not 0.0 < n < 1.0:
-        raise DomainError(f"n must lie in (0, 1), got {n!r}")
+    n = in_interval(n, "n", 0.0, 1.0)
     k = math.sqrt(n / (2.0 - n))
     return (complete_E(k) - complete_K(k)) / (n * math.sqrt(2.0 - n))
-
-
-def _check_b_closed_open(b: float) -> float:
-    b = float(b)
-    if not math.isfinite(b) or not 0.0 <= b < _HALF_PI:
-        raise DomainError(f"b must lie in [0, pi/2), got {b!r}")
-    return b
 
 
 def _profile_modulus(b: float) -> float:
@@ -240,7 +215,7 @@ def _profile_modulus(b: float) -> float:
 def i1(b: float) -> float:
     """Closed form of the quintic profile integral
     int_{-b}^{b} cos^5(phi) / sqrt(cos^4 phi - cos^4 b) dphi."""
-    b = _check_b_closed_open(b)
+    b = in_interval(b, "b", 0.0, _HALF_PI, lo_closed=True)
     k = _profile_modulus(b)
     m = k * k
     e, kk = complete_E(k), complete_K(k)
@@ -256,7 +231,7 @@ def i2(b: float) -> float:
     Strictly decreasing with i2(0) = pi/sqrt(2); one half-oscillation of
     the bipolar geodesic has length 2 pi i2(b).
     """
-    b = _check_b_closed_open(b)
+    b = in_interval(b, "b", 0.0, _HALF_PI, lo_closed=True)
     k = _profile_modulus(b)
     m = k * k
     return 2.0 * math.sqrt(2.0 / (1.0 + m)) * (
@@ -266,13 +241,13 @@ def i2(b: float) -> float:
 
 def i_ratio(b: float) -> float:
     """pi^2 i1(b) / i2(b)^3: strictly below 2 and decreasing in b."""
-    b = _check_b_open(b)
+    b = in_interval(b, "b", 0.0, _HALF_PI)
     return math.pi ** 2 * i1(b) / i2(b) ** 3
 
 
 def bipolar_half_period(b: float) -> float:
     """Half-oscillation length of the bipolar geodesic by direct quadrature."""
-    b = _check_b_closed_open(b)
+    b = in_interval(b, "b", 0.0, _HALF_PI, lo_closed=True)
     sb = math.sin(b)
     cb2 = math.cos(b) ** 2
 
@@ -287,7 +262,7 @@ def bipolar_half_period(b: float) -> float:
 
 def torus_half_period(a: float) -> float:
     """Half-oscillation length of the torus-side geodesic by direct quadrature."""
-    a = _check_a(a)
+    a = in_interval(a, "a", 0.0, _QUARTER_PI, hi_closed=True)
     cos_2a = math.cos(2.0 * a)
     val, _ = quad(lambda chi: math.pi * math.sin(_nu_of_chi_scalar(cos_2a, chi)),
                   0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=400)

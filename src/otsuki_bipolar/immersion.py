@@ -82,12 +82,12 @@ def immerse_bipolar(profile: GeodesicProfile, alpha, t) -> np.ndarray:
     """Point of the bipolar surface in S^4 at orbit angle alpha, parameter t.
 
     The phase convention has theta(0) = 0 at the turning point
-    phi(0) = b.
+    phi(0) = b.  phi and theta depend on t alone, so they are evaluated
+    on t as given and broadcast against alpha afterwards: a row of t
+    under a column of alpha costs one evaluation per t.
     """
-    alpha, t = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(t, float))
-    phi = profile.phi_at(t)
-    theta = profile.theta_at(t)
-    return _bipolar_point(alpha, phi, theta)
+    t = np.asarray(t, float)
+    return _bipolar_point(alpha, profile.phi_at(t), profile.theta_at(t))
 
 
 def _bipolar_point(alpha, phi, theta) -> np.ndarray:
@@ -170,9 +170,7 @@ def verify_bipolar_correspondence(sol: OtsukiSolution, tol: float = 1e-6,
     pi/2, decreasing), so the direct chart is aligned through the rigid
     motion theta -> (pi/2 - xi/2) - theta before comparison.
     """
-    from .geodesic import profile as build_profile
-
-    prof = profile if profile is not None else build_profile(sol)
+    prof = profile if profile is not None else GeodesicProfile(sol)
     q = sol.rotation.q
     c2 = sol.c ** 2
     t_half = prof.t_half
@@ -261,10 +259,7 @@ def build_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int) -> SurfaceMesh:
         raise ValueError("mesh resolutions must be at least 8")
     alphas = np.linspace(0.0, _TWO_PI, n_alpha, endpoint=False)
     ts = np.linspace(0.0, profile.t0, n_t, endpoint=False)
-    # phi and theta depend on t alone: evaluate them once per t and
-    # broadcast over the alpha rows.
-    verts = _bipolar_point(alphas[:, None], profile.phi_at(ts),
-                           profile.theta_at(ts)).reshape(-1, 5)
+    verts = immerse_bipolar(profile, alphas[:, None], ts).reshape(-1, 5)
     return SurfaceMesh(n_alpha=n_alpha, n_t=n_t, alphas=alphas, ts=ts,
                        vertices=verts)
 

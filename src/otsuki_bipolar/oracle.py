@@ -40,7 +40,7 @@ import scipy.sparse.linalg
 
 from .errors import ConvergenceFailure
 from .geodesic import GeodesicProfile, radial_coefficients
-from .immersion import _bipolar_point
+from .immersion import immerse_bipolar
 from .spectrum import ModeTable
 from .sturm import flux_stencil
 
@@ -215,10 +215,8 @@ def theorem2_residual(profile: GeodesicProfile, grid: TorusGrid) -> float:
     """
     a = _operator_matrix(grid)
     w = grid.mass
-    # phi and theta depend on t alone: evaluate them once per node row.
-    ts = grid.ts[:, None]
-    coords = _bipolar_point(grid.alphas[None, :], profile.phi_at(ts),
-                            profile.theta_at(ts))       # (nt, na, 5)
+    coords = immerse_bipolar(profile, grid.alphas[None, :],
+                             grid.ts[:, None])          # (nt, na, 5)
     worst = 0.0
     for j in range(coords.shape[-1]):
         flat = coords[..., j].ravel()

@@ -167,7 +167,8 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
     sector, so supplied spectra must carry ``sectors``.  Raises
     InsufficientLMax unless the ground eigenvalue at l_max already clears
     the cutoff, so "no l >= 2 modes below 2" is measured rather than
-    assumed.  For even q the filter keeps the modes of Bloch sectors
+    assumed, and ValueError if a radial window ends below the cutoff
+    (``solve_radial``'s reaches 4), so no mode below it is dropped.  For even q the filter keeps the modes of Bloch sectors
     k = l (mod 2).  ``profile`` is ignored.
     """
     if lambda_cut < 2.0:
@@ -196,6 +197,10 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
         spec = spectra[l]
         if spec.sectors is None:
             raise ValueError(f"radial spectrum at l = {l} carries no sectors")
+        if spec.eigenvalues[-1] < lambda_cut:
+            raise ValueError(
+                f"radial window at l = {l} ends at {spec.eigenvalues[-1]:.6f},"
+                f" below the cutoff {lambda_cut}; lower lambda_cut")
         pinned = _pin_threshold_modes(r, l, spec)
         for i, lam in enumerate(spec.eigenvalues):
             pinned_two = i in pinned

@@ -254,6 +254,40 @@ def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
     assert f"{cfg}:2" in err and repr(line.split(" = ")[0]) in err
 
 
+@pytest.mark.parametrize("argv, code, needle", [
+    (["verify", "--p", "3", "--q", "5", "--l-max", "2", "--lambda-cut", "6"],
+     3, "error: InsufficientLMax: "),
+    (["solve", "--p", "3", "--q", "5", "--config", "{tmp}/missing.cfg"],
+     2, "missing.cfg"),
+    (["solve", "--p", "3", "--q", "5", "--out", "{tmp}/no/dir/sol.txt"],
+     2, "sol.txt"),
+    (["export-mesh", "--p", "3", "--q", "5", "--n-alpha", "8", "--n-t", "8",
+      "--mesh-out", "{tmp}/no/dir/m.csv"], 2, "m.csv"),
+    (["spectrum", "--p", "3", "--q", "5", "--l-max", "5", "--lambda-cut", "6"],
+     2, "radial window at l = 0"),
+    (["table", "--pairs", "3/5", "--config", "{tmp}/strict.cfg"],
+     1, "certificate functional_two_routes_agree failed"),
+    (["table", "--pairs", "3/5", "--config", "{tmp}/strict.cfg",
+      "--out", "{tmp}/no/dir/table.csv"], 2, "table.csv"),
+    (["solve", "--p", "3", "--q", "5", "--config", "{tmp}/pq.cfg"],
+     0, "p, q read by no command; ignored"),
+], ids=["verify-insufficient-l-max", "missing-config", "out-in-missing-dir",
+        "mesh-out-in-missing-dir", "spectrum-cut-above-window",
+        "table-row-fails", "table-row-fails-out-in-missing-dir",
+        "config-p-q-unread"])
+def test_failure_exit_codes(argv, code, needle, tmp_path, capsys):
+    """Each failure maps to its exit code by class, with a one-line
+    message and no traceback; config p and q only draw a warning."""
+    (tmp_path / "pq.cfg").write_text("p = 5\nq = 8\n")
+    (tmp_path / "strict.cfg").write_text("tol.functional_agreement = 1e-30\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    got, out, err = run(argv, capsys)
+    assert got == code, err
+    assert needle in err and len(err.strip().splitlines()) == 1
+    if code == 0:
+        assert "p = 3\nq = 5\n" in out
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "sol.json"
     code, out, _ = run(["solve", "--p", "3", "--q", "5", "--format", "json",
