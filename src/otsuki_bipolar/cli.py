@@ -106,6 +106,11 @@ def _emit_report(report, cfg):
     if cfg.output_format == "json":
         _emit(report.to_json(), cfg.output_path)
         return
+    if cfg.output_format == "csv":
+        rows = [f"{c.name},{_fmt(c.lhs)},{_fmt(c.rhs)},{_fmt(c.margin)},"
+                f"{c.passed}" for c in report.certificates]
+        _emit("\n".join(["name,lhs,rhs,margin,pass", *rows]), cfg.output_path)
+        return
     lines = [
         f"rotation = {report.rotation}",
         f"a = {_fmt(report.a)}",
@@ -197,14 +202,9 @@ def cmd_cross_check(cfg) -> int:
     table = spectrum.assemble(sol, prof, l_max=cfg.l_max,
                               lambda_cut=cfg.lambda_cut,
                               grid_size=cfg.grid_size)
-    # The table's multiplicity below the cut, removed modes included
-    # (the oracle grid double-covers the surface for even q), sizes the
-    # oracle's first Lanczos request; the oracle grows k on its own if
-    # this is short, so its count stays independent of the table.
-    k_start = sum(e.multiplicity for e in table.entries) + 2
     fine = oracle.dense_spectrum(
         oracle.TorusGrid(prof, cfg.oracle_n_alpha, cfg.oracle_n_t),
-        cfg.lambda_cut, k_start=k_start)
+        cfg.lambda_cut)
 
     def coarser(n):         # two thirds of n, rounded down to even
         return max(32, (2 * n) // 3 // 2 * 2)
@@ -212,7 +212,7 @@ def cmd_cross_check(cfg) -> int:
     coarse = oracle.dense_spectrum(
         oracle.TorusGrid(prof, coarser(cfg.oracle_n_alpha),
                          coarser(cfg.oracle_n_t)),
-        cfg.lambda_cut, k_start=k_start)
+        cfg.lambda_cut)
 
     kept_fine = np.sort(fine.kept_eigenvalues())
     kept_coarse = np.sort(coarse.kept_eigenvalues())

@@ -17,8 +17,8 @@ DEFAULT_TOLERANCES = {
 UNREAD_TOLERANCES = ("correspondence", "hausdorff")
 UNREAD_KEYS = ("p", "q", "samples_per_half_period")
 
-_INT_KEYS = {"grid_size", "oracle_n_alpha", "oracle_n_t", "l_max",
-             "n_alpha", "n_t"}
+_INT_KEYS = ("grid_size", "oracle_n_alpha", "oracle_n_t", "l_max",
+             "n_alpha", "n_t")
 _FLOAT_KEYS = {"lambda_cut"}
 _STR_KEYS = {"output_format", "output_path", "mesh_format"}
 
@@ -46,8 +46,7 @@ class RunConfig:
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
 
     def __post_init__(self):
-        for name in ("grid_size", "oracle_n_alpha", "oracle_n_t", "l_max",
-                     "n_alpha", "n_t"):
+        for name in _INT_KEYS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.lambda_cut <= 2.0:

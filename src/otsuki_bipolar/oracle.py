@@ -35,16 +35,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConvergenceFailure
 from .geodesic import GeodesicProfile, radial_coefficients
 from .immersion import immerse_bipolar
 from .spectrum import ModeTable
 from .sturm import flux_stencil
-
-_ORACLE_SEED = 0xFEEDFACE
 
 
 @dataclass(frozen=True)
@@ -136,67 +134,46 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
                    k_start: int | None = None) -> OracleSpectrum:
     """All eigenvalues of the discretized operator below ``lambda_cut``.
 
-    Solves K f = lambda W f through its symmetric form A = D K D with
-    D = W^-1/2 (same eigenvalues), by shift-invert Lanczos about a shift
-    inside the window, with a deterministic start vector and no
-    eigenvectors.  For even q, A splits into A[R, R] + c A[R, P(R)] for
-    the deck characters c = +1 and -1, where R are the unknowns of the
-    first n_t/2 x-rows and P is the deck shift: P has no fixed point and
-    commutes with A.  Each block is factored once (minimum-degree
-    ordering on A + A^T) and that LU is reused while k grows from its
-    first request until the window provably covers the cutoff.
-    ``k_start`` sizes the first request over the whole grid, a Weyl
-    estimate by default; odd q asks for ``k_start`` and even q for
-    ceil(k_start / 2) + 2 in each block.
+    The coefficients depend on x alone, so the alpha-Fourier mode l, of
+    stencil eigenvalue mu_l = (2 sin(pi l / n_alpha) / h_alpha)^2, leaves the
+    cyclic 1-D block D (flux_stencil(P_half / h_x^2) + mu_l diag(S)) D with
+    D = W^-1/2, counted twice (cos and sin) for 0 < l < n_alpha/2.  Each
+    block is one dense LAPACK solve for its eigenvalues below the cut.  The
+    stencil is PSD, so block l has none below mu_l min(S/W): the loop stops
+    at the first l where that bound reaches the cut.  For even q the deck
+    shift acts on mode l as (-1)^l times the half shift x -> x + q pi, so
+    each block splits into the wrap +1 and wrap -1 problems on the first
+    n_t/2 nodes, of deck character wrap (-1)^l.  ``k_start`` is ignored.
     """
     if lambda_cut <= 0.0:
         raise ValueError("lambda_cut must be positive")
-    d = scipy.sparse.diags(1.0 / np.sqrt(grid.mass))
-    a = (d @ _operator_matrix(grid) @ d).tocsc()
-    if k_start is None:
-        # The parameter torus has area t0, so Weyl's law puts about
-        # t0 lambda / (4 pi) eigenvalues below lambda.  The counts below the
-        # cut measured on 2/3, 3/5 and 5/8 (cuts 0.05 to 2.5, grids 32x256
-        # to 96x768) are at most 1.3 times that, or a handful at tiny cuts;
-        # the margin covers both, so one Lanczos run holds the window.
-        weyl = grid.profile.t0 * lambda_cut / (4.0 * math.pi)
-        k_start = math.ceil(1.35 * weyl) + 3
-    blocks = {1.0: a}
-    if grid.profile.solution.rotation.even_q:
-        idx = np.arange(a.shape[0]).reshape(grid.n_t, grid.n_alpha)
-        deck = np.roll(idx[grid.n_t // 2:], -(grid.n_alpha // 2), axis=1).ravel()
-        top = a[:deck.size]
-        blocks = {c: (top[:, :deck.size] + c * top[:, deck]).tocsc()
-                  for c in (1.0, -1.0)}
-        k_start = math.ceil(k_start / 2) + 2
+    b, h_x = grid.profile.solution.b, grid.h_x
+    h_a = 2.0 * math.pi / grid.n_alpha
+    _, s, w = radial_coefficients(b, grid.xs)
+    p_half = radial_coefficients(b, grid.xs + 0.5 * h_x)[0] / h_x ** 2
+    even_q = grid.profile.solution.rotation.even_q
+    n, wraps = (grid.n_t // 2, (1.0, -1.0)) if even_q else (grid.n_t, (1.0,))
+    d = 1.0 / np.sqrt(w[:n])
+    stencils = {c: d[:, None] * flux_stencil(p_half[:n], c).toarray() * d
+                for c in wraps}
+    s_over_w = s[:n] / w[:n]
 
-    # Each block is PSD, so with 0 < sigma < lambda_cut / 2 every eigenvalue
-    # below the cut is nearer to sigma than lambda_cut - sigma, and every one
-    # at or above it is at least that far away: the k eigenvalues nearest
-    # sigma hold the whole window once the largest of them reaches the cut.
-    sigma = 0.45 * lambda_cut
     vals, chars = [], []
-    for c, block in blocks.items():
-        n = block.shape[0]
-        lu = scipy.sparse.linalg.splu(
-            block - sigma * scipy.sparse.identity(n, format="csc"),
-            permc_spec="MMD_AT_PLUS_A")
-        op_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve,
-                                                    dtype=block.dtype)
-        v0 = np.random.default_rng(_ORACLE_SEED).standard_normal(n)
-        k = min(k_start, n - 2)
-        while True:
+    for l in range(grid.n_alpha // 2 + 1):
+        mu = (2.0 * math.sin(math.pi * l / grid.n_alpha) / h_a) ** 2
+        if mu * np.min(s_over_w) >= lambda_cut:
+            break
+        copies = 2 if 0 < l < grid.n_alpha // 2 else 1
+        for c, stencil in stencils.items():
             try:
-                found = np.sort(scipy.sparse.linalg.eigsh(
-                    block, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op_inv,
-                    return_eigenvectors=False))
-            except scipy.sparse.linalg.ArpackNoConvergence as exc:
+                found = scipy.linalg.eigh(
+                    stencil + np.diag(mu * s_over_w), eigvals_only=True,
+                    subset_by_value=(-np.inf, lambda_cut))
+            except scipy.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(f"oracle eigensolver failed: {exc}") from exc
-            if found[-1] >= lambda_cut or k >= n - 2:
-                break
-            k = min(2 * k, n - 2)
-        vals.append(found[found < lambda_cut])
-        chars.append(np.full(vals[-1].size, c))
+            found = np.repeat(found[found < lambda_cut], copies)
+            vals.append(found)
+            chars.append(np.full(found.size, c * (-1) ** l if even_q else 1.0))
 
     vals, chars = np.concatenate(vals), np.concatenate(chars)
     order = np.argsort(vals, kind="stable")

@@ -60,6 +60,24 @@ def test_verify_passes(capsys):
     assert all(c["pass"] for c in payload["certificates"])
 
 
+def test_verify_csv_is_one_row_per_certificate(capsys):
+    """--format csv gives the header name,lhs,rhs,margin,pass and the JSON
+    certificates, in order, with 15-digit floats."""
+    args = ["verify", "--p", "3", "--q", "5", "--grid-size", "1040"]
+    code, out, _ = run(args + ["--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    _, out_json, _ = run(args + ["--format", "json"], capsys)
+    certs = json.loads(out_json)["certificates"]
+    assert out.splitlines()[0] == "name,lhs,rhs,margin,pass"
+    assert len(rows) == len(certs) > 0
+    for row, cert in zip(rows, certs):
+        assert row["name"] == cert["name"]
+        assert row["pass"] == str(cert["pass"])
+        for key in ("lhs", "rhs", "margin"):
+            assert float(row[key]) == cert[key], (cert["name"], key)
+
+
 def test_spectrum_csv(capsys):
     code, out, _ = run(["spectrum", "--p", "3", "--q", "5",
                         "--grid-size", "1040", "--format", "csv"], capsys)
@@ -161,14 +179,12 @@ def test_cross_check_odd_coarse_alpha_grid(capsys):
     assert code in (0, 1), err
 
 
-@pytest.mark.sweep
-@pytest.mark.parametrize("pq", [(p, q) for q in range(4, 21, 2)
+@pytest.mark.parametrize("pq", [(p, q) for q in range(3, 21)
                                 for p in range(1, q) if math.gcd(p, q) == 1
                                 and q < 2 * p and 2 * p * p < q * q])
-def test_cross_check_even_q_sweep(pq, capsys):
-    """cross-check at the default oracle grid on the 9 even-q reduced p/q
-    with q <= 20.  Deselected by default; run with ``pytest -m sweep``
-    (~43 s on 2 cores)."""
+def test_cross_check_q_up_to_20(pq, capsys):
+    """cross-check at the default oracle grid on all 27 reduced p/q with
+    q <= 20 (~6 s on 2 cores)."""
     code, out, _ = run(["cross-check", "--p", str(pq[0]), "--q", str(pq[1]),
                         "--format", "json"], capsys)
     payload = json.loads(out)

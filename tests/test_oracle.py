@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
 from otsuki_bipolar.geodesic import RotationNumber, radial_coefficients
 from otsuki_bipolar.oracle import (
@@ -80,7 +79,7 @@ def test_constant_mode(cases):
     spec = dense_spectrum(grid, 0.05)
     assert spec.eigenvalues[0] == pytest.approx(0.0, abs=1e-10)
     with pytest.raises(ValueError):
-        dense_spectrum(grid, 0.0)   # no shift fits inside an empty window
+        dense_spectrum(grid, 0.0)   # the window below a non-positive cut is empty
 
 
 @pytest.mark.parametrize("pq,na,nt", [((3, 5), 64, 512), ((5, 8), 64, 512)])
@@ -150,93 +149,53 @@ def test_even_q_filter_drops_non_invariant_modes(cases):
     assert int(np.sum(below[np.abs(below - 2.0) > 0.02] < 2.0)) == 16
 
 
-@pytest.mark.parametrize("pq,blocks", [((3, 5), 1), ((5, 8), 2)])
-def test_growth_loop_reuses_one_factorization(pq, blocks, cases, monkeypatch):
-    """One LU per deck block: one for odd q, one per character for even q."""
-    grid = TorusGrid(cases.profile(pq), 64, 512)
-    ref = dense_spectrum(grid, 2.2, k_start=48)
-
-    calls = {"splu": 0, "eigsh": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(scipy.sparse.linalg, name,
-                            counted(name, getattr(scipy.sparse.linalg, name)))
-    grown = dense_spectrum(grid, 2.2, k_start=4)
-    assert calls["eigsh"] > 1 and calls["splu"] == blocks
-
-    assert grown.eigenvalues.size == ref.eigenvalues.size
-    assert np.max(np.abs(grown.eigenvalues - ref.eigenvalues)) < 1e-10
-    assert np.array_equal(grown.deck_characters, ref.deck_characters)
-    assert np.array_equal(grown.kept, ref.kept)
-
-
-@pytest.mark.parametrize("pq,cut", [((3, 5), 2.5), ((5, 8), 2.5),
-                                    ((5, 8), 0.05)])
-def test_default_k_start_needs_one_lanczos_run(pq, cut, cases, monkeypatch):
-    calls = []
-    eigsh = scipy.sparse.linalg.eigsh
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs["k"])
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counted)
-    spec = dense_spectrum(TorusGrid(cases.profile(pq), 32, 256), cut)
-    chars = [1.0, -1.0] if pq[1] % 2 == 0 else [1.0]
-    assert len(calls) == len(chars)      # one run per deck block
-    for k, c in zip(calls, chars):
-        assert k > np.sum(spec.deck_characters == c)
-
-
 def test_window_matches_dense_generalized_eigensolve(cases):
     """All eigenvalues below the cut, against LAPACK on K f = lambda W f.
 
-    Asking for one more than the window holds leaves the stop test
-    vals[-1] >= cut to prove that the window is complete.
+    At 32 alpha nodes the cut 2.5 holds the blocks l <= 1, 12 the blocks
+    l <= 3 and 150 every block up to the Nyquist mode l = 16.
     """
     grid = TorusGrid(cases.profile((3, 5)), 32, 32)
-    cut = 2.5
-    exact = scipy.linalg.eigh(_operator_matrix(grid).toarray(),
-                              np.diag(grid.mass), eigvals_only=True)
-    exact = exact[exact < cut]
-    spec = dense_spectrum(grid, cut, k_start=exact.size + 1)
-    assert spec.eigenvalues.size == exact.size > 0
-    assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9
+    full = scipy.linalg.eigh(_operator_matrix(grid).toarray(),
+                             np.diag(grid.mass), eigvals_only=True)
+    for cut in (2.5, 12.0, 150.0):
+        exact = full[full < cut]
+        spec = dense_spectrum(grid, cut)
+        assert spec.eigenvalues.size == exact.size > 0, cut
+        assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9, cut
 
 
 def test_deck_blocks_match_dense_generalized_eigensolve(cases):
     """Each deck character's window, against LAPACK on K f = lambda W f
     restricted to the functions of that character, f(P r) = c f(r) with
-    P the half-period shift; together they are the whole window."""
+    P the half-period shift; together they are the whole window.  The
+    cuts reach the blocks l <= 1, l <= 3 and every block up to l = 16."""
     grid = TorusGrid(cases.profile((5, 8)), 32, 32)
-    cut = 2.5
     k, w = _operator_matrix(grid).toarray(), np.diag(grid.mass)
     n, half = k.shape[0], k.shape[0] // 2
     idx = np.arange(n).reshape(grid.n_t, grid.n_alpha)
     shifted = np.roll(np.roll(idx, -grid.n_t // 2, axis=0),
                       -grid.n_alpha // 2, axis=1).ravel()
-    spec = dense_spectrum(grid, cut)
-    assert set(spec.deck_characters) == {1.0, -1.0}
-    assert np.array_equal(spec.kept, spec.deck_characters == 1.0)
+    by_char = {}
     for c in (1.0, -1.0):
         s = np.zeros((n, half))
         s[np.arange(half), np.arange(half)] = 1.0
         s[shifted[:half], np.arange(half)] = c
-        exact = scipy.linalg.eigh(s.T @ k @ s, s.T @ w @ s, eigvals_only=True)
-        exact = exact[exact < cut]
-        mine = spec.eigenvalues[spec.deck_characters == c]
-        assert mine.size == exact.size > 0
-        assert np.max(np.abs(mine - exact)) < 1e-9
-    exact = scipy.linalg.eigh(k, w, eigvals_only=True)
-    exact = exact[exact < cut]
-    assert spec.eigenvalues.size == exact.size
-    assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9
+        by_char[c] = scipy.linalg.eigh(s.T @ k @ s, s.T @ w @ s,
+                                       eigvals_only=True)
+    full = scipy.linalg.eigh(k, w, eigvals_only=True)
+    for cut in (2.5, 12.0, 150.0):
+        spec = dense_spectrum(grid, cut)
+        assert set(spec.deck_characters) == {1.0, -1.0}
+        assert np.array_equal(spec.kept, spec.deck_characters == 1.0)
+        for c, vals in by_char.items():
+            exact = vals[vals < cut]
+            mine = spec.eigenvalues[spec.deck_characters == c]
+            assert mine.size == exact.size > 0, (cut, c)
+            assert np.max(np.abs(mine - exact)) < 1e-9, (cut, c)
+        exact = full[full < cut]
+        assert spec.eigenvalues.size == exact.size, cut
+        assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9, cut
 
 
 def test_theorem2_residual_converges_quadratically(cases):
