@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +75,11 @@ def expected_n2(r: RotationNumber) -> int:
 
 @dataclass(frozen=True)
 class ModeEntry:
-    """One radial eigenvalue in the assembled table."""
+    """One radial eigenvalue in the assembled table.
+
+    ``zero_count`` is None when the radial row was not sampled (see
+    ``solve_radial``'s ``sampled_sectors``).
+    """
 
     l: int
     i: int
@@ -82,7 +87,7 @@ class ModeEntry:
     multiplicity: int
     kept: bool
     reason: str
-    zero_count: int
+    zero_count: int | None
     pinned_two: bool = False
 
     @property
@@ -168,8 +173,9 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
     InsufficientLMax unless the ground eigenvalue at l_max already clears
     the cutoff, so "no l >= 2 modes below 2" is measured rather than
     assumed, and ValueError if a radial window ends below the cutoff
-    (``solve_radial``'s reaches 4), so no mode below it is dropped.  For even q the filter keeps the modes of Bloch sectors
-    k = l (mod 2).  ``profile`` is ignored.
+    (``solve_radial``'s reaches 4), so no mode below it is dropped.
+    For even q the filter keeps the modes of Bloch sectors k = l (mod 2).
+    ``profile`` is ignored.
     """
     if lambda_cut < 2.0:
         raise ValueError("lambda_cut must be at least 2")
@@ -216,7 +222,8 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
                 l=l, i=i, lam=float(lam),
                 multiplicity=1 if l == 0 else 2,
                 kept=kept, reason=reason,
-                zero_count=int(spec.zero_counts[i]),
+                zero_count=(int(spec.zero_counts[i])
+                            if spec.zero_counts[i] >= 0 else None),
                 pinned_two=pinned_two))
 
     entries.sort(key=lambda e: e.effective_lam)
@@ -241,11 +248,13 @@ class _RadialChart:
     since f is even in x), from one FFT.  t(x) and x(t) come from the
     bipolar geodesic's own chart, ``geodesic.bipolar_chart``.  ``t0``,
     ``t_half`` and ``cos2_phi_at`` let ``sturm.build_problem`` bind a
-    radial problem to the chart as it does to a profile.
+    radial problem to the chart as it does to a profile.  One chart may
+    serve the radial solves of every l (see ``solve_radial``).
     """
 
     def __init__(self, b: float, q: int):
-        self.b = b
+        self.b, self.q = b, q
+        self._w_factors: dict[int, np.ndarray] = {}     # M -> L^-1 of T_W
         x = np.arange(_FFT_POINTS) * (math.pi / _FFT_POINTS)
         self.p_hat, self.s_hat, self.w_hat = (
             np.fft.fft(f).real / _FFT_POINTS for f in radial_coefficients(b, x))
@@ -263,7 +272,8 @@ class _RadialChart:
         -(P h')' + l^2 S h = lambda W h becomes A c = lambda T_W c with
         A = D T_P D + l^2 T_S, D = diag(kappa + 2m) and T_f the Toeplitz
         matrix of f_j.  T_W, the same for every sector and l, is reduced
-        once by its Cholesky factor L: returns (L^-1 A L^-T per sector,
+        once per M by its Cholesky factor L, which the chart keeps for
+        every later call at that M: returns (L^-1 A L^-T per sector,
         L^-1).  The coefficient vectors are c = L^-T y.
         """
         m = np.arange(-modes, modes + 1)
@@ -271,13 +281,19 @@ class _RadialChart:
         d = kappa[:, None] + 2.0 * m
         a = (d[:, :, None] * self.p_hat[lag] * d[:, None, :]
              + float(l * l) * self.s_hat[lag])
-        l_inv = np.linalg.inv(np.linalg.cholesky(self.w_hat[lag]))
+        l_inv = self._w_factors.get(modes)
+        if l_inv is None:
+            l_inv = np.linalg.inv(np.linalg.cholesky(self.w_hat[lag]))
+            self._w_factors[modes] = l_inv
         return l_inv @ a @ l_inv.T, l_inv
 
 
 def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
                  l: int, grid_size: int,
-                 boundary: Boundary = Boundary.PERIODIC) -> SLSpectrum:
+                 boundary: Boundary = Boundary.PERIODIC, *,
+                 chart: _RadialChart | None = None,
+                 sampled_sectors: Collection[int] | None = None
+                 ) -> SLSpectrum:
     """Radial spectrum of angular index l by Bloch sectors in the chart.
 
     Solves -(P h')' + l^2 S h = lambda W h on x in [0, 2 q pi) (see
@@ -298,23 +314,45 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     turned real for a self-conjugate sector, each of unit norm in t by
     its Galerkin coefficients.  ``sectors`` holds each row's k.
     ``profile`` is ignored; the chart needs only b and q.
+
+    By default every row is sampled.  ``sampled_sectors`` names the
+    sectors whose rows are sampled instead; every other row gets NaN
+    samples and zero count -1.  A solved sector whose rows are all left
+    unsampled is solved values-only (``np.linalg.eigvalsh``), which may
+    move its eigenvalues in their last digits; the sampled sectors keep
+    ``np.linalg.eigh`` on the same matrices, so their eigenvalues are
+    those of a full solve, bit for bit.  ``chart`` is the
+    ``_RadialChart`` of b and q, built here when None; one chart shared
+    across l shares its coefficients and its factors of T_W.
     """
     if l < 0:
         raise ValueError("angular index l must be non-negative")
     r = sol.rotation
     q = r.q
-    chart = _RadialChart(sol.b, q)
+    if chart is None:
+        chart = _RadialChart(sol.b, q)
+    elif (chart.b, chart.q) != (sol.b, q):
+        raise ValueError("the radial chart belongs to another b or q")
     anti = boundary is Boundary.ANTIPERIODIC
     ks = np.arange(q if anti else q + 1)
     kappa = (ks + (0.5 if anti else 0.0)) / q
     partner = (2 * q - 1 - ks) if anti else (2 * q - ks) % (2 * q)
     paired = partner != ks
     base = 2 * max(q, r.p) + 8
+    if sampled_sectors is None:
+        vectors = np.ones(ks.size, bool)
+    else:
+        wanted = list(sampled_sectors)
+        vectors = np.isin(ks, wanted) | np.isin(partner, wanted)
 
     modes, prev = _FIRST_MODES, None
     while True:
         mats, l_inv = chart.sector_matrices(kappa, l, modes)
-        lam, y = np.linalg.eigh(mats)
+        if vectors.all():
+            lam, y = np.linalg.eigh(mats)
+        else:       # values of the whole stack, with no copy of it
+            lam = np.linalg.eigvalsh(mats)
+            lam[vectors], y = np.linalg.eigh(mats[vectors])
         vals = np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
         count = max(base, int(np.searchsorted(vals, 4.0)) + 1)
         if prev is not None:
@@ -330,7 +368,8 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     # The operator is positive semidefinite: a negative value (the
     # constant mode at l = 0) is rounding.
     lam = np.maximum(lam, 0.0)
-    coef = l_inv.T @ y                   # columns: c of each sector level
+    coef = l_inv.T @ y       # columns: c of each level of the vector sectors
+    slot = np.cumsum(vectors) - 1        # each solved sector's place in coef
     # Every level with its multiplicity; the second copy of a conjugate
     # pair becomes the imaginary part of h and carries the partner sector.
     n = lam.shape[1]
@@ -343,6 +382,10 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     imag = np.concatenate([np.zeros(dup.size, bool), np.ones(dup.sum(), bool)])
     order = np.lexsort((imag, level_lam))[:count]
     src, idx, imag = src[order], idx[order], imag[order]
+    sectors = np.where(imag, partner[src], ks[src])
+    rows = (np.arange(count) if sampled_sectors is None
+            else np.flatnonzero(np.isin(sectors, wanted)))
+    src, idx, imag = src[rows], idx[rows], imag[rows]
 
     size = pipeline_grid_size(grid_size, q)
     per_half = size // (2 * q)
@@ -350,27 +393,29 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     kap = kappa[src]
     m = np.arange(-modes, modes + 1)
     local = (np.exp(1j * np.multiply.outer(x_loc, kap))
-             * (np.exp(2j * np.multiply.outer(x_loc, m)) @ coef[src, :, idx].T))
+             * (np.exp(2j * np.multiply.outer(x_loc, m))
+                @ coef[slot[src], :, idx].T))
     turns = np.exp(1j * math.pi * np.multiply.outer(np.arange(2 * q), kap))
-    h = (turns[:, None, :] * local[None, :, :]).reshape(size, count).T
+    h = (turns[:, None, :] * local[None, :, :]).reshape(size, rows.size).T
     real = ~paired[src]
     h[real] *= np.exp(-0.5j * np.angle(np.sum(h[real] ** 2, axis=1)))[:, None]
-    funcs = np.where(imag[:, None], h.imag, h.real)
+    sampled = np.where(imag[:, None], h.imag, h.real)
 
     # c^H T_W c = 1: |h|^2 integrates to 2 q pi in t, q pi in Re h and Im h.
-    funcs /= np.sqrt(np.where(real, 2.0, 1.0) * q * math.pi)[:, None]
-    peak = np.argmax(np.abs(funcs), axis=1)
-    signs = np.sign(funcs[np.arange(count), peak])
+    sampled /= np.sqrt(np.where(real, 2.0, 1.0) * q * math.pi)[:, None]
+    peak = np.argmax(np.abs(sampled), axis=1)
+    signs = np.sign(sampled[np.arange(rows.size), peak])
     signs[signs == 0] = 1.0
-    funcs *= signs[:, None]
-    zero_counts = count_sign_changes(funcs, antiperiodic=anti)
+    sampled *= signs[:, None]
+    funcs = np.full((count, size), np.nan)
+    funcs[rows] = sampled
+    zero_counts = np.full(count, -1)
+    zero_counts[rows] = count_sign_changes(sampled, antiperiodic=anti)
     return SLSpectrum(problem=build_problem(chart, l, boundary),
                       grid=np.arange(size) * (chart.t0 / size),
-                      eigenvalues=level_lam[order],
-                      eigenfunctions=np.ascontiguousarray(funcs),
+                      eigenvalues=level_lam[order], eigenfunctions=funcs,
                       zero_counts=zero_counts, labels=np.arange(count),
-                      eps_grid=max(change, _MODE_TOL),
-                      sectors=np.where(imag, partner[src], ks[src]))
+                      eps_grid=max(change, _MODE_TOL), sectors=sectors)
 
 
 @dataclass(frozen=True)
@@ -488,14 +533,22 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
     strict upper bound; the geodesic closes, |omega(a) - p pi/q| <=
     ``omega_tol``.  The radial spectra come from the analytic chart, so
     no sampled profile is built and ``samples_per_half_period`` is
-    ignored.
+    ignored.  One chart serves every l; only the threshold sectors (q at
+    l = 0, p and 2q - p at l = 1) are solved with eigenvectors and
+    sampled, every other sector is solved values-only.
     """
     if isinstance(r, tuple):
         r = RotationNumber(*r)
     sol = solve_rotation(r)
     n = pipeline_grid_size(grid_size, r.q)
 
-    spectra = {l: solve_radial(sol, None, l, n) for l in range(l_max + 1)}
+    # Eigenvectors only for the threshold sectors, whose rows the zero-count
+    # certificates read; every other sector is solved values-only.
+    chart = _RadialChart(sol.b, r.q)
+    spectra = {l: solve_radial(sol, None, l, n, chart=chart,
+                               sampled_sectors=set().union(
+                                   *_threshold_sectors(r, l).values()))
+               for l in range(l_max + 1)}
     table = assemble(sol, None, l_max=l_max, lambda_cut=lambda_cut,
                      grid_size=n, spectra=spectra)
     n2 = weyl_N(table, 2.0)

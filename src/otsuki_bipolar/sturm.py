@@ -109,7 +109,8 @@ class SLSpectrum:
     changes of eigenfunction i per period and ``labels[i] = i`` its
     position in the classical ordering.  ``sectors[i]`` is the Bloch
     sector k of eigenfunction i when the solver separates the problem
-    by sectors (see ``spectrum.solve_radial``), and None otherwise.
+    by sectors (see ``spectrum.solve_radial``), and None otherwise.  A
+    row that the solver did not sample holds NaN and zero count -1.
     """
 
     problem: SLProblem

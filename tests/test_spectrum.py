@@ -13,6 +13,7 @@ from otsuki_bipolar.immersion import area
 from otsuki_bipolar.spectrum import (
     Certificate,
     VerificationReport,
+    _RadialChart,
     assemble,
     expected_n2,
     lambda_functional,
@@ -244,6 +245,59 @@ def test_rows_are_normalized_independently_of_the_grid():
     assert np.max(apart) < 1e-12
 
 
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8), (4, 7), (5, 9), (7, 10)])
+def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
+    """verify solves sector q at l = 0 and sector p at l = 1 with vectors
+    and every other sector values-only.  Against the full solve: the
+    threshold sectors' eigenvalues and zero counts are the same bits, the
+    other eigenvalues agree to rounding, and N(2), the pinned modes and
+    the certified zero counts do not move.  No unsampled row carries a
+    zero count."""
+    import otsuki_bipolar.spectrum as spec_mod
+    solve, seen = spec_mod.solve_radial, {}
+
+    def spy(sol, profile, l, *args, **kwargs):
+        seen[l] = solve(sol, profile, l, *args, **kwargs)
+        return seen[l]
+
+    monkeypatch.setattr(spec_mod, "solve_radial", spy)
+    report = verify_theorem3(RotationNumber(*pq))
+    p, q = pq
+    threshold = {0: [q], 1: [p, 2 * q - p], 2: [], 3: []}
+    assert sorted(seen) == [0, 1, 2, 3]
+    for l, fast in seen.items():
+        full = cases.spectrum(pq, l)
+        assert fast.eigenvalues.size == full.eigenvalues.size
+        assert np.array_equal(fast.sectors, full.sectors)
+        assert np.max(np.abs(fast.eigenvalues - full.eigenvalues)) <= 1e-11
+        on = np.isin(full.sectors, threshold[l])
+        assert on.any() == (l <= 1)
+        assert np.array_equal(fast.eigenvalues[on], full.eigenvalues[on])
+        assert np.array_equal(fast.zero_counts[on], full.zero_counts[on])
+        assert np.all(fast.zero_counts[~on] == -1)
+        assert np.all(np.isnan(fast.eigenfunctions[~on]))
+
+    full_table = cases.table(pq)
+    table = assemble(cases.solution(pq), None, grid_size=cases.grid(pq),
+                     spectra=seen)
+    assert report.n2_computed == weyl_N(full_table, 2.0) == weyl_N(table, 2.0)
+    assert ([(e.l, e.i) for e in table.entries if e.pinned_two]
+            == [(e.l, e.i) for e in full_table.entries if e.pinned_two])
+    for e in table.entries:
+        assert (e.zero_count is None) == (seen[e.l].zero_counts[e.i] < 0)
+    certs = {c.name: c.lhs for c in report.certificates}
+    full0, full1 = cases.spectrum(pq, 0), cases.spectrum(pq, 1)
+    assert certs["sin_phi_zero_count"] == full0.zero_counts[2 * q]
+    assert certs["l1_pair_zero_count"] == full1.zero_counts[2 * p - 1]
+
+
+def test_radial_chart_must_match_the_solution(cases):
+    sol, other = cases.solution((3, 5)), cases.solution((5, 8))
+    chart = _RadialChart(other.b, other.rotation.q)
+    with pytest.raises(ValueError, match="another b or q"):
+        solve_radial(sol, None, 0, cases.grid((3, 5)), chart=chart)
+
+
 def test_eigenvalue_two_modes_to_solver_precision(cases):
     for pq in [(3, 5), (5, 8), (7, 10)]:
         p, q = pq
@@ -275,7 +329,7 @@ def test_verify_across_the_admissible_range(pq):
 @pytest.mark.parametrize("pq", _reduced_fractions(40) + [(51, 101)])
 def test_verify_sweep_q_up_to_40(pq):
     """All 100 reduced p/q with q <= 40, and 51/101.  Deselected by
-    default; run with ``pytest -m sweep`` (~22 s on 2 cores)."""
+    default; run with ``pytest -m sweep`` (~16 s on 2 cores)."""
     _verify_passes_with_the_closed_form(pq)
 
 

@@ -1,10 +1,11 @@
 """Print a SHA-256 digest of every command output a refactor must keep.
 
 Runs ``otsuki_bipolar.cli.main`` in-process from the ``src`` tree next to
-this file and prints one ``sha256 command p/q`` line per run:
+this file and prints one ``sha256 command input`` line per run:
 
   * ``verify`` and ``spectrum --format json`` on every reduced p/q in
     (1/2, sqrt(2)/2) with q <= 40, and on 51/101;
+  * one ``table --pairs`` run over the p/q with q <= 40;
   * ``export-mesh`` CSV and OBJ at 64x768 vertices with q <= 20;
   * ``cross-check --format json`` at the default oracle grid with q <= 20.
 
@@ -16,7 +17,7 @@ their listings are identical:
     diff before.txt after.txt
 
 BLAS runs on one thread, so a listing does not depend on the core count.
-The 283 runs take about a minute on a 2-core host.
+The 284 runs take about a minute on a 2-core host.
 """
 
 from __future__ import annotations
@@ -53,28 +54,30 @@ def digest(argv: list[str], out_file: Path | None = None) -> str:
 
 
 def runs(tmp: Path):
-    """(command label, p, q, argv, output file or None) of every run."""
+    """(command label, input, argv, output file or None) of every run."""
     for p, q in fractions(40) + [(51, 101)]:
         pq = ["--p", str(p), "--q", str(q), "--format", "json"]
-        yield "verify", p, q, ["verify", *pq], None
-        yield "spectrum", p, q, ["spectrum", *pq], None
+        yield "verify", f"{p}/{q}", ["verify", *pq], None
+        yield "spectrum", f"{p}/{q}", ["spectrum", *pq], None
+    pairs = ",".join(f"{p}/{q}" for p, q in fractions(40))
+    yield "table", "q<=40", ["table", "--pairs", pairs], None
     for p, q in fractions(20):
         for fmt in ("csv", "obj"):
             path = tmp / f"mesh.{fmt}"
-            yield (f"export-mesh-{fmt}", p, q,
+            yield (f"export-mesh-{fmt}", f"{p}/{q}",
                    ["export-mesh", "--p", str(p), "--q", str(q),
                     "--n-alpha", "64", "--n-t", "768", "--mesh-format", fmt,
                     "--mesh-out", str(path)], path)
     for p, q in fractions(20):
-        yield ("cross-check", p, q,
+        yield ("cross-check", f"{p}/{q}",
                ["cross-check", "--p", str(p), "--q", str(q), "--format", "json"],
                None)
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for label, p, q, argv, out_file in runs(Path(tmp)):
-            print(f"{digest(argv, out_file)} {label} {p}/{q}", flush=True)
+        for label, name, argv, out_file in runs(Path(tmp)):
+            print(f"{digest(argv, out_file)} {label} {name}", flush=True)
     return 0
 
 
