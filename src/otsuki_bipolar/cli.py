@@ -5,7 +5,7 @@ Commands:
   solve        geometric data (a, b, c, t0, residual, functional) for one p/q
   verify       full counting verification with named certificates
   spectrum     assembled mode table below the cutoff
-  table        batch CSV over a list of p/q values
+  table        batch rows (CSV, or JSON under --format json) over p/q values
   cross-check  2-D brute-force spectrum vs the separated assembly
   export-mesh  vertex grid of the immersed surface (CSV or OBJ)
 
@@ -90,14 +90,18 @@ def cmd_solve(cfg) -> int:
     return 0
 
 
-def cmd_verify(cfg) -> int:
-    r = geodesic.RotationNumber(cfg.p, cfg.q)
-    report = spectrum.verify_theorem3(
-        r, grid_size=cfg.grid_size, l_max=cfg.l_max,
-        lambda_cut=cfg.lambda_cut,
+def _verify(cfg, p: int, q: int, raise_on_failure: bool):
+    """``verify_theorem3`` on p/q with the run's settings and tolerances."""
+    return spectrum.verify_theorem3(
+        geodesic.RotationNumber(p, q), grid_size=cfg.grid_size,
+        l_max=cfg.l_max, lambda_cut=cfg.lambda_cut,
         functional_tol=cfg.tolerances["functional_agreement"],
         omega_tol=cfg.tolerances["omega_residual"],
-        raise_on_failure=False)
+        raise_on_failure=raise_on_failure)
+
+
+def cmd_verify(cfg) -> int:
+    report = _verify(cfg, cfg.p, cfg.q, raise_on_failure=False)
     _emit_report(report, cfg)
     return 0 if report.passed else 1
 
@@ -174,23 +178,22 @@ def cmd_table(cfg, pairs) -> int:
 
     rows = []
     for p, q in unique:
-        r = geodesic.RotationNumber(p, q)
         try:
-            report = spectrum.verify_theorem3(
-                r, grid_size=cfg.grid_size, l_max=cfg.l_max,
-                lambda_cut=cfg.lambda_cut,
-                functional_tol=cfg.tolerances["functional_agreement"],
-                omega_tol=cfg.tolerances["omega_residual"],
-                raise_on_failure=True)
+            report = _verify(cfg, p, q, raise_on_failure=True)
         except VerificationFailed as exc:
             _emit_report(exc.report, cfg)   # an OSError here is exit 2
             raise
         rows.append((p, q, report.a, report.b, report.t0,
                      report.n2_computed, report.lambda_value,
                      report.upper_bound))
-    header = "p,q,a,b,t0,N2,lambda_functional,upper_bound"
-    body = "\n".join(",".join(_fmt(x) for x in row) for row in rows)
-    _emit(header + ("\n" + body if body else ""), cfg.output_path)
+    header = ["p", "q", "a", "b", "t0", "N2", "lambda_functional", "upper_bound"]
+    if cfg.output_format == "json":
+        text = json.dumps(spectrum.json_ready(
+            [dict(zip(header, row)) for row in rows]), indent=2)
+    else:
+        text = "\n".join([",".join(header),
+                          *(",".join(_fmt(x) for x in row) for row in rows)])
+    _emit(text, cfg.output_path)
     return 0
 
 
@@ -251,7 +254,8 @@ def cmd_export_mesh(cfg, path: str) -> int:
     sol = geodesic.solve_rotation(r)
     prof = geodesic.profile(sol)
     immersion.export_mesh(prof, cfg.n_alpha, cfg.n_t, cfg.mesh_format, path)
-    print(f"wrote {cfg.n_alpha * cfg.n_t} vertices to {path}")
+    _emit(f"wrote {cfg.n_alpha * cfg.n_t} vertices to {path}",
+          cfg.output_path)
     return 0
 
 

@@ -456,6 +456,10 @@ def bipolar_chart(b: float) -> _HalfChart:
     return _HalfChart(rates, math.pi)
 
 
+def _sin2_nu(a: float, chi):
+    return math.sin(a) ** 2 + math.cos(2.0 * a) * np.sin(0.5 * chi) ** 2
+
+
 def _torus_chart(a: float) -> _HalfChart:
     """s and lambda of the torus-side geodesic in its chart
     cos(2 nu) = cos(2a) cos(chi), with ds/dchi = pi sin(nu) and
@@ -469,9 +473,29 @@ def _torus_chart(a: float) -> _HalfChart:
     sa2, cos_2a = math.sin(a) ** 2, math.cos(2.0 * a)
 
     def rates(chi):
-        sin_nu = np.sqrt(sa2 + cos_2a * np.sin(0.5 * chi) ** 2)
+        sin_nu = np.sqrt(_sin2_nu(a, chi))
         cos2_nu = sa2 + cos_2a * np.cos(0.5 * chi) ** 2
         return math.pi * sin_nu, c / (2.0 * sin_nu * cos2_nu)
+
+    return _HalfChart(rates, 2.0 * math.pi)
+
+
+def time_change_chart(a: float) -> _HalfChart:
+    """t and s of the torus-side geodesic in its chart
+    cos(2 nu) = cos(2a) cos(chi): ds/dchi = pi sin(nu) and
+    dt/dchi = pi sin(nu) (1 + c^2 / sin^4 nu), since the bipolar
+    parameter runs at dt/ds = 1 + c^2 / sin^4 nu; period 2 pi.
+
+    ``u`` is t measured from the ascending zero of phi, where chi = 0
+    and nu = a, and ``angle`` is s, so s(t) = angle(x_of(t - t_start)).
+    sin^2 nu >= sin^2 a > 0 keeps both rates analytic.
+    """
+    c2 = (math.sin(a) * math.cos(a)) ** 2
+
+    def rates(chi):
+        sin2_nu = _sin2_nu(a, chi)
+        ds = math.pi * np.sqrt(sin2_nu)
+        return ds * (1.0 + c2 / sin2_nu ** 2), ds
 
     return _HalfChart(rates, 2.0 * math.pi)
 

@@ -16,9 +16,10 @@ Three parametrized maps share one geodesic profile:
 The wedge and the direct chart trace the same surface; matching their
 coordinates shows the wedge's five nonzero coordinates are (x, z, y, u, v)
 of the direct chart evaluated on a reparametrized and phase-rotated
-geodesic.  ``verify_bipolar_correspondence`` integrates the time-change
-ODE between the two natural parameters, checks the pointwise transfer
-identities, and compares the two sampled images as point sets.
+geodesic.  ``verify_bipolar_correspondence`` takes the time change
+between the two natural parameters from the torus chart, checks the
+pointwise transfer identities, and compares the two sampled images as
+point sets.
 """
 
 from __future__ import annotations
@@ -28,27 +29,30 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.spatial import cKDTree
 
-from .errors import IntegrationFailure
-from .geodesic import GeodesicProfile, OtsukiSolution
+from .geodesic import GeodesicProfile, OtsukiSolution, time_change_chart
 
 _TWO_PI = 2.0 * math.pi
 _CSV_COLUMNS = ["alpha", "t", "x", "y", "z", "u", "v"]
 
 
 def immerse_otsuki(profile: GeodesicProfile, alpha, s) -> np.ndarray:
-    """Point of the torus in S^3 at orbit angle alpha, geodesic parameter s."""
-    alpha, s = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(s, float))
+    """Point of the torus in S^3 at orbit angle alpha, geodesic parameter s.
+
+    nu and lambda are evaluated on s as given and broadcast against
+    alpha afterwards, as in ``immerse_bipolar``.
+    """
+    s = np.asarray(s, float)
     nu = profile.nu_at(s)
     lam = profile.lambda_at(s)
-    return np.stack([
-        np.cos(alpha) * np.sin(nu),
-        np.sin(alpha) * np.sin(nu),
-        np.cos(nu) * np.cos(lam),
-        np.cos(nu) * np.sin(lam),
-    ], axis=-1)
+    sn, cn = np.sin(nu), np.cos(nu)
+    return np.stack(np.broadcast_arrays(
+        np.cos(alpha) * sn,
+        np.sin(alpha) * sn,
+        cn * np.cos(lam),
+        cn * np.sin(lam),
+    ), axis=-1)
 
 
 def bipolar_wedge(profile: GeodesicProfile, alpha, s) -> np.ndarray:
@@ -56,9 +60,10 @@ def bipolar_wedge(profile: GeodesicProfile, alpha, s) -> np.ndarray:
 
     A unit vector of R^6 whose first coordinate vanishes identically;
     its last coordinate 2 pi nu' sin(nu) cos(nu) vanishes exactly at the
-    turning points of nu.
+    turning points of nu.  The geodesic is evaluated on s as given and
+    broadcast against alpha afterwards.
     """
-    alpha, s = np.broadcast_arrays(np.asarray(alpha, float), np.asarray(s, float))
+    s = np.asarray(s, float)
     nu = profile.nu_at(s)
     lam = profile.lambda_at(s)
     nu_dot = profile.nu_dot_at(s)
@@ -68,14 +73,14 @@ def bipolar_wedge(profile: GeodesicProfile, alpha, s) -> np.ndarray:
     a_comp = lam_dot * cl * cn - nu_dot * sl * sn
     b_comp = lam_dot * sl * cn + nu_dot * cl * sn
     pref = _TWO_PI * sn
-    return np.stack([
+    return np.stack(np.broadcast_arrays(
         np.zeros_like(pref),
         pref * np.cos(alpha) * a_comp,
         pref * np.cos(alpha) * b_comp,
         pref * np.sin(alpha) * a_comp,
         pref * np.sin(alpha) * b_comp,
         pref * nu_dot * cn,
-    ], axis=-1)
+    ), axis=-1)
 
 
 def immerse_bipolar(profile: GeodesicProfile, alpha, t) -> np.ndarray:
@@ -145,7 +150,7 @@ class CorrespondenceReport:
     transfer_residual: float        # sin(phi) = 2 pi nu' cos(nu) sin(nu)
     angle_residual: float           # the two theta-transfer identities
     hausdorff_distance: float       # image-vs-image point-set distance
-    period_closure_error: float     # time-change ODE over one full period
+    period_closure_error: float     # |s(t_start + t0) - s_total|
     theta_offset: float
     tolerance: float
     passed: bool
@@ -157,75 +162,36 @@ def verify_bipolar_correspondence(sol: OtsukiSolution, tol: float = 1e-6,
                                   samples_per_half: int = 12) -> CorrespondenceReport:
     """Check that the wedge and the direct chart trace the same surface.
 
-    Integrates the time change tau(t) between the two natural
-    parameters,
-
-        dtau/dt = sin^4(nu(tau)) / (sin^4(nu(tau)) + c^2),
-
-    anchored at the ascending zero of phi (tau = 0, where nu = a), then
-    evaluates the pointwise transfer identities and the point-set
-    (nearest-neighbour Hausdorff) distance between the two sampled
-    images.  The wedge traces the generating geodesic with the swept
-    angle running backward (it crosses phi = 0 upward at swept angle
-    pi/2, decreasing), so the direct chart is aligned through the rigid
-    motion theta -> (pi/2 - xi/2) - theta before comparison.
+    The torus parameter s(t) comes from ``geodesic.time_change_chart``,
+    anchored at the ascending zero of phi, t_start = -t_half/2, where
+    s = 0 and nu = a.  The wedge runs the swept angle backward (it
+    crosses phi = 0 upward at swept angle pi/2, decreasing), so the
+    direct chart is aligned by theta -> (pi/2 - xi/2) - theta.  Both are
+    sampled on one (alpha, t) grid.  Its alpha = 0 row gives the
+    transfer residual sin(phi) - 2 pi nu' cos(nu) sin(nu) and the angle
+    residuals of cos(phi) sin(theta) and cos(phi) cos(theta); the whole
+    grid gives the point-set (nearest-neighbour Hausdorff) distance.
     """
     prof = profile if profile is not None else GeodesicProfile(sol)
-    q = sol.rotation.q
-    c2 = sol.c ** 2
-    t_half = prof.t_half
-    s_total = prof.s_total
+    chart = time_change_chart(sol.a)
+    t_start = -0.5 * prof.t_half
+    ts = np.linspace(t_start, t_start + prof.t0,
+                     2 * sol.rotation.q * samples_per_half, endpoint=False)
+    s = chart.angle(chart.x_of(ts - t_start))
+    closure = abs(float(chart.angle(chart.x_of(prof.t0))) - prof.s_total)
 
-    def rhs(_, tau):
-        # Differentiating the transfer identity sin(phi(t)) =
-        # 2 pi nu' cos(nu) sin(nu) and eliminating phi through
-        # cos^2(phi) = (sin^4(nu) + c^2)/sin^2(nu) gives this time
-        # change on every branch.
-        nu = prof.nu_at(np.mod(tau, s_total))
-        s4 = np.sin(nu) ** 4
-        return s4 / (s4 + c2)
-
-    t_start = -0.5 * t_half          # phi = 0 ascending, maps to tau = 0
-    t_end = t_start + prof.t0
-    result = solve_ivp(rhs, (t_start, t_end), [0.0], method="DOP853",
-                       rtol=1e-11, atol=1e-12, dense_output=True)
-    if not result.success:
-        raise IntegrationFailure(result.message)
-    closure = abs(result.y[0, -1] - s_total)
-
-    # Direct chart crosses phi = 0 upward at theta = -xi/2 increasing;
-    # the wedge crosses it at swept angle pi/2 decreasing.
     theta_offset = 0.5 * math.pi - 0.5 * prof.xi_half
-
-    ts = np.linspace(t_start, t_end, 2 * q * samples_per_half, endpoint=False)
-    taus = result.sol(ts)[0]
-
-    phi = prof.phi_at(ts)
-    nu = prof.nu_at(np.mod(taus, s_total))
-    nu_dot = prof.nu_dot_at(np.mod(taus, s_total))
-    lam = prof.lambda_at(np.mod(taus, s_total))
-    lam_dot = prof.lambda_dot_at(np.mod(taus, s_total))
-    transfer = np.sin(phi) - _TWO_PI * nu_dot * np.cos(nu) * np.sin(nu)
-    transfer_residual = float(np.max(np.abs(transfer)))
-
-    theta = theta_offset - prof.theta_at(ts)
-    cp = np.cos(phi)
-    sn, cn = np.sin(nu), np.cos(nu)
-    sl, cl = np.sin(lam), np.cos(lam)
-    a_comp = _TWO_PI * sn * (lam_dot * cl * cn - nu_dot * sl * sn)
-    b_comp = _TWO_PI * sn * (lam_dot * sl * cn + nu_dot * cl * sn)
-    angle_residual = float(max(np.max(np.abs(cp * np.sin(theta) - a_comp)),
-                               np.max(np.abs(cp * np.cos(theta) - b_comp))))
-
-    alphas = np.linspace(0.0, _TWO_PI, n_alpha, endpoint=False)
-    aa, tt = np.meshgrid(alphas, ts, indexing="ij")
-    _, uu = np.meshgrid(alphas, taus, indexing="ij")
-    direct = _bipolar_point(aa, prof.phi_at(tt), theta_offset - prof.theta_at(tt))
-    wedge = bipolar_wedge(prof, aa, np.mod(uu, s_total))
+    alphas = np.linspace(0.0, _TWO_PI, n_alpha, endpoint=False)[:, None]
+    direct = _bipolar_point(alphas, prof.phi_at(ts),
+                            theta_offset - prof.theta_at(ts))
     # wedge coordinates 2..6 are (x, z, y, u, v) of the direct chart
-    wedge_xyzuv = wedge[..., [1, 3, 2, 4, 5]]
+    wedge = bipolar_wedge(prof, alphas, s)[..., [1, 3, 2, 4, 5]]
+    gap = np.abs(direct[0] - wedge[0])
+    transfer_residual = float(np.max(gap[:, 4]))
+    angle_residual = float(np.max(gap[:, [0, 2]]))
+
     cloud_a = direct.reshape(-1, 5)
-    cloud_b = wedge_xyzuv.reshape(-1, 5)
+    cloud_b = wedge.reshape(-1, 5)
     d_ab = np.max(cKDTree(cloud_b).query(cloud_a)[0])
     d_ba = np.max(cKDTree(cloud_a).query(cloud_b)[0])
     hausdorff = float(max(d_ab, d_ba))
@@ -236,7 +202,7 @@ def verify_bipolar_correspondence(sol: OtsukiSolution, tol: float = 1e-6,
         transfer_residual=transfer_residual,
         angle_residual=angle_residual,
         hausdorff_distance=hausdorff,
-        period_closure_error=float(closure),
+        period_closure_error=closure,
         theta_offset=theta_offset,
         tolerance=float(tol),
         passed=bool(worst < tol),

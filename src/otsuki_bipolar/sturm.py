@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -41,7 +40,6 @@ from .errors import (
 )
 
 _ARPACK_SEED = 0xC0FFEE
-_DENSE_LIMIT = 640
 
 
 class Boundary(enum.Enum):
@@ -197,9 +195,6 @@ def _flux_form_matrix(prob: SLProblem, n: int):
 
 def _solve_matrix(a, count: int):
     n = a.shape[0]
-    if n <= _DENSE_LIMIT or count > n // 4:
-        vals, vecs = scipy.linalg.eigh(a.toarray())
-        return vals[:count], vecs[:, :count]
     v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(n)
     try:
         vals, vecs = scipy.sparse.linalg.eigsh(
@@ -247,18 +242,18 @@ def symmetry_characters(vecs, apply_op, match_tol=1e-5) -> np.ndarray:
 def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
     """Lowest ``count`` eigenpairs of the discretized problem.
 
-    Small systems use a dense symmetric solve (exact for degenerate
-    pairs); larger ones a shift-invert Lanczos with a deterministic
-    start vector.  Eigenfunctions are normalized to unit L2 norm over
-    the period with a positive-peak sign convention.  A degenerate pair
-    comes back in whatever basis the solver returns; its zero counts do
-    not depend on that basis (oscillation theorem).
+    One shift-invert Lanczos with a deterministic start vector serves
+    every grid size; it needs ``count`` below ``grid_size - 1``.
+    Eigenfunctions are normalized to unit L2 norm over the period with a
+    positive-peak sign convention.  A degenerate pair comes back in
+    whatever basis the solver returns; its zero counts do not depend on
+    that basis (oscillation theorem).
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
     if grid_size < 64:
         raise ValueError("grid_size must be at least 64")
     n = int(grid_size)
+    if not 1 <= count < n - 1:
+        raise ValueError(f"count must lie in [1, {n - 2}], got {count}")
     a, t = _flux_form_matrix(prob, n)
     vals, vecs = _solve_matrix(a, count)
 

@@ -98,6 +98,17 @@ def test_table_batch_and_dedup(capsys):
         assert float(r["lambda_functional"]) < float(r["upper_bound"])
 
 
+def test_table_json_is_a_list_of_row_objects(capsys):
+    code, out, _ = run(["table", "--pairs", "3/5,5/8", "--format", "json"],
+                       capsys)
+    assert code == 0
+    code, csv_out, _ = run(["table", "--pairs", "3/5,5/8"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    assert rows == [{k: json.loads(v) for k, v in row.items()}
+                    for row in csv.DictReader(csv_out.splitlines())]
+
+
 def test_table_empty_batch(capsys):
     code, out, _ = run(["table", "--pairs", ","], capsys)
     assert code == 0
@@ -115,6 +126,16 @@ def test_export_mesh_csv(tmp_path, capsys):
     assert len(rows) == 1 + 16 * 32
     x = [float(v) for v in rows[1].split(",")]
     assert sum(v * v for v in x[2:]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_export_mesh_out_takes_the_summary_line(tmp_path, capsys):
+    mesh, log = tmp_path / "m.obj", tmp_path / "log.txt"
+    code, out, _ = run(["export-mesh", "--p", "3", "--q", "5",
+                        "--n-alpha", "8", "--n-t", "8", "--mesh-format", "obj",
+                        "--mesh-out", str(mesh), "--out", str(log)], capsys)
+    assert code == 0
+    assert out == ""
+    assert log.read_text() == f"wrote 64 vertices to {mesh}\n"
 
 
 def test_export_mesh_covers_the_admissible_range(tmp_path, capsys):
@@ -279,6 +300,9 @@ def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
      2, "sol.txt"),
     (["export-mesh", "--p", "3", "--q", "5", "--n-alpha", "8", "--n-t", "8",
       "--mesh-out", "{tmp}/no/dir/m.csv"], 2, "m.csv"),
+    (["export-mesh", "--p", "3", "--q", "5", "--n-alpha", "8", "--n-t", "8",
+      "--mesh-out", "{tmp}/m.csv", "--out", "{tmp}/no/dir/log.txt"],
+     2, "log.txt"),
     (["spectrum", "--p", "3", "--q", "5", "--l-max", "5", "--lambda-cut", "6"],
      2, "radial window at l = 0"),
     (["table", "--pairs", "3/5", "--config", "{tmp}/strict.cfg"],
@@ -288,7 +312,8 @@ def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
     (["solve", "--p", "3", "--q", "5", "--config", "{tmp}/pq.cfg"],
      0, "p, q read by no command; ignored"),
 ], ids=["verify-insufficient-l-max", "missing-config", "out-in-missing-dir",
-        "mesh-out-in-missing-dir", "spectrum-cut-above-window",
+        "mesh-out-in-missing-dir", "mesh-log-out-in-missing-dir",
+        "spectrum-cut-above-window",
         "table-row-fails", "table-row-fails-out-in-missing-dir",
         "config-p-q-unread"])
 def test_failure_exit_codes(argv, code, needle, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from otsuki_bipolar.geodesic import RotationNumber, solve_rotation
 from otsuki_bipolar.immersion import (
     area,
     bipolar_wedge,
@@ -101,13 +102,50 @@ def test_area(cases):
 
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
 def test_bipolar_correspondence(pq, cases):
+    """The time change from the torus chart is exact to rounding, so
+    every residual and the closure over one period sit near 1e-14."""
     rep = verify_bipolar_correspondence(cases.solution(pq), 1e-6,
                                         profile=cases.profile(pq))
     assert rep.passed
-    assert rep.transfer_residual < 1e-6
-    assert rep.angle_residual < 1e-6
-    assert rep.hausdorff_distance < 1e-5
-    assert rep.period_closure_error < 1e-8
+    assert rep.transfer_residual <= 1e-12
+    assert rep.angle_residual <= 1e-12
+    assert rep.hausdorff_distance <= 1e-12
+    assert rep.period_closure_error <= 1e-12
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("pq", [
+    (p, q) for q in range(3, 41) for p in range(1, q)
+    if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q] + [(51, 101)])
+def test_bipolar_correspondence_sweep_q_up_to_40(pq):
+    """All 100 reduced p/q with q <= 40, and 51/101, down to a ~ 0.003."""
+    sol = solve_rotation(RotationNumber(*pq))
+    rep = verify_bipolar_correspondence(sol, 1e-6)
+    assert rep.passed, rep
+    assert rep.period_closure_error <= 1e-12
+
+
+def test_wedge_and_torus_evaluate_the_geodesic_once_per_parameter(cases):
+    """A column of alpha over a row of s gives, bit for bit, the values
+    of the formulas evaluated on the broadcast grid."""
+    sol, prof = cases.solution((5, 8)), cases.profile((5, 8))
+    alphas = np.linspace(0.0, 2 * math.pi, 7, endpoint=False)
+    s = RNG.uniform(-sol.s_total, 2 * sol.s_total, 64)
+    aa, ss = np.broadcast_arrays(alphas[:, None], s)
+    nu, lam = prof.nu_at(ss), prof.lambda_at(ss)
+    nu_dot, lam_dot = prof.nu_dot_at(ss), prof.lambda_dot_at(ss)
+    sn, cn, sl, cl = np.sin(nu), np.cos(nu), np.sin(lam), np.cos(lam)
+    a_comp = lam_dot * cl * cn - nu_dot * sl * sn
+    b_comp = lam_dot * sl * cn + nu_dot * cl * sn
+    pref = 2 * math.pi * sn
+    wedge = np.stack([np.zeros_like(pref),
+                      pref * np.cos(aa) * a_comp, pref * np.cos(aa) * b_comp,
+                      pref * np.sin(aa) * a_comp, pref * np.sin(aa) * b_comp,
+                      pref * nu_dot * cn], axis=-1)
+    torus = np.stack([np.cos(aa) * sn, np.sin(aa) * sn,
+                      cn * np.cos(lam), cn * np.sin(lam)], axis=-1)
+    assert np.array_equal(bipolar_wedge(prof, alphas[:, None], s), wedge)
+    assert np.array_equal(immerse_otsuki(prof, alphas[:, None], s), torus)
 
 
 def test_even_q_double_cover_identity(cases):

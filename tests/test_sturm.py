@@ -132,6 +132,13 @@ def test_eigenfunctions_normalized():
         assert h * np.sum(v * v) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_eigen_serves_counts_up_to_grid_size_minus_two():
+    assert eigen(constant_problem(), 62, 64).eigenvalues.size == 62
+    for count in (0, 63, 64, 65):
+        with pytest.raises(ValueError, match="count must lie in"):
+            eigen(constant_problem(), count, 64)
+
+
 def test_degenerate_grid_guard():
     bad = SLProblem(l=0, period=TWO_PI,
                     p_fn=lambda t: np.cos(np.asarray(t, float)),
