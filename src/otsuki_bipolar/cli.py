@@ -5,9 +5,14 @@ Commands:
   solve        geometric data (a, b, c, t0, residual, functional) for one p/q
   verify       full counting verification with named certificates
   spectrum     assembled mode table below the cutoff
-  table        batch rows (CSV, or JSON under --format json) over p/q values
+  table        batch rows over p/q values
   cross-check  2-D brute-force spectrum vs the separated assembly
   export-mesh  vertex grid of the immersed surface (CSV or OBJ)
+
+Every result goes through one emitter, ``_emit``, as JSON, as CSV (a
+flat payload is one row; verify's certificates, spectrum's entries and
+table's rows are rows) or as text: the command's own, else ``key =
+value`` lines of a flat payload or the CSV of rows.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (a bad
 argument or config value, an unreadable config file, an unwritable
@@ -39,24 +44,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _csv(header, rows) -> str:
+    """A header line over one comma-separated line per row of values."""
+    return "\n".join([",".join(header),
+                      *(",".join(_fmt(v) for v in row) for row in rows)])
 
 
-def _emit_flat(payload: dict, cfg):
-    """One flat payload as indented JSON, a one-row CSV or key = value text."""
+def _emit(cfg, payload, rows=None, text=None):
+    """Write one command's result to stdout, or to ``--out``, in its format.
+
+    ``payload`` is the JSON value.  ``rows`` is the CSV body as a header
+    and rows of values; by default the flat ``payload`` is one row.
+    ``text`` is the command's own text; by default text is ``key =
+    value`` lines of a flat payload, or the CSV of a row result.
+    """
     if cfg.output_format == "json":
-        text = json.dumps(spectrum.json_ready(payload), indent=2)
-    elif cfg.output_format == "csv":
-        text = (",".join(payload) + "\n"
-                + ",".join(_fmt(v) for v in payload.values()))
+        out = json.dumps(spectrum.json_ready(payload), indent=2)
+    elif cfg.output_format == "text" and text is not None:
+        out = text
+    elif cfg.output_format == "text" and rows is None:
+        out = "\n".join(f"{k} = {_fmt(v)}" for k, v in payload.items())
     else:
-        text = "\n".join(f"{k} = {_fmt(v)}" for k, v in payload.items())
-    _emit(text, cfg.output_path)
+        out = _csv(*(rows or (payload, [payload.values()])))
+    if cfg.output_path:
+        with open(cfg.output_path, "w") as fh:
+            fh.write(out + "\n")
+    else:
+        print(out)
 
 
 def _parse_pairs(spec_str: str) -> list[tuple[int, int]]:
@@ -74,19 +88,21 @@ def _parse_pairs(spec_str: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _solve(cfg):
+    """The closed geodesic of the run's p/q."""
+    return geodesic.solve_rotation(geodesic.RotationNumber(cfg.p, cfg.q))
+
+
 def cmd_solve(cfg) -> int:
-    r = geodesic.RotationNumber(cfg.p, cfg.q)
-    sol = geodesic.solve_rotation(r)
-    lam = spectrum.lambda_functional(sol)
-    payload = {
-        "p": r.p, "q": r.q,
+    sol = _solve(cfg)
+    _emit(cfg, {
+        "p": cfg.p, "q": cfg.q,
         "a": sol.a, "b": sol.b, "c": sol.c,
         "t0": sol.t0, "s_total": sol.s_total,
         "omega_residual": sol.omega_residual,
-        "lambda_functional": lam,
+        "lambda_functional": spectrum.lambda_functional(sol),
         "upper_bound": spectrum.lambda_functional_bound(sol),
-    }
-    _emit_flat(payload, cfg)
+    })
     return 0
 
 
@@ -95,26 +111,21 @@ def _verify(cfg, p: int, q: int, raise_on_failure: bool):
     return spectrum.verify_theorem3(
         geodesic.RotationNumber(p, q), grid_size=cfg.grid_size,
         l_max=cfg.l_max, lambda_cut=cfg.lambda_cut,
-        functional_tol=cfg.tolerances["functional_agreement"],
-        omega_tol=cfg.tolerances["omega_residual"],
+        functional_tol=cfg.functional_agreement,
+        omega_tol=cfg.omega_residual,
         raise_on_failure=raise_on_failure)
 
 
 def cmd_verify(cfg) -> int:
     report = _verify(cfg, cfg.p, cfg.q, raise_on_failure=False)
-    _emit_report(report, cfg)
+    _emit_report(cfg, report)
     return 0 if report.passed else 1
 
 
-def _emit_report(report, cfg):
-    if cfg.output_format == "json":
-        _emit(report.to_json(), cfg.output_path)
-        return
-    if cfg.output_format == "csv":
-        rows = [f"{c.name},{_fmt(c.lhs)},{_fmt(c.rhs)},{_fmt(c.margin)},"
-                f"{c.passed}" for c in report.certificates]
-        _emit("\n".join(["name,lhs,rhs,margin,pass", *rows]), cfg.output_path)
-        return
+def _emit_report(cfg, report):
+    """A verification report: its certificates are the CSV rows."""
+    payload = report.to_dict()
+    certs = payload["certificates"]
     lines = [
         f"rotation = {report.rotation}",
         f"a = {_fmt(report.a)}",
@@ -131,38 +142,24 @@ def _emit_report(report, cfg):
         lines.append(f"[{status}] {c.name}: lhs={_fmt(c.lhs)}"
                      f" rhs={_fmt(c.rhs)} margin={_fmt(c.margin)}")
     lines.append("result = " + ("PASS" if report.passed else "FAIL"))
-    _emit("\n".join(lines), cfg.output_path)
+    _emit(cfg, payload, rows=(certs[0], [c.values() for c in certs]),
+          text="\n".join(lines))
 
 
 def cmd_spectrum(cfg) -> int:
-    r = geodesic.RotationNumber(cfg.p, cfg.q)
-    sol = geodesic.solve_rotation(r)
+    sol = _solve(cfg)
     table = spectrum.assemble(sol, None, l_max=cfg.l_max,
                               lambda_cut=cfg.lambda_cut,
                               grid_size=cfg.grid_size)
     n2 = spectrum.weyl_N(table, 2.0)
+    header = ("l", "i", "lambda", "multiplicity", "kept", "reason",
+              "zero_count", "at_threshold")
     rows = [(e.l, e.i, e.lam, e.multiplicity, e.kept, e.reason, e.zero_count,
              e.pinned_two) for e in table.entries]
-    if cfg.output_format == "json":
-        payload = {
-            "p": r.p, "q": r.q, "N2": n2,
-            "entries": [
-                {"l": l, "i": i, "lambda": lam, "multiplicity": m,
-                 "kept": kept, "reason": reason, "zero_count": z,
-                 "at_threshold": pin}
-                for (l, i, lam, m, kept, reason, z, pin) in rows],
-        }
-        _emit(json.dumps(spectrum.json_ready(payload), indent=2),
-              cfg.output_path)
-    else:
-        header = "l,i,lambda,multiplicity,kept,reason,zero_count,at_threshold"
-        body = "\n".join(
-            f"{l},{i},{_fmt(lam)},{m},{kept},{reason},{z},{pin}"
-            for (l, i, lam, m, kept, reason, z, pin) in rows)
-        if cfg.output_format == "csv":
-            _emit(header + "\n" + body, cfg.output_path)
-        else:
-            _emit(f"N2 = {n2}\n" + header + "\n" + body, cfg.output_path)
+    payload = {"p": cfg.p, "q": cfg.q, "N2": n2,
+               "entries": [dict(zip(header, row)) for row in rows]}
+    _emit(cfg, payload, rows=(header, rows),
+          text=f"N2 = {n2}\n" + _csv(header, rows))
     return 0
 
 
@@ -181,27 +178,20 @@ def cmd_table(cfg, pairs) -> int:
         try:
             report = _verify(cfg, p, q, raise_on_failure=True)
         except VerificationFailed as exc:
-            _emit_report(exc.report, cfg)   # an OSError here is exit 2
+            _emit_report(cfg, exc.report)   # an OSError here is exit 2
             raise
         rows.append((p, q, report.a, report.b, report.t0,
                      report.n2_computed, report.lambda_value,
                      report.upper_bound))
-    header = ["p", "q", "a", "b", "t0", "N2", "lambda_functional", "upper_bound"]
-    if cfg.output_format == "json":
-        text = json.dumps(spectrum.json_ready(
-            [dict(zip(header, row)) for row in rows]), indent=2)
-    else:
-        text = "\n".join([",".join(header),
-                          *(",".join(_fmt(x) for x in row) for row in rows)])
-    _emit(text, cfg.output_path)
+    header = ("p", "q", "a", "b", "t0", "N2", "lambda_functional",
+              "upper_bound")
+    _emit(cfg, [dict(zip(header, row)) for row in rows], rows=(header, rows))
     return 0
 
 
 def cmd_cross_check(cfg) -> int:
-    r = geodesic.RotationNumber(cfg.p, cfg.q)
-    sol = geodesic.solve_rotation(r)
+    sol = _solve(cfg)
     prof = geodesic.profile(sol)
-
     table = spectrum.assemble(sol, prof, l_max=cfg.l_max,
                               lambda_cut=cfg.lambda_cut,
                               grid_size=cfg.grid_size)
@@ -234,7 +224,7 @@ def cmd_cross_check(cfg) -> int:
         fine, table, 2.0, window, pair_tol)
     n2 = spectrum.weyl_N(table, 2.0)
     payload = {
-        "p": r.p, "q": r.q,
+        "p": cfg.p, "q": cfg.q,
         "N2_assembled": n2,
         "n_below_2_oracle": n_oracle,
         "n_below_2_assembled": n_table,
@@ -245,18 +235,28 @@ def cmd_cross_check(cfg) -> int:
         "counts_agree": bool(n_oracle == n_table),
         "pass": bool(ok),
     }
-    _emit_flat(payload, cfg)
+    _emit(cfg, payload)
     return 0 if ok else 1
 
 
 def cmd_export_mesh(cfg, path: str) -> int:
-    r = geodesic.RotationNumber(cfg.p, cfg.q)
-    sol = geodesic.solve_rotation(r)
-    prof = geodesic.profile(sol)
-    immersion.export_mesh(prof, cfg.n_alpha, cfg.n_t, cfg.mesh_format, path)
-    _emit(f"wrote {cfg.n_alpha * cfg.n_t} vertices to {path}",
-          cfg.output_path)
+    immersion.export_mesh(geodesic.profile(_solve(cfg)), cfg.n_alpha, cfg.n_t,
+                          cfg.mesh_format, path)
+    n = cfg.n_alpha * cfg.n_t
+    _emit(cfg, {"p": cfg.p, "q": cfg.q, "vertices": n,
+                "mesh_format": cfg.mesh_format, "path": path},
+          text=f"wrote {n} vertices to {path}")
     return 0
+
+
+_COMMANDS = {
+    "solve": lambda cfg, args: cmd_solve(cfg),
+    "verify": lambda cfg, args: cmd_verify(cfg),
+    "spectrum": lambda cfg, args: cmd_spectrum(cfg),
+    "table": lambda cfg, args: cmd_table(cfg, _parse_pairs(args.pairs)),
+    "cross-check": lambda cfg, args: cmd_cross_check(cfg),
+    "export-mesh": lambda cfg, args: cmd_export_mesh(cfg, args.mesh_out),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -303,27 +303,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         overrides = {f.name: getattr(args, f.name)
                      for f in dataclasses.fields(RunConfig)
                      if hasattr(args, f.name)}
         cfg = make_config(getattr(args, "config_path", None), **overrides)
-
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "table":
-            return cmd_table(cfg, _parse_pairs(args.pairs))
-        if args.command == "cross-check":
-            return cmd_cross_check(cfg)
-        if args.command == "export-mesh":
-            return cmd_export_mesh(cfg, args.mesh_out)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, args)
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -333,7 +319,6 @@ def main(argv=None) -> int:
     except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    return 0
 
 
 if __name__ == "__main__":

@@ -3,24 +3,13 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
-
-DEFAULT_TOLERANCES = {
-    "omega_residual": 1e-11,
-    "functional_agreement": 1e-8,
-    "correspondence": 1e-6,
-    "hausdorff": 1e-5,
-}
 # Accepted in config files, but no command reads them (p and q come
 # only from the --p/--q flags).
-UNREAD_TOLERANCES = ("correspondence", "hausdorff")
-UNREAD_KEYS = ("p", "q", "samples_per_half_period")
-
-_INT_KEYS = ("grid_size", "oracle_n_alpha", "oracle_n_t", "l_max",
-             "n_alpha", "n_t")
-_FLOAT_KEYS = {"lambda_cut"}
-_STR_KEYS = {"output_format", "output_path", "mesh_format"}
+UNREAD_KEYS = ("p", "q", "samples_per_half_period",
+               "tol.correspondence", "tol.hausdorff")
 
 
 @dataclass
@@ -28,7 +17,9 @@ class RunConfig:
     """Resolved options for one command invocation.
 
     Precedence is flags > config file > defaults; the config file is a
-    flat ``key = value`` text format (# comments allowed).
+    flat ``key = value`` text format (# comments allowed).  Each field
+    is set in a file under its name, or under ``metadata["key"]``, and
+    parsed with its type; every ``int`` field must be positive.
     """
 
     p: int | None = None
@@ -43,16 +34,25 @@ class RunConfig:
     mesh_format: str = "csv"
     output_format: str = "text"
     output_path: str | None = None
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    omega_residual: float = field(
+        default=1e-11, metadata={"key": "tol.omega_residual"})
+    functional_agreement: float = field(
+        default=1e-8, metadata={"key": "tol.functional_agreement"})
 
     def __post_init__(self):
-        for name in _INT_KEYS:
-            if getattr(self, name) <= 0:
+        for name, tp in _TYPES.items():
+            if tp is int and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.lambda_cut <= 2.0:
             raise ValueError("lambda_cut must exceed 2")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+
+
+_TYPES = typing.get_type_hints(RunConfig)
+# config-file key -> (field name, type); unread keys stay raw text
+_FILE_KEYS = {f.metadata.get("key", f.name): (f.name, _TYPES[f.name])
+              for f in fields(RunConfig)} | {k: (k, str) for k in UNREAD_KEYS}
 
 
 def parse_config_file(path: str) -> dict:
@@ -70,24 +70,15 @@ def parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            tol = key[4:] if key.startswith("tol.") else None
-            if tol in DEFAULT_TOLERANCES or key in _FLOAT_KEYS:
-                parse = float
-            elif key in _INT_KEYS:
-                parse = int
-            elif key in _STR_KEYS or key in UNREAD_KEYS:
-                parse = str
-            else:
+            if key not in _FILE_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            name, tp = _FILE_KEYS[key]
+            parse = (typing.get_args(tp) or (tp,))[0]    # str | None -> str
             try:
-                parsed = parse(value)
+                overrides[name] = parse(value)
             except ValueError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-            if tol in DEFAULT_TOLERANCES:
-                overrides.setdefault("tolerances", {})[tol] = parsed
-            else:
-                overrides[key] = parsed
     return overrides
 
 
@@ -99,14 +90,10 @@ def make_config(file_path: str | None = None, **flag_overrides) -> RunConfig:
         unread = [k for k in UNREAD_KEYS if k in merged]
         for key in unread:
             del merged[key]
-        unread += [f"tol.{k}" for k in UNREAD_TOLERANCES
-                   if k in merged.get("tolerances", {})]
         if unread:
             print(f"warning: {file_path}: {', '.join(unread)} read by no"
                   " command; ignored", file=sys.stderr)
     for key, value in flag_overrides.items():
         if value is not None:
             merged[key] = value
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(merged.pop("tolerances", {}))
-    return RunConfig(tolerances=tol, **merged)
+    return RunConfig(**merged)

@@ -317,11 +317,11 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
 
     By default every row is sampled.  ``sampled_sectors`` names the
     sectors whose rows are sampled instead; every other row gets NaN
-    samples and zero count -1.  A solved sector whose rows are all left
-    unsampled is solved values-only (``np.linalg.eigvalsh``), which may
-    move its eigenvalues in their last digits; the sampled sectors keep
-    ``np.linalg.eigh`` on the same matrices, so their eigenvalues are
-    those of a full solve, bit for bit.  ``chart`` is the
+    samples and zero count -1.  Each solved sector takes one eigensolve
+    per M: ``np.linalg.eigh`` if any of its rows is sampled, so its
+    eigenvalues are those of a full solve, bit for bit; else values-only
+    ``np.linalg.eigvalsh``, which may move them in their last digits.
+    ``chart`` is the
     ``_RadialChart`` of b and q, built here when None; one chart shared
     across l shares its coefficients and its factors of T_W.
     """
@@ -348,11 +348,9 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     modes, prev = _FIRST_MODES, None
     while True:
         mats, l_inv = chart.sector_matrices(kappa, l, modes)
-        if vectors.all():
-            lam, y = np.linalg.eigh(mats)
-        else:       # values of the whole stack, with no copy of it
-            lam = np.linalg.eigvalsh(mats)
-            lam[vectors], y = np.linalg.eigh(mats[vectors])
+        lam = np.empty(mats.shape[:-1])
+        lam[~vectors] = np.linalg.eigvalsh(mats[~vectors])
+        lam[vectors], y = np.linalg.eigh(mats[vectors])
         vals = np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
         count = max(base, int(np.searchsorted(vals, 4.0)) + 1)
         if prev is not None:

@@ -138,6 +138,26 @@ def test_export_mesh_out_takes_the_summary_line(tmp_path, capsys):
     assert log.read_text() == f"wrote 64 vertices to {mesh}\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_export_mesh_summary_follows_format(fmt, tmp_path, capsys):
+    """json and csv print the flat summary {p, q, vertices, mesh_format,
+    path}; text prints the wrote line."""
+    mesh = tmp_path / "m.obj"
+    code, out, _ = run(["export-mesh", "--p", "3", "--q", "5",
+                        "--n-alpha", "8", "--n-t", "8", "--mesh-format", "obj",
+                        "--mesh-out", str(mesh), "--format", fmt], capsys)
+    assert code == 0
+    summary = {"p": 3, "q": 5, "vertices": 64, "mesh_format": "obj",
+               "path": str(mesh)}
+    if fmt == "json":
+        assert json.loads(out) == summary
+    elif fmt == "csv":
+        assert list(csv.DictReader(out.splitlines())) == [
+            {k: str(v) for k, v in summary.items()}]
+    else:
+        assert out == f"wrote 64 vertices to {mesh}\n"
+
+
 def test_export_mesh_covers_the_admissible_range(tmp_path, capsys):
     fractions = [(p, q) for q in range(3, 41) for p in range(1, q)
                  if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q]
@@ -210,6 +230,41 @@ def test_cross_check_q_up_to_20(pq, capsys):
                         "--format", "json"], capsys)
     payload = json.loads(out)
     assert code == 0 and payload["counts_agree"] and payload["pass"]
+
+
+# Each command on a small grid, with the JSON keys its CSV header repeats:
+# a flat payload's own keys, else those of its rows.
+_FORMAT_MATRIX = {
+    "solve": (["--p", "3", "--q", "5"], lambda js: js),
+    "verify": (["--p", "3", "--q", "5", "--grid-size", "1040"],
+               lambda js: js["certificates"][0]),
+    "spectrum": (["--p", "3", "--q", "5", "--grid-size", "1040"],
+                 lambda js: js["entries"][0]),
+    "table": (["--pairs", "3/5", "--grid-size", "1040"], lambda js: js[0]),
+    "cross-check": (["--p", "3", "--q", "5", "--grid-size", "1040",
+                     "--oracle-n-alpha", "32", "--oracle-n-t", "200"],
+                    lambda js: js),
+    "export-mesh": (["--p", "3", "--q", "5", "--n-alpha", "8", "--n-t", "8",
+                     "--mesh-out", "{tmp}/m.csv"], lambda js: js),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", list(_FORMAT_MATRIX))
+def test_every_command_prints_every_format(command, fmt, tmp_path, capsys):
+    """Every command exits 0 in every format; its json parses, and its
+    csv parses with a header equal to the JSON keys."""
+    args, keyed = _FORMAT_MATRIX[command]
+    argv = [command] + [a.replace("{tmp}", str(tmp_path)) for a in args]
+    code, out, err = run(argv + ["--format", fmt], capsys)
+    assert code == 0, err
+    assert out.strip()
+    if fmt == "json":
+        json.loads(out)
+    elif fmt == "csv":
+        _, out_json, _ = run(argv + ["--format", "json"], capsys)
+        rows = list(csv.DictReader(out.splitlines()))
+        assert rows and list(rows[0]) == list(keyed(json.loads(out_json)))
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

@@ -1,23 +1,32 @@
 """Print a SHA-256 digest of every command output a refactor must keep.
 
 Runs ``otsuki_bipolar.cli.main`` in-process from the ``src`` tree next to
-this file and prints one ``sha256 command input`` line per run:
+this file and prints one ``sha256 command input`` line per output:
 
   * ``verify`` and ``spectrum --format json`` on every reduced p/q in
     (1/2, sqrt(2)/2) with q <= 40, and on 51/101;
   * one ``table --pairs`` run over the p/q with q <= 40;
   * ``export-mesh`` CSV and OBJ at 64x768 vertices with q <= 20;
-  * ``cross-check --format json`` at the default oracle grid with q <= 20.
+  * ``cross-check --format json`` at the default oracle grid with q <= 20;
+  * ``solve`` in every format, ``verify`` and ``spectrum`` in csv and
+    text, with q <= 20;
+  * ``cross-check`` in csv and text at a 32x128 oracle grid with q <= 8;
+  * the empty ``table --pairs ,`` in every format;
+  * export-mesh's stdout: the ``wrote`` line of each mesh run above
+    (label ``-stdout``), and its json and csv summaries at 8x8 vertices
+    with q <= 20.
 
 Each digest covers the exit code and the bytes written: stdout, or the
-mesh file for ``export-mesh``.  Two trees produce the same outputs when
-their listings are identical:
+mesh file for ``export-mesh``.  Meshes are written to relative paths in
+a temporary working directory, so the paths that export-mesh prints do
+not change between runs.  Two trees produce the same outputs when their
+listings are identical:
 
     python3 tools/output_digest.py > after.txt
     diff before.txt after.txt
 
 BLAS runs on one thread, so a listing does not depend on the core count.
-The 284 runs take about a minute on a 2-core host.
+The 592 lines take about a minute on a 2-core host.
 """
 
 from __future__ import annotations
@@ -44,17 +53,20 @@ def fractions(q_max: int) -> list[tuple[int, int]]:
             if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q]
 
 
-def digest(argv: list[str], out_file: Path | None = None) -> str:
-    """SHA-256 of the exit code and of stdout, or of ``out_file`` if given."""
+def digest(argv: list[str], out_file: Path | None = None):
+    """SHA-256 of the exit code with ``out_file`` if given, then with stdout."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         rc = cli.main(argv)
-    body = out_file.read_bytes() if out_file else stdout.getvalue().encode()
-    return hashlib.sha256(f"exit {rc}\n".encode() + body).hexdigest()
+    bodies = [stdout.getvalue().encode()]
+    if out_file:
+        bodies.insert(0, out_file.read_bytes())
+    return [hashlib.sha256(f"exit {rc}\n".encode() + body).hexdigest()
+            for body in bodies]
 
 
-def runs(tmp: Path):
-    """(command label, input, argv, output file or None) of every run."""
+def runs():
+    """(command label, input, argv, mesh file or None) of every run."""
     for p, q in fractions(40) + [(51, 101)]:
         pq = ["--p", str(p), "--q", str(q), "--format", "json"]
         yield "verify", f"{p}/{q}", ["verify", *pq], None
@@ -63,7 +75,7 @@ def runs(tmp: Path):
     yield "table", "q<=40", ["table", "--pairs", pairs], None
     for p, q in fractions(20):
         for fmt in ("csv", "obj"):
-            path = tmp / f"mesh.{fmt}"
+            path = Path(f"mesh.{fmt}")
             yield (f"export-mesh-{fmt}", f"{p}/{q}",
                    ["export-mesh", "--p", str(p), "--q", str(q),
                     "--n-alpha", "64", "--n-t", "768", "--mesh-format", fmt,
@@ -72,12 +84,40 @@ def runs(tmp: Path):
         yield ("cross-check", f"{p}/{q}",
                ["cross-check", "--p", str(p), "--q", str(q), "--format", "json"],
                None)
+    for p, q in fractions(20):
+        pq = ["--p", str(p), "--q", str(q)]
+        for command, fmts in (("solve", ("json", "csv", "text")),
+                              ("verify", ("csv", "text")),
+                              ("spectrum", ("csv", "text"))):
+            for fmt in fmts:
+                yield (f"{command}-{fmt}", f"{p}/{q}",
+                       [command, *pq, "--format", fmt], None)
+        for fmt in ("json", "csv"):
+            yield (f"export-mesh-summary-{fmt}", f"{p}/{q}",
+                   ["export-mesh", *pq, "--n-alpha", "8", "--n-t", "8",
+                    "--mesh-out", "summary.csv", "--format", fmt], None)
+    for p, q in fractions(8):
+        for fmt in ("csv", "text"):
+            yield (f"cross-check-{fmt}", f"{p}/{q}",
+                   ["cross-check", "--p", str(p), "--q", str(q),
+                    "--oracle-n-alpha", "32", "--oracle-n-t", "128",
+                    "--format", fmt], None)
+    for fmt in ("json", "csv", "text"):
+        yield (f"table-{fmt}", "empty",
+               ["table", "--pairs", ",", "--format", fmt], None)
 
 
 def main() -> int:
+    home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for label, name, argv, out_file in runs(Path(tmp)):
-            print(f"{digest(argv, out_file)} {label} {name}", flush=True)
+        os.chdir(tmp)
+        try:
+            for label, name, argv, out_file in runs():
+                labels = [label, f"{label}-stdout"] if out_file else [label]
+                for sha, tag in zip(digest(argv, out_file), labels):
+                    print(f"{sha} {tag} {name}", flush=True)
+        finally:
+            os.chdir(home)
     return 0
 
 
