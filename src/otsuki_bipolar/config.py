@@ -7,8 +7,8 @@ import typing
 from dataclasses import dataclass, field, fields
 
 # Accepted in config files, but no command reads them (p and q come
-# only from the --p/--q flags).
-UNREAD_KEYS = ("p", "q", "samples_per_half_period",
+# only from the --p/--q flags; the angular indices from lambda_cut).
+UNREAD_KEYS = ("p", "q", "l_max", "samples_per_half_period",
                "tol.correspondence", "tol.hausdorff")
 
 
@@ -27,7 +27,6 @@ class RunConfig:
     grid_size: int = 2048
     oracle_n_alpha: int = 96
     oracle_n_t: int = 768
-    l_max: int = 3
     lambda_cut: float = 2.5
     n_alpha: int = 64
     n_t: int = 256

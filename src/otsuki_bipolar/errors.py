@@ -57,7 +57,9 @@ class SubperiodViolation(NumericalFailure):
 
 
 class InsufficientLMax(NumericalFailure):
-    """The angular cutoff is too small: modes below the threshold may be missing."""
+    """Raised by nothing: the radial eigenvalues at l are at least l^2, so
+    the cutoff alone sets the angular indices.  Kept for callers that
+    catch it."""
 
 
 class VerificationFailed(RuntimeError):

@@ -595,6 +595,18 @@ class GeodesicProfile:
 
     # -- torus side ----------------------------------------------------
 
+    def torus_at(self, s):
+        """nu, lambda and their velocities at s, from one inversion of the
+        chart; d nu/ds = (d nu/dchi) / (ds/dchi)."""
+        a = self.solution.a
+        chi = self._tor.x_of(s)
+        nu = _nu_of_chi(a, chi)
+        sn = np.sin(nu)
+        return (nu, self._tor.angle(chi),
+                math.cos(2.0 * a) * np.sin(chi)
+                / (2.0 * math.pi * sn * np.sin(2.0 * nu)),
+                self.solution.c / (2.0 * math.pi * np.cos(nu) ** 2 * sn ** 2))
+
     def nu_at(self, s):
         return _value(_nu_of_chi(self.solution.a, self._tor.x_of(s)))
 
@@ -602,17 +614,10 @@ class GeodesicProfile:
         return _value(self._tor.angle(self._tor.x_of(s)))
 
     def nu_dot_at(self, s):
-        """Velocity d nu/ds = (d nu/dchi) / (ds/dchi) in the chart."""
-        a = self.solution.a
-        chi = self._tor.x_of(s)
-        nu = _nu_of_chi(a, chi)
-        return _value(math.cos(2.0 * a) * np.sin(chi)
-                      / (2.0 * math.pi * np.sin(nu) * np.sin(2.0 * nu)))
+        return _value(self.torus_at(s)[2])
 
     def lambda_dot_at(self, s):
-        nu = np.asarray(self.nu_at(s))
-        out = self.solution.c / (2.0 * math.pi * np.cos(nu) ** 2 * np.sin(nu) ** 2)
-        return _value(out)
+        return _value(self.torus_at(s)[3])
 
     # -- diagnostics ----------------------------------------------------
 

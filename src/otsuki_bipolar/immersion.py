@@ -43,9 +43,7 @@ def immerse_otsuki(profile: GeodesicProfile, alpha, s) -> np.ndarray:
     nu and lambda are evaluated on s as given and broadcast against
     alpha afterwards, as in ``immerse_bipolar``.
     """
-    s = np.asarray(s, float)
-    nu = profile.nu_at(s)
-    lam = profile.lambda_at(s)
+    nu, lam = profile.torus_at(np.asarray(s, float))[:2]
     sn, cn = np.sin(nu), np.cos(nu)
     return np.stack(np.broadcast_arrays(
         np.cos(alpha) * sn,
@@ -63,11 +61,7 @@ def bipolar_wedge(profile: GeodesicProfile, alpha, s) -> np.ndarray:
     turning points of nu.  The geodesic is evaluated on s as given and
     broadcast against alpha afterwards.
     """
-    s = np.asarray(s, float)
-    nu = profile.nu_at(s)
-    lam = profile.lambda_at(s)
-    nu_dot = profile.nu_dot_at(s)
-    lam_dot = profile.lambda_dot_at(s)
+    nu, lam, nu_dot, lam_dot = profile.torus_at(np.asarray(s, float))
     sn, cn = np.sin(nu), np.cos(nu)
     sl, cl = np.sin(lam), np.cos(lam)
     a_comp = lam_dot * cl * cn - nu_dot * sl * sn

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InsufficientLMax, VerificationFailed
+from .errors import ConvergenceFailure, VerificationFailed
 from .geodesic import (
     GeodesicProfile,
     OtsukiSolution,
@@ -161,45 +161,36 @@ def _pin_threshold_modes(r: RotationNumber, l: int,
 
 
 def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
-             l_max: int = 3, lambda_cut: float = 2.5,
+             l_max: int | None = None, lambda_cut: float = 2.5,
              grid_size: int = 2048,
              spectra: dict[int, SLSpectrum] | None = None) -> ModeTable:
     """Collect all Laplace modes with eigenvalue below ``lambda_cut``.
 
-    Solves the periodic radial problem for l = 0..l_max (or reuses the
-    supplied spectra), applies the even-q quotient filter, and pins the
-    known eigenvalue-2 modes to the threshold by position and Bloch
-    sector, so supplied spectra must carry ``sectors``.  Raises
-    InsufficientLMax unless the ground eigenvalue at l_max already clears
-    the cutoff, so "no l >= 2 modes below 2" is measured rather than
-    assumed, and ValueError if a radial window ends below the cutoff
-    (``solve_radial``'s reaches 4), so no mode below it is dropped.
-    For even q the filter keeps the modes of Bloch sectors k = l (mod 2).
-    ``profile`` is ignored.
+    Every radial eigenvalue at angular index l is at least
+    l^2 min(S/W) = l^2, since S/W = 1/cos^2 phi >= 1, so only the l with
+    l^2 < ``lambda_cut`` can hold a mode below the cutoff: l = 0, 1 for
+    every cutoff up to 4.  Solves the periodic radial problem for those l
+    on one shared chart (or reuses the supplied spectra), applies the
+    even-q quotient filter, and pins the known eigenvalue-2 modes to the
+    threshold by position and Bloch sector, so supplied spectra must
+    carry ``sectors``.  Raises ValueError if a radial window ends below
+    the cutoff (``solve_radial``'s reaches 4), so no mode below it is
+    dropped.  For even q the filter keeps the modes of Bloch sectors
+    k = l (mod 2).  ``profile`` and ``l_max`` are ignored.
     """
-    if lambda_cut < 2.0:
+    if not lambda_cut >= 2.0:
         raise ValueError("lambda_cut must be at least 2")
-    if l_max < 2:
-        raise ValueError("l_max must be at least 2")
     r = sol.rotation
     n = pipeline_grid_size(grid_size, r.q)
-
     spectra = dict(spectra or {})
-    for l in range(l_max + 1):
-        if l not in spectra:
-            spectra[l] = solve_radial(sol, profile, l, n)
-
-    ground_top = spectra[l_max].eigenvalues[0]
-    if ground_top < lambda_cut:
-        raise InsufficientLMax(
-            f"ground eigenvalue {ground_top:.6f} at l = {l_max} is below the"
-            f" cutoff {lambda_cut}; raise l_max")
-
-    eps_grid = max((s.eps_grid for s in spectra.values()
-                    if math.isfinite(s.eps_grid)), default=float("nan"))
+    chart = None
 
     entries = []
-    for l in range(l_max + 1):
+    l = 0
+    while l * l < lambda_cut:
+        if l not in spectra:
+            chart = chart or _RadialChart(sol.b, r.q)
+            spectra[l] = solve_radial(sol, profile, l, n, chart=chart)
         spec = spectra[l]
         if spec.sectors is None:
             raise ValueError(f"radial spectrum at l = {l} carries no sectors")
@@ -225,7 +216,10 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
                 zero_count=(int(spec.zero_counts[i])
                             if spec.zero_counts[i] >= 0 else None),
                 pinned_two=pinned_two))
+        l += 1
 
+    eps_grid = max((s.eps_grid for s in spectra.values()
+                    if math.isfinite(s.eps_grid)), default=float("nan"))
     entries.sort(key=lambda e: e.effective_lam)
     return ModeTable(rotation=r, lambda_cut=lambda_cut, eps_grid=eps_grid,
                      entries=entries)
@@ -304,9 +298,9 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     complex conjugate of sector k, so only half of them are solved, in
     one batched Hermitian eigensolve.  Each sector is a Fourier-Galerkin
     problem with 2M + 1 modes; M doubles from 8 until the lowest
-    eigenvalues move by less than 1e-10, and ``eps_grid`` is that
-    M-versus-M/2 change, floored at 1e-10.  The returned window holds at
-    least 2 max(p, q) + 8 eigenvalues and reaches 4.
+    eigenvalues move by less than 1e-10 from M/2 to M, and ``eps_grid``
+    is that stop tolerance, 1e-10.  The returned window holds at least
+    2 max(p, q) + 8 eigenvalues and reaches 4.
 
     Eigenfunctions are sampled on the uniform t-grid of
     ``pipeline_grid_size(grid_size, q)`` points, which only sets the
@@ -413,7 +407,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
                       grid=np.arange(size) * (chart.t0 / size),
                       eigenvalues=level_lam[order], eigenfunctions=funcs,
                       zero_counts=zero_counts, labels=np.arange(count),
-                      eps_grid=max(change, _MODE_TOL), sectors=sectors)
+                      eps_grid=_MODE_TOL, sectors=sectors)
 
 
 @dataclass(frozen=True)
@@ -515,7 +509,7 @@ def json_ready(obj):
 
 
 def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
-                    l_max: int = 3, lambda_cut: float = 2.5,
+                    l_max: int | None = None, lambda_cut: float = 2.5,
                     samples_per_half_period: int = 512,
                     functional_tol: float = 1e-8,
                     omega_tol: float = 1e-11,
@@ -531,9 +525,11 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
     strict upper bound; the geodesic closes, |omega(a) - p pi/q| <=
     ``omega_tol``.  The radial spectra come from the analytic chart, so
     no sampled profile is built and ``samples_per_half_period`` is
-    ignored.  One chart serves every l; only the threshold sectors (q at
-    l = 0, p and 2q - p at l = 1) are solved with eigenvectors and
-    sampled, every other sector is solved values-only.
+    ignored.  One chart serves l = 0, 1, 2 (``assemble`` solves any
+    higher l that the cutoff needs, by the floor lambda >= l^2), and
+    ``l_max`` is ignored.  Only the threshold sectors (q at l = 0, p and
+    2q - p at l = 1) are solved with eigenvectors and sampled, every
+    other sector is solved values-only.
     """
     if isinstance(r, tuple):
         r = RotationNumber(*r)
@@ -546,9 +542,9 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
     spectra = {l: solve_radial(sol, None, l, n, chart=chart,
                                sampled_sectors=set().union(
                                    *_threshold_sectors(r, l).values()))
-               for l in range(l_max + 1)}
-    table = assemble(sol, None, l_max=l_max, lambda_cut=lambda_cut,
-                     grid_size=n, spectra=spectra)
+               for l in range(3)}
+    table = assemble(sol, None, lambda_cut=lambda_cut, grid_size=n,
+                     spectra=spectra)
     n2 = weyl_N(table, 2.0)
     n2_expected = expected_n2(r)
 

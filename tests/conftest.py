@@ -43,7 +43,7 @@ class CaseCache:
         key = (pq, doubled)
         if key not in self._tables:
             spectra = {l: self.spectrum(pq, l, doubled=doubled)
-                       for l in range(4)}
+                       for l in range(2)}
             self._tables[key] = assemble(
                 self.solution(pq), None,
                 grid_size=self.grid(pq, doubled), spectra=spectra)

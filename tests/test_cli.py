@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import otsuki_bipolar
+from otsuki_bipolar import spectrum
 from otsuki_bipolar.cli import main
 from otsuki_bipolar.immersion import read_mesh_csv
 
@@ -347,8 +348,6 @@ def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, code, needle", [
-    (["verify", "--p", "3", "--q", "5", "--l-max", "2", "--lambda-cut", "6"],
-     3, "error: InsufficientLMax: "),
     (["solve", "--p", "3", "--q", "5", "--config", "{tmp}/missing.cfg"],
      2, "missing.cfg"),
     (["solve", "--p", "3", "--q", "5", "--out", "{tmp}/no/dir/sol.txt"],
@@ -366,7 +365,7 @@ def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
       "--out", "{tmp}/no/dir/table.csv"], 2, "table.csv"),
     (["solve", "--p", "3", "--q", "5", "--config", "{tmp}/pq.cfg"],
      0, "p, q read by no command; ignored"),
-], ids=["verify-insufficient-l-max", "missing-config", "out-in-missing-dir",
+], ids=["missing-config", "out-in-missing-dir",
         "mesh-out-in-missing-dir", "mesh-log-out-in-missing-dir",
         "spectrum-cut-above-window",
         "table-row-fails", "table-row-fails-out-in-missing-dir",
@@ -382,6 +381,58 @@ def test_failure_exit_codes(argv, code, needle, tmp_path, capsys):
     assert needle in err and len(err.strip().splitlines()) == 1
     if code == 0:
         assert "p = 3\nq = 5\n" in out
+
+
+def test_numerical_failure_exit_code(monkeypatch, capsys):
+    """A radial solve that does not converge within its Fourier-mode cap
+    is exit 3, with one line naming the class."""
+    monkeypatch.setattr(spectrum, "_MAX_MODES", 16)
+    code, _, err = run(["verify", "--p", "9", "--q", "17"], capsys)
+    assert code == 3
+    assert err.startswith("error: ConvergenceFailure: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_l_max_flag_and_key_are_ignored(tmp_path, capsys):
+    """--l-max still parses and changes no output; the config key only
+    draws the unread-key warning."""
+    base = run(["verify", "--p", "3", "--q", "5"], capsys)
+    assert base[0] == 0
+    assert run(["verify", "--p", "3", "--q", "5", "--l-max", "7"],
+               capsys) == base
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("l_max = 1\n")
+    code, out, err = run(["verify", "--p", "3", "--q", "5",
+                          "--config", str(cfg)], capsys)
+    assert (code, out) == base[:2]
+    assert err == f"warning: {cfg}: l_max read by no command; ignored\n"
+
+
+@pytest.mark.parametrize("argv, ls", [
+    (["spectrum", "--p", "3", "--q", "5"], [0, 1]),
+    (["cross-check", "--p", "3", "--q", "5", "--grid-size", "1040",
+      "--oracle-n-alpha", "32", "--oracle-n-t", "200"], [0, 1]),
+    (["spectrum", "--p", "12", "--q", "17", "--lambda-cut", "4.04"],
+     [0, 1, 2]),
+    (["verify", "--p", "3", "--q", "5"], [0, 1, 2]),
+], ids=["spectrum", "cross-check", "spectrum-cut-4.04", "verify"])
+def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
+    """Each command solves each l with l^2 below the cut once, all on one
+    chart; verify adds l = 2 for its ground-state certificates."""
+    solve, seen, charts = spectrum.solve_radial, [], set()
+
+    def spy(sol, profile, l, *args, **kwargs):
+        seen.append(l)
+        charts.add(id(kwargs["chart"]))
+        return solve(sol, profile, l, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_radial", spy)
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert seen == ls and len(charts) == 1
+    if "4.04" in argv:
+        rows = list(csv.DictReader(out.splitlines()[1:]))
+        assert {row["l"] for row in rows} == {"0", "1", "2"}
 
 
 def test_out_file(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from otsuki_bipolar.geodesic import RotationNumber, solve_rotation
+from otsuki_bipolar.geodesic import RotationNumber, _HalfChart, solve_rotation
 from otsuki_bipolar.immersion import (
     area,
     bipolar_wedge,
@@ -146,6 +146,18 @@ def test_wedge_and_torus_evaluate_the_geodesic_once_per_parameter(cases):
                       cn * np.cos(lam), cn * np.sin(lam)], axis=-1)
     assert np.array_equal(bipolar_wedge(prof, alphas[:, None], s), wedge)
     assert np.array_equal(immerse_otsuki(prof, alphas[:, None], s), torus)
+
+
+def test_wedge_and_torus_invert_the_chart_once(cases, monkeypatch):
+    """nu, lambda and their velocities share one inversion s -> chi."""
+    prof, calls = cases.profile((5, 8)), []
+    x_of = _HalfChart.x_of
+    monkeypatch.setattr(_HalfChart, "x_of",
+                        lambda chart, u: calls.append(u) or x_of(chart, u))
+    bipolar_wedge(prof, 0.3, np.linspace(0.0, 1.0, 5))
+    assert len(calls) == 1
+    immerse_otsuki(prof, 0.3, np.linspace(0.0, 1.0, 5))
+    assert len(calls) == 2
 
 
 def test_even_q_double_cover_identity(cases):

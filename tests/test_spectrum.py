@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from otsuki_bipolar.errors import InsufficientLMax, VerificationFailed
+from otsuki_bipolar.errors import VerificationFailed
 from otsuki_bipolar.geodesic import RotationNumber, i2, solve_rotation
 from otsuki_bipolar.immersion import area
 from otsuki_bipolar.spectrum import (
@@ -119,10 +119,18 @@ def test_table_sorted_and_reasons(cases):
     assert "at-threshold-2" in reasons
 
 
-def test_insufficient_l_max(cases):
-    sol, prof = cases.solution((3, 5)), cases.profile((3, 5))
-    with pytest.raises(InsufficientLMax):
-        assemble(sol, prof, l_max=2, lambda_cut=8.0, grid_size=512)
+def test_l_max_is_ignored_and_the_window_bounds_the_cut(cases):
+    """The cutoff alone sets the angular indices: every l_max gives the
+    same table, and a cutoff above the l = 0 window is a ValueError."""
+    sol, n = cases.solution((3, 5)), cases.grid((3, 5))
+    spectra = {l: cases.spectrum((3, 5), l) for l in range(2)}
+    table = assemble(sol, None, grid_size=n, spectra=spectra)
+    for l_max in (0, 2, 7):
+        assert assemble(sol, None, l_max=l_max, grid_size=n,
+                        spectra=spectra) == table
+    with pytest.raises(ValueError, match="radial window at l = 0"):
+        assemble(sol, cases.profile((3, 5)), l_max=2, lambda_cut=8.0,
+                 grid_size=512)
 
 
 def test_lambda_functional_routes(cases):
@@ -263,8 +271,8 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     monkeypatch.setattr(spec_mod, "solve_radial", spy)
     report = verify_theorem3(RotationNumber(*pq))
     p, q = pq
-    threshold = {0: [q], 1: [p, 2 * q - p], 2: [], 3: []}
-    assert sorted(seen) == [0, 1, 2, 3]
+    threshold = {0: [q], 1: [p, 2 * q - p], 2: []}
+    assert sorted(seen) == [0, 1, 2]
     for l, fast in seen.items():
         full = cases.spectrum(pq, l)
         assert fast.eigenvalues.size == full.eigenvalues.size
@@ -316,7 +324,7 @@ def _verify_passes_with_the_closed_form(pq):
     assert report.passed, report.first_failure()
     assert report.n2_computed == expected_n2(RotationNumber(*pq))
     assert report.threshold_multiplicity == 5
-    assert report.eps_grid <= 1e-9
+    assert report.eps_grid == 1e-10     # the stop tolerance of the M-doubling
 
 
 @pytest.mark.parametrize("pq", _reduced_fractions(20)
@@ -331,6 +339,30 @@ def test_verify_sweep_q_up_to_40(pq):
     """All 100 reduced p/q with q <= 40, and 51/101.  Deselected by
     default; run with ``pytest -m sweep`` (~16 s on 2 cores)."""
     _verify_passes_with_the_closed_form(pq)
+
+
+def _ground_levels_clear_the_floor(pq):
+    """Radial eigenvalues at l are at least l^2 min(S/W) = l^2, the floor
+    by which ``assemble`` solves only the l with l^2 below its cutoff."""
+    sol = solve_rotation(RotationNumber(*pq))
+    chart = _RadialChart(sol.b, pq[1])
+    for l in (2, 3):
+        spec = solve_radial(sol, None, l, 8 * pq[1], chart=chart,
+                            sampled_sectors=())
+        assert spec.eigenvalues[0] >= l * l
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (12, 17), (41, 58), (50, 99)])
+def test_ground_levels_clear_the_floor(pq):
+    _ground_levels_clear_the_floor(pq)
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("pq", _reduced_fractions(40)
+                         + [(41, 58), (50, 99), (70, 99), (51, 101)])
+def test_ground_levels_clear_the_floor_sweep(pq):
+    """The 100 reduced p/q with q <= 40, 41/58, 50/99, 70/99 and 51/101."""
+    _ground_levels_clear_the_floor(pq)
 
 
 def test_closed_geodesic_residual_certificate(monkeypatch):
