@@ -109,8 +109,8 @@ def cmd_solve(cfg) -> int:
 def _verify(cfg, p: int, q: int, raise_on_failure: bool):
     """``verify_theorem3`` on p/q with the run's settings and tolerances."""
     return spectrum.verify_theorem3(
-        geodesic.RotationNumber(p, q), grid_size=cfg.grid_size,
-        lambda_cut=cfg.lambda_cut, functional_tol=cfg.functional_agreement,
+        geodesic.RotationNumber(p, q), lambda_cut=cfg.lambda_cut,
+        functional_tol=cfg.functional_agreement,
         omega_tol=cfg.omega_residual,
         raise_on_failure=raise_on_failure)
 
@@ -147,8 +147,7 @@ def _emit_report(cfg, report):
 
 def cmd_spectrum(cfg) -> int:
     sol = _solve(cfg)
-    table = spectrum.assemble(sol, None, lambda_cut=cfg.lambda_cut,
-                              grid_size=cfg.grid_size)
+    table = spectrum.assemble(sol, None, lambda_cut=cfg.lambda_cut)
     n2 = spectrum.weyl_N(table, 2.0)
     header = ("l", "i", "lambda", "multiplicity", "kept", "reason",
               "zero_count", "at_threshold")
@@ -190,8 +189,7 @@ def cmd_table(cfg, pairs) -> int:
 def cmd_cross_check(cfg) -> int:
     sol = _solve(cfg)
     prof = geodesic.profile(sol)
-    table = spectrum.assemble(sol, prof, lambda_cut=cfg.lambda_cut,
-                              grid_size=cfg.grid_size)
+    table = spectrum.assemble(sol, prof, lambda_cut=cfg.lambda_cut)
     fine = oracle.dense_spectrum(
         oracle.TorusGrid(prof, cfg.oracle_n_alpha, cfg.oracle_n_t),
         cfg.lambda_cut)
@@ -266,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_pq:
             sp.add_argument("--p", type=int, required=True)
             sp.add_argument("--q", type=int, required=True)
-        sp.add_argument("--grid-size", type=int, dest="grid_size")
+        sp.add_argument("--grid-size", type=int,
+                        help="ignored: the radial sampling is fixed")
         sp.add_argument("--l-max", type=int,
                         help="ignored: --lambda-cut sets the l solved")
         sp.add_argument("--lambda-cut", type=float, dest="lambda_cut")

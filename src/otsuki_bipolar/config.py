@@ -7,8 +7,9 @@ import typing
 from dataclasses import dataclass, field, fields
 
 # Accepted in config files, but no command reads them (p and q come
-# only from the --p/--q flags; the angular indices from lambda_cut).
-UNREAD_KEYS = ("p", "q", "l_max", "samples_per_half_period",
+# only from the --p/--q flags; the angular indices from lambda_cut; the
+# radial sampling is fixed).
+UNREAD_KEYS = ("p", "q", "l_max", "grid_size", "samples_per_half_period",
                "tol.correspondence", "tol.hausdorff")
 
 
@@ -24,7 +25,6 @@ class RunConfig:
 
     p: int | None = None
     q: int | None = None
-    grid_size: int = 2048
     oracle_n_alpha: int = 96
     oracle_n_t: int = 768
     lambda_cut: float = 2.5

@@ -37,11 +37,13 @@ class ResolutionTooCoarse(NumericalFailure):
 
 
 class IntegrationFailure(NumericalFailure):
-    """An ODE step controller could not meet the requested tolerance."""
+    """Raised by nothing: the charts integrate every rate term-wise, with
+    no ODE step controller.  Kept for callers that catch it."""
 
 
 class ConvergenceFailure(NumericalFailure):
-    """An iterative eigensolver did not converge."""
+    """An iteration did not converge: an eigensolver, a radial solve's
+    mode doubling, or a chart's Newton inversion (``_HalfChart.x_of``)."""
 
 
 class DegenerateGrid(NumericalFailure):

@@ -363,21 +363,22 @@ def _sine_series(coef, k0: float, x):
 
 
 class _HalfChart:
-    """Arc length u and swept angle of a geodesic in a turning-free chart.
-
-    ``rates(x)`` returns du/dx and d(angle)/dx, analytic and even in x
-    with period ``period``; one half-oscillation is x in [0, pi], from a
-    turning point at x = 0.  Each rate is held by its Fourier series
+    """Arc length u, swept angle and further parameters of a geodesic in a
+    turning-free chart: ``rates(x)`` returns du/dx, d(angle)/dx and the
+    rate of each further parameter, analytic and even in x with period
+    ``period``; one half-oscillation is x in [0, pi], from a turning
+    point at x = 0.  Each rate is held by its Fourier series
     f(x) = sum_j f_j e^{2 pi i j x / period} from an FFT of N samples per
     period: N starts at 2048 and doubles until the last coefficient above
-    rounding lies below N/4 (else ResolutionTooCoarse), and the series is
-    cut there.  ``u`` and ``angle`` are the exact term-wise integrals,
-    zero at x = 0; ``x_of`` inverts u by Newton, from a table of u.
+    rounding of every rate lies below N/4 (else ResolutionTooCoarse), and
+    the series are cut there.  ``integral(x, k)`` is the exact term-wise
+    integral of rate k, zero at x = 0; ``u`` and ``angle`` are the first
+    two, and ``x_of`` inverts u by Newton, from a table of u.
     """
 
     def __init__(self, rates, period: float):
         self.period = period
-        self._rates = rates
+        self.rates = rates
         n = _FIRST_SAMPLES
         while True:
             nodes = np.arange(n) * (period / n)
@@ -391,38 +392,41 @@ class _HalfChart:
                     f" {max(cuts)} at {n} samples per period")
             n *= 2
         self._k0 = k0 = 2.0 * math.pi / period
-
-        def integral(f_hat, cut):
-            j = np.arange(1, cut + 1)
-            return f_hat[0], 2.0 * f_hat[j] / (j * k0)
-
-        (self._u0, self._u_coef), (self._a0, self._a_coef) = map(integral, hats, cuts)
-        self.length = math.pi * self._u0
-        self.angle_advance = math.pi * self._a0
+        self._series = [(f_hat[0], 2.0 * f_hat[1:cut + 1]
+                         / (np.arange(1, cut + 1) * k0))
+                        for f_hat, cut in zip(hats, cuts)]
+        self.length, self.angle_advance = (
+            math.pi * f0 for f0, _ in self._series[:2])
         # u on a grid finer than the FFT nodes, by one zero-padded inverse
         # FFT: the table of Newton's first guesses.
+        u0, u_coef = self._series[0]
         fine = _TABLE_REFINEMENT * n
         spectrum = np.zeros(fine // 2 + 1, dtype=complex)
-        spectrum[1:self._u_coef.size + 1] = -0.5j * fine * self._u_coef
+        spectrum[1:u_coef.size + 1] = -0.5j * fine * u_coef
         self._x_table = np.linspace(0.0, period, fine + 1)
-        self._u_table = self._u0 * self._x_table + np.append(
+        self._u_table = u0 * self._x_table + np.append(
             np.fft.irfft(spectrum, fine), 0.0)
 
+    def integral(self, x, k: int):
+        """Integral of rate k from 0 to x."""
+        f0, coef = self._series[k]
+        return f0 * x + _sine_series(coef, self._k0, x)
+
     def u(self, x):
-        return self._u0 * x + _sine_series(self._u_coef, self._k0, x)
+        return self.integral(x, 0)
 
     def angle(self, x):
-        return self._a0 * x + _sine_series(self._a_coef, self._k0, x)
+        return self.integral(x, 1)
 
     def x_of(self, u):
         """Chart value x at arc lengths u (any real u)."""
         u = np.asarray(u, dtype=float)
-        per_period = self._u0 * self.period
+        per_period = self._series[0][0] * self.period
         turns = np.floor(u / per_period)
         tau = u - turns * per_period
         x = np.interp(tau, self._u_table, self._x_table)
         for _ in range(_NEWTON_STEPS):
-            step = (self.u(x) - tau) / self._rates(x)[0]
+            step = (self.u(x) - tau) / self.rates(x)[0]
             x = x - step
             if np.all(np.abs(step) <= 1e-12):   # quadratic: x is now exact
                 break
@@ -439,7 +443,7 @@ class _HalfChart:
         ang = self.angle(x)
         shift = np.arange(halves * per_half // per_period)[:, None]
         return ((x + shift * self.period).ravel(),
-                (ang + shift * (self._a0 * self.period)).ravel())
+                (ang + shift * (self._series[1][0] * self.period)).ravel())
 
 
 def bipolar_chart(b: float) -> _HalfChart:
@@ -456,14 +460,12 @@ def bipolar_chart(b: float) -> _HalfChart:
     return _HalfChart(rates, math.pi)
 
 
-def _sin2_nu(a: float, chi):
-    return math.sin(a) ** 2 + math.cos(2.0 * a) * np.sin(0.5 * chi) ** 2
-
-
 def _torus_chart(a: float) -> _HalfChart:
-    """s and lambda of the torus-side geodesic in its chart
-    cos(2 nu) = cos(2a) cos(chi), with ds/dchi = pi sin(nu) and
-    dlambda/dchi = c / (2 sin(nu) cos^2(nu)); period 2 pi.
+    """s, lambda and the bipolar parameter t of the torus-side geodesic
+    in its chart cos(2 nu) = cos(2a) cos(chi): ds/dchi = pi sin(nu),
+    dlambda/dchi = c / (2 sin(nu) cos^2(nu)) and, as dt/ds =
+    1 + c^2 / sin^4 nu, dt/dchi = pi sin(nu) (1 + c^2 / sin^4 nu); period
+    2 pi.  t = ``integral(chi, 2)`` is zero at chi = 0, nu = a.
 
     sin^2 nu = sin^2 a + cos(2a) sin^2(chi/2) and
     cos^2 nu = sin^2 a + cos(2a) cos^2(chi/2) carry no cancellation at
@@ -473,29 +475,12 @@ def _torus_chart(a: float) -> _HalfChart:
     sa2, cos_2a = math.sin(a) ** 2, math.cos(2.0 * a)
 
     def rates(chi):
-        sin_nu = np.sqrt(_sin2_nu(a, chi))
+        sin2_nu = sa2 + cos_2a * np.sin(0.5 * chi) ** 2
+        sin_nu = np.sqrt(sin2_nu)
         cos2_nu = sa2 + cos_2a * np.cos(0.5 * chi) ** 2
-        return math.pi * sin_nu, c / (2.0 * sin_nu * cos2_nu)
-
-    return _HalfChart(rates, 2.0 * math.pi)
-
-
-def time_change_chart(a: float) -> _HalfChart:
-    """t and s of the torus-side geodesic in its chart
-    cos(2 nu) = cos(2a) cos(chi): ds/dchi = pi sin(nu) and
-    dt/dchi = pi sin(nu) (1 + c^2 / sin^4 nu), since the bipolar
-    parameter runs at dt/ds = 1 + c^2 / sin^4 nu; period 2 pi.
-
-    ``u`` is t measured from the ascending zero of phi, where chi = 0
-    and nu = a, and ``angle`` is s, so s(t) = angle(x_of(t - t_start)).
-    sin^2 nu >= sin^2 a > 0 keeps both rates analytic.
-    """
-    c2 = (math.sin(a) * math.cos(a)) ** 2
-
-    def rates(chi):
-        sin2_nu = _sin2_nu(a, chi)
-        ds = math.pi * np.sqrt(sin2_nu)
-        return ds * (1.0 + c2 / sin2_nu ** 2), ds
+        ds = math.pi * sin_nu
+        return (ds, c / (2.0 * sin_nu * cos2_nu),
+                ds * (1.0 + c ** 2 / sin2_nu ** 2))
 
     return _HalfChart(rates, 2.0 * math.pi)
 
@@ -513,7 +498,8 @@ class GeodesicProfile:
     for any parameter value, with velocities from the first integrals of
     the geodesic flow rather than numerical differentiation.  Every value
     comes from the Fourier series of the two charts (``bipolar_chart``,
-    sin(phi) = sin(b) cos(x); the torus chart, cos(2 nu) = cos(2a) cos(chi)),
+    sin(phi) = sin(b) cos(x); ``torus_chart``, cos(2 nu) = cos(2a) cos(chi),
+    which also carries the bipolar parameter t as its third integral),
     which are exact to rounding; the profile raises ResolutionTooCoarse
     when the charts do not close the geodesic to 1e-10 or do not
     reproduce the quadrature periods t0 and s_total to 1e-10 relative.
@@ -534,12 +520,12 @@ class GeodesicProfile:
         r = solution.rotation
         q = r.q
         self._bip = bipolar_chart(solution.b)
-        self._tor = _torus_chart(solution.a)
+        self.torus_chart = _torus_chart(solution.a)
 
         self.t_half = self._bip.length
-        self.s_half = self._tor.length
+        self.s_half = self.torus_chart.length
         self.xi_half = self._bip.angle_advance
-        self.omega_half = self._tor.angle_advance
+        self.omega_half = self.torus_chart.angle_advance
         self.t0 = 2 * q * self.t_half
         self.s_total = 2 * q * self.s_half
 
@@ -557,7 +543,7 @@ class GeodesicProfile:
         x, self.theta = self._bip.samples(m, 2 * q)
         self.phi = self._phi_of_x(x)
         self.s_grid = np.arange(n) * (self.s_total / n)
-        chi, self.lambda_angle = self._tor.samples(m, 2 * q)
+        chi, self.lambda_angle = self.torus_chart.samples(m, 2 * q)
         self.nu = _nu_of_chi(solution.a, chi)
 
         self.unit_speed_residual = self._unit_speed_residual()
@@ -596,22 +582,24 @@ class GeodesicProfile:
     # -- torus side ----------------------------------------------------
 
     def torus_at(self, s):
-        """nu, lambda and their velocities at s, from one inversion of the
-        chart; d nu/ds = (d nu/dchi) / (ds/dchi)."""
+        """nu, lambda and their velocities at s, from one inversion of s."""
+        return self.torus_at_chi(self.torus_chart.x_of(s))
+
+    def torus_at_chi(self, chi):
+        """``torus_at`` at chart values chi; d nu/ds = (d nu/dchi) / (ds/dchi)."""
         a = self.solution.a
-        chi = self._tor.x_of(s)
         nu = _nu_of_chi(a, chi)
         sn = np.sin(nu)
-        return (nu, self._tor.angle(chi),
+        return (nu, self.torus_chart.angle(chi),
                 math.cos(2.0 * a) * np.sin(chi)
                 / (2.0 * math.pi * sn * np.sin(2.0 * nu)),
                 self.solution.c / (2.0 * math.pi * np.cos(nu) ** 2 * sn ** 2))
 
     def nu_at(self, s):
-        return _value(_nu_of_chi(self.solution.a, self._tor.x_of(s)))
+        return _value(_nu_of_chi(self.solution.a, self.torus_chart.x_of(s)))
 
     def lambda_at(self, s):
-        return _value(self._tor.angle(self._tor.x_of(s)))
+        return _value(self.torus_chart.angle(self.torus_chart.x_of(s)))
 
     def nu_dot_at(self, s):
         return _value(self.torus_at(s)[2])

@@ -16,10 +16,10 @@ Three parametrized maps share one geodesic profile:
 The wedge and the direct chart trace the same surface; matching their
 coordinates shows the wedge's five nonzero coordinates are (x, z, y, u, v)
 of the direct chart evaluated on a reparametrized and phase-rotated
-geodesic.  ``verify_bipolar_correspondence`` takes the time change
-between the two natural parameters from the torus chart, checks the
-pointwise transfer identities, and compares the two sampled images as
-point sets.
+geodesic.  ``verify_bipolar_correspondence`` samples both on one grid
+of the torus chart, which carries the time change between the two
+natural parameters, checks the pointwise transfer identities, and
+compares the two sampled images as point sets.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geodesic import GeodesicProfile, OtsukiSolution, time_change_chart
+from .geodesic import GeodesicProfile, OtsukiSolution
 
 _TWO_PI = 2.0 * math.pi
 _CSV_COLUMNS = ["alpha", "t", "x", "y", "z", "u", "v"]
@@ -61,7 +61,10 @@ def bipolar_wedge(profile: GeodesicProfile, alpha, s) -> np.ndarray:
     turning points of nu.  The geodesic is evaluated on s as given and
     broadcast against alpha afterwards.
     """
-    nu, lam, nu_dot, lam_dot = profile.torus_at(np.asarray(s, float))
+    return _wedge(alpha, *profile.torus_at(np.asarray(s, float)))
+
+
+def _wedge(alpha, nu, lam, nu_dot, lam_dot) -> np.ndarray:
     sn, cn = np.sin(nu), np.cos(nu)
     sl, cl = np.sin(lam), np.cos(lam)
     a_comp = lam_dot * cl * cn - nu_dot * sl * sn
@@ -156,30 +159,35 @@ def verify_bipolar_correspondence(sol: OtsukiSolution, tol: float = 1e-6,
                                   samples_per_half: int = 12) -> CorrespondenceReport:
     """Check that the wedge and the direct chart trace the same surface.
 
-    The torus parameter s(t) comes from ``geodesic.time_change_chart``,
-    anchored at the ascending zero of phi, t_start = -t_half/2, where
-    s = 0 and nu = a.  The wedge runs the swept angle backward (it
-    crosses phi = 0 upward at swept angle pi/2, decreasing), so the
-    direct chart is aligned by theta -> (pi/2 - xi/2) - theta.  Both are
-    sampled on one (alpha, t) grid.  Its alpha = 0 row gives the
-    transfer residual sin(phi) - 2 pi nu' cos(nu) sin(nu) and the angle
-    residuals of cos(phi) sin(theta) and cos(phi) cos(theta); the whole
-    grid gives the point-set (nearest-neighbour Hausdorff) distance.
+    Both are sampled on ``samples_per_half`` steps of chi per
+    half-oscillation of the torus chart, at t = t_start + t(chi) from
+    its third integral, anchored at the ascending zero of phi,
+    t_start = -t_half/2, where chi = 0 and nu = a.  Only t is inverted;
+    the wedge takes nu and lambda at chi.  The wedge runs the swept angle
+    backward (it crosses phi = 0 upward at swept angle pi/2, decreasing),
+    so the direct chart is aligned by theta -> (pi/2 - xi/2) - theta.
+    The alpha = 0 row gives the transfer residual sin(phi) - 2 pi nu'
+    cos(nu) sin(nu) and the angle residuals of cos(phi) sin(theta) and
+    cos(phi) cos(theta); the whole grid gives the point-set
+    (nearest-neighbour Hausdorff) distance.  The closure takes one Newton
+    step in t from chi = 2 q pi.
     """
     prof = profile if profile is not None else GeodesicProfile(sol)
-    chart = time_change_chart(sol.a)
+    chart = prof.torus_chart
     t_start = -0.5 * prof.t_half
-    ts = np.linspace(t_start, t_start + prof.t0,
-                     2 * sol.rotation.q * samples_per_half, endpoint=False)
-    s = chart.angle(chart.x_of(ts - t_start))
-    closure = abs(float(chart.angle(chart.x_of(prof.t0))) - prof.s_total)
+    chi = np.arange(2 * sol.rotation.q * samples_per_half) * (
+        math.pi / samples_per_half)
+    ts = t_start + chart.integral(chi, 2)
+    chi_end = 2 * sol.rotation.q * math.pi
+    chi_end -= (chart.integral(chi_end, 2) - prof.t0) / chart.rates(chi_end)[2]
+    closure = abs(float(chart.u(chi_end)) - prof.s_total)
 
     theta_offset = 0.5 * math.pi - 0.5 * prof.xi_half
     alphas = np.linspace(0.0, _TWO_PI, n_alpha, endpoint=False)[:, None]
     direct = _bipolar_point(alphas, prof.phi_at(ts),
                             theta_offset - prof.theta_at(ts))
     # wedge coordinates 2..6 are (x, z, y, u, v) of the direct chart
-    wedge = bipolar_wedge(prof, alphas, s)[..., [1, 3, 2, 4, 5]]
+    wedge = _wedge(alphas, *prof.torus_at_chi(chi))[..., [1, 3, 2, 4, 5]]
     gap = np.abs(direct[0] - wedge[0])
     transfer_residual = float(np.max(gap[:, 4]))
     angle_residual = float(np.max(gap[:, [0, 2]]))

@@ -162,7 +162,7 @@ def _pin_threshold_modes(r: RotationNumber, l: int,
 
 def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
              l_max: int | None = None, lambda_cut: float = 2.5,
-             grid_size: int = 2048,
+             grid_size: int | None = None,
              spectra: dict[int, SLSpectrum] | None = None) -> ModeTable:
     """Collect all Laplace modes with eigenvalue below ``lambda_cut``.
 
@@ -176,12 +176,13 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
     carry ``sectors``.  Raises ValueError if a radial window ends below
     the cutoff (``solve_radial``'s reaches 4), so no mode below it is
     dropped.  For even q the filter keeps the modes of Bloch sectors
-    k = l (mod 2).  ``profile`` and ``l_max`` are ignored.
+    k = l (mod 2).  Rows are sampled on ``pipeline_grid_size(2048, q)``
+    points; ``profile``, ``l_max`` and ``grid_size`` are ignored.
     """
     if not lambda_cut >= 2.0:
         raise ValueError("lambda_cut must be at least 2")
     r = sol.rotation
-    n = pipeline_grid_size(grid_size, r.q)
+    n = pipeline_grid_size(_SAMPLE_GRID, r.q)
     spectra = dict(spectra or {})
     chart = None
 
@@ -230,6 +231,7 @@ _FFT_POINTS = 2048      # coefficient samples per half-oscillation x in [0, pi)
 _FIRST_MODES = 8        # M of the first solve; each sector has 2M + 1 modes
 _MAX_MODES = 256        # lags up to 2M stay below _FFT_POINTS / 2
 _MODE_TOL = 1e-10       # M-versus-M/2 change that stops the doubling
+_SAMPLE_GRID = 2048     # t-grid of assemble's rows, before pipeline_grid_size
 
 
 class _RadialChart:
@@ -508,7 +510,7 @@ def json_ready(obj):
     return obj
 
 
-def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
+def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
                     l_max: int | None = None, lambda_cut: float = 2.5,
                     samples_per_half_period: int = 512,
                     functional_tol: float = 1e-8,
@@ -529,12 +531,12 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
     higher l that the cutoff needs, by the floor lambda >= l^2), and
     ``l_max`` is ignored.  Only the threshold sectors (q at l = 0, p and
     2q - p at l = 1) are solved with eigenvectors and sampled, every
-    other sector is solved values-only.
+    other sector is solved values-only; ``grid_size`` is ignored.
     """
     if isinstance(r, tuple):
         r = RotationNumber(*r)
     sol = solve_rotation(r)
-    n = pipeline_grid_size(grid_size, r.q)
+    n = pipeline_grid_size(_SAMPLE_GRID, r.q)
 
     # Eigenvectors only for the threshold sectors, whose rows the zero-count
     # certificates read; every other sector is solved values-only.
@@ -543,8 +545,7 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int = 2048,
                                sampled_sectors=set().union(
                                    *_threshold_sectors(r, l).values()))
                for l in range(3)}
-    table = assemble(sol, None, lambda_cut=lambda_cut, grid_size=n,
-                     spectra=spectra)
+    table = assemble(sol, None, lambda_cut=lambda_cut, spectra=spectra)
     n2 = weyl_N(table, 2.0)
     n2_expected = expected_n2(r)
 

@@ -270,7 +270,7 @@ def test_every_command_prints_every_format(command, fmt, tmp_path, capsys):
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\ngrid_size = 1040\nlambda_cut = 2.4\n"
+    cfg.write_text("# comment\nlambda_cut = 2.4\n"
                    "tol.functional_agreement = 1e-7\n")
     code, out, _ = run(["verify", "--p", "3", "--q", "5",
                         "--config", str(cfg), "--format", "json"], capsys)
@@ -336,7 +336,7 @@ def test_config_file_rejects_unknown_tolerance_key(tmp_path, capsys):
     assert "unknown key" in err and f"{cfg}:2" in err
 
 
-@pytest.mark.parametrize("line", ["grid_size = 1e3", "lambda_cut = two",
+@pytest.mark.parametrize("line", ["n_t = 1e3", "lambda_cut = two",
                                   "tol.omega_residual = tiny"])
 def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
@@ -406,6 +406,22 @@ def test_l_max_flag_and_key_are_ignored(tmp_path, capsys):
                           "--config", str(cfg)], capsys)
     assert (code, out) == base[:2]
     assert err == f"warning: {cfg}: l_max read by no command; ignored\n"
+
+
+def test_grid_size_flag_and_key_are_ignored(tmp_path, capsys):
+    """--grid-size still parses, even at 0, and changes no output; the
+    config key only draws the unread-key warning."""
+    for command in ("verify", "spectrum"):
+        argv = [command, "--p", "3", "--q", "5", "--format", "json"]
+        base = run(argv, capsys)
+        assert base[0] == 0
+        for size in ("0", "8", "8192"):
+            assert run(argv + ["--grid-size", size], capsys) == base
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_size = 4096\n")
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
+    assert (code, out) == base[:2]
+    assert err == f"warning: {cfg}: grid_size read by no command; ignored\n"
 
 
 @pytest.mark.parametrize("argv, ls", [

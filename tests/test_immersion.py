@@ -100,29 +100,49 @@ def test_area(cases):
     assert area(sol_even) == pytest.approx(sol_even.t0 / 2.0)
 
 
-@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8), (26, 51)])
 def test_bipolar_correspondence(pq, cases):
     """The time change from the torus chart is exact to rounding, so
-    every residual and the closure over one period sit near 1e-14."""
+    every residual and the closure over one period sit near 1e-14 at 3/5
+    and 5/8.  At 26/51 (a ~ 0.0055) the residuals stay below 1e-10,
+    because the wedge takes nu and lambda at the chart's own chi and no
+    inversion of s loses digits near the turning points."""
+    tol = 1e-10 if pq == (26, 51) else 1e-12
     rep = verify_bipolar_correspondence(cases.solution(pq), 1e-6,
                                         profile=cases.profile(pq))
     assert rep.passed
-    assert rep.transfer_residual <= 1e-12
-    assert rep.angle_residual <= 1e-12
-    assert rep.hausdorff_distance <= 1e-12
+    assert rep.transfer_residual <= tol
+    assert rep.angle_residual <= tol
+    assert rep.hausdorff_distance <= tol
     assert rep.period_closure_error <= 1e-12
 
 
 @pytest.mark.sweep
-@pytest.mark.parametrize("pq", [
-    (p, q) for q in range(3, 41) for p in range(1, q)
-    if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q] + [(51, 101)])
-def test_bipolar_correspondence_sweep_q_up_to_40(pq):
-    """All 100 reduced p/q with q <= 40, and 51/101, down to a ~ 0.003."""
+@pytest.mark.parametrize("pq, tol, closure", [
+    ((p, q), 1e-10, 1e-12) for q in range(3, 41) for p in range(1, q)
+    if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q] + [
+    ((51, 101), 1e-10, 1e-12), ((101, 201), 2e-9, 5e-12),
+    ((201, 401), 2e-9, 5e-12)])
+def test_bipolar_correspondence_sweep_q_up_to_40(pq, tol, closure):
+    """All 100 reduced p/q with q <= 40, 51/101, 101/201 and 201/401,
+    down to a ~ 5e-4."""
     sol = solve_rotation(RotationNumber(*pq))
     rep = verify_bipolar_correspondence(sol, 1e-6)
     assert rep.passed, rep
-    assert rep.period_closure_error <= 1e-12
+    assert max(rep.transfer_residual, rep.angle_residual,
+               rep.hausdorff_distance) <= tol, rep
+    assert rep.period_closure_error <= closure, rep
+
+
+def test_correspondence_inverts_no_torus_series(cases, monkeypatch):
+    """Only the bipolar chart is inverted over the sample grid: t, nu,
+    lambda and their velocities come from the torus chart at chi."""
+    sol, prof = cases.solution((5, 8)), cases.profile((5, 8))
+    charts, x_of = [], _HalfChart.x_of
+    monkeypatch.setattr(_HalfChart, "x_of",
+                        lambda chart, u: charts.append(chart) or x_of(chart, u))
+    assert verify_bipolar_correspondence(sol, profile=prof).passed
+    assert charts and prof.torus_chart not in charts
 
 
 def test_wedge_and_torus_evaluate_the_geodesic_once_per_parameter(cases):

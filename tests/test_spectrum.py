@@ -182,11 +182,12 @@ def test_report_json_rounds_to_15_digits_and_nulls_nan():
     assert "NaN" not in report.to_json()
 
 
-def test_counting_survives_very_coarse_grids():
-    # the grid only sets the sampling of the Bloch solve, so even an
-    # 80-point radial grid reproduces the count for (3, 5)
+def test_verify_theorem3_ignores_grid_size():
+    """The radial rows are always sampled at pipeline_grid_size(2048, q),
+    so a coarse grid_size gives the default report."""
     report = verify_theorem3(RotationNumber(3, 5), grid_size=64,
                              raise_on_failure=False)
+    assert report == verify_theorem3(RotationNumber(3, 5))
     assert report.passed and report.n2_computed == 20
 
 

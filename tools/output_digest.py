@@ -10,7 +10,8 @@ this file and prints one ``sha256 command input`` line per output:
   * ``cross-check --format json`` at the default oracle grid with q <= 20;
   * ``solve`` in every format, ``verify`` and ``spectrum`` in csv and
     text, and both in json at ``--lambda-cut 4.04`` (which admits the
-    l = 2 modes), with q <= 20;
+    l = 2 modes) and at ``--grid-size 8`` (which changes no output),
+    with q <= 20;
   * ``cross-check`` in csv and text at a 32x128 oracle grid with q <= 8;
   * the empty ``table --pairs ,`` in every format;
   * export-mesh's stdout: the ``wrote`` line of each mesh run above
@@ -27,7 +28,7 @@ listings are identical:
     diff before.txt after.txt
 
 BLAS runs on one thread, so a listing does not depend on the core count.
-The 646 lines take about a minute on a 2-core host.
+The 700 lines take about a minute on a 2-core host.
 """
 
 from __future__ import annotations
@@ -96,6 +97,9 @@ def runs():
         for command in ("verify", "spectrum"):
             yield (f"{command}-cut-4.04", f"{p}/{q}",
                    [command, *pq, "--format", "json", "--lambda-cut", "4.04"],
+                   None)
+            yield (f"{command}-grid-size-8", f"{p}/{q}",
+                   [command, *pq, "--format", "json", "--grid-size", "8"],
                    None)
         for fmt in ("json", "csv"):
             yield (f"export-mesh-summary-{fmt}", f"{p}/{q}",
