@@ -46,6 +46,8 @@ class RunConfig:
             raise ValueError("lambda_cut must exceed 2")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        if self.mesh_format not in ("csv", "obj"):
+            raise ValueError(f"unknown mesh format {self.mesh_format!r}")
 
 
 _TYPES = typing.get_type_hints(RunConfig)

@@ -102,11 +102,6 @@ class OtsukiSolution:
         return self.s_total / (2 * self.rotation.q)
 
 
-def _nu_of_chi(a: float, chi):
-    """Turning-free chart of the nu half-oscillation: cos(2 nu) = cos(2a) cos(chi)."""
-    return 0.5 * np.arccos(np.clip(math.cos(2.0 * a) * np.cos(chi), -1.0, 1.0))
-
-
 # The scalar forms below serve the ``quad`` integrands, where numpy calls on
 # 0-d values cost ~15 us each.  They keep np.arccos and np.arcsin: math.acos
 # and math.asin differ from them in the last bit on some inputs, while
@@ -363,8 +358,9 @@ def _sine_series(coef, k0: float, x):
 
 
 class _HalfChart:
-    """Arc length u, swept angle and further parameters of a geodesic in a
-    turning-free chart: ``rates(x)`` returns du/dx, d(angle)/dx and the
+    """A geodesic in a turning-free chart x: ``coordinate(x)`` returns its
+    closed-form coordinate and the x-derivative; ``rates(x)`` returns
+    du/dx of the arc length u, d(angle)/dx of the swept angle and the
     rate of each further parameter, analytic and even in x with period
     ``period``; one half-oscillation is x in [0, pi], from a turning
     point at x = 0.  Each rate is held by its Fourier series
@@ -373,11 +369,13 @@ class _HalfChart:
     rounding of every rate lies below N/4 (else ResolutionTooCoarse), and
     the series are cut there.  ``integral(x, k)`` is the exact term-wise
     integral of rate k, zero at x = 0; ``u`` and ``angle`` are the first
-    two, and ``x_of`` inverts u by Newton, from a table of u.
+    two, and ``x_of`` inverts u by Newton, from a table of u.  ``at(x)``
+    adds their velocities per unit u: each x-derivative over du/dx.
     """
 
-    def __init__(self, rates, period: float):
+    def __init__(self, coordinate, rates, period: float):
         self.period = period
+        self.coordinate = coordinate
         self.rates = rates
         n = _FIRST_SAMPLES
         while True:
@@ -418,6 +416,12 @@ class _HalfChart:
     def angle(self, x):
         return self.integral(x, 1)
 
+    def at(self, x):
+        """Coordinate, angle and their velocities per unit u at x."""
+        coord, dcoord = self.coordinate(x)
+        du, dangle = self.rates(x)[:2]
+        return coord, self.angle(x), dcoord / du, dangle / du
+
     def x_of(self, u):
         """Chart value x at arc lengths u (any real u)."""
         u = np.asarray(u, dtype=float)
@@ -447,22 +451,27 @@ class _HalfChart:
 
 
 def bipolar_chart(b: float) -> _HalfChart:
-    """t and theta of the bipolar geodesic in its chart
-    sin(phi) = sin(b) cos(x), with dt/dx = W and
+    """phi = arcsin(sin(b) cos(x)), t and theta of the bipolar geodesic in
+    its chart x: d phi/dx = -sin(b) sin(x) / cos(phi), dt/dx = W and
     dtheta/dx = W dtheta/dt = W cos^2 b / (2 pi cos^4 phi); period pi."""
     sb, cb2 = math.sin(b), math.cos(b) ** 2
+
+    def coordinate(x):
+        phi = np.arcsin(sb * np.cos(x))
+        return phi, -sb * np.sin(x) / np.cos(phi)
 
     def rates(x):
         w = radial_coefficients(b, x)[2]
         cos2 = 1.0 - (sb * np.cos(x)) ** 2
         return w, cb2 * w / (2.0 * math.pi * cos2 ** 2)
 
-    return _HalfChart(rates, math.pi)
+    return _HalfChart(coordinate, rates, math.pi)
 
 
 def _torus_chart(a: float) -> _HalfChart:
-    """s, lambda and the bipolar parameter t of the torus-side geodesic
-    in its chart cos(2 nu) = cos(2a) cos(chi): ds/dchi = pi sin(nu),
+    """nu = arccos(cos(2a) cos(chi)) / 2, s, lambda and the bipolar
+    parameter t of the torus-side geodesic in its chart chi: d nu/dchi =
+    cos(2a) sin(chi) / (2 sin(2 nu)), ds/dchi = pi sin(nu),
     dlambda/dchi = c / (2 sin(nu) cos^2(nu)) and, as dt/ds =
     1 + c^2 / sin^4 nu, dt/dchi = pi sin(nu) (1 + c^2 / sin^4 nu); period
     2 pi.  t = ``integral(chi, 2)`` is zero at chi = 0, nu = a.
@@ -474,6 +483,10 @@ def _torus_chart(a: float) -> _HalfChart:
     c = math.sin(a) * math.cos(a)
     sa2, cos_2a = math.sin(a) ** 2, math.cos(2.0 * a)
 
+    def coordinate(chi):
+        nu = 0.5 * np.arccos(np.clip(cos_2a * np.cos(chi), -1.0, 1.0))
+        return nu, cos_2a * np.sin(chi) / (2.0 * np.sin(2.0 * nu))
+
     def rates(chi):
         sin2_nu = sa2 + cos_2a * np.sin(0.5 * chi) ** 2
         sin_nu = np.sqrt(sin2_nu)
@@ -482,7 +495,7 @@ def _torus_chart(a: float) -> _HalfChart:
         return (ds, c / (2.0 * sin_nu * cos2_nu),
                 ds * (1.0 + c ** 2 / sin2_nu ** 2))
 
-    return _HalfChart(rates, 2.0 * math.pi)
+    return _HalfChart(coordinate, rates, 2.0 * math.pi)
 
 
 def _value(out):
@@ -494,17 +507,20 @@ class GeodesicProfile:
 
     Exposes uniform samples over one full period (attributes ``t_grid``,
     ``phi``, ``theta`` on the bipolar side; ``s_grid``, ``nu``,
-    ``lambda_angle`` on the torus side) plus vectorized evaluators valid
-    for any parameter value, with velocities from the first integrals of
-    the geodesic flow rather than numerical differentiation.  Every value
-    comes from the Fourier series of the two charts (``bipolar_chart``,
+    ``lambda_angle`` on the torus side) and one evaluator per side,
+    ``bipolar_at(t)`` and ``torus_at(s)``, each of which inverts its
+    parameter once and returns the coordinate, the angle and their
+    velocities; ``*_dot_at`` are projections of them, and ``phi_at``,
+    ``theta_at``, ``nu_at`` and ``lambda_at`` read the same chart values.
+    Every value comes from the two charts (``bipolar_chart``,
     sin(phi) = sin(b) cos(x); ``torus_chart``, cos(2 nu) = cos(2a) cos(chi),
     which also carries the bipolar parameter t as its third integral),
-    which are exact to rounding; the profile raises ResolutionTooCoarse
+    which are exact to rounding and take velocities from the first
+    integrals of the geodesic flow; the profile raises ResolutionTooCoarse
     when the charts do not close the geodesic to 1e-10 or do not
     reproduce the quadrature periods t0 and s_total to 1e-10 relative.
-    ``unit_speed_residual`` is a finite-difference diagnostic of the
-    samples only.  ``table_panels`` is accepted and ignored.
+    ``unit_speed_residual`` is max |4 pi^2 cos^2 phi (phi'^2 +
+    theta'^2 cos^2 phi) - 1| over the samples.  ``table_panels`` is ignored.
 
     The phase convention puts t = 0 at a turning point with
     phi(0) = b, theta(0) = 0 (phi decreasing), and s = 0 at nu(0) = a,
@@ -541,20 +557,25 @@ class GeodesicProfile:
         n = 2 * q * m
         self.t_grid = np.arange(n) * (self.t0 / n)
         x, self.theta = self._bip.samples(m, 2 * q)
-        self.phi = self._phi_of_x(x)
+        self.phi = self._bip.coordinate(x)[0]
         self.s_grid = np.arange(n) * (self.s_total / n)
         chi, self.lambda_angle = self.torus_chart.samples(m, 2 * q)
-        self.nu = _nu_of_chi(solution.a, chi)
+        self.nu = self.torus_chart.coordinate(chi)[0]
 
-        self.unit_speed_residual = self._unit_speed_residual()
+        # The speed identity is pi-periodic in x: one half-oscillation holds it.
+        phi, _, phi_dot, theta_dot = self._bip.at(x[:m])
+        c2 = np.cos(phi) ** 2
+        self.unit_speed_residual = float(np.max(np.abs(
+            4.0 * math.pi ** 2 * c2 * (phi_dot ** 2 + theta_dot ** 2 * c2) - 1.0)))
 
     # -- bipolar side -------------------------------------------------
 
-    def _phi_of_x(self, x):
-        return np.arcsin(math.sin(self.solution.b) * np.cos(x))
+    def bipolar_at(self, t):
+        """phi, theta and their velocities at t, from one inversion of t."""
+        return self._bip.at(self._bip.x_of(t))
 
     def phi_at(self, t):
-        return _value(self._phi_of_x(self._bip.x_of(t)))
+        return _value(self._bip.coordinate(self._bip.x_of(t))[0])
 
     def theta_at(self, t):
         return _value(self._bip.angle(self._bip.x_of(t)))
@@ -568,35 +589,26 @@ class GeodesicProfile:
         return _value(self._bip.u(np.asarray(x, dtype=float)))
 
     def phi_dot_at(self, t):
-        """Velocity d phi/dt = (d phi/dx) / W in the chart."""
-        b = self.solution.b
-        x = self._bip.x_of(t)
-        w = radial_coefficients(b, x)[2]
-        return _value(-math.sin(b) * np.sin(x) / (np.cos(self._phi_of_x(x)) * w))
+        return _value(self.bipolar_at(t)[2])
 
     def theta_dot_at(self, t):
-        phi = np.asarray(self.phi_at(t))
-        out = math.cos(self.solution.b) ** 2 / (2.0 * math.pi * np.cos(phi) ** 4)
-        return _value(out)
+        return _value(self.bipolar_at(t)[3])
+
+    def cos2_phi_at(self, t):
+        return _value(np.cos(np.asarray(self.phi_at(t))) ** 2)
 
     # -- torus side ----------------------------------------------------
 
     def torus_at(self, s):
         """nu, lambda and their velocities at s, from one inversion of s."""
-        return self.torus_at_chi(self.torus_chart.x_of(s))
+        return self.torus_chart.at(self.torus_chart.x_of(s))
 
     def torus_at_chi(self, chi):
-        """``torus_at`` at chart values chi; d nu/ds = (d nu/dchi) / (ds/dchi)."""
-        a = self.solution.a
-        nu = _nu_of_chi(a, chi)
-        sn = np.sin(nu)
-        return (nu, self.torus_chart.angle(chi),
-                math.cos(2.0 * a) * np.sin(chi)
-                / (2.0 * math.pi * sn * np.sin(2.0 * nu)),
-                self.solution.c / (2.0 * math.pi * np.cos(nu) ** 2 * sn ** 2))
+        """``torus_at`` at chart values chi."""
+        return self.torus_chart.at(chi)
 
     def nu_at(self, s):
-        return _value(_nu_of_chi(self.solution.a, self.torus_chart.x_of(s)))
+        return _value(self.torus_chart.coordinate(self.torus_chart.x_of(s))[0])
 
     def lambda_at(self, s):
         return _value(self.torus_chart.angle(self.torus_chart.x_of(s)))
@@ -606,37 +618,6 @@ class GeodesicProfile:
 
     def lambda_dot_at(self, s):
         return _value(self.torus_at(s)[3])
-
-    # -- diagnostics ----------------------------------------------------
-
-    def _unit_speed_residual(self) -> float:
-        """Max deviation of the finite-differenced speed from 1.
-
-        Uses 6th-order centered differences of the sampled phi, theta
-        (the closed-form velocities satisfy the speed identity exactly).
-        A diagnostic of the sampling only: at few samples per
-        half-oscillation the differences, not the charts, miss the speed
-        near the turning points.
-        """
-        n = self.t_grid.size
-        h = self.t0 / n
-
-        def d6(f):
-            return (np.roll(f, -3) - 9 * np.roll(f, -2) + 45 * np.roll(f, -1)
-                    - 45 * np.roll(f, 1) + 9 * np.roll(f, 2)
-                    - np.roll(f, 3)) / (60.0 * h)
-
-        # theta is periodic only after removing its winding part.
-        slope = 2 * self.solution.rotation.p * math.pi / self.t0
-        dphi = d6(self.phi)
-        dth = slope + d6(self.theta - slope * self.t_grid)
-        c2 = np.cos(self.phi) ** 2
-        speed = 4.0 * math.pi ** 2 * c2 * (dphi ** 2 + dth ** 2 * c2)
-        return float(np.max(np.abs(speed - 1.0)))
-
-    def cos2_phi_at(self, t):
-        phi = np.asarray(self.phi_at(t))
-        return _value(np.cos(phi) ** 2)
 
 
 def profile(sol: OtsukiSolution, samples_per_half_period: int = 512) -> GeodesicProfile:

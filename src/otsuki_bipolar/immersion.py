@@ -88,8 +88,7 @@ def immerse_bipolar(profile: GeodesicProfile, alpha, t) -> np.ndarray:
     on t as given and broadcast against alpha afterwards: a row of t
     under a column of alpha costs one evaluation per t.
     """
-    t = np.asarray(t, float)
-    return _bipolar_point(alpha, profile.phi_at(t), profile.theta_at(t))
+    return _bipolar_point(alpha, *profile.bipolar_at(np.asarray(t, float))[:2])
 
 
 def _bipolar_point(alpha, phi, theta) -> np.ndarray:
@@ -162,10 +161,11 @@ def verify_bipolar_correspondence(sol: OtsukiSolution, tol: float = 1e-6,
     Both are sampled on ``samples_per_half`` steps of chi per
     half-oscillation of the torus chart, at t = t_start + t(chi) from
     its third integral, anchored at the ascending zero of phi,
-    t_start = -t_half/2, where chi = 0 and nu = a.  Only t is inverted;
-    the wedge takes nu and lambda at chi.  The wedge runs the swept angle
-    backward (it crosses phi = 0 upward at swept angle pi/2, decreasing),
-    so the direct chart is aligned by theta -> (pi/2 - xi/2) - theta.
+    t_start = -t_half/2, where chi = 0 and nu = a.  Only t is inverted,
+    once; the wedge takes nu, lambda and their velocities at chi.  The
+    wedge runs the swept angle backward (it crosses phi = 0 upward at
+    swept angle pi/2, decreasing), so the direct chart is aligned by
+    theta -> (pi/2 - xi/2) - theta.
     The alpha = 0 row gives the transfer residual sin(phi) - 2 pi nu'
     cos(nu) sin(nu) and the angle residuals of cos(phi) sin(theta) and
     cos(phi) cos(theta); the whole grid gives the point-set
@@ -184,10 +184,10 @@ def verify_bipolar_correspondence(sol: OtsukiSolution, tol: float = 1e-6,
 
     theta_offset = 0.5 * math.pi - 0.5 * prof.xi_half
     alphas = np.linspace(0.0, _TWO_PI, n_alpha, endpoint=False)[:, None]
-    direct = _bipolar_point(alphas, prof.phi_at(ts),
-                            theta_offset - prof.theta_at(ts))
+    phi, theta = prof.bipolar_at(ts)[:2]
+    direct = _bipolar_point(alphas, phi, theta_offset - theta)
     # wedge coordinates 2..6 are (x, z, y, u, v) of the direct chart
-    wedge = _wedge(alphas, *prof.torus_at_chi(chi))[..., [1, 3, 2, 4, 5]]
+    wedge = _wedge(alphas, *chart.at(chi))[..., [1, 3, 2, 4, 5]]
     gap = np.abs(direct[0] - wedge[0])
     transfer_residual = float(np.max(gap[:, 4]))
     angle_residual = float(np.max(gap[:, [0, 2]]))

@@ -232,6 +232,9 @@ _FIRST_MODES = 8        # M of the first solve; each sector has 2M + 1 modes
 _MAX_MODES = 256        # lags up to 2M stay below _FFT_POINTS / 2
 _MODE_TOL = 1e-10       # M-versus-M/2 change that stops the doubling
 _SAMPLE_GRID = 2048     # t-grid of assemble's rows, before pipeline_grid_size
+# Fixed tolerance of verify's close_to certificates at 2, not resolved against
+# the run's error; ROADMAP item 6's residual-based intervals will replace it.
+_THRESHOLD_WINDOW = 1e-6
 
 
 class _RadialChart:
@@ -551,7 +554,6 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
 
     sp0, sp1, sp2 = spectra[0], spectra[1], spectra[2]
     eps = table.eps_grid
-    window = max(50.0 * eps, 1e-6)
     p, q = r.p, r.q
     [i0], (i1, i1b) = _threshold_sectors(r, 0), _threshold_sectors(r, 1)
 
@@ -561,13 +563,13 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
         Certificate.less_than("subcritical_radial_mode_below_two",
                               sp0.eigenvalues[i0 - 1], 2.0),
         Certificate.close_to("radial_eigenvalue_two_at_l0_position_2q",
-                             sp0.eigenvalues[i0], 2.0, window),
+                             sp0.eigenvalues[i0], 2.0, _THRESHOLD_WINDOW),
         Certificate.integer_equal("sin_phi_zero_count",
                                   int(sp0.zero_counts[i0]), 2 * q),
         Certificate.close_to("radial_eigenvalue_two_at_l1_position_2p_minus_1",
-                             sp1.eigenvalues[i1], 2.0, window),
+                             sp1.eigenvalues[i1], 2.0, _THRESHOLD_WINDOW),
         Certificate.close_to("radial_eigenvalue_two_at_l1_position_2p",
-                             sp1.eigenvalues[i1b], 2.0, window),
+                             sp1.eigenvalues[i1b], 2.0, _THRESHOLD_WINDOW),
         Certificate.integer_equal("l1_pair_zero_count",
                                   int(sp1.zero_counts[i1]), 2 * p),
         Certificate.less_than("l1_predecessor_below_two",

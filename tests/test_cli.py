@@ -365,16 +365,19 @@ def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
       "--out", "{tmp}/no/dir/table.csv"], 2, "table.csv"),
     (["solve", "--p", "3", "--q", "5", "--config", "{tmp}/pq.cfg"],
      0, "p, q read by no command; ignored"),
+    (["verify", "--p", "3", "--q", "5", "--config", "{tmp}/ply.cfg"],
+     2, "unknown mesh format"),
 ], ids=["missing-config", "out-in-missing-dir",
         "mesh-out-in-missing-dir", "mesh-log-out-in-missing-dir",
         "spectrum-cut-above-window",
         "table-row-fails", "table-row-fails-out-in-missing-dir",
-        "config-p-q-unread"])
+        "config-p-q-unread", "config-mesh-format-unknown"])
 def test_failure_exit_codes(argv, code, needle, tmp_path, capsys):
     """Each failure maps to its exit code by class, with a one-line
     message and no traceback; config p and q only draw a warning."""
     (tmp_path / "pq.cfg").write_text("p = 5\nq = 8\n")
     (tmp_path / "strict.cfg").write_text("tol.functional_agreement = 1e-30\n")
+    (tmp_path / "ply.cfg").write_text("mesh_format = ply\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     got, out, err = run(argv, capsys)
     assert got == code, err

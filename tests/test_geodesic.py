@@ -316,6 +316,43 @@ def test_profile_velocities_match_finite_differences(cases):
     assert np.max(np.abs(dlam_fd - prof.lambda_dot_at(ss))) < 1e-7
 
 
+@pytest.mark.parametrize("pq, rtol", [((3, 5), 1e-13), ((5, 8), 1e-13),
+                                      ((51, 101), 1e-10)])
+def test_chart_velocities_match_the_closed_forms(pq, rtol, cases):
+    """The velocities of ``bipolar_at`` and ``torus_at``, each a chart
+    x-derivative over du/dx, agree with the closed forms of the first
+    integrals, and every ``*_at`` is bit for bit its projection of them."""
+    sol, prof = cases.solution(pq), cases.profile(pq)
+    b, a, c = sol.b, sol.a, sol.c
+    rng = np.random.default_rng(11)
+    ts = rng.uniform(-sol.t0, 2.0 * sol.t0, 301)
+    ss = rng.uniform(-sol.s_total, 2.0 * sol.s_total, 301)
+    bip, tor = prof.bipolar_at(ts), prof.torus_at(ss)
+
+    phi, nu = bip[0], tor[0]
+    x = prof._bip.x_of(ts)
+    chi = prof.torus_chart.x_of(ss)
+    w = 2 * math.pi * np.cos(phi) ** 2 / np.sqrt(np.cos(phi) ** 2
+                                                 + math.cos(b) ** 2)
+    closed = [
+        -math.sin(b) * np.sin(x) / (np.cos(phi) * w),
+        math.cos(b) ** 2 / (2 * math.pi * np.cos(phi) ** 4),
+        math.cos(2 * a) * np.sin(chi)
+        / (2 * math.pi * np.sin(nu) * np.sin(2 * nu)),
+        c / (2 * math.pi * np.cos(nu) ** 2 * np.sin(nu) ** 2),
+    ]
+    for got, want in zip([bip[2], bip[3], tor[2], tor[3]], closed):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+    for k, name in enumerate(["phi_at", "theta_at", "phi_dot_at",
+                              "theta_dot_at"]):
+        assert np.array_equal(getattr(prof, name)(ts), bip[k]), name
+    for k, name in enumerate(["nu_at", "lambda_at", "nu_dot_at",
+                              "lambda_dot_at"]):
+        assert np.array_equal(getattr(prof, name)(ss), tor[k]), name
+    assert np.array_equal(prof.cos2_phi_at(ts), np.cos(phi) ** 2)
+
+
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
 def test_profile_t_of_x_inverts_the_chart(pq, cases):
     prof = cases.profile(pq)
@@ -336,11 +373,11 @@ def test_profile_rejects_too_few_samples(cases):
 
 def test_profile_evaluators_do_not_depend_on_the_sampling(cases):
     # The evaluators read the analytic charts, so 16 samples per
-    # half-oscillation, where the finite-difference speed check is poor,
-    # give the same values as 512.
+    # half-oscillation give the same values as 512, and the speed
+    # identity holds to rounding at the samples of both.
     sol = cases.solution((5, 9))
     coarse, fine = GeodesicProfile(sol, 16), GeodesicProfile(sol, 512)
-    assert coarse.unit_speed_residual > 1e-5 > fine.unit_speed_residual
+    assert max(coarse.unit_speed_residual, fine.unit_speed_residual) <= 1e-13
     ts = np.linspace(-1.0, 2.5 * sol.t0, 701)
     ss = np.linspace(-1.0, 2.5 * sol.s_total, 701)
     for name, args in (("phi_at", ts), ("theta_at", ts),
@@ -353,7 +390,8 @@ def test_chart_rejects_rates_whose_tail_never_resolves():
     # |cos x| has a kink, so its Fourier coefficients decay only like
     # 1/j^2 and never drop below rounding.
     with pytest.raises(ResolutionTooCoarse):
-        _HalfChart(lambda x: (np.abs(np.cos(x)), np.ones_like(x)), math.pi)
+        _HalfChart(lambda x: (x, np.ones_like(x)),
+                   lambda x: (np.abs(np.cos(x)), np.ones_like(x)), math.pi)
 
 
 @pytest.mark.parametrize("change", [

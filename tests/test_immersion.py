@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from otsuki_bipolar.geodesic import RotationNumber, _HalfChart, solve_rotation
+from otsuki_bipolar.geodesic import (
+    GeodesicProfile,
+    RotationNumber,
+    _HalfChart,
+    solve_rotation,
+)
 from otsuki_bipolar.immersion import (
     area,
     bipolar_wedge,
@@ -125,13 +130,17 @@ def test_bipolar_correspondence(pq, cases):
     ((201, 401), 2e-9, 5e-12)])
 def test_bipolar_correspondence_sweep_q_up_to_40(pq, tol, closure):
     """All 100 reduced p/q with q <= 40, 51/101, 101/201 and 201/401,
-    down to a ~ 5e-4."""
+    down to a ~ 5e-4; the speed identity holds at 16 and 512 samples per
+    half-oscillation."""
     sol = solve_rotation(RotationNumber(*pq))
-    rep = verify_bipolar_correspondence(sol, 1e-6)
+    prof = GeodesicProfile(sol, 512)
+    rep = verify_bipolar_correspondence(sol, 1e-6, profile=prof)
     assert rep.passed, rep
     assert max(rep.transfer_residual, rep.angle_residual,
                rep.hausdorff_distance) <= tol, rep
     assert rep.period_closure_error <= closure, rep
+    assert prof.unit_speed_residual <= 1e-13
+    assert GeodesicProfile(sol, 16).unit_speed_residual <= 1e-13
 
 
 def test_correspondence_inverts_no_torus_series(cases, monkeypatch):
@@ -143,6 +152,19 @@ def test_correspondence_inverts_no_torus_series(cases, monkeypatch):
                         lambda chart, u: charts.append(chart) or x_of(chart, u))
     assert verify_bipolar_correspondence(sol, profile=prof).passed
     assert charts and prof.torus_chart not in charts
+
+
+def test_bipolar_evaluations_invert_t_once(cases, monkeypatch):
+    """A mesh build and a correspondence check each invert the bipolar
+    chart once: phi, theta and their velocities share one t -> x."""
+    sol, prof = cases.solution((3, 5)), cases.profile((3, 5))
+    charts, x_of = [], _HalfChart.x_of
+    monkeypatch.setattr(_HalfChart, "x_of",
+                        lambda chart, u: charts.append(chart) or x_of(chart, u))
+    build_mesh(prof, 16, 64)
+    assert len(charts) == 1 and charts[0] is not prof.torus_chart
+    verify_bipolar_correspondence(sol, profile=prof)
+    assert charts == [charts[0]] * 2
 
 
 def test_wedge_and_torus_evaluate_the_geodesic_once_per_parameter(cases):
