@@ -359,7 +359,8 @@ def _sine_series(coef, k0: float, x):
 
 class _HalfChart:
     """A geodesic in a turning-free chart x: ``coordinate(x)`` returns its
-    closed-form coordinate and the x-derivative; ``rates(x)`` returns
+    closed-form coordinate and ``slope(x, coord)`` its x-derivative at
+    x, given the coordinate there; ``rates(x)`` returns
     du/dx of the arc length u, d(angle)/dx of the swept angle and the
     rate of each further parameter, analytic and even in x with period
     ``period``; one half-oscillation is x in [0, pi], from a turning
@@ -373,9 +374,10 @@ class _HalfChart:
     adds their velocities per unit u: each x-derivative over du/dx.
     """
 
-    def __init__(self, coordinate, rates, period: float):
+    def __init__(self, coordinate, slope, rates, period: float):
         self.period = period
         self.coordinate = coordinate
+        self._slope = slope
         self.rates = rates
         n = _FIRST_SAMPLES
         while True:
@@ -418,9 +420,9 @@ class _HalfChart:
 
     def at(self, x):
         """Coordinate, angle and their velocities per unit u at x."""
-        coord, dcoord = self.coordinate(x)
+        coord = self.coordinate(x)
         du, dangle = self.rates(x)[:2]
-        return coord, self.angle(x), dcoord / du, dangle / du
+        return coord, self.angle(x), self._slope(x, coord) / du, dangle / du
 
     def x_of(self, u):
         """Chart value x at arc lengths u (any real u)."""
@@ -457,15 +459,17 @@ def bipolar_chart(b: float) -> _HalfChart:
     sb, cb2 = math.sin(b), math.cos(b) ** 2
 
     def coordinate(x):
-        phi = np.arcsin(sb * np.cos(x))
-        return phi, -sb * np.sin(x) / np.cos(phi)
+        return np.arcsin(sb * np.cos(x))
+
+    def slope(x, phi):
+        return -sb * np.sin(x) / np.cos(phi)
 
     def rates(x):
         w = radial_coefficients(b, x)[2]
         cos2 = 1.0 - (sb * np.cos(x)) ** 2
         return w, cb2 * w / (2.0 * math.pi * cos2 ** 2)
 
-    return _HalfChart(coordinate, rates, math.pi)
+    return _HalfChart(coordinate, slope, rates, math.pi)
 
 
 def _torus_chart(a: float) -> _HalfChart:
@@ -484,8 +488,10 @@ def _torus_chart(a: float) -> _HalfChart:
     sa2, cos_2a = math.sin(a) ** 2, math.cos(2.0 * a)
 
     def coordinate(chi):
-        nu = 0.5 * np.arccos(np.clip(cos_2a * np.cos(chi), -1.0, 1.0))
-        return nu, cos_2a * np.sin(chi) / (2.0 * np.sin(2.0 * nu))
+        return 0.5 * np.arccos(np.clip(cos_2a * np.cos(chi), -1.0, 1.0))
+
+    def slope(chi, nu):
+        return cos_2a * np.sin(chi) / (2.0 * np.sin(2.0 * nu))
 
     def rates(chi):
         sin2_nu = sa2 + cos_2a * np.sin(0.5 * chi) ** 2
@@ -495,7 +501,7 @@ def _torus_chart(a: float) -> _HalfChart:
         return (ds, c / (2.0 * sin_nu * cos2_nu),
                 ds * (1.0 + c ** 2 / sin2_nu ** 2))
 
-    return _HalfChart(coordinate, rates, 2.0 * math.pi)
+    return _HalfChart(coordinate, slope, rates, 2.0 * math.pi)
 
 
 def _value(out):
@@ -557,10 +563,10 @@ class GeodesicProfile:
         n = 2 * q * m
         self.t_grid = np.arange(n) * (self.t0 / n)
         x, self.theta = self._bip.samples(m, 2 * q)
-        self.phi = self._bip.coordinate(x)[0]
+        self.phi = self._bip.coordinate(x)
         self.s_grid = np.arange(n) * (self.s_total / n)
         chi, self.lambda_angle = self.torus_chart.samples(m, 2 * q)
-        self.nu = self.torus_chart.coordinate(chi)[0]
+        self.nu = self.torus_chart.coordinate(chi)
 
         # The speed identity is pi-periodic in x: one half-oscillation holds it.
         phi, _, phi_dot, theta_dot = self._bip.at(x[:m])
@@ -575,7 +581,7 @@ class GeodesicProfile:
         return self._bip.at(self._bip.x_of(t))
 
     def phi_at(self, t):
-        return _value(self._bip.coordinate(self._bip.x_of(t))[0])
+        return _value(self._bip.coordinate(self._bip.x_of(t)))
 
     def theta_at(self, t):
         return _value(self._bip.angle(self._bip.x_of(t)))
@@ -608,7 +614,7 @@ class GeodesicProfile:
         return self.torus_chart.at(chi)
 
     def nu_at(self, s):
-        return _value(self.torus_chart.coordinate(self.torus_chart.x_of(s))[0])
+        return _value(self.torus_chart.coordinate(self.torus_chart.x_of(s)))
 
     def lambda_at(self, s):
         return _value(self.torus_chart.angle(self.torus_chart.x_of(s)))

@@ -27,6 +27,11 @@ the nodes on each axis (in the chart, x -> x + q pi); it commutes with
 the operator, which splits exactly into a deck-even and a deck-odd
 block.  Only the even block descends to the surface, mirroring the
 quotient filter of the assembly.
+
+The coefficients do not depend on alpha, so ``dense_spectrum`` solves the
+operator exactly by alpha-Fourier modes: each mode leaves a cyclic
+tridiagonal block in x, solved as a band of half-width 2 after a zigzag
+reordering of its nodes.
 """
 
 from __future__ import annotations
@@ -138,7 +143,12 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
     stencil eigenvalue mu_l = (2 sin(pi l / n_alpha) / h_alpha)^2, leaves the
     cyclic 1-D block D (flux_stencil(P_half / h_x^2) + mu_l diag(S)) D with
     D = W^-1/2, counted twice (cos and sin) for 0 < l < n_alpha/2.  Each
-    block is one dense LAPACK solve for its eigenvalues below the cut.  The
+    block is taken in the zigzag node order 0, n-1, 1, n-2, ..., in which
+    every cyclic neighbour pair, the corner pair included, lies at most two
+    apart; a permutation is an exact similarity, so the block keeps its
+    spectrum and is one symmetric band of half-width 2.  LAPACK's band
+    reduction and bisection (``scipy.linalg.eig_banded``) find its
+    eigenvalues below the cut in O(n^2), with no dense n x n array.  The
     stencil is PSD, so block l has none below mu_l min(S/W): the loop stops
     at the first l where that bound reaches the cut.  For even q the deck
     shift acts on mode l as (-1)^l times the half shift x -> x + q pi, so
@@ -153,10 +163,16 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
     p_half = radial_coefficients(b, grid.xs + 0.5 * h_x)[0] / h_x ** 2
     even_q = grid.profile.solution.rotation.even_q
     n, wraps = (grid.n_t // 2, (1.0, -1.0)) if even_q else (grid.n_t, (1.0,))
-    d = 1.0 / np.sqrt(w[:n])
-    stencils = {c: d[:, None] * flux_stencil(p_half[:n], c).toarray() * d
-                for c in wraps}
-    s_over_w = s[:n] / w[:n]
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    d = 1.0 / np.sqrt(w[order])
+    bands = {}     # LAPACK's lower band layout: bands[c][k, j] = B[j + k, j]
+    for c in wraps:
+        a = flux_stencil(p_half[:n], c)[order][:, order]
+        bands[c] = np.array([np.append(a.diagonal(-k) * d[k:] * d[:n - k],
+                                       np.zeros(k)) for k in range(3)])
+    s_over_w = s[order] / w[order]
 
     vals, chars = [], []
     for l in range(grid.n_alpha // 2 + 1):
@@ -164,11 +180,13 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
         if mu * np.min(s_over_w) >= lambda_cut:
             break
         copies = 2 if 0 < l < grid.n_alpha // 2 else 1
-        for c, stencil in stencils.items():
+        for c, band in bands.items():
+            band_l = band.copy()
+            band_l[0] += mu * s_over_w
             try:
-                found = scipy.linalg.eigh(
-                    stencil + np.diag(mu * s_over_w), eigvals_only=True,
-                    subset_by_value=(-np.inf, lambda_cut))
+                found = scipy.linalg.eig_banded(
+                    band_l, lower=True, eigvals_only=True, select="v",
+                    select_range=(-np.inf, lambda_cut))
             except scipy.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(f"oracle eigensolver failed: {exc}") from exc
             found = np.repeat(found[found < lambda_cut], copies)

@@ -233,6 +233,18 @@ def test_cross_check_q_up_to_20(pq, capsys):
     assert code == 0 and payload["counts_agree"] and payload["pass"]
 
 
+@pytest.mark.sweep
+@pytest.mark.parametrize("pq", [(14, 25), (19, 37), (21, 40)])
+def test_cross_check_at_48_points_per_half_oscillation(pq, capsys):
+    """Beyond q = 20 the default 96x768 grid is too coarse for these p/q;
+    at 96q x-nodes (48 per half-oscillation) cross-check passes."""
+    code, out, _ = run(["cross-check", "--p", str(pq[0]), "--q", str(pq[1]),
+                        "--oracle-n-t", str(96 * pq[1]), "--format", "json"],
+                       capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["counts_agree"] and payload["pass"]
+
+
 # Each command on a small grid, with the JSON keys its CSV header repeats:
 # a flat payload's own keys, else those of its rows.
 _FORMAT_MATRIX = {

@@ -390,7 +390,7 @@ def test_chart_rejects_rates_whose_tail_never_resolves():
     # |cos x| has a kink, so its Fourier coefficients decay only like
     # 1/j^2 and never drop below rounding.
     with pytest.raises(ResolutionTooCoarse):
-        _HalfChart(lambda x: (x, np.ones_like(x)),
+        _HalfChart(lambda x: x, lambda x, coord: np.ones_like(x),
                    lambda x: (np.abs(np.cos(x)), np.ones_like(x)), math.pi)
 
 

@@ -17,6 +17,7 @@ from otsuki_bipolar.oracle import (
     theorem2_residual,
 )
 from otsuki_bipolar.spectrum import ModeEntry, ModeTable, weyl_N
+from otsuki_bipolar.sturm import flux_stencil
 
 
 def test_grid_validation(cases):
@@ -196,6 +197,50 @@ def test_deck_blocks_match_dense_generalized_eigensolve(cases):
         exact = full[full < cut]
         assert spec.eigenvalues.size == exact.size, cut
         assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-9, cut
+
+
+def _dense_cyclic_block(grid, l, wrap, n):
+    """D (flux_stencil(P_half / h_x^2, wrap) + mu_l diag(S)) D on the first
+    n x-nodes, D = W^-1/2, as a dense array."""
+    b, h_x = grid.profile.solution.b, grid.h_x
+    _, s, w = radial_coefficients(b, grid.xs[:n])
+    p_half = radial_coefficients(b, grid.xs[:n] + 0.5 * h_x)[0] / h_x ** 2
+    mu = (2.0 * math.sin(math.pi * l / grid.n_alpha)
+          / (2.0 * math.pi / grid.n_alpha)) ** 2
+    d = np.diag(1.0 / np.sqrt(w))
+    return d @ (flux_stencil(p_half, wrap).toarray() + mu * np.diag(s)) @ d
+
+
+@pytest.mark.parametrize("pq,na,nt,n", [((3, 5), 96, 768, 768),
+                                        ((5, 8), 96, 768, 384),
+                                        ((5, 8), 32, 34, 17)])
+def test_band_blocks_match_dense_cyclic_blocks(pq, na, nt, n, cases, monkeypatch):
+    """Each alpha-block's window from the banded solve, against
+    ``eigvalsh`` of the same cyclic block as a dense array: wrap +1 and
+    -1 (even q), at even and odd block sizes n.  The zigzag node order
+    puts every block, corner couplings included, in a band of half-width
+    2, so the band holds three rows."""
+    grid = TorusGrid(cases.profile(pq), na, nt)
+    cut = 12.0
+    solved, eig_banded = [], scipy.linalg.eig_banded
+
+    def spy(band, *args, **kwargs):
+        rows = band.shape[0]
+        found = eig_banded(band, *args, **kwargs)
+        solved.append((rows, found[found < cut]))
+        return found
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", spy)
+    dense_spectrum(grid, cut)
+    wraps = (1.0, -1.0) if pq[1] % 2 == 0 else (1.0,)
+    blocks = [(l, c) for l in range(len(solved) // len(wraps)) for c in wraps]
+    assert len(blocks) == len(solved) > len(wraps)
+    for (l, c), (rows, found) in zip(blocks, solved):
+        full = scipy.linalg.eigvalsh(_dense_cyclic_block(grid, l, c, n))
+        exact = full[full < cut]
+        assert rows == 3
+        assert found.size == exact.size > 0, (l, c)
+        assert np.max(np.abs(found - exact)) <= 1e-9, (l, c)
 
 
 def test_theorem2_residual_converges_quadratically(cases):
