@@ -73,7 +73,8 @@ def _emit(cfg, payload, rows=None, text=None):
         print(out)
 
 
-def _parse_pairs(spec_str: str) -> list[tuple[int, int]]:
+def _parse_pairs(spec_str: str) -> list[geodesic.RotationNumber]:
+    """The rotation numbers of ``--pairs``, each checked before any solve."""
     pairs = []
     for token in spec_str.split(","):
         token = token.strip()
@@ -81,10 +82,11 @@ def _parse_pairs(spec_str: str) -> list[tuple[int, int]]:
             continue
         try:
             p_str, q_str = token.split("/")
-            pairs.append((int(p_str), int(q_str)))
+            p, q = int(p_str), int(q_str)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(
                 f"bad rotation number {token!r}, expected p/q") from exc
+        pairs.append(geodesic.RotationNumber(p, q))
     return pairs
 
 
@@ -106,17 +108,9 @@ def cmd_solve(cfg) -> int:
     return 0
 
 
-def _verify(cfg, p: int, q: int, raise_on_failure: bool):
-    """``verify_theorem3`` on p/q with the run's settings and tolerances."""
-    return spectrum.verify_theorem3(
-        geodesic.RotationNumber(p, q), lambda_cut=cfg.lambda_cut,
-        functional_tol=cfg.functional_agreement,
-        omega_tol=cfg.omega_residual,
-        raise_on_failure=raise_on_failure)
-
-
 def cmd_verify(cfg) -> int:
-    report = _verify(cfg, cfg.p, cfg.q, raise_on_failure=False)
+    report = spectrum.verify_theorem3(geodesic.RotationNumber(cfg.p, cfg.q),
+                                      raise_on_failure=False)
     _emit_report(cfg, report)
     return 0 if report.passed else 1
 
@@ -162,22 +156,22 @@ def cmd_spectrum(cfg) -> int:
 
 def cmd_table(cfg, pairs) -> int:
     seen, unique = set(), []
-    for pair in pairs:
-        if pair in seen:
-            print(f"warning: duplicate rotation number {pair[0]}/{pair[1]}"
-                  " dropped", file=sys.stderr)
+    for r in pairs:
+        if r in seen:
+            print(f"warning: duplicate rotation number {r} dropped",
+                  file=sys.stderr)
             continue
-        seen.add(pair)
-        unique.append(pair)
+        seen.add(r)
+        unique.append(r)
 
     rows = []
-    for p, q in unique:
+    for r in unique:
         try:
-            report = _verify(cfg, p, q, raise_on_failure=True)
+            report = spectrum.verify_theorem3(r, raise_on_failure=True)
         except VerificationFailed as exc:
             _emit_report(cfg, exc.report)   # an OSError here is exit 2
             raise
-        rows.append((p, q, report.a, report.b, report.t0,
+        rows.append((r.p, r.q, report.a, report.b, report.t0,
                      report.n2_computed, report.lambda_value,
                      report.upper_bound))
     header = ("p", "q", "a", "b", "t0", "N2", "lambda_functional",
@@ -268,7 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ignored: the radial sampling is fixed")
         sp.add_argument("--l-max", type=int,
                         help="ignored: --lambda-cut sets the l solved")
-        sp.add_argument("--lambda-cut", type=float, dest="lambda_cut")
+        sp.add_argument("--lambda-cut", type=float, dest="lambda_cut",
+                        help="eigenvalue cutoff; read by spectrum and"
+                        " cross-check only")
         sp.add_argument("--format", choices=("json", "csv", "text"),
                         dest="output_format")
         sp.add_argument("--out", dest="output_path")

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import sys
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
+
+from .errors import in_interval
 
 # Accepted in config files, but no command reads them (p and q come
 # only from the --p/--q flags; the angular indices from lambda_cut; the
-# radial sampling is fixed).
+# radial sampling and verify's certificate tolerances are fixed).
 UNREAD_KEYS = ("p", "q", "l_max", "grid_size", "samples_per_half_period",
-               "tol.correspondence", "tol.hausdorff")
+               "tol.correspondence", "tol.hausdorff", "tol.omega_residual",
+               "tol.functional_agreement")
 
 
 @dataclass
@@ -19,8 +23,9 @@ class RunConfig:
 
     Precedence is flags > config file > defaults; the config file is a
     flat ``key = value`` text format (# comments allowed).  Each field
-    is set in a file under its name, or under ``metadata["key"]``, and
-    parsed with its type; every ``int`` field must be positive.
+    is set in a file under its name and parsed with its type; every
+    ``int`` field must be positive, and ``lambda_cut`` must be a finite
+    number above 2.
     """
 
     p: int | None = None
@@ -33,17 +38,12 @@ class RunConfig:
     mesh_format: str = "csv"
     output_format: str = "text"
     output_path: str | None = None
-    omega_residual: float = field(
-        default=1e-11, metadata={"key": "tol.omega_residual"})
-    functional_agreement: float = field(
-        default=1e-8, metadata={"key": "tol.functional_agreement"})
 
     def __post_init__(self):
         for name, tp in _TYPES.items():
             if tp is int and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.lambda_cut <= 2.0:
-            raise ValueError("lambda_cut must exceed 2")
+        in_interval(self.lambda_cut, "lambda_cut", 2.0, math.inf)
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.mesh_format not in ("csv", "obj"):
@@ -51,9 +51,8 @@ class RunConfig:
 
 
 _TYPES = typing.get_type_hints(RunConfig)
-# config-file key -> (field name, type); unread keys stay raw text
-_FILE_KEYS = {f.metadata.get("key", f.name): (f.name, _TYPES[f.name])
-              for f in fields(RunConfig)} | {k: (k, str) for k in UNREAD_KEYS}
+# config-file key -> type: each field's own, and raw text for unread keys
+_FILE_KEYS = _TYPES | dict.fromkeys(UNREAD_KEYS, str)
 
 
 def parse_config_file(path: str) -> dict:
@@ -73,10 +72,10 @@ def parse_config_file(path: str) -> dict:
             key, value = (s.strip() for s in line.split("=", 1))
             if key not in _FILE_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            name, tp = _FILE_KEYS[key]
+            tp = _FILE_KEYS[key]
             parse = (typing.get_args(tp) or (tp,))[0]    # str | None -> str
             try:
-                overrides[name] = parse(value)
+                overrides[key] = parse(value)
             except ValueError as exc:
                 raise ValueError(
                     f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc

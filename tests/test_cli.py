@@ -281,26 +281,46 @@ def test_every_command_prints_every_format(command, fmt, tmp_path, capsys):
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nlambda_cut = 2.4\n"
-                   "tol.functional_agreement = 1e-7\n")
-    code, out, _ = run(["verify", "--p", "3", "--q", "5",
-                        "--config", str(cfg), "--format", "json"], capsys)
+    """The file's cut overrides the default and admits the rows between
+    2.5 and 4.04; the flag's cut overrides the file's."""
+    argv = ["spectrum", "--p", "3", "--q", "5", "--format", "json"]
+    code, default, _ = run(argv, capsys)
     assert code == 0
-    payload = json.loads(out)
-    assert payload["N2"] == 20
-
-
-def test_config_omega_tolerance_reaches_verify(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("tol.omega_residual = 0.5\n")
-    code, out, err = run(["verify", "--p", "3", "--q", "5",
-                          "--config", str(cfg), "--format", "json"], capsys)
+    cfg.write_text("# comment\nlambda_cut = 4.04\n")
+    code, out, err = run(argv + ["--config", str(cfg)], capsys)
     assert code == 0 and err == ""
-    certs = {c["name"]: c for c in json.loads(out)["certificates"]}
-    assert certs["closed_geodesic_residual"]["pass"]
-    assert certs["closed_geodesic_residual"]["margin"] == pytest.approx(
-        0.5, abs=1e-12)
+    top = [max(e["lambda"] for e in json.loads(o)["entries"])
+           for o in (default, out)]
+    assert top[0] < 2.5 < top[1] < 4.04
+    code, out, _ = run(argv + ["--config", str(cfg), "--lambda-cut", "2.5"],
+                       capsys)
+    assert (code, out) == (0, default)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("command", [["verify", "--p", "3", "--q", "5"],
+                                     ["table", "--pairs", "3/5,5/8"]],
+                         ids=["verify", "table"])
+def test_verify_and_table_read_only_p_q(command, fmt, tmp_path, capsys):
+    """verify and table print the same bytes at any --lambda-cut, even
+    one above a radial window, and under any value of the tol.* keys,
+    which only draw the unread-key warning."""
+    argv = command + ["--format", fmt]
+    base = run(argv, capsys)
+    assert base[0] == 0 and base[2] == ""
+    for cut in ("2.01", "8"):
+        assert run(argv + ["--lambda-cut", cut], capsys) == base
+    cfg = tmp_path / "run.cfg"
+    for text, keys in [
+            ("tol.omega_residual = 0.5\ntol.functional_agreement = 0.5\n",
+             "tol.omega_residual, tol.functional_agreement"),
+            ("tol.omega_residual = 1e-30\n", "tol.omega_residual"),
+            ("tol.functional_agreement = tiny\n", "tol.functional_agreement")]:
+        cfg.write_text(text)
+        code, out, err = run(argv + ["--config", str(cfg)], capsys)
+        assert (code, out) == base[:2]
+        assert err == f"warning: {cfg}: {keys} read by no command; ignored\n"
 
 
 def test_config_warns_about_unread_tolerances(tmp_path, capsys):
@@ -349,7 +369,7 @@ def test_config_file_rejects_unknown_tolerance_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["n_t = 1e3", "lambda_cut = two",
-                                  "tol.omega_residual = tiny"])
+                                  "oracle_n_t = 96q"])
 def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("# bad value below\n" + line + "\n")
@@ -357,6 +377,10 @@ def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
                         "--config", str(cfg)], capsys)
     assert code == 2
     assert f"{cfg}:2" in err and repr(line.split(" = ")[0]) in err
+
+
+_NONFINITE_CUTS = [(command, cut) for command in ("solve", "verify", "spectrum")
+                   for cut in ("nan", "inf")]
 
 
 @pytest.mark.parametrize("argv, code, needle", [
@@ -371,24 +395,30 @@ def test_config_file_bad_value_names_its_line(line, tmp_path, capsys):
      2, "log.txt"),
     (["spectrum", "--p", "3", "--q", "5", "--l-max", "5", "--lambda-cut", "6"],
      2, "radial window at l = 0"),
-    (["table", "--pairs", "3/5", "--config", "{tmp}/strict.cfg"],
-     1, "certificate functional_two_routes_agree failed"),
-    (["table", "--pairs", "3/5", "--config", "{tmp}/strict.cfg",
-      "--out", "{tmp}/no/dir/table.csv"], 2, "table.csv"),
+    (["table", "--pairs", "3/5"],
+     1, "certificate radial_eigenvalue_two_at_l0_position_2q failed"),
+    (["table", "--pairs", "3/5", "--out", "{tmp}/no/dir/table.csv"],
+     2, "table.csv"),
     (["solve", "--p", "3", "--q", "5", "--config", "{tmp}/pq.cfg"],
      0, "p, q read by no command; ignored"),
     (["verify", "--p", "3", "--q", "5", "--config", "{tmp}/ply.cfg"],
      2, "unknown mesh format"),
+    *(([command, "--p", "3", "--q", "5", "--lambda-cut", cut],
+       2, f"lambda_cut must lie in (2, inf), got {cut}")
+      for command, cut in _NONFINITE_CUTS),
 ], ids=["missing-config", "out-in-missing-dir",
         "mesh-out-in-missing-dir", "mesh-log-out-in-missing-dir",
         "spectrum-cut-above-window",
         "table-row-fails", "table-row-fails-out-in-missing-dir",
-        "config-p-q-unread", "config-mesh-format-unknown"])
-def test_failure_exit_codes(argv, code, needle, tmp_path, capsys):
+        "config-p-q-unread", "config-mesh-format-unknown",
+        *(f"{command}-cut-{cut}" for command, cut in _NONFINITE_CUTS)])
+def test_failure_exit_codes(argv, code, needle, tmp_path, monkeypatch,
+                            capsys):
     """Each failure maps to its exit code by class, with a one-line
     message and no traceback; config p and q only draw a warning."""
+    if argv[0] == "table":  # 3/5's eigenvalue-2 modes miss 2 by ~1e-13
+        monkeypatch.setattr(spectrum, "_THRESHOLD_WINDOW", 0.0)
     (tmp_path / "pq.cfg").write_text("p = 5\nq = 8\n")
-    (tmp_path / "strict.cfg").write_text("tol.functional_agreement = 1e-30\n")
     (tmp_path / "ply.cfg").write_text("mesh_format = ply\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     got, out, err = run(argv, capsys)
@@ -396,6 +426,17 @@ def test_failure_exit_codes(argv, code, needle, tmp_path, capsys):
     assert needle in err and len(err.strip().splitlines()) == 1
     if code == 0:
         assert "p = 3\nq = 5\n" in out
+
+
+def test_table_checks_every_fraction_before_solving(monkeypatch, capsys):
+    """A bad fraction anywhere in --pairs is exit 2 before any p/q is
+    solved, with one line on stderr and nothing on stdout."""
+    calls = []
+    monkeypatch.setattr(spectrum, "verify_theorem3",
+                        lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(["table", "--pairs", "3/5,26/51,5/3"], capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: p/q = 5/3 outside (1/2, sqrt(2)/2)\n"
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):

@@ -354,6 +354,24 @@ def test_chart_velocities_match_the_closed_forms(pq, rtol, cases):
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+def test_torus_at_chi_is_the_torus_chart_at_chi(pq, cases):
+    """``torus_at_chi`` gives nu, lambda and their velocities at chart
+    values chi, element for element those of ``torus_chart.at``, and at
+    chi = x_of(s) it is ``torus_at(s)``."""
+    prof = cases.profile(pq)
+    chart = prof.torus_chart
+    rng = np.random.default_rng(5)
+    chi = rng.uniform(-chart.period, 3.0 * chart.period, 257)
+    got = prof.torus_at_chi(chi)
+    assert len(got) == 4
+    for k, want in enumerate(chart.at(chi)):
+        assert np.array_equal(got[k], want), k
+    ss = rng.uniform(-prof.s_total, 2.0 * prof.s_total, 257)
+    for k, want in enumerate(prof.torus_at(ss)):
+        assert np.array_equal(prof.torus_at_chi(chart.x_of(ss))[k], want), k
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
 def test_profile_t_of_x_inverts_the_chart(pq, cases):
     prof = cases.profile(pq)
     q, b = prof.solution.rotation.q, prof.solution.b

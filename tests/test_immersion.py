@@ -274,6 +274,15 @@ def test_mesh_export_csv_roundtrip(tmp_path, cases):
     assert data[1, 0] == 0.0 and data[1, 1] == pytest.approx(mesh.ts[1])
 
 
+@pytest.mark.parametrize("header", ["alpha,t,x,y,z", "t,alpha,x,y,z,u,v",
+                                    "alpha,t,x,y,z,u,v,w"])
+def test_read_mesh_csv_rejects_another_header(header, tmp_path):
+    path = tmp_path / "mesh.csv"
+    path.write_text(header + "\n" + ",".join(["0"] * 7) + "\n")
+    with pytest.raises(ValueError, match="unexpected mesh header"):
+        read_mesh_csv(str(path))
+
+
 def test_mesh_export_even_q_cover(tmp_path, cases):
     prof = cases.profile((5, 8))
     mesh = build_mesh(prof, 16, 64)

@@ -13,6 +13,11 @@ this file and prints one ``sha256 command input`` line per output:
     l = 2 modes) and at ``--grid-size 8`` (which changes no output),
     with q <= 20;
   * ``cross-check`` in csv and text at a 32x128 oracle grid with q <= 8;
+  * ``verify --format json`` at ``--lambda-cut 2.01`` and under a config
+    file that sets ``tol.omega_residual`` and ``tol.functional_agreement``
+    to the defaults of ``spectrum.verify_theorem3``, with q <= 8, and one
+    ``table --format json`` run over the same p/q under that file: verify
+    and table read neither setting, so these match the default bytes;
   * the empty ``table --pairs ,`` in every format;
   * export-mesh's stdout: the ``wrote`` line of each mesh run above
     (label ``-stdout``), and its json and csv summaries at 8x8 vertices
@@ -28,7 +33,7 @@ listings are identical:
     diff before.txt after.txt
 
 BLAS runs on one thread, so a listing does not depend on the core count.
-The 700 lines take about a minute on a 2-core host.
+The 709 lines take about a minute on a 2-core host.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from otsuki_bipolar import cli  # noqa: E402
+
+TOL_CONFIG = "tol.omega_residual = 1e-11\ntol.functional_agreement = 1e-8\n"
 
 
 def fractions(q_max: int) -> list[tuple[int, int]]:
@@ -111,6 +118,15 @@ def runs():
                    ["cross-check", "--p", str(p), "--q", str(q),
                     "--oracle-n-alpha", "32", "--oracle-n-t", "128",
                     "--format", fmt], None)
+    for p, q in fractions(8):
+        argv = ["verify", "--p", str(p), "--q", str(q), "--format", "json"]
+        yield ("verify-cut-2.01", f"{p}/{q}",
+               argv + ["--lambda-cut", "2.01"], None)
+        yield ("verify-tol-config", f"{p}/{q}",
+               argv + ["--config", "tol.cfg"], None)
+    pairs = ",".join(f"{p}/{q}" for p, q in fractions(8))
+    yield ("table-tol-config", "q<=8", ["table", "--pairs", pairs, "--format",
+                                        "json", "--config", "tol.cfg"], None)
     for fmt in ("json", "csv", "text"):
         yield (f"table-{fmt}", "empty",
                ["table", "--pairs", ",", "--format", fmt], None)
@@ -120,6 +136,7 @@ def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
+        Path("tol.cfg").write_text(TOL_CONFIG)
         try:
             for label, name, argv, out_file in runs():
                 labels = [label, f"{label}-stdout"] if out_file else [label]
