@@ -183,7 +183,7 @@ def cmd_table(cfg, pairs) -> int:
 def cmd_cross_check(cfg) -> int:
     sol = _solve(cfg)
     prof = geodesic.profile(sol)
-    table = spectrum.assemble(sol, prof, lambda_cut=cfg.lambda_cut)
+    table = spectrum.assemble(sol, None, lambda_cut=cfg.lambda_cut)
     fine = oracle.dense_spectrum(
         oracle.TorusGrid(prof, cfg.oracle_n_alpha, cfg.oracle_n_t),
         cfg.lambda_cut)

@@ -232,35 +232,156 @@ def build_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int) -> SurfaceMesh:
                        vertices=verts)
 
 
+# Mesh text.  A "%.15g" field is at most 22 bytes (-1.23456789012345e-308).
+_FIELD = 22
+_BLOCK_ROWS = 8         # alpha rows per block: the text buffers stay ~2 MB
+_PADDED = f"%-{_FIELD}.15g"
+# 10^(14 - e) for e = floor(log10|x|) = -4 ... -1: exact doubles, split in
+# 26-bit halves for Dekker's two-product.
+_SPLITTER = 134217729.0     # 2^27 + 1
+_SCALE = np.array([1e18, 1e17, 1e16, 1e15])
+_SCALE_HI = _SPLITTER * _SCALE - (_SPLITTER * _SCALE - _SCALE)
+_SCALE_LO = _SCALE - _SCALE_HI
+
+
+def _words(byte_rows) -> np.ndarray:
+    """Rows of 4 bytes as one uint32 each, in memory order."""
+    return np.ascontiguousarray(byte_rows, np.uint8).view(np.uint32)[:, 0]
+
+
+# The text of 0 ... 9999 as 4 digits, and the keep-mask of each without its
+# trailing zeros (none kept for 0): a digit is kept if it or a later one is
+# nonzero.
+_QUAD_VALUES = np.arange(10000, dtype=np.uint16)[:, None]
+_QUADS = _words(_QUAD_VALUES // np.array([1000, 100, 10, 1], np.uint16) % 10
+                + ord("0"))
+_QUAD_TRIM = _words(
+    _QUAD_VALUES % np.array([10000, 1000, 100, 10], np.uint16) != 0)
+_QUAD_ALL = _words([[1, 1, 1, 1]])[0]
+# A fast-path field is built in 24 bytes: bytes 0-2 are never kept, 3 is
+# '-', 4-7 are "0.00", and 8-23 are m's 15 digits as four quads, the first
+# of them '0' and m's 3 leading digits.  So bytes 6, 7 and 8 are the zeros
+# after the point: _ZEROS_KEEP[z] keeps "0." and bytes 6 and 7 for z zeros,
+# and byte 8 is kept when z >= 1.  The field is its last 22 bytes.
+_LEAD = _words([[0, 0, 0, ord("-")], list(b"0.00")])
+_ZEROS_KEEP = _words([[1, 1, z >= 3, z >= 2] for z in range(4)])
+
+
+def _percent_g(values) -> tuple[np.ndarray, np.ndarray]:
+    """``"%.15g" % v`` of each value, as rows of _FIELD bytes and a keep-mask."""
+    padded = "".join([_PADDED % v for v in np.asarray(values).tolist()])
+    chars = np.frombuffer(padded.encode(), np.uint8).reshape(-1, _FIELD)
+    return chars, chars != ord(" ")
+
+
+def _write_g15(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
+    """Write ``"%.15g" % v`` of every value of ``x`` into ``chars``.
+
+    ``chars`` and ``keep`` have the shape of ``x`` plus a last axis of
+    _FIELD bytes; the kept bytes of each field are its text.  A value with
+    1e-4 <= |v| < 1 is printed here: with e = floor(log10|v|), the product
+    |v| 10^(14 - e) is formed exactly as a double-double and rounded to
+    the 15-digit integer m, and the text is [-]0., -e-1 zeros and the
+    digits of m without trailing zeros.  Every other value, a product
+    within 1e-6 of a rounding tie and one that rounds up to 10^15 go
+    through ``"%.15g"`` itself.
+    """
+    v = x.ravel()
+    a = np.abs(v)
+    # The double nearest 10^-k lies above it (k = 1 ... 4), so these
+    # comparisons against the literals are exact.
+    fast = (a >= 1e-4) & (a < 1.0)
+    a = np.where(fast, a, 0.5)
+    e4 = (a >= 1e-3).astype(np.intp) + (a >= 1e-2) + (a >= 1e-1)  # e + 4
+    hi = a * _SCALE[e4]
+    split = _SPLITTER * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    s_hi, s_lo = _SCALE_HI[e4], _SCALE_LO[e4]
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    m = np.rint(hi)
+    frac = (hi - m) + lo            # hi - m is exact; |frac| < 9/16
+    m += frac > 0.5
+    m -= frac < -0.5
+    fast &= (np.abs(np.abs(frac) - 0.5) > 1e-6) & (m < 1e15)
+
+    rest, d3 = np.divmod(m.astype(np.int64), 10000)
+    rest, d2 = np.divmod(rest, 10000)
+    d0, d1 = np.divmod(rest, 10000)
+    text = np.empty((v.size, 6), np.uint32)
+    mask = np.empty_like(text)
+    text[:, :2] = _LEAD
+    text[:, 2], text[:, 3], text[:, 4], text[:, 5] = (
+        _QUADS[d0], _QUADS[d1], _QUADS[d2], _QUADS[d3])
+    mask[:, 0] = 0
+    mask[:, 1] = _ZEROS_KEEP[3 - e4]
+    tail = d3 > 0           # a nonzero digit follows the next quad
+    mask[:, 5] = _QUAD_TRIM[d3]
+    mask[:, 4] = np.where(tail, _QUAD_ALL, _QUAD_TRIM[d2])
+    tail |= d2 > 0
+    mask[:, 3] = np.where(tail, _QUAD_ALL, _QUAD_TRIM[d1])
+    tail |= d1 > 0
+    mask[:, 2] = np.where(tail, _QUAD_ALL, _QUAD_TRIM[d0])
+    text, mask = text.view(np.uint8), mask.view(np.bool_)
+    mask[:, 3] = v < 0.0
+    mask[:, 8] = e4 < 3
+
+    slow = np.flatnonzero(~fast)
+    text[slow, 2:], mask[slow, 2:] = _percent_g(v[slow])
+    chars[...] = text[:, 2:].reshape(chars.shape)
+    keep[...] = mask[:, 2:].reshape(keep.shape)
+
+
 def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
                 fmt: str, path: str) -> SurfaceMesh:
     """Write a vertex grid to ``path`` as CSV or OBJ.
 
     CSV is the fidelity format (header alpha,t,x,y,z,u,v, one vertex per
     row).  OBJ projects orthogonally to the three coordinate axes of
-    largest variance, which is lossy by construction.
+    largest variance, which is lossy by construction.  Every value is
+    written as ``"%.15g" % value`` would write it, byte for byte.  The
+    text is assembled in blocks of ``_BLOCK_ROWS`` alpha rows: the grid
+    axes are formatted once per distinct value, and the vertex values by
+    ``_write_g15``, which formats those in [1e-4, 1) in numpy and hands
+    the rest to ``"%.15g"``.
     """
     mesh = build_mesh(profile, n_alpha, n_t)
-    rows = mesh.vertices.reshape(n_alpha, n_t, 5)
+    values = mesh.vertices.reshape(n_alpha, n_t, 5)
     if fmt == "csv":
         header = ",".join(_CSV_COLUMNS) + "\n"
-        line = ",".join(["%.15g"] * len(_CSV_COLUMNS)) + "\n"
-        blocks = (np.column_stack((np.full(n_t, alpha), mesh.ts, verts))
-                  for alpha, verts in zip(mesh.alphas, rows))
+        sep, n_lead = ",", 2
     elif fmt == "obj":
         variances = np.var(mesh.vertices, axis=0)
         keep = np.sort(np.argsort(variances)[-3:])
         header = f"# bipolar surface mesh, axes kept: {keep.tolist()}\n"
-        line = "v %.15g %.15g %.15g\n"
-        blocks = (verts[:, keep] for verts in rows)
+        values = values[..., keep]
+        sep, n_lead = " ", 1
     else:
         raise ValueError(f"unknown mesh format {fmt!r} (use csv or obj)")
-    # One %-format per alpha row of the grid; "%.15g" on a float gives the
-    # same text as f"{x:.15g}".
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for block in blocks:
-            fh.write(line * n_t % tuple(block.ravel().tolist()))
+    # One line is n_fields slots of a _FIELD-byte text and its separator:
+    # alpha and t (CSV) or "v" (OBJ), then the vertex values.
+    n_fields = n_lead + values.shape[-1]
+    text = np.zeros((_BLOCK_ROWS, n_t, n_fields, _FIELD + 1), np.uint8)
+    kept = np.zeros(text.shape, bool)
+    text[..., _FIELD] = ord(sep)
+    text[..., -1, _FIELD] = ord("\n")
+    kept[..., _FIELD] = True
+    if fmt == "csv":
+        alpha_text, alpha_kept = _percent_g(mesh.alphas)
+        text[..., 1, :_FIELD], kept[..., 1, :_FIELD] = _percent_g(mesh.ts)
+    else:
+        text[..., 0, 0], kept[..., 0, 0] = ord("v"), True
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        for i in range(0, n_alpha, _BLOCK_ROWS):
+            block = values[i:i + _BLOCK_ROWS]
+            rows = len(block)
+            if fmt == "csv":
+                text[:rows, :, 0, :_FIELD] = alpha_text[i:i + rows, None]
+                kept[:rows, :, 0, :_FIELD] = alpha_kept[i:i + rows, None]
+            _write_g15(block, text[:rows, :, n_lead:, :_FIELD],
+                       kept[:rows, :, n_lead:, :_FIELD])
+            fh.write(text[:rows][kept[:rows]])
     return mesh
 
 

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, in_interval
 from .geodesic import GeodesicProfile, radial_coefficients
 from .immersion import immerse_bipolar
 from .spectrum import ModeTable
@@ -154,9 +154,9 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
     shift acts on mode l as (-1)^l times the half shift x -> x + q pi, so
     each block splits into the wrap +1 and wrap -1 problems on the first
     n_t/2 nodes, of deck character wrap (-1)^l.  ``k_start`` is ignored.
+    A cut that is not a finite positive number raises DomainError.
     """
-    if lambda_cut <= 0.0:
-        raise ValueError("lambda_cut must be positive")
+    lambda_cut = in_interval(lambda_cut, "lambda_cut", 0.0, math.inf)
     b, h_x = grid.profile.solution.b, grid.h_x
     h_a = 2.0 * math.pi / grid.n_alpha
     _, s, w = radial_coefficients(b, grid.xs)

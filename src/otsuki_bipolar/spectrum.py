@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, VerificationFailed
+from .errors import ConvergenceFailure, VerificationFailed, in_interval
 from .geodesic import (
     GeodesicProfile,
     OtsukiSolution,
@@ -177,10 +177,11 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
     the cutoff (``solve_radial``'s reaches 4), so no mode below it is
     dropped.  For even q the filter keeps the modes of Bloch sectors
     k = l (mod 2).  Rows are sampled on ``pipeline_grid_size(2048, q)``
-    points; ``profile``, ``l_max`` and ``grid_size`` are ignored.
+    points; ``profile``, ``l_max`` and ``grid_size`` are ignored.  A cut
+    that is not a finite number of at least 2 raises DomainError.
     """
-    if not lambda_cut >= 2.0:
-        raise ValueError("lambda_cut must be at least 2")
+    lambda_cut = in_interval(lambda_cut, "lambda_cut", 2.0, math.inf,
+                             lo_closed=True)
     r = sol.rotation
     n = pipeline_grid_size(_SAMPLE_GRID, r.q)
     spectra = dict(spectra or {})

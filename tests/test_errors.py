@@ -34,6 +34,8 @@ from otsuki_bipolar.geodesic import (
     xi,
     xi_derivative,
 )
+from otsuki_bipolar.oracle import TorusGrid, dense_spectrum
+from otsuki_bipolar.spectrum import assemble
 
 QUARTER_PI, HALF_PI = 0.25 * math.pi, 0.5 * math.pi
 K_MAX = 1.0 - 1e-12
@@ -87,6 +89,29 @@ def test_in_interval_names_argument_interval_and_value():
         in_interval(1.0, "k", 0.0, 1.0, lo_closed=True)
     with pytest.raises(DomainError, match=r"\(0, 1\], got nan"):
         in_interval(math.nan, "k", 0.0, 1.0, hi_closed=True)
+
+
+@pytest.mark.parametrize("cut", [math.nan, math.inf, -1.0])
+def test_spectrum_cuts_are_range_checked(cut, cases):
+    """assemble takes a cut in [2, inf) and dense_spectrum one in (0, inf),
+    so a nan cut never reaches LAPACK and an infinite one never asks the
+    oracle for every eigenvalue."""
+    sol, prof = cases.solution((3, 5)), cases.profile((3, 5))
+    with pytest.raises(DomainError, match=r"^lambda_cut must lie in \[2, inf\)"):
+        assemble(sol, None, lambda_cut=cut)
+    with pytest.raises(DomainError, match=r"^lambda_cut must lie in \(0, inf\)"):
+        dense_spectrum(TorusGrid(prof, 32, 128), cut)
+
+
+def test_spectrum_cut_ends(cases):
+    sol, prof = cases.solution((3, 5)), cases.profile((3, 5))
+    spectra = {l: cases.spectrum((3, 5), l) for l in range(2)}
+    assert assemble(sol, None, lambda_cut=2.0, spectra=spectra).lambda_cut == 2.0
+    with pytest.raises(DomainError):
+        assemble(sol, None, lambda_cut=float(np.nextafter(2.0, 0.0)),
+                 spectra=spectra)
+    with pytest.raises(DomainError):
+        dense_spectrum(TorusGrid(prof, 32, 128), 0.0)
 
 
 def test_numerical_failures_share_one_base():

@@ -1,9 +1,12 @@
 """Immersions, the wedge identification, induced metric, and mesh export."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otsuki_bipolar.geodesic import (
     GeodesicProfile,
@@ -12,6 +15,8 @@ from otsuki_bipolar.geodesic import (
     solve_rotation,
 )
 from otsuki_bipolar.immersion import (
+    _FIELD,
+    _write_g15,
     area,
     bipolar_wedge,
     build_mesh,
@@ -299,6 +304,59 @@ def test_mesh_export_obj(tmp_path, cases):
     assert len(lines) == 8 * 16
     assert all(len(l.split()) == 4 for l in lines)
     assert path.read_bytes() == reference_mesh_text(mesh, "obj").encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj"])
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8), (7, 13), (51, 101)])
+def test_mesh_export_is_percent_g_text(pq, fmt, tmp_path, cases):
+    """Byte identity with the one-value-at-a-time text, for both parities
+    of q and near the 1/2 end.  With 12 alpha rows, not a whole number of
+    blocks, alpha = 0 and pi give zeros and -0, and alpha = pi/2 and 3pi/2
+    give values near 1e-17 that print in exponent form."""
+    path = tmp_path / f"mesh.{fmt}"
+    mesh = export_mesh(cases.profile(pq), 12, 64, fmt, str(path))
+    text = path.read_bytes()
+    assert text == reference_mesh_text(mesh, fmt).encode()
+    fields = set(re.split(rb"[ ,\n]", text))
+    assert {b"0", b"-0"} <= fields
+    assert any(b"e-" in field for field in fields)
+
+
+def block_text(values):
+    """Each value's text from ``_write_g15`` on all of them at once."""
+    x = np.array(values, dtype=float)
+    chars = np.empty(x.shape + (_FIELD,), np.uint8)
+    keep = np.empty(chars.shape, bool)
+    _write_g15(x, chars, keep)
+    return [bytes(c[k]).decode() for c, k in zip(chars, keep)]
+
+
+SPECIAL_VALUES = [0.0, -0.0, 1.0, -1.0, 1e-4, -1e-4,
+                  float(np.nextafter(1e-4, 0.0)), float(np.nextafter(1e-4, 1.0)),
+                  float(np.nextafter(1.0, 0.0)), 0.99999999999999951,
+                  math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308]
+# 10^-k and its neighbours one ulp away
+NEAR_POWERS = st.builds(
+    lambda k, step: float(np.nextafter(10.0 ** -k, math.inf * step))
+    if step else 10.0 ** -k,
+    st.integers(0, 20), st.sampled_from([-1, 0, 1]))
+# 0.<15 digits>5<tail> x 10^e: the 16th significant digit is 5
+DIGIT_FIVE = st.builds(
+    lambda sign, m, tail, e: float(f"{sign}0.{m}5{tail}e{e}"),
+    st.sampled_from(["", "-"]), st.integers(10 ** 14, 10 ** 15 - 1),
+    st.sampled_from(["", "0", "00001", "4999", "9"]), st.integers(-5, 2))
+# (2j + 1) / 2^n: for n = 16 ... 19 in [10^(15 - n), 10^(16 - n)) these lie
+# exactly halfway between two 15-digit decimals
+TIES = st.builds(lambda j, n: (2 * j + 1) / 2.0 ** n,
+                 st.integers(0, 2 ** 19), st.integers(16, 19))
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES),
+                          NEAR_POWERS, DIGIT_FIVE, TIES),
+                min_size=1, max_size=64))
+def test_block_formatter_is_percent_g(values):
+    assert block_text(values) == ["%.15g" % v for v in values]
 
 
 def test_mesh_rejects_coarse_resolutions(cases):

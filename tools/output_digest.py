@@ -6,7 +6,8 @@ this file and prints one ``sha256 command input`` line per output:
   * ``verify`` and ``spectrum --format json`` on every reduced p/q in
     (1/2, sqrt(2)/2) with q <= 40, and on 51/101;
   * one ``table --pairs`` run over the p/q with q <= 40;
-  * ``export-mesh`` CSV and OBJ at 64x768 vertices with q <= 20;
+  * ``export-mesh`` CSV and OBJ at 64x768 vertices with q <= 20, and at
+    16x128 vertices with q <= 40 and on 51/101;
   * ``cross-check --format json`` at the default oracle grid with q <= 20;
   * ``solve`` in every format, ``verify`` and ``spectrum`` in csv and
     text, and both in json at ``--lambda-cut 4.04`` (which admits the
@@ -33,7 +34,7 @@ listings are identical:
     diff before.txt after.txt
 
 BLAS runs on one thread, so a listing does not depend on the core count.
-The 709 lines take about a minute on a 2-core host.
+The 1,113 lines take about 40 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -82,13 +83,16 @@ def runs():
         yield "spectrum", f"{p}/{q}", ["spectrum", *pq], None
     pairs = ",".join(f"{p}/{q}" for p, q in fractions(40))
     yield "table", "q<=40", ["table", "--pairs", pairs], None
-    for p, q in fractions(20):
-        for fmt in ("csv", "obj"):
-            path = Path(f"mesh.{fmt}")
-            yield (f"export-mesh-{fmt}", f"{p}/{q}",
-                   ["export-mesh", "--p", str(p), "--q", str(q),
-                    "--n-alpha", "64", "--n-t", "768", "--mesh-format", fmt,
-                    "--mesh-out", str(path)], path)
+    for grid, n_alpha, n_t, pqs in (
+            ("", "64", "768", fractions(20)),
+            ("-16x128", "16", "128", fractions(40) + [(51, 101)])):
+        for p, q in pqs:
+            for fmt in ("csv", "obj"):
+                path = Path(f"mesh.{fmt}")
+                yield (f"export-mesh{grid}-{fmt}", f"{p}/{q}",
+                       ["export-mesh", "--p", str(p), "--q", str(q),
+                        "--n-alpha", n_alpha, "--n-t", n_t,
+                        "--mesh-format", fmt, "--mesh-out", str(path)], path)
     for p, q in fractions(20):
         yield ("cross-check", f"{p}/{q}",
                ["cross-check", "--p", str(p), "--q", str(q), "--format", "json"],
