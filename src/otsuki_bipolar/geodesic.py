@@ -25,6 +25,7 @@ the profiles integrate their Fourier series term by term (``_HalfChart``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -264,12 +265,23 @@ def torus_half_period(a: float) -> float:
     return val
 
 
+@functools.cache
+def _omega_at_bracket_end(a: float) -> float:
+    """omega at an end of ``solve_rotation``'s bracket, 1e-4 / 100^k or
+    pi/4, which are the same for every p/q: computed once per process."""
+    return omega(a)
+
+
 def solve_rotation(r: RotationNumber) -> OtsukiSolution:
     """Solve omega(a) = p pi / q for the turning value a.
 
     The period function is strictly increasing on (0, pi/4], so a
     bracketing solve (bisection refined by inverse interpolation, via
-    Brent) converges to |omega(a) - p pi/q| < 1e-11.
+    Brent) converges to |omega(a) - p pi/q| < 1e-11.  Each omega value
+    is computed once: the bracket ends come from a per-process cache
+    (they do not depend on p/q), and brentq's first evaluations and the
+    residual at the root reuse the values already computed in this
+    solve.
     """
     if not isinstance(r, RotationNumber):
         r = RotationNumber(*r)
@@ -280,14 +292,20 @@ def solve_rotation(r: RotationNumber) -> OtsukiSolution:
     lo, hi = 1e-4, _QUARTER_PI
     # omega decreases to pi/2 as a -> 0; widen the bracket for targets
     # very close to the lower limit.
-    while omega(lo) > target:
+    while _omega_at_bracket_end(lo) > target:
         lo *= 1e-2
         if lo < 1e-14:
             raise NoRoot("failed to bracket the period equation near a = 0")
+    seen = {x: _omega_at_bracket_end(x) for x in (lo, hi)}
 
-    a = brentq(lambda x: omega(x) - target, lo, hi, xtol=1e-15, rtol=8.9e-16,
+    def value(x: float) -> float:
+        if x not in seen:
+            seen[x] = omega(x)
+        return seen[x]
+
+    a = brentq(lambda x: value(x) - target, lo, hi, xtol=1e-15, rtol=8.9e-16,
                maxiter=200)
-    residual = omega(a) - target
+    residual = value(a) - target
 
     b = b_of_a(a)
     c = math.sin(a) * math.cos(a)

@@ -486,22 +486,31 @@ def test_grid_size_flag_and_key_are_ignored(tmp_path, capsys):
       "--oracle-n-alpha", "32", "--oracle-n-t", "200"], [0, 1]),
     (["spectrum", "--p", "12", "--q", "17", "--lambda-cut", "4.04"],
      [0, 1, 2]),
-    (["verify", "--p", "3", "--q", "5"], [0, 1, 2]),
+    (["verify", "--p", "3", "--q", "5"], [0, 1]),
 ], ids=["spectrum", "cross-check", "spectrum-cut-4.04", "verify"])
 def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
     """Each command solves each l with l^2 below the cut once, all on one
-    chart; verify adds l = 2 for its ground-state certificates."""
+    chart; verify adds the ground level at l = 2, for its ground-state
+    certificates, on the same chart."""
     solve, seen, charts = spectrum.solve_radial, [], set()
+    ground, grounds = spectrum._RadialChart.ground, []
 
     def spy(sol, profile, l, *args, **kwargs):
         seen.append(l)
         charts.add(id(kwargs["chart"]))
         return solve(sol, profile, l, *args, **kwargs)
 
+    def ground_spy(chart, l):
+        grounds.append(l)
+        charts.add(id(chart))
+        return ground(chart, l)
+
     monkeypatch.setattr(spectrum, "solve_radial", spy)
+    monkeypatch.setattr(spectrum._RadialChart, "ground", ground_spy)
     code, out, err = run(argv, capsys)
     assert code == 0, err
     assert seen == ls and len(charts) == 1
+    assert grounds == ([2] if argv[0] == "verify" else [])
     if "4.04" in argv:
         rows = list(csv.DictReader(out.splitlines()[1:]))
         assert {row["l"] for row in rows} == {"0", "1", "2"}

@@ -6,19 +6,24 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+import otsuki_bipolar.geodesic as geodesic
 from otsuki_bipolar.errors import DomainError, ResolutionTooCoarse
 from otsuki_bipolar.geodesic import (
     GeodesicProfile,
+    OtsukiSolution,
     _HalfChart,
     RotationNumber,
     a_of_b,
     b_of_a,
+    bipolar_half_period,
     i1,
     i2,
     i_ratio,
     omega,
     solve_rotation,
+    torus_half_period,
     xi,
     xi_derivative,
 )
@@ -244,6 +249,54 @@ def test_solve_rotation_residual(pq, cases):
     assert 0.0 < sol.a < 0.25 * math.pi
     assert sol.c == pytest.approx(math.sin(sol.a) * math.cos(sol.a))
     assert math.cos(sol.b) ** 4 == pytest.approx(4.0 * sol.c ** 2, abs=1e-13)
+
+
+def _reference_solve_rotation(r):
+    """The bracket-and-brentq solve with every omega value computed
+    afresh: the bracket ends on each call, f(lo) again inside brentq and
+    omega at the root again for the residual."""
+    target = r.target_angle
+    lo, hi = 1e-4, 0.25 * math.pi
+    while omega(lo) > target:
+        lo *= 1e-2
+    a = brentq(lambda x: omega(x) - target, lo, hi, xtol=1e-15, rtol=8.9e-16,
+               maxiter=200)
+    residual = omega(a) - target
+    b = b_of_a(a)
+    return OtsukiSolution(rotation=r, a=a, b=b, c=math.sin(a) * math.cos(a),
+                          t0=2 * r.q * bipolar_half_period(b),
+                          s_total=2 * r.q * torus_half_period(a),
+                          omega_residual=residual)
+
+
+def test_solve_rotation_evaluates_each_point_once(monkeypatch):
+    """Sharing omega values changes no bit of the solution, and within one
+    solve no point is evaluated twice.  The bracket ends, the same for
+    every p/q, are evaluated once per process; the interior points are
+    evaluated again by every solve.  1000/1999 lies so close to 1/2 that
+    its bracket widens below a = 1e-4."""
+    fractions = [(3, 5), (7, 13), (50, 99), (70, 99), (1000, 1999)]
+    calls, runs = [], []
+
+    def spy(a):
+        calls.append(a)
+        return omega(a)
+
+    monkeypatch.setattr(geodesic, "omega", spy)
+    geodesic._omega_at_bracket_end.cache_clear()
+    for pq in fractions * 2:
+        r = RotationNumber(*pq)
+        calls.clear()
+        assert solve_rotation(r) == _reference_solve_rotation(r)
+        assert len(set(calls)) == len(calls)
+        runs.append(calls.copy())
+
+    first, again = runs[:len(fractions)], runs[len(fractions):]
+    assert first[0][:2] == [1e-4, 0.25 * math.pi]
+    assert first[-1][0] < 1e-4      # the widened lower end
+    assert [len(a) - len(b) for a, b in zip(first, again)] == [2, 0, 0, 0, 1]
+    for a, b in zip(first, again):
+        assert b and b == a[len(a) - len(b):]
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (4, 7)])

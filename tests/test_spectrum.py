@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from otsuki_bipolar.errors import VerificationFailed
+from otsuki_bipolar.errors import ConvergenceFailure, VerificationFailed
 from otsuki_bipolar.geodesic import RotationNumber, i2, solve_rotation
 from otsuki_bipolar.immersion import area
 from otsuki_bipolar.spectrum import (
@@ -257,11 +257,12 @@ def test_rows_are_normalized_independently_of_the_grid():
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8), (4, 7), (5, 9), (7, 10)])
 def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     """verify solves sector q at l = 0 and sector p at l = 1 with vectors
-    and every other sector values-only.  Against the full solve: the
-    threshold sectors' eigenvalues and zero counts are the same bits, the
-    other eigenvalues agree to rounding, and N(2), the pinned modes and
-    the certified zero counts do not move.  No unsampled row carries a
-    zero count."""
+    and every other sector values-only, and at l = 2 only the ground
+    level.  Against the full solve: the threshold sectors' eigenvalues
+    and zero counts are the same bits, the other eigenvalues and the
+    ground level at l = 2 agree to rounding, and N(2), the pinned modes
+    and the certified zero counts do not move.  No unsampled row carries
+    a zero count."""
     import otsuki_bipolar.spectrum as spec_mod
     solve, seen = spec_mod.solve_radial, {}
 
@@ -272,8 +273,8 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     monkeypatch.setattr(spec_mod, "solve_radial", spy)
     report = verify_theorem3(RotationNumber(*pq))
     p, q = pq
-    threshold = {0: [q], 1: [p, 2 * q - p], 2: []}
-    assert sorted(seen) == [0, 1, 2]
+    threshold = {0: [q], 1: [p, 2 * q - p]}
+    assert sorted(seen) == [0, 1]
     for l, fast in seen.items():
         full = cases.spectrum(pq, l)
         assert fast.eigenvalues.size == full.eigenvalues.size
@@ -298,6 +299,10 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     full0, full1 = cases.spectrum(pq, 0), cases.spectrum(pq, 1)
     assert certs["sin_phi_zero_count"] == full0.zero_counts[2 * q]
     assert certs["l1_pair_zero_count"] == full1.zero_counts[2 * p - 1]
+    ground = cases.spectrum(pq, 2).eigenvalues[0]
+    for name in ("ground_l2_above_two", "ground_l2_above_potential_floor"):
+        cert = next(c for c in report.certificates if c.name == name)
+        assert abs(cert.rhs - ground) <= 1e-11
 
 
 def test_radial_chart_must_match_the_solution(cases):
@@ -344,13 +349,18 @@ def test_verify_sweep_q_up_to_40(pq):
 
 def _ground_levels_clear_the_floor(pq):
     """Radial eigenvalues at l are at least l^2 min(S/W) = l^2, the floor
-    by which ``assemble`` solves only the l with l^2 below its cutoff."""
+    by which ``assemble`` solves only the l with l^2 below its cutoff.
+    ``_RadialChart.ground``, verify's l = 2 level, solves Bloch sector 0
+    alone and finds the same lowest eigenvalue."""
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, pq[1])
     for l in (2, 3):
         spec = solve_radial(sol, None, l, 8 * pq[1], chart=chart,
                             sampled_sectors=())
         assert spec.eigenvalues[0] >= l * l
+        ground = chart.ground(l)
+        assert abs(ground - spec.eigenvalues[0]) <= 1e-11
+        assert ground >= l * l
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (12, 17), (41, 58), (50, 99)])
@@ -364,6 +374,17 @@ def test_ground_levels_clear_the_floor(pq):
 def test_ground_levels_clear_the_floor_sweep(pq):
     """The 100 reduced p/q with q <= 40, 41/58, 50/99, 70/99 and 51/101."""
     _ground_levels_clear_the_floor(pq)
+
+
+def test_unsettled_ground_level_names_l_and_modes(monkeypatch):
+    """The ground solve stops at the Fourier-mode cap as ``solve_radial``
+    does: ConvergenceFailure naming l and M."""
+    import otsuki_bipolar.spectrum as spec_mod
+    monkeypatch.setattr(spec_mod, "_MODE_TOL", 0.0)
+    monkeypatch.setattr(spec_mod, "_MAX_MODES", 16)
+    sol = solve_rotation(RotationNumber(3, 5))
+    with pytest.raises(ConvergenceFailure, match=r"at l = 2 .* at M = 16 "):
+        _RadialChart(sol.b, 5).ground(2)
 
 
 def test_closed_geodesic_residual_certificate(monkeypatch):
