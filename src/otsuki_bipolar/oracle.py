@@ -30,8 +30,10 @@ quotient filter of the assembly.
 
 The coefficients do not depend on alpha, so ``dense_spectrum`` solves the
 operator exactly by alpha-Fourier modes: each mode leaves a cyclic
-tridiagonal block in x, solved as a band of half-width 2 after a zigzag
-reordering of its nodes.
+tridiagonal block in x.  The coefficients are even in x, so the
+reflection x -> -x folds each block into an even and an odd symmetric
+tridiagonal of about n/2 rows, each solved by Sturm-sequence bisection
+below the cut (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
 """
 
 from __future__ import annotations
@@ -135,6 +137,47 @@ class OracleSpectrum:
         return self.eigenvalues[self.kept]
 
 
+def _folded_blocks(p_half: np.ndarray, s_over_w: np.ndarray, w: np.ndarray,
+                   wrap: float):
+    """The cyclic block D flux_stencil(p_half, wrap) D, D = W^-1/2, folded
+    under the reflection (R f)_j = wrap^[j>0] f_{(-j) mod n}.
+
+    Returns the even and the odd part, each as (diagonal, off-diagonal,
+    S/W on the diagonal) of a symmetric tridiagonal over the orbits
+    j = 0 ... n // 2 that it keeps.  A paired orbit {j, n-j} gives the
+    basis vector (e_j +- wrap e_{n-j}) / sqrt 2 to each part; the fixed
+    orbit j = 0 belongs to the even part and j = n/2 (even n) to the part
+    of sign ``wrap``.  A coupling to a fixed orbit carries sqrt 2, and at
+    odd n the middle pair's own coupling moves onto its diagonal.
+    """
+    n = p_half.size
+    m = n // 2
+    d = 1.0 / np.sqrt(w)
+    diag = (p_half + np.roll(p_half, 1)) * d * d
+    coupling = -p_half[:-1] * d[:-1] * d[1:]        # B[j, j+1]
+    off = coupling[:m].copy()
+    off[0] *= math.sqrt(2.0)
+    if n % 2 == 0:
+        off[m - 1] *= math.sqrt(2.0)
+    parts = []
+    for sign in (1.0, -1.0):
+        lo = 0 if sign == 1.0 else 1
+        hi = m + 1 if n % 2 or sign == wrap else m
+        diag_part = diag[:m + 1].copy()
+        if n % 2:
+            diag_part[m] += sign * wrap * coupling[m]
+        parts.append((diag_part[lo:hi], off[lo:hi - 1], s_over_w[lo:hi]))
+    return parts
+
+
+def _mirror_asymmetry(p_half: np.ndarray, *node_values: np.ndarray) -> float:
+    """Largest relative change of sampled coefficients under x -> -x, which
+    takes node j to (-j) mod n and half node j + 1/2 to n - 1 - j."""
+    pairs = [(p_half, p_half[::-1])]
+    pairs += [(v, np.roll(v[::-1], 1)) for v in node_values]
+    return max(float(np.max(np.abs(v - r)) / np.max(np.abs(v))) for v, r in pairs)
+
+
 def dense_spectrum(grid: TorusGrid, lambda_cut: float,
                    k_start: int | None = None) -> OracleSpectrum:
     """All eigenvalues of the discretized operator below ``lambda_cut``.
@@ -142,13 +185,16 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
     The coefficients depend on x alone, so the alpha-Fourier mode l, of
     stencil eigenvalue mu_l = (2 sin(pi l / n_alpha) / h_alpha)^2, leaves the
     cyclic 1-D block D (flux_stencil(P_half / h_x^2) + mu_l diag(S)) D with
-    D = W^-1/2, counted twice (cos and sin) for 0 < l < n_alpha/2.  Each
-    block is taken in the zigzag node order 0, n-1, 1, n-2, ..., in which
-    every cyclic neighbour pair, the corner pair included, lies at most two
-    apart; a permutation is an exact similarity, so the block keeps its
-    spectrum and is one symmetric band of half-width 2.  LAPACK's band
-    reduction and bisection (``scipy.linalg.eig_banded``) find its
-    eigenvalues below the cut in O(n^2), with no dense n x n array.  The
+    D = W^-1/2, counted twice (cos and sin) for 0 < l < n_alpha/2.  P, S
+    and W are even in x, so each block commutes with the reflection
+    x -> -x and splits exactly into its even and odd parts (Magnus &
+    Winkler, Hill's Equation, 1966).  In the orthonormal bases of
+    ``_folded_blocks`` each part is a symmetric tridiagonal of about n/2
+    rows, whose eigenvalues below the cut LAPACK's Sturm-sequence
+    bisection (``scipy.linalg.eigh_tridiagonal``, ``stebz``) finds at
+    O(n) per bisection step, with no band reduction and no dense array.  The
+    sampled coefficients must be mirror-symmetric to 1e-9 relative, or
+    ConvergenceFailure is raised rather than a wrong fold solved.  The
     stencil is PSD, so block l has none below mu_l min(S/W): the loop stops
     at the first l where that bound reaches the cut.  For even q the deck
     shift acts on mode l as (-1)^l times the half shift x -> x + q pi, so
@@ -163,16 +209,14 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
     p_half = radial_coefficients(b, grid.xs + 0.5 * h_x)[0] / h_x ** 2
     even_q = grid.profile.solution.rotation.even_q
     n, wraps = (grid.n_t // 2, (1.0, -1.0)) if even_q else (grid.n_t, (1.0,))
-    order = np.empty(n, dtype=int)
-    order[0::2] = np.arange((n + 1) // 2)
-    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
-    d = 1.0 / np.sqrt(w[order])
-    bands = {}     # LAPACK's lower band layout: bands[c][k, j] = B[j + k, j]
-    for c in wraps:
-        a = flux_stencil(p_half[:n], c)[order][:, order]
-        bands[c] = np.array([np.append(a.diagonal(-k) * d[k:] * d[:n - k],
-                                       np.zeros(k)) for k in range(3)])
-    s_over_w = s[order] / w[order]
+    p_half, s_over_w, w = p_half[:n], s[:n] / w[:n], w[:n]
+    asymmetry = _mirror_asymmetry(p_half, s_over_w, w)
+    if not asymmetry <= 1e-9:
+        raise ConvergenceFailure(
+            f"oracle: coefficients are not even in x (relative asymmetry"
+            f" {asymmetry:.3g} > 1e-9), so the reflection fold does not hold")
+    blocks = [(c, part) for c in wraps
+              for part in _folded_blocks(p_half, s_over_w, w, c)]
 
     vals, chars = [], []
     for l in range(grid.n_alpha // 2 + 1):
@@ -180,12 +224,10 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
         if mu * np.min(s_over_w) >= lambda_cut:
             break
         copies = 2 if 0 < l < grid.n_alpha // 2 else 1
-        for c, band in bands.items():
-            band_l = band.copy()
-            band_l[0] += mu * s_over_w
+        for c, (diag, off, sow) in blocks:
             try:
-                found = scipy.linalg.eig_banded(
-                    band_l, lower=True, eigvals_only=True, select="v",
+                found = scipy.linalg.eigh_tridiagonal(
+                    diag + mu * sow, off, eigvals_only=True, select="v",
                     select_range=(-np.inf, lambda_cut))
             except scipy.linalg.LinAlgError as exc:
                 raise ConvergenceFailure(f"oracle eigensolver failed: {exc}") from exc

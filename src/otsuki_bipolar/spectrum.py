@@ -234,7 +234,7 @@ _MAX_MODES = 256        # lags up to 2M stay below _FFT_POINTS / 2
 _MODE_TOL = 1e-10       # M-versus-M/2 change that stops the doubling
 _SAMPLE_GRID = 2048     # t-grid of assemble's rows, before pipeline_grid_size
 # Fixed tolerance of verify's close_to certificates at 2, not resolved against
-# the run's error; ROADMAP item 6's residual-based intervals will replace it.
+# the run's error; ROADMAP item 3's residual-based intervals will replace it.
 _THRESHOLD_WINDOW = 1e-6
 
 

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from otsuki_bipolar import oracle
+from otsuki_bipolar.errors import ConvergenceFailure
 from otsuki_bipolar.geodesic import RotationNumber, radial_coefficients
 from otsuki_bipolar.oracle import (
     OracleSpectrum,
@@ -171,7 +173,17 @@ def test_deck_blocks_match_dense_generalized_eigensolve(cases):
     restricted to the functions of that character, f(P r) = c f(r) with
     P the half-period shift; together they are the whole window.  The
     cuts reach the blocks l <= 1, l <= 3 and every block up to l = 16."""
-    grid = TorusGrid(cases.profile((5, 8)), 32, 32)
+    _check_deck_blocks(TorusGrid(cases.profile((5, 8)), 32, 32))
+
+
+def test_odd_deck_blocks_match_dense_generalized_eigensolve(cases):
+    """As above at 34 x-nodes, where each deck block has odd size 17 and
+    the two middle nodes form one reflection orbit, coupled to each other
+    with the sign of the wrap."""
+    _check_deck_blocks(TorusGrid(cases.profile((5, 8)), 32, 34))
+
+
+def _check_deck_blocks(grid):
     k, w = _operator_matrix(grid).toarray(), np.diag(grid.mass)
     n, half = k.shape[0], k.shape[0] // 2
     idx = np.arange(n).reshape(grid.n_t, grid.n_alpha)
@@ -215,32 +227,48 @@ def _dense_cyclic_block(grid, l, wrap, n):
                                         ((5, 8), 96, 768, 384),
                                         ((5, 8), 32, 34, 17)])
 def test_band_blocks_match_dense_cyclic_blocks(pq, na, nt, n, cases, monkeypatch):
-    """Each alpha-block's window from the banded solve, against
-    ``eigvalsh`` of the same cyclic block as a dense array: wrap +1 and
-    -1 (even q), at even and odd block sizes n.  The zigzag node order
-    puts every block, corner couplings included, in a band of half-width
-    2, so the band holds three rows."""
+    """Each alpha-block's window from the two reflection-folded
+    tridiagonal solves, against ``eigvalsh`` of the same cyclic block as a
+    dense array: wrap +1 and -1 (even q), at even and odd block sizes n.
+    The even and odd parts together have n rows, and the union of their
+    windows is the block's window."""
     grid = TorusGrid(cases.profile(pq), na, nt)
     cut = 12.0
-    solved, eig_banded = [], scipy.linalg.eig_banded
+    solved, eigh_tridiagonal = [], scipy.linalg.eigh_tridiagonal
 
-    def spy(band, *args, **kwargs):
-        rows = band.shape[0]
-        found = eig_banded(band, *args, **kwargs)
-        solved.append((rows, found[found < cut]))
+    def spy(d, e, *args, **kwargs):
+        found = eigh_tridiagonal(d, e, *args, **kwargs)
+        solved.append((d.size, found[found < cut]))
         return found
 
-    monkeypatch.setattr(scipy.linalg, "eig_banded", spy)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
     dense_spectrum(grid, cut)
     wraps = (1.0, -1.0) if pq[1] % 2 == 0 else (1.0,)
-    blocks = [(l, c) for l in range(len(solved) // len(wraps)) for c in wraps]
-    assert len(blocks) == len(solved) > len(wraps)
-    for (l, c), (rows, found) in zip(blocks, solved):
+    halves = list(zip(solved[0::2], solved[1::2]))
+    blocks = [(l, c) for l in range(len(halves) // len(wraps)) for c in wraps]
+    assert 2 * len(halves) == len(solved)
+    assert len(blocks) == len(halves) > len(wraps)
+    for (l, c), ((rows_even, even), (rows_odd, odd)) in zip(blocks, halves):
         full = scipy.linalg.eigvalsh(_dense_cyclic_block(grid, l, c, n))
         exact = full[full < cut]
-        assert rows == 3
+        found = np.sort(np.concatenate([even, odd]))
+        assert rows_even + rows_odd == n, (l, c)
         assert found.size == exact.size > 0, (l, c)
         assert np.max(np.abs(found - exact)) <= 1e-9, (l, c)
+
+
+def test_uneven_coefficients_are_refused(cases, monkeypatch):
+    """A chart shifted off x = 0 makes P, S and W uneven on the grid, so
+    the reflection fold would solve the wrong problem: the oracle raises
+    ConvergenceFailure instead."""
+    grid = TorusGrid(cases.profile((3, 5)), 32, 64)
+
+    def shifted(b, x):
+        return radial_coefficients(b, np.asarray(x) + 0.3)
+
+    monkeypatch.setattr(oracle, "radial_coefficients", shifted)
+    with pytest.raises(ConvergenceFailure, match="oracle"):
+        dense_spectrum(grid, 2.5)
 
 
 def test_theorem2_residual_converges_quadratically(cases):
