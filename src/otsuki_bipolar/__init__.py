@@ -59,6 +59,6 @@ from .sturm import (
     eigen,
     rayleigh,
 )
-from .oracle import TorusGrid, dense_spectrum, theorem2_residual
+from .oracle import TorusGrid, cross_check, dense_spectrum, theorem2_residual
 
 __version__ = "0.1.0"

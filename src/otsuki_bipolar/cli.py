@@ -25,10 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
-
-import numpy as np
 
 from . import geodesic, immersion, oracle, spectrum
 from .config import RunConfig, make_config
@@ -181,51 +178,16 @@ def cmd_table(cfg, pairs) -> int:
 
 
 def cmd_cross_check(cfg) -> int:
-    sol = _solve(cfg)
-    prof = geodesic.profile(sol)
-    table = spectrum.assemble(sol, None, lambda_cut=cfg.lambda_cut)
-    fine = oracle.dense_spectrum(
-        oracle.TorusGrid(prof, cfg.oracle_n_alpha, cfg.oracle_n_t),
-        cfg.lambda_cut)
-
-    def coarser(n):         # two thirds of n, rounded down to even
-        return max(32, (2 * n) // 3 // 2 * 2)
-
-    coarse = oracle.dense_spectrum(
-        oracle.TorusGrid(prof, coarser(cfg.oracle_n_alpha),
-                         coarser(cfg.oracle_n_t)),
-        cfg.lambda_cut)
-
-    kept_fine = np.sort(fine.kept_eigenvalues())
-    kept_coarse = np.sort(coarse.kept_eigenvalues())
-    m = min(kept_fine.size, kept_coarse.size)
-    eps_oracle = float(np.max(np.abs(kept_fine[:m] - kept_coarse[:m])) / 1.25)
-
-    window = max(2.0 * eps_oracle, 0.02)
-    if window > 0.02:
-        print(f"warning: oracle error {eps_oracle:.3g} widens the threshold"
-              f" window to {window:.3g} at"
-              f" {fine.grid.points_per_half_oscillation():.1f} points per"
+    payload = oracle.cross_check(_solve(cfg), cfg.oracle_n_alpha,
+                                 cfg.oracle_n_t, cfg.lambda_cut)
+    if payload["threshold_window"] > oracle.WINDOW_FLOOR:
+        print(f"warning: oracle error {payload['oracle_eps']:.3g} widens the"
+              f" threshold window to {payload['threshold_window']:.3g} at"
+              f" {cfg.oracle_n_t / (2 * cfg.q):.1f} points per"
               " half-oscillation; modes near the threshold may be"
               " unresolved", file=sys.stderr)
-    pair_tol = max(2.0 * eps_oracle, 1e-3)
-    ok, diff, n_oracle, n_table = oracle.match_table(
-        fine, table, 2.0, window, pair_tol)
-    n2 = spectrum.weyl_N(table, 2.0)
-    payload = {
-        "p": cfg.p, "q": cfg.q,
-        "N2_assembled": n2,
-        "n_below_2_oracle": n_oracle,
-        "n_below_2_assembled": n_table,
-        "max_pairwise_difference": diff if math.isfinite(diff) else None,
-        "pair_tolerance": pair_tol,
-        "oracle_eps": eps_oracle,
-        "threshold_window": window,
-        "counts_agree": bool(n_oracle == n_table),
-        "pass": bool(ok),
-    }
-    _emit(cfg, payload)
-    return 0 if ok else 1
+    _emit(cfg, {"p": cfg.p, "q": cfg.q, **payload})
+    return 0 if payload["pass"] else 1
 
 
 def cmd_export_mesh(cfg, path: str) -> int:

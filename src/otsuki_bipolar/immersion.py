@@ -234,7 +234,8 @@ def build_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int) -> SurfaceMesh:
 
 # Mesh text.  A "%.15g" field is at most 22 bytes (-1.23456789012345e-308).
 _FIELD = 22
-_BLOCK_ROWS = 8         # alpha rows per block: the text buffers stay ~2 MB
+# Vertices per block: the text buffers stay ~2 MB at any n_t.
+_BLOCK_VERTICES = 6144
 _PADDED = f"%-{_FIELD}.15g"
 # 10^(14 - e) for e = floor(log10|x|) = -4 ... -1: exact doubles, split in
 # 26-bit halves for Dekker's two-product.
@@ -340,9 +341,10 @@ def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
     row).  OBJ projects orthogonally to the three coordinate axes of
     largest variance, which is lossy by construction.  Every value is
     written as ``"%.15g" % value`` would write it, byte for byte.  The
-    text is assembled in blocks of ``_BLOCK_ROWS`` alpha rows: the grid
-    axes are formatted once per distinct value, and the vertex values by
-    ``_write_g15``, which formats those in [1e-4, 1) in numpy and hands
+    text is assembled in blocks of at most ``_BLOCK_VERTICES`` vertices:
+    whole alpha rows while n_t fits, else one row cut into t-chunks.  The
+    grid axes are formatted once per distinct value, and the vertex values
+    by ``_write_g15``, which formats those in [1e-4, 1) in numpy and hands
     the rest to ``"%.15g"``.
     """
     mesh = build_mesh(profile, n_alpha, n_t)
@@ -361,27 +363,33 @@ def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
     # One line is n_fields slots of a _FIELD-byte text and its separator:
     # alpha and t (CSV) or "v" (OBJ), then the vertex values.
     n_fields = n_lead + values.shape[-1]
-    text = np.zeros((_BLOCK_ROWS, n_t, n_fields, _FIELD + 1), np.uint8)
+    rows, cols = max(1, _BLOCK_VERTICES // n_t), min(n_t, _BLOCK_VERTICES)
+    text = np.zeros((rows, cols, n_fields, _FIELD + 1), np.uint8)
     kept = np.zeros(text.shape, bool)
     text[..., _FIELD] = ord(sep)
     text[..., -1, _FIELD] = ord("\n")
     kept[..., _FIELD] = True
     if fmt == "csv":
         alpha_text, alpha_kept = _percent_g(mesh.alphas)
-        text[..., 1, :_FIELD], kept[..., 1, :_FIELD] = _percent_g(mesh.ts)
+        t_text, t_kept = _percent_g(mesh.ts)
+        text[..., 1, :_FIELD], kept[..., 1, :_FIELD] = t_text[:cols], t_kept[:cols]
     else:
         text[..., 0, 0], kept[..., 0, 0] = ord("v"), True
     with open(path, "wb") as fh:
         fh.write(header.encode())
-        for i in range(0, n_alpha, _BLOCK_ROWS):
-            block = values[i:i + _BLOCK_ROWS]
-            rows = len(block)
-            if fmt == "csv":
-                text[:rows, :, 0, :_FIELD] = alpha_text[i:i + rows, None]
-                kept[:rows, :, 0, :_FIELD] = alpha_kept[i:i + rows, None]
-            _write_g15(block, text[:rows, :, n_lead:, :_FIELD],
-                       kept[:rows, :, n_lead:, :_FIELD])
-            fh.write(text[:rows][kept[:rows]])
+        for i in range(0, n_alpha, rows):
+            for j in range(0, n_t, cols):
+                block = values[i:i + rows, j:j + cols]
+                r, c = block.shape[:2]
+                if fmt == "csv":
+                    text[:r, :c, 0, :_FIELD] = alpha_text[i:i + r, None]
+                    kept[:r, :c, 0, :_FIELD] = alpha_kept[i:i + r, None]
+                    if cols < n_t:      # one row per block: its own t-chunk
+                        text[0, :c, 1, :_FIELD] = t_text[j:j + c]
+                        kept[0, :c, 1, :_FIELD] = t_kept[j:j + c]
+                _write_g15(block, text[:r, :c, n_lead:, :_FIELD],
+                           kept[:r, :c, n_lead:, :_FIELD])
+                fh.write(text[:r, :c][kept[:r, :c]])
     return mesh
 
 

@@ -45,6 +45,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from . import geodesic, spectrum
 from .errors import ConvergenceFailure, in_interval
 from .geodesic import GeodesicProfile, radial_coefficients
 from .immersion import immerse_bipolar
@@ -261,6 +262,43 @@ def theorem2_residual(profile: GeodesicProfile, grid: TorusGrid) -> float:
         worst = max(worst, float(np.max(np.abs(resid))
                                  / np.max(np.abs(flat))))
     return worst
+
+
+RICHARDSON_DIVISOR = 1.25   # two-size difference over fine-grid error
+WINDOW_FLOOR = 0.02         # least half-width of the threshold window
+PAIR_FLOOR = 1e-3           # least pair tolerance
+
+
+def _coarser(n: int) -> int:
+    """Two thirds of n, rounded down to even, and at least 32."""
+    return max(32, (2 * n) // 3 // 2 * 2)
+
+
+def cross_check(sol, n_alpha: int, n_t: int, lambda_cut: float) -> dict:
+    """The oracle at n_alpha x n_t against ``spectrum.assemble``'s table.
+
+    The oracle error is estimated from the kept eigenvalues on this grid
+    and on the ``_coarser`` one; twice it, floored, sets the threshold
+    window and the pair tolerance of ``match_table`` below 2.  The keys
+    are those of the ``cross-check`` command's output without p and q.
+    """
+    # The oracle never reads the sampled arrays: take the least, 16 samples.
+    prof = geodesic.profile(sol, 16)
+    table = spectrum.assemble(sol, None, lambda_cut=lambda_cut)
+    fine, coarse = (dense_spectrum(TorusGrid(prof, na, nt), lambda_cut) for na, nt
+                    in ((n_alpha, n_t), (_coarser(n_alpha), _coarser(n_t))))
+    kept_fine, kept_coarse = fine.kept_eigenvalues(), coarse.kept_eigenvalues()
+    m = min(kept_fine.size, kept_coarse.size)
+    eps = float(np.max(np.abs(kept_fine[:m] - kept_coarse[:m]))
+                / RICHARDSON_DIVISOR)
+    window, pair_tol = max(2.0 * eps, WINDOW_FLOOR), max(2.0 * eps, PAIR_FLOOR)
+    ok, diff, n_oracle, n_table = match_table(fine, table, 2.0, window, pair_tol)
+    return {"N2_assembled": spectrum.weyl_N(table, 2.0),
+            "n_below_2_oracle": n_oracle, "n_below_2_assembled": n_table,
+            "max_pairwise_difference": diff if math.isfinite(diff) else None,
+            "pair_tolerance": pair_tol, "oracle_eps": eps,
+            "threshold_window": window,
+            "counts_agree": bool(n_oracle == n_table), "pass": bool(ok)}
 
 
 def match_table(oracle: OracleSpectrum, table: ModeTable, lam: float,

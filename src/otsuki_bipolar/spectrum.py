@@ -579,16 +579,17 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     strict upper bound; the geodesic closes, |omega(a) - p pi/q| <=
     ``omega_tol``.  The radial spectra come from the analytic chart, so
     no sampled profile is built and ``samples_per_half_period`` is
-    ignored.  One chart serves every solve: ``solve_radial`` at l = 0, 1
-    (``assemble`` solves any higher l that the cutoff needs, by the
-    floor lambda >= l^2), and ``_RadialChart.ground(2)``, which solves
+    ignored.  One chart serves every solve: ``solve_radial`` at l = 0, 1,
+    the only l below ``assemble``'s default cut 2.5 (by the floor
+    lambda >= l^2), and ``_RadialChart.ground(2)``, which solves
     only Bloch sector 0, where the ground state lies, for the two l = 2
     certificates; ``l_max`` is ignored.  Only the threshold sectors (q at
     l = 0, p and 2q - p at l = 1) are solved with eigenvectors and
     sampled, every other sector is solved values-only; ``grid_size`` is
-    ignored.
+    ignored.  The report counts below 2 only, so ``lambda_cut`` is
+    ignored too.  ``r`` may be any (p, q) pair.
     """
-    if isinstance(r, tuple):
+    if not isinstance(r, RotationNumber):
         r = RotationNumber(*r)
     sol = solve_rotation(r)
     n = pipeline_grid_size(_SAMPLE_GRID, r.q)
@@ -601,7 +602,7 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
                                    *_threshold_sectors(r, l).values()))
                for l in range(2)}
     ground_l2 = chart.ground(2)
-    table = assemble(sol, None, lambda_cut=lambda_cut, spectra=spectra)
+    table = assemble(sol, None, spectra=spectra)
     n2 = weyl_N(table, 2.0)
     n2_expected = expected_n2(r)
 

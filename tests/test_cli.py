@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import otsuki_bipolar
-from otsuki_bipolar import spectrum
+from otsuki_bipolar import geodesic, oracle, spectrum
 from otsuki_bipolar.cli import main
 from otsuki_bipolar.immersion import read_mesh_csv
 
@@ -210,6 +210,28 @@ def test_cross_check_csv_is_one_row(capsys):
     assert int(rows[0]["n_below_2_oracle"]) == payload["n_below_2_oracle"]
     assert float(rows[0]["oracle_eps"]) == pytest.approx(
         payload["oracle_eps"], rel=1e-14)
+
+
+@pytest.mark.parametrize("pq, grid, warns", [
+    ((8, 15), [], False),
+    ((3, 5), ["--oracle-n-alpha", "32", "--oracle-n-t", "64"], True)])
+def test_cross_check_prints_the_library_payload(pq, grid, warns, capsys):
+    """The command's JSON is oracle.cross_check's payload after p and q:
+    on 8/15 (even q, a genuine l = 1 mode at 1.98390 inside the window)
+    and on 3/5 at a grid coarse enough to warn."""
+    p, q = pq
+    code, out, err = run(["cross-check", "--p", str(p), "--q", str(q),
+                          *grid, "--format", "json"], capsys)
+    printed = json.loads(out)
+    n_alpha, n_t = (32, 64) if grid else (96, 768)
+    payload = oracle.cross_check(
+        geodesic.solve_rotation(geodesic.RotationNumber(p, q)),
+        n_alpha, n_t, 2.5)
+    assert list(printed) == ["p", "q", *payload]
+    assert printed == {"p": p, "q": q, **json.loads(
+        json.dumps(spectrum.json_ready(payload)))}
+    assert code == (0 if payload["pass"] else 1)
+    assert ("points per half-oscillation" in err) == warns
 
 
 def test_cross_check_odd_coarse_alpha_grid(capsys):

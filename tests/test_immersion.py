@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otsuki_bipolar import immersion
 from otsuki_bipolar.geodesic import (
     GeodesicProfile,
     RotationNumber,
@@ -320,6 +321,36 @@ def test_mesh_export_is_percent_g_text(pq, fmt, tmp_path, cases):
     fields = set(re.split(rb"[ ,\n]", text))
     assert {b"0", b"-0"} <= fields
     assert any(b"e-" in field for field in fields)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj"])
+@pytest.mark.parametrize("n_alpha, n_t", [(8, 7001), (9, 700)])
+def test_mesh_export_blocks_are_percent_g_text(n_alpha, n_t, fmt, tmp_path,
+                                               cases):
+    """Byte identity where each row is cut into t-chunks (n_t = 7001 is
+    past the 6144-vertex block) and where 8-row blocks leave one row
+    over (9 x 700)."""
+    path = tmp_path / f"mesh.{fmt}"
+    mesh = export_mesh(cases.profile((3, 5)), n_alpha, n_t, fmt, str(path))
+    assert path.read_bytes() == reference_mesh_text(mesh, fmt).encode()
+
+
+def test_mesh_export_block_is_at_most_6144_vertices(tmp_path, cases,
+                                                    monkeypatch):
+    """At 8 x 20000 no block handed to the formatter holds more than 6144
+    vertices, so its buffers do not grow with n_t, and every value is
+    formatted once."""
+    write, sizes = immersion._write_g15, []
+
+    def spy(x, chars, keep):
+        sizes.append(x.size)
+        write(x, chars, keep)
+
+    monkeypatch.setattr(immersion, "_write_g15", spy)
+    export_mesh(cases.profile((3, 5)), 8, 20000, "csv",
+                str(tmp_path / "mesh.csv"))
+    assert max(sizes) <= 6144 * 5
+    assert sum(sizes) == 8 * 20000 * 5
 
 
 def block_text(values):

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from otsuki_bipolar import oracle
+from otsuki_bipolar import geodesic, oracle, spectrum
 from otsuki_bipolar.errors import ConvergenceFailure
 from otsuki_bipolar.geodesic import RotationNumber, radial_coefficients
 from otsuki_bipolar.oracle import (
@@ -293,3 +293,52 @@ def test_theorem2_residual_v_coordinate_alone(cases):
         f = (np.sin(prof.phi_at(tt)) * np.ones_like(aa)).ravel()
         vals.append(np.max(np.abs((a @ f) / grid.mass - 2 * f)) / np.max(np.abs(f)))
     assert 1.7 < math.log2(vals[0] / vals[1]) < 2.3
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+def test_cross_check_is_the_c7a_derivation(pq, cases):
+    """cross_check at 96 x 768 and cut 2.2 gives, bit for bit, what C7a
+    derives by hand from a 64 x 512 coarse grid and the session table."""
+    prof, table = cases.profile(pq), cases.table(pq)
+    fine = dense_spectrum(TorusGrid(prof, 96, 768), 2.2)
+    coarse = dense_spectrum(TorusGrid(prof, 64, 512), 2.2)
+    kf = np.sort(fine.kept_eigenvalues())
+    kc = np.sort(coarse.kept_eigenvalues())
+    m = min(kf.size, kc.size)
+    eps_oracle = float(np.max(np.abs(kf[:m] - kc[:m]))) / 1.25
+    window = max(2.0 * eps_oracle, 0.02)
+    tol = max(2.0 * eps_oracle, 1e-3)
+    match, diff, n_o, n_t = match_table(fine, table, 2.0, window, tol)
+
+    got = oracle.cross_check(cases.solution(pq), 96, 768, 2.2)
+    assert got["oracle_eps"] == eps_oracle
+    assert got["threshold_window"] == window
+    assert got["pair_tolerance"] == tol
+    assert got["max_pairwise_difference"] == diff
+    assert (got["n_below_2_oracle"], got["n_below_2_assembled"]) == (n_o, n_t)
+    assert got["N2_assembled"] == weyl_N(table, 2.0)
+    assert got["pass"] is match is True
+
+
+def test_cross_check_calls_each_layer_by_module_attribute(cases, monkeypatch):
+    """One call builds one 16-sample profile, assembles one table, solves
+    the oracle twice and matches once, each looked up on its module, so
+    wrappers installed there (as the benchmark's spans are) see it."""
+    calls = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def traced(*args, **kwargs):
+            calls.append((name, args[1:2] if name == "profile" else ()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, traced)
+
+    for module, name in ((geodesic, "profile"), (spectrum, "assemble"),
+                         (oracle, "dense_spectrum"), (oracle, "match_table")):
+        spy(module, name)
+    oracle.cross_check(cases.solution((3, 5)), 32, 64, 2.2)
+    assert calls == [("profile", (16,)), ("assemble", ()),
+                     ("dense_spectrum", ()), ("dense_spectrum", ()),
+                     ("match_table", ())]

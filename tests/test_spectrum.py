@@ -191,6 +191,30 @@ def test_verify_theorem3_ignores_grid_size():
     assert report.passed and report.n2_computed == 20
 
 
+@pytest.mark.parametrize("cut", [2.01, 4.5, 6.0])
+def test_verify_theorem3_ignores_lambda_cut(cut, monkeypatch):
+    """The report counts below 2, so any cut gives the default report and
+    only l = 0 and 1 are solved: 4.5 solves no l = 2 rows, and 6.0, past
+    the end of the l = 0 radial window, does not raise."""
+    import otsuki_bipolar.spectrum as spec_mod
+    default = verify_theorem3(RotationNumber(3, 5))
+    solve, seen = spec_mod.solve_radial, []
+
+    def spy(sol, profile, l, *args, **kwargs):
+        seen.append(l)
+        return solve(sol, profile, l, *args, **kwargs)
+
+    monkeypatch.setattr(spec_mod, "solve_radial", spy)
+    assert verify_theorem3(RotationNumber(3, 5), lambda_cut=cut) == default
+    assert sorted(seen) == [0, 1]
+
+
+def test_verify_theorem3_accepts_any_pair():
+    """A list or tuple (p, q) is coerced, as solve_rotation's callers do."""
+    report = verify_theorem3(RotationNumber(3, 5))
+    assert verify_theorem3([3, 5]) == report == verify_theorem3((3, 5))
+
+
 def test_verification_failure_carries_report(monkeypatch):
     import otsuki_bipolar.spectrum as spec_mod
     monkeypatch.setattr(spec_mod, "expected_n2", lambda r: 999)
