@@ -191,8 +191,9 @@ def cmd_cross_check(cfg) -> int:
 
 
 def cmd_export_mesh(cfg, path: str) -> int:
-    immersion.export_mesh(geodesic.profile(_solve(cfg)), cfg.n_alpha, cfg.n_t,
-                          cfg.mesh_format, path)
+    # The mesh reads the chart, never the sampled arrays: take the least, 16.
+    immersion.export_mesh(geodesic.profile(_solve(cfg), 16), cfg.n_alpha,
+                          cfg.n_t, cfg.mesh_format, path)
     n = cfg.n_alpha * cfg.n_t
     _emit(cfg, {"p": cfg.p, "q": cfg.q, "vertices": n,
                 "mesh_format": cfg.mesh_format, "path": path},

@@ -24,7 +24,6 @@ compares the two sampled images as point sets.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -237,12 +236,36 @@ _FIELD = 22
 # Vertices per block: the text buffers stay ~2 MB at any n_t.
 _BLOCK_VERTICES = 6144
 _PADDED = f"%-{_FIELD}.15g"
-# 10^(14 - e) for e = floor(log10|x|) = -4 ... -1: exact doubles, split in
-# 26-bit halves for Dekker's two-product.
 _SPLITTER = 134217729.0     # 2^27 + 1
-_SCALE = np.array([1e18, 1e17, 1e16, 1e15])
-_SCALE_HI = _SPLITTER * _SCALE - (_SPLITTER * _SCALE - _SCALE)
-_SCALE_LO = _SCALE - _SCALE_HI
+
+
+def _scales(powers):
+    """10^n for each n: the nearest double, its 26-bit halves for Dekker's
+    two-product, and the double nearest 10^n minus that double, from exact
+    integers (None when every 10^n is a double)."""
+    scale = np.array([float(10 ** n) for n in powers])
+    hi = _SPLITTER * scale - (_SPLITTER * scale - scale)
+    tail = np.array([float(10 ** n - int(float(10 ** n))) for n in powers])
+    return scale, hi, scale - hi, tail if tail.any() else None
+
+
+def _double_at_or_above_power(k: int) -> float:
+    """The least double >= 10^-k: 1 / 10^k is rounded correctly, and its
+    exact ratio n / d is compared with 10^-k in integers."""
+    f = 1 / 10 ** k
+    n, d = f.as_integer_ratio()
+    return f if n * 10 ** k >= d else float(np.nextafter(f, math.inf))
+
+
+# The fixed-point layout is indexed by k = e + 5 for e = floor(log10|v|) =
+# -4 ... -1 and by k = 0 for an exact zero; 10^(14 - e) is an exact double
+# there.  The exponent layout takes e = -30 ... -5, indexed by e + 30, with
+# 10^(14 - e) as a double-double.  _EXP_FLOORS[i] is the least double
+# >= 10^(i - 30), so e + 30 is the number of floors at or below |v|, less 1.
+_FIXED_SCALES = _scales([19, 18, 17, 16, 15])
+_EXP_SCALES = _scales(range(44, 18, -1))
+_EXP_FLOORS = np.array([_double_at_or_above_power(k)
+                        for k in range(30, 4, -1)])
 
 
 def _words(byte_rows) -> np.ndarray:
@@ -250,87 +273,134 @@ def _words(byte_rows) -> np.ndarray:
     return np.ascontiguousarray(byte_rows, np.uint8).view(np.uint32)[:, 0]
 
 
-# The text of 0 ... 9999 as 4 digits, and the keep-mask of each without its
-# trailing zeros (none kept for 0): a digit is kept if it or a later one is
-# nonzero.
-_QUAD_VALUES = np.arange(10000, dtype=np.uint16)[:, None]
-_QUADS = _words(_QUAD_VALUES // np.array([1000, 100, 10, 1], np.uint16) % 10
-                + ord("0"))
-_QUAD_TRIM = _words(
-    _QUAD_VALUES % np.array([10000, 1000, 100, 10], np.uint16) != 0)
-_QUAD_ALL = _words([[1, 1, 1, 1]])[0]
-# A fast-path field is built in 24 bytes: bytes 0-2 are never kept, 3 is
-# '-', 4-7 are "0.00", and 8-23 are m's 15 digits as four quads, the first
-# of them '0' and m's 3 leading digits.  So bytes 6, 7 and 8 are the zeros
-# after the point: _ZEROS_KEEP[z] keeps "0." and bytes 6 and 7 for z zeros,
-# and byte 8 is kept when z >= 1.  The field is its last 22 bytes.
-_LEAD = _words([[0, 0, 0, ord("-")], list(b"0.00")])
-_ZEROS_KEEP = _words([[1, 1, z >= 3, z >= 2] for z in range(4)])
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """_QUADS and _HEAD: the words of their texts with the bytes not kept
+    as NUL, then in full.  A digit is kept if it or a later one is nonzero,
+    and a point with the digit after it; "D.dd" of 100 <= d < 1000 is its
+    quad "0Ddd" rearranged."""
+    values = np.arange(10000, dtype=np.uint16)[:, None]
+    quads = (values // np.array([1000, 100, 10, 1], np.uint16) % 10
+             + ord("0")).astype(np.uint8)
+    kept = values % np.array([10000, 1000, 100, 10], np.uint16) > 0
+    heads, heads_kept = quads[:1000, [1, 0, 2, 3]], kept[:1000, [1, 2, 2, 3]]
+    heads[:, 1] = ord(".")
+    return tuple(_words(np.concatenate([np.where(k, t, 0), t]))
+                 for t, k in ((quads, kept), (heads, heads_kept)))
 
 
-def _percent_g(values) -> tuple[np.ndarray, np.ndarray]:
-    """``"%.15g" % v`` of each value, as rows of _FIELD bytes and a keep-mask."""
+# A field is built in 24 bytes, of which it is the last 22, and every byte
+# not in its text is NUL.  Bytes 0-2 are never text and byte 3 is the
+# sign.  The digits of m are set by _digit_words: _QUADS[d] is the quad of
+# 0 <= d < 10^4, trimmed, and _QUADS[d + 10^4] is the quad in full, for
+# when a nonzero digit follows.  The fixed-point layout has _POINT[k] in
+# bytes 4-7 ("0.00" with -e - 1 zeros after the point, "0" for a zero) and
+# m's 15 digits in bytes 9-23, after a '0' in byte 8 that is one more zero
+# after the point for e <= -2 (_ZERO8[k]).  The exponent layout has
+# _HEAD[d] in bytes 4-7 ("D.dd" of m's 3 leading digits d, trimmed by the
+# same rule), the other 12 digits in bytes 8-19 and "e-XX" in 20-23.
+_QUADS, _HEAD = _digit_tables()
+_MINUS = _words([[0, 0, 0, ord("-")]])[0]
+_POINT = _words([[ord("0"), 0, 0, 0]] + [
+    list(b"0.") + [ord("0") * (z >= 3), ord("0") * (z >= 2)]
+    for z in (3, 2, 1, 0)])
+_ZERO8 = np.array([0, ord("0"), ord("0"), ord("0"), 0], np.uint8)
+_EXP_TEXT = _words([list(b"e-%02d" % -e) for e in range(-30, -4)])
+
+
+def _percent_g(values) -> np.ndarray:
+    """``"%.15g" % v`` of each value, as rows of _FIELD bytes, NUL-padded."""
     padded = "".join([_PADDED % v for v in np.asarray(values).tolist()])
-    chars = np.frombuffer(padded.encode(), np.uint8).reshape(-1, _FIELD)
-    return chars, chars != ord(" ")
+    chars = np.frombuffer(padded.encode().replace(b" ", b"\0"), np.uint8)
+    return chars.reshape(-1, _FIELD)
+
+
+def _round15(a: np.ndarray, k: np.ndarray, scales) -> tuple:
+    """m = a 10^(14 - e) rounded to an integer, and where that is safe.
+
+    ``scales[...][k]`` is 10^(14 - e).  The product is formed exactly as a
+    double-double by Dekker's two-product (plus the product with the
+    scale's tail, if any), so m is the correct rounding except within 1e-6
+    of a tie, and except when it rounds up to 10^15; both are not safe.
+    """
+    scale, s_hi, s_lo, tail = scales
+    hi = a * scale[k]
+    split = _SPLITTER * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    s_hi, s_lo = s_hi[k], s_lo[k]
+    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    if tail is not None:
+        lo += a * tail[k]
+    m = np.rint(hi)
+    frac = (hi - m) + lo            # hi - m is exact; |frac| < 9/16
+    m += frac > 0.5
+    m -= frac < -0.5
+    return m, (np.abs(np.abs(frac) - 0.5) > 1e-6) & (m < 1e15)
+
+
+def _digit_words(m: np.ndarray, first: np.ndarray, text: np.ndarray) -> None:
+    """The 15 digits of each m into 4 words of ``text``: m's 3 leading
+    digits from the ``first`` table, then three quads, trailing zeros NUL."""
+    rest, d3 = np.divmod(m.astype(np.int64), 10000)
+    rest, d2 = np.divmod(rest, 10000)
+    d0, d1 = np.divmod(rest, 10000)
+    text[:, 3] = _QUADS[d3]
+    tail = d3 > 0           # a nonzero digit follows the next quad
+    text[:, 2] = _QUADS[d2 + 10000 * tail]
+    tail |= d2 > 0
+    text[:, 1] = _QUADS[d1 + 10000 * tail]
+    tail |= d1 > 0
+    text[:, 0] = first[d0 + len(first) // 2 * tail]
 
 
 def _write_g15(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
     """Write ``"%.15g" % v`` of every value of ``x`` into ``chars``.
 
-    ``chars`` and ``keep`` have the shape of ``x`` plus a last axis of
-    _FIELD bytes; the kept bytes of each field are its text.  A value with
-    1e-4 <= |v| < 1 is printed here: with e = floor(log10|v|), the product
-    |v| 10^(14 - e) is formed exactly as a double-double and rounded to
-    the 15-digit integer m, and the text is [-]0., -e-1 zeros and the
-    digits of m without trailing zeros.  Every other value, a product
-    within 1e-6 of a rounding tie and one that rounds up to 10^15 go
-    through ``"%.15g"`` itself.
+    ``chars`` has the shape of ``x`` plus a last axis of _FIELD bytes:
+    each field is its text with NULs among and after it.  ``keep``, of the
+    same shape, is set to the bytes that are text, unless it is None.
+    Values are printed here in three layouts: an exact zero as [-]0; with
+    e = floor(log10|v|), 1e-4 <= |v| < 1 as [-]0., -e-1 zeros and the
+    digits of the 15-digit integer m = |v| 10^(14 - e) rounded (see
+    ``_round15``); and 1e-30 <= |v| < 1e-4 as [-]d.ddd...e-XX from the
+    digits of m.  Trailing zeros of m are dropped, with the point if
+    nothing follows it.  Every other value and every unsafe rounding go
+    through ``"%.15g"``.
     """
     v = x.ravel()
     a = np.abs(v)
     # The double nearest 10^-k lies above it (k = 1 ... 4), so these
     # comparisons against the literals are exact.
     fast = (a >= 1e-4) & (a < 1.0)
-    a = np.where(fast, a, 0.5)
-    e4 = (a >= 1e-3).astype(np.intp) + (a >= 1e-2) + (a >= 1e-1)  # e + 4
-    hi = a * _SCALE[e4]
-    split = _SPLITTER * a
-    a_hi = split - (split - a)
-    a_lo = a - a_hi
-    s_hi, s_lo = _SCALE_HI[e4], _SCALE_LO[e4]
-    lo = ((a_hi * s_hi - hi) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
-    m = np.rint(hi)
-    frac = (hi - m) + lo            # hi - m is exact; |frac| < 9/16
-    m += frac > 0.5
-    m -= frac < -0.5
-    fast &= (np.abs(np.abs(frac) - 0.5) > 1e-6) & (m < 1e15)
+    a = np.where(fast, a, 0.0)
+    k = fast.astype(np.intp) + (a >= 1e-3) + (a >= 1e-2) + (a >= 1e-1)
+    m, safe = _round15(a, k, _FIXED_SCALES)
+    fast &= safe
 
-    rest, d3 = np.divmod(m.astype(np.int64), 10000)
-    rest, d2 = np.divmod(rest, 10000)
-    d0, d1 = np.divmod(rest, 10000)
-    text = np.empty((v.size, 6), np.uint32)
-    mask = np.empty_like(text)
-    text[:, :2] = _LEAD
-    text[:, 2], text[:, 3], text[:, 4], text[:, 5] = (
-        _QUADS[d0], _QUADS[d1], _QUADS[d2], _QUADS[d3])
-    mask[:, 0] = 0
-    mask[:, 1] = _ZEROS_KEEP[3 - e4]
-    tail = d3 > 0           # a nonzero digit follows the next quad
-    mask[:, 5] = _QUAD_TRIM[d3]
-    mask[:, 4] = np.where(tail, _QUAD_ALL, _QUAD_TRIM[d2])
-    tail |= d2 > 0
-    mask[:, 3] = np.where(tail, _QUAD_ALL, _QUAD_TRIM[d1])
-    tail |= d1 > 0
-    mask[:, 2] = np.where(tail, _QUAD_ALL, _QUAD_TRIM[d0])
-    text, mask = text.view(np.uint8), mask.view(np.bool_)
-    mask[:, 3] = v < 0.0
-    mask[:, 8] = e4 < 3
+    words = np.empty((v.size, 6), np.uint32)
+    words[:, 0] = np.where(np.signbit(v), _MINUS, 0)
+    words[:, 1] = _POINT[k]
+    _digit_words(m, _QUADS, words[:, 2:])
+    text = words.view(np.uint8)
+    text[:, 8] = _ZERO8[k]
 
-    slow = np.flatnonzero(~fast)
-    text[slow, 2:], mask[slow, 2:] = _percent_g(v[slow])
+    rest = np.flatnonzero(~fast)
+    a = np.abs(v[rest])
+    slow = a != 0.0             # the zeros are done
+    tiny = np.flatnonzero((a >= _EXP_FLOORS[0]) & (a < 1e-4))
+    i = np.searchsorted(_EXP_FLOORS, a[tiny], side="right") - 1
+    m, safe = _round15(a[tiny], i, _EXP_SCALES)
+    tiny, i, m = tiny[safe], i[safe], m[safe]
+    tiny_words = np.empty((tiny.size, 5), np.uint32)
+    _digit_words(m, _HEAD, tiny_words)
+    tiny_words[:, 4] = _EXP_TEXT[i]
+    words[rest[tiny], 1:] = tiny_words
+    slow[tiny] = False
+    slow = rest[slow]
+    text[slow, 2:] = _percent_g(v[slow])
     chars[...] = text[:, 2:].reshape(chars.shape)
-    keep[...] = mask[:, 2:].reshape(keep.shape)
+    if keep is not None:
+        np.not_equal(chars, 0, out=keep)
 
 
 def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
@@ -342,62 +412,71 @@ def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
     largest variance, which is lossy by construction.  Every value is
     written as ``"%.15g" % value`` would write it, byte for byte.  The
     text is assembled in blocks of at most ``_BLOCK_VERTICES`` vertices:
-    whole alpha rows while n_t fits, else one row cut into t-chunks.  The
-    grid axes are formatted once per distinct value, and the vertex values
-    by ``_write_g15``, which formats those in [1e-4, 1) in numpy and hands
-    the rest to ``"%.15g"``.
+    whole alpha rows while n_t fits, else one row cut into t-chunks.  Each
+    distinct value is formatted once: the grid axes and v = sin(phi),
+    which depends on t alone, once per grid value, and the other vertex
+    values by ``_write_g15`` block by block.
     """
     mesh = build_mesh(profile, n_alpha, n_t)
-    values = mesh.vertices.reshape(n_alpha, n_t, 5)
+    axes = np.arange(5)
     if fmt == "csv":
         header = ",".join(_CSV_COLUMNS) + "\n"
         sep, n_lead = ",", 2
     elif fmt == "obj":
         variances = np.var(mesh.vertices, axis=0)
-        keep = np.sort(np.argsort(variances)[-3:])
-        header = f"# bipolar surface mesh, axes kept: {keep.tolist()}\n"
-        values = values[..., keep]
+        axes = np.sort(np.argsort(variances)[-3:])
+        header = f"# bipolar surface mesh, axes kept: {axes.tolist()}\n"
         sep, n_lead = " ", 1
     else:
         raise ValueError(f"unknown mesh format {fmt!r} (use csv or obj)")
+    values = mesh.vertices.reshape(n_alpha, n_t, 5)
     # One line is n_fields slots of a _FIELD-byte text and its separator:
-    # alpha and t (CSV) or "v" (OBJ), then the vertex values.
-    n_fields = n_lead + values.shape[-1]
+    # alpha and t (CSV) or "v" (OBJ), the alpha-dependent axes, then v if
+    # kept.  A slot's bytes past its text are NUL, and NULs are dropped on
+    # writing.  The t-only fields are placed per t, the rest block by block.
+    n_fields = n_lead + len(axes)
+    alpha_axes = axes[axes != 4]
+    per_t = []
+    if fmt == "csv":
+        per_t.append((1, _percent_g(mesh.ts)))
+    if len(alpha_axes) < len(axes):
+        v_text = np.empty((n_t, _FIELD), np.uint8)
+        _write_g15(values[0, :, 4], v_text, None)
+        per_t.append((n_fields - 1, v_text))
+    alpha_fields = slice(n_lead, n_lead + len(alpha_axes))
     rows, cols = max(1, _BLOCK_VERTICES // n_t), min(n_t, _BLOCK_VERTICES)
     text = np.zeros((rows, cols, n_fields, _FIELD + 1), np.uint8)
-    kept = np.zeros(text.shape, bool)
     text[..., _FIELD] = ord(sep)
     text[..., -1, _FIELD] = ord("\n")
-    kept[..., _FIELD] = True
     if fmt == "csv":
-        alpha_text, alpha_kept = _percent_g(mesh.alphas)
-        t_text, t_kept = _percent_g(mesh.ts)
-        text[..., 1, :_FIELD], kept[..., 1, :_FIELD] = t_text[:cols], t_kept[:cols]
+        alpha_text = _percent_g(mesh.alphas)
     else:
-        text[..., 0, 0], kept[..., 0, 0] = ord("v"), True
+        text[..., 0, 0] = ord("v")
+    for f, t_text in per_t:
+        text[..., f, :_FIELD] = t_text[:cols]
     with open(path, "wb") as fh:
         fh.write(header.encode())
         for i in range(0, n_alpha, rows):
             for j in range(0, n_t, cols):
-                block = values[i:i + rows, j:j + cols]
+                block = values[i:i + rows, j:j + cols, alpha_axes]
                 r, c = block.shape[:2]
                 if fmt == "csv":
                     text[:r, :c, 0, :_FIELD] = alpha_text[i:i + r, None]
-                    kept[:r, :c, 0, :_FIELD] = alpha_kept[i:i + r, None]
-                    if cols < n_t:      # one row per block: its own t-chunk
-                        text[0, :c, 1, :_FIELD] = t_text[j:j + c]
-                        kept[0, :c, 1, :_FIELD] = t_kept[j:j + c]
-                _write_g15(block, text[:r, :c, n_lead:, :_FIELD],
-                           kept[:r, :c, n_lead:, :_FIELD])
-                fh.write(text[:r, :c][kept[:r, :c]])
+                if cols < n_t:      # one row per block: its own t-chunk
+                    for f, t_text in per_t:
+                        text[0, :c, f, :_FIELD] = t_text[j:j + c]
+                _write_g15(block, text[:r, :c, alpha_fields, :_FIELD], None)
+                fh.write(text[:r, :c].tobytes().translate(None, b"\0"))
     return mesh
 
 
 def read_mesh_csv(path: str) -> np.ndarray:
     """Vertices of a CSV mesh written by ``export_mesh``, shape (n, 7)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
         if header != _CSV_COLUMNS:
             raise ValueError(f"unexpected mesh header {header!r}")
-        return np.array([[float(x) for x in row] for row in reader])
+        lines = fh.readlines()
+    if not lines:
+        return np.empty((0, len(_CSV_COLUMNS)))
+    return np.loadtxt(lines, delimiter=",", ndmin=2)

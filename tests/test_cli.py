@@ -129,6 +129,25 @@ def test_export_mesh_csv(tmp_path, capsys):
     assert sum(v * v for v in x[2:]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_export_mesh_builds_one_16_sample_profile(tmp_path, monkeypatch,
+                                                  capsys):
+    """The mesh reads only the chart: one profile at the least 16 samples,
+    looked up on its module, so a wrapper installed there (as the
+    benchmark's span is) sees it."""
+    profile, calls = geodesic.profile, []
+
+    def spy(sol, *args):
+        calls.append(args)
+        return profile(sol, *args)
+
+    monkeypatch.setattr(geodesic, "profile", spy)
+    code, _, _ = run(["export-mesh", "--p", "3", "--q", "5", "--n-alpha", "8",
+                      "--n-t", "16", "--mesh-out", str(tmp_path / "m.csv")],
+                     capsys)
+    assert code == 0
+    assert calls == [(16,)]
+
+
 def test_export_mesh_out_takes_the_summary_line(tmp_path, capsys):
     mesh, log = tmp_path / "m.obj", tmp_path / "log.txt"
     code, out, _ = run(["export-mesh", "--p", "3", "--q", "5",

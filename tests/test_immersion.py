@@ -1,14 +1,16 @@
 """Immersions, the wedge identification, induced metric, and mesh export."""
 
+import csv
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otsuki_bipolar import immersion
+from otsuki_bipolar import geodesic, immersion
 from otsuki_bipolar.geodesic import (
     GeodesicProfile,
     RotationNumber,
@@ -289,6 +291,45 @@ def test_read_mesh_csv_rejects_another_header(header, tmp_path):
         read_mesh_csv(str(path))
 
 
+def test_read_mesh_csv_parses_each_field_as_float(tmp_path, cases):
+    """Bit for bit the values float() gives, -0 signs included."""
+    path = tmp_path / "mesh.csv"
+    export_mesh(cases.profile((3, 5)), 12, 64, "csv", str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    want = np.array([[float(x) for x in row] for row in rows])
+    got = read_mesh_csv(str(path))
+    assert got.shape == (12 * 64, 7)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(got[got == 0.0]).any()
+
+
+def test_read_mesh_csv_of_a_header_alone_is_empty(tmp_path):
+    path = tmp_path / "mesh.csv"
+    path.write_text("alpha,t,x,y,z,u,v\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = read_mesh_csv(str(path))
+    assert data.shape == (0, 7)
+
+
+def test_read_mesh_csv_rejects_a_ragged_row(tmp_path):
+    path = tmp_path / "mesh.csv"
+    path.write_text("alpha,t,x,y,z,u,v\n" + ",".join(["0"] * 7) + "\n"
+                    + ",".join(["0"] * 6) + "\n")
+    with pytest.raises(ValueError):
+        read_mesh_csv(str(path))
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (11, 17), (13, 20), (7, 13)])
+def test_mesh_of_a_16_sample_profile_is_the_default_mesh(pq, cases):
+    """The mesh reads only the chart, not the profile's sampled arrays."""
+    sol = cases.solution(pq)
+    coarse = build_mesh(geodesic.profile(sol, 16), 64, 768)
+    assert np.array_equal(coarse.vertices, build_mesh(
+        geodesic.profile(sol), 64, 768).vertices)
+
+
 def test_mesh_export_even_q_cover(tmp_path, cases):
     prof = cases.profile((5, 8))
     mesh = build_mesh(prof, 16, 64)
@@ -308,12 +349,14 @@ def test_mesh_export_obj(tmp_path, cases):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "obj"])
-@pytest.mark.parametrize("pq", [(3, 5), (5, 8), (7, 13), (51, 101)])
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8), (7, 13), (51, 101), (2, 3),
+                                (41, 58)])
 def test_mesh_export_is_percent_g_text(pq, fmt, tmp_path, cases):
     """Byte identity with the one-value-at-a-time text, for both parities
     of q and near the 1/2 end.  With 12 alpha rows, not a whole number of
     blocks, alpha = 0 and pi give zeros and -0, and alpha = pi/2 and 3pi/2
-    give values near 1e-17 that print in exponent form."""
+    give values near 1e-17 that print in exponent form.  The OBJ files of
+    2/3 and 41/58 drop v; the others keep it."""
     path = tmp_path / f"mesh.{fmt}"
     mesh = export_mesh(cases.profile(pq), 12, 64, fmt, str(path))
     text = path.read_bytes()
@@ -339,7 +382,7 @@ def test_mesh_export_block_is_at_most_6144_vertices(tmp_path, cases,
                                                     monkeypatch):
     """At 8 x 20000 no block handed to the formatter holds more than 6144
     vertices, so its buffers do not grow with n_t, and every value is
-    formatted once."""
+    formatted once: x, y, z and u per vertex, v = sin(phi) per t."""
     write, sizes = immersion._write_g15, []
 
     def spy(x, chars, keep):
@@ -350,7 +393,26 @@ def test_mesh_export_block_is_at_most_6144_vertices(tmp_path, cases,
     export_mesh(cases.profile((3, 5)), 8, 20000, "csv",
                 str(tmp_path / "mesh.csv"))
     assert max(sizes) <= 6144 * 5
-    assert sum(sizes) == 8 * 20000 * 5
+    assert sum(sizes) == 8 * 20000 * 4 + 20000
+
+
+def test_mesh_export_formats_no_zero_through_percent_g(tmp_path, cases,
+                                                     monkeypatch):
+    """Exact zeros and -0 among the vertex values (the alpha = 0 and pi
+    rows) take the fast path: the only zeros that reach ``"%.15g"`` are
+    the CSV grid axes' alpha = 0 and t = 0."""
+    percent_g, seen = immersion._percent_g, []
+
+    def spy(values):
+        seen.append(np.asarray(values))
+        return percent_g(values)
+
+    monkeypatch.setattr(immersion, "_percent_g", spy)
+    for fmt, grid_zeros in (("csv", 2), ("obj", 0)):
+        seen.clear()
+        export_mesh(cases.profile((3, 5)), 64, 768, fmt,
+                    str(tmp_path / f"mesh.{fmt}"))
+        assert np.count_nonzero(np.concatenate(seen) == 0.0) == grid_zeros
 
 
 def block_text(values):
@@ -387,6 +449,26 @@ TIES = st.builds(lambda j, n: (2 * j + 1) / 2.0 ** n,
                           NEAR_POWERS, DIGIT_FIVE, TIES),
                 min_size=1, max_size=64))
 def test_block_formatter_is_percent_g(values):
+    assert block_text(values) == ["%.15g" % v for v in values]
+
+
+# The exponent layout's range, 1e-30 <= |v| < 1e-4, and a decade past each
+# end: any values, 10^-k and its neighbours, and 16th significant digit 5
+EXPONENT_FORM = st.one_of(
+    st.floats(1e-31, 1e-3), st.floats(-1e-3, -1e-31),
+    st.builds(lambda x: 10.0 ** x, st.floats(-31.0, -3.0)),
+    st.builds(lambda k, step: float(np.nextafter(10.0 ** -k, math.inf * step))
+              if step else 10.0 ** -k,
+              st.integers(3, 31), st.sampled_from([-1, 0, 1])),
+    st.builds(lambda sign, m, tail, e: float(f"{sign}0.{m}5{tail}e{e}"),
+              st.sampled_from(["", "-"]), st.integers(10 ** 14, 10 ** 15 - 1),
+              st.sampled_from(["", "0", "00001", "4999", "9"]),
+              st.integers(-30, -3)))
+
+
+@settings(deadline=None)
+@given(st.lists(EXPONENT_FORM, min_size=1, max_size=64))
+def test_block_formatter_is_percent_g_in_exponent_form(values):
     assert block_text(values) == ["%.15g" % v for v in values]
 
 

@@ -7,9 +7,10 @@ this file and prints one ``sha256 command input`` line per output:
     (1/2, sqrt(2)/2) with q <= 40, and on 51/101;
   * one ``table --pairs`` run over the p/q with q <= 40;
   * ``export-mesh`` CSV and OBJ at 64x768 vertices with q <= 20, at
-    16x128 vertices with q <= 40 and on 51/101, and at 8x7001 and 9x700
-    vertices on 3/5 and 51/101 (a row split into vertex blocks, and
-    blocks that do not divide the rows);
+    16x128 vertices with q <= 40 and on 51/101, at 8x7001 vertices on
+    3/5, 51/101 and 2/3 (a row split into vertex blocks; the OBJ of 2/3
+    drops v) and at 9x700 vertices on 3/5 and 51/101 (blocks that do not
+    divide the rows);
   * ``cross-check --format json`` at the default oracle grid with q <= 20;
   * ``solve`` in every format, ``verify`` and ``spectrum`` in csv and
     text, and both in json at ``--lambda-cut 4.04`` (which admits the
@@ -36,7 +37,7 @@ listings are identical:
     diff before.txt after.txt
 
 BLAS runs on one thread, so a listing does not depend on the core count.
-The 1,129 lines take about 26 s on a 2-core host.
+The 1,133 lines take about 30 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def runs():
     for grid, n_alpha, n_t, pqs in (
             ("", "64", "768", fractions(20)),
             ("-16x128", "16", "128", fractions(40) + [(51, 101)]),
-            ("-8x7001", "8", "7001", [(3, 5), (51, 101)]),
+            ("-8x7001", "8", "7001", [(3, 5), (51, 101), (2, 3)]),
             ("-9x700", "9", "700", [(3, 5), (51, 101)])):
         for p, q in pqs:
             for fmt in ("csv", "obj"):
