@@ -540,11 +540,17 @@ class GeodesicProfile:
     sin(phi) = sin(b) cos(x); ``torus_chart``, cos(2 nu) = cos(2a) cos(chi),
     which also carries the bipolar parameter t as its third integral),
     which are exact to rounding and take velocities from the first
-    integrals of the geodesic flow; the profile raises ResolutionTooCoarse
-    when the charts do not close the geodesic to 1e-10 or do not
-    reproduce the quadrature periods t0 and s_total to 1e-10 relative.
-    ``unit_speed_residual`` is max |4 pi^2 cos^2 phi (phi'^2 +
-    theta'^2 cos^2 phi) - 1| over the samples.  ``table_panels`` is ignored.
+    integrals of the geodesic flow.  ``unit_speed_residual`` is
+    max |4 pi^2 cos^2 phi (phi'^2 + theta'^2 cos^2 phi) - 1| over the
+    samples.  ``table_panels`` is ignored.
+
+    The constructor builds both charts and checks them, and samples
+    nothing: it raises ValueError when ``samples_per_half_period`` is
+    below 16, and ResolutionTooCoarse when the charts do not close the
+    geodesic to 1e-10 or do not reproduce the quadrature periods t0 and
+    s_total to 1e-10 relative.  Each sampled attribute is computed on its
+    first access and kept; ``phi`` and ``theta`` share one sampling of
+    the bipolar chart, ``nu`` and ``lambda_angle`` one of the torus chart.
 
     The phase convention puts t = 0 at a turning point with
     phi(0) = b, theta(0) = 0 (phi decreasing), and s = 0 at nu(0) = a,
@@ -556,7 +562,7 @@ class GeodesicProfile:
         if samples_per_half_period < 16:
             raise ValueError("samples_per_half_period must be at least 16")
         self.solution = solution
-        self.samples_per_half_period = m = int(samples_per_half_period)
+        self.samples_per_half_period = int(samples_per_half_period)
         r = solution.rotation
         q = r.q
         self._bip = bipolar_chart(solution.b)
@@ -578,18 +584,54 @@ class GeodesicProfile:
                 f"charts of {r} close to {closure:.3e} and match the periods"
                 f" to {mismatch:.3e} (limit 1e-10)")
 
-        n = 2 * q * m
-        self.t_grid = np.arange(n) * (self.t0 / n)
-        x, self.theta = self._bip.samples(m, 2 * q)
-        self.phi = self._bip.coordinate(x)
-        self.s_grid = np.arange(n) * (self.s_total / n)
-        chi, self.lambda_angle = self.torus_chart.samples(m, 2 * q)
-        self.nu = self.torus_chart.coordinate(chi)
+    # -- samples over one period, each computed on first access ----------
 
-        # The speed identity is pi-periodic in x: one half-oscillation holds it.
-        phi, _, phi_dot, theta_dot = self._bip.at(x[:m])
+    @functools.cached_property
+    def t_grid(self) -> np.ndarray:
+        n = 2 * self.solution.rotation.q * self.samples_per_half_period
+        return np.arange(n) * (self.t0 / n)
+
+    @functools.cached_property
+    def _bipolar_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chart values x and theta on ``t_grid``."""
+        return self._bip.samples(self.samples_per_half_period,
+                                 2 * self.solution.rotation.q)
+
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        return self._bip.coordinate(self._bipolar_samples[0])
+
+    @functools.cached_property
+    def theta(self) -> np.ndarray:
+        return self._bipolar_samples[1]
+
+    @functools.cached_property
+    def s_grid(self) -> np.ndarray:
+        n = 2 * self.solution.rotation.q * self.samples_per_half_period
+        return np.arange(n) * (self.s_total / n)
+
+    @functools.cached_property
+    def _torus_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chart values chi and lambda on ``s_grid``."""
+        return self.torus_chart.samples(self.samples_per_half_period,
+                                        2 * self.solution.rotation.q)
+
+    @functools.cached_property
+    def nu(self) -> np.ndarray:
+        return self.torus_chart.coordinate(self._torus_samples[0])
+
+    @functools.cached_property
+    def lambda_angle(self) -> np.ndarray:
+        return self._torus_samples[1]
+
+    @functools.cached_property
+    def unit_speed_residual(self) -> float:
+        # The speed identity is pi-periodic in x: the first half-oscillation
+        # of the samples holds it.
+        x, _ = self._bip.samples(self.samples_per_half_period, 1)
+        phi, _, phi_dot, theta_dot = self._bip.at(x)
         c2 = np.cos(phi) ** 2
-        self.unit_speed_residual = float(np.max(np.abs(
+        return float(np.max(np.abs(
             4.0 * math.pi ** 2 * c2 * (phi_dot ** 2 + theta_dot ** 2 * c2) - 1.0)))
 
     # -- bipolar side -------------------------------------------------

@@ -471,7 +471,10 @@ def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
 
 
 def read_mesh_csv(path: str) -> np.ndarray:
-    """Vertices of a CSV mesh written by ``export_mesh``, shape (n, 7)."""
+    """Vertices of a CSV mesh written by ``export_mesh``, shape (n, 7).
+
+    Raises ValueError on a header other than ``export_mesh``'s, and on a
+    body whose rows are not all 7 fields wide."""
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         if header != _CSV_COLUMNS:
@@ -479,4 +482,8 @@ def read_mesh_csv(path: str) -> np.ndarray:
         lines = fh.readlines()
     if not lines:
         return np.empty((0, len(_CSV_COLUMNS)))
-    return np.loadtxt(lines, delimiter=",", ndmin=2)
+    rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+    if rows.shape[1] != len(_CSV_COLUMNS):
+        raise ValueError(f"mesh rows have {rows.shape[1]} fields,"
+                         f" not {len(_CSV_COLUMNS)}")
+    return rows

@@ -277,14 +277,25 @@ def _coarser(n: int) -> int:
 def cross_check(sol, n_alpha: int, n_t: int, lambda_cut: float) -> dict:
     """The oracle at n_alpha x n_t against ``spectrum.assemble``'s table.
 
-    The oracle error is estimated from the kept eigenvalues on this grid
-    and on the ``_coarser`` one; twice it, floored, sets the threshold
-    window and the pair tolerance of ``match_table`` below 2.  The keys
-    are those of the ``cross-check`` command's output without p and q.
+    The table is assembled from values-only radial spectra: one
+    ``spectrum._RadialChart`` serves ``solve_radial`` at each l of
+    ``spectrum._angular_indices``, with no sector sampled, since the match
+    reads only eigenvalues and Bloch sectors.  Its eigenvalues are those
+    of the default table up to eigensolver rounding.  The profile samples
+    nothing; the oracle reads only its charts.  The oracle error is
+    estimated from the kept eigenvalues on this grid and on the
+    ``_coarser`` one; twice it, floored, sets the threshold window and the
+    pair tolerance of ``match_table`` below 2.  The keys are those of the
+    ``cross-check`` command's output without p and q.  A cut that is not
+    a finite number of at least 2 raises DomainError.
     """
-    # The oracle never reads the sampled arrays: take the least, 16 samples.
     prof = geodesic.profile(sol, 16)
-    table = spectrum.assemble(sol, None, lambda_cut=lambda_cut)
+    chart = spectrum._RadialChart(sol.b, sol.rotation.q)
+    # No row is sampled, so the t-grid is moot: the least one, 8q points.
+    spectra = {l: spectrum.solve_radial(sol, None, l, 0, chart=chart,
+                                        sampled_sectors=())
+               for l in spectrum._angular_indices(lambda_cut)}
+    table = spectrum.assemble(sol, None, lambda_cut=lambda_cut, spectra=spectra)
     fine, coarse = (dense_spectrum(TorusGrid(prof, na, nt), lambda_cut) for na, nt
                     in ((n_alpha, n_t), (_coarser(n_alpha), _coarser(n_t))))
     kept_fine, kept_coarse = fine.kept_eigenvalues(), coarse.kept_eigenvalues()

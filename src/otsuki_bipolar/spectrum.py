@@ -26,6 +26,7 @@ strictly below 4 sqrt(2) q pi^2 resp. 2 sqrt(2) q pi^2.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Collection
@@ -160,16 +161,26 @@ def _pin_threshold_modes(r: RotationNumber, l: int,
             if i < spec.eigenvalues.size and spec.sectors[i] in ks}
 
 
+def _angular_indices(lambda_cut: float) -> range:
+    """Angular indices l whose radial spectrum can reach below the cut.
+
+    Every radial eigenvalue at l is at least l^2 min(S/W) = l^2, since
+    S/W = 1/cos^2 phi >= 1, so only the l with l^2 < ``lambda_cut`` can:
+    l = 0, 1 for every cut up to 4.  A cut that is not a finite number of
+    at least 2 raises DomainError.
+    """
+    cut = in_interval(lambda_cut, "lambda_cut", 2.0, math.inf, lo_closed=True)
+    return range(next(l for l in itertools.count() if l * l >= cut))
+
+
 def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
              l_max: int | None = None, lambda_cut: float = 2.5,
              grid_size: int | None = None,
              spectra: dict[int, SLSpectrum] | None = None) -> ModeTable:
     """Collect all Laplace modes with eigenvalue below ``lambda_cut``.
 
-    Every radial eigenvalue at angular index l is at least
-    l^2 min(S/W) = l^2, since S/W = 1/cos^2 phi >= 1, so only the l with
-    l^2 < ``lambda_cut`` can hold a mode below the cutoff: l = 0, 1 for
-    every cutoff up to 4.  Solves the periodic radial problem for those l
+    Only the l of ``_angular_indices`` can hold a mode below the cutoff
+    (l^2 < ``lambda_cut``).  Solves the periodic radial problem for those l
     on one shared chart (or reuses the supplied spectra), applies the
     even-q quotient filter, and pins the known eigenvalue-2 modes to the
     threshold by position and Bloch sector, so supplied spectra must
@@ -188,8 +199,7 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
     chart = None
 
     entries = []
-    l = 0
-    while l * l < lambda_cut:
+    for l in _angular_indices(lambda_cut):
         if l not in spectra:
             chart = chart or _RadialChart(sol.b, r.q)
             spectra[l] = solve_radial(sol, profile, l, n, chart=chart)
@@ -218,7 +228,6 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
                 zero_count=(int(spec.zero_counts[i])
                             if spec.zero_counts[i] >= 0 else None),
                 pinned_two=pinned_two))
-        l += 1
 
     eps_grid = max((s.eps_grid for s in spectra.values()
                     if math.isfinite(s.eps_grid)), default=float("nan"))

@@ -476,6 +476,58 @@ def test_profile_rejects_a_solution_its_charts_do_not_reproduce(change, cases):
         GeodesicProfile(dataclasses.replace(sol, **change(sol)), 16)
 
 
+def test_profile_samples_nothing_until_asked(cases, monkeypatch):
+    """Construction builds and checks the charts only; each side's chart
+    is sampled once, on the first access to one of its arrays."""
+    samples, calls = _HalfChart.samples, []
+
+    def spy(chart, *args):
+        calls.append(args)
+        return samples(chart, *args)
+
+    monkeypatch.setattr(_HalfChart, "samples", spy)
+    prof = GeodesicProfile(cases.solution((3, 5)), 32)
+    assert calls == []
+    prof.phi, prof.theta, prof.theta
+    assert calls == [(32, 10)]
+    prof.lambda_angle, prof.nu
+    assert calls == [(32, 10)] * 2
+
+
+def sampled_directly(prof):
+    """Every sampled attribute, computed as one pass over both charts."""
+    m, halves = prof.samples_per_half_period, 2 * prof.solution.rotation.q
+    n = halves * m
+    x, theta = prof._bip.samples(m, halves)
+    chi, lam = prof.torus_chart.samples(m, halves)
+    phi, _, phi_dot, theta_dot = prof._bip.at(x[:m])
+    c2 = np.cos(phi) ** 2
+    return {"t_grid": np.arange(n) * (prof.t0 / n),
+            "phi": prof._bip.coordinate(x), "theta": theta,
+            "s_grid": np.arange(n) * (prof.s_total / n),
+            "nu": prof.torus_chart.coordinate(chi), "lambda_angle": lam,
+            "unit_speed_residual": float(np.max(np.abs(
+                4.0 * math.pi ** 2 * c2 * (phi_dot ** 2 + theta_dot ** 2 * c2)
+                - 1.0)))}
+
+
+@pytest.mark.parametrize("first", [("phi", "theta"), ("theta", "phi"),
+                                   ("nu", "lambda_angle"),
+                                   ("lambda_angle", "nu"),
+                                   ("unit_speed_residual", "phi")])
+@pytest.mark.parametrize("pq, m", [((3, 5), 512), ((5, 8), 16)])
+def test_profile_samples_on_first_access_bit_for_bit(pq, m, first, cases):
+    """Whatever is read first, each attribute is the chart samples' value,
+    bit for bit, and is kept for later reads."""
+    prof = GeodesicProfile(cases.solution(pq), m)
+    want = sampled_directly(prof)
+    got = {name: getattr(prof, name) for name in (*first, *want)}
+    for name, value in want.items():
+        assert np.asarray(got[name]).tobytes() == np.asarray(value).tobytes(), name
+        assert getattr(prof, name) is got[name], name
+    assert isinstance(got["unit_speed_residual"], float)
+
+
 @pytest.mark.parametrize("pq", [(3, 5), (7, 13), (10, 19), (51, 101)])
 def test_profile_theta_against_adaptive_quadrature(pq):
     sol = solve_rotation(RotationNumber(*pq))

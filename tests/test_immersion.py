@@ -321,6 +321,16 @@ def test_read_mesh_csv_rejects_a_ragged_row(tmp_path):
         read_mesh_csv(str(path))
 
 
+@pytest.mark.parametrize("width, rows", [(6, 2), (8, 1)])
+def test_read_mesh_csv_rejects_rows_of_another_width(width, rows, tmp_path):
+    """Rows of one width under the right header, but not 7 wide."""
+    path = tmp_path / "mesh.csv"
+    path.write_text("alpha,t,x,y,z,u,v\n"
+                    + (",".join(["0"] * width) + "\n") * rows)
+    with pytest.raises(ValueError, match=f"{width} fields"):
+        read_mesh_csv(str(path))
+
+
 @pytest.mark.parametrize("pq", [(3, 5), (11, 17), (13, 20), (7, 13)])
 def test_mesh_of_a_16_sample_profile_is_the_default_mesh(pq, cases):
     """The mesh reads only the chart, not the profile's sampled arrays."""

@@ -21,6 +21,8 @@ from otsuki_bipolar.oracle import (
 from otsuki_bipolar.spectrum import ModeEntry, ModeTable, weyl_N
 from otsuki_bipolar.sturm import flux_stencil
 
+CASES = [(3, 5), (5, 8), (4, 7), (5, 9), (7, 10)]
+
 
 def test_grid_validation(cases):
     prof = cases.profile((3, 5))
@@ -295,11 +297,18 @@ def test_theorem2_residual_v_coordinate_alone(cases):
     assert 1.7 < math.log2(vals[0] / vals[1]) < 2.3
 
 
-@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
-def test_cross_check_is_the_c7a_derivation(pq, cases):
-    """cross_check at 96 x 768 and cut 2.2 gives, bit for bit, what C7a
-    derives by hand from a 64 x 512 coarse grid and the session table."""
-    prof, table = cases.profile(pq), cases.table(pq)
+def values_only_table(sol, lambda_cut):
+    """The table from l = 0, 1 solved on one chart with no row sampled."""
+    chart = spectrum._RadialChart(sol.b, sol.rotation.q)
+    spectra = {l: spectrum.solve_radial(sol, None, l, 0, chart=chart,
+                                        sampled_sectors=())
+               for l in range(2)}
+    return spectrum.assemble(sol, None, lambda_cut=lambda_cut, spectra=spectra)
+
+
+def c7a_derivation(prof, table):
+    """C7a by hand: a 96 x 768 oracle, its error from a 64 x 512 coarse
+    grid, and the match against ``table`` below 2."""
     fine = dense_spectrum(TorusGrid(prof, 96, 768), 2.2)
     coarse = dense_spectrum(TorusGrid(prof, 64, 512), 2.2)
     kf = np.sort(fine.kept_eigenvalues())
@@ -309,15 +318,50 @@ def test_cross_check_is_the_c7a_derivation(pq, cases):
     window = max(2.0 * eps_oracle, 0.02)
     tol = max(2.0 * eps_oracle, 1e-3)
     match, diff, n_o, n_t = match_table(fine, table, 2.0, window, tol)
+    return {"oracle_eps": eps_oracle, "threshold_window": window,
+            "pair_tolerance": tol, "max_pairwise_difference": diff,
+            "n_below_2_oracle": n_o, "n_below_2_assembled": n_t,
+            "N2_assembled": weyl_N(table, 2.0), "pass": match}
 
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+def test_cross_check_is_the_c7a_derivation(pq, cases):
+    """cross_check at 96 x 768 and cut 2.2 gives, bit for bit, what C7a
+    derives by hand from a 64 x 512 coarse grid and the values-only table."""
+    sol = cases.solution(pq)
+    want = c7a_derivation(cases.profile(pq), values_only_table(sol, 2.2))
+    got = oracle.cross_check(sol, 96, 768, 2.2)
+    assert {k: got[k] for k in want} == want
+    assert got["pass"] is True
+
+
+@pytest.mark.parametrize("pq", CASES)
+def test_values_only_table_checks_as_the_session_table(pq, cases):
+    """The values-only table and the session's sampled one give the same
+    count, pairing and verdict; the pair differences agree to rounding."""
     got = oracle.cross_check(cases.solution(pq), 96, 768, 2.2)
-    assert got["oracle_eps"] == eps_oracle
-    assert got["threshold_window"] == window
-    assert got["pair_tolerance"] == tol
-    assert got["max_pairwise_difference"] == diff
-    assert (got["n_below_2_oracle"], got["n_below_2_assembled"]) == (n_o, n_t)
-    assert got["N2_assembled"] == weyl_N(table, 2.0)
-    assert got["pass"] is match is True
+    want = c7a_derivation(cases.profile(pq), cases.table(pq))
+    for key in ("N2_assembled", "n_below_2_oracle", "n_below_2_assembled",
+                "oracle_eps", "pass"):
+        assert got[key] == want[key], key
+    assert abs(got["max_pairwise_difference"]
+               - want["max_pairwise_difference"]) <= 1e-11
+
+
+def test_cross_check_samples_no_radial_row(cases, monkeypatch):
+    """Each l below the cut is solved once, values-only: no row sampled."""
+    solve, calls = spectrum.solve_radial, []
+
+    def spy(sol, profile, l, *args, **kwargs):
+        calls.append((l, solve(sol, profile, l, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(spectrum, "solve_radial", spy)
+    oracle.cross_check(cases.solution((3, 5)), 32, 64, 2.2)
+    assert [l for l, _ in calls] == [0, 1]
+    for _, spec in calls:
+        assert np.all(spec.zero_counts == -1)
+        assert np.all(np.isnan(spec.eigenfunctions))
 
 
 def test_cross_check_calls_each_layer_by_module_attribute(cases, monkeypatch):
