@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -211,7 +212,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` leaves it unchanged,
+    so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="otsuki-bipolar",
         description="Bipolar surfaces of Otsuki tori: spectra and counting checks")

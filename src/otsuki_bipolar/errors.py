@@ -43,7 +43,7 @@ class IntegrationFailure(NumericalFailure):
 
 class ConvergenceFailure(NumericalFailure):
     """An iteration did not converge: an eigensolver, a radial solve's
-    mode doubling, or a chart's Newton inversion (``_HalfChart.x_of``)."""
+    mode ladder, or a chart's Newton inversion (``_HalfChart.x_of``)."""
 
 
 class DegenerateGrid(NumericalFailure):

@@ -12,8 +12,9 @@ Three radial eigenfunctions are known in closed form at eigenvalue 2
 (the immersed coordinates): sin(phi) ~ cos x, level 2 of Bloch sector q
 at l = 0 (position 2q), and cos(phi)sin(theta), cos(phi)cos(theta), level
 1 of sectors p and 2q - p at l = 1 (positions 2p - 1 and 2p).  Computed
-eigenvalues straddle 2 by the solver error, so the modes at those
-positions and sectors are pinned to 2 instead of compared numerically.
+eigenvalues are Rayleigh quotients, within about 1e-14 of 2 but not
+exactly 2, so the modes at those positions and sectors are pinned to 2
+instead of compared numerically.
 
 The eigenvalue counting function N(lambda) is the total multiplicity of
 eigenvalues strictly below lambda, the zero mode included (equivalently
@@ -238,9 +239,10 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
 
 # Fourier-Galerkin radial solve, see solve_radial.
 _FFT_POINTS = 2048      # coefficient samples per half-oscillation x in [0, pi)
-_FIRST_MODES = 8        # M of the first solve; each sector has 2M + 1 modes
-_MAX_MODES = 256        # lags up to 2M stay below _FFT_POINTS / 2
-_MODE_TOL = 1e-10       # M-versus-M/2 change that stops the doubling
+# Fourier modes per sector M, in the order tried; each sector has 2M + 1.
+_MODE_LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256)
+_MAX_MODES = _MODE_LADDER[-1]   # lags up to 2M stay below _FFT_POINTS / 2
+_MODE_TOL = 1e-10       # change from the previous M that stops the ladder
 _SAMPLE_GRID = 2048     # t-grid of assemble's rows, before pipeline_grid_size
 # Fixed tolerance of verify's close_to certificates at 2, not resolved against
 # the run's error; ROADMAP item 3's residual-based intervals will replace it.
@@ -294,9 +296,11 @@ class _RadialChart:
         x -> x + pi, which commutes with the operator, fixes it: it lies
         in Bloch sector kappa = 0 (Eastham, *The Spectral Theory of
         Periodic Differential Equations*), and only that sector is
-        solved.  M doubles from 8 until the value moves by less than
-        1e-10 (``solve_radial``'s stop rule, applied to this one value);
+        solved.  M steps up ``_MODE_LADDER`` (8, 16, 24, 32, ...) until
+        the value moves by less than 1e-10 from the previous M
+        (``solve_radial``'s stop rule, applied to this one value);
         ConvergenceFailure, naming l and M, if it still moves at M = 256.
+        The value is the reduced matrix's, not a Rayleigh quotient.
         """
         kappa = np.zeros(1)
 
@@ -305,6 +309,27 @@ class _RadialChart:
             return vals[0], 1, vals[0, 0]
 
         return float(_settle_modes(l, solve)[1])
+
+    def rayleigh(self, kappa: np.ndarray, l: int, coef: np.ndarray
+                 ) -> np.ndarray:
+        """Rayleigh quotients c^T A c / c^T T_W c of Galerkin vectors.
+
+        Row r of ``coef`` is the coefficient vector c (2M + 1 entries) of
+        a level of the sector ``kappa[r]``; the forms are taken in the
+        unreduced problem (see ``sector_matrices``), with c^T D T_P D c
+        as u^T T_P u for u = D c.  Each row is its own matrix-vector
+        products, so its quotient does not depend on the other rows.  The
+        error of the quotient is second order in that of c (Parlett, *The
+        Symmetric Eigenvalue Problem*, ch. 4), so it drops the rounding
+        of the reduced eigensolve.
+        """
+        modes = (coef.shape[1] - 1) // 2
+        m = np.arange(-modes, modes + 1)
+        lag = np.abs(m[:, None] - m[None, :])
+        t_p, t_s, t_w = self.p_hat[lag], self.s_hat[lag], self.w_hat[lag]
+        u = (kappa[:, None] + 2.0 * m) * coef
+        return np.array([(du @ t_p @ du + float(l * l) * (c @ t_s @ c))
+                         / (c @ t_w @ c) for c, du in zip(coef, u)])
 
     def sector_matrices(self, kappa: np.ndarray, l: int, modes: int):
         """Standard-form Galerkin matrices of every Bloch sector.
@@ -330,16 +355,19 @@ class _RadialChart:
 
 
 def _settle_modes(l: int, solve):
-    """Double the Fourier modes per sector M from 8 until the leading
-    eigenvalues move by less than 1e-10 from M/2 to M.
+    """Step the Fourier modes per sector M through ``_MODE_LADDER`` (8,
+    16, 24, 32, 48, ... 256: each power of two and 1.5 times it) until the
+    leading eigenvalues move by less than 1e-10 from the previous M.
 
     ``solve(M)`` returns (sorted eigenvalues, how many of the lowest must
     settle, whatever the caller keeps of that solve).  Returns the last M
     and what its solve kept.  Raises ConvergenceFailure, naming l and M,
-    if they still move at M = 256.
+    if they still move at M = 256.  The Galerkin spaces are nested, so
+    each value falls with M, and up to rounding the ladder stops at no
+    larger M than doubling from 8 would.
     """
-    modes, prev = _FIRST_MODES, None
-    while True:
+    prev = None
+    for modes in _MODE_LADDER:
         vals, count, kept = solve(modes)
         if prev is not None:
             change = float(np.max(np.abs(vals[:count] - prev[:count])))
@@ -349,7 +377,7 @@ def _settle_modes(l: int, solve):
             raise ConvergenceFailure(
                 f"radial eigenvalues at l = {l} still move by {change:.1e}"
                 f" at M = {modes} Fourier modes per sector")
-        prev, modes = vals, 2 * modes
+        prev = vals
 
 
 def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
@@ -367,9 +395,10 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     k = 0..2q-1; sector 2q-k (periodic) or 2q-1-k (antiperiodic) is the
     complex conjugate of sector k, so only half of them are solved, in
     one batched Hermitian eigensolve.  Each sector is a Fourier-Galerkin
-    problem with 2M + 1 modes; M doubles from 8 until the lowest
-    eigenvalues move by less than 1e-10 from M/2 to M, and ``eps_grid``
-    is that stop tolerance, 1e-10.  The returned window holds at least
+    problem with 2M + 1 modes; M steps through ``_MODE_LADDER`` (8, 16,
+    24, 32, 48, ... 256) until the lowest eigenvalues move by less than
+    1e-10 from the previous M (``_settle_modes``), and ``eps_grid`` is
+    that stop tolerance, 1e-10.  The returned window holds at least
     2 max(p, q) + 8 eigenvalues and reaches 4.
 
     Eigenfunctions are sampled on the uniform t-grid of
@@ -382,10 +411,14 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     By default every row is sampled.  ``sampled_sectors`` names the
     sectors whose rows are sampled instead; every other row gets NaN
     samples and zero count -1.  Each solved sector takes one eigensolve
-    per M: ``np.linalg.eigh`` if any of its rows is sampled, so its
-    eigenvalues are those of a full solve, bit for bit; else values-only
-    ``np.linalg.eigvalsh``, which may move them in their last digits.
-    ``chart`` is the
+    per M: ``np.linalg.eigh`` if any of its rows is sampled, else
+    values-only ``np.linalg.eigvalsh``.  A window row of a sector solved
+    with eigenvectors reports the Rayleigh quotient of its Galerkin
+    vector in the unreduced form (``_RadialChart.rayleigh``), which is
+    free of the reduced eigensolve's rounding and is bit for bit that of
+    a full solve; a values-only row reports the reduced eigenvalue, which
+    may differ from it by that rounding (up to ~1e-11 at q <= 100).  The
+    window is sorted by the reported values.  ``chart`` is the
     ``_RadialChart`` of b and q, built here when None; one chart shared
     across l shares its coefficients and its factors of T_W.
     """
@@ -420,11 +453,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
 
     modes, (lam, y, l_inv, count) = _settle_modes(l, solve)
 
-    # The operator is positive semidefinite: a negative value (the
-    # constant mode at l = 0) is rounding.
-    lam = np.maximum(lam, 0.0)
-    coef = l_inv.T @ y       # columns: c of each level of the vector sectors
-    slot = np.cumsum(vectors) - 1        # each solved sector's place in coef
+    slot = np.cumsum(vectors) - 1        # each vector sector's place in y
     # Every level with its multiplicity; the second copy of a conjugate
     # pair becomes the imaginary part of h and carries the partner sector.
     n = lam.shape[1]
@@ -437,10 +466,25 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     imag = np.concatenate([np.zeros(dup.size, bool), np.ones(dup.sum(), bool)])
     order = np.lexsort((imag, level_lam))[:count]
     src, idx, imag = src[order], idx[order], imag[order]
+    # A window row of a vector sector reports the Rayleigh quotient of its
+    # Galerkin vector c = L^-T y, one matrix-vector product per row.
+    has_c = vectors[src]
+    coef = np.array([l_inv.T @ y[slot[k], :, i]
+                     for k, i in zip(src[has_c], idx[has_c])])
+    coef = coef.reshape(-1, 2 * modes + 1)     # 2-D when no row has a vector
+    values = level_lam[order]
+    values[has_c] = chart.rayleigh(kappa[src[has_c]], l, coef)
+    # The operator is positive semidefinite: a negative value (the
+    # constant mode at l = 0) is rounding.
+    values = np.maximum(values, 0.0)
+    coef_row = np.cumsum(has_c) - 1          # each row's place in coef
+    resort = np.lexsort((imag, values))
+    values, src, imag, coef_row = (a[resort]
+                                   for a in (values, src, imag, coef_row))
     sectors = np.where(imag, partner[src], ks[src])
     rows = (np.arange(count) if sampled_sectors is None
             else np.flatnonzero(np.isin(sectors, wanted)))
-    src, idx, imag = src[rows], idx[rows], imag[rows]
+    src, imag, coef_row = src[rows], imag[rows], coef_row[rows]
 
     size = pipeline_grid_size(grid_size, q)
     per_half = size // (2 * q)
@@ -448,8 +492,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     kap = kappa[src]
     m = np.arange(-modes, modes + 1)
     local = (np.exp(1j * np.multiply.outer(x_loc, kap))
-             * (np.exp(2j * np.multiply.outer(x_loc, m))
-                @ coef[slot[src], :, idx].T))
+             * (np.exp(2j * np.multiply.outer(x_loc, m)) @ coef[coef_row].T))
     turns = np.exp(1j * math.pi * np.multiply.outer(np.arange(2 * q), kap))
     h = (turns[:, None, :] * local[None, :, :]).reshape(size, rows.size).T
     real = ~paired[src]
@@ -468,7 +511,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     zero_counts[rows] = count_sign_changes(sampled, antiperiodic=anti)
     return SLSpectrum(problem=build_problem(chart, l, boundary),
                       grid=np.arange(size) * (chart.t0 / size),
-                      eigenvalues=level_lam[order], eigenfunctions=funcs,
+                      eigenvalues=values, eigenfunctions=funcs,
                       zero_counts=zero_counts, labels=np.arange(count),
                       eps_grid=_MODE_TOL, sectors=sectors)
 
@@ -594,7 +637,9 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     only Bloch sector 0, where the ground state lies, for the two l = 2
     certificates; ``l_max`` is ignored.  Only the threshold sectors (q at
     l = 0, p and 2q - p at l = 1) are solved with eigenvectors and
-    sampled, every other sector is solved values-only; ``grid_size`` is
+    sampled, so the three eigenvalue-2 levels are Rayleigh quotients of
+    their Galerkin vectors, within ~1e-14 of 2 whichever M the ladder
+    ends on; every other sector is solved values-only; ``grid_size`` is
     ignored.  The report counts below 2 only, so ``lambda_cut`` is
     ignored too.  ``r`` may be any (p, q) pair.
     """

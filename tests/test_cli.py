@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, config precedence."""
 
+import argparse
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import otsuki_bipolar
-from otsuki_bipolar import geodesic, oracle, spectrum
+from otsuki_bipolar import cli, geodesic, oracle, spectrum
 from otsuki_bipolar.cli import main
 from otsuki_bipolar.immersion import read_mesh_csv
 
@@ -457,8 +458,8 @@ def test_failure_exit_codes(argv, code, needle, tmp_path, monkeypatch,
                             capsys):
     """Each failure maps to its exit code by class, with a one-line
     message and no traceback; config p and q only draw a warning."""
-    if argv[0] == "table":  # 3/5's eigenvalue-2 modes miss 2 by ~1e-13
-        monkeypatch.setattr(spectrum, "_THRESHOLD_WINDOW", 0.0)
+    if argv[0] == "table":  # no |lambda - 2| lies within a negative window
+        monkeypatch.setattr(spectrum, "_THRESHOLD_WINDOW", -1.0)
     (tmp_path / "pq.cfg").write_text("p = 5\nq = 8\n")
     (tmp_path / "ply.cfg").write_text("mesh_format = ply\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -555,6 +556,51 @@ def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
     if "4.04" in argv:
         rows = list(csv.DictReader(out.splitlines()[1:]))
         assert {row["l"] for row in rows} == {"0", "1", "2"}
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    """``main`` builds its parser once per process: two calls construct
+    one top-level ArgumentParser, and a mixed sequence of calls (success,
+    usage error, another command, a repeat) prints and exits as the same
+    calls do on a fresh parser each."""
+    init, built = argparse.ArgumentParser.__init__, []
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    calls = [["verify", "--p", "3", "--q", "5", "--format", "json"],
+             ["export-mesh", "--p", "3", "--q", "5"],
+             ["spectrum", "--p", "3", "--q", "5", "--format", "text"],
+             ["verify", "--p", "3", "--q", "5", "--format", "json"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    cli._build_parser.cache_clear()
+    try:
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in calls[:2]:
+            outcome(argv)
+        assert built.count("otsuki-bipolar") == 1
+        monkeypatch.undo()
+
+        cli._build_parser.cache_clear()
+        shared = [outcome(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(outcome(argv))
+    finally:
+        cli._build_parser.cache_clear()
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert "--mesh-out" in shared[1][2]
+    assert shared == fresh
 
 
 def test_out_file(tmp_path, capsys):

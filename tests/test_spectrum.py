@@ -349,12 +349,137 @@ def _reduced_fractions(q_max):
             if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q]
 
 
+_PINNED = ("radial_eigenvalue_two_at_l0_position_2q",
+           "radial_eigenvalue_two_at_l1_position_2p_minus_1",
+           "radial_eigenvalue_two_at_l1_position_2p")
+
+
 def _verify_passes_with_the_closed_form(pq):
+    """verify passes, and the three exact eigenvalue-2 modes (positions 2q,
+    2p - 1 and 2p), reported as Rayleigh quotients, lie within 1e-13 of 2
+    (as reduced eigenvalues they missed it by up to 2.7e-12 on q <= 40)."""
     report = verify_theorem3(RotationNumber(*pq), raise_on_failure=False)
     assert report.passed, report.first_failure()
     assert report.n2_computed == expected_n2(RotationNumber(*pq))
     assert report.threshold_multiplicity == 5
-    assert report.eps_grid == 1e-10     # the stop tolerance of the M-doubling
+    assert report.eps_grid == 1e-10     # the stop tolerance of the M ladder
+    pinned = [c.lhs for c in report.certificates if c.name in _PINNED]
+    assert len(pinned) == 3
+    assert max(abs(lam - 2.0) for lam in pinned) <= 1e-13, pinned
+
+
+def _rayleigh_reference(chart, l, q, modes):
+    """Every periodic sector at M = ``modes``: eigh of the reduced
+    matrices, then c^T A c / c^T T_W c from dense A = D T_P D + l^2 T_S
+    and T_W, with each conjugate partner's copy; sorted."""
+    ks = np.arange(q + 1)
+    kappa = ks / q
+    mats, l_inv = chart.sector_matrices(kappa, l, modes)
+    lam, y = np.linalg.eigh(mats)
+    m = np.arange(-modes, modes + 1)
+    lag = np.abs(m[:, None] - m[None, :])
+    rho = np.empty_like(lam)
+    for k in range(ks.size):
+        d = kappa[k] + 2.0 * m
+        a = d[:, None] * chart.p_hat[lag] * d + l * l * chart.s_hat[lag]
+        c = l_inv.T @ y[k]
+        rho[k] = (np.sum(c * (a @ c), axis=0)
+                  / np.sum(c * (chart.w_hat[lag] @ c), axis=0))
+    paired = (2 * q - ks) % (2 * q) != ks
+    return (np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()])),
+            np.sort(np.concatenate([rho.ravel(), rho[paired].ravel()])))
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+@pytest.mark.parametrize("l", [0, 1])
+def test_rows_of_vector_sectors_are_rayleigh_quotients(pq, l, monkeypatch):
+    """With every sector sampled, each window row is the Rayleigh quotient
+    of its Galerkin vector at the last M, not the eigensolve's value."""
+    import otsuki_bipolar.spectrum as spec_mod
+    settle, last = spec_mod._settle_modes, []
+
+    def spy(l, solve):
+        modes, kept = settle(l, solve)
+        last.append(modes)
+        return modes, kept
+
+    monkeypatch.setattr(spec_mod, "_settle_modes", spy)
+    sol = solve_rotation(RotationNumber(*pq))
+    chart = _RadialChart(sol.b, pq[1])
+    spec = solve_radial(sol, None, l, 8 * pq[1], chart=chart)
+    lam, rho = _rayleigh_reference(chart, l, pq[1], last[0])
+    rho = rho[:spec.eigenvalues.size]
+    scale = np.maximum(rho, 1.0)
+    assert np.max(np.abs(spec.eigenvalues - rho) / scale) <= 2e-15
+    assert np.max(np.abs(lam[:rho.size] - rho) / scale) > 1e-14
+
+
+# The doubling ladder that the 1.5x steps refine.
+_DOUBLING = (8, 16, 32, 64, 128, 256)
+
+
+def test_ladder_visits_powers_of_two_and_one_and_a_half_times():
+    """M runs 8, 16, 24, 32, 48, ... 256 and stops at the cap with
+    ConvergenceFailure naming l and M, if the values never settle."""
+    import otsuki_bipolar.spectrum as spec_mod
+    seen = []
+
+    def solve(modes):
+        seen.append(modes)
+        return np.array([1.0 / modes]), 1, None
+
+    with pytest.raises(ConvergenceFailure, match=r"at l = 3 .* at M = 256 "):
+        spec_mod._settle_modes(3, solve)
+    assert seen == [8, 16, 24, 32, 48, 64, 96, 128, 192, 256]
+
+
+def test_ladder_ends_no_later_than_doubling(monkeypatch):
+    """On the 16 reduced p/q with q <= 16 every ladder run by verify ends
+    at an M no larger than doubling from 8 reaches, and some end earlier."""
+    import otsuki_bipolar.spectrum as spec_mod
+    settle, last = spec_mod._settle_modes, []
+
+    def spy(l, solve):
+        modes, kept = settle(l, solve)
+        last.append((l, modes))
+        return modes, kept
+
+    monkeypatch.setattr(spec_mod, "_settle_modes", spy)
+    ends = {}
+    for ladder in (spec_mod._MODE_LADDER, _DOUBLING):
+        monkeypatch.setattr(spec_mod, "_MODE_LADDER", ladder)
+        last.clear()
+        for pq in _reduced_fractions(16):
+            verify_theorem3(RotationNumber(*pq))
+        ends[ladder] = last[:]
+    new, old = ends.values()
+    assert [l for l, _ in new] == [l for l, _ in old]
+    assert all(m <= m_old for (_, m), (_, m_old) in zip(new, old))
+    assert any(m < m_old for (_, m), (_, m_old) in zip(new, old))
+
+
+def _window_against_m_256(pq):
+    sol = solve_rotation(RotationNumber(*pq))
+    chart = _RadialChart(sol.b, pq[1])
+    for l in (0, 1):
+        spec = solve_radial(sol, None, l, 8 * pq[1], chart=chart)
+        _, rho = _rayleigh_reference(chart, l, pq[1], 256)
+        count = spec.eigenvalues.size
+        assert np.max(np.abs(spec.eigenvalues - rho[:count])) <= 1e-10
+
+
+def test_window_is_the_m_256_window():
+    """On 4/7, where the ladder stops at M = 24, the window lies within
+    1e-10 of the same Rayleigh quotients at M = 256.  (The reduced
+    eigenvalues at M = 256 carry up to 3.6e-10 of rounding on q <= 16.)"""
+    _window_against_m_256((4, 7))
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("pq", _reduced_fractions(16))
+def test_window_is_the_m_256_window_sweep(pq):
+    """The 16 reduced p/q with q <= 16."""
+    _window_against_m_256(pq)
 
 
 @pytest.mark.parametrize("pq", _reduced_fractions(20)
@@ -364,10 +489,10 @@ def test_verify_across_the_admissible_range(pq):
 
 
 @pytest.mark.sweep
-@pytest.mark.parametrize("pq", _reduced_fractions(40) + [(51, 101)])
-def test_verify_sweep_q_up_to_40(pq):
-    """All 100 reduced p/q with q <= 40, and 51/101.  Deselected by
-    default; run with ``pytest -m sweep`` (~16 s on 2 cores)."""
+@pytest.mark.parametrize("pq", _reduced_fractions(100) + [(51, 101)])
+def test_verify_sweep_q_up_to_100(pq):
+    """All 630 reduced p/q with q <= 100, and 51/101.  Deselected by
+    default; run with ``pytest -m sweep``."""
     _verify_passes_with_the_closed_form(pq)
 
 
