@@ -17,10 +17,13 @@ All turning-point integrals are regularized before quadrature:
   * phi-side: sin(phi) = sin(b) cos(x), x in [0, pi] per half-oscillation,
   * nu-side:  cos(2 nu) = cos(2 a) cos(chi), chi in [0, pi],
 
-which removes the square-root endpoint singularities.  Scalar period
-values use adaptive Gauss-Kronrod quadrature on the regularized
-integrands.  The substituted integrands are analytic and periodic, so
-the profiles integrate their Fourier series term by term (``_HalfChart``).
+which removes the square-root endpoint singularities.  The closure
+equation is solved on the closed elliptic form of xi; omega and the
+half-periods of both geodesics are adaptive Gauss-Kronrod quadratures of
+the regularized integrands, a second route to what the closed form and
+the charts give.  The substituted integrands are analytic and periodic,
+so the profiles integrate their Fourier series term by term
+(``_HalfChart``).
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import elliprf, elliprj
 
-from .elliptic import complete_E, complete_K, complete_Pi
+from .elliptic import complete_E, complete_K
 from .errors import ConvergenceFailure, NoRoot, ResolutionTooCoarse, in_interval
 
 _QUARTER_PI = 0.25 * math.pi
@@ -178,17 +182,33 @@ def a_of_b(b: float) -> float:
     return 0.5 * math.asin(math.cos(b) ** 2)
 
 
+def _xi_of_s(s: float) -> float:
+    """xi as a function of s = cos^2 b = sin 2a, for s in (0, 1].
+
+    The closed form 2 (1-n)/sqrt(2-n) * Pi(n, k), n = sin^2 b,
+    k^2 = n/(2-n), reads Carlson's forms at 1 - n = s and
+    1 - k^2 = 2s/(1+s):
+
+        Pi(n, k) = R_F(0, 1-k^2, 1) + n/3 R_J(0, 1-k^2, 1, 1-n).
+
+    Both complements are passed as computed from s, never as 1 - n, so
+    the value keeps full accuracy as b -> pi/2 (s -> 0).
+    """
+    y = 2.0 * s / (1.0 + s)
+    pi_nk = elliprf(0.0, y, 1.0) + (1.0 - s) / 3.0 * elliprj(0.0, y, 1.0, s)
+    return float(2.0 * s / math.sqrt(1.0 + s) * pi_nk)
+
+
 def xi(b: float) -> float:
     """Angle advance of the bipolar-side geodesic per half-oscillation.
 
     Evaluated through the closed elliptic form
-    2 (1-n)/sqrt(2-n) * Pi(n, sqrt(n/(2-n))) with n = sin^2 b; strictly
-    decreasing from pi/sqrt(2) (b -> 0) to pi/2 (b -> pi/2).
+    2 (1-n)/sqrt(2-n) * Pi(n, sqrt(n/(2-n))) with n = sin^2 b, from
+    cos^2 b = 1 - n (``_xi_of_s``); strictly decreasing from pi/sqrt(2)
+    (b -> 0) to pi/2 (b -> pi/2).
     """
     b = in_interval(b, "b", 0.0, _HALF_PI)
-    n = math.sin(b) ** 2
-    k = math.sqrt(n / (2.0 - n))
-    return 2.0 * (1.0 - n) / math.sqrt(2.0 - n) * complete_Pi(n, k)
+    return _xi_of_s(math.cos(b) ** 2)
 
 
 def xi_derivative(n: float) -> float:
@@ -265,23 +285,19 @@ def torus_half_period(a: float) -> float:
     return val
 
 
-@functools.cache
-def _omega_at_bracket_end(a: float) -> float:
-    """omega at an end of ``solve_rotation``'s bracket, 1e-4 / 100^k or
-    pi/4, which are the same for every p/q: computed once per process."""
-    return omega(a)
-
-
 def solve_rotation(r: RotationNumber) -> OtsukiSolution:
-    """Solve omega(a) = p pi / q for the turning value a.
+    """Solve the closure equation xi(b(a)) = p pi / q for the turning value a.
 
-    The period function is strictly increasing on (0, pi/4], so a
-    bracketing solve (bisection refined by inverse interpolation, via
-    Brent) converges to |omega(a) - p pi/q| < 1e-11.  Each omega value
-    is computed once: the bracket ends come from a per-process cache
-    (they do not depend on p/q), and brentq's first evaluations and the
-    residual at the root reuse the values already computed in this
-    solve.
+    The root is bracketed on the closed form of xi, evaluated from
+    s = sin 2a = cos^2 b, which is strictly increasing in a on (0, pi/4]:
+    Brent's method on [1e-4, pi/4], the lower end moved toward 0 for
+    targets very close to pi/2.  omega, the torus side's period function
+    by quadrature, is then evaluated once, at the root, and
+    ``omega_residual`` = omega(a) - p pi/q is how far the two independent
+    period functions disagree there.  The periods t0 and s_total are 2q
+    times the half-periods by quadrature (``bipolar_half_period`` and
+    ``torus_half_period``), a second route beside the closed form
+    2 pi i2(b) and the charts of ``GeodesicProfile``.
     """
     if not isinstance(r, RotationNumber):
         r = RotationNumber(*r)
@@ -289,30 +305,24 @@ def solve_rotation(r: RotationNumber) -> OtsukiSolution:
     if not _HALF_PI < target < math.pi / math.sqrt(2.0):
         raise NoRoot(f"target angle {target} outside (pi/2, pi/sqrt(2))")
 
+    def closure(x: float) -> float:
+        return _xi_of_s(math.sin(2.0 * x)) - target
+
     lo, hi = 1e-4, _QUARTER_PI
-    # omega decreases to pi/2 as a -> 0; widen the bracket for targets
+    # xi decreases to pi/2 as a -> 0; widen the bracket for targets
     # very close to the lower limit.
-    while _omega_at_bracket_end(lo) > target:
+    while closure(lo) > 0.0:
         lo *= 1e-2
         if lo < 1e-14:
             raise NoRoot("failed to bracket the period equation near a = 0")
-    seen = {x: _omega_at_bracket_end(x) for x in (lo, hi)}
-
-    def value(x: float) -> float:
-        if x not in seen:
-            seen[x] = omega(x)
-        return seen[x]
-
-    a = brentq(lambda x: value(x) - target, lo, hi, xtol=1e-15, rtol=8.9e-16,
-               maxiter=200)
-    residual = value(a) - target
+    a = brentq(closure, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
     b = b_of_a(a)
     c = math.sin(a) * math.cos(a)
     t0 = 2 * r.q * bipolar_half_period(b)
     s_total = 2 * r.q * torus_half_period(a)
     return OtsukiSolution(rotation=r, a=a, b=b, c=c, t0=t0, s_total=s_total,
-                          omega_residual=residual)
+                          omega_residual=omega(a) - target)
 
 
 # ---------------------------------------------------------------------------

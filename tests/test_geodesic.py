@@ -189,6 +189,36 @@ def test_xi_equals_omega_through_the_chart_change():
         assert xi(b_of_a(a)) == pytest.approx(omega(a), abs=1e-8)
 
 
+def test_xi_core_matches_omega_on_a_log_grid():
+    """The closed form from s = sin 2a matches omega by quadrature to
+    1e-13 from a = 1e-12 to pi/4, across both of omega's branches (the
+    sinh substitution below a = 0.05, the chi chart above)."""
+    grid = np.geomspace(1e-12, 0.25 * math.pi, 60)
+    assert np.count_nonzero(grid < 0.05) > 40 and grid[-3] > 0.05
+    for a in grid:
+        a = float(a)
+        assert abs(geodesic._xi_of_s(math.sin(2.0 * a)) - omega(a)) <= 1e-13, a
+
+
+def _xi_mpmath(b):
+    """xi at the double b to 40 digits: 2(1-n)/sqrt(2-n) Pi(n | n/(2-n))."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        n = mpmath.sin(mpmath.mpf(b)) ** 2
+        return float(2 * (1 - n) / mpmath.sqrt(2 - n)
+                     * mpmath.ellippi(n, n / (2 - n)))
+
+
+@pytest.mark.parametrize("b", [1e-6, 0.7, 1.55, 1.57, 0.5 * math.pi - 1e-6,
+                               0.5 * math.pi - 1e-8])
+def test_xi_against_mpmath(b):
+    """xi holds 1e-15 up to b = pi/2 - 1e-8: the complement 1 - n of
+    n = sin^2 b must reach Carlson's forms as cos^2 b, since forming it by
+    cancellation costs 5.2e-12 at b = 1.57 and leaves n past the largest
+    characteristic ``complete_Pi`` accepts within 1e-7 of pi/2."""
+    assert abs(xi(b) - _xi_mpmath(b)) <= 1e-15
+
+
 def test_xi_strictly_decreasing():
     grid = np.linspace(0.05, 0.5 * math.pi - 0.05, 25)
     vals = [xi(b) for b in grid]
@@ -252,9 +282,9 @@ def test_solve_rotation_residual(pq, cases):
 
 
 def _reference_solve_rotation(r):
-    """The bracket-and-brentq solve with every omega value computed
-    afresh: the bracket ends on each call, f(lo) again inside brentq and
-    omega at the root again for the residual."""
+    """The closure equation rooted on omega by quadrature, by the same
+    bracket and brentq settings: an independent solve to compare the
+    closed-form root with."""
     target = r.target_angle
     lo, hi = 1e-4, 0.25 * math.pi
     while omega(lo) > target:
@@ -269,34 +299,77 @@ def _reference_solve_rotation(r):
                           omega_residual=residual)
 
 
-def test_solve_rotation_evaluates_each_point_once(monkeypatch):
-    """Sharing omega values changes no bit of the solution, and within one
-    solve no point is evaluated twice.  The bracket ends, the same for
-    every p/q, are evaluated once per process; the interior points are
-    evaluated again by every solve.  1000/1999 lies so close to 1/2 that
-    its bracket widens below a = 1e-4."""
-    fractions = [(3, 5), (7, 13), (50, 99), (70, 99), (1000, 1999)]
-    calls, runs = [], []
+def _reduced_fractions(q_max):
+    return [(p, q) for q in range(3, q_max + 1) for p in range(1, q)
+            if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q]
+
+
+def test_solve_rotation_evaluates_omega_once(monkeypatch):
+    """The root comes from the closed form of xi; omega, by quadrature,
+    runs once per solve, at the root, and the residual is its value
+    there minus p pi/q."""
+    calls = []
 
     def spy(a):
         calls.append(a)
         return omega(a)
 
     monkeypatch.setattr(geodesic, "omega", spy)
-    geodesic._omega_at_bracket_end.cache_clear()
-    for pq in fractions * 2:
-        r = RotationNumber(*pq)
+    for pq in [(3, 5), (7, 13), (70, 99), (1000, 1999)]:
         calls.clear()
-        assert solve_rotation(r) == _reference_solve_rotation(r)
-        assert len(set(calls)) == len(calls)
-        runs.append(calls.copy())
+        sol = solve_rotation(RotationNumber(*pq))
+        assert calls == [sol.a]
+        assert sol.omega_residual == omega(sol.a) - sol.rotation.target_angle
 
-    first, again = runs[:len(fractions)], runs[len(fractions):]
-    assert first[0][:2] == [1e-4, 0.25 * math.pi]
-    assert first[-1][0] < 1e-4      # the widened lower end
-    assert [len(a) - len(b) for a, b in zip(first, again)] == [2, 0, 0, 0, 1]
-    for a, b in zip(first, again):
-        assert b and b == a[len(a) - len(b):]
+
+def test_solve_rotation_agrees_with_the_reference_solve():
+    """The closed-form root lies within 5e-14 of the root of omega by
+    quadrature on every reduced p/q with q <= 20 and on 70/99, where
+    omega is flat near a = pi/4 and the two roots differ most (2.9e-14);
+    the periods follow it to 1e-13 relative."""
+    for pq in _reduced_fractions(20) + [(70, 99)]:
+        r = RotationNumber(*pq)
+        sol, ref = solve_rotation(r), _reference_solve_rotation(r)
+        assert abs(sol.a - ref.a) <= 5e-14, pq
+        assert sol.t0 == pytest.approx(ref.t0, rel=1e-13, abs=0.0), pq
+        assert sol.s_total == pytest.approx(ref.s_total, rel=1e-13, abs=0.0), pq
+
+
+def test_solve_rotation_widens_the_bracket_near_one_half(monkeypatch):
+    """1000/1999 lies so close to 1/2 that the bracket's lower end moves
+    below a = 1e-4; 3/5 keeps it there."""
+    seen, core = [], geodesic._xi_of_s
+    monkeypatch.setattr(geodesic, "_xi_of_s",
+                        lambda s: seen.append(s) or core(s))
+    lowest = {}
+    for pq in [(3, 5), (1000, 1999)]:
+        seen.clear()
+        solve_rotation(RotationNumber(*pq))
+        lowest[pq] = min(seen)
+    assert lowest[(3, 5)] == math.sin(2e-4)
+    assert lowest[(1000, 1999)] < math.sin(2e-4)
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (7, 13), (70, 99), (1000, 1999)])
+def test_solve_rotation_periods_are_the_quadratures(pq):
+    """t0 and s_total are 2q times the quadrature half-periods, bit for
+    bit, so that t0 stays a second route beside the closed form
+    2 pi i2(b) that the functional certificate and the profile's period
+    check compare it with."""
+    sol = solve_rotation(RotationNumber(*pq))
+    q = pq[1]
+    assert sol.t0 == 2 * q * bipolar_half_period(sol.b)
+    assert sol.s_total == 2 * q * torus_half_period(sol.a)
+
+
+@pytest.mark.sweep
+def test_omega_residual_sweep():
+    """omega by quadrature agrees with the closed-form root to 1e-12 on
+    all 630 reduced p/q with q <= 100 and on five p/q closer to 1/2."""
+    extra = [(126, 251), (250, 499), (500, 999), (1000, 1999), (5000, 9999)]
+    worst = max((abs(solve_rotation(RotationNumber(*pq)).omega_residual), pq)
+                for pq in _reduced_fractions(100) + extra)
+    assert worst[0] <= 1e-12, worst
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (4, 7)])

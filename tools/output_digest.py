@@ -16,6 +16,9 @@ this file and prints one ``sha256 command input`` line per output:
     text, and both in json at ``--lambda-cut 4.04`` (which admits the
     l = 2 modes) and at ``--grid-size 8`` (which changes no output),
     with q <= 20;
+  * ``solve --format json`` on 101/201, 126/251, 201/401, 250/499,
+    500/999 and 1000/1999, near 1/2, where xi is flat and the solve's
+    bracket widens below a = 1e-4 (1000/1999);
   * ``cross-check`` in csv and text at a 32x128 oracle grid with q <= 8;
   * ``verify --format json`` at ``--lambda-cut 2.01`` and under a config
     file that sets ``tol.omega_residual`` and ``tol.functional_agreement``
@@ -37,7 +40,7 @@ listings are identical:
     diff before.txt after.txt
 
 BLAS runs on one thread, so a listing does not depend on the core count.
-The 1,133 lines take about 30 s on a 2-core host.
+The 1,139 lines take about 30 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -121,6 +124,10 @@ def runs():
             yield (f"export-mesh-summary-{fmt}", f"{p}/{q}",
                    ["export-mesh", *pq, "--n-alpha", "8", "--n-t", "8",
                     "--mesh-out", "summary.csv", "--format", fmt], None)
+    for p, q in ((101, 201), (126, 251), (201, 401), (250, 499), (500, 999),
+                 (1000, 1999)):
+        yield ("solve-json", f"{p}/{q}",
+               ["solve", "--p", str(p), "--q", str(q), "--format", "json"], None)
     for p, q in fractions(8):
         for fmt in ("csv", "text"):
             yield (f"cross-check-{fmt}", f"{p}/{q}",
