@@ -35,9 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import elliprf, elliprj
+from scipy.special import elliprd, elliprf, elliprj
 
-from .elliptic import complete_E, complete_K
 from .errors import ConvergenceFailure, NoRoot, ResolutionTooCoarse, in_interval
 
 _QUARTER_PI = 0.25 * math.pi
@@ -216,27 +215,43 @@ def xi_derivative(n: float) -> float:
 
     Closed form (E(k) - K(k)) / (n sqrt(2-n)) with k = sqrt(n/(2-n)),
     validated against finite differences and against the chain rule
-    through the derivatives of the third-kind integral.
+    through the derivatives of the third-kind integral.  As
+    E - K = -(k^2/3) R_D(0, 1-k^2, 1), it reads
+
+        d xi / dn = -R_D(0, 1-k^2, 1) / (3 (2-n)^(3/2)),
+
+    with 1 - k^2 = 2(1-n)/(2-n) formed from 1 - n, so it keeps full
+    accuracy as n -> 1.
     """
     n = in_interval(n, "n", 0.0, 1.0)
-    k = math.sqrt(n / (2.0 - n))
-    return (complete_E(k) - complete_K(k)) / (n * math.sqrt(2.0 - n))
+    rest = 2.0 - n
+    return float(-elliprd(0.0, 2.0 * (1.0 - n) / rest, 1.0)
+                 / (3.0 * rest * math.sqrt(rest)))
 
 
-def _profile_modulus(b: float) -> float:
-    # k^2 = sin^2 b / (1 + cos^2 b)
-    return math.sqrt(math.sin(b) ** 2 / (1.0 + math.cos(b) ** 2))
+def _profile_elliptic(b: float) -> tuple[float, float, float, float]:
+    """k^2, 1 - k^2, K(k) and E(k) of the profile modulus
+    k^2 = sin^2 b / (1 + cos^2 b).
+
+    1 - k^2 = 2 cos^2 b / (1 + cos^2 b) is formed from cos b and passed
+    to Carlson's forms directly, K = R_F(0, 1-k^2, 1) and
+    E = K - (k^2/3) R_D(0, 1-k^2, 1), so b may come as close to pi/2 as
+    cos b stays positive.
+    """
+    cos2 = math.cos(b) ** 2
+    m = math.sin(b) ** 2 / (1.0 + cos2)
+    y = 2.0 * cos2 / (1.0 + cos2)
+    kk = float(elliprf(0.0, y, 1.0))
+    return m, y, kk, kk - m / 3.0 * float(elliprd(0.0, y, 1.0))
 
 
 def i1(b: float) -> float:
     """Closed form of the quintic profile integral
     int_{-b}^{b} cos^5(phi) / sqrt(cos^4 phi - cos^4 b) dphi."""
     b = in_interval(b, "b", 0.0, _HALF_PI, lo_closed=True)
-    k = _profile_modulus(b)
-    m = k * k
-    e, kk = complete_E(k), complete_K(k)
+    m, y, kk, e = _profile_elliptic(b)
     return (4.0 / 3.0) * math.sqrt(2.0 / (1.0 + m)) * (
-        e - (1.0 - m) * (1.0 + 3.0 * m) / (4.0 * (1.0 + m)) * kk
+        e - y * (1.0 + 3.0 * m) / (4.0 * (1.0 + m)) * kk
     )
 
 
@@ -248,11 +263,8 @@ def i2(b: float) -> float:
     the bipolar geodesic has length 2 pi i2(b).
     """
     b = in_interval(b, "b", 0.0, _HALF_PI, lo_closed=True)
-    k = _profile_modulus(b)
-    m = k * k
-    return 2.0 * math.sqrt(2.0 / (1.0 + m)) * (
-        complete_E(k) - 0.5 * (1.0 - m) * complete_K(k)
-    )
+    m, y, kk, e = _profile_elliptic(b)
+    return 2.0 * math.sqrt(2.0 / (1.0 + m)) * (e - 0.5 * y * kk)
 
 
 def i_ratio(b: float) -> float:

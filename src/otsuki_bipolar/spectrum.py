@@ -261,14 +261,15 @@ class _RadialChart:
     ``t_half`` and ``cos2_phi_at`` let ``sturm.build_problem`` bind a
     radial problem to the chart as it does to a profile.  One chart may
     serve the radial solves of every l (see ``solve_radial``) and the
-    ground levels of ``ground``; it keeps the factors of T_W per M and
-    the x of the sampling grid per ``per_half``, so each is computed
-    once however many l it serves.
+    ground levels of ``ground``; it keeps the pencil of the reduced
+    matrices per M (``_pencil``: four n x n matrices and L^-1, for
+    n = 2M + 1) and the x of the sampling grid per ``per_half``, so each
+    is computed once however many l it serves.
     """
 
     def __init__(self, b: float, q: int):
         self.b, self.q = b, q
-        self._w_factors: dict[int, np.ndarray] = {}     # M -> L^-1 of T_W
+        self._pencils: dict[int, tuple] = {}            # M -> see _pencil
         self._x_samples: dict[int, np.ndarray] = {}     # per_half -> x(t)
         x = np.arange(_FFT_POINTS) * (math.pi / _FFT_POINTS)
         self.p_hat, self.s_hat, self.w_hat = (
@@ -331,6 +332,29 @@ class _RadialChart:
         return np.array([(du @ t_p @ du + float(l * l) * (c @ t_s @ c))
                          / (c @ t_w @ c) for c, du in zip(coef, u)])
 
+    def _pencil(self, modes: int) -> tuple:
+        """The sector-independent parts of the reduced matrices at M.
+
+        With D = kappa I + E, E = diag(2m), G = L^-1 E and L the Cholesky
+        factor of T_W, every sector's L^-1 (D T_P D + l^2 T_S) L^-T is
+        kappa^2 P0 + kappa (P1 + P1^T) + P2 + l^2 S0 for P0 = L^-1 T_P L^-T,
+        P1 = L^-1 T_P G^T, P2 = G T_P G^T and S0 = L^-1 T_S L^-T.  Built
+        once per M and kept with L^-1.
+        """
+        pencil = self._pencils.get(modes)
+        if pencil is None:
+            m = np.arange(-modes, modes + 1)
+            lag = np.abs(m[:, None] - m[None, :])
+            l_inv = np.linalg.inv(np.linalg.cholesky(self.w_hat[lag]))
+            g = l_inv * (2.0 * m)
+            t_p = self.p_hat[lag]
+            lp = l_inv @ t_p
+            p1 = lp @ g.T
+            pencil = (lp @ l_inv.T, p1 + p1.T, g @ t_p @ g.T,
+                      l_inv @ self.s_hat[lag] @ l_inv.T, l_inv)
+            self._pencils[modes] = pencil
+        return pencil
+
     def sector_matrices(self, kappa: np.ndarray, l: int, modes: int):
         """Standard-form Galerkin matrices of every Bloch sector.
 
@@ -338,20 +362,19 @@ class _RadialChart:
         -(P h')' + l^2 S h = lambda W h becomes A c = lambda T_W c with
         A = D T_P D + l^2 T_S, D = diag(kappa + 2m) and T_f the Toeplitz
         matrix of f_j.  T_W, the same for every sector and l, is reduced
-        once per M by its Cholesky factor L, which the chart keeps for
-        every later call at that M: returns (L^-1 A L^-T per sector,
-        L^-1).  The coefficient vectors are c = L^-T y.
+        by its Cholesky factor L: returns (L^-1 A L^-T per sector, L^-1),
+        and the coefficient vectors are c = L^-T y.  Each sector's matrix
+        is (kappa P0 + (P1 + P1^T)) kappa + P2 + l^2 S0, formed element by
+        element from the chart's pencil at M (``_pencil``, built on the
+        first call at that M for any l), so it does not depend on which
+        other sectors are formed with it.
         """
-        m = np.arange(-modes, modes + 1)
-        lag = np.abs(m[:, None] - m[None, :])
-        d = kappa[:, None] + 2.0 * m
-        a = (d[:, :, None] * self.p_hat[lag] * d[:, None, :]
-             + float(l * l) * self.s_hat[lag])
-        l_inv = self._w_factors.get(modes)
-        if l_inv is None:
-            l_inv = np.linalg.inv(np.linalg.cholesky(self.w_hat[lag]))
-            self._w_factors[modes] = l_inv
-        return l_inv @ a @ l_inv.T, l_inv
+        p0, p1_sym, p2, s0, l_inv = self._pencil(modes)
+        mats = np.multiply.outer(kappa, p0)
+        mats += p1_sym
+        mats *= kappa[:, None, None]
+        mats += p2 + float(l * l) * s0
+        return mats, l_inv
 
 
 def _settle_modes(l: int, solve):
@@ -410,17 +433,18 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
 
     By default every row is sampled.  ``sampled_sectors`` names the
     sectors whose rows are sampled instead; every other row gets NaN
-    samples and zero count -1.  Each solved sector takes one eigensolve
-    per M: ``np.linalg.eigh`` if any of its rows is sampled, else
-    values-only ``np.linalg.eigvalsh``.  A window row of a sector solved
-    with eigenvectors reports the Rayleigh quotient of its Galerkin
-    vector in the unreduced form (``_RadialChart.rayleigh``), which is
-    free of the reduced eigensolve's rounding and is bit for bit that of
-    a full solve; a values-only row reports the reduced eigenvalue, which
-    may differ from it by that rounding (up to ~1e-11 at q <= 100).  The
+    samples and zero count -1.  Every M of the ladder solves all sectors
+    values-only (``np.linalg.eigvalsh``); at the M where it stops, the
+    sectors with a sampled row are formed again and solved once more by
+    ``np.linalg.eigh``.  A window row of a sector solved with
+    eigenvectors reports the Rayleigh quotient of its Galerkin vector in
+    the unreduced form (``_RadialChart.rayleigh``), which is free of the
+    reduced eigensolve's rounding and is bit for bit that of a full
+    solve; a values-only row reports the reduced eigenvalue, which may
+    differ from it by that rounding (up to ~1e-11 at q <= 100).  The
     window is sorted by the reported values.  ``chart`` is the
     ``_RadialChart`` of b and q, built here when None; one chart shared
-    across l shares its coefficients and its factors of T_W.
+    across l shares its coefficients and its pencil per M.
     """
     if l < 0:
         raise ValueError("angular index l must be non-negative")
@@ -443,15 +467,16 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
         vectors = np.isin(ks, wanted) | np.isin(partner, wanted)
 
     def solve(modes):
-        mats, l_inv = chart.sector_matrices(kappa, l, modes)
-        lam = np.empty(mats.shape[:-1])
-        lam[~vectors] = np.linalg.eigvalsh(mats[~vectors])
-        lam[vectors], y = np.linalg.eigh(mats[vectors])
+        lam = np.linalg.eigvalsh(chart.sector_matrices(kappa, l, modes)[0])
         vals = np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
         count = max(base, int(np.searchsorted(vals, 4.0)) + 1)
-        return vals, count, (lam, y, l_inv, count)
+        return vals, count, (lam, count)
 
-    modes, (lam, y, l_inv, count) = _settle_modes(l, solve)
+    modes, (lam, count) = _settle_modes(l, solve)
+    # Eigenvectors at the stop M only, of the sectors with a sampled row.
+    mats, l_inv = chart.sector_matrices(kappa[vectors], l, modes)
+    lam[vectors], y = np.linalg.eigh(mats)
+    del mats        # as large as y in a full solve; sampling needs neither
 
     slot = np.cumsum(vectors) - 1        # each vector sector's place in y
     # Every level with its multiplicity; the second copy of a conjugate
@@ -490,14 +515,30 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     per_half = size // (2 * q)
     x_loc = chart.x_samples(per_half)
     kap = kappa[src]
-    m = np.arange(-modes, modes + 1)
-    local = (np.exp(1j * np.multiply.outer(x_loc, kap))
-             * (np.exp(2j * np.multiply.outer(x_loc, m)) @ coef[coef_row].T))
-    turns = np.exp(1j * math.pi * np.multiply.outer(np.arange(2 * q), kap))
-    h = (turns[:, None, :] * local[None, :, :]).reshape(size, rows.size).T
+    # h(x + j pi) = e^{i kappa (x + j pi)} sum_m c_m e^{2imx}, c real, on the
+    # x of one half-oscillation and j = 0..2q-1: rows of re h and im h.  The
+    # sum is taken over m >= 0, with c_m + c_-m on cos 2mx, c_m - c_-m on sin.
+    c = coef[coef_row]
+    c_cos = c[:, modes:].copy()
+    c_cos[:, 1:] += c[:, modes - 1::-1]
+    mx = np.multiply.outer(2.0 * np.arange(modes + 1), x_loc)
+    sum_cos = c_cos @ np.cos(mx)
+    sum_sin = (c[:, modes + 1:] - c[:, modes - 1::-1]) @ np.sin(mx[1:])
+    kx = np.multiply.outer(kap, x_loc)
+    cos_kx, sin_kx = np.cos(kx), np.sin(kx)
+    re_loc = cos_kx * sum_cos - sin_kx * sum_sin
+    im_loc = sin_kx * sum_cos + cos_kx * sum_sin
+    turn = math.pi * np.multiply.outer(kap, np.arange(2 * q))[:, :, None]
+    cos_t, sin_t = np.cos(turn), np.sin(turn)
+    re = (cos_t * re_loc[:, None] - sin_t * im_loc[:, None]).reshape(-1, size)
+    im = (sin_t * re_loc[:, None] + cos_t * im_loc[:, None]).reshape(-1, size)
+    sampled = np.where(imag[:, None], im, re)
+    # h of a self-conjugate sector is turned real by half the phase of sum h^2.
     real = ~paired[src]
-    h[real] *= np.exp(-0.5j * np.angle(np.sum(h[real] ** 2, axis=1)))[:, None]
-    sampled = np.where(imag[:, None], h.imag, h.real)
+    half = 0.5 * np.arctan2(2.0 * np.sum(re[real] * im[real], axis=1),
+                            np.sum(re[real] ** 2 - im[real] ** 2, axis=1))
+    sampled[real] = (re[real] * np.cos(half)[:, None]
+                     + im[real] * np.sin(half)[:, None])
 
     # c^H T_W c = 1: |h|^2 integrates to 2 q pi in t, q pi in Re h and Im h.
     sampled /= np.sqrt(np.where(real, 2.0, 1.0) * q * math.pi)[:, None]

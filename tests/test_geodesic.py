@@ -225,6 +225,26 @@ def test_xi_strictly_decreasing():
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def _xi_derivative_mpmath(n):
+    """d xi / dn at the double n to 40 digits, by mpmath.diff."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return float(mpmath.diff(
+            lambda t: 2 * (1 - t) / mpmath.sqrt(2 - t)
+            * mpmath.ellippi(t, t / (2 - t)), mpmath.mpf(n)))
+
+
+@pytest.mark.parametrize("n", [1e-6, 0.5, 0.9999, 1.0 - 1e-6, 1.0 - 1e-8,
+                               1.0 - 1e-12])
+def test_xi_derivative_against_mpmath(n):
+    """xi_derivative holds 1e-15 relative up to n = 1 - 1e-12: E - K must
+    reach it as -(k^2/3) R_D(0, 1-k^2, 1) with 1 - k^2 formed from 1 - n,
+    since the difference of K and E as computed costs 3.6e-10 at
+    n = 1 - 1e-8 (and 6e-11 at n = 1e-6)."""
+    ref = _xi_derivative_mpmath(n)
+    assert abs(xi_derivative(n) / ref - 1.0) <= 1e-15
+
+
 def test_xi_derivative_negative_and_matches_finite_difference():
     for n in (1e-3, 0.2, 0.5, 0.9):
         d = xi_derivative(n)
@@ -260,6 +280,33 @@ def test_i_ratio_below_two_decreasing_with_limit():
     vals = [i_ratio(b) for b in grid]
     assert all(v < 2.0 for v in vals)
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def _profile_integrals_mpmath(b):
+    """i1 and i2 at the double b to 40 digits, from K and E of
+    k^2 = sin^2 b / (1 + cos^2 b)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c2 = mpmath.cos(mpmath.mpf(b)) ** 2
+        m = (1 - c2) / (1 + c2)
+        kk, e = mpmath.ellipk(m), mpmath.ellipe(m)
+        scale = mpmath.sqrt(2 / (1 + m))
+        r1 = 4 * scale / 3 * (e - (1 - m) * (1 + 3 * m) / (4 * (1 + m)) * kk)
+        r2 = 2 * scale * (e - (1 - m) / 2 * kk)
+        return float(r1), float(r2), float(mpmath.pi ** 2 * r1 / r2 ** 3)
+
+
+@pytest.mark.parametrize("b", [1e-6, 0.7, 1.55, 0.5 * math.pi - 1e-6,
+                               0.5 * math.pi - 2e-7, 0.5 * math.pi - 1e-8])
+def test_profile_integrals_against_mpmath(b):
+    """i1, i2 and i_ratio hold 2e-14 relative up to b = pi/2 - 1e-8: the
+    complement 1 - k^2 must reach Carlson's forms as 2 cos^2 b/(1 + cos^2 b),
+    since the modulus k formed from b rounds past the largest that
+    ``complete_K`` accepts within ~2e-7 of pi/2."""
+    r1, r2, ratio = _profile_integrals_mpmath(b)
+    assert abs(i1(b) / r1 - 1.0) <= 2e-14
+    assert abs(i2(b) / r2 - 1.0) <= 2e-14
+    assert abs(i_ratio(b) / ratio - 1.0) <= 2e-14
 
 
 def test_i_functions_domain():

@@ -414,6 +414,110 @@ def test_rows_of_vector_sectors_are_rayleigh_quotients(pq, l, monkeypatch):
     assert np.max(np.abs(lam[:rho.size] - rho) / scale) > 1e-14
 
 
+def _direct_sector_matrices(chart, kappa, l, modes):
+    """L^-1 (D T_P D + l^2 T_S) L^-T of each sector by two dense products,
+    with L^-1 from the Cholesky factor of T_W; and that L^-1."""
+    m = np.arange(-modes, modes + 1)
+    lag = np.abs(m[:, None] - m[None, :])
+    d = kappa[:, None] + 2.0 * m
+    a = (d[:, :, None] * chart.p_hat[lag] * d[:, None, :]
+         + l * l * chart.s_hat[lag])
+    l_inv = np.linalg.inv(np.linalg.cholesky(chart.w_hat[lag]))
+    return l_inv @ a @ l_inv.T, l_inv
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (9, 16), (50, 99)])
+def test_sector_matrices_match_the_direct_reduction(pq):
+    """At every M of the ladder and l = 0, 1, 2, the matrices formed from
+    the chart's per-M pencil lie within 8 eps max|A| of the direct
+    reduction (at most 2.6 eps max|A| measured), on the periodic sectors 0,
+    p and q and the antiperiodic sector q - 1.  A sector's matrix is the
+    same bits when it is formed alone."""
+    import otsuki_bipolar.spectrum as spec_mod
+    p, q = pq
+    sol = solve_rotation(RotationNumber(*pq))
+    chart = _RadialChart(sol.b, q)
+    kappa = np.array([0.0, p / q, 1.0, (q - 0.5) / q])
+    eps = np.finfo(float).eps
+    for modes in spec_mod._MODE_LADDER:
+        for l in (0, 1, 2):
+            mats, l_inv = chart.sector_matrices(kappa, l, modes)
+            direct, direct_l_inv = _direct_sector_matrices(chart, kappa, l,
+                                                           modes)
+            assert np.array_equal(l_inv, direct_l_inv)
+            error = np.max(np.abs(mats - direct), axis=(1, 2))
+            scale = np.max(np.abs(direct), axis=(1, 2))
+            assert np.all(error <= 8.0 * eps * scale), (modes, l)
+            alone, _ = chart.sector_matrices(kappa[1:2], l, modes)
+            assert np.array_equal(alone[0], mats[1])
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (7, 11)])
+def test_eigenvectors_only_at_the_stop_m(pq, monkeypatch):
+    """Each rung of the ladder solves values-only: np.linalg.eigh runs once
+    per solve_radial call, at the M where the ladder stopped, on the
+    sectors with a sampled row (all q + 1 in a full solve; under verify
+    the threshold sector q at l = 0 and p at l = 1, and none for the
+    ground level at l = 2)."""
+    import otsuki_bipolar.spectrum as spec_mod
+    eigh, settle = np.linalg.eigh, spec_mod._settle_modes
+    calls, stops = [], []
+
+    def eigh_spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def settle_spy(l, solve):
+        modes, kept = settle(l, solve)
+        stops.append(modes)
+        return modes, kept
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    monkeypatch.setattr(spec_mod, "_settle_modes", settle_spy)
+    q = pq[1]
+    solve_radial(solve_rotation(RotationNumber(*pq)), None, 1, 8 * q)
+    n = 2 * stops[0] + 1
+    assert calls == [(q + 1, n, n)]
+    calls.clear()
+    stops.clear()
+    verify_theorem3(RotationNumber(*pq))
+    assert len(stops) == 3          # l = 0, l = 1, then the ground at l = 2
+    assert calls == [(1, 2 * m + 1, 2 * m + 1) for m in stops[:2]]
+
+
+def test_pencil_is_built_once_per_m_per_chart(monkeypatch):
+    """verify's solves at l = 0 and 1 and the ground level at l = 2 share
+    one chart: its pencil, with the one Cholesky factorization of T_W, is
+    built once at each M that any of them visits."""
+    import otsuki_bipolar.spectrum as spec_mod
+    chart_cls = spec_mod._RadialChart
+    cholesky, pencil = np.linalg.cholesky, chart_cls._pencil
+    sector_matrices = chart_cls.sector_matrices
+    factored, pencils, used = [], [], []
+
+    def cholesky_spy(a):
+        factored.append(a.shape[0])
+        return cholesky(a)
+
+    def pencil_spy(self, modes):
+        pencils.append(modes)
+        return pencil(self, modes)
+
+    def sector_spy(self, kappa, l, modes):
+        used.append((l, modes))
+        return sector_matrices(self, kappa, l, modes)
+
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+    monkeypatch.setattr(chart_cls, "_pencil", pencil_spy)
+    monkeypatch.setattr(chart_cls, "sector_matrices", sector_spy)
+    verify_theorem3(RotationNumber(7, 11))
+    ladder = sorted({m for _, m in used})
+    assert {l for l, _ in used} == {0, 1, 2}
+    assert all((l, 8) in used for l in (0, 1, 2))
+    assert sorted(factored) == [2 * m + 1 for m in ladder]
+    assert sorted(set(pencils)) == ladder and len(pencils) == len(used)
+
+
 # The doubling ladder that the 1.5x steps refine.
 _DOUBLING = (8, 16, 32, 64, 128, 256)
 
