@@ -37,8 +37,9 @@ class ResolutionTooCoarse(NumericalFailure):
 
 
 class IntegrationFailure(NumericalFailure):
-    """Raised by nothing: the charts integrate every rate term-wise, with
-    no ODE step controller.  Kept for callers that catch it."""
+    """An adaptive quadrature of the period functions (omega and the two
+    half-periods) reached its panel limit with its error estimate still
+    above tolerance."""
 
 
 class ConvergenceFailure(NumericalFailure):

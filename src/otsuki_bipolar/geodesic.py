@@ -18,10 +18,11 @@ All turning-point integrals are regularized before quadrature:
   * nu-side:  cos(2 nu) = cos(2 a) cos(chi), chi in [0, pi],
 
 which removes the square-root endpoint singularities.  The closure
-equation is solved on the closed elliptic form of xi; omega and the
-half-periods of both geodesics are adaptive Gauss-Kronrod quadratures of
-the regularized integrands, a second route to what the closed form and
-the charts give.  The substituted integrands are analytic and periodic,
+equation is solved on the closed elliptic form of xi, by Brent's method
+(``_brent``); omega and the half-periods of both geodesics are adaptive
+Gauss-Kronrod quadratures of the regularized integrands (``_integrate``,
+numpy-vectorized over the nodes), a second route to what the closed form
+and the charts give.  The substituted integrands are analytic and periodic,
 so the profiles integrate their Fourier series term by term
 (``_HalfChart``).
 """
@@ -33,11 +34,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import elliprd, elliprf, elliprj
 
-from .errors import ConvergenceFailure, NoRoot, ResolutionTooCoarse, in_interval
+from .elliptic import elliprd, elliprf, elliprj
+from .errors import (
+    ConvergenceFailure,
+    IntegrationFailure,
+    NoRoot,
+    ResolutionTooCoarse,
+    in_interval,
+)
 
 _QUARTER_PI = 0.25 * math.pi
 _HALF_PI = 0.5 * math.pi
@@ -106,20 +111,152 @@ class OtsukiSolution:
         return self.s_total / (2 * self.rotation.q)
 
 
-# The scalar forms below serve the ``quad`` integrands, where numpy calls on
-# 0-d values cost ~15 us each.  They keep np.arccos and np.arcsin: math.acos
-# and math.asin differ from them in the last bit on some inputs, while
-# math.sin, math.cos and math.sqrt agree with numpy exactly, so the period
-# values stay bitwise equal to the vectorized forms.  Squares stay ``** 2``:
-# ``x * x`` differs from numpy's scalar power in the last bit on some inputs.
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21): the Kronrod nodes on
+# [0, 1], the centre last, with their weights, and the weights of the
+# 10-point Gauss rule on every second node from the outermost.
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208532029012, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+# On [-1, 1], nodes ascending, as one matrix: a panel's 21 values of f
+# times it give the Kronrod sum, the Kronrod sum less the Gauss sum, the
+# 21 values themselves and their 21 deviations from half the Kronrod sum.
+_GK_NODES = np.array([-v for v in _XGK[:-1]] + list(_XGK[::-1]))
+_GK_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
+_G_WEIGHTS = np.zeros(21)
+_G_WEIGHTS[1:10:2] = _WG
+_G_WEIGHTS[11:20:2] = _WG[::-1]
+_GK_SUMS = np.column_stack([
+    _GK_WEIGHTS, _GK_WEIGHTS - _G_WEIGHTS, np.eye(21),
+    np.eye(21) - 0.5 * np.outer(_GK_WEIGHTS, np.ones(21))])
+# Nodes of the panel [lo, hi] as lo (1 - t)/2 + hi (1 + t)/2.
+_GK_ENDS = np.stack([0.5 * (1.0 - _GK_NODES), 0.5 * (1.0 + _GK_NODES)])
+_EPS = float(np.finfo(float).eps)
 
-def _nu_of_chi_scalar(cos_2a: float, chi: float) -> float:
-    return 0.5 * float(np.arccos(min(max(cos_2a * math.cos(chi), -1.0), 1.0)))
+
+def _kronrod_panels(f, lo: list, hi: list) -> tuple[list, list]:
+    """The 21-point Kronrod value of each panel [lo[i], hi[i]] and
+    QUADPACK's error estimate of it (dqk21), from one call of f on every
+    node: |Kronrod - Gauss|, rescaled by the spread of f about its panel
+    mean, and at least 50 eps times the panel's integral of |f|."""
+    sums = f(np.array([lo, hi]).T @ _GK_ENDS) @ _GK_SUMS
+    n = len(lo)
+    size, spread = (np.abs(sums[:, 2:]).reshape(n, 2, 21) @ _GK_WEIGHTS).T
+    vals, errs = [], []
+    for left, right, (k, kg), ab, asc in zip(lo, hi, sums[:, :2].tolist(),
+                                             size.tolist(), spread.tolist()):
+        half = 0.5 * (right - left)
+        err, asc = half * abs(kg), half * asc
+        if asc != 0.0 and err != 0.0:
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+        vals.append(half * k)
+        errs.append(max(50.0 * _EPS * half * ab, err))
+    return vals, errs
 
 
-def _sinc(x: float) -> float:
-    """sin(x)/x, stable at 0."""
-    return 1.0 if x == 0.0 else math.sin(x) / x
+def _integrate(f, a: float, b: float, epsabs: float, epsrel: float,
+               limit: int) -> float:
+    """Integral of the vectorized f over [a, b], a < b, by QUADPACK's
+    21-point Gauss-Kronrod rule, adaptively.
+
+    While the panels' error estimates sum to more than
+    max(epsabs, epsrel |integral|), the fewest panels of largest error
+    whose errors cover the excess are halved, all of them in one call of
+    f.  QUADPACK halves the panel of largest error one at a time; where
+    each halving resolves its panel, as on the analytic integrands here,
+    it halves the same panels.  IntegrationFailure once ``limit`` panels
+    do not reach the tolerance.
+    """
+    lo, hi = [a], [b]
+    val, err = _kronrod_panels(f, lo, hi)
+    while True:
+        total = sum(val)
+        tol = max(epsabs, epsrel * abs(total))
+        excess = sum(err) - tol
+        if excess <= 0.0:
+            return total
+        room = limit - len(val)
+        if room <= 0:
+            raise IntegrationFailure(
+                f"quadrature over [{a:.17g}, {b:.17g}] keeps an error"
+                f" estimate of {excess + tol:.3e} at {limit} panels"
+                f" (tolerance {tol:.3e})")
+        split = []
+        for i in sorted(range(len(err)), key=err.__getitem__, reverse=True):
+            split.append(i)
+            excess -= err[i]
+            if excess <= 0.0 or len(split) == room:
+                break
+        mid = [0.5 * (lo[i] + hi[i]) for i in split]
+        new_lo = [lo[i] for i in split] + mid
+        new_hi = mid + [hi[i] for i in split]
+        new_val, new_err = _kronrod_panels(f, new_lo, new_hi)
+        keep = sorted(set(range(len(val))).difference(split))
+        lo = [lo[i] for i in keep] + new_lo
+        hi = [hi[i] for i in keep] + new_hi
+        val = [val[i] for i in keep] + new_val
+        err = [err[i] for i in keep] + new_err
+
+
+def _brent(f, lo: float, hi: float, xtol: float, rtol: float,
+           maxiter: int) -> float:
+    """Root of f in [lo, hi], where f changes sign, by Brent's method in
+    the steps of scipy's ``brentq``: inverse quadratic or secant steps
+    where they shrink the bracket fast enough, bisection otherwise, until
+    the bracket is narrower than xtol + rtol |x|.  NoRoot when f does not
+    change sign on [lo, hi]; ConvergenceFailure after ``maxiter`` steps.
+    """
+    xpre, xcur = lo, hi
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoRoot(f"f does not change sign on [{lo!r}, {hi!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise ConvergenceFailure(f"Brent's method did not converge in {maxiter}"
+                             " steps")
 
 
 def _omega_small_a(a: float) -> float:
@@ -141,13 +278,23 @@ def _omega_small_a(a: float) -> float:
     u_max = 2.0 * math.asinh(math.sqrt(y_max / (4.0 * a)))
 
     def integrand(u):
-        y = 4.0 * a * math.sinh(0.5 * u) ** 2
+        y = 4.0 * a * np.sinh(0.5 * u) ** 2
         m = a + 0.5 * y
-        kernel = 1.0 / math.sqrt(_sinc(y) * _sinc(y + 4.0 * a))
-        return c * (1.0 / math.cos(m) + 1.0 / math.sin(m)) * kernel
+        kernel = 1.0 / np.sqrt(_sinc(y) * _sinc(y + 4.0 * a))
+        return c * (1.0 / np.cos(m) + 1.0 / np.sin(m)) * kernel
 
-    val, _ = quad(integrand, 0.0, u_max, epsabs=1e-14, epsrel=1e-13, limit=400)
-    return val
+    return _integrate(integrand, 0.0, u_max, 1e-14, 1e-13, 400)
+
+
+def _sinc(x):
+    """sin(x)/x, 1 at 0."""
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _nu_of_chi(cos_2a: float, chi):
+    """nu of the torus-side chart, cos(2 nu) = cos(2a) cos(chi); the
+    product of two cosines needs no clipping to [-1, 1]."""
+    return 0.5 * np.arccos(cos_2a * np.cos(chi))
 
 
 def omega(a: float) -> float:
@@ -162,11 +309,10 @@ def omega(a: float) -> float:
     cos_2a = math.cos(2.0 * a)
 
     def integrand(chi):
-        nu = _nu_of_chi_scalar(cos_2a, chi)
-        return c / (math.cos(nu) * math.sin(2.0 * nu))
+        nu = _nu_of_chi(cos_2a, chi)
+        return c / (np.cos(nu) * np.sin(2.0 * nu))
 
-    val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=800)
-    return val
+    return _integrate(integrand, 0.0, math.pi, 1e-13, 1e-13, 800)
 
 
 def b_of_a(a: float) -> float:
@@ -195,7 +341,7 @@ def _xi_of_s(s: float) -> float:
     """
     y = 2.0 * s / (1.0 + s)
     pi_nk = elliprf(0.0, y, 1.0) + (1.0 - s) / 3.0 * elliprj(0.0, y, 1.0, s)
-    return float(2.0 * s / math.sqrt(1.0 + s) * pi_nk)
+    return 2.0 * s / math.sqrt(1.0 + s) * pi_nk
 
 
 def xi(b: float) -> float:
@@ -225,8 +371,8 @@ def xi_derivative(n: float) -> float:
     """
     n = in_interval(n, "n", 0.0, 1.0)
     rest = 2.0 - n
-    return float(-elliprd(0.0, 2.0 * (1.0 - n) / rest, 1.0)
-                 / (3.0 * rest * math.sqrt(rest)))
+    return (-elliprd(0.0, 2.0 * (1.0 - n) / rest, 1.0)
+            / (3.0 * rest * math.sqrt(rest)))
 
 
 def _profile_elliptic(b: float) -> tuple[float, float, float, float]:
@@ -241,8 +387,8 @@ def _profile_elliptic(b: float) -> tuple[float, float, float, float]:
     cos2 = math.cos(b) ** 2
     m = math.sin(b) ** 2 / (1.0 + cos2)
     y = 2.0 * cos2 / (1.0 + cos2)
-    kk = float(elliprf(0.0, y, 1.0))
-    return m, y, kk, kk - m / 3.0 * float(elliprd(0.0, y, 1.0))
+    kk = elliprf(0.0, y, 1.0)
+    return m, y, kk, kk - m / 3.0 * elliprd(0.0, y, 1.0)
 
 
 def i1(b: float) -> float:
@@ -274,27 +420,19 @@ def i_ratio(b: float) -> float:
 
 
 def bipolar_half_period(b: float) -> float:
-    """Half-oscillation length of the bipolar geodesic by direct quadrature."""
+    """Half-oscillation length of the bipolar geodesic by direct quadrature
+    of dt/dx = W (``radial_coefficients``) over x in [0, pi]."""
     b = in_interval(b, "b", 0.0, _HALF_PI, lo_closed=True)
-    sb = math.sin(b)
-    cb2 = math.cos(b) ** 2
-
-    def dt_dx(x):
-        phi = float(np.arcsin(min(max(sb * math.cos(x), -1.0), 1.0)))
-        c2 = math.cos(phi) ** 2
-        return 2.0 * math.pi * c2 / math.sqrt(c2 + cb2)
-
-    val, _ = quad(dt_dx, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return val
+    return _integrate(lambda x: radial_coefficients(b, x)[2], 0.0, math.pi,
+                      1e-13, 1e-13, 400)
 
 
 def torus_half_period(a: float) -> float:
     """Half-oscillation length of the torus-side geodesic by direct quadrature."""
     a = in_interval(a, "a", 0.0, _QUARTER_PI, hi_closed=True)
     cos_2a = math.cos(2.0 * a)
-    val, _ = quad(lambda chi: math.pi * math.sin(_nu_of_chi_scalar(cos_2a, chi)),
-                  0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return val
+    return _integrate(lambda chi: math.pi * np.sin(_nu_of_chi(cos_2a, chi)),
+                      0.0, math.pi, 1e-13, 1e-13, 400)
 
 
 def solve_rotation(r: RotationNumber) -> OtsukiSolution:
@@ -327,7 +465,7 @@ def solve_rotation(r: RotationNumber) -> OtsukiSolution:
         lo *= 1e-2
         if lo < 1e-14:
             raise NoRoot("failed to bracket the period equation near a = 0")
-    a = brentq(closure, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    a = _brent(closure, lo, hi, 1e-15, 8.9e-16, 200)
 
     b = b_of_a(a)
     c = math.sin(a) * math.cos(a)
@@ -348,6 +486,13 @@ _SERIES_BLOCK = 2 ** 18  # points times angles per group of a series evaluation
 _NEWTON_STEPS = 30
 
 
+def cos2_phi(b: float, x):
+    """cos^2 phi at chart values x, where sin(phi) = sin(b) cos(x), as
+    cos^2 b + sin^2 b sin^2 x: a sum of two non-negative terms, where
+    1 - (sin b cos x)^2 would cancel near b = pi/2."""
+    return math.cos(b) ** 2 + math.sin(b) ** 2 * np.sin(x) ** 2
+
+
 def radial_coefficients(b: float, x):
     """P, S and W of the radial operator at chart values x.
 
@@ -357,9 +502,10 @@ def radial_coefficients(b: float, x):
         S = 2 pi / sqrt(cos^2 phi + cos^2 b),
         W = dt/dx = 2 pi cos^2 phi / sqrt(cos^2 phi + cos^2 b),
 
-    all analytic, even and pi-periodic in x.
+    all analytic, even and pi-periodic in x.  cos^2 phi is taken as
+    ``cos2_phi(b, x)``.
     """
-    cos2 = 1.0 - (math.sin(b) * np.cos(x)) ** 2
+    cos2 = cos2_phi(b, x)
     root = np.sqrt(cos2 + math.cos(b) ** 2)
     return (2.0 * math.pi * root, 2.0 * math.pi / root,
             2.0 * math.pi * cos2 / root)
@@ -495,19 +641,19 @@ class _HalfChart:
 def bipolar_chart(b: float) -> _HalfChart:
     """phi = arcsin(sin(b) cos(x)), t and theta of the bipolar geodesic in
     its chart x: d phi/dx = -sin(b) sin(x) / cos(phi), dt/dx = W and
-    dtheta/dx = W dtheta/dt = W cos^2 b / (2 pi cos^4 phi); period pi."""
+    dtheta/dx = W dtheta/dt = W cos^2 b / (2 pi cos^4 phi); period pi.
+    cos phi is taken from ``cos2_phi``, not from phi."""
     sb, cb2 = math.sin(b), math.cos(b) ** 2
 
     def coordinate(x):
         return np.arcsin(sb * np.cos(x))
 
     def slope(x, phi):
-        return -sb * np.sin(x) / np.cos(phi)
+        return -sb * np.sin(x) / np.sqrt(cos2_phi(b, x))
 
     def rates(x):
         w = radial_coefficients(b, x)[2]
-        cos2 = 1.0 - (sb * np.cos(x)) ** 2
-        return w, cb2 * w / (2.0 * math.pi * cos2 ** 2)
+        return w, cb2 * w / (2.0 * math.pi * cos2_phi(b, x) ** 2)
 
     return _HalfChart(coordinate, slope, rates, math.pi)
 
@@ -651,8 +797,8 @@ class GeodesicProfile:
         # The speed identity is pi-periodic in x: the first half-oscillation
         # of the samples holds it.
         x, _ = self._bip.samples(self.samples_per_half_period, 1)
-        phi, _, phi_dot, theta_dot = self._bip.at(x)
-        c2 = np.cos(phi) ** 2
+        _, _, phi_dot, theta_dot = self._bip.at(x)
+        c2 = cos2_phi(self.solution.b, x)
         return float(np.max(np.abs(
             4.0 * math.pi ** 2 * c2 * (phi_dot ** 2 + theta_dot ** 2 * c2) - 1.0)))
 

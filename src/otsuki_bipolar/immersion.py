@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geodesic import GeodesicProfile, OtsukiSolution
 
@@ -190,6 +189,8 @@ def verify_bipolar_correspondence(sol: OtsukiSolution, tol: float = 1e-6,
     gap = np.abs(direct[0] - wedge[0])
     transfer_residual = float(np.max(gap[:, 4]))
     angle_residual = float(np.max(gap[:, [0, 2]]))
+
+    from scipy.spatial import cKDTree
 
     cloud_a = direct.reshape(-1, 5)
     cloud_b = wedge.reshape(-1, 5)

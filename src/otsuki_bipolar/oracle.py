@@ -42,8 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from . import geodesic, spectrum
 from .errors import ConvergenceFailure, in_interval
@@ -106,6 +104,8 @@ def _operator_matrix(grid: TorusGrid) -> scipy.sparse.csc_matrix:
     by S / h_a^2, and the flux stencil along x with P / h_x^2 at the half
     nodes; both axes are periodic.
     """
+    import scipy.sparse
+
     b = grid.profile.solution.b
     h_a, h_x = 2.0 * math.pi / grid.n_alpha, grid.h_x
     s_rows = radial_coefficients(b, grid.xs)[1] / h_a ** 2
@@ -203,6 +203,8 @@ def dense_spectrum(grid: TorusGrid, lambda_cut: float,
     n_t/2 nodes, of deck character wrap (-1)^l.  ``k_start`` is ignored.
     A cut that is not a finite positive number raises DomainError.
     """
+    import scipy.linalg
+
     lambda_cut = in_interval(lambda_cut, "lambda_cut", 0.0, math.inf)
     b, h_x = grid.profile.solution.b, grid.h_x
     h_a = 2.0 * math.pi / grid.n_alpha

@@ -41,6 +41,7 @@ from .geodesic import (
     OtsukiSolution,
     RotationNumber,
     bipolar_chart,
+    cos2_phi,
     i2,
     radial_coefficients,
     solve_rotation,
@@ -51,6 +52,7 @@ from .sturm import (
     SLSpectrum,
     build_problem,
     count_sign_changes,
+    orient_rows,
 )
 
 # Not called here, but kept bound in this module's namespace: tracing
@@ -279,7 +281,7 @@ class _RadialChart:
         self.t0 = 2 * q * self.t_half
 
     def cos2_phi_at(self, t):
-        return 1.0 - (math.sin(self.b) * np.cos(self.geodesic.x_of(t))) ** 2
+        return cos2_phi(self.b, self.geodesic.x_of(t))
 
     def x_samples(self, per_half: int) -> np.ndarray:
         """x at t = j t_half / per_half, j = 0..per_half-1: the sampling grid
@@ -428,7 +430,9 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     ``pipeline_grid_size(grid_size, q)`` points, which only sets the
     sampling: the real and imaginary parts of h for a conjugate pair, h
     turned real for a self-conjugate sector, each of unit norm in t by
-    its Galerkin coefficients.  ``sectors`` holds each row's k.
+    its Galerkin coefficients and with its first sample at half its peak
+    magnitude or more positive (``sturm.orient_rows``).  ``sectors``
+    holds each row's k.
     ``profile`` is ignored; the chart needs only b and q.
 
     By default every row is sampled.  ``sampled_sectors`` names the
@@ -542,10 +546,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
 
     # c^H T_W c = 1: |h|^2 integrates to 2 q pi in t, q pi in Re h and Im h.
     sampled /= np.sqrt(np.where(real, 2.0, 1.0) * q * math.pi)[:, None]
-    peak = np.argmax(np.abs(sampled), axis=1)
-    signs = np.sign(sampled[np.arange(rows.size), peak])
-    signs[signs == 0] = 1.0
-    sampled *= signs[:, None]
+    sampled = orient_rows(sampled)
     funcs = np.full((count, size), np.nan)
     funcs[rows] = sampled
     zero_counts = np.full(count, -1)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -163,6 +161,22 @@ def count_sign_changes(values, antiperiodic: bool = False,
     return counts if v.ndim == 2 else int(counts[0])
 
 
+def orient_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row times +1 or -1, so that its first sample of magnitude at
+    least half the row's peak is positive.
+
+    A sampled eigenfunction may reach its peak magnitude at several
+    samples with both signs (the Bloch turns of one level), and then
+    rounding would pick the sign; a sample at half the peak or more is
+    far from a sign change, so which sign it has is stable.  A zero row
+    stays as it is.
+    """
+    mag = np.abs(rows)
+    first = np.argmax(mag >= 0.5 * mag.max(axis=1, keepdims=True), axis=1)
+    flip = rows[np.arange(rows.shape[0]), first] < 0.0
+    return rows * np.where(flip, -1.0, 1.0)[:, None]
+
+
 def flux_stencil(w, wrap: float = 1.0) -> scipy.sparse.csc_matrix:
     """Symmetric cyclic matrix of -(w f')' in flux form, unit spacing.
 
@@ -171,6 +185,8 @@ def flux_stencil(w, wrap: float = 1.0) -> scipy.sparse.csc_matrix:
     node couples to the first through ``wrap * w[-1]``: +1 closes the
     circle periodically, -1 antiperiodically.  Needs at least 3 nodes.
     """
+    import scipy.sparse
+
     w = np.asarray(w, dtype=float)
     n = w.size
     off, corner = -w[:-1], -wrap * w[-1:]
@@ -180,6 +196,8 @@ def flux_stencil(w, wrap: float = 1.0) -> scipy.sparse.csc_matrix:
 
 def _flux_form_matrix(prob: SLProblem, n: int):
     """Flux-form discretization of -(p h')' + V h and its grid."""
+    import scipy.sparse
+
     h = prob.period / n
     t = np.arange(n) * h
     p_half = np.asarray(prob.p_fn(t + 0.5 * h), dtype=float)
@@ -194,6 +212,8 @@ def _flux_form_matrix(prob: SLProblem, n: int):
 
 
 def _solve_matrix(a, count: int):
+    import scipy.sparse.linalg
+
     n = a.shape[0]
     v0 = np.random.default_rng(_ARPACK_SEED).standard_normal(n)
     try:
@@ -244,8 +264,9 @@ def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
 
     One shift-invert Lanczos with a deterministic start vector serves
     every grid size; it needs ``count`` below ``grid_size - 1``.
-    Eigenfunctions are normalized to unit L2 norm over the period with a
-    positive-peak sign convention.  A degenerate pair comes back in
+    Eigenfunctions are normalized to unit L2 norm over the period, each
+    with its first sample at half its peak magnitude or more positive
+    (``orient_rows``).  A degenerate pair comes back in
     whatever basis the solver returns; its zero counts do not depend on
     that basis (oscillation theorem).
     """
@@ -258,17 +279,14 @@ def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
     vals, vecs = _solve_matrix(a, count)
 
     h = prob.period / n
-    vecs = vecs / np.sqrt(h * np.sum(vecs ** 2, axis=0))
-    peak = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[peak, np.arange(vecs.shape[1])])
-    signs[signs == 0] = 1.0
-    vecs = vecs * signs
+    funcs = orient_rows(np.ascontiguousarray(vecs.T)
+                        / np.sqrt(h * np.sum(vecs ** 2, axis=0))[:, None])
 
     zero_counts = count_sign_changes(
-        vecs.T, antiperiodic=prob.boundary is Boundary.ANTIPERIODIC)
+        funcs, antiperiodic=prob.boundary is Boundary.ANTIPERIODIC)
     eps_grid = _estimate_grid_error(prob, count, n, vals)
     return SLSpectrum(problem=prob, grid=t, eigenvalues=vals,
-                      eigenfunctions=vecs.T.copy(), zero_counts=zero_counts,
+                      eigenfunctions=funcs, zero_counts=zero_counts,
                       labels=np.arange(count), eps_grid=eps_grid)
 
 

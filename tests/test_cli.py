@@ -491,6 +491,20 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_quadrature_failure_exit_code(monkeypatch, capsys):
+    """A period quadrature that reaches its panel limit above tolerance
+    raises IntegrationFailure, which is exit 3: the run stops rather than
+    go on with a result short of its tolerance."""
+    integrate = geodesic._integrate
+    monkeypatch.setattr(geodesic, "_integrate",
+                        lambda f, a, b, epsabs, epsrel, limit:
+                        integrate(f, a, b, epsabs, epsrel, 2))
+    code, _, err = run(["verify", "--p", "3", "--q", "5"], capsys)
+    assert code == 3
+    assert err.startswith("error: IntegrationFailure: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_l_max_flag_and_key_are_ignored(tmp_path, capsys):
     """--l-max still parses and changes no output; the config key only
     draws the unread-key warning."""
@@ -626,3 +640,40 @@ def test_console_script_entrypoint():
     assert payload["q"] == 8
     assert payload["lambda_functional"] == pytest.approx(
         payload["t0"], rel=1e-12)   # even q: functional = 2 * (t0 / 2)
+
+
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+from otsuki_bipolar import cli
+
+heavy = ("scipy.special", "scipy.integrate", "scipy.optimize",
+         "scipy.sparse", "scipy.linalg", "scipy.spatial")
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["solve", "--p", "3", "--q", "5"],
+                 ["verify", "--p", "3", "--q", "5"],
+                 ["table", "--pairs", "3/5,5/8"],
+                 ["spectrum", "--p", "3", "--q", "5"],
+                 ["export-mesh", "--p", "3", "--q", "5", "--n-alpha", "8",
+                  "--n-t", "32", "--mesh-out", sys.argv[1]]):
+        codes.append(cli.main(argv))
+    loaded = sorted(m for m in sys.modules if m.startswith(heavy))
+    codes.append(cli.main(["cross-check", "--p", "3", "--q", "5"]))
+print(json.dumps({"codes": codes, "loaded": loaded,
+                  "after": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_numpy_only_commands_do_not_import_scipy(tmp_path):
+    """In a fresh interpreter, solve, verify, table, spectrum and
+    export-mesh leave every scipy subpackage unloaded: the library's own
+    Carlson forms, Gauss-Kronrod rule and Brent root serve them.
+    cross-check still runs, and loads scipy.linalg then."""
+    src = os.path.dirname(os.path.dirname(otsuki_bipolar.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path / "mesh.csv")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"codes": [0] * 6, "loaded": [], "after": True}

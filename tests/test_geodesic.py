@@ -9,7 +9,13 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import otsuki_bipolar.geodesic as geodesic
-from otsuki_bipolar.errors import DomainError, ResolutionTooCoarse
+from otsuki_bipolar.errors import (
+    ConvergenceFailure,
+    DomainError,
+    IntegrationFailure,
+    NoRoot,
+    ResolutionTooCoarse,
+)
 from otsuki_bipolar.geodesic import (
     GeodesicProfile,
     OtsukiSolution,
@@ -82,31 +88,79 @@ def profile_integral_quadrature(b, power):
                 epsabs=1e-13, epsrel=1e-13)[0]
 
 
-def omega_numpy_scalar_quadrature(a):
-    """omega with numpy ufuncs on 0-d values in the integrand: the same
-    charts, quad settings and 0.05 branch point as ``omega``."""
+def omega_numpy_quadrature(a):
+    """omega by the library's Gauss-Kronrod rule on integrands written out
+    here in numpy: the same charts, tolerances, panel limits and 0.05
+    branch point as ``omega``.  The rule's nodes are interior, so the
+    sinc arguments are never 0."""
     c = math.sin(a) * math.cos(a)
     if a < 0.05:
-        def sinc(x):
-            x = np.asarray(x, dtype=float)
-            out = np.where(x == 0.0, 1.0, np.sin(np.where(x == 0.0, 1.0, x))
-                           / np.where(x == 0.0, 1.0, x))
-            return float(out)
-
         def f(u):
-            y = 4.0 * a * math.sinh(0.5 * u) ** 2
+            y = 4.0 * a * np.sinh(0.5 * u) ** 2
             m = a + 0.5 * y
-            kernel = 1.0 / math.sqrt(sinc(y) * sinc(y + 4.0 * a))
-            return c * (1.0 / math.cos(m) + 1.0 / math.sin(m)) * kernel
+            kernel = 1.0 / np.sqrt(np.sin(y) / y
+                                   * (np.sin(y + 4.0 * a) / (y + 4.0 * a)))
+            return c * (1.0 / np.cos(m) + 1.0 / np.sin(m)) * kernel
 
         u_max = 2.0 * math.asinh(math.sqrt((0.5 * math.pi - 2.0 * a) / (4.0 * a)))
-        return quad(f, 0.0, u_max, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+        return geodesic._integrate(f, 0.0, u_max, 1e-14, 1e-13, 400)
 
     def g(chi):
-        nu = 0.5 * np.arccos(np.clip(math.cos(2.0 * a) * np.cos(chi), -1.0, 1.0))
-        return c / (math.cos(nu) * math.sin(2.0 * nu))
+        nu = 0.5 * np.arccos(math.cos(2.0 * a) * np.cos(chi))
+        return c / (np.cos(nu) * np.sin(2.0 * nu))
 
-    return quad(g, 0.0, math.pi, epsabs=1e-13, epsrel=1e-13, limit=800)[0]
+    return geodesic._integrate(g, 0.0, math.pi, 1e-13, 1e-13, 800)
+
+
+def _mp_quad(f):
+    """mpmath.quad of f over [0, pi], split at pi/2, at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(mpmath.quad(f, [0, mpmath.pi / 2, mpmath.pi]))
+
+
+def omega_mpmath(a):
+    """omega from the same regularized integrands as ``omega``, by
+    mpmath.quad at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        a = mpmath.mpf(a)
+        c = mpmath.sin(a) * mpmath.cos(a)
+        if a < 0.05:
+            def f(u):
+                y = 4 * a * mpmath.sinh(u / 2) ** 2
+                m = a + y / 2
+                return (c * (1 / mpmath.cos(m) + 1 / mpmath.sin(m))
+                        / mpmath.sqrt(mpmath.sinc(y) * mpmath.sinc(y + 4 * a)))
+
+            u_max = 2 * mpmath.asinh(mpmath.sqrt((mpmath.pi / 2 - 2 * a) / (4 * a)))
+            return float(mpmath.quad(f, [0, 1, u_max]))
+
+        def g(chi):
+            nu = mpmath.acos(mpmath.cos(2 * a) * mpmath.cos(chi)) / 2
+            return c / (mpmath.cos(nu) * mpmath.sin(2 * nu))
+
+        return _mp_quad(g)
+
+
+def bipolar_half_period_mpmath(b):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        cb2, sb2 = mpmath.cos(mpmath.mpf(b)) ** 2, mpmath.sin(mpmath.mpf(b)) ** 2
+
+        def w(x):
+            c2 = cb2 + sb2 * mpmath.sin(x) ** 2
+            return 2 * mpmath.pi * c2 / mpmath.sqrt(c2 + cb2)
+
+        return _mp_quad(w)
+
+
+def torus_half_period_mpmath(a):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        cos_2a = mpmath.cos(2 * mpmath.mpf(a))
+        return _mp_quad(lambda chi: mpmath.pi * mpmath.sin(
+            mpmath.acos(cos_2a * mpmath.cos(chi)) / 2))
 
 
 # -- rotation numbers ----------------------------------------------------
@@ -135,7 +189,80 @@ def test_omega_limit_at_zero():
 
 @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.049, 0.05, 0.3, 0.25 * math.pi])
 def test_omega_bitwise_equals_numpy_scalar_integrands(a):
-    assert omega(a) == omega_numpy_scalar_quadrature(a)
+    assert omega(a) == omega_numpy_quadrature(a)
+
+
+@pytest.mark.parametrize("a", [1e-6, 1e-3, 0.049, 0.05, 0.3, 0.25 * math.pi])
+def test_omega_against_mpmath(a):
+    """The adaptive rule meets 1e-14 relative on both branches of omega;
+    its own tolerance is 1e-13."""
+    ref = omega_mpmath(a)
+    assert abs(omega(a) - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (3, 5), (9, 16), (11, 16), (70, 99),
+                                (51, 101), (2500, 4999)])
+def test_period_quadratures_against_mpmath(pq):
+    """omega and both half-periods at the solved a and b, against mpmath,
+    across the range from a = 2.9e-5 (2500/4999) to 0.77 (70/99)."""
+    sol = solve_rotation(RotationNumber(*pq))
+    for got, ref in ((omega(sol.a), omega_mpmath(sol.a)),
+                     (bipolar_half_period(sol.b),
+                      bipolar_half_period_mpmath(sol.b)),
+                     (torus_half_period(sol.a), torus_half_period_mpmath(sol.a))):
+        assert abs(got - ref) <= 1e-14 * ref, pq
+
+
+def test_gauss_kronrod_rule_is_exact_to_its_degree():
+    """The 21-point Kronrod rule integrates x^k exactly on [-1, 1] up to
+    k = 31, and its 10-point Gauss rule up to k = 19, on the Legendre
+    nodes; a wrong node or weight breaks one of these."""
+    nodes, kronrod = geodesic._GK_NODES, geodesic._GK_SUMS[:, 0]
+    gauss = kronrod - geodesic._GK_SUMS[:, 1]
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(kronrod @ nodes ** k - exact) <= 1e-15, k
+        if k < 20:
+            assert abs(gauss @ nodes ** k - exact) <= 1e-15, k
+    legendre, weights = np.polynomial.legendre.leggauss(10)
+    on = gauss != 0.0
+    assert np.allclose(nodes[on], legendre, rtol=0, atol=1e-15)
+    assert np.allclose(gauss[on], weights, rtol=0, atol=1e-15)
+
+
+def test_integrate_raises_at_its_panel_limit():
+    """1/x is not integrable at 0: the panels there never meet the
+    tolerance, and the rule raises rather than return a value short of
+    it."""
+    with pytest.raises(IntegrationFailure, match="at 50 panels"):
+        geodesic._integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-13, 1e-13, 50)
+    assert geodesic._integrate(np.exp, 0.0, 3.0, 1e-13, 1e-13, 50) == (
+        pytest.approx(math.expm1(3.0), rel=1e-15))
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e-3, -10.0, 5.0),
+    (lambda x: (x - 1.0 / 3.0) ** 5, 0.0, 1.0),
+])
+def test_brent_takes_brentqs_steps(f, lo, hi):
+    """The root is scipy's brentq's, bit for bit, and so are the points
+    at which f is evaluated."""
+    seen, ref = [], []
+    got = geodesic._brent(lambda x: seen.append(x) or f(x), lo, hi,
+                          1e-15, 8.9e-16, 200)
+    want = brentq(lambda x: ref.append(x) or f(x), lo, hi, xtol=1e-15,
+                  rtol=8.9e-16, maxiter=200)
+    assert got == want
+    assert seen == ref
+
+
+def test_brent_failures():
+    with pytest.raises(NoRoot):
+        geodesic._brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-15, 8.9e-16, 200)
+    with pytest.raises(ConvergenceFailure):
+        geodesic._brent(lambda x: x ** 3 - 2.0, 0.0, 2.0, 1e-15, 8.9e-16, 3)
 
 
 def test_omega_against_clipped_extrapolated_quadrature():
@@ -620,8 +747,9 @@ def sampled_directly(prof):
     n = halves * m
     x, theta = prof._bip.samples(m, halves)
     chi, lam = prof.torus_chart.samples(m, halves)
-    phi, _, phi_dot, theta_dot = prof._bip.at(x[:m])
-    c2 = np.cos(phi) ** 2
+    _, _, phi_dot, theta_dot = prof._bip.at(x[:m])
+    b = prof.solution.b
+    c2 = math.cos(b) ** 2 + math.sin(b) ** 2 * np.sin(x[:m]) ** 2
     return {"t_grid": np.arange(n) * (prof.t0 / n),
             "phi": prof._bip.coordinate(x), "theta": theta,
             "s_grid": np.arange(n) * (prof.s_total / n),

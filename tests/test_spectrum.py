@@ -26,6 +26,7 @@ from otsuki_bipolar.spectrum import (
 from otsuki_bipolar.sturm import (
     build_problem,
     eigen,
+    orient_rows,
     shift_operator,
     symmetry_characters,
 )
@@ -327,6 +328,32 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     for name in ("ground_l2_above_two", "ground_l2_above_potential_floor"):
         cert = next(c for c in report.certificates if c.name == name)
         assert abs(cert.rhs - ground) <= 1e-11
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+@pytest.mark.parametrize("l", [0, 1])
+def test_rows_keep_their_signs_when_b_moves_by_one_ulp(pq, l, cases):
+    """A level's samples repeat their peak magnitude with both signs over
+    the Bloch turns, so a sign taken from the peak follows rounding: by
+    an argmax rule 2 to 5 of the rows here flip.  Taken from
+    the first sample at half the peak or more, every row of a full solve
+    on the chart of b and of the next double toward pi/2 agrees to
+    1e-10 (measured: 2.8e-14)."""
+    sol = cases.solution(pq)
+    moved = dataclasses.replace(sol, b=math.nextafter(sol.b, 0.5 * math.pi))
+    a, b = (solve_radial(s, None, l, cases.grid(pq),
+                         chart=_RadialChart(s.b, pq[1])).eigenfunctions
+            for s in (sol, moved))
+    assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_orient_rows_makes_the_first_sample_at_half_the_peak_positive():
+    rows = np.array([[0.2, -1.0, 0.6, 1.0],
+                     [0.1, 0.4, -0.7, -0.8],
+                     [0.0, 0.0, 0.0, 0.0]])
+    assert orient_rows(rows).tolist() == [[-0.2, 1.0, -0.6, -1.0],
+                                          [0.1, 0.4, -0.7, -0.8],
+                                          [0.0, 0.0, 0.0, 0.0]]
 
 
 def test_radial_chart_must_match_the_solution(cases):
