@@ -47,6 +47,11 @@ class ConvergenceFailure(NumericalFailure):
     mode ladder, or a chart's Newton inversion (``_HalfChart.x_of``)."""
 
 
+class CountMismatch(NumericalFailure):
+    """Two routes to one eigenvalue count disagree: a Bloch sector's
+    Galerkin levels and the Hill-discriminant count of that sector."""
+
+
 class DegenerateGrid(NumericalFailure):
     """A Sturm-Liouville coefficient evaluated non-positive on the grid."""
 

@@ -18,9 +18,12 @@ instead of compared numerically.
 
 The eigenvalue counting function N(lambda) is the total multiplicity of
 eigenvalues strictly below lambda, the zero mode included (equivalently
-the 0-based index of the first eigenvalue >= lambda).  The expected
-value at lambda = 2 is 2q + 4p - 2 for odd q and q + 2p - 2 for even q,
-and the scale-invariant functional value is
+the 0-based index of the first eigenvalue >= lambda).  ``assemble`` and
+``weyl_N`` count it from the solved and pinned table; ``verify_theorem3``
+takes it, and the multiplicity at 2, from the Hill discriminant
+(``hill``) and solves only the Bloch sectors its certificates name.
+The expected value at lambda = 2 is 2q + 4p - 2 for odd q and
+q + 2p - 2 for even q, and the scale-invariant functional value is
 lambda * Area = 2 * Area = 8 q pi i2(b) (odd q) or 4 q pi i2(b),
 strictly below 4 sqrt(2) q pi^2 resp. 2 sqrt(2) q pi^2.
 """
@@ -35,7 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, VerificationFailed, in_interval
+from . import hill
+from .errors import (
+    ConvergenceFailure,
+    CountMismatch,
+    VerificationFailed,
+    in_interval,
+)
 from .geodesic import (
     GeodesicProfile,
     OtsukiSolution,
@@ -293,25 +302,39 @@ class _RadialChart:
         return x
 
     def ground(self, l: int) -> float:
-        """Lowest radial eigenvalue at angular index l, values-only.
+        """Lowest radial eigenvalue at angular index l.
 
         The ground state is positive and unique, so the half-period shift
         x -> x + pi, which commutes with the operator, fixes it: it lies
         in Bloch sector kappa = 0 (Eastham, *The Spectral Theory of
         Periodic Differential Equations*), and only that sector is
-        solved.  M steps up ``_MODE_LADDER`` (8, 16, 24, 32, ...) until
-        the value moves by less than 1e-10 from the previous M
-        (``solve_radial``'s stop rule, applied to this one value);
-        ConvergenceFailure, naming l and M, if it still moves at M = 256.
-        The value is the reduced matrix's, not a Rayleigh quotient.
+        solved.  M steps up ``_MODE_LADDER`` (8, 16, 24, 32, ...),
+        values-only, until the value moves by less than 1e-10 from the
+        previous M (``solve_radial``'s stop rule, applied to this one
+        value); ConvergenceFailure, naming l and M, if it still moves at
+        M = 256.  The value is the Rayleigh quotient of the sector's
+        lowest vector at the stop M (``levels``), free of the reduced
+        eigensolve's rounding.
         """
         kappa = np.zeros(1)
 
         def solve(modes):
             vals = np.linalg.eigvalsh(self.sector_matrices(kappa, l, modes)[0])
-            return vals[0], 1, vals[0, 0]
+            return vals[0], 1, None
 
-        return float(_settle_modes(l, solve)[1])
+        modes, _ = _settle_modes(l, solve)
+        return float(self.levels(0.0, l, modes, 1)[2][0])
+
+    def levels(self, kappa: float, l: int, modes: int, count: int):
+        """The lowest ``count`` levels of one Bloch sector at M, from one
+        ``np.linalg.eigh`` of its reduced matrix: (every eigenvalue of
+        the reduced matrix, the Galerkin vectors c = L^-T y of the lowest
+        ``count``, one row each, and their Rayleigh quotients).
+        """
+        mats, l_inv = self.sector_matrices(np.array([kappa]), l, modes)
+        lam, y = np.linalg.eigh(mats)
+        coef = np.array([l_inv.T @ y[0, :, i] for i in range(count)])
+        return lam[0], coef, self.rayleigh(np.full(count, kappa), l, coef)
 
     def rayleigh(self, kappa: np.ndarray, l: int, coef: np.ndarray
                  ) -> np.ndarray:
@@ -403,6 +426,51 @@ def _settle_modes(l: int, solve):
                 f"radial eigenvalues at l = {l} still move by {change:.1e}"
                 f" at M = {modes} Fourier modes per sector")
         prev = vals
+
+
+def _sample_rows(chart: _RadialChart, kappa: np.ndarray, coef: np.ndarray,
+                 imag: np.ndarray, real: np.ndarray, size: int, anti: bool
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Galerkin levels sampled on the uniform t-grid, and their zero counts.
+
+    Row r is the level of sector ``kappa[r]`` with coefficient vector
+    ``coef[r]`` (2M + 1 entries): Im h where ``imag[r]``, else Re h, and
+    h turned real by half the phase of sum h^2 where ``real[r]`` (a
+    self-conjugate sector).  The grid has ``size`` points, a multiple of
+    2q, over one period t0.  Each row has unit norm in t by its Galerkin
+    coefficients and is signed by ``sturm.orient_rows``; its zeros are
+    its sign changes around the period (antiperiodic when ``anti``).
+    """
+    q = chart.q
+    modes = (coef.shape[1] - 1) // 2
+    x_loc = chart.x_samples(size // (2 * q))
+    # h(x + j pi) = e^{i kappa (x + j pi)} sum_m c_m e^{2imx}, c real, on the
+    # x of one half-oscillation and j = 0..2q-1: rows of re h and im h.  The
+    # sum is taken over m >= 0, with c_m + c_-m on cos 2mx, c_m - c_-m on sin.
+    c_cos = coef[:, modes:].copy()
+    c_cos[:, 1:] += coef[:, modes - 1::-1]
+    mx = np.multiply.outer(2.0 * np.arange(modes + 1), x_loc)
+    sum_cos = c_cos @ np.cos(mx)
+    sum_sin = (coef[:, modes + 1:] - coef[:, modes - 1::-1]) @ np.sin(mx[1:])
+    kx = np.multiply.outer(kappa, x_loc)
+    cos_kx, sin_kx = np.cos(kx), np.sin(kx)
+    re_loc = cos_kx * sum_cos - sin_kx * sum_sin
+    im_loc = sin_kx * sum_cos + cos_kx * sum_sin
+    turn = math.pi * np.multiply.outer(kappa, np.arange(2 * q))[:, :, None]
+    cos_t, sin_t = np.cos(turn), np.sin(turn)
+    re = (cos_t * re_loc[:, None] - sin_t * im_loc[:, None]).reshape(-1, size)
+    im = (sin_t * re_loc[:, None] + cos_t * im_loc[:, None]).reshape(-1, size)
+    sampled = np.where(imag[:, None], im, re)
+    # h of a self-conjugate sector is turned real by half the phase of sum h^2.
+    half = 0.5 * np.arctan2(2.0 * np.sum(re[real] * im[real], axis=1),
+                            np.sum(re[real] ** 2 - im[real] ** 2, axis=1))
+    sampled[real] = (re[real] * np.cos(half)[:, None]
+                     + im[real] * np.sin(half)[:, None])
+
+    # c^H T_W c = 1: |h|^2 integrates to 2 q pi in t, q pi in Re h and Im h.
+    sampled /= np.sqrt(np.where(real, 2.0, 1.0) * q * math.pi)[:, None]
+    sampled = orient_rows(sampled)
+    return sampled, count_sign_changes(sampled, antiperiodic=anti)
 
 
 def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
@@ -516,46 +584,50 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     src, imag, coef_row = src[rows], imag[rows], coef_row[rows]
 
     size = pipeline_grid_size(grid_size, q)
-    per_half = size // (2 * q)
-    x_loc = chart.x_samples(per_half)
-    kap = kappa[src]
-    # h(x + j pi) = e^{i kappa (x + j pi)} sum_m c_m e^{2imx}, c real, on the
-    # x of one half-oscillation and j = 0..2q-1: rows of re h and im h.  The
-    # sum is taken over m >= 0, with c_m + c_-m on cos 2mx, c_m - c_-m on sin.
-    c = coef[coef_row]
-    c_cos = c[:, modes:].copy()
-    c_cos[:, 1:] += c[:, modes - 1::-1]
-    mx = np.multiply.outer(2.0 * np.arange(modes + 1), x_loc)
-    sum_cos = c_cos @ np.cos(mx)
-    sum_sin = (c[:, modes + 1:] - c[:, modes - 1::-1]) @ np.sin(mx[1:])
-    kx = np.multiply.outer(kap, x_loc)
-    cos_kx, sin_kx = np.cos(kx), np.sin(kx)
-    re_loc = cos_kx * sum_cos - sin_kx * sum_sin
-    im_loc = sin_kx * sum_cos + cos_kx * sum_sin
-    turn = math.pi * np.multiply.outer(kap, np.arange(2 * q))[:, :, None]
-    cos_t, sin_t = np.cos(turn), np.sin(turn)
-    re = (cos_t * re_loc[:, None] - sin_t * im_loc[:, None]).reshape(-1, size)
-    im = (sin_t * re_loc[:, None] + cos_t * im_loc[:, None]).reshape(-1, size)
-    sampled = np.where(imag[:, None], im, re)
-    # h of a self-conjugate sector is turned real by half the phase of sum h^2.
-    real = ~paired[src]
-    half = 0.5 * np.arctan2(2.0 * np.sum(re[real] * im[real], axis=1),
-                            np.sum(re[real] ** 2 - im[real] ** 2, axis=1))
-    sampled[real] = (re[real] * np.cos(half)[:, None]
-                     + im[real] * np.sin(half)[:, None])
-
-    # c^H T_W c = 1: |h|^2 integrates to 2 q pi in t, q pi in Re h and Im h.
-    sampled /= np.sqrt(np.where(real, 2.0, 1.0) * q * math.pi)[:, None]
-    sampled = orient_rows(sampled)
+    sampled, sampled_zeros = _sample_rows(chart, kappa[src], coef[coef_row],
+                                          imag, ~paired[src], size, anti)
     funcs = np.full((count, size), np.nan)
     funcs[rows] = sampled
     zero_counts = np.full(count, -1)
-    zero_counts[rows] = count_sign_changes(sampled, antiperiodic=anti)
+    zero_counts[rows] = sampled_zeros
     return SLSpectrum(problem=build_problem(chart, l, boundary),
                       grid=np.arange(size) * (chart.t0 / size),
                       eigenvalues=values, eigenfunctions=funcs,
                       zero_counts=zero_counts, labels=np.arange(count),
                       eps_grid=_MODE_TOL, sectors=sectors)
+
+
+def _named_levels(chart: _RadialChart, l: int, ks: tuple, k_vector: int,
+                  sampled_level: int, size: int) -> tuple[np.ndarray, int]:
+    """Levels of the periodic Bloch sectors ``ks`` at l, solved alone.
+
+    M steps up ``_MODE_LADDER``, values-only, until the sectors' levels
+    below 4, and the first at or above it, move by less than 1e-10 from
+    the previous M (``solve_radial``'s stop rule on these sectors alone).
+    At the stop M the sector ``k_vector`` is solved once more with
+    eigenvectors (``_RadialChart.levels``): its levels 0 to
+    ``sampled_level`` become the Rayleigh quotients of their Galerkin
+    vectors, and level ``sampled_level`` (Re h for a conjugate pair) is
+    sampled on the t-grid of ``size`` points for its zero count
+    (``_sample_rows``).  Returns (the levels, one row per sector of
+    ``ks``, in order; that zero count).
+    """
+    q = chart.q
+    kappa = np.array(ks, dtype=float) / q
+
+    def solve(modes):
+        lam = np.linalg.eigvalsh(chart.sector_matrices(kappa, l, modes)[0])
+        vals = np.sort(lam.ravel())
+        return vals, int(np.searchsorted(vals, 4.0)) + 1, lam
+
+    modes, lam = _settle_modes(l, solve)
+    j = ks.index(k_vector)
+    lam[j], coef, rho = chart.levels(kappa[j], l, modes, sampled_level + 1)
+    lam[j, :rho.size] = rho
+    self_conjugate = np.array([k_vector % q == 0])     # sectors 0 and q
+    _, zeros = _sample_rows(chart, kappa[j:j + 1], coef[sampled_level:],
+                            np.zeros(1, bool), self_conjugate, size, False)
+    return lam, int(zeros[0])
 
 
 @dataclass(frozen=True)
@@ -662,68 +734,109 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
                     functional_tol: float = 1e-8,
                     omega_tol: float = 1e-11,
                     raise_on_failure: bool = True) -> VerificationReport:
-    """Run the full counting pipeline and certify every named inequality.
+    """Run the counting pipeline and certify every named inequality.
 
-    Certificates: the mode count N(2) equals the closed form; the last
-    sub-threshold radial eigenvalue at l = 0 sits strictly below 2 with
-    measured margin; the known eigenvalue-2 modes appear at their
-    closed-form positions; the ground eigenvalue at l = 2 clears 2 (and
-    the pointwise potential bound 4); the functional value computed from
-    the period agrees with the closed elliptic form and respects its
-    strict upper bound; the geodesic closes, |omega(a) - p pi/q| <=
-    ``omega_tol``.  The radial spectra come from the analytic chart, so
-    no sampled profile is built and ``samples_per_half_period`` is
-    ignored.  One chart serves every solve: ``solve_radial`` at l = 0, 1,
-    the only l below ``assemble``'s default cut 2.5 (by the floor
-    lambda >= l^2), and ``_RadialChart.ground(2)``, which solves
-    only Bloch sector 0, where the ground state lies, for the two l = 2
-    certificates; ``l_max`` is ignored.  Only the threshold sectors (q at
-    l = 0, p and 2q - p at l = 1) are solved with eigenvectors and
-    sampled, so the three eigenvalue-2 levels are Rayleigh quotients of
-    their Galerkin vectors, within ~1e-14 of 2 whichever M the ladder
-    ends on; every other sector is solved values-only; ``grid_size`` is
-    ignored.  The report counts below 2 only, so ``lambda_cut`` is
-    ignored too.  ``r`` may be any (p, q) pair.
+    Certificates: the count N(2) equals the closed form, and the
+    multiplicity at 2 is five; the last sub-threshold radial eigenvalue
+    at l = 0 sits strictly below 2 with measured margin; the known
+    eigenvalue-2 modes appear at their closed-form positions, with their
+    zero counts; the ground eigenvalue at l = 2 clears 2 (and the
+    pointwise potential bound 4); the functional value computed from the
+    period agrees with the closed elliptic form and respects its strict
+    upper bound; the geodesic closes, |omega(a) - p pi/q| <=
+    ``omega_tol``.
+
+    The route, on one ``_RadialChart``:
+
+    * **Named sectors.**  Band theory names the periodic Bloch sectors
+      that hold the certified levels, and each l is solved in those
+      alone (``_named_levels``): q - 1 and q at l = 0 (positions 2q - 1
+      and 2q are levels 1 and 2 of sector q; level 2 of sector q - 1 is
+      the next above 2), p - 1, p and p + 1 at l = 1 (level 1 of each;
+      sector p holds positions 2p - 1 and 2p), and sector 0 at l = 2
+      (``_RadialChart.ground``).  Each ladder stops by the 1e-10 rule of
+      ``solve_radial``.  Only sectors q and p are solved with vectors:
+      their certified levels are Rayleigh quotients, within ~1e-14 of 2,
+      and their sampled rows give the zero counts.
+    * **Count.**  ``hill.count`` takes N(2 - delta) and N(2 + delta) from
+      the Hill discriminant at l = 0 and 1 over every sector of the
+      surface (l >= 2 has no level below 4): N2 is the first, and
+      ``threshold_multiplicity`` the difference.  delta is half the
+      smallest of the five gaps at 2 that the named sectors measure (the
+      levels either side of 2 at l = 0 and 1, and the l = 2 ground).
+      The rule counts, per sector, the levels whose rotation number lies
+      below alpha(lambda), with two traps: inside a gap the top edge of
+      the band below has alpha equal to the gap index and must be added
+      (without it every count is one low), and the Dirichlet zero count
+      is read from the Pruefer angle, not from sign changes at the step
+      points inside (0, pi), which miss a zero inside the last step
+      where the l = 0 gap below 2 nearly closes (41/58 and 70/99).
+    * **Consistency.**  Each named sector's Galerkin count below 2 - delta
+      and below 2 + delta must equal the Hill count of its kappa, else
+      CountMismatch (exit 3).
+
+    No sampled profile is built, no other sector is solved and
+    ``assemble`` is not called, so ``grid_size``, ``l_max``,
+    ``samples_per_half_period`` and ``lambda_cut`` are ignored.  ``r``
+    may be any (p, q) pair.  The cost no longer grows as q (2M + 1)^2;
+    through the CLI, on a 2-core host with one BLAS thread:
+
+        p/q       time          peak RSS
+        126/251   0.23-0.26 s   44 MB
+        250/499   0.32-0.39 s   57 MB
+        500/999   0.50-0.53 s   75 MB
+
+    1000/1999 stops with ConvergenceFailure at l = 0: its named sectors
+    still move at M = 256.
     """
     if not isinstance(r, RotationNumber):
         r = RotationNumber(*r)
     sol = solve_rotation(r)
-    n = pipeline_grid_size(_SAMPLE_GRID, r.q)
-
-    # Eigenvectors only for the threshold sectors, whose rows the zero-count
-    # certificates read; every other sector is solved values-only.
-    chart = _RadialChart(sol.b, r.q)
-    spectra = {l: solve_radial(sol, None, l, n, chart=chart,
-                               sampled_sectors=set().union(
-                                   *_threshold_sectors(r, l).values()))
-               for l in range(2)}
-    ground_l2 = chart.ground(2)
-    table = assemble(sol, None, spectra=spectra)
-    n2 = weyl_N(table, 2.0)
-    n2_expected = expected_n2(r)
-
-    sp0, sp1 = spectra[0], spectra[1]
-    eps = table.eps_grid
     p, q = r.p, r.q
-    [i0], (i1, i1b) = _threshold_sectors(r, 0), _threshold_sectors(r, 1)
+    size = pipeline_grid_size(_SAMPLE_GRID, q)
+    chart = _RadialChart(sol.b, q)
+    named = {0: (q - 1, q), 1: (p - 1, p, p + 1)}
+    levels0, zeros0 = _named_levels(chart, 0, named[0], q, 1, size)
+    levels1, zeros1 = _named_levels(chart, 1, named[1], p, 0, size)
+    ground_l2 = chart.ground(2)
+    below0, two0, above0 = levels0[1, 0], levels0[1, 1], levels0[0, 1]
+    below1, two1, above1 = levels1[0, 0], levels1[1, 0], levels1[2, 0]
+    delta = 0.5 * min(abs(v - 2.0) for v in (below0, above0, below1, above1,
+                                             ground_l2))
+    counted = hill.count(lambda x: radial_coefficients(sol.b, x), q,
+                         (2.0 - delta, 2.0 + delta))
+    for l, levels in ((0, levels0), (1, levels1)):
+        kappa = np.array(named[l]) / q
+        for j, lam in enumerate(counted.lams):
+            galerkin = np.sum(levels < lam, axis=1)
+            hill_levels = counted.levels(l, j, kappa)
+            if not np.array_equal(galerkin, hill_levels):
+                raise CountMismatch(
+                    f"Hill count: below {lam!r} at l = {l}, sectors"
+                    f" {list(named[l])} hold {galerkin.tolist()} Galerkin"
+                    f" levels but the discriminant counts"
+                    f" {hill_levels.tolist()}")
+    n2 = counted.totals[0]
+    multiplicity = counted.totals[1] - counted.totals[0]
+    n2_expected = expected_n2(r)
+    eps = _MODE_TOL
 
     certs = [
         Certificate.integer_equal("mode_count_matches_closed_form",
                                   n2, n2_expected),
+        Certificate.integer_equal("multiplicity_at_two_is_five",
+                                  multiplicity, 5),
         Certificate.less_than("subcritical_radial_mode_below_two",
-                              sp0.eigenvalues[i0 - 1], 2.0),
+                              below0, 2.0),
         Certificate.close_to("radial_eigenvalue_two_at_l0_position_2q",
-                             sp0.eigenvalues[i0], 2.0, _THRESHOLD_WINDOW),
-        Certificate.integer_equal("sin_phi_zero_count",
-                                  int(sp0.zero_counts[i0]), 2 * q),
+                             two0, 2.0, _THRESHOLD_WINDOW),
+        Certificate.integer_equal("sin_phi_zero_count", zeros0, 2 * q),
         Certificate.close_to("radial_eigenvalue_two_at_l1_position_2p_minus_1",
-                             sp1.eigenvalues[i1], 2.0, _THRESHOLD_WINDOW),
+                             two1, 2.0, _THRESHOLD_WINDOW),
         Certificate.close_to("radial_eigenvalue_two_at_l1_position_2p",
-                             sp1.eigenvalues[i1b], 2.0, _THRESHOLD_WINDOW),
-        Certificate.integer_equal("l1_pair_zero_count",
-                                  int(sp1.zero_counts[i1]), 2 * p),
-        Certificate.less_than("l1_predecessor_below_two",
-                              sp1.eigenvalues[i1 - 1], 2.0),
+                             two1, 2.0, _THRESHOLD_WINDOW),
+        Certificate.integer_equal("l1_pair_zero_count", zeros1, 2 * p),
+        Certificate.less_than("l1_predecessor_below_two", below1, 2.0),
         Certificate.less_than("ground_l2_above_two", 2.0, ground_l2),
         Certificate.less_than("ground_l2_above_potential_floor",
                               4.0 - eps, ground_l2),
@@ -746,7 +859,7 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
         rotation=r, a=sol.a, b=sol.b, t0=sol.t0,
         n2_computed=n2, n2_expected=n2_expected,
         lambda_value=lam_from_period, upper_bound=bound,
-        threshold_multiplicity=table.threshold_multiplicity(),
+        threshold_multiplicity=multiplicity,
         eps_grid=eps, certificates=certs)
 
     if raise_on_failure and not report.passed:

@@ -491,6 +491,28 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("p, q", [(250, 499), (500, 999)])
+def test_verify_near_one_half(p, q, capsys):
+    """verify solves seven named sectors, not q + 1 per l, so 250/499 and
+    500/999 pass with the closed-form count and five modes at 2."""
+    code, out, err = run(["verify", "--p", str(p), "--q", str(q),
+                          "--format", "json"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["N2"] == report["N2_expected"] == 2 * q + 4 * p - 2
+    assert report["threshold_multiplicity"] == 5
+
+
+def test_verify_beyond_the_mode_cap_names_l0(capsys):
+    """At 1000/1999 the l = 0 named sectors still move at M = 256: exit 3,
+    ConvergenceFailure naming l = 0, before any other stage."""
+    code, _, err = run(["verify", "--p", "1000", "--q", "1999"], capsys)
+    assert code == 3
+    assert err.startswith("error: ConvergenceFailure: radial eigenvalues at"
+                          " l = 0 ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_quadrature_failure_exit_code(monkeypatch, capsys):
     """A period quadrature that reaches its panel limit above tolerance
     raises IntegrationFailure, which is exit 3: the run stops rather than
@@ -546,9 +568,11 @@ def test_grid_size_flag_and_key_are_ignored(tmp_path, capsys):
 ], ids=["spectrum", "cross-check", "spectrum-cut-4.04", "verify"])
 def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
     """Each command solves each l with l^2 below the cut once, all on one
-    chart; verify adds the ground level at l = 2, for its ground-state
-    certificates, on the same chart."""
+    chart: spectrum and cross-check by the all-sector solve, verify in
+    its named sectors alone; verify adds the ground level at l = 2, for
+    its ground-state certificates, on the same chart."""
     solve, seen, charts = spectrum.solve_radial, [], set()
+    named, named_seen = spectrum._named_levels, []
     ground, grounds = spectrum._RadialChart.ground, []
 
     def spy(sol, profile, l, *args, **kwargs):
@@ -556,17 +580,25 @@ def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
         charts.add(id(kwargs["chart"]))
         return solve(sol, profile, l, *args, **kwargs)
 
+    def named_spy(chart, l, *args):
+        named_seen.append(l)
+        charts.add(id(chart))
+        return named(chart, l, *args)
+
     def ground_spy(chart, l):
         grounds.append(l)
         charts.add(id(chart))
         return ground(chart, l)
 
     monkeypatch.setattr(spectrum, "solve_radial", spy)
+    monkeypatch.setattr(spectrum, "_named_levels", named_spy)
     monkeypatch.setattr(spectrum._RadialChart, "ground", ground_spy)
     code, out, err = run(argv, capsys)
     assert code == 0, err
-    assert seen == ls and len(charts) == 1
-    assert grounds == ([2] if argv[0] == "verify" else [])
+    verify = argv[0] == "verify"
+    assert (named_seen if verify else seen) == ls and len(charts) == 1
+    assert (seen if verify else named_seen) == []
+    assert grounds == ([2] if verify else [])
     if "4.04" in argv:
         rows = list(csv.DictReader(out.splitlines()[1:]))
         assert {row["l"] for row in rows} == {"0", "1", "2"}

@@ -195,17 +195,23 @@ def test_verify_theorem3_ignores_grid_size():
 @pytest.mark.parametrize("cut", [2.01, 4.5, 6.0])
 def test_verify_theorem3_ignores_lambda_cut(cut, monkeypatch):
     """The report counts below 2, so any cut gives the default report and
-    only l = 0 and 1 are solved: 4.5 solves no l = 2 rows, and 6.0, past
-    the end of the l = 0 radial window, does not raise."""
+    only l = 0 and 1 are solved, each in its named sectors alone: 4.5
+    solves no l = 2 rows, and 6.0, past the end of the l = 0 radial
+    window, does not raise.  No all-sector solve runs."""
     import otsuki_bipolar.spectrum as spec_mod
     default = verify_theorem3(RotationNumber(3, 5))
-    solve, seen = spec_mod.solve_radial, []
+    named, seen = spec_mod._named_levels, []
 
-    def spy(sol, profile, l, *args, **kwargs):
+    def spy(chart, l, *args, **kwargs):
         seen.append(l)
-        return solve(sol, profile, l, *args, **kwargs)
+        return named(chart, l, *args, **kwargs)
 
-    monkeypatch.setattr(spec_mod, "solve_radial", spy)
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify ran an all-sector solve")
+
+    monkeypatch.setattr(spec_mod, "_named_levels", spy)
+    monkeypatch.setattr(spec_mod, "solve_radial", refuse)
+    monkeypatch.setattr(spec_mod, "assemble", refuse)
     assert verify_theorem3(RotationNumber(3, 5), lambda_cut=cut) == default
     assert sorted(seen) == [0, 1]
 
@@ -281,47 +287,43 @@ def test_rows_are_normalized_independently_of_the_grid():
 
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8), (4, 7), (5, 9), (7, 10)])
 def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
-    """verify solves sector q at l = 0 and sector p at l = 1 with vectors
-    and every other sector values-only, and at l = 2 only the ground
-    level.  Against the full solve: the threshold sectors' eigenvalues
-    and zero counts are the same bits, the other eigenvalues and the
-    ground level at l = 2 agree to rounding, and N(2), the pinned modes
-    and the certified zero counts do not move.  No unsampled row carries
-    a zero count."""
+    """verify solves the named sectors alone, q - 1 and q at l = 0 and
+    p - 1, p and p + 1 at l = 1, with vectors only in sectors q and p,
+    and at l = 2 only the ground level.  Against the full solve: the
+    certified levels are the rows at positions 2q - 1, 2q (the same
+    bits) and 2q + 1 at l = 0, and 2p - 2, 2p - 1 (the same bits) and
+    2p + 1 at l = 1; the zero counts are those of rows 2q and 2p - 1;
+    N(2) is the full table's and the multiplicity its pinned count; the
+    ground level at l = 2 agrees to rounding."""
     import otsuki_bipolar.spectrum as spec_mod
-    solve, seen = spec_mod.solve_radial, {}
+    named, seen = spec_mod._named_levels, {}
 
-    def spy(sol, profile, l, *args, **kwargs):
-        seen[l] = solve(sol, profile, l, *args, **kwargs)
-        return seen[l]
+    def spy(chart, l, ks, k_vector, *args):
+        seen[l] = (ks, k_vector, named(chart, l, ks, k_vector, *args))
+        return seen[l][2]
 
-    monkeypatch.setattr(spec_mod, "solve_radial", spy)
+    monkeypatch.setattr(spec_mod, "_named_levels", spy)
     report = verify_theorem3(RotationNumber(*pq))
     p, q = pq
-    threshold = {0: [q], 1: [p, 2 * q - p]}
-    assert sorted(seen) == [0, 1]
-    for l, fast in seen.items():
-        full = cases.spectrum(pq, l)
-        assert fast.eigenvalues.size == full.eigenvalues.size
-        assert np.array_equal(fast.sectors, full.sectors)
-        assert np.max(np.abs(fast.eigenvalues - full.eigenvalues)) <= 1e-11
-        on = np.isin(full.sectors, threshold[l])
-        assert on.any() == (l <= 1)
-        assert np.array_equal(fast.eigenvalues[on], full.eigenvalues[on])
-        assert np.array_equal(fast.zero_counts[on], full.zero_counts[on])
-        assert np.all(fast.zero_counts[~on] == -1)
-        assert np.all(np.isnan(fast.eigenfunctions[~on]))
+    assert {l: v[:2] for l, v in seen.items()} == {0: ((q - 1, q), q),
+                                                    1: ((p - 1, p, p + 1), p)}
+    full0, full1 = cases.spectrum(pq, 0), cases.spectrum(pq, 1)
+    levels0, zeros0 = seen[0][2]
+    levels1, zeros1 = seen[1][2]
+    got = [levels0[1, 0], levels0[1, 1], levels0[0, 1],
+           levels1[0, 0], levels1[1, 0], levels1[2, 0]]
+    want = [full0.eigenvalues[2 * q - 1], full0.eigenvalues[2 * q],
+            full0.eigenvalues[2 * q + 1], full1.eigenvalues[2 * p - 2],
+            full1.eigenvalues[2 * p - 1], full1.eigenvalues[2 * p + 1]]
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-11
+    assert [got[i] for i in (0, 1, 4)] == [want[i] for i in (0, 1, 4)]
+    assert (zeros0, zeros1) == (full0.zero_counts[2 * q],
+                                full1.zero_counts[2 * p - 1])
 
     full_table = cases.table(pq)
-    table = assemble(cases.solution(pq), None, grid_size=cases.grid(pq),
-                     spectra=seen)
-    assert report.n2_computed == weyl_N(full_table, 2.0) == weyl_N(table, 2.0)
-    assert ([(e.l, e.i) for e in table.entries if e.pinned_two]
-            == [(e.l, e.i) for e in full_table.entries if e.pinned_two])
-    for e in table.entries:
-        assert (e.zero_count is None) == (seen[e.l].zero_counts[e.i] < 0)
+    assert report.n2_computed == weyl_N(full_table, 2.0)
+    assert report.threshold_multiplicity == full_table.threshold_multiplicity()
     certs = {c.name: c.lhs for c in report.certificates}
-    full0, full1 = cases.spectrum(pq, 0), cases.spectrum(pq, 1)
     assert certs["sin_phi_zero_count"] == full0.zero_counts[2 * q]
     assert certs["l1_pair_zero_count"] == full1.zero_counts[2 * p - 1]
     ground = cases.spectrum(pq, 2).eigenvalues[0]
@@ -482,10 +484,9 @@ def test_sector_matrices_match_the_direct_reduction(pq):
 @pytest.mark.parametrize("pq", [(3, 5), (7, 11)])
 def test_eigenvectors_only_at_the_stop_m(pq, monkeypatch):
     """Each rung of the ladder solves values-only: np.linalg.eigh runs once
-    per solve_radial call, at the M where the ladder stopped, on the
-    sectors with a sampled row (all q + 1 in a full solve; under verify
-    the threshold sector q at l = 0 and p at l = 1, and none for the
-    ground level at l = 2)."""
+    per ladder, at the M where it stopped, on the sectors with a sampled
+    row (all q + 1 in a full solve; under verify one matrix each: sector
+    q at l = 0, sector p at l = 1 and the ground sector 0 at l = 2)."""
     import otsuki_bipolar.spectrum as spec_mod
     eigh, settle = np.linalg.eigh, spec_mod._settle_modes
     calls, stops = [], []
@@ -509,13 +510,13 @@ def test_eigenvectors_only_at_the_stop_m(pq, monkeypatch):
     stops.clear()
     verify_theorem3(RotationNumber(*pq))
     assert len(stops) == 3          # l = 0, l = 1, then the ground at l = 2
-    assert calls == [(1, 2 * m + 1, 2 * m + 1) for m in stops[:2]]
+    assert calls == [(1, 2 * m + 1, 2 * m + 1) for m in stops]
 
 
 def test_pencil_is_built_once_per_m_per_chart(monkeypatch):
-    """verify's solves at l = 0 and 1 and the ground level at l = 2 share
-    one chart: its pencil, with the one Cholesky factorization of T_W, is
-    built once at each M that any of them visits."""
+    """verify's named-sector solves at l = 0 and 1 and the ground level at
+    l = 2 share one chart: its pencil, with the one Cholesky factorization
+    of T_W, is built once at each M that any of them visits."""
     import otsuki_bipolar.spectrum as spec_mod
     chart_cls = spec_mod._RadialChart
     cholesky, pencil = np.linalg.cholesky, chart_cls._pencil
@@ -565,8 +566,9 @@ def test_ladder_visits_powers_of_two_and_one_and_a_half_times():
 
 
 def test_ladder_ends_no_later_than_doubling(monkeypatch):
-    """On the 16 reduced p/q with q <= 16 every ladder run by verify ends
-    at an M no larger than doubling from 8 reaches, and some end earlier."""
+    """On the 16 reduced p/q with q <= 16 every ladder run by verify (the
+    named sectors at l = 0 and 1, and the ground at l = 2) ends at an M no
+    larger than doubling from 8 reaches, and some end earlier."""
     import otsuki_bipolar.spectrum as spec_mod
     settle, last = spec_mod._settle_modes, []
 
