@@ -674,7 +674,7 @@ def _torus_chart(a: float) -> _HalfChart:
     sa2, cos_2a = math.sin(a) ** 2, math.cos(2.0 * a)
 
     def coordinate(chi):
-        return 0.5 * np.arccos(np.clip(cos_2a * np.cos(chi), -1.0, 1.0))
+        return _nu_of_chi(cos_2a, chi)
 
     def slope(chi, nu):
         return cos_2a * np.sin(chi) / (2.0 * np.sin(2.0 * nu))

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, in_interval
 
 # Gauss-Legendre nodes of one Magnus step, as fractions of the step.
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
@@ -194,14 +194,16 @@ def count(coefficients, q: int, lams) -> HillCount:
     """Eigenvalues below each lambda of ``lams`` on the bipolar surface of
     p/q, at l = 0 and 1 over the sectors of ``surface_sectors``.
 
-    Every lambda must lie below 4, where no level of l >= 2 lies (S/W >= 1).
+    Every lambda must be a number of at most 4, else DomainError: no level
+    of l >= 2 lies below 4 (S/W >= 1), and N counts strictly below lambda.
     Steps per cell start at 256 and double until the totals at n and 2n
     steps agree and, at every (l, lambda), both |Delta - 2| and
     |Delta + 2| and the distance of theta(pi) from a multiple of pi
     exceed ten times their change between n and 2n.  ConvergenceFailure
     if that does not happen by 2n = 16384.
     """
-    lams = tuple(float(v) for v in lams)
+    lams = tuple(in_interval(v, "lambda", -math.inf, 4.0, hi_closed=True)
+                 for v in lams)
     l_pairs = np.repeat((0, 1), len(lams))
     lam_pairs = np.tile(lams, 2)
     sectors = [surface_sectors(q, l) for l in (0, 1)]

@@ -272,10 +272,10 @@ class _RadialChart:
     ``t_half`` and ``cos2_phi_at`` let ``sturm.build_problem`` bind a
     radial problem to the chart as it does to a profile.  One chart may
     serve the radial solves of every l (see ``solve_radial``) and the
-    ground levels of ``ground``; it keeps the pencil of the reduced
-    matrices per M (``_pencil``: four n x n matrices and L^-1, for
-    n = 2M + 1) and the x of the sampling grid per ``per_half``, so each
-    is computed once however many l it serves.
+    named-sector solves of ``_named_levels``; it keeps the pencil of the
+    reduced matrices per M (``_pencil``: four n x n matrices and L^-1,
+    for n = 2M + 1) and the x of the sampling grid per ``per_half``, so
+    each is computed once however many l it serves.
     """
 
     def __init__(self, b: float, q: int):
@@ -300,41 +300,6 @@ class _RadialChart:
             x = self.geodesic.x_of(np.arange(per_half) * (self.t_half / per_half))
             self._x_samples[per_half] = x
         return x
-
-    def ground(self, l: int) -> float:
-        """Lowest radial eigenvalue at angular index l.
-
-        The ground state is positive and unique, so the half-period shift
-        x -> x + pi, which commutes with the operator, fixes it: it lies
-        in Bloch sector kappa = 0 (Eastham, *The Spectral Theory of
-        Periodic Differential Equations*), and only that sector is
-        solved.  M steps up ``_MODE_LADDER`` (8, 16, 24, 32, ...),
-        values-only, until the value moves by less than 1e-10 from the
-        previous M (``solve_radial``'s stop rule, applied to this one
-        value); ConvergenceFailure, naming l and M, if it still moves at
-        M = 256.  The value is the Rayleigh quotient of the sector's
-        lowest vector at the stop M (``levels``), free of the reduced
-        eigensolve's rounding.
-        """
-        kappa = np.zeros(1)
-
-        def solve(modes):
-            vals = np.linalg.eigvalsh(self.sector_matrices(kappa, l, modes)[0])
-            return vals[0], 1, None
-
-        modes, _ = _settle_modes(l, solve)
-        return float(self.levels(0.0, l, modes, 1)[2][0])
-
-    def levels(self, kappa: float, l: int, modes: int, count: int):
-        """The lowest ``count`` levels of one Bloch sector at M, from one
-        ``np.linalg.eigh`` of its reduced matrix: (every eigenvalue of
-        the reduced matrix, the Galerkin vectors c = L^-T y of the lowest
-        ``count``, one row each, and their Rayleigh quotients).
-        """
-        mats, l_inv = self.sector_matrices(np.array([kappa]), l, modes)
-        lam, y = np.linalg.eigh(mats)
-        coef = np.array([l_inv.T @ y[0, :, i] for i in range(count)])
-        return lam[0], coef, self.rayleigh(np.full(count, kappa), l, coef)
 
     def rayleigh(self, kappa: np.ndarray, l: int, coef: np.ndarray
                  ) -> np.ndarray:
@@ -598,22 +563,19 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
 
 
 def _named_levels(chart: _RadialChart, l: int, ks: tuple, k_vector: int,
-                  sampled_level: int, size: int) -> tuple[np.ndarray, int]:
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
     """Levels of the periodic Bloch sectors ``ks`` at l, solved alone.
 
     M steps up ``_MODE_LADDER``, values-only, until the sectors' levels
     below 4, and the first at or above it, move by less than 1e-10 from
     the previous M (``solve_radial``'s stop rule on these sectors alone).
-    At the stop M the sector ``k_vector`` is solved once more with
-    eigenvectors (``_RadialChart.levels``): its levels 0 to
-    ``sampled_level`` become the Rayleigh quotients of their Galerkin
-    vectors, and level ``sampled_level`` (Re h for a conjugate pair) is
-    sampled on the t-grid of ``size`` points for its zero count
-    (``_sample_rows``).  Returns (the levels, one row per sector of
-    ``ks``, in order; that zero count).
+    At the stop M the sector ``k_vector`` is solved once more by
+    ``np.linalg.eigh``, and its lowest ``count`` levels become the
+    Rayleigh quotients of their Galerkin vectors c = L^-T y
+    (``_RadialChart.rayleigh``).  Returns (the levels, one row per sector
+    of ``ks``, in order; those ``count`` vectors, one row each).
     """
-    q = chart.q
-    kappa = np.array(ks, dtype=float) / q
+    kappa = np.array(ks, dtype=float) / chart.q
 
     def solve(modes):
         lam = np.linalg.eigvalsh(chart.sector_matrices(kappa, l, modes)[0])
@@ -622,12 +584,12 @@ def _named_levels(chart: _RadialChart, l: int, ks: tuple, k_vector: int,
 
     modes, lam = _settle_modes(l, solve)
     j = ks.index(k_vector)
-    lam[j], coef, rho = chart.levels(kappa[j], l, modes, sampled_level + 1)
-    lam[j, :rho.size] = rho
-    self_conjugate = np.array([k_vector % q == 0])     # sectors 0 and q
-    _, zeros = _sample_rows(chart, kappa[j:j + 1], coef[sampled_level:],
-                            np.zeros(1, bool), self_conjugate, size, False)
-    return lam, int(zeros[0])
+    mats, l_inv = chart.sector_matrices(kappa[j:j + 1], l, modes)
+    vals, y = np.linalg.eigh(mats)
+    lam[j] = vals[0]
+    coef = np.array([l_inv.T @ y[0, :, i] for i in range(count)])
+    lam[j, :count] = chart.rayleigh(np.full(count, kappa[j]), l, coef)
+    return lam, coef
 
 
 @dataclass(frozen=True)
@@ -749,15 +711,17 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     The route, on one ``_RadialChart``:
 
     * **Named sectors.**  Band theory names the periodic Bloch sectors
-      that hold the certified levels, and each l is solved in those
-      alone (``_named_levels``): q - 1 and q at l = 0 (positions 2q - 1
-      and 2q are levels 1 and 2 of sector q; level 2 of sector q - 1 is
-      the next above 2), p - 1, p and p + 1 at l = 1 (level 1 of each;
-      sector p holds positions 2p - 1 and 2p), and sector 0 at l = 2
-      (``_RadialChart.ground``).  Each ladder stops by the 1e-10 rule of
-      ``solve_radial``.  Only sectors q and p are solved with vectors:
-      their certified levels are Rayleigh quotients, within ~1e-14 of 2,
-      and their sampled rows give the zero counts.
+      that hold the certified levels, and ``_named_levels`` solves each
+      l in those alone: q - 1 and q at l = 0 (positions 2q - 1 and 2q
+      are levels 1 and 2 of sector q; level 2 of sector q - 1 is the
+      next above 2), p - 1, p and p + 1 at l = 1 (level 1 of each;
+      sector p holds positions 2p - 1 and 2p), and sector 0 at l = 2,
+      which holds the positive, unique ground state (Eastham, *The
+      Spectral Theory of Periodic Differential Equations*).  Each ladder
+      stops by the 1e-10 rule of ``solve_radial``, which at l = 2, where
+      every level is at least 4, settles the ground alone.  Sectors q, p
+      and 0 get vectors: their certified levels are Rayleigh quotients,
+      and the sampled rows at 2 of sectors q and p give the zero counts.
     * **Count.**  ``hill.count`` takes N(2 - delta) and N(2 + delta) from
       the Hill discriminant at l = 0 and 1 over every sector of the
       surface (l >= 2 has no level below 4): N2 is the first, and
@@ -796,9 +760,14 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     size = pipeline_grid_size(_SAMPLE_GRID, q)
     chart = _RadialChart(sol.b, q)
     named = {0: (q - 1, q), 1: (p - 1, p, p + 1)}
-    levels0, zeros0 = _named_levels(chart, 0, named[0], q, 1, size)
-    levels1, zeros1 = _named_levels(chart, 1, named[1], p, 0, size)
-    ground_l2 = chart.ground(2)
+    levels0, vectors0 = _named_levels(chart, 0, named[0], q, 2)
+    levels1, vectors1 = _named_levels(chart, 1, named[1], p, 1)
+    ground_l2 = float(_named_levels(chart, 2, (0,), 0, 1)[0][0, 0])
+    # Zero counts of Re h (h turned real in sector q) of the rows at 2.
+    zeros0, zeros1 = (
+        int(_sample_rows(chart, np.array([k / q]), c[None], np.zeros(1, bool),
+                         np.array([k % q == 0]), size, False)[1][0])
+        for k, c in ((q, vectors0[1]), (p, vectors1[0])))
     below0, two0, above0 = levels0[1, 0], levels0[1, 1], levels0[0, 1]
     below1, two1, above1 = levels1[0, 0], levels1[1, 0], levels1[2, 0]
     delta = 0.5 * min(abs(v - 2.0) for v in (below0, above0, below1, above1,

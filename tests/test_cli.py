@@ -564,16 +564,15 @@ def test_grid_size_flag_and_key_are_ignored(tmp_path, capsys):
       "--oracle-n-alpha", "32", "--oracle-n-t", "200"], [0, 1]),
     (["spectrum", "--p", "12", "--q", "17", "--lambda-cut", "4.04"],
      [0, 1, 2]),
-    (["verify", "--p", "3", "--q", "5"], [0, 1]),
+    (["verify", "--p", "3", "--q", "5"], [0, 1, 2]),
 ], ids=["spectrum", "cross-check", "spectrum-cut-4.04", "verify"])
 def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
     """Each command solves each l with l^2 below the cut once, all on one
     chart: spectrum and cross-check by the all-sector solve, verify in
-    its named sectors alone; verify adds the ground level at l = 2, for
-    its ground-state certificates, on the same chart."""
+    its named sectors alone, where it adds the ground sector at l = 2
+    for its ground-state certificates."""
     solve, seen, charts = spectrum.solve_radial, [], set()
     named, named_seen = spectrum._named_levels, []
-    ground, grounds = spectrum._RadialChart.ground, []
 
     def spy(sol, profile, l, *args, **kwargs):
         seen.append(l)
@@ -585,20 +584,13 @@ def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
         charts.add(id(chart))
         return named(chart, l, *args)
 
-    def ground_spy(chart, l):
-        grounds.append(l)
-        charts.add(id(chart))
-        return ground(chart, l)
-
     monkeypatch.setattr(spectrum, "solve_radial", spy)
     monkeypatch.setattr(spectrum, "_named_levels", named_spy)
-    monkeypatch.setattr(spectrum._RadialChart, "ground", ground_spy)
     code, out, err = run(argv, capsys)
     assert code == 0, err
     verify = argv[0] == "verify"
     assert (named_seen if verify else seen) == ls and len(charts) == 1
     assert (seen if verify else named_seen) == []
-    assert grounds == ([2] if verify else [])
     if "4.04" in argv:
         rows = list(csv.DictReader(out.splitlines()[1:]))
         assert {row["l"] for row in rows} == {"0", "1", "2"}

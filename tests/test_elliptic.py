@@ -4,6 +4,7 @@ forms against mpmath."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -167,7 +168,6 @@ def test_carlson_forms_against_mpmath_where_the_library_calls_them():
     its derivative and the profile integrals take them, agree with
     40-digit mpmath to 2e-15 relative for s = cos^2 b in [1e-12, 1]
     (measured: 6.7e-16)."""
-    mpmath = pytest.importorskip("mpmath")
     worst = 0.0
     with mpmath.workdps(40):
         for s in np.concatenate([np.geomspace(1e-12, 1.0, 60),
@@ -186,7 +186,6 @@ def test_carlson_forms_against_mpmath_at_general_arguments():
     """Away from the library's call sites too: arguments over eight
     decades, one of x, y, z zero in a third of the draws, p on either
     side of them, and every branch of R_C."""
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261019)
     worst = 0.0
     with mpmath.workdps(40):
@@ -212,7 +211,6 @@ def test_carlson_series_are_the_fifth_order_taylor_polynomials(direction):
     for R_J, Z = -X-Y for R_F) it matches mpmath's Taylor coefficients to
     rounding even at t = 1/2, where a wrong coefficient of any order
     shows, though the loops never leave terms of degree 5 above 1e-15."""
-    mpmath = pytest.importorskip("mpmath")
     x, y, z = direction
     p = -(x + y + z) / 2.0
     with mpmath.workdps(50):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -114,7 +115,6 @@ def omega_numpy_quadrature(a):
 
 def _mp_quad(f):
     """mpmath.quad of f over [0, pi], split at pi/2, at 30 digits."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         return float(mpmath.quad(f, [0, mpmath.pi / 2, mpmath.pi]))
 
@@ -122,7 +122,6 @@ def _mp_quad(f):
 def omega_mpmath(a):
     """omega from the same regularized integrands as ``omega``, by
     mpmath.quad at 30 digits."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         a = mpmath.mpf(a)
         c = mpmath.sin(a) * mpmath.cos(a)
@@ -144,7 +143,6 @@ def omega_mpmath(a):
 
 
 def bipolar_half_period_mpmath(b):
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         cb2, sb2 = mpmath.cos(mpmath.mpf(b)) ** 2, mpmath.sin(mpmath.mpf(b)) ** 2
 
@@ -156,7 +154,6 @@ def bipolar_half_period_mpmath(b):
 
 
 def torus_half_period_mpmath(a):
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         cos_2a = mpmath.cos(2 * mpmath.mpf(a))
         return _mp_quad(lambda chi: mpmath.pi * mpmath.sin(
@@ -329,7 +326,6 @@ def test_xi_core_matches_omega_on_a_log_grid():
 
 def _xi_mpmath(b):
     """xi at the double b to 40 digits: 2(1-n)/sqrt(2-n) Pi(n | n/(2-n))."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         n = mpmath.sin(mpmath.mpf(b)) ** 2
         return float(2 * (1 - n) / mpmath.sqrt(2 - n)
@@ -354,7 +350,6 @@ def test_xi_strictly_decreasing():
 
 def _xi_derivative_mpmath(n):
     """d xi / dn at the double n to 40 digits, by mpmath.diff."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         return float(mpmath.diff(
             lambda t: 2 * (1 - t) / mpmath.sqrt(2 - t)
@@ -412,7 +407,6 @@ def test_i_ratio_below_two_decreasing_with_limit():
 def _profile_integrals_mpmath(b):
     """i1 and i2 at the double b to 40 digits, from K and E of
     k^2 = sin^2 b / (1 + cos^2 b)."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         c2 = mpmath.cos(mpmath.mpf(b)) ** 2
         m = (1 - c2) / (1 + c2)

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from otsuki_bipolar import cli, hill
-from otsuki_bipolar.errors import ConvergenceFailure
+from otsuki_bipolar.errors import ConvergenceFailure, DomainError
 from otsuki_bipolar.geodesic import (
     RotationNumber,
     radial_coefficients,
     solve_rotation,
 )
-from otsuki_bipolar.spectrum import expected_n2
+from otsuki_bipolar.spectrum import assemble, expected_n2, weyl_N
 
 # Far below every gap at 2 for q <= 300 (the smallest, the l = 1 gaps
 # near 1/2, is ~1e-6 at q = 300).
@@ -144,6 +144,24 @@ def test_count_stops_at_the_step_cap():
     which no step count resolves: ConvergenceFailure at 16384 steps."""
     with pytest.raises(ConvergenceFailure, match="16384 Magnus steps"):
         hill.count(_coefficients((3, 5)), 5, (2.0,))
+
+
+@pytest.mark.parametrize("lam", [5.9, math.nan])
+def test_count_rejects_lambda_above_four(lam):
+    """l = 2 holds levels from 4 up (at 3/5 five below 5.9, its ground at
+    5.767), which the count at l = 0 and 1 leaves out, so a lambda above
+    4 is a DomainError, and so is NaN, which no step count resolves."""
+    with pytest.raises(DomainError, match="lambda must lie in"):
+        hill.count(_coefficients((3, 5)), 5, (2.0, lam))
+
+
+def test_count_accepts_lambda_four():
+    """N counts strictly below lambda, so 4 itself still has no l = 2
+    level below it: the count is the assembled table's."""
+    sol = solve_rotation(RotationNumber(3, 5))
+    counted = hill.count(_coefficients((3, 5)), 5, (4.0,))
+    assert counted.totals == (weyl_N(assemble(sol, None, lambda_cut=4.0),
+                                     4.0),)
 
 
 def test_count_mismatch_is_exit_3(monkeypatch, capsys):

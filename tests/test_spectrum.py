@@ -13,6 +13,7 @@ from otsuki_bipolar.immersion import area
 from otsuki_bipolar.spectrum import (
     Certificate,
     VerificationReport,
+    _named_levels,
     _RadialChart,
     assemble,
     expected_n2,
@@ -195,9 +196,10 @@ def test_verify_theorem3_ignores_grid_size():
 @pytest.mark.parametrize("cut", [2.01, 4.5, 6.0])
 def test_verify_theorem3_ignores_lambda_cut(cut, monkeypatch):
     """The report counts below 2, so any cut gives the default report and
-    only l = 0 and 1 are solved, each in its named sectors alone: 4.5
-    solves no l = 2 rows, and 6.0, past the end of the l = 0 radial
-    window, does not raise.  No all-sector solve runs."""
+    the same solves: l = 0 and 1, each in its named sectors alone, and
+    the ground sector at l = 2.  4.5 solves no other l = 2 rows, and
+    6.0, past the end of the l = 0 radial window, does not raise.  No
+    all-sector solve runs."""
     import otsuki_bipolar.spectrum as spec_mod
     default = verify_theorem3(RotationNumber(3, 5))
     named, seen = spec_mod._named_levels, []
@@ -213,7 +215,7 @@ def test_verify_theorem3_ignores_lambda_cut(cut, monkeypatch):
     monkeypatch.setattr(spec_mod, "solve_radial", refuse)
     monkeypatch.setattr(spec_mod, "assemble", refuse)
     assert verify_theorem3(RotationNumber(3, 5), lambda_cut=cut) == default
-    assert sorted(seen) == [0, 1]
+    assert sorted(seen) == [0, 1, 2]
 
 
 def test_verify_theorem3_accepts_any_pair():
@@ -287,29 +289,41 @@ def test_rows_are_normalized_independently_of_the_grid():
 
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8), (4, 7), (5, 9), (7, 10)])
 def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
-    """verify solves the named sectors alone, q - 1 and q at l = 0 and
-    p - 1, p and p + 1 at l = 1, with vectors only in sectors q and p,
-    and at l = 2 only the ground level.  Against the full solve: the
-    certified levels are the rows at positions 2q - 1, 2q (the same
-    bits) and 2q + 1 at l = 0, and 2p - 2, 2p - 1 (the same bits) and
-    2p + 1 at l = 1; the zero counts are those of rows 2q and 2p - 1;
-    N(2) is the full table's and the multiplicity its pinned count; the
-    ground level at l = 2 agrees to rounding."""
+    """verify solves the named sectors alone, q - 1 and q at l = 0,
+    p - 1, p and p + 1 at l = 1 and the ground sector 0 at l = 2, with
+    vectors only in sectors q (two levels), p and 0 (one each).  Against
+    the full solve: the certified levels are the rows at positions
+    2q - 1, 2q (the same bits) and 2q + 1 at l = 0, and 2p - 2, 2p - 1
+    (the same bits) and 2p + 1 at l = 1; the sampled rows, and so the
+    zero counts, are rows 2q and 2p - 1 (rows 2q - 1 and 2q have the same
+    zero count); N(2) is the full table's and the multiplicity its pinned
+    count; the ground level at l = 2 is the full solve's lowest to
+    rounding."""
     import otsuki_bipolar.spectrum as spec_mod
     named, seen = spec_mod._named_levels, {}
+    sample, sampled = spec_mod._sample_rows, []
 
-    def spy(chart, l, ks, k_vector, *args):
-        seen[l] = (ks, k_vector, named(chart, l, ks, k_vector, *args))
-        return seen[l][2]
+    def spy(chart, l, ks, k_vector, count):
+        seen[l] = (ks, k_vector, count, named(chart, l, ks, k_vector, count))
+        return seen[l][3]
+
+    def sample_spy(*args):
+        rows = sample(*args)
+        sampled.append(rows[0])
+        return rows
 
     monkeypatch.setattr(spec_mod, "_named_levels", spy)
+    monkeypatch.setattr(spec_mod, "_sample_rows", sample_spy)
     report = verify_theorem3(RotationNumber(*pq))
+    rows = np.concatenate(sampled)
     p, q = pq
-    assert {l: v[:2] for l, v in seen.items()} == {0: ((q - 1, q), q),
-                                                    1: ((p - 1, p, p + 1), p)}
+    assert {l: v[:3] for l, v in seen.items()} == {
+        0: ((q - 1, q), q, 2), 1: ((p - 1, p, p + 1), p, 1), 2: ((0,), 0, 1)}
     full0, full1 = cases.spectrum(pq, 0), cases.spectrum(pq, 1)
-    levels0, zeros0 = seen[0][2]
-    levels1, zeros1 = seen[1][2]
+    levels0, vectors0 = seen[0][3]
+    levels1, vectors1 = seen[1][3]
+    levels2, vectors2 = seen[2][3]
+    assert [v.shape[0] for v in (vectors0, vectors1, vectors2)] == [2, 1, 1]
     got = [levels0[1, 0], levels0[1, 1], levels0[0, 1],
            levels1[0, 0], levels1[1, 0], levels1[2, 0]]
     want = [full0.eigenvalues[2 * q - 1], full0.eigenvalues[2 * q],
@@ -317,8 +331,8 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
             full1.eigenvalues[2 * p - 1], full1.eigenvalues[2 * p + 1]]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-11
     assert [got[i] for i in (0, 1, 4)] == [want[i] for i in (0, 1, 4)]
-    assert (zeros0, zeros1) == (full0.zero_counts[2 * q],
-                                full1.zero_counts[2 * p - 1])
+    full_rows = full0.eigenfunctions[2 * q], full1.eigenfunctions[2 * p - 1]
+    assert np.max(np.abs(rows - np.array(full_rows))) <= 1e-14
 
     full_table = cases.table(pq)
     assert report.n2_computed == weyl_N(full_table, 2.0)
@@ -327,9 +341,10 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     assert certs["sin_phi_zero_count"] == full0.zero_counts[2 * q]
     assert certs["l1_pair_zero_count"] == full1.zero_counts[2 * p - 1]
     ground = cases.spectrum(pq, 2).eigenvalues[0]
+    assert levels2.shape[0] == 1 and abs(levels2[0, 0] - ground) <= 1e-11
     for name in ("ground_l2_above_two", "ground_l2_above_potential_floor"):
         cert = next(c for c in report.certificates if c.name == name)
-        assert abs(cert.rhs - ground) <= 1e-11
+        assert cert.rhs == levels2[0, 0]
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
@@ -441,6 +456,32 @@ def test_rows_of_vector_sectors_are_rayleigh_quotients(pq, l, monkeypatch):
     scale = np.maximum(rho, 1.0)
     assert np.max(np.abs(spec.eigenvalues - rho) / scale) <= 2e-15
     assert np.max(np.abs(lam[:rho.size] - rho) / scale) > 1e-14
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+@pytest.mark.parametrize("l", [0, 1])
+def test_sampling_one_sector_keeps_its_rows(pq, l):
+    """``sampled_sectors`` naming one sector, q at l = 0 or p at l = 1,
+    against the full solve on the same chart: the rows of that sector
+    are the same bits (values, samples and zero counts); every other row
+    has NaN samples, zero count -1 and a value within 1e-11, the reduced
+    eigensolve's rounding (at most 5.7e-13 measured)."""
+    p, q = pq
+    k = q if l == 0 else p
+    sol = solve_rotation(RotationNumber(*pq))
+    chart = _RadialChart(sol.b, q)
+    full = solve_radial(sol, None, l, 2048, chart=chart)
+    part = solve_radial(sol, None, l, 2048, chart=chart, sampled_sectors={k})
+    assert np.array_equal(part.sectors, full.sectors)
+    named = part.sectors == k
+    assert 0 < named.sum() < named.size
+    for got, want in ((part.eigenvalues, full.eigenvalues),
+                      (part.eigenfunctions, full.eigenfunctions),
+                      (part.zero_counts, full.zero_counts)):
+        assert np.array_equal(got[named], want[named])
+    assert np.all(np.isnan(part.eigenfunctions[~named]))
+    assert np.all(part.zero_counts[~named] == -1)
+    assert np.max(np.abs(part.eigenvalues - full.eigenvalues)) <= 1e-11
 
 
 def _direct_sector_matrices(chart, kappa, l, modes):
@@ -632,15 +673,15 @@ def test_verify_sweep_q_up_to_100(pq):
 def _ground_levels_clear_the_floor(pq):
     """Radial eigenvalues at l are at least l^2 min(S/W) = l^2, the floor
     by which ``assemble`` solves only the l with l^2 below its cutoff.
-    ``_RadialChart.ground``, verify's l = 2 level, solves Bloch sector 0
-    alone and finds the same lowest eigenvalue."""
+    ``_named_levels`` on Bloch sector 0 alone, verify's l = 2 ground
+    solve, finds the same lowest eigenvalue."""
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, pq[1])
     for l in (2, 3):
         spec = solve_radial(sol, None, l, 8 * pq[1], chart=chart,
                             sampled_sectors=())
         assert spec.eigenvalues[0] >= l * l
-        ground = chart.ground(l)
+        ground = _named_levels(chart, l, (0,), 0, 1)[0][0, 0]
         assert abs(ground - spec.eigenvalues[0]) <= 1e-11
         assert ground >= l * l
 
@@ -659,14 +700,15 @@ def test_ground_levels_clear_the_floor_sweep(pq):
 
 
 def test_unsettled_ground_level_names_l_and_modes(monkeypatch):
-    """The ground solve stops at the Fourier-mode cap as ``solve_radial``
-    does: ConvergenceFailure naming l and M."""
+    """verify's ground solve at l = 2, ``_named_levels`` on sector 0,
+    stops at the Fourier-mode cap as ``solve_radial`` does:
+    ConvergenceFailure naming l and M."""
     import otsuki_bipolar.spectrum as spec_mod
     monkeypatch.setattr(spec_mod, "_MODE_TOL", 0.0)
     monkeypatch.setattr(spec_mod, "_MAX_MODES", 16)
     sol = solve_rotation(RotationNumber(3, 5))
     with pytest.raises(ConvergenceFailure, match=r"at l = 2 .* at M = 16 "):
-        _RadialChart(sol.b, 5).ground(2)
+        _named_levels(_RadialChart(sol.b, 5), 2, (0,), 0, 1)
 
 
 def test_closed_geodesic_residual_certificate(monkeypatch):

@@ -6,7 +6,9 @@ this file and prints one ``sha256 command input`` line per output:
   * ``verify`` and ``spectrum --format json`` on every reduced p/q in
     (1/2, sqrt(2)/2) with q <= 40, and on 51/101;
   * ``verify --format json`` on 101/201, 126/251 and 250/499, whose
-    named-sector ladders at l = 0 and 1 climb to M = 96-192;
+    named-sector ladders at l = 0 and 1 climb to M = 96-192, on 500/999,
+    whose ladders stop at the last rung, M = 256, and on 1000/1999, which
+    exits 3 with ConvergenceFailure at l = 0;
   * one ``table --pairs`` run over the p/q with q <= 40;
   * ``export-mesh`` CSV and OBJ at 64x768 vertices with q <= 20, at
     16x128 vertices with q <= 40 and on 51/101, at 8x7001 vertices on
@@ -42,7 +44,7 @@ listings are identical:
     diff before.txt after.txt
 
 BLAS runs on one thread, so a listing does not depend on the core count.
-The 1,142 lines take about 30 s on a 2-core host.
+The 1,144 lines take about 30 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def runs():
         pq = ["--p", str(p), "--q", str(q), "--format", "json"]
         yield "verify", f"{p}/{q}", ["verify", *pq], None
         yield "spectrum", f"{p}/{q}", ["spectrum", *pq], None
-    for p, q in ((101, 201), (126, 251), (250, 499)):
+    for p, q in ((101, 201), (126, 251), (250, 499), (500, 999), (1000, 1999)):
         yield ("verify", f"{p}/{q}",
                ["verify", "--p", str(p), "--q", str(q), "--format", "json"],
                None)
