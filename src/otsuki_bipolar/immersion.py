@@ -354,12 +354,11 @@ def _digit_words(m: np.ndarray, first: np.ndarray, text: np.ndarray) -> None:
     text[:, 0] = first[d0 + len(first) // 2 * tail]
 
 
-def _write_g15(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
+def _write_g15(x: np.ndarray, chars: np.ndarray) -> None:
     """Write ``"%.15g" % v`` of every value of ``x`` into ``chars``.
 
     ``chars`` has the shape of ``x`` plus a last axis of _FIELD bytes:
-    each field is its text with NULs among and after it.  ``keep``, of the
-    same shape, is set to the bytes that are text, unless it is None.
+    each field is its text with NULs among and after it.
     Values are printed here in three layouts: an exact zero as [-]0; with
     e = floor(log10|v|), 1e-4 <= |v| < 1 as [-]0., -e-1 zeros and the
     digits of the 15-digit integer m = |v| 10^(14 - e) rounded (see
@@ -400,8 +399,6 @@ def _write_g15(x: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
     slow = rest[slow]
     text[slow, 2:] = _percent_g(v[slow])
     chars[...] = text[:, 2:].reshape(chars.shape)
-    if keep is not None:
-        np.not_equal(chars, 0, out=keep)
 
 
 def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
@@ -442,7 +439,7 @@ def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
         per_t.append((1, _percent_g(mesh.ts)))
     if len(alpha_axes) < len(axes):
         v_text = np.empty((n_t, _FIELD), np.uint8)
-        _write_g15(values[0, :, 4], v_text, None)
+        _write_g15(values[0, :, 4], v_text)
         per_t.append((n_fields - 1, v_text))
     alpha_fields = slice(n_lead, n_lead + len(alpha_axes))
     rows, cols = max(1, _BLOCK_VERTICES // n_t), min(n_t, _BLOCK_VERTICES)
@@ -466,7 +463,7 @@ def export_mesh(profile: GeodesicProfile, n_alpha: int, n_t: int,
                 if cols < n_t:      # one row per block: its own t-chunk
                     for f, t_text in per_t:
                         text[0, :c, f, :_FIELD] = t_text[j:j + c]
-                _write_g15(block, text[:r, :c, alpha_fields, :_FIELD], None)
+                _write_g15(block, text[:r, :c, alpha_fields, :_FIELD])
                 fh.write(text[:r, :c].tobytes().translate(None, b"\0"))
     return mesh
 

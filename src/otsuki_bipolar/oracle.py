@@ -319,7 +319,7 @@ def match_table(oracle: OracleSpectrum, table: ModeTable, lam: float,
     """Pair oracle and assembled eigenvalues below ``lam``.
 
     The ``table.threshold_multiplicity()`` kept oracle eigenvalues nearest
-    ``lam`` stand for the table's pinned modes and are set aside; the match
+    ``lam`` stand for the table's modes at 2 and are set aside; the match
     fails if one lies farther than ``exclusion_window`` from ``lam``.  The
     rest below ``lam`` are paired on both sides.  Returns
     (match, max_pairwise_difference, n_oracle, n_table).

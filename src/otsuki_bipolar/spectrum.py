@@ -12,14 +12,17 @@ Three radial eigenfunctions are known in closed form at eigenvalue 2
 (the immersed coordinates): sin(phi) ~ cos x, level 2 of Bloch sector q
 at l = 0 (position 2q), and cos(phi)sin(theta), cos(phi)cos(theta), level
 1 of sectors p and 2q - p at l = 1 (positions 2p - 1 and 2p).  Computed
-eigenvalues are Rayleigh quotients, within about 1e-14 of 2 but not
-exactly 2, so the modes at those positions and sectors are pinned to 2
-instead of compared numerically.
+eigenvalues are Rayleigh quotients, within about 3e-12 of 2 at q <= 100
+but not exactly 2.  ``assemble`` measures them: a row within
+``_THRESHOLD_WINDOW`` of 2, the window by which ``verify_theorem3``
+certifies its levels at 2, counts as exactly 2, whatever its position or
+sector.  A row that moves out of the window counts by its value, above
+or below 2.
 
 The eigenvalue counting function N(lambda) is the total multiplicity of
 eigenvalues strictly below lambda, the zero mode included (equivalently
 the 0-based index of the first eigenvalue >= lambda).  ``assemble`` and
-``weyl_N`` count it from the solved and pinned table; ``verify_theorem3``
+``weyl_N`` count it from the solved table; ``verify_theorem3``
 takes it, and the multiplicity at 2, from the Hill discriminant
 (``hill``) and solves only the Bloch sectors its certificates name.
 The expected value at lambda = 2 is 2q + 4p - 2 for odd q and
@@ -91,7 +94,8 @@ class ModeEntry:
     """One radial eigenvalue in the assembled table.
 
     ``zero_count`` is None when the radial row was not sampled (see
-    ``solve_radial``'s ``sampled_sectors``).
+    ``solve_radial``'s ``sampled_sectors``).  ``pinned_two`` marks a row
+    within ``_THRESHOLD_WINDOW`` of 2, which counts as exactly 2.
     """
 
     l: int
@@ -105,7 +109,7 @@ class ModeEntry:
 
     @property
     def effective_lam(self) -> float:
-        """Eigenvalue used for counting: exact 2 for pinned modes."""
+        """Eigenvalue used for counting: exact 2 for modes at 2."""
         return 2.0 if self.pinned_two else self.lam
 
 
@@ -122,7 +126,7 @@ class ModeTable:
         return [e for e in self.entries if e.kept and e.effective_lam < lam]
 
     def threshold_multiplicity(self) -> int:
-        """Total multiplicity pinned exactly at eigenvalue 2."""
+        """Total multiplicity of the kept modes at eigenvalue 2."""
         return sum(e.multiplicity for e in self.entries
                    if e.kept and e.pinned_two)
 
@@ -130,8 +134,8 @@ class ModeTable:
 def weyl_N(table: ModeTable, lam: float) -> int:
     """Counting function: total multiplicity strictly below lam.
 
-    The zero mode counts, so N(0+) = 1; eigenvalues pinned at the
-    threshold are excluded from N(2) by strictness.
+    The zero mode counts, so N(0+) = 1; the modes at the threshold count
+    as exactly 2 and are excluded from N(2) by strictness.
     """
     if lam > table.lambda_cut:
         raise ValueError(f"lam = {lam} exceeds the table cutoff"
@@ -155,24 +159,6 @@ def lambda_functional_bound(sol: OtsukiSolution) -> float:
     return bound / 2.0 if sol.rotation.even_q else bound
 
 
-def _threshold_sectors(r: RotationNumber, l: int) -> dict[int, set[int]]:
-    """Positions of the closed-form eigenvalue-2 modes in the radial
-    spectrum at l, each with the Bloch sectors its row may carry."""
-    if l == 0:
-        return {2 * r.q: {r.q}}
-    if l == 1:
-        return dict.fromkeys((2 * r.p - 1, 2 * r.p), {r.p, 2 * r.q - r.p})
-    return {}
-
-
-def _pin_threshold_modes(r: RotationNumber, l: int,
-                         spec: SLSpectrum) -> set[int]:
-    """Indices of the modes identified with the closed-form eigenvalue-2
-    eigenfunctions: their positions, where the row carries their sector."""
-    return {i for i, ks in _threshold_sectors(r, l).items()
-            if i < spec.eigenvalues.size and spec.sectors[i] in ks}
-
-
 def _angular_indices(lambda_cut: float) -> range:
     """Angular indices l whose radial spectrum can reach below the cut.
 
@@ -193,10 +179,13 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
 
     Only the l of ``_angular_indices`` can hold a mode below the cutoff
     (l^2 < ``lambda_cut``).  Solves the periodic radial problem for those l
-    on one shared chart (or reuses the supplied spectra), applies the
-    even-q quotient filter, and pins the known eigenvalue-2 modes to the
-    threshold by position and Bloch sector, so supplied spectra must
-    carry ``sectors``.  Raises ValueError if a radial window ends below
+    on one shared chart (or reuses the supplied spectra) and applies the
+    even-q quotient filter, which reads each row's Bloch sector, so
+    supplied spectra must carry ``sectors``.  A row within
+    ``_THRESHOLD_WINDOW`` of 2 is at the threshold (``pinned_two``: it
+    counts as exactly 2, with reason ``at-threshold-2`` if kept), by its
+    value alone, on sampled and values-only rows (see ``solve_radial``)
+    alike.  Raises ValueError if a radial window ends below
     the cutoff (``solve_radial``'s reaches 4), so no mode below it is
     dropped.  For even q the filter keeps the modes of Bloch sectors
     k = l (mod 2).  Rows are sampled on ``pipeline_grid_size(2048, q)``
@@ -222,9 +211,8 @@ def assemble(sol: OtsukiSolution, profile: GeodesicProfile | None,
             raise ValueError(
                 f"radial window at l = {l} ends at {spec.eigenvalues[-1]:.6f},"
                 f" below the cutoff {lambda_cut}; lower lambda_cut")
-        pinned = _pin_threshold_modes(r, l, spec)
         for i, lam in enumerate(spec.eigenvalues):
-            pinned_two = i in pinned
+            pinned_two = bool(abs(lam - 2.0) <= _THRESHOLD_WINDOW)
             if lam >= lambda_cut and not pinned_two:
                 continue
             kept, reason = True, "below-cut"
@@ -255,7 +243,8 @@ _MODE_LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_MODES = _MODE_LADDER[-1]   # lags up to 2M stay below _FFT_POINTS / 2
 _MODE_TOL = 1e-10       # change from the previous M that stops the ladder
 _SAMPLE_GRID = 2048     # t-grid of assemble's rows, before pipeline_grid_size
-# Fixed tolerance of verify's close_to certificates at 2, not resolved against
+# Decides "at 2" on every route: verify's close_to certificates and the rows
+# assemble counts at 2 (spectrum, cross-check).  Fixed, not resolved against
 # the run's error; ROADMAP item 3's residual-based intervals will replace it.
 _THRESHOLD_WINDOW = 1e-6
 
@@ -471,15 +460,17 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     By default every row is sampled.  ``sampled_sectors`` names the
     sectors whose rows are sampled instead; every other row gets NaN
     samples and zero count -1.  Every M of the ladder solves all sectors
-    values-only (``np.linalg.eigvalsh``); at the M where it stops, the
-    sectors with a sampled row are formed again and solved once more by
-    ``np.linalg.eigh``.  A window row of a sector solved with
-    eigenvectors reports the Rayleigh quotient of its Galerkin vector in
-    the unreduced form (``_RadialChart.rayleigh``), which is free of the
-    reduced eigensolve's rounding and is bit for bit that of a full
-    solve; a values-only row reports the reduced eigenvalue, which may
-    differ from it by that rounding (up to ~1e-11 at q <= 100).  The
-    window is sorted by the reported values.  ``chart`` is the
+    values-only (``np.linalg.eigvalsh``).  Unless ``sampled_sectors`` is
+    empty, every sector is formed again at the M where it stops and
+    solved once more by ``np.linalg.eigh``, and each window row reports
+    the Rayleigh quotient of its Galerkin vector in the unreduced form
+    (``_RadialChart.rayleigh``), which is free of the reduced
+    eigensolve's rounding: the values are the same bits whichever
+    sectors are sampled.  With ``sampled_sectors`` empty no eigenvector
+    is taken, and each row is values-only: it reports the reduced
+    eigenvalue, which may differ from the Rayleigh quotient by that
+    rounding (up to ~1e-11 at q <= 100).  The window is sorted by the
+    reported values.  ``chart`` is the
     ``_RadialChart`` of b and q, built here when None; one chart shared
     across l shares its coefficients and its pencil per M.
     """
@@ -497,11 +488,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     partner = (2 * q - 1 - ks) if anti else (2 * q - ks) % (2 * q)
     paired = partner != ks
     base = 2 * max(q, r.p) + 8
-    if sampled_sectors is None:
-        vectors = np.ones(ks.size, bool)
-    else:
-        wanted = list(sampled_sectors)
-        vectors = np.isin(ks, wanted) | np.isin(partner, wanted)
+    vectors = sampled_sectors is None or len(sampled_sectors) > 0
 
     def solve(modes):
         lam = np.linalg.eigvalsh(chart.sector_matrices(kappa, l, modes)[0])
@@ -510,51 +497,42 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
         return vals, count, (lam, count)
 
     modes, (lam, count) = _settle_modes(l, solve)
-    # Eigenvectors at the stop M only, of the sectors with a sampled row.
-    mats, l_inv = chart.sector_matrices(kappa[vectors], l, modes)
-    lam[vectors], y = np.linalg.eigh(mats)
-    del mats        # as large as y in a full solve; sampling needs neither
+    if vectors:     # eigenvectors at the stop M only
+        mats, l_inv = chart.sector_matrices(kappa, l, modes)
+        lam, y = np.linalg.eigh(mats)
+        del mats    # as large as y; sampling needs neither
 
-    slot = np.cumsum(vectors) - 1        # each vector sector's place in y
     # Every level with its multiplicity; the second copy of a conjugate
     # pair becomes the imaginary part of h and carries the partner sector.
-    n = lam.shape[1]
-    src = np.repeat(np.arange(ks.size), n)
-    idx = np.tile(np.arange(n), ks.size)
-    dup = paired[src]
-    level_lam = np.concatenate([lam.ravel(), lam.ravel()[dup]])
-    src = np.concatenate([src, src[dup]])
-    idx = np.concatenate([idx, idx[dup]])
-    imag = np.concatenate([np.zeros(dup.size, bool), np.ones(dup.sum(), bool)])
+    flat = np.concatenate([np.arange(lam.size),
+                           np.flatnonzero(np.repeat(paired, lam.shape[1]))])
+    src, idx = np.divmod(flat, lam.shape[1])
+    level_lam = lam.ravel()[flat]
+    imag = np.arange(flat.size) >= lam.size
     order = np.lexsort((imag, level_lam))[:count]
     src, idx, imag = src[order], idx[order], imag[order]
-    # A window row of a vector sector reports the Rayleigh quotient of its
-    # Galerkin vector c = L^-T y, one matrix-vector product per row.
-    has_c = vectors[src]
-    coef = np.array([l_inv.T @ y[slot[k], :, i]
-                     for k, i in zip(src[has_c], idx[has_c])])
-    coef = coef.reshape(-1, 2 * modes + 1)     # 2-D when no row has a vector
     values = level_lam[order]
-    values[has_c] = chart.rayleigh(kappa[src[has_c]], l, coef)
+    if vectors:
+        # Each window row reports the Rayleigh quotient of its Galerkin
+        # vector c = L^-T y, one matrix-vector product per row.
+        coef = np.array([l_inv.T @ y[k, :, i] for k, i in zip(src, idx)])
+        values = chart.rayleigh(kappa[src], l, coef)
     # The operator is positive semidefinite: a negative value (the
     # constant mode at l = 0) is rounding.
     values = np.maximum(values, 0.0)
-    coef_row = np.cumsum(has_c) - 1          # each row's place in coef
     resort = np.lexsort((imag, values))
-    values, src, imag, coef_row = (a[resort]
-                                   for a in (values, src, imag, coef_row))
+    values, src, imag = values[resort], src[resort], imag[resort]
     sectors = np.where(imag, partner[src], ks[src])
-    rows = (np.arange(count) if sampled_sectors is None
-            else np.flatnonzero(np.isin(sectors, wanted)))
-    src, imag, coef_row = src[rows], imag[rows], coef_row[rows]
 
     size = pipeline_grid_size(grid_size, q)
-    sampled, sampled_zeros = _sample_rows(chart, kappa[src], coef[coef_row],
-                                          imag, ~paired[src], size, anti)
     funcs = np.full((count, size), np.nan)
-    funcs[rows] = sampled
     zero_counts = np.full(count, -1)
-    zero_counts[rows] = sampled_zeros
+    if vectors:
+        rows = (np.arange(count) if sampled_sectors is None
+                else np.flatnonzero(np.isin(sectors, list(sampled_sectors))))
+        funcs[rows], zero_counts[rows] = _sample_rows(
+            chart, kappa[src[rows]], coef[resort[rows]], imag[rows],
+            ~paired[src[rows]], size, anti)
     return SLSpectrum(problem=build_problem(chart, l, boundary),
                       grid=np.arange(size) * (chart.t0 / size),
                       eigenvalues=values, eigenfunctions=funcs,

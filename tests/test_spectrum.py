@@ -102,13 +102,37 @@ def test_no_l_ge_2_modes_at_or_below_two(cases):
 
 
 def test_threshold_multiplicity_is_five(cases):
-    # the five immersed coordinates sit exactly at eigenvalue 2, pinned at
-    # their closed-form positions 2q (l = 0) and 2p - 1, 2p (l = 1)
+    # the five immersed coordinates are the rows within the threshold
+    # window of 2, at their closed-form positions 2q (l = 0) and 2p - 1,
+    # 2p (l = 1)
     for p, q in [(3, 5), (5, 8), (7, 10)]:
         table = cases.table((p, q))
         assert table.threshold_multiplicity() == 5
         pinned = sorted((e.l, e.i) for e in table.entries if e.pinned_two)
         assert pinned == [(0, 2 * q), (1, 2 * p - 1), (1, 2 * p)]
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
+@pytest.mark.parametrize("l, shift, multiplicity, rise", [
+    (0, 1e-3, 4, 0), (1, -1e-3, 1, 4)], ids=["l0-up", "l1-down"])
+def test_table_measures_the_modes_at_two(pq, l, shift, multiplicity, rise,
+                                         cases):
+    """The table's modes at 2 are its rows within the threshold window of
+    2, by value, not by position: the l = 0 row at 2q moved up by 1e-3,
+    or the l = 1 pair at 2p - 1 and 2p moved down by 1e-3, leaves the
+    window, so the multiplicity at 2 drops to 4 or 1, and N(2) rises by 4
+    for the l = 1 pair that now lies below 2."""
+    p, q = pq
+    spectra = {k: cases.spectrum(pq, k) for k in range(2)}
+    moved = [2 * q] if l == 0 else [2 * p - 1, 2 * p]
+    lams = spectra[l].eigenvalues.copy()
+    assert np.all(np.abs(lams[moved] - 2.0) <= 1e-11)
+    lams[moved] += shift
+    spectra[l] = dataclasses.replace(spectra[l], eigenvalues=lams)
+    table = assemble(cases.solution(pq), None, grid_size=cases.grid(pq),
+                     spectra=spectra)
+    assert table.threshold_multiplicity() == multiplicity
+    assert weyl_N(table, 2.0) == expected_n2(RotationNumber(*pq)) + rise
 
 
 def test_table_sorted_and_reasons(cases):
@@ -296,8 +320,8 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     2q - 1, 2q (the same bits) and 2q + 1 at l = 0, and 2p - 2, 2p - 1
     (the same bits) and 2p + 1 at l = 1; the sampled rows, and so the
     zero counts, are rows 2q and 2p - 1 (rows 2q - 1 and 2q have the same
-    zero count); N(2) is the full table's and the multiplicity its pinned
-    count; the ground level at l = 2 is the full solve's lowest to
+    zero count); N(2) is the full table's and the multiplicity its count
+    at 2; the ground level at l = 2 is the full solve's lowest to
     rounding."""
     import otsuki_bipolar.spectrum as spec_mod
     named, seen = spec_mod._named_levels, {}
@@ -462,10 +486,9 @@ def test_rows_of_vector_sectors_are_rayleigh_quotients(pq, l, monkeypatch):
 @pytest.mark.parametrize("l", [0, 1])
 def test_sampling_one_sector_keeps_its_rows(pq, l):
     """``sampled_sectors`` naming one sector, q at l = 0 or p at l = 1,
-    against the full solve on the same chart: the rows of that sector
-    are the same bits (values, samples and zero counts); every other row
-    has NaN samples, zero count -1 and a value within 1e-11, the reduced
-    eigensolve's rounding (at most 5.7e-13 measured)."""
+    against the full solve on the same chart: every value and sector is
+    the same bits, and so are the samples and zero counts of that
+    sector's rows; every other row has NaN samples and zero count -1."""
     p, q = pq
     k = q if l == 0 else p
     sol = solve_rotation(RotationNumber(*pq))
@@ -473,15 +496,14 @@ def test_sampling_one_sector_keeps_its_rows(pq, l):
     full = solve_radial(sol, None, l, 2048, chart=chart)
     part = solve_radial(sol, None, l, 2048, chart=chart, sampled_sectors={k})
     assert np.array_equal(part.sectors, full.sectors)
+    assert np.array_equal(part.eigenvalues, full.eigenvalues)
     named = part.sectors == k
     assert 0 < named.sum() < named.size
-    for got, want in ((part.eigenvalues, full.eigenvalues),
-                      (part.eigenfunctions, full.eigenfunctions),
+    for got, want in ((part.eigenfunctions, full.eigenfunctions),
                       (part.zero_counts, full.zero_counts)):
         assert np.array_equal(got[named], want[named])
     assert np.all(np.isnan(part.eigenfunctions[~named]))
     assert np.all(part.zero_counts[~named] == -1)
-    assert np.max(np.abs(part.eigenvalues - full.eigenvalues)) <= 1e-11
 
 
 def _direct_sector_matrices(chart, kappa, l, modes):

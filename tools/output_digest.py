@@ -9,6 +9,9 @@ this file and prints one ``sha256 command input`` line per output:
     named-sector ladders at l = 0 and 1 climb to M = 96-192, on 500/999,
     whose ladders stop at the last rung, M = 256, and on 1000/1999, which
     exits 3 with ConvergenceFailure at l = 0;
+  * ``spectrum --format json`` on 101/201, where a row other than the
+    five at 2 lies 5.1e-5 from 2, the nearest any fraction here comes to
+    the threshold window that decides which rows are at 2;
   * one ``table --pairs`` run over the p/q with q <= 40;
   * ``export-mesh`` CSV and OBJ at 64x768 vertices with q <= 20, at
     16x128 vertices with q <= 40 and on 51/101, at 8x7001 vertices on
@@ -44,7 +47,7 @@ listings are identical:
     diff before.txt after.txt
 
 BLAS runs on one thread, so a listing does not depend on the core count.
-The 1,144 lines take about 30 s on a 2-core host.
+The 1,145 lines take about 20 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -95,6 +98,8 @@ def runs():
         yield ("verify", f"{p}/{q}",
                ["verify", "--p", str(p), "--q", str(q), "--format", "json"],
                None)
+    yield ("spectrum", "101/201",
+           ["spectrum", "--p", "101", "--q", "201", "--format", "json"], None)
     pairs = ",".join(f"{p}/{q}" for p, q in fractions(40))
     yield "table", "q<=40", ["table", "--pairs", pairs], None
     for grid, n_alpha, n_t, pqs in (
