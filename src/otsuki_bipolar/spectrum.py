@@ -33,6 +33,7 @@ strictly below 4 sqrt(2) q pi^2 resp. 2 sqrt(2) q pi^2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -242,7 +243,8 @@ _FFT_POINTS = 2048      # coefficient samples per half-oscillation x in [0, pi)
 _MODE_LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_MODES = _MODE_LADDER[-1]   # lags up to 2M stay below _FFT_POINTS / 2
 _MODE_TOL = 1e-10       # change from the previous M that stops the ladder
-_SAMPLE_GRID = 2048     # t-grid of assemble's rows, before pipeline_grid_size
+_SAMPLE_GRID = 2048     # points of assemble's t-grid and verify's x-grid,
+                        # before pipeline_grid_size
 # Decides "at 2" on every route: verify's close_to certificates and the rows
 # assemble counts at 2 (spectrum, cross-check).  Fixed, not resolved against
 # the run's error; ROADMAP item 3's residual-based intervals will replace it.
@@ -256,15 +258,19 @@ class _RadialChart:
     coefficients P, S and W = dt/dx of ``geodesic.radial_coefficients``
     are analytic and pi-periodic.  Each is held by its Fourier
     coefficients f_j of f(x) = sum_j f_j e^{2ijx} (real and even in j,
-    since f is even in x), from one FFT.  t(x) and x(t) come from the
-    bipolar geodesic's own chart, ``geodesic.bipolar_chart``.  ``t0``,
-    ``t_half`` and ``cos2_phi_at`` let ``sturm.build_problem`` bind a
-    radial problem to the chart as it does to a profile.  One chart may
-    serve the radial solves of every l (see ``solve_radial``) and the
-    named-sector solves of ``_named_levels``; it keeps the pencil of the
-    reduced matrices per M (``_pencil``: four n x n matrices and L^-1,
-    for n = 2M + 1) and the x of the sampling grid per ``per_half``, so
-    each is computed once however many l it serves.
+    since f is even in x), from one FFT.  ``t_half``, the t of one
+    half-oscillation, is pi times the mean W_0 of W over a cell, and
+    ``t0`` = 2 q ``t_half``; with ``cos2_phi_at`` they let
+    ``sturm.build_problem`` bind a radial problem to the chart as it
+    does to a profile.  x(t), for ``cos2_phi_at`` and ``x_samples`` only,
+    comes from the bipolar geodesic's own chart (``geodesic``:
+    ``geodesic.bipolar_chart``), built on first use, so a solve that
+    samples no row in t never builds it.  One chart may serve the radial
+    solves of every l (see ``solve_radial``) and the named-sector solves
+    of ``_named_levels``; it keeps the pencil of the reduced matrices per
+    M (``_pencil``: four n x n matrices and L^-1, for n = 2M + 1) and the
+    x of the sampling grid per ``per_half``, so each is computed once
+    however many l it serves.
     """
 
     def __init__(self, b: float, q: int):
@@ -274,9 +280,12 @@ class _RadialChart:
         x = np.arange(_FFT_POINTS) * (math.pi / _FFT_POINTS)
         self.p_hat, self.s_hat, self.w_hat = (
             np.fft.fft(f).real / _FFT_POINTS for f in radial_coefficients(b, x))
-        self.geodesic = bipolar_chart(b)
-        self.t_half = self.geodesic.length
+        self.t_half = math.pi * self.w_hat[0]
         self.t0 = 2 * q * self.t_half
+
+    @functools.cached_property
+    def geodesic(self):
+        return bipolar_chart(self.b)
 
     def cos2_phi_at(self, t):
         return cos2_phi(self.b, self.geodesic.x_of(t))
@@ -383,21 +392,24 @@ def _settle_modes(l: int, solve):
 
 
 def _sample_rows(chart: _RadialChart, kappa: np.ndarray, coef: np.ndarray,
-                 imag: np.ndarray, real: np.ndarray, size: int, anti: bool
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Galerkin levels sampled on the uniform t-grid, and their zero counts.
+                 imag: np.ndarray, real: np.ndarray, x_loc: np.ndarray,
+                 anti: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Galerkin levels sampled on the caller's grid, and their zero counts.
 
     Row r is the level of sector ``kappa[r]`` with coefficient vector
     ``coef[r]`` (2M + 1 entries): Im h where ``imag[r]``, else Re h, and
     h turned real by half the phase of sum h^2 where ``real[r]`` (a
-    self-conjugate sector).  The grid has ``size`` points, a multiple of
-    2q, over one period t0.  Each row has unit norm in t by its Galerkin
-    coefficients and is signed by ``sturm.orient_rows``; its zeros are
-    its sign changes around the period (antiperiodic when ``anti``).
+    self-conjugate sector).  ``x_loc`` holds the x in [0, pi) of one
+    half-oscillation's samples, and its shifts by j pi, j = 0..2q-1, make
+    the grid of the period: ``chart.x_samples`` for the uniform t-grid,
+    or the uniform x-grid, which needs no x(t).  Each row has unit norm
+    in t by its Galerkin coefficients and is signed by
+    ``sturm.orient_rows``; its zeros are its sign changes around the
+    period (antiperiodic when ``anti``), the same on any grid that
+    resolves them.
     """
     q = chart.q
-    modes = (coef.shape[1] - 1) // 2
-    x_loc = chart.x_samples(size // (2 * q))
+    rows, modes = coef.shape[0], (coef.shape[1] - 1) // 2
     # h(x + j pi) = e^{i kappa (x + j pi)} sum_m c_m e^{2imx}, c real, on the
     # x of one half-oscillation and j = 0..2q-1: rows of re h and im h.  The
     # sum is taken over m >= 0, with c_m + c_-m on cos 2mx, c_m - c_-m on sin.
@@ -412,8 +424,8 @@ def _sample_rows(chart: _RadialChart, kappa: np.ndarray, coef: np.ndarray,
     im_loc = sin_kx * sum_cos + cos_kx * sum_sin
     turn = math.pi * np.multiply.outer(kappa, np.arange(2 * q))[:, :, None]
     cos_t, sin_t = np.cos(turn), np.sin(turn)
-    re = (cos_t * re_loc[:, None] - sin_t * im_loc[:, None]).reshape(-1, size)
-    im = (sin_t * re_loc[:, None] + cos_t * im_loc[:, None]).reshape(-1, size)
+    re = (cos_t * re_loc[:, None] - sin_t * im_loc[:, None]).reshape(rows, -1)
+    im = (sin_t * re_loc[:, None] + cos_t * im_loc[:, None]).reshape(rows, -1)
     sampled = np.where(imag[:, None], im, re)
     # h of a self-conjugate sector is turned real by half the phase of sum h^2.
     half = 0.5 * np.arctan2(2.0 * np.sum(re[real] * im[real], axis=1),
@@ -532,7 +544,7 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
                 else np.flatnonzero(np.isin(sectors, list(sampled_sectors))))
         funcs[rows], zero_counts[rows] = _sample_rows(
             chart, kappa[src[rows]], coef[resort[rows]], imag[rows],
-            ~paired[src[rows]], size, anti)
+            ~paired[src[rows]], chart.x_samples(size // (2 * q)), anti)
     return SLSpectrum(problem=build_problem(chart, l, boundary),
                       grid=np.arange(size) * (chart.t0 / size),
                       eigenvalues=values, eigenfunctions=funcs,
@@ -699,7 +711,11 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
       stops by the 1e-10 rule of ``solve_radial``, which at l = 2, where
       every level is at least 4, settles the ground alone.  Sectors q, p
       and 0 get vectors: their certified levels are Rayleigh quotients,
-      and the sampled rows at 2 of sectors q and p give the zero counts.
+      and the rows at 2 of sectors q and p give the zero counts, sampled
+      on the uniform x-grid of ``pipeline_grid_size(2048, q)`` points: a
+      zero count does not depend on the parametrization, so no x(t) is
+      needed, and the geodesic's t-chart is never built (the chart's
+      ``t0`` comes from the mean of W).
     * **Count.**  ``hill.count`` takes N(2 - delta) and N(2 + delta) from
       the Hill discriminant at l = 0 and 1 over every sector of the
       surface (l >= 2 has no level below 4): N2 is the first, and
@@ -735,16 +751,18 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
         r = RotationNumber(*r)
     sol = solve_rotation(r)
     p, q = r.p, r.q
-    size = pipeline_grid_size(_SAMPLE_GRID, q)
+    per_half = pipeline_grid_size(_SAMPLE_GRID, q) // (2 * q)
     chart = _RadialChart(sol.b, q)
     named = {0: (q - 1, q), 1: (p - 1, p, p + 1)}
     levels0, vectors0 = _named_levels(chart, 0, named[0], q, 2)
     levels1, vectors1 = _named_levels(chart, 1, named[1], p, 1)
     ground_l2 = float(_named_levels(chart, 2, (0,), 0, 1)[0][0, 0])
-    # Zero counts of Re h (h turned real in sector q) of the rows at 2.
+    # Zero counts of Re h (h turned real in sector q) of the rows at 2, on
+    # the uniform x-grid: a zero count does not depend on the chart.
+    x_grid = np.arange(per_half) * (math.pi / per_half)
     zeros0, zeros1 = (
         int(_sample_rows(chart, np.array([k / q]), c[None], np.zeros(1, bool),
-                         np.array([k % q == 0]), size, False)[1][0])
+                         np.array([k % q == 0]), x_grid, False)[1][0])
         for k, c in ((q, vectors0[1]), (p, vectors1[0])))
     below0, two0, above0 = levels0[1, 0], levels0[1, 1], levels0[0, 1]
     below1, two1, above1 = levels1[0, 0], levels1[1, 0], levels1[2, 0]

@@ -7,8 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from otsuki_bipolar import oracle
 from otsuki_bipolar.errors import ConvergenceFailure, VerificationFailed
-from otsuki_bipolar.geodesic import RotationNumber, i2, solve_rotation
+from otsuki_bipolar.geodesic import (
+    RotationNumber,
+    bipolar_chart,
+    i2,
+    solve_rotation,
+)
 from otsuki_bipolar.immersion import area
 from otsuki_bipolar.spectrum import (
     Certificate,
@@ -319,8 +325,10 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     the full solve: the certified levels are the rows at positions
     2q - 1, 2q (the same bits) and 2q + 1 at l = 0, and 2p - 2, 2p - 1
     (the same bits) and 2p + 1 at l = 1; the sampled rows, and so the
-    zero counts, are rows 2q and 2p - 1 (rows 2q - 1 and 2q have the same
-    zero count); N(2) is the full table's and the multiplicity its count
+    zero counts, are the vectors of rows 2q and 2p - 1 (rows 2q - 1 and
+    2q have the same zero count): sampled on the uniform t-grid they are
+    those rows, and their counts on verify's uniform x-grid are those
+    rows' counts; N(2) is the full table's and the multiplicity its count
     at 2; the ground level at l = 2 is the full solve's lowest to
     rounding."""
     import otsuki_bipolar.spectrum as spec_mod
@@ -333,13 +341,13 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
 
     def sample_spy(*args):
         rows = sample(*args)
-        sampled.append(rows[0])
+        sampled.append((args, rows[1]))
         return rows
 
     monkeypatch.setattr(spec_mod, "_named_levels", spy)
     monkeypatch.setattr(spec_mod, "_sample_rows", sample_spy)
     report = verify_theorem3(RotationNumber(*pq))
-    rows = np.concatenate(sampled)
+    calls = list(sampled)   # the full solves below sample through the spy too
     p, q = pq
     assert {l: v[:3] for l, v in seen.items()} == {
         0: ((q - 1, q), q, 2), 1: ((p - 1, p, p + 1), p, 1), 2: ((0,), 0, 1)}
@@ -355,8 +363,19 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
             full1.eigenvalues[2 * p - 1], full1.eigenvalues[2 * p + 1]]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-11
     assert [got[i] for i in (0, 1, 4)] == [want[i] for i in (0, 1, 4)]
+    assert [args[2].shape[0] for args, _ in calls] == [1, 1]
+    assert np.array_equal(calls[0][0][2][0], vectors0[1])
+    assert np.array_equal(calls[1][0][2][0], vectors1[0])
     full_rows = full0.eigenfunctions[2 * q], full1.eigenfunctions[2 * p - 1]
-    assert np.max(np.abs(rows - np.array(full_rows))) <= 1e-14
+    per_half = full0.grid.size // (2 * q)
+    for (args, x_counts), row, count in zip(
+            calls, full_rows,
+            (full0.zero_counts[2 * q], full1.zero_counts[2 * p - 1])):
+        assert np.array_equal(
+            args[5], np.arange(per_half) * (math.pi / per_half))
+        in_t = sample(*args[:5], args[0].x_samples(per_half), args[6])[0][0]
+        assert np.max(np.abs(in_t - row)) <= 1e-14
+        assert x_counts.tolist() == [count]
 
     full_table = cases.table(pq)
     assert report.n2_computed == weyl_N(full_table, 2.0)
@@ -369,6 +388,114 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     for name in ("ground_l2_above_two", "ground_l2_above_potential_floor"):
         cert = next(c for c in report.certificates if c.name == name)
         assert cert.rhs == levels2[0, 0]
+
+
+def _record_sample_rows(monkeypatch):
+    """Patch ``spectrum._sample_rows`` to record the arguments of each
+    call; returns the unpatched function and the list of calls."""
+    import otsuki_bipolar.spectrum as spec_mod
+    sample, calls = spec_mod._sample_rows, []
+
+    def spy(*args):
+        calls.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(spec_mod, "_sample_rows", spy)
+    return sample, calls
+
+
+def test_verify_and_the_values_only_table_build_no_t_chart(monkeypatch):
+    """verify takes t0 from the mean of W and counts zeros on the uniform
+    x-grid, and cross-check's values-only table samples no row, so
+    neither builds the geodesic's t-chart x(t): with it refused, both
+    give what they gave with it.  A solve that samples its rows in t
+    builds it once, on first use, for every l its chart serves."""
+    import otsuki_bipolar.spectrum as spec_mod
+    pqs = [(3, 5), (5, 8), (70, 99), (50, 99)]
+    sol = solve_rotation(RotationNumber(3, 5))
+    reports = [verify_theorem3(RotationNumber(*pq)).to_dict() for pq in pqs]
+    payload = oracle.cross_check(sol, 96, 768, 2.5)
+    chart_of, built = spec_mod.bipolar_chart, []
+
+    def refuse(b):
+        raise AssertionError("the t-chart was built")
+
+    monkeypatch.setattr(spec_mod, "bipolar_chart", refuse)
+    assert [verify_theorem3(RotationNumber(*pq)).to_dict()
+            for pq in pqs] == reports
+    assert oracle.cross_check(sol, 96, 768, 2.5) == payload
+
+    def build(b):
+        built.append(b)
+        return chart_of(b)
+
+    monkeypatch.setattr(spec_mod, "bipolar_chart", build)
+    chart = _RadialChart(sol.b, 5)
+    assert built == []
+    for l in (0, 1):
+        spec = solve_radial(sol, None, l, 2048, chart=chart)
+        assert np.all(spec.zero_counts >= 0)
+    assert built == [sol.b]
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8), (41, 58), (50, 99)])
+def test_zero_counts_do_not_depend_on_the_grid(pq, monkeypatch):
+    """Every row of the full l = 0 and l = 1 solves has the same zero
+    count on the uniform x-grid, where verify counts, as on the uniform
+    t-grid (``chart.x_samples``), where ``solve_radial`` samples."""
+    sample, calls = _record_sample_rows(monkeypatch)
+    sol = solve_rotation(RotationNumber(*pq))
+    chart = _RadialChart(sol.b, pq[1])
+    for l in (0, 1):
+        spec = solve_radial(sol, None, l, 2048, chart=chart)
+        args = calls[-1]
+        per_half = args[5].size
+        assert args[5] is chart.x_samples(per_half)
+        x_grid = np.arange(per_half) * (math.pi / per_half)
+        counts = sample(*args[:5], x_grid, args[6])[1]
+        assert np.all(spec.zero_counts >= 0)
+        assert np.array_equal(counts, spec.zero_counts)
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (41, 58), (70, 99), (50, 99),
+                                (126, 251), (1000, 1999), (2500, 4999)])
+def test_t_half_is_the_bipolar_chart_length(pq):
+    """``_RadialChart.t_half``, pi times the mean of W = dt/dx over a
+    cell from its FFT on 2048 nodes, is the bipolar geodesic chart's
+    length to the bit, both where that chart's own FFT takes 2048 nodes
+    and at 1000/1999 and 2500/4999, where it takes 8192.  (At 5000/9999,
+    on 16384 nodes, they differ by one ulp.)  The period t0 is the
+    quadrature's to 1e-10 relative."""
+    sol = solve_rotation(RotationNumber(*pq))
+    chart = _RadialChart(sol.b, pq[1])
+    assert chart.t_half == bipolar_chart(sol.b).length
+    assert abs(chart.t0 - sol.t0) <= 1e-10 * sol.t0
+
+
+@pytest.mark.parametrize("pq", [(2, 3), (3, 5), (5, 8), (7, 13), (41, 58),
+                                (70, 99), (50, 99), (126, 251)])
+def test_sin_phi_row_is_cos_x(pq, monkeypatch):
+    """On the uniform x-grid sin(phi) = sin(b) cos(x), so the row verify
+    counts at l = 0, unit-normalized, is cos x / |cos x| up to sign, to
+    1e-12 (measured: 8.4e-15 or less).  Its band partner, level 1 of
+    sector q, has the same 2q zeros but lies farther than 1e-3 from it
+    (measured: 3.4e-2 or more), so this tells the two apart where the
+    ``sin_phi_zero_count`` certificate cannot."""
+    sample, calls = _record_sample_rows(monkeypatch)
+    verify_theorem3(RotationNumber(*pq))
+    args = calls[0]
+    q, x_loc = pq[1], args[5]
+    cos_x = np.cos(np.arange(2 * q * x_loc.size) * (math.pi / x_loc.size))
+    cos_x /= np.linalg.norm(cos_x)
+
+    def distance(coef):
+        row = sample(*args[:2], coef[None], *args[3:])[0][0]
+        row /= np.linalg.norm(row)
+        return min(np.max(np.abs(row - cos_x)), np.max(np.abs(row + cos_x)))
+
+    partner = _named_levels(args[0], 0, (q - 1, q), q, 2)[1][0]
+    assert distance(args[2][0]) <= 1e-12
+    assert distance(partner) > 1e-3
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
