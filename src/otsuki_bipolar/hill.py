@@ -1,20 +1,25 @@
 """Eigenvalue counts of a periodic radial problem from its Hill discriminant.
 
-The problem -(P h')' + l^2 S h = lambda W h has coefficients of period
-pi, the cell (as in the bipolar chart, ``geodesic.radial_coefficients``;
-a triple of period L maps to one of period pi by y = pi x / L).  On a
+The problem -(P h')' + l^2 S h = lambda W h has coefficients even and of
+period pi, the cell (as in the bipolar chart,
+``geodesic.radial_coefficients``; a triple of period L maps to one of
+period pi by y = pi x / L), so each cell is symmetric about pi/2.  On a
 torus of several cells its eigenfunctions split into Bloch sectors
 h(x + pi) = e^{i pi kappa} h(x), and in each sector the levels are
 counted without solving for them:
 
 * **Monodromy.** y = (h, P h') obeys y' = [[0, 1/P], [l^2 S - lambda W, 0]] y.
-  Its transfer matrix over one cell is a product of sixth-order Magnus
-  steps on three Gauss points each (Blanes, Casas, Oteo & Ros, "The
-  Magnus expansion and some of its applications", *Phys. Rep.* 470,
-  2009).  Every step's Omega is a traceless 2 x 2 matrix, so its
-  exponential is cosh(mu) I + sinh(mu)/mu Omega with mu^2 = -det Omega,
-  and the steps are multiplied by a log-depth prefix product.  The
-  discriminant is Delta = tr M.
+  Its transfer matrix Phi over the half cell [0, pi/2] is a product of
+  sixth-order Magnus steps on three Gauss points each (Blanes, Casas,
+  Oteo & Ros, "The Magnus expansion and some of its applications",
+  *Phys. Rep.* 470, 2009).  Every step's Omega is a traceless 2 x 2
+  matrix, so its exponential is cosh(mu) I + sinh(mu)/mu Omega with
+  mu^2 = -det Omega, and the steps are multiplied by a log-depth prefix
+  product.  The reflection x -> pi - x gives the other half: with
+  R = diag(1, -1), R Phi(pi - x) = Phi(x) R M, so for N = Phi(pi/2) the
+  cell's monodromy is M = R N^-1 R N (Magnus & Winkler, *Hill's
+  Equation*), and the discriminant is Delta = tr M =
+  2 (n11 n22 + n12 n21).
 * **Rotation number alpha(lambda).**  D, the number of zeros in (0, pi)
   of the solution with h(0) = 0, is read from its Pruefer angle theta
   (h = r sin theta, P h' = r cos theta, theta(0) = 0) as
@@ -37,7 +42,8 @@ counted without solving for them:
 ``count`` totals the levels of the bipolar surface's sectors
 (``surface_sectors``) at l = 0 and 1, with the step count resolved from
 the run's own two sizes.  The coefficients come in as a callable
-x -> (P, S, W), so any analytic triple of period pi can be counted.
+x -> (P, S, W), so any analytic triple that is even and of period pi can
+be counted; ``monodromy`` checks the evenness (DomainError).
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, in_interval
+from .errors import ConvergenceFailure, DomainError, in_interval
 
 # Gauss-Legendre nodes of one Magnus step, as fractions of the step.
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
@@ -63,12 +69,29 @@ def _commutator(x, y):
                      2.0 * (x[2] * y[0] - x[0] * y[2])))
 
 
+def _even_coefficients(coefficients, x):
+    """P, S and W at x, of shape (3 nodes, steps), after checking that they
+    are even about pi/2 at the mirrors pi - x of the first step's nodes:
+    DomainError if they are not."""
+    p, s, w = (np.asarray(f, dtype=float) for f in
+               coefficients(np.concatenate((x, math.pi - x[:, :1]), axis=1)))
+    for f in (p, s, w):
+        if np.max(np.abs(f[:, -1] - f[:, 0])) > 1e-12 * np.max(np.abs(f)):
+            raise DomainError("the coefficients are not even about pi/2:"
+                              " the half-cell monodromy needs P, S and W"
+                              " even and of period pi")
+    return p[:, :-1], s[:, :-1], w[:, :-1]
+
+
 def _steps(coefficients, l, lam, steps: int):
-    """exp(Omega) of every sixth-order Magnus step, as entries (E11, E12,
-    E21, E22), each of shape (pairs, steps)."""
+    """exp(Omega) of every sixth-order Magnus step over the half cell
+    [0, pi/2], h = pi/steps for ``steps`` (even) per cell, as entries
+    (E11, E12, E21, E22), each of shape (pairs, steps/2)."""
+    if steps < 2 or steps % 2:
+        raise DomainError(f"Magnus steps per cell must be even, got {steps}")
     h = math.pi / steps
-    x = (np.arange(steps) + np.array(_GAUSS)[:, None]) * h
-    p, s, w = (np.asarray(f, dtype=float) for f in coefficients(x))
+    x = (np.arange(steps // 2) + np.array(_GAUSS)[:, None]) * h
+    p, s, w = _even_coefficients(coefficients, x)
     l2 = np.asarray(l, dtype=float)[:, None, None] ** 2
     lam = np.asarray(lam, dtype=float)[:, None, None]
     # A = [[0, 1/P], [l^2 S - lambda W, 0]] as (A11, A12, A21), at the three
@@ -114,20 +137,35 @@ def _prefix_products(m):
 def monodromy(coefficients, l, lam, steps: int):
     """Delta = tr M and the Pruefer angle theta(pi) of each (l, lambda).
 
-    ``l`` and ``lam`` are equal-length sequences of pairs.  The solution
-    with h(0) = 0, P h'(0) = 1 is the second column of every prefix
-    product, so its angle is known at each step point; consecutive
-    angles differ by less than pi at any resolved step count (``count``
-    checks theta against twice the steps), and their principal
-    differences sum to theta(pi).
+    ``l`` and ``lam`` are equal-length sequences of pairs, and ``steps``
+    the Magnus steps per cell, of which the half cell [0, pi/2] takes
+    steps/2.  With N = Phi(pi/2) and R = diag(1, -1), M = R N^-1 R N
+    and Delta = 2 (n11 n22 + n12 n21).  The
+    solution with h(0) = 0, P h'(0) = 1 is Phi(x) e2 on [0, pi/2], the
+    second column of every prefix product, and on [pi/2, pi] it is
+    y(pi - x) = R Phi(x) c with c = N^-1 R N e2 =
+    (2 n12 n22, -(n11 n22 + n12 n21)), read from the same prefix
+    products; so its angle is known at all ``steps`` step points of the
+    cell.  Consecutive angles differ by less than pi at any resolved
+    step count (``count`` checks theta against twice the steps), and
+    their principal differences sum to theta(pi).  DomainError if P, S
+    or W is not even about pi/2, or ``steps`` is odd.
     """
     m = _prefix_products(_steps(coefficients, l, lam, steps))
-    delta = m[0][:, -1] + m[3][:, -1]
-    angle = np.arctan2(m[1], m[3])
+    n11, n12, n21, n22 = (v[:, -1:] for v in m)
+    cross = n11 * n22 + n12 * n21
+    c1, c2 = 2.0 * n12 * n22, -cross
+    # (h, P h') at pi - x_j is (u, -v) for (u, v) = Phi(x_j) c: taken at
+    # x_j for j = steps/2 - 1 down to 1, and at x = 0, where it is R c.
+    e11, e12, e21, e22 = (v[:, -2::-1] for v in m)
+    angle = np.concatenate((np.arctan2(m[1], m[3]),
+                            np.arctan2(e11 * c1 + e12 * c2,
+                                       -(e21 * c1 + e22 * c2)),
+                            np.arctan2(c1, -c2)), axis=1)
     turn = np.diff(angle, prepend=0.0, axis=1)
     theta = np.sum(turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi)),
                    axis=1)
-    return delta, theta
+    return 2.0 * cross[:, 0], theta
 
 
 def rotation_number(delta, theta):

@@ -692,11 +692,12 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     multiplicity at 2 is five; the last sub-threshold radial eigenvalue
     at l = 0 sits strictly below 2 with measured margin; the known
     eigenvalue-2 modes appear at their closed-form positions, with their
-    zero counts; the ground eigenvalue at l = 2 clears 2 (and the
-    pointwise potential bound 4); the functional value computed from the
-    period agrees with the closed elliptic form and respects its strict
-    upper bound; the geodesic closes, |omega(a) - p pi/q| <=
-    ``omega_tol``.
+    zero counts, and the l = 0 one is even (sin(phi) ~ cos x, where its
+    band partner, with the same zero count, is odd); the ground
+    eigenvalue at l = 2 clears 2 (and the pointwise potential bound 4);
+    the functional value computed from the period agrees with the closed
+    elliptic form and respects its strict upper bound; the geodesic
+    closes, |omega(a) - p pi/q| <= ``omega_tol``.
 
     The route, on one ``_RadialChart``:
 
@@ -712,16 +713,20 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
       every level is at least 4, settles the ground alone.  Sectors q, p
       and 0 get vectors: their certified levels are Rayleigh quotients,
       and the rows at 2 of sectors q and p give the zero counts, sampled
-      on the uniform x-grid of ``pipeline_grid_size(2048, q)`` points: a
-      zero count does not depend on the parametrization, so no x(t) is
-      needed, and the geodesic's t-chart is never built (the chart's
-      ``t0`` comes from the mean of W).
+      together on the uniform x-grid of ``pipeline_grid_size(2048, q)``
+      points: a zero count does not depend on the parametrization, so no
+      x(t) is needed, and the geodesic's t-chart is never built (the
+      chart's ``t0`` comes from the mean of W).  The sector-q vector's
+      parity, the sign of sum_m c_m c_{-1-m}, tells sin(phi) (+1) from
+      its band partner (-1).
     * **Count.**  ``hill.count`` takes N(2 - delta) and N(2 + delta) from
       the Hill discriminant at l = 0 and 1 over every sector of the
-      surface (l >= 2 has no level below 4): N2 is the first, and
-      ``threshold_multiplicity`` the difference.  delta is half the
-      smallest of the five gaps at 2 that the named sectors measure (the
-      levels either side of 2 at l = 0 and 1, and the l = 2 ground).
+      surface (l >= 2 has no level below 4), integrating half a cell and
+      taking the other half by the reflection x -> pi - x: N2 is the
+      first, and ``threshold_multiplicity`` the difference.  delta is
+      half the smallest of the five gaps at 2 that the named sectors
+      measure (the levels either side of 2 at l = 0 and 1, and the l = 2
+      ground).
       The rule counts, per sector, the levels whose rotation number lies
       below alpha(lambda), with two traps: inside a gap the top edge of
       the band below has alpha equal to the gap index and must be added
@@ -740,9 +745,9 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     through the CLI, on a 2-core host with one BLAS thread:
 
         p/q       time          peak RSS
-        126/251   0.23-0.26 s   44 MB
-        250/499   0.32-0.39 s   57 MB
-        500/999   0.50-0.53 s   75 MB
+        126/251   0.35-0.41 s   44 MB
+        250/499   0.48-0.52 s   56 MB
+        500/999   0.80-0.82 s   75 MB
 
     1000/1999 stops with ConvergenceFailure at l = 0: its named sectors
     still move at M = 256.
@@ -757,13 +762,22 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     levels0, vectors0 = _named_levels(chart, 0, named[0], q, 2)
     levels1, vectors1 = _named_levels(chart, 1, named[1], p, 1)
     ground_l2 = float(_named_levels(chart, 2, (0,), 0, 1)[0][0, 0])
-    # Zero counts of Re h (h turned real in sector q) of the rows at 2, on
-    # the uniform x-grid: a zero count does not depend on the chart.
+    # Zero counts of the rows at 2, level 2 of sector q (self-conjugate, h
+    # turned real) and Re h of level 1 of sector p, in one sampling on the
+    # uniform x-grid: a zero count does not depend on the chart.  The
+    # shorter vector is padded with zero modes where the ladders stopped
+    # at different M.
+    sin_phi = vectors0[1]
+    width = max(sin_phi.size, vectors1.shape[1])
+    coef = np.array([np.pad(c, (width - c.size) // 2)
+                     for c in (sin_phi, vectors1[0])])
     x_grid = np.arange(per_half) * (math.pi / per_half)
-    zeros0, zeros1 = (
-        int(_sample_rows(chart, np.array([k / q]), c[None], np.zeros(1, bool),
-                         np.array([k % q == 0]), x_grid, False)[1][0])
-        for k, c in ((q, vectors0[1]), (p, vectors1[0])))
+    zeros0, zeros1 = (int(v) for v in _sample_rows(
+        chart, np.array([1.0, p / q]), coef, np.zeros(2, bool),
+        np.array([True, False]), x_grid, False)[1])
+    # In sector q, h = sum_m c_m e^{i(2m + 1)x}: sin(phi) ~ cos x has
+    # c_m = c_{-1-m}, its band partner (level 1) c_m = -c_{-1-m}.
+    even0 = int(np.sign(sin_phi[:-1] @ sin_phi[-2::-1]))
     below0, two0, above0 = levels0[1, 0], levels0[1, 1], levels0[0, 1]
     below1, two1, above1 = levels1[0, 0], levels1[1, 0], levels1[2, 0]
     delta = 0.5 * min(abs(v - 2.0) for v in (below0, above0, below1, above1,
@@ -796,6 +810,7 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
         Certificate.close_to("radial_eigenvalue_two_at_l0_position_2q",
                              two0, 2.0, _THRESHOLD_WINDOW),
         Certificate.integer_equal("sin_phi_zero_count", zeros0, 2 * q),
+        Certificate.integer_equal("sin_phi_row_is_even", even0, 1),
         Certificate.close_to("radial_eigenvalue_two_at_l1_position_2p_minus_1",
                              two1, 2.0, _THRESHOLD_WINDOW),
         Certificate.close_to("radial_eigenvalue_two_at_l1_position_2p",

@@ -40,15 +40,73 @@ def test_trace_at_two_is_closed_form(pq):
     """sin(phi) ~ cos x is a solution at 2 with l = 0, of multiplier -1,
     and the l = 1 coordinate pair has multiplier e^{+-i pi p/q}, so
     tr M(2) is -2 at l = 0 and 2 cos(pi p/q) at l = 1 (measured at 1024
-    steps: at most 1.3e-14 and 7.9e-13)."""
+    steps: at most 1.3e-14 and 8.9e-13)."""
     delta, _ = hill.monodromy(_coefficients(pq), [0, 1], [2.0, 2.0], 1024)
     assert abs(delta[0] + 2.0) <= 1e-13
     assert abs(delta[1] - 2.0 * math.cos(math.pi * pq[0] / pq[1])) <= 1e-11
 
 
+def _full_cell(coefficients, l, lam, steps):
+    """Delta and theta(pi) from ``steps`` Magnus steps over the whole cell,
+    without the reflection: tr M of the last prefix product, and theta
+    summed from the angles of every prefix's second column.
+
+    The cell x in [0, pi) is y = x/2 in [0, pi/2], where y' = 2 A(2y) y
+    has the coefficients P(2y)/2, 2 S(2y) and 2 W(2y), also even about
+    pi/2, so ``hill._steps`` at twice the steps gives the cell's steps on
+    the same nodes (every factor of two is exact)."""
+    def stretched(y):
+        p, s, w = coefficients(2.0 * y)
+        return 0.5 * p, 2.0 * s, 2.0 * w
+
+    m = hill._prefix_products(hill._steps(stretched, l, lam, 2 * steps))
+    turn = np.diff(np.arctan2(m[1], m[3]), prepend=0.0, axis=1)
+    return (m[0][:, -1] + m[3][:, -1],
+            np.sum(turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi)),
+                   axis=1))
+
+
+@pytest.mark.parametrize("steps", [512, 1024])
+@pytest.mark.parametrize("pq", [(3, 5), (41, 58), (70, 99), (50, 99),
+                                (126, 251)])
+def test_half_cell_is_the_full_cell(pq, steps):
+    """The monodromy rebuilt from [0, pi/2] by the reflection x -> pi - x
+    gives the full cell's Delta to 2e-13 (relative where |Delta| > 1) and
+    its theta(pi) to 1e-12, in bands and gaps at l = 0 and 1.  Both carry
+    the rounding of their prefix products, which grows with the entries
+    of Phi: they differ most at l = 1 next to 2 on 126/251, where those
+    reach 54, by 1.05e-13 in Delta (512 steps) and 3.8e-13 in theta, and
+    at 1024 against 2048 steps tr M(2) there is off the closed form by
+    2e-13 to 9e-13 either way."""
+    lams = [0.5, 1.0, 1.5, 2.0 - DELTA, 2.0 + DELTA, 2.5, 3.0, 3.5, 4.0]
+    l = np.repeat([0, 1], len(lams))
+    lam = np.tile(lams, 2)
+    half = hill.monodromy(_coefficients(pq), l, lam, steps)
+    full = _full_cell(_coefficients(pq), l, lam, steps)
+    assert np.all(np.abs(half[0] - full[0])
+                  <= 2e-13 * np.maximum(1.0, np.abs(full[0])))
+    assert np.max(np.abs(half[1] - full[1])) <= 1e-12
+
+
+def test_monodromy_needs_coefficients_even_about_half_the_cell():
+    """The reflection holds only for P, S and W even about pi/2: P shifted
+    by 0.1 is not, and an odd step count has no step point at pi/2, so
+    either is a DomainError."""
+    coefficients = _coefficients((3, 5))
+
+    def shifted(x):
+        _, s, w = coefficients(x)
+        return coefficients(x + 0.1)[0], s, w
+
+    with pytest.raises(DomainError, match="not even about pi/2"):
+        hill.monodromy(shifted, [0], [2.0], 512)
+    with pytest.raises(DomainError, match="must be even"):
+        hill.monodromy(coefficients, [0], [2.0], 511)
+
+
 def test_magnus_steps_are_sixth_order():
     """Doubling the steps divides the error of tr M(2) at l = 1 on 50/99
-    by about 2^6 (63, 63 and 55 measured from 64 steps); a fourth-order
+    by about 2^6 (63, 64 and 56 measured from 64 steps); a fourth-order
     rule would divide it by 16."""
     exact = 2.0 * math.cos(math.pi * 50 / 99)
     errors = [abs(hill.monodromy(_coefficients((50, 99)), [1], [2.0], n)[0][0]
@@ -112,13 +170,13 @@ def test_surface_sectors_follow_the_parity_of_q():
                                                            11, 13, 15])
 
 
-def _count_is_the_closed_form(pq):
-    """The count at 2 -+ DELTA, resolved at 256 against 512 steps."""
+def _count_is_the_closed_form(pq, steps=512):
+    """The count at 2 -+ DELTA, resolved at ``steps`` against half as many."""
     counted = hill.count(_coefficients(pq), pq[1], (2.0 - DELTA, 2.0 + DELTA))
     below, above = counted.totals
     assert below == expected_n2(RotationNumber(*pq)), counted
     assert above - below == 5, counted
-    assert counted.steps == 512, counted
+    assert counted.steps == steps, counted
 
 
 @pytest.mark.parametrize("pq", _reduced_fractions(16)
@@ -137,6 +195,16 @@ def test_count_is_the_closed_form_q_up_to_300():
     assert len(fractions) == 5675
     for pq in fractions:
         _count_is_the_closed_form(pq)
+
+
+@pytest.mark.parametrize("pq, steps", [((1000, 1999), 1024),
+                                       ((2500, 4999), 1024),
+                                       ((5000, 9999), 2048)])
+def test_count_is_the_closed_form_past_512_steps(pq, steps):
+    """Near 1/2 the count doubles its steps past 512, through the same
+    half-cell monodromy: 1024 at 1000/1999 and 2500/4999, 2048 at
+    5000/9999."""
+    _count_is_the_closed_form(pq, steps)
 
 
 def test_count_stops_at_the_step_cap():

@@ -326,11 +326,11 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     2q - 1, 2q (the same bits) and 2q + 1 at l = 0, and 2p - 2, 2p - 1
     (the same bits) and 2p + 1 at l = 1; the sampled rows, and so the
     zero counts, are the vectors of rows 2q and 2p - 1 (rows 2q - 1 and
-    2q have the same zero count): sampled on the uniform t-grid they are
-    those rows, and their counts on verify's uniform x-grid are those
-    rows' counts; N(2) is the full table's and the multiplicity its count
-    at 2; the ground level at l = 2 is the full solve's lowest to
-    rounding."""
+    2q have the same zero count), both in one sampling: sampled on the
+    uniform t-grid they are those rows, and their counts on verify's
+    uniform x-grid are those rows' counts; N(2) is the full table's and
+    the multiplicity its count at 2; the ground level at l = 2 is the
+    full solve's lowest to rounding."""
     import otsuki_bipolar.spectrum as spec_mod
     named, seen = spec_mod._named_levels, {}
     sample, sampled = spec_mod._sample_rows, []
@@ -363,19 +363,20 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
             full1.eigenvalues[2 * p - 1], full1.eigenvalues[2 * p + 1]]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-11
     assert [got[i] for i in (0, 1, 4)] == [want[i] for i in (0, 1, 4)]
-    assert [args[2].shape[0] for args, _ in calls] == [1, 1]
-    assert np.array_equal(calls[0][0][2][0], vectors0[1])
-    assert np.array_equal(calls[1][0][2][0], vectors1[0])
-    full_rows = full0.eigenfunctions[2 * q], full1.eigenfunctions[2 * p - 1]
+    (args, x_counts), = calls
+    assert args[2].shape[0] == 2
+    for row, c in zip(args[2], (vectors0[1], vectors1[0])):
+        pad = (row.size - c.size) // 2    # zero modes pad the shorter vector
+        assert np.array_equal(row[pad:pad + c.size], c)
+        assert not np.any(row[:pad]) and not np.any(row[pad + c.size:])
+    full_rows = np.array([full0.eigenfunctions[2 * q],
+                          full1.eigenfunctions[2 * p - 1]])
     per_half = full0.grid.size // (2 * q)
-    for (args, x_counts), row, count in zip(
-            calls, full_rows,
-            (full0.zero_counts[2 * q], full1.zero_counts[2 * p - 1])):
-        assert np.array_equal(
-            args[5], np.arange(per_half) * (math.pi / per_half))
-        in_t = sample(*args[:5], args[0].x_samples(per_half), args[6])[0][0]
-        assert np.max(np.abs(in_t - row)) <= 1e-14
-        assert x_counts.tolist() == [count]
+    assert np.array_equal(args[5], np.arange(per_half) * (math.pi / per_half))
+    in_t = sample(*args[:5], args[0].x_samples(per_half), args[6])[0]
+    assert np.max(np.abs(in_t - full_rows)) <= 1e-14
+    assert x_counts.tolist() == [full0.zero_counts[2 * q],
+                                 full1.zero_counts[2 * p - 1]]
 
     full_table = cases.table(pq)
     assert report.n2_computed == weyl_N(full_table, 2.0)
@@ -480,22 +481,34 @@ def test_sin_phi_row_is_cos_x(pq, monkeypatch):
     1e-12 (measured: 8.4e-15 or less).  Its band partner, level 1 of
     sector q, has the same 2q zeros but lies farther than 1e-3 from it
     (measured: 3.4e-2 or more), so this tells the two apart where the
-    ``sin_phi_zero_count`` certificate cannot."""
+    ``sin_phi_zero_count`` certificate cannot.  So does the parity of
+    their vectors, sum_m c_m c_{-1-m} / sum_m c_m^2, +1 for sin(phi) and
+    -1 for the partner to 1e-14, which verify certifies as
+    ``sin_phi_row_is_even``."""
     sample, calls = _record_sample_rows(monkeypatch)
-    verify_theorem3(RotationNumber(*pq))
-    args = calls[0]
+    report = verify_theorem3(RotationNumber(*pq))
+    args = calls[0]     # row 0: sector q at l = 0; row 1: sector p at l = 1
     q, x_loc = pq[1], args[5]
     cos_x = np.cos(np.arange(2 * q * x_loc.size) * (math.pi / x_loc.size))
     cos_x /= np.linalg.norm(cos_x)
 
     def distance(coef):
-        row = sample(*args[:2], coef[None], *args[3:])[0][0]
+        row = sample(args[0], args[1][:1], coef[None], args[3][:1],
+                     args[4][:1], *args[5:])[0][0]
         row /= np.linalg.norm(row)
         return min(np.max(np.abs(row - cos_x)), np.max(np.abs(row + cos_x)))
+
+    def parity(coef):
+        return (coef[:-1] @ coef[-2::-1]) / (coef @ coef)
 
     partner = _named_levels(args[0], 0, (q - 1, q), q, 2)[1][0]
     assert distance(args[2][0]) <= 1e-12
     assert distance(partner) > 1e-3
+    assert abs(parity(args[2][0]) - 1.0) <= 1e-14
+    assert abs(parity(partner) + 1.0) <= 1e-14
+    cert = next(c for c in report.certificates
+                if c.name == "sin_phi_row_is_even")
+    assert (cert.lhs, cert.rhs, cert.passed) == (1.0, 1.0, True)
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
