@@ -5,7 +5,7 @@ Commands:
   solve        geometric data (a, b, c, t0, residual, functional) for one p/q
   verify       full counting verification with named certificates
   spectrum     assembled mode table below the cutoff
-  table        batch rows over p/q values
+  table        batch rows over p/q values, each with its verification status
   cross-check  2-D brute-force spectrum vs the separated assembly
   export-mesh  vertex grid of the immersed surface (CSV or OBJ)
 
@@ -162,19 +162,28 @@ def cmd_table(cfg, pairs) -> int:
         seen.add(r)
         unique.append(r)
 
+    header = ("p", "q", "a", "b", "t0", "N2", "lambda_functional",
+              "upper_bound", "status")
     rows = []
     for r in unique:
         try:
-            report = spectrum.verify_theorem3(r, raise_on_failure=True)
-        except VerificationFailed as exc:
-            _emit_report(cfg, exc.report)   # an OSError here is exit 2
-            raise
+            report = spectrum.verify_theorem3(r, raise_on_failure=False)
+        except NumericalFailure as exc:
+            rows.append((r.p, r.q, *[None] * 6, type(exc).__name__))
+            continue
+        bad = report.first_failure()
         rows.append((r.p, r.q, report.a, report.b, report.t0,
                      report.n2_computed, report.lambda_value,
-                     report.upper_bound))
-    header = ("p", "q", "a", "b", "t0", "N2", "lambda_functional",
-              "upper_bound")
-    _emit(cfg, [dict(zip(header, row)) for row in rows], rows=(header, rows))
+                     report.upper_bound, "ok" if bad is None else bad.name))
+    # A failed row's missing values are null in JSON and empty in CSV.
+    _emit(cfg, [dict(zip(header, row)) for row in rows],
+          rows=(header, [["" if v is None else v for v in row]
+                         for row in rows]))
+    failed = [f"{p}/{q} ({status})" for p, q, *_, status in rows
+              if status != "ok"]
+    if failed:
+        raise VerificationFailed(f"{len(failed)} of {len(rows)} table rows"
+                                 f" not ok: {', '.join(failed)}")
     return 0
 
 

@@ -37,9 +37,9 @@ class ResolutionTooCoarse(NumericalFailure):
 
 
 class IntegrationFailure(NumericalFailure):
-    """An adaptive quadrature of the period functions (omega and the two
-    half-periods) reached its panel limit with its error estimate still
-    above tolerance."""
+    """A tanh-sinh quadrature of the period functions (omega and the two
+    half-periods) reached its last level, 10, with two successive levels
+    still further apart than its tolerance."""
 
 
 class ConvergenceFailure(NumericalFailure):

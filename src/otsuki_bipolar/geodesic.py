@@ -19,12 +19,14 @@ All turning-point integrals are regularized before quadrature:
 
 which removes the square-root endpoint singularities.  The closure
 equation is solved on the closed elliptic form of xi, by Brent's method
-(``_brent``); omega and the half-periods of both geodesics are adaptive
-Gauss-Kronrod quadratures of the regularized integrands (``_integrate``,
-numpy-vectorized over the nodes), a second route to what the closed form
-and the charts give.  The substituted integrands are analytic and periodic,
-so the profiles integrate their Fourier series term by term
-(``_HalfChart``).
+(``_brent``); omega and the half-periods of both geodesics are tanh-sinh
+quadratures of the regularized integrands (``_integrate``), a second
+route to what the closed form and the charts give.  The rule's nodes
+x = tanh(pi/2 sinh t), |t| <= 3.8, crowd double-exponentially toward the
+interval ends, where the integrands' turning-point layers sit; each level
+halves the step in t, up to level 10, and f is called once per level on
+the new nodes.  The substituted integrands are analytic and periodic, so
+the profiles integrate their Fourier series term by term (``_HalfChart``).
 """
 
 from __future__ import annotations
@@ -111,102 +113,49 @@ class OtsukiSolution:
         return self.s_total / (2 * self.rotation.q)
 
 
-# QUADPACK's 21-point Gauss-Kronrod rule (dqk21): the Kronrod nodes on
-# [0, 1], the centre last, with their weights, and the weights of the
-# 10-point Gauss rule on every second node from the outermost.
-_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-        0.0)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208532029012, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
-# On [-1, 1], nodes ascending, as one matrix: a panel's 21 values of f
-# times it give the Kronrod sum, the Kronrod sum less the Gauss sum, the
-# 21 values themselves and their 21 deviations from half the Kronrod sum.
-_GK_NODES = np.array([-v for v in _XGK[:-1]] + list(_XGK[::-1]))
-_GK_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
-_G_WEIGHTS = np.zeros(21)
-_G_WEIGHTS[1:10:2] = _WG
-_G_WEIGHTS[11:20:2] = _WG[::-1]
-_GK_SUMS = np.column_stack([
-    _GK_WEIGHTS, _GK_WEIGHTS - _G_WEIGHTS, np.eye(21),
-    np.eye(21) - 0.5 * np.outer(_GK_WEIGHTS, np.ones(21))])
-# Nodes of the panel [lo, hi] as lo (1 - t)/2 + hi (1 + t)/2.
-_GK_ENDS = np.stack([0.5 * (1.0 - _GK_NODES), 0.5 * (1.0 + _GK_NODES)])
-_EPS = float(np.finfo(float).eps)
+# The tanh-sinh rule of Takahasi and Mori on [-1, 1]: nodes
+# x = tanh(pi/2 sinh t), weights pi/2 cosh t / cosh^2(pi/2 sinh t), on
+# t = m 2^-k with |t| <= 3.8.  Level k holds only the nodes new at step
+# 2^-k (odd m for k > 0), each as its side (t > 0: next to +1) and its
+# distance 1 - |x| = 1 / (e^u cosh u), u = pi/2 sinh|t|, from that end.
+# x rounds to +-1 from |t| ~ 3.2 on; the distance reaches 7e-31 at 3.8,
+# near enough that x^(-1/2) at an end loses under 1e-15 of its integral.
+def _tanh_sinh_level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    h = 2.0 ** -k
+    m = np.arange(-math.floor(3.8 / h), math.floor(3.8 / h) + 1)
+    t = h * (m if k == 0 else m[m % 2 == 1])
+    u = _HALF_PI * np.sinh(np.abs(t))
+    return (t > 0, 1.0 / (np.exp(u) * np.cosh(u)),
+            _HALF_PI * np.cosh(t) / np.cosh(u) ** 2)
 
 
-def _kronrod_panels(f, lo: list, hi: list) -> tuple[list, list]:
-    """The 21-point Kronrod value of each panel [lo[i], hi[i]] and
-    QUADPACK's error estimate of it (dqk21), from one call of f on every
-    node: |Kronrod - Gauss|, rescaled by the spread of f about its panel
-    mean, and at least 50 eps times the panel's integral of |f|."""
-    sums = f(np.array([lo, hi]).T @ _GK_ENDS) @ _GK_SUMS
-    n = len(lo)
-    size, spread = (np.abs(sums[:, 2:]).reshape(n, 2, 21) @ _GK_WEIGHTS).T
-    vals, errs = [], []
-    for left, right, (k, kg), ab, asc in zip(lo, hi, sums[:, :2].tolist(),
-                                             size.tolist(), spread.tolist()):
-        half = 0.5 * (right - left)
-        err, asc = half * abs(kg), half * asc
-        if asc != 0.0 and err != 0.0:
-            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-        vals.append(half * k)
-        errs.append(max(50.0 * _EPS * half * ab, err))
-    return vals, errs
+_TANH_SINH = [_tanh_sinh_level(k) for k in range(11)]
 
 
-def _integrate(f, a: float, b: float, epsabs: float, epsrel: float,
-               limit: int) -> float:
-    """Integral of the vectorized f over [a, b], a < b, by QUADPACK's
-    21-point Gauss-Kronrod rule, adaptively.
+def _integrate(f, a: float, b: float, epsabs: float, epsrel: float) -> float:
+    """Integral of the vectorized f over [a, b], a < b, by the tanh-sinh
+    rule, one level at a time.
 
-    While the panels' error estimates sum to more than
-    max(epsabs, epsrel |integral|), the fewest panels of largest error
-    whose errors cover the excess are halved, all of them in one call of
-    f.  QUADPACK halves the panel of largest error one at a time; where
-    each halving resolves its panel, as on the analytic integrands here,
-    it halves the same panels.  IntegrationFailure once ``limit`` panels
-    do not reach the tolerance.
+    Level k halves the step of level k - 1 and calls f once, on the new
+    nodes only; nodes that round onto a or b are left out, so f is never
+    called at an end.  The rule returns once two successive levels agree
+    within max(epsabs, epsrel |integral|), from level 3 on, and raises
+    IntegrationFailure when the last level (10) still misses that.
     """
-    lo, hi = [a], [b]
-    val, err = _kronrod_panels(f, lo, hi)
-    while True:
-        total = sum(val)
-        tol = max(epsabs, epsrel * abs(total))
-        excess = sum(err) - tol
-        if excess <= 0.0:
-            return total
-        room = limit - len(val)
-        if room <= 0:
-            raise IntegrationFailure(
-                f"quadrature over [{a:.17g}, {b:.17g}] keeps an error"
-                f" estimate of {excess + tol:.3e} at {limit} panels"
-                f" (tolerance {tol:.3e})")
-        split = []
-        for i in sorted(range(len(err)), key=err.__getitem__, reverse=True):
-            split.append(i)
-            excess -= err[i]
-            if excess <= 0.0 or len(split) == room:
-                break
-        mid = [0.5 * (lo[i] + hi[i]) for i in split]
-        new_lo = [lo[i] for i in split] + mid
-        new_hi = mid + [hi[i] for i in split]
-        new_val, new_err = _kronrod_panels(f, new_lo, new_hi)
-        keep = sorted(set(range(len(val))).difference(split))
-        lo = [lo[i] for i in keep] + new_lo
-        hi = [hi[i] for i in keep] + new_hi
-        val = [val[i] for i in keep] + new_val
-        err = [err[i] for i in keep] + new_err
+    half = 0.5 * (b - a)
+    total = 0.0
+    for level, (right, gap, weight) in enumerate(_TANH_SINH):
+        x = np.where(right, b - half * gap, a + half * gap)
+        inside = (a < x) & (x < b)
+        value = 0.5 * total + half * 2.0 ** -level * float(
+            weight[inside] @ f(x[inside]))
+        change, tol = abs(value - total), max(epsabs, epsrel * abs(value))
+        if level >= 3 and change <= tol:
+            return value
+        total = value
+    raise IntegrationFailure(
+        f"tanh-sinh quadrature over [{a:.17g}, {b:.17g}] still changes by"
+        f" {change:.3e} at level {level} (tolerance {tol:.3e})")
 
 
 def _brent(f, lo: float, hi: float, xtol: float, rtol: float,
@@ -283,7 +232,7 @@ def _omega_small_a(a: float) -> float:
         kernel = 1.0 / np.sqrt(_sinc(y) * _sinc(y + 4.0 * a))
         return c * (1.0 / np.cos(m) + 1.0 / np.sin(m)) * kernel
 
-    return _integrate(integrand, 0.0, u_max, 1e-14, 1e-13, 400)
+    return _integrate(integrand, 0.0, u_max, 1e-14, 1e-13)
 
 
 def _sinc(x):
@@ -312,7 +261,7 @@ def omega(a: float) -> float:
         nu = _nu_of_chi(cos_2a, chi)
         return c / (np.cos(nu) * np.sin(2.0 * nu))
 
-    return _integrate(integrand, 0.0, math.pi, 1e-13, 1e-13, 800)
+    return _integrate(integrand, 0.0, math.pi, 1e-13, 1e-13)
 
 
 def b_of_a(a: float) -> float:
@@ -424,7 +373,7 @@ def bipolar_half_period(b: float) -> float:
     of dt/dx = W (``radial_coefficients``) over x in [0, pi]."""
     b = in_interval(b, "b", 0.0, _HALF_PI, lo_closed=True)
     return _integrate(lambda x: radial_coefficients(b, x)[2], 0.0, math.pi,
-                      1e-13, 1e-13, 400)
+                      1e-13, 1e-13)
 
 
 def torus_half_period(a: float) -> float:
@@ -432,7 +381,7 @@ def torus_half_period(a: float) -> float:
     a = in_interval(a, "a", 0.0, _QUARTER_PI, hi_closed=True)
     cos_2a = math.cos(2.0 * a)
     return _integrate(lambda chi: math.pi * np.sin(_nu_of_chi(cos_2a, chi)),
-                      0.0, math.pi, 1e-13, 1e-13, 400)
+                      0.0, math.pi, 1e-13, 1e-13)
 
 
 def solve_rotation(r: RotationNumber) -> OtsukiSolution:
@@ -447,7 +396,10 @@ def solve_rotation(r: RotationNumber) -> OtsukiSolution:
     period functions disagree there.  The periods t0 and s_total are 2q
     times the half-periods by quadrature (``bipolar_half_period`` and
     ``torus_half_period``), a second route beside the closed form
-    2 pi i2(b) and the charts of ``GeodesicProfile``.
+    2 pi i2(b) and the charts of ``GeodesicProfile``.  All three
+    quadratures take the tanh-sinh rule of ``_integrate`` (|t| <= 3.8, at
+    most 10 levels) to 1e-13, and raise IntegrationFailure when its last
+    level misses that.
     """
     if not isinstance(r, RotationNumber):
         r = RotationNumber(*r)

@@ -14,6 +14,7 @@ import pytest
 import otsuki_bipolar
 from otsuki_bipolar import cli, geodesic, oracle, spectrum
 from otsuki_bipolar.cli import main
+from otsuki_bipolar.errors import ConvergenceFailure
 from otsuki_bipolar.immersion import read_mesh_csv
 
 
@@ -107,14 +108,47 @@ def test_table_json_is_a_list_of_row_objects(capsys):
     code, csv_out, _ = run(["table", "--pairs", "3/5,5/8"], capsys)
     assert code == 0
     rows = json.loads(out)
-    assert rows == [{k: json.loads(v) for k, v in row.items()}
+    assert rows == [{k: v if k == "status" else json.loads(v)
+                     for k, v in row.items()}
                     for row in csv.DictReader(csv_out.splitlines())]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
 
 
 def test_table_empty_batch(capsys):
     code, out, _ = run(["table", "--pairs", ","], capsys)
     assert code == 0
-    assert out.strip() == "p,q,a,b,t0,N2,lambda_functional,upper_bound"
+    assert out.strip() == "p,q,a,b,t0,N2,lambda_functional,upper_bound,status"
+
+
+def test_table_keeps_every_row_when_one_fails(monkeypatch, capsys):
+    """A row that fails numerically leaves the rows before and after it
+    as they print alone; its values are empty, its status names the
+    failure's class, and the batch is exit 1 with one line on stderr."""
+    verify = spectrum.verify_theorem3
+
+    def failing_at_5_8(r, **kwargs):
+        if (r.p, r.q) == (5, 8):
+            raise ConvergenceFailure("forced")
+        return verify(r, **kwargs)
+
+    alone = {pq: run(["table", "--pairs", pq], capsys)[1].splitlines()[1]
+             for pq in ("3/5", "4/7")}
+    monkeypatch.setattr(spectrum, "verify_theorem3", failing_at_5_8)
+    code, out, err = run(["table", "--pairs", "3/5,5/8,4/7"], capsys)
+    assert code == 1
+    assert err == ("error: 1 of 3 table rows not ok:"
+                   " 5/8 (ConvergenceFailure)\n")
+    lines = out.splitlines()
+    assert lines[1:] == [alone["3/5"], "5,8,,,,,,,ConvergenceFailure",
+                         alone["4/7"]]
+    assert alone["3/5"].endswith(",ok")
+    code, out, _ = run(["table", "--pairs", "3/5,5/8,4/7", "--format", "json"],
+                       capsys)
+    rows = json.loads(out)
+    assert code == 1 and [r["status"] for r in rows] == [
+        "ok", "ConvergenceFailure", "ok"]
+    assert rows[1] == {**dict.fromkeys(rows[1], None), "p": 5, "q": 8,
+                       "status": "ConvergenceFailure"}
 
 
 def test_export_mesh_csv(tmp_path, capsys):
@@ -438,7 +472,8 @@ _NONFINITE_CUTS = [(command, cut) for command in ("solve", "verify", "spectrum")
     (["spectrum", "--p", "3", "--q", "5", "--l-max", "5", "--lambda-cut", "6"],
      2, "radial window at l = 0"),
     (["table", "--pairs", "3/5"],
-     1, "certificate radial_eigenvalue_two_at_l0_position_2q failed"),
+     1, "1 of 1 table rows not ok: 3/5"
+        " (radial_eigenvalue_two_at_l0_position_2q)"),
     (["table", "--pairs", "3/5", "--out", "{tmp}/no/dir/table.csv"],
      2, "table.csv"),
     (["solve", "--p", "3", "--q", "5", "--config", "{tmp}/pq.cfg"],
@@ -514,13 +549,11 @@ def test_verify_beyond_the_mode_cap_names_l0(capsys):
 
 
 def test_quadrature_failure_exit_code(monkeypatch, capsys):
-    """A period quadrature that reaches its panel limit above tolerance
+    """A period quadrature that reaches its last level above tolerance
     raises IntegrationFailure, which is exit 3: the run stops rather than
-    go on with a result short of its tolerance."""
-    integrate = geodesic._integrate
-    monkeypatch.setattr(geodesic, "_integrate",
-                        lambda f, a, b, epsabs, epsrel, limit:
-                        integrate(f, a, b, epsabs, epsrel, 2))
+    go on with a result short of its tolerance.  Capped at level 2, the
+    rule never reaches level 3, the first at which it may stop."""
+    monkeypatch.setattr(geodesic, "_TANH_SINH", geodesic._TANH_SINH[:3])
     code, _, err = run(["verify", "--p", "3", "--q", "5"], capsys)
     assert code == 3
     assert err.startswith("error: IntegrationFailure: ")
@@ -691,7 +724,7 @@ print(json.dumps({"codes": codes, "loaded": loaded,
 def test_numpy_only_commands_do_not_import_scipy(tmp_path):
     """In a fresh interpreter, solve, verify, table, spectrum and
     export-mesh leave every scipy subpackage unloaded: the library's own
-    Carlson forms, Gauss-Kronrod rule and Brent root serve them.
+    Carlson forms, tanh-sinh rule and Brent root serve them.
     cross-check still runs, and loads scipy.linalg then."""
     src = os.path.dirname(os.path.dirname(otsuki_bipolar.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -90,10 +90,10 @@ def profile_integral_quadrature(b, power):
 
 
 def omega_numpy_quadrature(a):
-    """omega by the library's Gauss-Kronrod rule on integrands written out
-    here in numpy: the same charts, tolerances, panel limits and 0.05
-    branch point as ``omega``.  The rule's nodes are interior, so the
-    sinc arguments are never 0."""
+    """omega by the library's tanh-sinh rule on integrands written out
+    here in numpy: the same charts, tolerances and 0.05 branch point as
+    ``omega``.  The rule's nodes are interior, so the sinc arguments are
+    never 0."""
     c = math.sin(a) * math.cos(a)
     if a < 0.05:
         def f(u):
@@ -104,13 +104,13 @@ def omega_numpy_quadrature(a):
             return c * (1.0 / np.cos(m) + 1.0 / np.sin(m)) * kernel
 
         u_max = 2.0 * math.asinh(math.sqrt((0.5 * math.pi - 2.0 * a) / (4.0 * a)))
-        return geodesic._integrate(f, 0.0, u_max, 1e-14, 1e-13, 400)
+        return geodesic._integrate(f, 0.0, u_max, 1e-14, 1e-13)
 
     def g(chi):
         nu = 0.5 * np.arccos(math.cos(2.0 * a) * np.cos(chi))
         return c / (np.cos(nu) * np.sin(2.0 * nu))
 
-    return geodesic._integrate(g, 0.0, math.pi, 1e-13, 1e-13, 800)
+    return geodesic._integrate(g, 0.0, math.pi, 1e-13, 1e-13)
 
 
 def _mp_quad(f):
@@ -191,50 +191,61 @@ def test_omega_bitwise_equals_numpy_scalar_integrands(a):
 
 @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.049, 0.05, 0.3, 0.25 * math.pi])
 def test_omega_against_mpmath(a):
-    """The adaptive rule meets 1e-14 relative on both branches of omega;
+    """The tanh-sinh rule meets 1e-14 relative on both branches of omega;
     its own tolerance is 1e-13."""
     ref = omega_mpmath(a)
     assert abs(omega(a) - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize("pq", [(2, 3), (3, 5), (9, 16), (11, 16), (70, 99),
-                                (51, 101), (2500, 4999)])
+                                (51, 101), (2500, 4999), 1e-6, 1e-9, 1e-12])
 def test_period_quadratures_against_mpmath(pq):
     """omega and both half-periods at the solved a and b, against mpmath,
-    across the range from a = 2.9e-5 (2500/4999) to 0.77 (70/99)."""
-    sol = solve_rotation(RotationNumber(*pq))
-    for got, ref in ((omega(sol.a), omega_mpmath(sol.a)),
-                     (bipolar_half_period(sol.b),
-                      bipolar_half_period_mpmath(sol.b)),
-                     (torus_half_period(sol.a), torus_half_period_mpmath(sol.a))):
+    across the range from a = 2.9e-5 (2500/4999) to 0.77 (70/99), and at
+    a given a down to 1e-12, where the turning-point layers are narrowest."""
+    a = pq if isinstance(pq, float) else solve_rotation(RotationNumber(*pq)).a
+    b = b_of_a(a)
+    for got, ref in ((omega(a), omega_mpmath(a)),
+                     (bipolar_half_period(b), bipolar_half_period_mpmath(b)),
+                     (torus_half_period(a), torus_half_period_mpmath(a))):
         assert abs(got - ref) <= 1e-14 * ref, pq
 
 
-def test_gauss_kronrod_rule_is_exact_to_its_degree():
-    """The 21-point Kronrod rule integrates x^k exactly on [-1, 1] up to
-    k = 31, and its 10-point Gauss rule up to k = 19, on the Legendre
-    nodes; a wrong node or weight breaks one of these."""
-    nodes, kronrod = geodesic._GK_NODES, geodesic._GK_SUMS[:, 0]
-    gauss = kronrod - geodesic._GK_SUMS[:, 1]
-    for k in range(32):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert abs(kronrod @ nodes ** k - exact) <= 1e-15, k
-        if k < 20:
-            assert abs(gauss @ nodes ** k - exact) <= 1e-15, k
-    legendre, weights = np.polynomial.legendre.leggauss(10)
-    on = gauss != 0.0
-    assert np.allclose(nodes[on], legendre, rtol=0, atol=1e-15)
-    assert np.allclose(gauss[on], weights, rtol=0, atol=1e-15)
+def test_tanh_sinh_rule_integrates_end_singularities():
+    """An analytic integrand to rounding, and the integrable singularities
+    x^(-1/2) and log x at an end, which the rule's nodes approach to 7e-31
+    of the interval."""
+    integrate = geodesic._integrate
+    assert abs(integrate(np.exp, 0.0, 3.0, 1e-13, 1e-13)
+               - math.expm1(3.0)) <= 1e-15 * math.expm1(3.0)
+    assert abs(integrate(lambda x: x ** -0.5, 0.0, 1.0, 1e-13, 1e-13)
+               - 2.0) <= 2e-14
+    assert abs(integrate(np.log, 0.0, 1.0, 1e-13, 1e-13) + 1.0) <= 1e-14
 
 
-def test_integrate_raises_at_its_panel_limit():
-    """1/x is not integrable at 0: the panels there never meet the
-    tolerance, and the rule raises rather than return a value short of
-    it."""
-    with pytest.raises(IntegrationFailure, match="at 50 panels"):
-        geodesic._integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-13, 1e-13, 50)
-    assert geodesic._integrate(np.exp, 0.0, 3.0, 1e-13, 1e-13, 50) == (
-        pytest.approx(math.expm1(3.0), rel=1e-15))
+def test_tanh_sinh_rule_refines_past_levels_that_agree_by_chance():
+    """A polynomial that vanishes on every node of levels 0 and 1 reads 0
+    on both; the rule goes on from there and returns its integral.  The
+    nodes are symmetric, so the factor 2 + x keeps the integral off 0."""
+    seen = []
+    geodesic._integrate(lambda x: seen.append(x) or np.ones_like(x),
+                        -1.0, 1.0, 1e-13, 1e-13)
+    roots = np.concatenate(seen[:2])
+    poly = np.polynomial.Polynomial.fromroots(roots) * (2.0, 1.0)
+    exact = poly.integ()(1.0) - poly.integ()(-1.0)
+    assert abs(exact) > 1e-3
+    got = geodesic._integrate(
+        lambda x: (2.0 + x) * np.prod(x[:, None] - roots, axis=1),
+        -1.0, 1.0, 1e-13, 1e-13)
+    assert abs(got - exact) <= 1e-12 * abs(exact)
+
+
+def test_integrate_raises_at_its_level_cap():
+    """1/x is not integrable at 0: successive levels never agree, and the
+    rule raises at its last level rather than return a value short of its
+    tolerance."""
+    with pytest.raises(IntegrationFailure, match="at level 10 "):
+        geodesic._integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-13, 1e-13)
 
 
 @pytest.mark.parametrize("f, lo, hi", [
