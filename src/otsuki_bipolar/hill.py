@@ -20,24 +20,29 @@ counted without solving for them:
   cell's monodromy is M = R N^-1 R N (Magnus & Winkler, *Hill's
   Equation*), and the discriminant is Delta = tr M =
   2 (n11 n22 + n12 n21).
-* **Rotation number alpha(lambda).**  D, the number of zeros in (0, pi)
-  of the solution with h(0) = 0, is read from its Pruefer angle theta
-  (h = r sin theta, P h' = r cos theta, theta(0) = 0) as
-  ceil(theta(pi)/pi) - 1.  theta crosses each multiple of pi upward
-  only, so the angle counts every zero, also one inside the last step,
-  which sign changes of h at the step points inside (0, pi) miss; its
-  distance from a multiple of pi says how well D is resolved.  The n-th
-  Dirichlet eigenvalue lies in the n-th gap (Eastham, *The Spectral
-  Theory of Periodic Differential Equations*, ch. 3), so in a band
-  (|Delta| < 2) the band is n = D + 1, with alpha = n - 1 +
-  arccos(Delta/2)/pi for odd n and n - arccos(Delta/2)/pi for even n; in
-  a gap, alpha is its index g, the one of D and D + 1 with sign
-  Delta = (-1)^g.
-* **Sector counts.**  With kappa folded into [0, 1], level n of a sector
-  has alpha_n(kappa) = n - 1 + kappa for odd n and n - kappa for even n,
-  and a sector counts the n with alpha_n(kappa) < alpha(lambda).  Inside
-  gap g this misses the top edge of band g, whose alpha is g itself
-  (kappa = 1 for odd g, kappa = 0 for even g), so that level is added.
+* **Edges and bands.**  A band edge is a level of sector kappa = 0
+  (periodic) or 1 (antiperiodic).  Under x -> pi - x such a level is
+  even or odd about 0 and about pi/2, so it is a level of one of four
+  problems on the half cell, Dirichlet (D) or Neumann (N) at 0 and at
+  pi/2: kappa = 0 holds the N-N and D-D levels, kappa = 1 the N-D and
+  D-N ones (Eastham, *The Spectral Theory of Periodic Differential
+  Equations*, ch. 3).  The Pruefer angle (h = r sin theta,
+  P h' = r cos theta) at pi/2 rises with lambda, and passes a multiple
+  of pi/2 at each level of its solution's problems: theta_d, of the
+  solution with (h, P h')(0) = (0, 1) from theta = 0, has
+  a = floor(2 theta_d/pi) D-N and D-D levels below lambda, alternating
+  from D-N; theta_n, of (1, 0) from pi/2, has b = floor(2 theta_n/pi)
+  N-N and N-D levels, alternating from N-N.  Unwrapped over every step
+  point, the angle counts a zero inside the last step too, which sign
+  changes of h at the step points miss, and its distance from a
+  multiple of pi/2 says how well the count is resolved.  So kappa = 0
+  holds ceil(b/2) + floor(a/2) levels below lambda and kappa = 1
+  floor(b/2) + ceil(a/2).  Every other sector (kappa folded into
+  (0, 1)) has one level in each band, where arccos(Delta/2)/pi = kappa,
+  and that turn rises across odd bands and falls across even ones.
+  With a + b edges below lambda, it holds floor((a + b)/2) levels, and
+  one more if a + b is odd (lambda inside band n = (a + b + 1)/2) and
+  the turn at lambda has passed kappa.
 
 ``count`` totals the levels of the bipolar surface's sectors
 (``surface_sectors``) at l = 0 and 1, with the step count resolved from
@@ -59,7 +64,8 @@ from .errors import ConvergenceFailure, DomainError, in_interval
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 _FIRST_STEPS = 256      # Magnus steps per cell of the first size tried
 _MAX_STEPS = 2 ** 14    # the finer size at which an unresolved count stops
-_RESOLVED = 10.0        # distance to a band edge or zero, in its changes
+_RESOLVED = 10.0        # distance to a half-cell level, in its changes
+_ROUNDING = 1e-12       # the angles' rounding, added to each change
 
 
 def _commutator(x, y):
@@ -135,64 +141,45 @@ def _prefix_products(m):
 
 
 def monodromy(coefficients, l, lam, steps: int):
-    """Delta = tr M and the Pruefer angle theta(pi) of each (l, lambda).
+    """Delta = tr M and the Pruefer angles theta_d and theta_n at pi/2 of
+    each (l, lambda).
 
     ``l`` and ``lam`` are equal-length sequences of pairs, and ``steps``
     the Magnus steps per cell, of which the half cell [0, pi/2] takes
     steps/2.  With N = Phi(pi/2) and R = diag(1, -1), M = R N^-1 R N
-    and Delta = 2 (n11 n22 + n12 n21).  The
-    solution with h(0) = 0, P h'(0) = 1 is Phi(x) e2 on [0, pi/2], the
-    second column of every prefix product, and on [pi/2, pi] it is
-    y(pi - x) = R Phi(x) c with c = N^-1 R N e2 =
-    (2 n12 n22, -(n11 n22 + n12 n21)), read from the same prefix
-    products; so its angle is known at all ``steps`` step points of the
-    cell.  Consecutive angles differ by less than pi at any resolved
-    step count (``count`` checks theta against twice the steps), and
-    their principal differences sum to theta(pi).  DomainError if P, S
-    or W is not even about pi/2, or ``steps`` is odd.
+    and Delta = 2 (n11 n22 + n12 n21).  The solutions with (h, P h')(0)
+    = (0, 1) and (1, 0) are the second and first columns of every prefix
+    product; theta_d starts from 0 and theta_n from pi/2, and each is
+    the sum of the principal differences of its angles at the step
+    points, which differ by less than pi at any resolved step count
+    (``count`` checks both angles against twice the steps).
+    DomainError if P, S or W is not even about pi/2, or ``steps`` is odd.
     """
     m = _prefix_products(_steps(coefficients, l, lam, steps))
-    n11, n12, n21, n22 = (v[:, -1:] for v in m)
-    cross = n11 * n22 + n12 * n21
-    c1, c2 = 2.0 * n12 * n22, -cross
-    # (h, P h') at pi - x_j is (u, -v) for (u, v) = Phi(x_j) c: taken at
-    # x_j for j = steps/2 - 1 down to 1, and at x = 0, where it is R c.
-    e11, e12, e21, e22 = (v[:, -2::-1] for v in m)
-    angle = np.concatenate((np.arctan2(m[1], m[3]),
-                            np.arctan2(e11 * c1 + e12 * c2,
-                                       -(e21 * c1 + e22 * c2)),
-                            np.arctan2(c1, -c2)), axis=1)
-    turn = np.diff(angle, prepend=0.0, axis=1)
-    theta = np.sum(turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi)),
-                   axis=1)
-    return 2.0 * cross[:, 0], theta
+    thetas = []
+    for h, ph, start in ((m[1], m[3], 0.0), (m[0], m[2], 0.5 * math.pi)):
+        turn = np.diff(np.arctan2(h, ph), prepend=start, axis=1)
+        thetas.append(start + np.sum(
+            turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi)), axis=1))
+    n11, n12, n21, n22 = (v[:, -1] for v in m)
+    return (2.0 * (n11 * n22 + n12 * n21), *thetas)
 
 
-def rotation_number(delta, theta):
-    """alpha(lambda) and the gap index (-1 in a band) from Delta and theta."""
-    delta, theta = np.asarray(delta, float), np.asarray(theta, float)
-    dirichlet = np.ceil(theta / math.pi).astype(int) - 1
-    band = dirichlet + 1
-    turn = np.arccos(np.clip(0.5 * delta, -1.0, 1.0)) / math.pi
-    in_band = np.abs(delta) < 2.0
-    gap = np.where(np.where(dirichlet % 2, -1.0, 1.0) == np.sign(delta),
-                   dirichlet, dirichlet + 1)
-    alpha = np.where(in_band, np.where(band % 2, band - 1 + turn, band - turn),
-                     gap)
-    return alpha, np.where(in_band, -1, gap)
-
-
-def level_counts(kappa, alpha: float, gap: int) -> np.ndarray:
+def level_counts(kappa, delta: float, theta_d: float,
+                 theta_n: float) -> np.ndarray:
     """Levels below lambda in each Bloch sector kappa (in [0, 2)), where
-    alpha(lambda) = ``alpha`` and ``gap`` is its gap index, or -1."""
+    Delta(lambda) = ``delta`` and the Pruefer angles at pi/2 are
+    ``theta_d`` and ``theta_n`` (``monodromy``)."""
     kappa = np.asarray(kappa, dtype=float)
     folded = np.minimum(kappa, 2.0 - kappa)
-    n = np.arange(1, math.floor(alpha) + 2)
-    level_alpha = np.where(n % 2, n - 1 + folded[:, None], n - folded[:, None])
-    counts = np.sum(level_alpha < alpha, axis=1)
-    if gap >= 1:        # the top edge of band g, at alpha = g
-        counts += folded == (1.0 if gap % 2 else 0.0)
-    return counts
+    a = math.floor(2.0 * theta_d / math.pi)
+    b = math.floor(2.0 * theta_n / math.pi)
+    bands, inside = divmod(a + b, 2)
+    turn = math.acos(min(max(0.5 * delta, -1.0), 1.0)) / math.pi
+    passed = folded > turn if bands % 2 else folded < turn
+    return np.where(folded == 0.0, (b + 1) // 2 + a // 2,
+                    np.where(folded == 1.0, b // 2 + (a + 1) // 2,
+                             bands + (inside & passed)))
 
 
 def surface_sectors(q: int, l: int) -> np.ndarray:
@@ -209,23 +196,25 @@ def surface_sectors(q: int, l: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HillCount:
-    """Resolved rotation numbers at l = 0, 1 and every lambda of ``count``.
+    """Resolved Hill data at l = 0, 1 and every lambda of ``count``.
 
-    ``alpha[l, j]`` and ``gap[l, j]`` belong to l and ``lams[j]``;
-    ``totals[j]`` is N(lams[j]), each level at l = 1 counted twice (the
-    cos and sin angular factors).  ``steps`` is the finer of the two step
-    counts per cell that agreed.
+    ``delta[l, j]``, ``theta_d[l, j]`` and ``theta_n[l, j]`` belong to l
+    and ``lams[j]`` (``monodromy``); ``totals[j]`` is N(lams[j]), each
+    level at l = 1 counted twice (the cos and sin angular factors).
+    ``steps`` is the finer of the two step counts per cell that agreed.
     """
 
     lams: tuple
-    alpha: np.ndarray
-    gap: np.ndarray
+    delta: np.ndarray
+    theta_d: np.ndarray
+    theta_n: np.ndarray
     totals: tuple
     steps: int
 
     def levels(self, l: int, j: int, kappa) -> np.ndarray:
         """``level_counts`` of the sectors kappa at l and lams[j]."""
-        return level_counts(kappa, self.alpha[l, j], int(self.gap[l, j]))
+        return level_counts(kappa, self.delta[l, j], self.theta_d[l, j],
+                            self.theta_n[l, j])
 
 
 def count(coefficients, q: int, lams) -> HillCount:
@@ -235,10 +224,11 @@ def count(coefficients, q: int, lams) -> HillCount:
     Every lambda must be a number of at most 4, else DomainError: no level
     of l >= 2 lies below 4 (S/W >= 1), and N counts strictly below lambda.
     Steps per cell start at 256 and double until the totals at n and 2n
-    steps agree and, at every (l, lambda), both |Delta - 2| and
-    |Delta + 2| and the distance of theta(pi) from a multiple of pi
-    exceed ten times their change between n and 2n.  ConvergenceFailure
-    if that does not happen by 2n = 16384.
+    steps agree and, at every (l, lambda), the distance of theta_d and of
+    theta_n from a multiple of pi/2 exceeds ten times their change
+    between n and 2n plus a rounding floor, 1e-12: on a level of a
+    half-cell problem both are rounding.  ConvergenceFailure if that does
+    not happen by 2n = 16384.
     """
     lams = tuple(in_interval(v, "lambda", -math.inf, 4.0, hi_closed=True)
                  for v in lams)
@@ -247,30 +237,26 @@ def count(coefficients, q: int, lams) -> HillCount:
     sectors = [surface_sectors(q, l) for l in (0, 1)]
 
     def measure(steps):
-        delta, theta = monodromy(coefficients, l_pairs, lam_pairs, steps)
-        alpha, gap = (v.reshape(2, len(lams))
-                      for v in rotation_number(delta, theta))
+        data = [v.reshape(2, len(lams)) for v in
+                monodromy(coefficients, l_pairs, lam_pairs, steps)]
         totals = tuple(
-            sum((1 + l) * int(np.sum(level_counts(sectors[l], alpha[l, j],
-                                                  gap[l, j])))
-                for l in (0, 1))
+            sum((1 + l) * int(np.sum(level_counts(
+                sectors[l], *(v[l, j] for v in data)))) for l in (0, 1))
             for j in range(len(lams)))
-        return delta, theta, alpha, gap, totals
+        return HillCount(lams, *data, totals, steps)
 
-    steps = _FIRST_STEPS
-    coarse = measure(steps)
+    coarse = measure(_FIRST_STEPS)
     while True:
-        fine = measure(2 * steps)
-        delta, theta = fine[:2]
-        edge = np.minimum(np.abs(delta - 2.0), np.abs(delta + 2.0))
-        zero = np.abs(theta - math.pi * np.round(theta / math.pi))
-        if (fine[4] == coarse[4]
-                and np.all(edge > _RESOLVED * np.abs(delta - coarse[0]))
-                and np.all(zero > _RESOLVED * np.abs(theta - coarse[1]))):
-            return HillCount(lams=lams, alpha=fine[2], gap=fine[3],
-                             totals=fine[4], steps=2 * steps)
-        if 2 * steps >= _MAX_STEPS:
+        fine = measure(2 * coarse.steps)
+        angles = np.stack((fine.theta_d, fine.theta_n))
+        change = np.abs(angles - np.stack((coarse.theta_d, coarse.theta_n)))
+        quarter = 0.5 * math.pi
+        edge = np.abs(angles - quarter * np.round(angles / quarter))
+        if (fine.totals == coarse.totals
+                and np.all(edge > _RESOLVED * (change + _ROUNDING))):
+            return fine
+        if fine.steps >= _MAX_STEPS:
             raise ConvergenceFailure(
-                f"Hill count at q = {q} not resolved at {2 * steps} Magnus"
-                f" steps per cell: totals {coarse[4]} and {fine[4]}")
-        steps, coarse = 2 * steps, fine
+                f"Hill count at q = {q} not resolved at {fine.steps} Magnus"
+                f" steps per cell: totals {coarse.totals} and {fine.totals}")
+        coarse = fine

@@ -727,13 +727,15 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
       half the smallest of the five gaps at 2 that the named sectors
       measure (the levels either side of 2 at l = 0 and 1, and the l = 2
       ground).
-      The rule counts, per sector, the levels whose rotation number lies
-      below alpha(lambda), with two traps: inside a gap the top edge of
-      the band below has alpha equal to the gap index and must be added
-      (without it every count is one low), and the Dirichlet zero count
-      is read from the Pruefer angle, not from sign changes at the step
-      points inside (0, pi), which miss a zero inside the last step
-      where the l = 0 gap below 2 nearly closes (41/58 and 70/99).
+      The rule counts edges crossed: every band edge is a level of one
+      of the four Dirichlet/Neumann problems on [0, pi/2], and the
+      Pruefer angles at pi/2 of the solutions from (h, P h') = (0, 1)
+      and (1, 0) cross a multiple of pi/2 at each of them.  The edges
+      below lambda fill sectors 0 and 1 and name the band that holds
+      lambda; in any other sector that band's level is below lambda once
+      arccos(Delta/2)/pi has passed kappa.  The angles also count a zero
+      inside the last step, which sign changes of h at the step points
+      miss, where the l = 0 gap below 2 nearly closes (41/58 and 70/99).
     * **Consistency.**  Each named sector's Galerkin count below 2 - delta
       and below 2 + delta must equal the Hill count of its kappa, else
       CountMismatch (exit 3).
@@ -741,16 +743,9 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     No sampled profile is built, no other sector is solved and
     ``assemble`` is not called, so ``grid_size``, ``l_max``,
     ``samples_per_half_period`` and ``lambda_cut`` are ignored.  ``r``
-    may be any (p, q) pair.  The cost no longer grows as q (2M + 1)^2;
-    through the CLI, on a 2-core host with one BLAS thread:
-
-        p/q       time          peak RSS
-        126/251   0.35-0.41 s   44 MB
-        250/499   0.48-0.52 s   56 MB
-        500/999   0.80-0.82 s   75 MB
-
-    1000/1999 stops with ConvergenceFailure at l = 0: its named sectors
-    still move at M = 256.
+    may be any (p, q) pair.  The cost no longer grows as q (2M + 1)^2
+    (README, "Cost").  1000/1999 stops with ConvergenceFailure at l = 0:
+    its named sectors still move at M = 256.
     """
     if not isinstance(r, RotationNumber):
         r = RotationNumber(*r)

@@ -1,5 +1,6 @@
-"""The Hill-discriminant count: monodromy, rotation number, sector counts."""
+"""The Hill-discriminant count: monodromy, half-cell edges, sector counts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,12 @@ from otsuki_bipolar.geodesic import (
     radial_coefficients,
     solve_rotation,
 )
-from otsuki_bipolar.spectrum import assemble, expected_n2, weyl_N
+from otsuki_bipolar.spectrum import (
+    assemble,
+    expected_n2,
+    solve_radial,
+    weyl_N,
+)
 
 # Far below every gap at 2 for q <= 300 (the smallest, the l = 1 gaps
 # near 1/2, is ~1e-6 at q = 300).
@@ -41,15 +47,18 @@ def test_trace_at_two_is_closed_form(pq):
     and the l = 1 coordinate pair has multiplier e^{+-i pi p/q}, so
     tr M(2) is -2 at l = 0 and 2 cos(pi p/q) at l = 1 (measured at 1024
     steps: at most 1.3e-14 and 8.9e-13)."""
-    delta, _ = hill.monodromy(_coefficients(pq), [0, 1], [2.0, 2.0], 1024)
+    delta, _, _ = hill.monodromy(_coefficients(pq), [0, 1], [2.0, 2.0],
+                                 1024)
     assert abs(delta[0] + 2.0) <= 1e-13
     assert abs(delta[1] - 2.0 * math.cos(math.pi * pq[0] / pq[1])) <= 1e-11
 
 
 def _full_cell(coefficients, l, lam, steps):
-    """Delta and theta(pi) from ``steps`` Magnus steps over the whole cell,
-    without the reflection: tr M of the last prefix product, and theta
-    summed from the angles of every prefix's second column.
+    """Delta and the Pruefer angles at pi of (h, P h')(0) = (0, 1), from
+    0, and of (1, 0), from pi/2, by ``steps`` Magnus steps over the whole
+    cell, without the reflection: tr M of the last prefix product, and
+    each angle summed over the step points from its column of every
+    prefix.
 
     The cell x in [0, pi) is y = x/2 in [0, pi/2], where y' = 2 A(2y) y
     has the coefficients P(2y)/2, 2 S(2y) and 2 W(2y), also even about
@@ -60,10 +69,12 @@ def _full_cell(coefficients, l, lam, steps):
         return 0.5 * p, 2.0 * s, 2.0 * w
 
     m = hill._prefix_products(hill._steps(stretched, l, lam, 2 * steps))
-    turn = np.diff(np.arctan2(m[1], m[3]), prepend=0.0, axis=1)
-    return (m[0][:, -1] + m[3][:, -1],
-            np.sum(turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi)),
-                   axis=1))
+    thetas = []
+    for h, ph, start in ((m[1], m[3], 0.0), (m[0], m[2], 0.5 * math.pi)):
+        turn = np.diff(np.arctan2(h, ph), prepend=start, axis=1)
+        thetas.append(start + np.sum(
+            turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi)), axis=1))
+    return (m[0][:, -1] + m[3][:, -1], *thetas)
 
 
 @pytest.mark.parametrize("steps", [512, 1024])
@@ -71,21 +82,27 @@ def _full_cell(coefficients, l, lam, steps):
                                 (126, 251)])
 def test_half_cell_is_the_full_cell(pq, steps):
     """The monodromy rebuilt from [0, pi/2] by the reflection x -> pi - x
-    gives the full cell's Delta to 2e-13 (relative where |Delta| > 1) and
-    its theta(pi) to 1e-12, in bands and gaps at l = 0 and 1.  Both carry
-    the rounding of their prefix products, which grows with the entries
-    of Phi: they differ most at l = 1 next to 2 on 126/251, where those
-    reach 54, by 1.05e-13 in Delta (512 steps) and 3.8e-13 in theta, and
-    at 1024 against 2048 steps tr M(2) there is off the closed form by
-    2e-13 to 9e-13 either way."""
+    gives the full cell's Delta to 2e-13 (relative where |Delta| > 1), in
+    bands and gaps at l = 0 and 1.  Both carry the rounding of their
+    prefix products, which grows with the entries of Phi: they differ
+    most at l = 1 next to 2 on 126/251, where those reach 54, by 1.05e-13
+    (512 steps).  The reflection also splits the whole cell's Dirichlet
+    levels into the half cell's D-D and D-N ones, and its Neumann levels
+    into N-N and N-D: a = floor(2 theta_d/pi) is the full cell's
+    Dirichlet count ceil(theta(pi)/pi) - 1, and b = floor(2 theta_n/pi)
+    its Neumann count floor(theta_N(pi)/pi + 1/2)."""
     lams = [0.5, 1.0, 1.5, 2.0 - DELTA, 2.0 + DELTA, 2.5, 3.0, 3.5, 4.0]
     l = np.repeat([0, 1], len(lams))
     lam = np.tile(lams, 2)
-    half = hill.monodromy(_coefficients(pq), l, lam, steps)
-    full = _full_cell(_coefficients(pq), l, lam, steps)
-    assert np.all(np.abs(half[0] - full[0])
-                  <= 2e-13 * np.maximum(1.0, np.abs(full[0])))
-    assert np.max(np.abs(half[1] - full[1])) <= 1e-12
+    delta, theta_d, theta_n = hill.monodromy(_coefficients(pq), l, lam,
+                                             steps)
+    full_delta, full_d, full_n = _full_cell(_coefficients(pq), l, lam, steps)
+    assert np.all(np.abs(delta - full_delta)
+                  <= 2e-13 * np.maximum(1.0, np.abs(full_delta)))
+    assert np.array_equal(np.floor(2.0 * theta_d / math.pi),
+                          np.ceil(full_d / math.pi) - 1.0)
+    assert np.array_equal(np.floor(2.0 * theta_n / math.pi),
+                          np.floor(full_n / math.pi + 0.5))
 
 
 def test_monodromy_needs_coefficients_even_about_half_the_cell():
@@ -118,47 +135,74 @@ def test_magnus_steps_are_sixth_order():
 @pytest.mark.parametrize("l", [0, 1])
 @pytest.mark.parametrize("k", [0.3, 1.3, 2.7, 3.5])
 def test_constant_coefficients_rotate_at_their_wave_number(k, l):
-    """With P = S = W = 1 every gap is closed and h = sin(kx)/k for
-    k = sqrt(lambda - l^2): its multiplier is e^{i pi k}, its Pruefer
-    angle (h = r sin theta, h' = r cos theta) at pi is m pi +
-    atan2(sin(r)/k, cos(r)) for m = round(k) and r = k pi - m pi, not a
-    count of sign changes, and alpha(lambda) = k in odd and even bands
-    alike."""
+    """With P = S = W = 1 every gap is closed, Delta = 2 cos(pi k) for
+    k = sqrt(lambda - l^2), and the half-cell levels are exact: sin(k'x)
+    is D-N or D-D for k' = 1, 2, ..., and cos(k'x) N-N or N-D for
+    k' = 0, 1, ....  So a = floor(k) and b = floor(k) + 1.  The angles
+    at pi/2 of sin(kx)/k and cos(kx) are m pi + atan2(sin(r)/k, cos(r))
+    and pi/2 + m pi + atan2(k sin(r), cos(r)), for m = round(k/2) and
+    r = pi (k/2 - m): not counts of sign changes."""
     lam = k * k + l * l
-    delta, theta = hill.monodromy(_constant, [l], [lam], 256)
+    delta, theta_d, theta_n = hill.monodromy(_constant, [l], [lam], 256)
     assert abs(delta[0] - 2.0 * math.cos(math.pi * k)) <= 1e-13
-    m = round(k)
-    r = math.pi * (k - m)
-    exact = m * math.pi + math.atan2(math.sin(r) / k, math.cos(r))
-    assert abs(theta[0] - exact) <= 1e-12
-    alpha, gap = hill.rotation_number(delta, theta)
-    assert abs(alpha[0] - k) <= 1e-12 and gap[0] == -1
+    m = round(k / 2.0)
+    r = math.pi * (k / 2.0 - m)
+    assert abs(theta_d[0] - m * math.pi
+               - math.atan2(math.sin(r) / k, math.cos(r))) <= 1e-12
+    assert abs(theta_n[0] - (m + 0.5) * math.pi
+               - math.atan2(k * math.sin(r), math.cos(r))) <= 1e-12
+    assert math.floor(2.0 * theta_d[0] / math.pi) == math.floor(k)
+    assert math.floor(2.0 * theta_n[0] / math.pi) == math.floor(k) + 1
 
 
-@pytest.mark.parametrize("delta, theta, alpha", [
-    (3.0, 0.2 * math.pi, 0),        # below band 1
-    (-2.5, 0.5 * math.pi, 1),       # gap 1, below its Dirichlet level
-    (-2.5, 1.2 * math.pi, 1),       # gap 1, above it
-    (2.5, 1.5 * math.pi, 2),
-    (2.5, 2.5 * math.pi, 2),
-    (-2.5, 2.5 * math.pi, 3),
+@pytest.mark.parametrize("a, b, delta, counts", [
+    (0, 0, 3.0, [0] * 10),                              # below band 1
+    (0, 1, 0.0, [1, 1, 1, 0, 0, 0, 0, 0, 1, 1]),        # band 1
+    (1, 1, -2.5, [1] * 10),         # gap 1, its D-N edge below lambda
+    (0, 2, -2.5, [1] * 10),         # gap 1, its N-D edge below lambda
+    (1, 2, 0.0, [1, 1, 1, 2, 2, 2, 2, 2, 1, 1]),        # band 2
+    (1, 3, 2.5, [2] * 10),          # gap 2, its N-N edge below lambda
+    (2, 2, 2.5, [2] * 10),          # gap 2, its D-D edge below lambda
+    (2, 3, 2.0 * math.cos(0.3 * math.pi),               # band 3
+     [3, 3, 2, 2, 2, 2, 2, 2, 2, 3]),
+    (3, 3, -2.5, [3] * 10),                             # gap 3
 ])
-def test_gap_index_from_the_sign_of_delta(delta, theta, alpha):
-    """In a gap alpha is its index g, the one of D and D + 1 (D the
-    Dirichlet zero count) with sign Delta = (-1)^g."""
-    got, gap = hill.rotation_number([delta], [theta])
-    assert got[0] == alpha and gap[0] == alpha
-
-
-def test_level_counts_add_the_top_edge_of_the_gap_band():
-    """Inside gap 1 every sector of 3/5 holds one level below (band 1),
-    the sector kappa = 1 by its top edge; inside gap 2 each holds two,
-    kappa = 0 by the top edge of band 2."""
+def test_level_counts_from_the_half_cell_edges(a, b, delta, counts):
+    """The sectors of 3/5 (kappa = k/5, k < 10), with lambda between
+    half-cell levels, a D-N and D-D levels and b N-N and N-D levels below
+    it: kappa = 0 holds ceil(b/2) + floor(a/2) levels, kappa = 1
+    floor(b/2) + ceil(a/2), so a gap's top edge is counted in its own
+    sector, and inside band n (a + b odd) the level of kappa is below
+    lambda when kappa lies below arccos(Delta/2)/pi (odd n) or above it
+    (even n)."""
     kappa = hill.surface_sectors(5, 0)
-    assert hill.level_counts(kappa, 1.0, 1).tolist() == [1] * 10
-    assert hill.level_counts(kappa, 2.0, 2).tolist() == [2] * 10
-    in_band = hill.level_counts(kappa, 1.5, -1)     # band 2 at kappa 0.5
-    assert in_band.tolist() == [1, 1, 1, 2, 2, 2, 2, 2, 1, 1]
+    got = hill.level_counts(kappa, delta, (a + 0.5) * math.pi / 2.0,
+                            (b + 0.5) * math.pi / 2.0)
+    assert got.tolist() == counts
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+def test_level_counts_of_constant_coefficients(l):
+    """A census with P = S = W = 1, where every gap is closed: sector
+    kappa has the levels (kappa + 2m)^2 + l^2, and ``level_counts`` from
+    ``monodromy`` at 512 steps counts them exactly in every sector k/q,
+    k < 2q, of q = 1, 2, 3, 5 and 7, on a lambda grid of step 0.075 in
+    (0, 30] less the points within 1e-6 of a level."""
+    qs = (1, 2, 3, 5, 7)
+    kappas = [np.arange(2 * q) / q for q in qs]
+    wave = np.concatenate(kappas)[:, None] + 2.0 * np.arange(-3, 4)
+    levels = wave.ravel() ** 2 + l * l
+    grid = np.linspace(0.0, 30.0, 401)[1:]
+    lams = grid[np.min(np.abs(grid[:, None] - levels), axis=1) >= 1e-6]
+    assert lams.size >= 390
+    delta, theta_d, theta_n = hill.monodromy(_constant, [l] * lams.size,
+                                             lams, 512)
+    for kappa in kappas:
+        exact = ((kappa[:, None] + 2.0 * np.arange(-3, 4)) ** 2 + l * l)
+        for j, lam in enumerate(lams):
+            got = hill.level_counts(kappa, delta[j], theta_d[j], theta_n[j])
+            assert np.array_equal(got, np.sum(exact < lam, axis=1)), (
+                kappa, lam)
 
 
 def test_surface_sectors_follow_the_parity_of_q():
@@ -195,6 +239,28 @@ def test_count_is_the_closed_form_q_up_to_300():
     assert len(fractions) == 5675
     for pq in fractions:
         _count_is_the_closed_form(pq)
+
+
+@pytest.mark.sweep
+def test_levels_match_galerkin_in_every_sector_q_up_to_40():
+    """On all 100 reduced p/q with q <= 40, at l = 0 and 1 and lambda =
+    2 -+ DELTA, ``HillCount.levels`` of every Bloch sector k/q, k < 2q,
+    not only the surface's or verify's named ones, is the number of
+    ``solve_radial``'s values-only rows of sector k below lambda."""
+    fractions = _reduced_fractions(40)
+    assert len(fractions) == 100
+    for pq in fractions:
+        sol = solve_rotation(RotationNumber(*pq))
+        q = pq[1]
+        counted = hill.count(_coefficients(pq), q, (2.0 - DELTA, 2.0 + DELTA))
+        for l in (0, 1):
+            rows = solve_radial(sol, None, l, 2048, sampled_sectors=())
+            for j, lam in enumerate(counted.lams):
+                galerkin = [np.sum((rows.sectors == k)
+                                   & (rows.eigenvalues < lam))
+                            for k in range(2 * q)]
+                hill_levels = counted.levels(l, j, np.arange(2 * q) / q)
+                assert hill_levels.tolist() == galerkin, (pq, l, lam)
 
 
 @pytest.mark.parametrize("pq, steps", [((1000, 1999), 1024),
@@ -240,8 +306,8 @@ def test_count_mismatch_is_exit_3(monkeypatch, capsys):
 
     def shifted(*args, **kwargs):
         counted = count(*args, **kwargs)
-        return hill.HillCount(counted.lams, counted.alpha + 0.5, counted.gap,
-                              counted.totals, counted.steps)
+        return dataclasses.replace(counted,
+                                   theta_d=counted.theta_d + 0.5 * math.pi)
 
     monkeypatch.setattr(spec_mod.hill, "count", shifted)
     code = cli.main(["verify", "--p", "3", "--q", "5"])

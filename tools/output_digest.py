@@ -33,15 +33,16 @@ this file and prints one ``sha256 command input`` line per output:
     ``table --format json`` run over the same p/q under that file: verify
     and table read neither setting, so these match the default bytes;
   * the empty ``table --pairs ,`` in every format;
-  * export-mesh's stdout: the ``wrote`` line of each mesh run above
-    (label ``-stdout``), and its json and csv summaries at 8x8 vertices
-    with q <= 20.
+  * export-mesh's stdout and stderr: the ``wrote`` line of each mesh
+    run above (label ``-stdout``), and its json and csv summaries at 8x8
+    vertices with q <= 20.
 
-Each digest covers the exit code and the bytes written: stdout, or the
-mesh file for ``export-mesh``.  Meshes are written to relative paths in
-a temporary working directory, so the paths that export-mesh prints do
-not change between runs.  Two trees produce the same outputs when their
-listings are identical:
+Each digest covers the exit code and the bytes written: stdout and
+stderr, or the mesh file for ``export-mesh``.  So a changed error or
+warning line shows, such as the exit-3 message of 1000/1999.  Meshes are
+written to relative paths in a temporary working directory, so the paths
+that export-mesh prints do not change between runs.  Two trees produce
+the same outputs when their listings are identical:
 
     python3 tools/output_digest.py > after.txt
     diff before.txt after.txt
@@ -77,11 +78,12 @@ def fractions(q_max: int) -> list[tuple[int, int]]:
 
 
 def digest(argv: list[str], out_file: Path | None = None):
-    """SHA-256 of the exit code with ``out_file`` if given, then with stdout."""
+    """SHA-256 of the exit code with ``out_file`` if given, then with
+    stdout and stderr."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         rc = cli.main(argv)
-    bodies = [stdout.getvalue().encode()]
+    bodies = [f"{stdout.getvalue()}\nstderr\n{stderr.getvalue()}".encode()]
     if out_file:
         bodies.insert(0, out_file.read_bytes())
     return [hashlib.sha256(f"exit {rc}\n".encode() + body).hexdigest()
