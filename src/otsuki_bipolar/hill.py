@@ -12,13 +12,18 @@ counted without solving for them:
   Its transfer matrix Phi over the half cell [0, pi/2] is a product of
   sixth-order Magnus steps on three Gauss points each (Blanes, Casas,
   Oteo & Ros, "The Magnus expansion and some of its applications",
-  *Phys. Rep.* 470, 2009).  Every step's Omega is a traceless 2 x 2
-  matrix, so its exponential is cosh(mu) I + sinh(mu)/mu Omega with
-  mu^2 = -det Omega, and the steps are multiplied by a log-depth prefix
-  product.  The reflection x -> pi - x gives the other half: with
-  R = diag(1, -1), R Phi(pi - x) = Phi(x) R M, so for N = Phi(pi/2) the
-  cell's monodromy is M = R N^-1 R N (Magnus & Winkler, *Hill's
-  Equation*), and the discriminant is Delta = tr M =
+  *Phys. Rep.* 470, 2009).  A has a zero diagonal, and so have the
+  step's alpha_1, alpha_2 and alpha_3, which are held as their two
+  corners; their commutators reduce to products of those.  Every
+  step's Omega is a traceless 2 x 2 matrix, so its exponential is
+  cosh(mu) I + sinh(mu)/mu Omega with mu^2 = -det Omega, and the steps
+  are multiplied by a log-depth prefix product.  One pass serves several
+  step counts: one coefficient evaluation on all their nodes, one
+  Magnus evaluation and one prefix product, in which the shorter sizes
+  start with identity steps.  The reflection x -> pi - x gives the
+  other half: with R = diag(1, -1), R Phi(pi - x) = Phi(x) R M, so for
+  N = Phi(pi/2) the cell's monodromy is M = R N^-1 R N (Magnus &
+  Winkler, *Hill's Equation*), and the discriminant is Delta = tr M =
   2 (n11 n22 + n12 n21).
 * **Edges and bands.**  A band edge is a level of sector kappa = 0
   (periodic) or 1 (antiperiodic).  Under x -> pi - x such a level is
@@ -46,9 +51,10 @@ counted without solving for them:
 
 ``count`` totals the levels of the bipolar surface's sectors
 (``surface_sectors``) at l = 0 and 1, with the step count resolved from
-the run's own two sizes.  The coefficients come in as a callable
-x -> (P, S, W), so any analytic triple that is even and of period pi can
-be counted; ``monodromy`` checks the evenness (DomainError).
+the run's own two sizes, both measured by its first pass.  The
+coefficients come in as a callable x -> (P, S, W), so any analytic
+triple that is even and of period pi can be counted; ``monodromy``
+checks the evenness (DomainError).
 """
 
 from __future__ import annotations
@@ -68,74 +74,89 @@ _RESOLVED = 10.0        # distance to a half-cell level, in its changes
 _ROUNDING = 1e-12       # the angles' rounding, added to each change
 
 
-def _commutator(x, y):
-    """[X, Y] of traceless 2 x 2 matrices held as stacks (X11, X12, X21)."""
-    return np.stack((x[1] * y[2] - x[2] * y[1],
-                     2.0 * (x[0] * y[1] - x[1] * y[0]),
-                     2.0 * (x[2] * y[0] - x[0] * y[2])))
-
-
 def _even_coefficients(coefficients, x):
-    """P, S and W at x, of shape (3 nodes, steps), after checking that they
-    are even about pi/2 at the mirrors pi - x of the first step's nodes:
-    DomainError if they are not."""
-    p, s, w = (np.asarray(f, dtype=float) for f in
-               coefficients(np.concatenate((x, math.pi - x[:, :1]), axis=1)))
-    for f in (p, s, w):
-        if np.max(np.abs(f[:, -1] - f[:, 0])) > 1e-12 * np.max(np.abs(f)):
-            raise DomainError("the coefficients are not even about pi/2:"
-                              " the half-cell monodromy needs P, S and W"
-                              " even and of period pi")
-    return p[:, :-1], s[:, :-1], w[:, :-1]
+    """P, S and W at x, of shape (3, 3 nodes, steps), after checking that
+    they are even about pi/2 at the mirrors pi - x of the first step's
+    nodes: DomainError if they are not."""
+    f = np.array(coefficients(np.concatenate((x, math.pi - x[:, :1]),
+                                             axis=1)), dtype=float)
+    if np.any(np.max(np.abs(f[:, :, -1] - f[:, :, 0]), axis=1)
+              > 1e-12 * np.max(np.abs(f), axis=(1, 2))):
+        raise DomainError("the coefficients are not even about pi/2:"
+                          " the half-cell monodromy needs P, S and W"
+                          " even and of period pi")
+    return f[:, :, :-1]
 
 
-def _steps(coefficients, l, lam, steps: int):
+def _steps(coefficients, l, lam, sizes):
     """exp(Omega) of every sixth-order Magnus step over the half cell
-    [0, pi/2], h = pi/steps for ``steps`` (even) per cell, as entries
-    (E11, E12, E21, E22), each of shape (pairs, steps/2)."""
-    if steps < 2 or steps % 2:
-        raise DomainError(f"Magnus steps per cell must be even, got {steps}")
-    h = math.pi / steps
-    x = (np.arange(steps // 2) + np.array(_GAUSS)[:, None]) * h
+    [0, pi/2], h = pi/n for each step count n per cell of ``sizes`` (each
+    even), as entries (E11, E12, E21, E22) of shape (4, max n/2, sizes x
+    pairs).  The columns of size n hold its n/2 steps last, after
+    identity steps, which leave every prefix product as it is
+    (1 x + 0 y = x)."""
+    for n in sizes:
+        if n < 2 or n % 2:
+            raise DomainError(f"Magnus steps per cell must be even, got {n}")
+    half = [n // 2 for n in sizes]
+    h = np.repeat([math.pi / n for n in sizes], half)
+    x = (np.concatenate([np.arange(k) for k in half])
+         + np.array(_GAUSS)[:, None]) * h
     p, s, w = _even_coefficients(coefficients, x)
     l2 = np.asarray(l, dtype=float)[:, None, None] ** 2
     lam = np.asarray(lam, dtype=float)[:, None, None]
-    # A = [[0, 1/P], [l^2 S - lambda W, 0]] as (A11, A12, A21), at the three
-    # nodes of each step: a[:, i] has shape (pairs, steps) for node i.
+    # A = [[0, 1/P], [l^2 S - lambda W, 0]] at the three nodes of each
+    # step; alpha_1, alpha_2 and alpha_3 share its zero diagonal and are
+    # held as their (1, 2) entries u, shape (steps,), and (2, 1) entries
+    # v, shape (pairs, steps).
+    inv_p = 1.0 / p
     lower = l2 * s - lam * w
-    a = np.stack((np.zeros_like(lower), np.broadcast_to(1.0 / p, lower.shape),
-                  lower)).swapaxes(1, 2)
-    alpha1 = h * a[:, 1]
-    alpha2 = math.sqrt(15.0) * h / 3.0 * (a[:, 2] - a[:, 0])
-    alpha3 = 10.0 * h / 3.0 * (a[:, 2] - 2.0 * a[:, 1] + a[:, 0])
-    c1 = _commutator(alpha1, alpha2)
-    c2 = _commutator(alpha1, 2.0 * alpha3 + c1) / -60.0
-    omega = (alpha1 + alpha3 / 12.0
-             + _commutator(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
+    u1, v1 = h * inv_p[1], h * lower[:, 1]
+    r2 = math.sqrt(15.0) * h / 3.0
+    u2, v2 = r2 * (inv_p[2] - inv_p[0]), r2 * (lower[:, 2] - lower[:, 0])
+    r3 = 10.0 * h / 3.0
+    u3 = r3 * (inv_p[2] - 2.0 * inv_p[1] + inv_p[0])
+    v3 = r3 * (lower[:, 2] - 2.0 * lower[:, 1] + lower[:, 0])
+    # Omega = alpha_1 + alpha_3/12 + [X, Y]/240 with X = -20 alpha_1
+    # - alpha_3 + C_1, Y = alpha_2 + C_2, C_1 = [alpha_1, alpha_2] and
+    # C_2 = -[alpha_1, 2 alpha_3 + C_1]/60.  C_1 = diag(c, -c), and
+    # C_2 has the diagonal (g, -g) and the corners u1 c/30, -v1 c/30.
+    c = u1 * v2 - v1 * u2
+    g = (v1 * u3 - u1 * v3) / 30.0
+    x12, x21 = -20.0 * u1 - u3, -20.0 * v1 - v3
+    y12, y21 = u2 + u1 * c / 30.0, v2 + v1 * c / -30.0
+    o11 = (x12 * y21 - x21 * y12) / 240.0
+    o12 = (u1 + u3 / 12.0) + (c * y12 - x12 * g) / 120.0
+    o21 = (v1 + v3 / 12.0) + (x21 * g - c * y21) / 120.0
     # exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = o11^2 + o12 o21.
-    mu2 = omega[0] ** 2 + omega[1] * omega[2]
+    mu2 = o11 ** 2 + o12 * o21
     mu = np.sqrt(np.abs(mu2))
     safe = np.where(mu > 0.0, mu, 1.0)
     hyper = mu2 > 0.0
     even = np.where(hyper, np.cosh(mu), np.cos(mu))
     odd = np.where(mu > 0.0, np.where(hyper, np.sinh(mu), np.sin(mu)) / safe,
                    1.0)
-    return (even + odd * omega[0], odd * omega[1], odd * omega[2],
-            even - odd * omega[0])
+    e = odd * np.stack((o11, o12, o21, -o11))
+    e[::3] += even
+    m = np.zeros((4, len(sizes), len(lower), max(half)))
+    m[::3] = 1.0                    # identity steps lead the shorter sizes
+    end = 0
+    for i, k in enumerate(half):
+        end += k
+        m[:, i, :, -k:] = e[:, :, end - k:end]
+    # Steps first, so that every pass of the prefix products is contiguous.
+    return np.ascontiguousarray(np.moveaxis(m.reshape(4, -1, max(half)), 2, 1))
 
 
 def _prefix_products(m):
-    """Every prefix E_j ... E_1 of the step matrices, by log2(steps)
-    passes that each multiply the products ending d apart."""
-    m = [v.copy() for v in m]
+    """Every prefix E_j ... E_1 of the steps m, entries (E11, E12, E21,
+    E22) of shape (steps, columns), in place, by log2(steps) passes that
+    each multiply the products ending d apart."""
     d = 1
-    while d < m[0].shape[1]:
-        a = [v[:, d:] for v in m]        # the later steps
-        b = [v[:, :-d] for v in m]       # the earlier ones
-        prod = (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-                a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
-        for v, new in zip(m, prod):
-            v[:, d:] = new
+    while d < m.shape[1]:
+        a, b = m[:, d:], m[:, :-d]              # the later steps, the earlier
+        m[:, d:] = (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                    a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
         d *= 2
     return m
 
@@ -155,13 +176,23 @@ def monodromy(coefficients, l, lam, steps: int):
     (``count`` checks both angles against twice the steps).
     DomainError if P, S or W is not even about pi/2, or ``steps`` is odd.
     """
-    m = _prefix_products(_steps(coefficients, l, lam, steps))
+    return tuple(v[0] for v in _monodromies(coefficients, l, lam, (steps,)))
+
+
+def _monodromies(coefficients, l, lam, sizes):
+    """``monodromy`` at every step count per cell of ``sizes``, in one
+    pass: Delta, theta_d and theta_n of shape (sizes, pairs).  Each angle
+    sums only its own size's steps, as that size alone would."""
+    m = _prefix_products(_steps(coefficients, l, lam, sizes))
     thetas = []
     for h, ph, start in ((m[1], m[3], 0.0), (m[0], m[2], 0.5 * math.pi)):
-        turn = np.diff(np.arctan2(h, ph), prepend=start, axis=1)
-        thetas.append(start + np.sum(
-            turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi)), axis=1))
-    n11, n12, n21, n22 = (v[:, -1] for v in m)
+        angle = np.arctan2(h, ph).T.copy()      # a row per (size, pair)
+        turn = np.diff(angle, prepend=start, axis=1)
+        turn = turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
+        turn = turn.reshape(len(sizes), -1, turn.shape[1])
+        thetas.append(start + np.array([np.sum(t[:, -(n // 2):], axis=1)
+                                        for t, n in zip(turn, sizes)]))
+    n11, n12, n21, n22 = m[:, -1].reshape(4, len(sizes), -1)
     return (2.0 * (n11 * n22 + n12 * n21), *thetas)
 
 
@@ -228,7 +259,10 @@ def count(coefficients, q: int, lams) -> HillCount:
     theta_n from a multiple of pi/2 exceeds ten times their change
     between n and 2n plus a rounding floor, 1e-12: on a level of a
     half-cell problem both are rounding.  ConvergenceFailure if that does
-    not happen by 2n = 16384.
+    not happen by 2n = 16384.  The first pass measures 256 and 512 steps
+    together, in one evaluation of ``coefficients`` and one Magnus step
+    and prefix product over both sizes (the 256-step products led by
+    identity steps); each later pass measures 2n alone against n.
     """
     lams = tuple(in_interval(v, "lambda", -math.inf, 4.0, hi_closed=True)
                  for v in lams)
@@ -236,18 +270,23 @@ def count(coefficients, q: int, lams) -> HillCount:
     lam_pairs = np.tile(lams, 2)
     sectors = [surface_sectors(q, l) for l in (0, 1)]
 
-    def measure(steps):
-        data = [v.reshape(2, len(lams)) for v in
-                monodromy(coefficients, l_pairs, lam_pairs, steps)]
-        totals = tuple(
-            sum((1 + l) * int(np.sum(level_counts(
-                sectors[l], *(v[l, j] for v in data)))) for l in (0, 1))
-            for j in range(len(lams)))
-        return HillCount(lams, *data, totals, steps)
+    def measure(*sizes):
+        data = [v.reshape(len(sizes), 2, len(lams)) for v in
+                _monodromies(coefficients, l_pairs, lam_pairs, sizes)]
+        counts = []
+        for i, steps in enumerate(sizes):
+            delta, theta_d, theta_n = (v[i] for v in data)
+            totals = tuple(
+                sum((1 + l) * int(np.sum(level_counts(
+                    sectors[l], delta[l, j], theta_d[l, j], theta_n[l, j])))
+                    for l in (0, 1))
+                for j in range(len(lams)))
+            counts.append(HillCount(lams, delta, theta_d, theta_n, totals,
+                                    steps))
+        return counts
 
-    coarse = measure(_FIRST_STEPS)
+    coarse, fine = measure(_FIRST_STEPS, 2 * _FIRST_STEPS)
     while True:
-        fine = measure(2 * coarse.steps)
         angles = np.stack((fine.theta_d, fine.theta_n))
         change = np.abs(angles - np.stack((coarse.theta_d, coarse.theta_n)))
         quarter = 0.5 * math.pi
@@ -259,4 +298,4 @@ def count(coefficients, q: int, lams) -> HillCount:
             raise ConvergenceFailure(
                 f"Hill count at q = {q} not resolved at {fine.steps} Magnus"
                 f" steps per cell: totals {coarse.totals} and {fine.totals}")
-        coarse = fine
+        coarse, (fine,) = fine, measure(2 * fine.steps)

@@ -57,8 +57,8 @@ def _full_cell(coefficients, l, lam, steps):
     """Delta and the Pruefer angles at pi of (h, P h')(0) = (0, 1), from
     0, and of (1, 0), from pi/2, by ``steps`` Magnus steps over the whole
     cell, without the reflection: tr M of the last prefix product, and
-    each angle summed over the step points from its column of every
-    prefix.
+    each angle summed over the step points (the first axis of the prefix
+    products) from its column of every prefix.
 
     The cell x in [0, pi) is y = x/2 in [0, pi/2], where y' = 2 A(2y) y
     has the coefficients P(2y)/2, 2 S(2y) and 2 W(2y), also even about
@@ -68,13 +68,13 @@ def _full_cell(coefficients, l, lam, steps):
         p, s, w = coefficients(2.0 * y)
         return 0.5 * p, 2.0 * s, 2.0 * w
 
-    m = hill._prefix_products(hill._steps(stretched, l, lam, 2 * steps))
+    m = hill._prefix_products(hill._steps(stretched, l, lam, (2 * steps,)))
     thetas = []
     for h, ph, start in ((m[1], m[3], 0.0), (m[0], m[2], 0.5 * math.pi)):
-        turn = np.diff(np.arctan2(h, ph), prepend=start, axis=1)
+        turn = np.diff(np.arctan2(h, ph), prepend=start, axis=0)
         thetas.append(start + np.sum(
-            turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi)), axis=1))
-    return (m[0][:, -1] + m[3][:, -1], *thetas)
+            turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi)), axis=0))
+    return (m[0][-1] + m[3][-1], *thetas)
 
 
 @pytest.mark.parametrize("steps", [512, 1024])
@@ -103,6 +103,39 @@ def test_half_cell_is_the_full_cell(pq, steps):
                           np.ceil(full_d / math.pi) - 1.0)
     assert np.array_equal(np.floor(2.0 * theta_n / math.pi),
                           np.floor(full_n / math.pi + 0.5))
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (41, 58), (126, 251)])
+def test_one_pass_is_each_size_alone(pq):
+    """``count``'s first pass takes 256 and 512 steps per cell together:
+    one coefficient evaluation, one Magnus evaluation and one prefix
+    product, the 256-step products led by identity steps.  Delta, theta_d
+    and theta_n are bit for bit those of ``monodromy`` at each size."""
+    lams = [0.5, 2.0 - DELTA, 2.0 + DELTA, 3.5]
+    l = np.repeat([0, 1], len(lams))
+    lam = np.tile(lams, 2)
+    together = hill._monodromies(_coefficients(pq), l, lam, (256, 512))
+    for i, steps in enumerate((256, 512)):
+        alone = hill.monodromy(_coefficients(pq), l, lam, steps)
+        for got, want in zip(together, alone):
+            assert np.array_equal(got[i], want), (steps, got[i] - want)
+
+
+@pytest.mark.parametrize("pq, calls", [((3, 5), 1), ((1000, 1999), 2)])
+def test_count_evaluates_the_coefficients_once_per_pass(pq, calls):
+    """The first pass evaluates the coefficients once for both of its
+    sizes, and each later pass once for its own: 3/5 resolves at 512
+    steps in one call, 1000/1999 at 1024 in two."""
+    coefficients = _coefficients(pq)
+    nodes = []
+
+    def spy(x):
+        nodes.append(np.size(x))
+        return coefficients(x)
+
+    counted = hill.count(spy, pq[1], (2.0 - DELTA, 2.0 + DELTA))
+    assert len(nodes) == calls, nodes
+    assert counted.steps == 512 * calls
 
 
 def test_monodromy_needs_coefficients_even_about_half_the_cell():

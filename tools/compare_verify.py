@@ -10,15 +10,20 @@ a JSON object keyed by ``p/q`` for the 630 reduced p/q in
 500/999.  Each entry holds ``solve``, the fields a, b, t0, s_total and
 omega_residual of ``geodesic.solve_rotation``, and ``verify``,
 ``spectrum.verify_theorem3(...).to_dict()``; a stage that raises a
-NumericalFailure is recorded as its class and message instead.  Floats
-are written with all their digits.
+NumericalFailure is recorded as its class and message instead.  Where
+``verify`` reached its Hill count, the entry also holds ``hill``: the
+resolved Magnus ``steps`` per cell and delta (the count's lambdas are
+2 -+ delta), taken by wrapping ``hill.count`` while the dump runs.
+Floats are written with all their digits.
 
 ``--compare`` prints, for every key and every certificate field, how many
 fractions changed, the largest relative change and the largest absolute
 change, and lists each fraction whose stage raised in one dump but not the
 other, or whose certificates differ by name.  It exits 1 if any of these,
-or any N2, N2_expected, threshold_multiplicity or pass flag, differs.
-A dump takes about 11 s on a 2-core host.
+or any N2, N2_expected, threshold_multiplicity, Hill step count or pass
+flag, differs.  A fraction whose ``hill`` field one dump lacks (a dump
+made before the field existed) is counted as not recorded, not as a
+difference.  A dump takes about 11 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy is first imported
 
-EXACT = ("N2", "N2_expected", "threshold_multiplicity")
+EXACT = ("N2", "N2_expected", "threshold_multiplicity", "hill.steps")
+STAGES = ("solve", "verify")
 SOLVE_FIELDS = ("a", "b", "t0", "s_total", "omega_residual")
 NEAR_ONE_HALF = ((101, 201), (126, 251), (250, 499), (500, 999))
 
@@ -45,14 +51,23 @@ def fractions(q_max: int) -> list[tuple[int, int]]:
 
 def dump(path: str) -> None:
     sys.path.insert(0, os.path.join(os.getcwd(), "src"))
-    from otsuki_bipolar import geodesic, spectrum
+    from otsuki_bipolar import geodesic, hill, spectrum
     from otsuki_bipolar.errors import NumericalFailure
 
     print(f"measuring {geodesic.__file__}", file=sys.stderr)
+    counts = []
+    count = hill.count
+
+    def recording(*args, **kwargs):
+        counts.append(count(*args, **kwargs))
+        return counts[-1]
+
+    hill.count = recording
     out = {}
     for p, q in fractions(100) + list(NEAR_ONE_HALF):
         r = geodesic.RotationNumber(p, q)
         entry = {}
+        counts.clear()
         for stage, run in (
                 ("solve", lambda: {k: getattr(geodesic.solve_rotation(r), k)
                                    for k in SOLVE_FIELDS}),
@@ -62,6 +77,10 @@ def dump(path: str) -> None:
                 entry[stage] = run()
             except NumericalFailure as exc:
                 entry[stage] = {"error": f"{type(exc).__name__}: {exc}"}
+        if counts:
+            below, above = counts[-1].lams
+            entry["hill"] = {"steps": counts[-1].steps,
+                             "delta": 0.5 * (above - below)}
         out[f"{p}/{q}"] = entry
     with open(path, "w") as fh:
         json.dump(out, fh)
@@ -70,6 +89,7 @@ def dump(path: str) -> None:
 def _flatten(entry: dict) -> dict:
     """Every compared value of one fraction under a flat key."""
     flat = {f"solve.{k}": v for k, v in entry["solve"].items()}
+    flat.update({f"hill.{k}": v for k, v in entry.get("hill", {}).items()})
     for k, v in entry["verify"].items():
         if k == "certificates":
             for c in v:
@@ -88,9 +108,12 @@ def compare(old_path: str, new_path: str) -> int:
     bad = [f"fraction sets differ: {sorted(set(old) ^ set(new))}"] if (
         set(old) != set(new)) else []
     stats = {}      # key -> [changed, compared, max relative, max absolute]
+    unrecorded = {path: 0 for path in (old_path, new_path)}
     for pq in (pq for pq in old if pq in new):
         a, b = old[pq], new[pq]
-        raised = [s for s in a if "error" in a[s] or "error" in b[s]]
+        for path, entry in ((old_path, a), (new_path, b)):
+            unrecorded[path] += "hill" not in entry
+        raised = [s for s in STAGES if "error" in a[s] or "error" in b[s]]
         for s in raised:
             if a[s] != b[s]:
                 bad.append(f"{pq}: {s} {a[s].get('error', 'ran')}"
@@ -98,6 +121,10 @@ def compare(old_path: str, new_path: str) -> int:
         if raised:
             continue
         fa, fb = _flatten(a), _flatten(b)
+        if "hill" not in a or "hill" not in b:
+            for flat in (fa, fb):
+                for key in [key for key in flat if key.startswith("hill.")]:
+                    del flat[key]
         if fa.keys() != fb.keys():
             bad.append(f"{pq}: keys differ: {sorted(fa.keys() ^ fb.keys())}")
         for key in (key for key in fa if key in fb):
@@ -118,6 +145,9 @@ def compare(old_path: str, new_path: str) -> int:
     for key in sorted(stats):
         changed, n, rel, absolute = stats[key]
         print(f"{key:<{width}}  {changed:>3}/{n:<3}  {rel:.1e}  {absolute:.1e}")
+    for path, n in unrecorded.items():
+        if n:
+            print(f"hill not recorded for {n} fractions in {path}")
     for line in bad:
         print(f"DIFFERS {line}")
     return 1 if bad else 0
