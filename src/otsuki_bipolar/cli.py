@@ -114,9 +114,15 @@ def cmd_verify(cfg) -> int:
 
 
 def _emit_report(cfg, report):
-    """A verification report: its certificates are the CSV rows."""
+    """A verification report: its certificates are the CSV rows, and its
+    text lines are built only for ``--format text``."""
     payload = report.to_dict()
     certs = payload["certificates"]
+    _emit(cfg, payload, rows=(certs[0], [c.values() for c in certs]),
+          text=_report_text(report) if cfg.output_format == "text" else None)
+
+
+def _report_text(report) -> str:
     lines = [
         f"rotation = {report.rotation}",
         f"a = {_fmt(report.a)}",
@@ -133,8 +139,7 @@ def _emit_report(cfg, report):
         lines.append(f"[{status}] {c.name}: lhs={_fmt(c.lhs)}"
                      f" rhs={_fmt(c.rhs)} margin={_fmt(c.margin)}")
     lines.append("result = " + ("PASS" if report.passed else "FAIL"))
-    _emit(cfg, payload, rows=(certs[0], [c.values() for c in certs]),
-          text="\n".join(lines))
+    return "\n".join(lines)
 
 
 def cmd_spectrum(cfg) -> int:

@@ -75,7 +75,12 @@ def _rc(x: float, y: float) -> float:
 
 def elliprf(x: float, y: float, z: float) -> float:
     """Carlson's R_F(x, y, z) = 1/2 int_0^inf dt / sqrt((t+x)(t+y)(t+z))."""
-    x, y, z = _real_args("R_F", (x, y, z), False)
+    return _rf(*_real_args("R_F", (x, y, z), False))
+
+
+def _rf(x: float, y: float, z: float) -> float:
+    """R_F's duplication loop, for arguments already checked (floats,
+    non-negative, at most one zero)."""
     a0 = a = (x + y + z) / 3.0
     q = _RF_SCALE * max(abs(a - x), abs(a - y), abs(a - z))
     x0, y0 = x, y
@@ -112,6 +117,8 @@ def elliprd(x: float, y: float, z: float) -> float:
 
 
 def _rj(x: float, y: float, z: float, p: float) -> float:
+    """R_J's duplication loop, for arguments already checked (floats,
+    non-negative, at most one of x, y, z zero, p positive)."""
     a0 = a = (x + y + z + p + p) / 5.0
     q = _RJ_SCALE * max(abs(a - x), abs(a - y), abs(a - z), abs(a - p))
     x0, y0, z0 = x, y, z

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import elliprd, elliprf, elliprj
+from .elliptic import _rf, _rj, elliprd, elliprf
 from .errors import (
     ConvergenceFailure,
     IntegrationFailure,
@@ -286,10 +286,13 @@ def _xi_of_s(s: float) -> float:
         Pi(n, k) = R_F(0, 1-k^2, 1) + n/3 R_J(0, 1-k^2, 1, 1-n).
 
     Both complements are passed as computed from s, never as 1 - n, so
-    the value keeps full accuracy as b -> pi/2 (s -> 0).
+    the value keeps full accuracy as b -> pi/2 (s -> 0).  For s in
+    (0, 1] the arguments are valid by construction, so the duplication
+    loops are called without the public functions' checks (Brent's
+    root of the period equation evaluates this about 12 times).
     """
     y = 2.0 * s / (1.0 + s)
-    pi_nk = elliprf(0.0, y, 1.0) + (1.0 - s) / 3.0 * elliprj(0.0, y, 1.0, s)
+    pi_nk = _rf(0.0, y, 1.0) + (1.0 - s) / 3.0 * _rj(0.0, y, 1.0, s)
     return 2.0 * s / math.sqrt(1.0 + s) * pi_nk
 
 

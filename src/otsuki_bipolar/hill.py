@@ -196,18 +196,19 @@ def _monodromies(coefficients, l, lam, sizes):
     return (2.0 * (n11 * n22 + n12 * n21), *thetas)
 
 
-def level_counts(kappa, delta: float, theta_d: float,
-                 theta_n: float) -> np.ndarray:
+def level_counts(kappa, delta, theta_d, theta_n) -> np.ndarray:
     """Levels below lambda in each Bloch sector kappa (in [0, 2)), where
     Delta(lambda) = ``delta`` and the Pruefer angles at pi/2 are
-    ``theta_d`` and ``theta_n`` (``monodromy``)."""
+    ``theta_d`` and ``theta_n`` (``monodromy``).  All four broadcast
+    against each other, so one call counts every (l, lambda) and sector
+    of a pass."""
     kappa = np.asarray(kappa, dtype=float)
     folded = np.minimum(kappa, 2.0 - kappa)
-    a = math.floor(2.0 * theta_d / math.pi)
-    b = math.floor(2.0 * theta_n / math.pi)
-    bands, inside = divmod(a + b, 2)
-    turn = math.acos(min(max(0.5 * delta, -1.0), 1.0)) / math.pi
-    passed = folded > turn if bands % 2 else folded < turn
+    a = np.floor(2.0 * np.asarray(theta_d) / math.pi).astype(int)
+    b = np.floor(2.0 * np.asarray(theta_n) / math.pi).astype(int)
+    bands, inside = np.divmod(a + b, 2)
+    turn = np.arccos(np.clip(0.5 * np.asarray(delta), -1.0, 1.0)) / math.pi
+    passed = np.where(bands % 2, folded > turn, folded < turn)
     return np.where(folded == 0.0, (b + 1) // 2 + a // 2,
                     np.where(folded == 1.0, b // 2 + (a + 1) // 2,
                              bands + (inside & passed)))
@@ -268,22 +269,19 @@ def count(coefficients, q: int, lams) -> HillCount:
                  for v in lams)
     l_pairs = np.repeat((0, 1), len(lams))
     lam_pairs = np.tile(lams, 2)
-    sectors = [surface_sectors(q, l) for l in (0, 1)]
+    # kappa of l = 0 and 1 against (size, l, lambda, kappa); the weights
+    # count each level at l = 1 twice.
+    sectors = np.array([surface_sectors(q, l) for l in (0, 1)])[:, None]
+    weights = np.array([1, 2])[:, None]
 
     def measure(*sizes):
         data = [v.reshape(len(sizes), 2, len(lams)) for v in
                 _monodromies(coefficients, l_pairs, lam_pairs, sizes)]
-        counts = []
-        for i, steps in enumerate(sizes):
-            delta, theta_d, theta_n = (v[i] for v in data)
-            totals = tuple(
-                sum((1 + l) * int(np.sum(level_counts(
-                    sectors[l], delta[l, j], theta_d[l, j], theta_n[l, j])))
-                    for l in (0, 1))
-                for j in range(len(lams)))
-            counts.append(HillCount(lams, delta, theta_d, theta_n, totals,
-                                    steps))
-        return counts
+        levels = level_counts(sectors, *(v[..., None] for v in data))
+        totals = np.sum(weights * np.sum(levels, axis=-1), axis=1)
+        return [HillCount(lams, *(v[i] for v in data),
+                          tuple(int(t) for t in totals[i]), steps)
+                for i, steps in enumerate(sizes)]
 
     coarse, fine = measure(_FIRST_STEPS, 2 * _FIRST_STEPS)
     while True:

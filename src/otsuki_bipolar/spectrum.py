@@ -37,6 +37,7 @@ import functools
 import itertools
 import json
 import math
+import random
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
@@ -258,7 +259,8 @@ class _RadialChart:
     coefficients P, S and W = dt/dx of ``geodesic.radial_coefficients``
     are analytic and pi-periodic.  Each is held by its Fourier
     coefficients f_j of f(x) = sum_j f_j e^{2ijx} (real and even in j,
-    since f is even in x), from one FFT.  ``t_half``, the t of one
+    since f is even in x), all three from one real FFT of their stacked
+    samples, which keeps j >= 0.  ``t_half``, the t of one
     half-oscillation, is pi times the mean W_0 of W over a cell, and
     ``t0`` = 2 q ``t_half``; with ``cos2_phi_at`` they let
     ``sturm.build_problem`` bind a radial problem to the chart as it
@@ -266,8 +268,8 @@ class _RadialChart:
     comes from the bipolar geodesic's own chart (``geodesic``:
     ``geodesic.bipolar_chart``), built on first use, so a solve that
     samples no row in t never builds it.  One chart may serve the radial
-    solves of every l (see ``solve_radial``) and the named-sector solves
-    of ``_named_levels``; it keeps the pencil of the reduced matrices per
+    solves of every l (see ``solve_radial``) and the one ladder of
+    ``_named_levels``; it keeps the pencil of the reduced matrices per
     M (``_pencil``: four n x n matrices and L^-1, for n = 2M + 1) and the
     x of the sampling grid per ``per_half``, so each is computed once
     however many l it serves.
@@ -278,8 +280,8 @@ class _RadialChart:
         self._pencils: dict[int, tuple] = {}            # M -> see _pencil
         self._x_samples: dict[int, np.ndarray] = {}     # per_half -> x(t)
         x = np.arange(_FFT_POINTS) * (math.pi / _FFT_POINTS)
-        self.p_hat, self.s_hat, self.w_hat = (
-            np.fft.fft(f).real / _FFT_POINTS for f in radial_coefficients(b, x))
+        self.p_hat, self.s_hat, self.w_hat = np.fft.rfft(
+            np.array(radial_coefficients(b, x))).real / _FFT_POINTS
         self.t_half = math.pi * self.w_hat[0]
         self.t0 = 2 * q * self.t_half
 
@@ -343,7 +345,7 @@ class _RadialChart:
             self._pencils[modes] = pencil
         return pencil
 
-    def sector_matrices(self, kappa: np.ndarray, l: int, modes: int):
+    def sector_matrices(self, kappa: np.ndarray, l, modes: int):
         """Standard-form Galerkin matrices of every Bloch sector.
 
         For h = e^{i kappa x} sum_{|m|<=M} c_m e^{2imx} the problem
@@ -351,44 +353,146 @@ class _RadialChart:
         A = D T_P D + l^2 T_S, D = diag(kappa + 2m) and T_f the Toeplitz
         matrix of f_j.  T_W, the same for every sector and l, is reduced
         by its Cholesky factor L: returns (L^-1 A L^-T per sector, L^-1),
-        and the coefficient vectors are c = L^-T y.  Each sector's matrix
+        and the coefficient vectors are c = L^-T y.  ``l`` is one angular
+        index for every sector, or one per sector.  Each sector's matrix
         is (kappa P0 + (P1 + P1^T)) kappa + P2 + l^2 S0, formed element by
         element from the chart's pencil at M (``_pencil``, built on the
         first call at that M for any l), so it does not depend on which
-        other sectors are formed with it.
+        other sectors, or l, are formed with it.
         """
         p0, p1_sym, p2, s0, l_inv = self._pencil(modes)
         mats = np.multiply.outer(kappa, p0)
         mats += p1_sym
         mats *= kappa[:, None, None]
-        mats += p2 + float(l * l) * s0
+        lo = 0      # l^2 S0 is formed once per run of sectors of one l
+        for value, run in itertools.groupby(
+                [l] * len(kappa) if np.ndim(l) == 0 else list(l)):
+            hi = lo + len(list(run))
+            mats[lo:hi] += p2 + float(value * value) * s0
+            lo = hi
         return mats, l_inv
 
 
-def _settle_modes(l: int, solve):
+def _settle_modes(ls, solve):
     """Step the Fourier modes per sector M through ``_MODE_LADDER`` (8,
-    16, 24, 32, 48, ... 256: each power of two and 1.5 times it) until the
-    leading eigenvalues move by less than 1e-10 from the previous M.
+    16, 24, 32, 48, ... 256: each power of two and 1.5 times it), for
+    every angular index of ``ls`` at once, until each l's leading
+    eigenvalues move by less than 1e-10 from its previous M; an l that
+    has stopped is solved no more.
 
-    ``solve(M)`` returns (sorted eigenvalues, how many of the lowest must
-    settle, whatever the caller keeps of that solve).  Returns the last M
-    and what its solve kept.  Raises ConvergenceFailure, naming l and M,
-    if they still move at M = 256.  The Galerkin spaces are nested, so
-    each value falls with M, and up to rounding the ladder stops at no
-    larger M than doubling from 8 would.
+    ``solve(M, active)`` solves the l of ``active``, those of ``ls`` not
+    yet stopped, in their order, and returns for each (sorted
+    eigenvalues, how many of the lowest must settle, whatever the caller
+    keeps of that solve).  Returns, for each l of ``ls``, its stop M and
+    what its last solve kept.  Raises ConvergenceFailure, naming the
+    lowest l that still moves and M, if any still moves at M = 256.  The
+    Galerkin spaces are nested, so each value falls with M, and up to
+    rounding each l stops at no larger M than doubling from 8 would.
     """
-    prev = None
+    prev, change, stops = {}, {}, {}
     for modes in _MODE_LADDER:
-        vals, count, kept = solve(modes)
-        if prev is not None:
-            change = float(np.max(np.abs(vals[:count] - prev[:count])))
-            if change < _MODE_TOL:
-                return modes, kept
+        active = [l for l in ls if l not in stops]
+        for l, (vals, count, kept) in zip(active, solve(modes, active)):
+            if l in prev:
+                change[l] = float(np.max(np.abs(vals[:count]
+                                                - prev[l][:count])))
+                if change[l] < _MODE_TOL:
+                    stops[l] = modes, kept
+            prev[l] = vals
+        if len(stops) == len(ls):
+            return [stops[l] for l in ls]
         if modes >= _MAX_MODES:
+            l = min(l for l in ls if l not in stops)
             raise ConvergenceFailure(
-                f"radial eigenvalues at l = {l} still move by {change:.1e}"
-                f" at M = {modes} Fourier modes per sector")
-        prev = vals
+                f"radial eigenvalues at l = {l} still move by"
+                f" {change[l]:.1e} at M = {modes} Fourier modes per sector")
+
+
+# Inverse iteration, see _inverse_vectors.
+_EPS = np.finfo(float).eps
+_CLUSTER = 1e3          # shifts this many residuals apart share an eigenspace
+# Start vectors: row r starts from entries rank..rank + n - 1, rank its place
+# in its cluster; uniform in [-1, 1), fixed by a seed, with no symmetry.  The
+# standard library draws them: importing numpy.random costs ~15 ms a start.
+_START = np.frombuffer(
+    random.Random(20120528).randbytes(8 * (4 * _MAX_MODES + 2)), "<u8"
+) / 2.0 ** 63 - 1.0
+
+
+def _inverse_vectors(mats: np.ndarray, sector: np.ndarray,
+                     shifts: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of symmetric matrices by inverse iteration.
+
+    Row r is the eigenvector y of ``mats[r]`` at its eigenvalue
+    ``shifts[r]``, a value the caller took from ``np.linalg.eigvalsh`` of
+    that matrix (Parlett, *The Symmetric Eigenvalue Problem*, ch. 4).
+    ``sector[r]`` names the matrix that ``mats[r]`` is a copy of, and the
+    rows come grouped per sector, in ascending shifts.  Each matrix is
+    shifted in place, so ``mats`` is spent.
+
+    One step solves (A - sigma I) z = b for every row in one batched
+    ``np.linalg.solve`` and takes y = z / |z|.  The start b is fixed by a
+    seed and has no symmetry (a symmetric start is orthogonal to every
+    odd level); its entry for mode m is scaled by 1/(1 + |m|), since the
+    levels asked for are smooth and their coefficients fall off with
+    |m|.  The residual |(A - sigma I) y| is then |b| / |z|, up to the
+    solve's rounding; a row whose residual exceeds n eps times the
+    largest entry of its n x n matrix, the scale of that rounding, takes
+    a second step from y.  A shift that leaves a matrix exactly singular
+    is moved up by that much.  Rows of one matrix whose shifts lie
+    within 1000 such residuals of each other span one eigenspace: each
+    starts from its own vector, and they are orthonormalized in the
+    order of their shifts (QR), so no vector is returned twice;
+    ConvergenceFailure if one keeps less than 1e-3 of its norm.  Every
+    row is its own solve, so its vector does not depend on the others.
+    """
+    rows, n = mats.shape[:2]
+    diag = mats.reshape(rows, n * n)[:, ::n + 1]
+    tol = n * _EPS * diag.max(axis=1)
+    diag -= shifts[:, None]
+    # rank: a row's place in its cluster, a run of rows of one matrix whose
+    # shifts are closer than _CLUSTER residuals.
+    rank, clusters = np.zeros(rows, int), []
+    if rows > 1:
+        for r in np.flatnonzero((sector[1:] == sector[:-1]) & (
+                shifts[1:] - shifts[:-1] <= _CLUSTER * tol[1:])) + 1:
+            rank[r] = rank[r - 1] + 1
+            if rank[r] == 1:
+                clusters.append([r - 1])
+            clusters[-1].append(r)
+
+    m = np.arange(n)
+    start = _START[rank[:, None] + m] / (1.0 + np.abs(m - n // 2))
+    y, residual = _inverse_step(mats, start, tol)
+    again = np.flatnonzero(residual > tol)
+    if again.size:
+        y[again] = _inverse_step(mats[again], y[again], tol[again])[0]
+    for cluster in clusters:
+        basis, tri = np.linalg.qr(y[cluster].T)
+        if np.min(np.abs(np.diag(tri))) < 1e-3:
+            raise ConvergenceFailure("inverse iteration found dependent"
+                                     " vectors in one eigenspace")
+        y[cluster] = basis.T
+    return y
+
+
+def _inverse_step(a, rhs, nudge):
+    """One step of inverse iteration: z = a[r]^-1 rhs[r] for every row in
+    one batched solve, returned as (z / |z|, the residuals |rhs| / |z|).
+    A matrix that is exactly singular has its shift moved up by
+    ``nudge[r]``, in place, and is solved again alone."""
+    try:
+        z = np.linalg.solve(a, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        z = np.empty_like(rhs)
+        for r in range(len(a)):
+            try:
+                z[r] = np.linalg.solve(a[r], rhs[r])
+            except np.linalg.LinAlgError:
+                a[r].flat[::a.shape[-1] + 1] -= nudge[r]
+                z[r] = np.linalg.solve(a[r], rhs[r])
+    size = np.sqrt(np.einsum("ij,ij->i", z, z))
+    return z / size[:, None], np.sqrt(np.einsum("ij,ij->i", rhs, rhs)) / size
 
 
 def _sample_rows(chart: _RadialChart, kappa: np.ndarray, coef: np.ndarray,
@@ -473,18 +577,21 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     sectors whose rows are sampled instead; every other row gets NaN
     samples and zero count -1.  Every M of the ladder solves all sectors
     values-only (``np.linalg.eigvalsh``).  Unless ``sampled_sectors`` is
-    empty, every sector is formed again at the M where it stops and
-    solved once more by ``np.linalg.eigh``, and each window row reports
-    the Rayleigh quotient of its Galerkin vector in the unreduced form
+    empty, each level of the window gets its vector by inverse iteration
+    at the M where the ladder stops, shifted by its ``eigvalsh`` value
+    (``_inverse_vectors``, on its own copy of its sector's matrix, formed
+    again there), and each window row reports the Rayleigh quotient of
+    its Galerkin vector in the unreduced form
     (``_RadialChart.rayleigh``), which is free of the reduced
     eigensolve's rounding: the values are the same bits whichever
-    sectors are sampled.  With ``sampled_sectors`` empty no eigenvector
-    is taken, and each row is values-only: it reports the reduced
-    eigenvalue, which may differ from the Rayleigh quotient by that
-    rounding (up to ~1e-11 at q <= 100).  The window is sorted by the
-    reported values.  ``chart`` is the
-    ``_RadialChart`` of b and q, built here when None; one chart shared
-    across l shares its coefficients and its pencil per M.
+    sectors are sampled, and the same bits as ``verify_theorem3``'s
+    certified levels where both stop at one M.  With ``sampled_sectors``
+    empty no eigenvector is taken, and each row is values-only: it
+    reports the reduced eigenvalue, which may differ from the Rayleigh
+    quotient by that rounding (up to ~1e-11 at q <= 100).  The window is
+    sorted by the reported values.  ``chart`` is the ``_RadialChart`` of
+    b and q, built here when None; one chart shared across l shares its
+    coefficients and its pencil per M.
     """
     if l < 0:
         raise ValueError("angular index l must be non-negative")
@@ -502,17 +609,13 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     base = 2 * max(q, r.p) + 8
     vectors = sampled_sectors is None or len(sampled_sectors) > 0
 
-    def solve(modes):
+    def solve(modes, active):
         lam = np.linalg.eigvalsh(chart.sector_matrices(kappa, l, modes)[0])
         vals = np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
         count = max(base, int(np.searchsorted(vals, 4.0)) + 1)
-        return vals, count, (lam, count)
+        return [(vals, count, (lam, count))]
 
-    modes, (lam, count) = _settle_modes(l, solve)
-    if vectors:     # eigenvectors at the stop M only
-        mats, l_inv = chart.sector_matrices(kappa, l, modes)
-        lam, y = np.linalg.eigh(mats)
-        del mats    # as large as y; sampling needs neither
+    ((modes, (lam, count)),) = _settle_modes((l,), solve)
 
     # Every level with its multiplicity; the second copy of a conjugate
     # pair becomes the imaginary part of h and carries the partner sector.
@@ -525,10 +628,18 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     src, idx, imag = src[order], idx[order], imag[order]
     values = level_lam[order]
     if vectors:
-        # Each window row reports the Rayleigh quotient of its Galerkin
-        # vector c = L^-T y, one matrix-vector product per row.
-        coef = np.array([l_inv.T @ y[k, :, i] for k, i in zip(src, idx)])
-        values = chart.rayleigh(kappa[src], l, coef)
+        # Each window level reports the Rayleigh quotient of its Galerkin
+        # vector c = L^-T y, by inverse iteration on its sector's matrix,
+        # formed again at the stop M, one copy per level; the two copies
+        # of a conjugate pair share one vector.
+        levels, copy = np.unique(flat[order], return_inverse=True)
+        sector = levels // lam.shape[1]
+        mats, l_inv = chart.sector_matrices(kappa[sector], l, modes)
+        y = _inverse_vectors(mats, sector, lam.ravel()[levels])
+        del mats
+        coef = np.array([l_inv.T @ v for v in y])
+        values = chart.rayleigh(kappa[sector], l, coef)[copy]
+        coef = coef[copy]
     # The operator is positive semidefinite: a negative value (the
     # constant mode at l = 0) is rounding.
     values = np.maximum(values, 0.0)
@@ -552,34 +663,56 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
                       eps_grid=_MODE_TOL, sectors=sectors)
 
 
-def _named_levels(chart: _RadialChart, l: int, ks: tuple, k_vector: int,
-                  count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels of the periodic Bloch sectors ``ks`` at l, solved alone.
+def _named_levels(chart: _RadialChart, requests) -> list[tuple]:
+    """Levels of named periodic Bloch sectors, every l in one ladder.
 
-    M steps up ``_MODE_LADDER``, values-only, until the sectors' levels
-    below 4, and the first at or above it, move by less than 1e-10 from
-    the previous M (``solve_radial``'s stop rule on these sectors alone).
-    At the stop M the sector ``k_vector`` is solved once more by
-    ``np.linalg.eigh``, and its lowest ``count`` levels become the
-    Rayleigh quotients of their Galerkin vectors c = L^-T y
-    (``_RadialChart.rayleigh``).  Returns (the levels, one row per sector
-    of ``ks``, in order; those ``count`` vectors, one row each).
+    Each request (l, ks, k_vector, count) names the sectors ``ks`` at l,
+    and the sector ``k_vector`` among them whose lowest ``count`` levels
+    are reported with their vectors; the requests have distinct l.  At
+    each M of ``_MODE_LADDER`` the sectors of every l not yet stopped are
+    formed in one ``sector_matrices`` call and solved values-only in one
+    stacked ``np.linalg.eigvalsh``; each l stops, by ``_settle_modes``,
+    when its sectors' levels below 4, and the first at or above it, move
+    by less than 1e-10 from the previous M (``solve_radial``'s stop rule
+    on these sectors alone), at the M a ladder of that l alone would
+    reach.  At its stop M, the ``count`` vectors of ``k_vector`` come by
+    inverse iteration from the matrices that M formed
+    (``_inverse_vectors``), and those levels become the Rayleigh
+    quotients of their Galerkin vectors c = L^-T y
+    (``_RadialChart.rayleigh``).  Returns, per request in order, (the
+    levels, one row per sector of ``ks``, in order; those ``count``
+    vectors, one row each).
     """
-    kappa = np.array(ks, dtype=float) / chart.q
+    kappa = {l: np.array(ks, dtype=float) / chart.q for l, ks, *_ in requests}
+    # Row j of l's sectors is its vector sector, once per reported level.
+    rows = {l: np.full(count, ks.index(k_vector))
+            for l, ks, k_vector, count in requests}
 
-    def solve(modes):
-        lam = np.linalg.eigvalsh(chart.sector_matrices(kappa, l, modes)[0])
-        vals = np.sort(lam.ravel())
-        return vals, int(np.searchsorted(vals, 4.0)) + 1, lam
+    def solve(modes, active):
+        sizes = [kappa[l].size for l in active]
+        mats, l_inv = chart.sector_matrices(
+            np.concatenate([kappa[l] for l in active]),
+            np.repeat(active, sizes), modes)
+        lam = np.linalg.eigvalsh(mats)
+        solved, lo = [], 0
+        for l, hi in zip(active, np.cumsum(sizes)):
+            vals = np.sort(lam[lo:hi].ravel())
+            # Keeps copies of the vector sector's matrix, one per level.
+            solved.append((vals, int(np.searchsorted(vals, 4.0)) + 1,
+                           (lam[lo:hi], mats[lo + rows[l]], l_inv)))
+            lo = hi
+        return solved
 
-    modes, lam = _settle_modes(l, solve)
-    j = ks.index(k_vector)
-    mats, l_inv = chart.sector_matrices(kappa[j:j + 1], l, modes)
-    vals, y = np.linalg.eigh(mats)
-    lam[j] = vals[0]
-    coef = np.array([l_inv.T @ y[0, :, i] for i in range(count)])
-    lam[j, :count] = chart.rayleigh(np.full(count, kappa[j]), l, coef)
-    return lam, coef
+    levels = []
+    settled = _settle_modes([l for l, *_ in requests], solve)
+    for (l, *_), (_, (lam, mats, l_inv)) in zip(requests, settled):
+        j, count = rows[l][0], rows[l].size
+        y = _inverse_vectors(mats, rows[l], lam[j, :count])
+        coef = np.array([l_inv.T @ v for v in y])
+        lam = lam.copy()
+        lam[j, :count] = chart.rayleigh(np.full(count, kappa[l][j]), l, coef)
+        levels.append((lam, coef))
+    return levels
 
 
 @dataclass(frozen=True)
@@ -708,11 +841,13 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
       next above 2), p - 1, p and p + 1 at l = 1 (level 1 of each;
       sector p holds positions 2p - 1 and 2p), and sector 0 at l = 2,
       which holds the positive, unique ground state (Eastham, *The
-      Spectral Theory of Periodic Differential Equations*).  Each ladder
+      Spectral Theory of Periodic Differential Equations*).  One ladder
+      serves all three l, each M in one stacked eigensolve, and each l
       stops by the 1e-10 rule of ``solve_radial``, which at l = 2, where
       every level is at least 4, settles the ground alone.  Sectors q, p
-      and 0 get vectors: their certified levels are Rayleigh quotients,
-      and the rows at 2 of sectors q and p give the zero counts, sampled
+      and 0 get vectors by inverse iteration at their l's stop M: their
+      certified levels are Rayleigh quotients, and the rows at 2 of
+      sectors q and p give the zero counts, sampled
       together on the uniform x-grid of ``pipeline_grid_size(2048, q)``
       points: a zero count does not depend on the parametrization, so no
       x(t) is needed, and the geodesic's t-chart is never built (the
@@ -754,9 +889,9 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     per_half = pipeline_grid_size(_SAMPLE_GRID, q) // (2 * q)
     chart = _RadialChart(sol.b, q)
     named = {0: (q - 1, q), 1: (p - 1, p, p + 1)}
-    levels0, vectors0 = _named_levels(chart, 0, named[0], q, 2)
-    levels1, vectors1 = _named_levels(chart, 1, named[1], p, 1)
-    ground_l2 = float(_named_levels(chart, 2, (0,), 0, 1)[0][0, 0])
+    (levels0, vectors0), (levels1, vectors1), (levels2, _) = _named_levels(
+        chart, ((0, named[0], q, 2), (1, named[1], p, 1), (2, (0,), 0, 1)))
+    ground_l2 = float(levels2[0, 0])
     # Zero counts of the rows at 2, level 2 of sector q (self-conjugate, h
     # turned real) and Re h of level 1 of sector p, in one sampling on the
     # uniform x-grid: a zero count does not depend on the chart.  The

@@ -602,8 +602,8 @@ def test_grid_size_flag_and_key_are_ignored(tmp_path, capsys):
 def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
     """Each command solves each l with l^2 below the cut once, all on one
     chart: spectrum and cross-check by the all-sector solve, verify in
-    its named sectors alone, where it adds the ground sector at l = 2
-    for its ground-state certificates."""
+    its named sectors alone, in one ladder over every l, where it adds
+    the ground sector at l = 2 for its ground-state certificates."""
     solve, seen, charts = spectrum.solve_radial, [], set()
     named, named_seen = spectrum._named_levels, []
 
@@ -612,10 +612,10 @@ def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
         charts.add(id(kwargs["chart"]))
         return solve(sol, profile, l, *args, **kwargs)
 
-    def named_spy(chart, l, *args):
-        named_seen.append(l)
+    def named_spy(chart, requests):
+        named_seen.extend(l for l, *_ in requests)
         charts.add(id(chart))
-        return named(chart, l, *args)
+        return named(chart, requests)
 
     monkeypatch.setattr(spectrum, "solve_radial", spy)
     monkeypatch.setattr(spectrum, "_named_levels", named_spy)

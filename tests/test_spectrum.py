@@ -19,8 +19,10 @@ from otsuki_bipolar.immersion import area
 from otsuki_bipolar.spectrum import (
     Certificate,
     VerificationReport,
+    _inverse_vectors,
     _named_levels,
     _RadialChart,
+    _sample_rows,
     assemble,
     expected_n2,
     lambda_functional,
@@ -227,16 +229,16 @@ def test_verify_theorem3_ignores_grid_size():
 def test_verify_theorem3_ignores_lambda_cut(cut, monkeypatch):
     """The report counts below 2, so any cut gives the default report and
     the same solves: l = 0 and 1, each in its named sectors alone, and
-    the ground sector at l = 2.  4.5 solves no other l = 2 rows, and
-    6.0, past the end of the l = 0 radial window, does not raise.  No
-    all-sector solve runs."""
+    the ground sector at l = 2, all in one ladder.  4.5 solves no other
+    l = 2 rows, and 6.0, past the end of the l = 0 radial window, does
+    not raise.  No all-sector solve runs."""
     import otsuki_bipolar.spectrum as spec_mod
     default = verify_theorem3(RotationNumber(3, 5))
     named, seen = spec_mod._named_levels, []
 
-    def spy(chart, l, *args, **kwargs):
-        seen.append(l)
-        return named(chart, l, *args, **kwargs)
+    def spy(chart, requests):
+        seen.append([l for l, *_ in requests])
+        return named(chart, requests)
 
     def refuse(*args, **kwargs):
         raise AssertionError("verify ran an all-sector solve")
@@ -245,7 +247,7 @@ def test_verify_theorem3_ignores_lambda_cut(cut, monkeypatch):
     monkeypatch.setattr(spec_mod, "solve_radial", refuse)
     monkeypatch.setattr(spec_mod, "assemble", refuse)
     assert verify_theorem3(RotationNumber(3, 5), lambda_cut=cut) == default
-    assert sorted(seen) == [0, 1, 2]
+    assert seen == [[0, 1, 2]]
 
 
 def test_verify_theorem3_accepts_any_pair():
@@ -320,8 +322,9 @@ def test_rows_are_normalized_independently_of_the_grid():
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8), (4, 7), (5, 9), (7, 10)])
 def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     """verify solves the named sectors alone, q - 1 and q at l = 0,
-    p - 1, p and p + 1 at l = 1 and the ground sector 0 at l = 2, with
-    vectors only in sectors q (two levels), p and 0 (one each).  Against
+    p - 1, p and p + 1 at l = 1 and the ground sector 0 at l = 2, in one
+    ladder, with vectors only in sectors q (two levels), p and 0 (one
+    each).  Against
     the full solve: the certified levels are the rows at positions
     2q - 1, 2q (the same bits) and 2q + 1 at l = 0, and 2p - 2, 2p - 1
     (the same bits) and 2p + 1 at l = 1; the sampled rows, and so the
@@ -335,9 +338,11 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     named, seen = spec_mod._named_levels, {}
     sample, sampled = spec_mod._sample_rows, []
 
-    def spy(chart, l, ks, k_vector, count):
-        seen[l] = (ks, k_vector, count, named(chart, l, ks, k_vector, count))
-        return seen[l][3]
+    def spy(chart, requests):
+        levels = named(chart, requests)
+        for (l, ks, k_vector, count), got in zip(requests, levels):
+            seen[l] = (ks, k_vector, count, got)
+        return levels
 
     def sample_spy(*args):
         rows = sample(*args)
@@ -501,7 +506,7 @@ def test_sin_phi_row_is_cos_x(pq, monkeypatch):
     def parity(coef):
         return (coef[:-1] @ coef[-2::-1]) / (coef @ coef)
 
-    partner = _named_levels(args[0], 0, (q - 1, q), q, 2)[1][0]
+    partner = _named_levels(args[0], ((0, (q - 1, q), q, 2),))[0][1][0]
     assert distance(args[2][0]) <= 1e-12
     assert distance(partner) > 1e-3
     assert abs(parity(args[2][0]) - 1.0) <= 1e-14
@@ -606,10 +611,10 @@ def test_rows_of_vector_sectors_are_rayleigh_quotients(pq, l, monkeypatch):
     import otsuki_bipolar.spectrum as spec_mod
     settle, last = spec_mod._settle_modes, []
 
-    def spy(l, solve):
-        modes, kept = settle(l, solve)
-        last.append(modes)
-        return modes, kept
+    def spy(ls, solve):
+        stops = settle(ls, solve)
+        last.extend(modes for modes, _ in stops)
+        return stops
 
     monkeypatch.setattr(spec_mod, "_settle_modes", spy)
     sol = solve_rotation(RotationNumber(*pq))
@@ -686,40 +691,54 @@ def test_sector_matrices_match_the_direct_reduction(pq):
 
 @pytest.mark.parametrize("pq", [(3, 5), (7, 11)])
 def test_eigenvectors_only_at_the_stop_m(pq, monkeypatch):
-    """Each rung of the ladder solves values-only: np.linalg.eigh runs once
-    per ladder, at the M where it stopped, on the sectors with a sampled
-    row (all q + 1 in a full solve; under verify one matrix each: sector
-    q at l = 0, sector p at l = 1 and the ground sector 0 at l = 2)."""
+    """Each rung of the ladder solves values-only, and no full eigensolve
+    runs: vectors come by inverse iteration, once per l, on matrices of
+    that l's stop M, one per row, at each matrix's own eigenvalues (in a
+    full solve one row per window level, fewer than the window's rows;
+    under verify two rows of sector q at l = 0, one of sector p at l = 1
+    and one of the ground sector 0 at l = 2, copied from the matrices
+    the ladder solved)."""
     import otsuki_bipolar.spectrum as spec_mod
-    eigh, settle = np.linalg.eigh, spec_mod._settle_modes
+    inverse, settle = spec_mod._inverse_vectors, spec_mod._settle_modes
     calls, stops = [], []
 
-    def eigh_spy(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full eigensolve ran")
 
-    def settle_spy(l, solve):
-        modes, kept = settle(l, solve)
-        stops.append(modes)
-        return modes, kept
+    def inverse_spy(mats, sector, shifts):
+        values = np.linalg.eigvalsh(mats)
+        assert all(v in row for v, row in zip(shifts, values))
+        calls.append((mats.shape, sector.tolist()))
+        return inverse(mats, sector, shifts)
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    def settle_spy(ls, solve):
+        settled = settle(ls, solve)
+        stops.extend(modes for modes, _ in settled)
+        return settled
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(spec_mod, "_inverse_vectors", inverse_spy)
     monkeypatch.setattr(spec_mod, "_settle_modes", settle_spy)
-    q = pq[1]
-    solve_radial(solve_rotation(RotationNumber(*pq)), None, 1, 8 * q)
+    p, q = pq
+    spec = solve_radial(solve_rotation(RotationNumber(*pq)), None, 1, 8 * q)
     n = 2 * stops[0] + 1
-    assert calls == [(q + 1, n, n)]
+    (shape, sector), = calls
+    # Grouped per sector; a conjugate pair's two rows share one vector.
+    assert shape == (len(sector), n, n) and set(sector) == set(range(q + 1))
+    assert sector == sorted(sector) and len(sector) < spec.eigenvalues.size
     calls.clear()
     stops.clear()
     verify_theorem3(RotationNumber(*pq))
-    assert len(stops) == 3          # l = 0, l = 1, then the ground at l = 2
-    assert calls == [(1, 2 * m + 1, 2 * m + 1) for m in stops]
+    assert len(stops) == 3          # l = 0, 1 and 2, in one ladder
+    assert calls == [((len(rows), 2 * m + 1, 2 * m + 1), rows)
+                     for m, rows in zip(stops, ([1, 1], [1], [0]))]
 
 
 def test_pencil_is_built_once_per_m_per_chart(monkeypatch):
     """verify's named-sector solves at l = 0 and 1 and the ground level at
-    l = 2 share one chart: its pencil, with the one Cholesky factorization
-    of T_W, is built once at each M that any of them visits."""
+    l = 2 share one chart and one ladder: each M forms the sectors of
+    every l still moving in one call, and the chart's pencil, with the
+    one Cholesky factorization of T_W, is built once at each M."""
     import otsuki_bipolar.spectrum as spec_mod
     chart_cls = spec_mod._RadialChart
     cholesky, pencil = np.linalg.cholesky, chart_cls._pencil
@@ -735,18 +754,18 @@ def test_pencil_is_built_once_per_m_per_chart(monkeypatch):
         return pencil(self, modes)
 
     def sector_spy(self, kappa, l, modes):
-        used.append((l, modes))
+        used.append((np.broadcast_to(l, kappa.shape).tolist(), modes))
         return sector_matrices(self, kappa, l, modes)
 
     monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
     monkeypatch.setattr(chart_cls, "_pencil", pencil_spy)
     monkeypatch.setattr(chart_cls, "sector_matrices", sector_spy)
     verify_theorem3(RotationNumber(7, 11))
-    ladder = sorted({m for _, m in used})
-    assert {l for l, _ in used} == {0, 1, 2}
-    assert all((l, 8) in used for l in (0, 1, 2))
-    assert sorted(factored) == [2 * m + 1 for m in ladder]
-    assert sorted(set(pencils)) == ladder and len(pencils) == len(used)
+    ladder = [m for _, m in used]
+    assert ladder == list(spec_mod._MODE_LADDER[:len(ladder)])
+    assert used[0] == ([0, 0, 1, 1, 1, 2], 8)
+    assert factored == [2 * m + 1 for m in ladder]
+    assert pencils == ladder
 
 
 # The doubling ladder that the 1.5x steps refine.
@@ -764,7 +783,7 @@ def test_ladder_visits_powers_of_two_and_one_and_a_half_times():
         return np.array([1.0 / modes]), 1, None
 
     with pytest.raises(ConvergenceFailure, match=r"at l = 3 .* at M = 256 "):
-        spec_mod._settle_modes(3, solve)
+        spec_mod._settle_modes((3,), lambda modes, active: [solve(modes)])
     assert seen == [8, 16, 24, 32, 48, 64, 96, 128, 192, 256]
 
 
@@ -775,10 +794,10 @@ def test_ladder_ends_no_later_than_doubling(monkeypatch):
     import otsuki_bipolar.spectrum as spec_mod
     settle, last = spec_mod._settle_modes, []
 
-    def spy(l, solve):
-        modes, kept = settle(l, solve)
-        last.append((l, modes))
-        return modes, kept
+    def spy(ls, solve):
+        stops = settle(ls, solve)
+        last.extend((l, modes) for l, (modes, _) in zip(ls, stops))
+        return stops
 
     monkeypatch.setattr(spec_mod, "_settle_modes", spy)
     ends = {}
@@ -843,7 +862,7 @@ def _ground_levels_clear_the_floor(pq):
         spec = solve_radial(sol, None, l, 8 * pq[1], chart=chart,
                             sampled_sectors=())
         assert spec.eigenvalues[0] >= l * l
-        ground = _named_levels(chart, l, (0,), 0, 1)[0][0, 0]
+        ground = _named_levels(chart, ((l, (0,), 0, 1),))[0][0][0, 0]
         assert abs(ground - spec.eigenvalues[0]) <= 1e-11
         assert ground >= l * l
 
@@ -870,7 +889,118 @@ def test_unsettled_ground_level_names_l_and_modes(monkeypatch):
     monkeypatch.setattr(spec_mod, "_MAX_MODES", 16)
     sol = solve_rotation(RotationNumber(3, 5))
     with pytest.raises(ConvergenceFailure, match=r"at l = 2 .* at M = 16 "):
-        _named_levels(_RadialChart(sol.b, 5), 2, (0,), 0, 1)
+        _named_levels(_RadialChart(sol.b, 5), ((2, (0,), 0, 1),))
+
+
+def _named_requests(p, q):
+    """verify's requests to ``_named_levels``."""
+    return ((0, (q - 1, q), q, 2), (1, (p - 1, p, p + 1), p, 1),
+            (2, (0,), 0, 1))
+
+
+def _one_pass_against_per_l_ladders(pq):
+    """The one ladder over l = 0, 1 and 2 gives each l what a ladder of
+    that l alone gives, to the bit: the same stop M (the vectors' 2M + 1
+    entries), levels and vectors."""
+    sol = solve_rotation(RotationNumber(*pq))
+    chart = _RadialChart(sol.b, pq[1])
+    requests = _named_requests(*pq)
+    together = _named_levels(chart, requests)
+    for request, (levels, vectors) in zip(requests, together):
+        (alone_levels, alone_vectors), = _named_levels(chart, (request,))
+        assert vectors.shape == alone_vectors.shape, request[0]
+        assert np.array_equal(levels, alone_levels)
+        assert np.array_equal(vectors, alone_vectors)
+    return [vectors.shape[1] // 2 for _, vectors in together]
+
+
+def test_one_ladder_stops_each_l_where_its_own_ladder_does():
+    """On the 16 reduced p/q with q <= 16, where the l do not all stop at
+    one M: at 4/7, l = 0 and 1 stop at M = 24 and l = 2 at M = 16."""
+    stops = {pq: _one_pass_against_per_l_ladders(pq)
+             for pq in _reduced_fractions(16)}
+    assert stops[(4, 7)] == [24, 24, 16]
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("pq", _reduced_fractions(40))
+def test_one_ladder_stops_each_l_where_its_own_ladder_does_sweep(pq):
+    """The 100 reduced p/q with q <= 40."""
+    _one_pass_against_per_l_ladders(pq)
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (41, 58), (126, 251)])
+@pytest.mark.parametrize("modes", [32, 128])
+def test_inverse_vectors_match_eigh(pq, modes):
+    """Inverse iteration against np.linalg.eigh on verify's named sectors
+    at each l, the lowest four levels of each and the partner of a double
+    level among them: every vector has unit norm and a residual at
+    rounding, n eps times the largest entry of its matrix; the two give
+    the same zero counts; and where a level is single, its Rayleigh
+    quotient is the eigh vector's to 1e-13 and, in sector q at l = 0, so
+    is the sign of its parity sum_m c_m c_{-1-m}, which tells sin(phi)
+    from its band partner.  A double level (41/58 has them) may take any
+    orthonormal pair of its eigenspace, and the pair's two quotients sum
+    to the eigh pair's to 1e-13."""
+    p, q = pq
+    sol = solve_rotation(RotationNumber(p, q))
+    chart = _RadialChart(sol.b, q)
+    n = 2 * modes + 1
+    x_grid = np.arange(256) * (math.pi / 256)
+    for l, ks, _, _ in _named_requests(p, q):
+        kappa = np.array(ks) / q
+        mats, l_inv = chart.sector_matrices(kappa, l, modes)
+        lam, vec = np.linalg.eigh(mats)
+        double = np.diff(lam, axis=1) <= 1e-9 * lam[:, 1:]
+        ends = [4 + int(double[k, 3]) for k in range(len(ks))]
+        sector = np.repeat(np.arange(len(ks)), ends)
+        level = np.concatenate([np.arange(end) for end in ends])
+        y = _inverse_vectors(mats[sector], sector, lam[sector, level])
+        assert np.max(np.abs(np.linalg.norm(y, axis=1) - 1.0)) <= 1e-15
+        residual = np.linalg.norm(
+            np.einsum("rij,rj->ri", mats[sector], y)
+            - lam[sector, level][:, None] * y, axis=1)
+        scale = np.max(mats[sector][:, np.arange(n), np.arange(n)], axis=1)
+        assert np.all(residual <= n * np.finfo(float).eps * scale), l
+        got = np.array([l_inv.T @ v for v in y])
+        want = np.array([l_inv.T @ vec[k, :, i]
+                         for k, i in zip(sector, level)])
+        rho_got = chart.rayleigh(kappa[sector], l, got)
+        rho_want = chart.rayleigh(kappa[sector], l, want)
+        pair = double | np.pad(double[:, :-1], ((0, 0), (1, 0)))
+        single = ~pair[sector, level]
+        assert np.max(np.abs(rho_got - rho_want)[single]) <= 1e-13, l
+        assert abs(np.sum(rho_got[~single] - rho_want[~single])) <= 1e-13
+        real = np.isin(kappa[sector], (0.0, 1.0))
+        counts = [_sample_rows(chart, kappa[sector], c,
+                               np.zeros(sector.size, bool), real, x_grid,
+                               False)[1] for c in (got, want)]
+        assert np.array_equal(*counts), l
+        if l == 0:
+            rows = (sector == 1) & single
+            for c_got, c_want in zip(got[rows], want[rows]):
+                assert (np.sign(c_got[:-1] @ c_got[-2::-1])
+                        == np.sign(c_want[:-1] @ c_want[-2::-1]))
+
+
+def test_inverse_vectors_of_a_double_eigenvalue_are_orthonormal():
+    """Two rows of one matrix at one shift, a double eigenvalue, get two
+    orthonormal vectors of its eigenspace, not one vector twice; and a
+    shift at which the matrix is exactly singular still gives its
+    vector."""
+    rng = np.random.default_rng(7)
+    basis, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    values = np.array([0.5, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0])
+    mats = ((basis * values) @ basis.T)[None]
+    y = _inverse_vectors(mats[[0, 0]], np.array([0, 0]),
+                         np.array([2.0, 2.0]))
+    assert np.max(np.abs(y @ y.T - np.eye(2))) <= 1e-12
+    space = basis[:, 1:3]
+    assert np.max(np.abs(y.T - space @ (space.T @ y.T))) <= 1e-12
+    assert np.max(np.abs(mats[0] @ y.T - 2.0 * y.T)) <= 1e-12
+    diag = np.diag([1.0, 2.0, 3.0])[None]
+    (e,) = np.abs(_inverse_vectors(diag, np.array([0]), np.array([2.0])))
+    assert np.max(np.abs(e - [0.0, 1.0, 0.0])) <= 1e-15
 
 
 def test_closed_geodesic_residual_certificate(monkeypatch):

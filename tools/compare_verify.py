@@ -13,17 +13,21 @@ omega_residual of ``geodesic.solve_rotation``, and ``verify``,
 NumericalFailure is recorded as its class and message instead.  Where
 ``verify`` reached its Hill count, the entry also holds ``hill``: the
 resolved Magnus ``steps`` per cell and delta (the count's lambdas are
-2 -+ delta), taken by wrapping ``hill.count`` while the dump runs.
-Floats are written with all their digits.
+2 -+ delta), taken by wrapping ``hill.count`` while the dump runs; and
+``ladder``: the M at which the named-sector ladder of each l stopped
+(``l0``, ``l1``, ``l2``), read off the width 2M + 1 of the vectors that
+``spectrum._named_levels`` returns, whether it takes every l in one call
+or, as in earlier trees, one l per call.  Floats are written with all
+their digits.
 
 ``--compare`` prints, for every key and every certificate field, how many
 fractions changed, the largest relative change and the largest absolute
 change, and lists each fraction whose stage raised in one dump but not the
 other, or whose certificates differ by name.  It exits 1 if any of these,
 or any N2, N2_expected, threshold_multiplicity, Hill step count or pass
-flag, differs.  A fraction whose ``hill`` field one dump lacks (a dump
-made before the field existed) is counted as not recorded, not as a
-difference.  A dump takes about 11 s on a 2-core host.
+flag, or any ladder stop M, differs.  A fraction whose ``hill`` or
+``ladder`` field one dump lacks (a dump made before the field existed)
+is counted as not recorded, not as a difference.  A dump takes about 11 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -37,8 +41,10 @@ import sys
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy is first imported
 
-EXACT = ("N2", "N2_expected", "threshold_multiplicity", "hill.steps")
+EXACT = ("N2", "N2_expected", "threshold_multiplicity", "hill.steps",
+         "ladder.l0", "ladder.l1", "ladder.l2")
 STAGES = ("solve", "verify")
+RECORDED = ("hill", "ladder")   # fields an older dump may lack
 SOLVE_FIELDS = ("a", "b", "t0", "s_total", "omega_residual")
 NEAR_ONE_HALF = ((101, 201), (126, 251), (250, 499), (500, 999))
 
@@ -62,12 +68,25 @@ def dump(path: str) -> None:
         counts.append(count(*args, **kwargs))
         return counts[-1]
 
+    named, ladders = spectrum._named_levels, {}
+
+    def recording_named(chart, *args):
+        levels = named(chart, *args)
+        if len(args) == 1:      # (l, ks, k_vector, count) of every l at once
+            for (l, *_), (_, vectors) in zip(args[0], levels):
+                ladders[f"l{l}"] = vectors.shape[1] // 2
+        else:                   # one l per call
+            ladders[f"l{args[0]}"] = levels[1].shape[1] // 2
+        return levels
+
     hill.count = recording
+    spectrum._named_levels = recording_named
     out = {}
     for p, q in fractions(100) + list(NEAR_ONE_HALF):
         r = geodesic.RotationNumber(p, q)
         entry = {}
         counts.clear()
+        ladders.clear()
         for stage, run in (
                 ("solve", lambda: {k: getattr(geodesic.solve_rotation(r), k)
                                    for k in SOLVE_FIELDS}),
@@ -81,6 +100,7 @@ def dump(path: str) -> None:
             below, above = counts[-1].lams
             entry["hill"] = {"steps": counts[-1].steps,
                              "delta": 0.5 * (above - below)}
+            entry["ladder"] = dict(sorted(ladders.items()))
         out[f"{p}/{q}"] = entry
     with open(path, "w") as fh:
         json.dump(out, fh)
@@ -89,7 +109,9 @@ def dump(path: str) -> None:
 def _flatten(entry: dict) -> dict:
     """Every compared value of one fraction under a flat key."""
     flat = {f"solve.{k}": v for k, v in entry["solve"].items()}
-    flat.update({f"hill.{k}": v for k, v in entry.get("hill", {}).items()})
+    for field in RECORDED:
+        flat.update({f"{field}.{k}": v
+                     for k, v in entry.get(field, {}).items()})
     for k, v in entry["verify"].items():
         if k == "certificates":
             for c in v:
@@ -108,11 +130,13 @@ def compare(old_path: str, new_path: str) -> int:
     bad = [f"fraction sets differ: {sorted(set(old) ^ set(new))}"] if (
         set(old) != set(new)) else []
     stats = {}      # key -> [changed, compared, max relative, max absolute]
-    unrecorded = {path: 0 for path in (old_path, new_path)}
+    unrecorded = {(path, field): 0 for path in (old_path, new_path)
+                  for field in RECORDED}
     for pq in (pq for pq in old if pq in new):
         a, b = old[pq], new[pq]
         for path, entry in ((old_path, a), (new_path, b)):
-            unrecorded[path] += "hill" not in entry
+            for field in RECORDED:
+                unrecorded[path, field] += field not in entry
         raised = [s for s in STAGES if "error" in a[s] or "error" in b[s]]
         for s in raised:
             if a[s] != b[s]:
@@ -121,10 +145,11 @@ def compare(old_path: str, new_path: str) -> int:
         if raised:
             continue
         fa, fb = _flatten(a), _flatten(b)
-        if "hill" not in a or "hill" not in b:
-            for flat in (fa, fb):
-                for key in [key for key in flat if key.startswith("hill.")]:
-                    del flat[key]
+        for field in RECORDED:
+            if field not in a or field not in b:
+                for flat in (fa, fb):
+                    for key in [k for k in flat if k.startswith(field + ".")]:
+                        del flat[key]
         if fa.keys() != fb.keys():
             bad.append(f"{pq}: keys differ: {sorted(fa.keys() ^ fb.keys())}")
         for key in (key for key in fa if key in fb):
@@ -145,9 +170,9 @@ def compare(old_path: str, new_path: str) -> int:
     for key in sorted(stats):
         changed, n, rel, absolute = stats[key]
         print(f"{key:<{width}}  {changed:>3}/{n:<3}  {rel:.1e}  {absolute:.1e}")
-    for path, n in unrecorded.items():
+    for (path, field), n in unrecorded.items():
         if n:
-            print(f"hill not recorded for {n} fractions in {path}")
+            print(f"{field} not recorded for {n} fractions in {path}")
     for line in bad:
         print(f"DIFFERS {line}")
     return 1 if bad else 0
