@@ -51,10 +51,10 @@ counted without solving for them:
 
 ``count`` totals the levels of the bipolar surface's sectors
 (``surface_sectors``) at l = 0 and 1, with the step count resolved from
-the run's own two sizes, both measured by its first pass.  The
-coefficients come in as a callable x -> (P, S, W), so any analytic
-triple that is even and of period pi can be counted; ``monodromy``
-checks the evenness (DomainError).
+the run's own two sizes, n and 2n.  The coefficients come in as a
+callable x -> (P, S, W), so any analytic triple that is even and of
+period pi can be counted; ``monodromy`` checks the evenness
+(DomainError).
 """
 
 from __future__ import annotations
@@ -68,95 +68,84 @@ from .errors import ConvergenceFailure, DomainError, in_interval
 
 # Gauss-Legendre nodes of one Magnus step, as fractions of the step.
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
-_FIRST_STEPS = 256      # Magnus steps per cell of the first size tried
+_FIRST_STEPS = 64       # Magnus steps per cell of the first pass's coarser
+                        # size; the finer is twice it
 _MAX_STEPS = 2 ** 14    # the finer size at which an unresolved count stops
 _RESOLVED = 10.0        # distance to a half-cell level, in its changes
 _ROUNDING = 1e-12       # the angles' rounding, added to each change
-
-
-def _even_coefficients(coefficients, x):
-    """P, S and W at x, of shape (3, 3 nodes, steps), after checking that
-    they are even about pi/2 at the mirrors pi - x of the first step's
-    nodes: DomainError if they are not."""
-    f = np.array(coefficients(np.concatenate((x, math.pi - x[:, :1]),
-                                             axis=1)), dtype=float)
-    if np.any(np.max(np.abs(f[:, :, -1] - f[:, :, 0]), axis=1)
-              > 1e-12 * np.max(np.abs(f), axis=(1, 2))):
-        raise DomainError("the coefficients are not even about pi/2:"
-                          " the half-cell monodromy needs P, S and W"
-                          " even and of period pi")
-    return f[:, :, :-1]
 
 
 def _steps(coefficients, l, lam, sizes):
     """exp(Omega) of every sixth-order Magnus step over the half cell
     [0, pi/2], h = pi/n for each step count n per cell of ``sizes`` (each
     even), as entries (E11, E12, E21, E22) of shape (4, max n/2, sizes x
-    pairs).  The columns of size n hold its n/2 steps last, after
-    identity steps, which leave every prefix product as it is
-    (1 x + 0 y = x)."""
+    pairs).  The columns of size n hold its n/2 steps last, after steps
+    of length 0, whose exp(Omega) is the identity and so leaves every
+    prefix product as it is.  DomainError if P, S and W are not even
+    about pi/2 at the mirrors pi - x of each size's first step's nodes.
+    """
     for n in sizes:
         if n < 2 or n % 2:
             raise DomainError(f"Magnus steps per cell must be even, got {n}")
-    half = [n // 2 for n in sizes]
-    h = np.repeat([math.pi / n for n in sizes], half)
-    x = (np.concatenate([np.arange(k) for k in half])
-         + np.array(_GAUSS)[:, None]) * h
-    p, s, w = _even_coefficients(coefficients, x)
-    l2 = np.asarray(l, dtype=float)[:, None, None] ** 2
-    lam = np.asarray(lam, dtype=float)[:, None, None]
+    n = np.array(sizes)
+    first = max(sizes) // 2 - n // 2        # the first step of each size
+    k = np.arange(max(sizes) // 2)[:, None] - first
+    h = np.where(k >= 0, math.pi / n, 0.0)[..., None]
+    nodes = (np.maximum(k, 0) + np.array(_GAUSS)[:, None, None]) * h[..., 0]
+    mirrors = math.pi - nodes[:, first, np.arange(n.size)]
+    f = np.array(coefficients(np.concatenate((nodes.reshape(3, -1), mirrors),
+                                             axis=1)), dtype=float)
+    ends = f[:, :, :-n.size].reshape(f.shape[:2] + nodes.shape[1:])
+    mismatch = abs(f[:, :, -n.size:] - ends[:, :, first, np.arange(n.size)])
+    if (mismatch.max(axis=(1, 2)) > 1e-12 * abs(f).max(axis=(1, 2))).any():
+        raise DomainError("the coefficients are not even about pi/2:"
+                          " the half-cell monodromy needs P, S and W"
+                          " even and of period pi")
+    p, s, w = ends[..., None]               # (3 nodes, steps, sizes, 1)
     # A = [[0, 1/P], [l^2 S - lambda W, 0]] at the three nodes of each
     # step; alpha_1, alpha_2 and alpha_3 share its zero diagonal and are
-    # held as their (1, 2) entries u, shape (steps,), and (2, 1) entries
-    # v, shape (pairs, steps).
-    inv_p = 1.0 / p
-    lower = l2 * s - lam * w
-    u1, v1 = h * inv_p[1], h * lower[:, 1]
-    r2 = math.sqrt(15.0) * h / 3.0
-    u2, v2 = r2 * (inv_p[2] - inv_p[0]), r2 * (lower[:, 2] - lower[:, 0])
-    r3 = 10.0 * h / 3.0
-    u3 = r3 * (inv_p[2] - 2.0 * inv_p[1] + inv_p[0])
-    v3 = r3 * (lower[:, 2] - 2.0 * lower[:, 1] + lower[:, 0])
+    # held as their (1, 2) and (2, 1) entries, stacked first: u and v.
+    a = np.empty((2,) + s.shape[:-1] + (len(lam),))
+    np.divide(1.0, p, out=a[0])
+    np.subtract(np.asarray(l, dtype=float) ** 2 * s,
+                np.asarray(lam, dtype=float) * w, out=a[1])
+    a1 = h * a[:, 1]
+    a2 = math.sqrt(15.0) * h / 3.0 * (a[:, 2] - a[:, 0])
+    a3 = 10.0 * h / 3.0 * (a[:, 2] - 2.0 * a[:, 1] + a[:, 0])
+    (u1, v1), (u2, v2), (u3, v3) = a1, a2, a3
     # Omega = alpha_1 + alpha_3/12 + [X, Y]/240 with X = -20 alpha_1
     # - alpha_3 + C_1, Y = alpha_2 + C_2, C_1 = [alpha_1, alpha_2] and
     # C_2 = -[alpha_1, 2 alpha_3 + C_1]/60.  C_1 = diag(c, -c), and
     # C_2 has the diagonal (g, -g) and the corners u1 c/30, -v1 c/30.
+    # The (2, 1) entries take the opposite sign of each corner term.
+    sign = np.array((1.0, -1.0))[:, None, None, None]
     c = u1 * v2 - v1 * u2
     g = (v1 * u3 - u1 * v3) / 30.0
-    x12, x21 = -20.0 * u1 - u3, -20.0 * v1 - v3
-    y12, y21 = u2 + u1 * c / 30.0, v2 + v1 * c / -30.0
-    o11 = (x12 * y21 - x21 * y12) / 240.0
-    o12 = (u1 + u3 / 12.0) + (c * y12 - x12 * g) / 120.0
-    o21 = (v1 + v3 / 12.0) + (x21 * g - c * y21) / 120.0
+    x = -20.0 * a1 - a3
+    y = a2 + a1 * c / (30.0 * sign)
+    e = np.empty((4,) + c.shape)            # Omega, then exp(Omega)
+    np.divide(x[0] * y[1] - x[1] * y[0], 240.0, out=e[0])
+    np.negative(e[0], out=e[3])
+    np.add(a1 + a3 / 12.0, (c * y - x * g) / (120.0 * sign), out=e[1:3])
     # exp(Omega) = cosh(mu) I + sinh(mu)/mu Omega, mu^2 = o11^2 + o12 o21.
-    mu2 = o11 ** 2 + o12 * o21
+    mu2 = e[0] ** 2 + e[1] * e[2]
     mu = np.sqrt(np.abs(mu2))
-    safe = np.where(mu > 0.0, mu, 1.0)
+    zero = mu == 0.0
     hyper = mu2 > 0.0
-    even = np.where(hyper, np.cosh(mu), np.cos(mu))
-    odd = np.where(mu > 0.0, np.where(hyper, np.sinh(mu), np.sin(mu)) / safe,
-                   1.0)
-    e = odd * np.stack((o11, o12, o21, -o11))
-    e[::3] += even
-    m = np.zeros((4, len(sizes), len(lower), max(half)))
-    m[::3] = 1.0                    # identity steps lead the shorter sizes
-    end = 0
-    for i, k in enumerate(half):
-        end += k
-        m[:, i, :, -k:] = e[:, :, end - k:end]
-    # Steps first, so that every pass of the prefix products is contiguous.
-    return np.ascontiguousarray(np.moveaxis(m.reshape(4, -1, max(half)), 2, 1))
+    e *= (np.where(hyper, np.sinh(mu), np.sin(mu)) + zero) / (mu + zero)
+    e[::3] += np.where(hyper, np.cosh(mu), np.cos(mu))
+    return e.reshape(4, e.shape[1], -1)
 
 
 def _prefix_products(m):
     """Every prefix E_j ... E_1 of the steps m, entries (E11, E12, E21,
     E22) of shape (steps, columns), in place, by log2(steps) passes that
     each multiply the products ending d apart."""
+    rows = m.reshape((2, 2) + m.shape[1:])  # [i, k] of every product
     d = 1
     while d < m.shape[1]:
-        a, b = m[:, d:], m[:, :-d]              # the later steps, the earlier
-        m[:, d:] = (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
-                    a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+        a, b = rows[:, :, d:], rows[:, :, :-d]  # the later steps, the earlier
+        np.add(a[:, :1] * b[0], a[:, 1:] * b[1], out=a)
         d *= 2
     return m
 
@@ -171,9 +160,11 @@ def monodromy(coefficients, l, lam, steps: int):
     and Delta = 2 (n11 n22 + n12 n21).  The solutions with (h, P h')(0)
     = (0, 1) and (1, 0) are the second and first columns of every prefix
     product; theta_d starts from 0 and theta_n from pi/2, and each is
-    the sum of the principal differences of its angles at the step
-    points, which differ by less than pi at any resolved step count
-    (``count`` checks both angles against twice the steps).
+    its start plus the principal differences of its angles at the step
+    points, taken as its last angle less 2 pi for every step whose angle
+    wrapped; the angles of neighbouring step points differ by less than
+    pi at any resolved step count (``count`` checks both angles against
+    twice the steps).
     DomainError if P, S or W is not even about pi/2, or ``steps`` is odd.
     """
     return tuple(v[0] for v in _monodromies(coefficients, l, lam, (steps,)))
@@ -181,19 +172,25 @@ def monodromy(coefficients, l, lam, steps: int):
 
 def _monodromies(coefficients, l, lam, sizes):
     """``monodromy`` at every step count per cell of ``sizes``, in one
-    pass: Delta, theta_d and theta_n of shape (sizes, pairs).  Each angle
-    sums only its own size's steps, as that size alone would."""
+    pass: Delta, theta_d and theta_n, of shape (3, sizes, pairs).  A size's
+    leading identity steps add no turn, so each value is the one that size
+    alone gives."""
     m = _prefix_products(_steps(coefficients, l, lam, sizes))
-    thetas = []
-    for h, ph, start in ((m[1], m[3], 0.0), (m[0], m[2], 0.5 * math.pi)):
-        angle = np.arctan2(h, ph).T.copy()      # a row per (size, pair)
-        turn = np.diff(angle, prepend=start, axis=1)
-        turn = turn - 2.0 * math.pi * np.round(turn / (2.0 * math.pi))
-        turn = turn.reshape(len(sizes), -1, turn.shape[1])
-        thetas.append(start + np.array([np.sum(t[:, -(n // 2):], axis=1)
-                                        for t, n in zip(turn, sizes)]))
-    n11, n12, n21, n22 = m[:, -1].reshape(4, len(sizes), -1)
-    return (2.0 * (n11 * n22 + n12 * n21), *thetas)
+    out = np.empty((3, m.shape[2]))
+    n11, n12, n21, n22 = m[:, -1]
+    np.multiply(2.0, n11 * n22 + n12 * n21, out=out[0])
+    # (h, P h') of the solutions from (0, 1) and from (1, 0), at every
+    # step point: theta at pi/2 is the last angle, less 2 pi for each
+    # step whose angle wrapped.
+    angle = np.arctan2(m[1::-1], m[3:1:-1])
+    turn = np.empty_like(angle)
+    np.subtract(angle[:, 0], np.array((0.0, 0.5 * math.pi))[:, None],
+                out=turn[:, 0])
+    np.subtract(angle[:, 1:], angle[:, :-1], out=turn[:, 1:])
+    wraps = np.round(turn / (2.0 * math.pi))
+    np.subtract(angle[:, -1], 2.0 * math.pi * wraps.sum(axis=1),
+                out=out[1:])
+    return out.reshape(3, len(sizes), -1)
 
 
 def level_counts(kappa, delta, theta_d, theta_n) -> np.ndarray:
@@ -207,7 +204,7 @@ def level_counts(kappa, delta, theta_d, theta_n) -> np.ndarray:
     a = np.floor(2.0 * np.asarray(theta_d) / math.pi).astype(int)
     b = np.floor(2.0 * np.asarray(theta_n) / math.pi).astype(int)
     bands, inside = np.divmod(a + b, 2)
-    turn = np.arccos(np.clip(0.5 * np.asarray(delta), -1.0, 1.0)) / math.pi
+    turn = np.arccos((0.5 * np.asarray(delta)).clip(-1.0, 1.0)) / math.pi
     passed = np.where(bands % 2, folded > turn, folded < turn)
     return np.where(folded == 0.0, (b + 1) // 2 + a // 2,
                     np.where(folded == 1.0, b // 2 + (a + 1) // 2,
@@ -243,8 +240,10 @@ class HillCount:
     totals: tuple
     steps: int
 
-    def levels(self, l: int, j: int, kappa) -> np.ndarray:
-        """``level_counts`` of the sectors kappa at l and lams[j]."""
+    def levels(self, l, j, kappa) -> np.ndarray:
+        """``level_counts`` of the sectors kappa at l and lams[j]; l, j and
+        kappa broadcast against each other, so one call counts several
+        (l, lambda) and sectors."""
         return level_counts(kappa, self.delta[l, j], self.theta_d[l, j],
                             self.theta_n[l, j])
 
@@ -255,45 +254,50 @@ def count(coefficients, q: int, lams) -> HillCount:
 
     Every lambda must be a number of at most 4, else DomainError: no level
     of l >= 2 lies below 4 (S/W >= 1), and N counts strictly below lambda.
-    Steps per cell start at 256 and double until the totals at n and 2n
+    Steps per cell start at 64 and double until the totals at n and 2n
     steps agree and, at every (l, lambda), the distance of theta_d and of
     theta_n from a multiple of pi/2 exceeds ten times their change
     between n and 2n plus a rounding floor, 1e-12: on a level of a
     half-cell problem both are rounding.  ConvergenceFailure if that does
-    not happen by 2n = 16384.  The first pass measures 256 and 512 steps
+    not happen by 2n = 16384.  The first pass measures 64 and 128 steps
     together, in one evaluation of ``coefficients`` and one Magnus step
-    and prefix product over both sizes (the 256-step products led by
-    identity steps); each later pass measures 2n alone against n.
+    and prefix product over both sizes (the 64-step products led by
+    identity steps); each later pass measures 2n alone against n.  At
+    2 -+ 1e-8, every reduced p/q in (1/2, sqrt(2)/2) with q <= 300
+    resolves at 128 or 256 steps.
     """
     lams = tuple(in_interval(v, "lambda", -math.inf, 4.0, hi_closed=True)
                  for v in lams)
-    l_pairs = np.repeat((0, 1), len(lams))
-    lam_pairs = np.tile(lams, 2)
+    pairs = ([0] * len(lams) + [1] * len(lams), lams * 2)
     # kappa of l = 0 and 1 against (size, l, lambda, kappa); the weights
     # count each level at l = 1 twice.
     sectors = np.array([surface_sectors(q, l) for l in (0, 1)])[:, None]
     weights = np.array([1, 2])[:, None]
 
     def measure(*sizes):
-        data = [v.reshape(len(sizes), 2, len(lams)) for v in
-                _monodromies(coefficients, l_pairs, lam_pairs, sizes)]
-        levels = level_counts(sectors, *(v[..., None] for v in data))
-        totals = np.sum(weights * np.sum(levels, axis=-1), axis=1)
-        return [HillCount(lams, *(v[i] for v in data),
-                          tuple(int(t) for t in totals[i]), steps)
-                for i, steps in enumerate(sizes)]
+        """Delta, theta_d and theta_n of shape (3, 2, lambdas), and the
+        totals, of each size."""
+        data = _monodromies(coefficients, *pairs, sizes).reshape(
+            3, len(sizes), 2, len(lams))
+        levels = level_counts(sectors, *data[..., None])
+        totals = (weights * levels.sum(axis=-1)).sum(axis=1)
+        return zip(data.swapaxes(0, 1), map(tuple, totals.tolist()))
 
-    coarse, fine = measure(_FIRST_STEPS, 2 * _FIRST_STEPS)
+    (coarse, coarse_totals), (fine, fine_totals) = measure(
+        _FIRST_STEPS, 2 * _FIRST_STEPS)
+    steps = 2 * _FIRST_STEPS
+    quarter = 0.5 * math.pi
     while True:
-        angles = np.stack((fine.theta_d, fine.theta_n))
-        change = np.abs(angles - np.stack((coarse.theta_d, coarse.theta_n)))
-        quarter = 0.5 * math.pi
+        angles = fine[1:]
+        change = np.abs(angles - coarse[1:])
         edge = np.abs(angles - quarter * np.round(angles / quarter))
-        if (fine.totals == coarse.totals
-                and np.all(edge > _RESOLVED * (change + _ROUNDING))):
-            return fine
-        if fine.steps >= _MAX_STEPS:
+        if (fine_totals == coarse_totals
+                and (edge > _RESOLVED * (change + _ROUNDING)).all()):
+            return HillCount(lams, *fine, fine_totals, steps)
+        if steps >= _MAX_STEPS:
             raise ConvergenceFailure(
-                f"Hill count at q = {q} not resolved at {fine.steps} Magnus"
-                f" steps per cell: totals {coarse.totals} and {fine.totals}")
-        coarse, (fine,) = fine, measure(2 * fine.steps)
+                f"Hill count at q = {q} not resolved at {steps} Magnus"
+                f" steps per cell: totals {coarse_totals} and {fine_totals}")
+        steps *= 2
+        coarse, coarse_totals = fine, fine_totals
+        ((fine, fine_totals),) = measure(steps)

@@ -914,17 +914,22 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
                                              ground_l2))
     counted = hill.count(lambda x: radial_coefficients(sol.b, x), q,
                          (2.0 - delta, 2.0 + delta))
-    for l, levels in ((0, levels0), (1, levels1)):
-        kappa = np.array(named[l]) / q
-        for j, lam in enumerate(counted.lams):
-            galerkin = np.sum(levels < lam, axis=1)
-            hill_levels = counted.levels(l, j, kappa)
-            if not np.array_equal(galerkin, hill_levels):
-                raise CountMismatch(
-                    f"Hill count: below {lam!r} at l = {l}, sectors"
-                    f" {list(named[l])} hold {galerkin.tolist()} Galerkin"
-                    f" levels but the discriminant counts"
-                    f" {hill_levels.tolist()}")
+    # Levels below each lambda (rows) in every named sector (columns, l = 0's
+    # then l = 1's), by the discriminant and by Galerkin, in one comparison.
+    ls = np.repeat((0, 1), (len(named[0]), len(named[1])))
+    hill_levels = counted.levels(ls, np.arange(len(counted.lams))[:, None],
+                                 np.array(named[0] + named[1]) / q)
+    lams = np.array(counted.lams)[:, None, None]
+    galerkin = np.hstack([np.sum(levels < lams, axis=-1)
+                          for levels in (levels0, levels1)])
+    if not np.array_equal(galerkin, hill_levels):
+        l, j = next((l, j) for l in (0, 1) for j in range(len(counted.lams))
+                    if np.any(galerkin[j, ls == l] != hill_levels[j, ls == l]))
+        raise CountMismatch(
+            f"Hill count: below {counted.lams[j]!r} at l = {l}, sectors"
+            f" {list(named[l])} hold {galerkin[j, ls == l].tolist()} Galerkin"
+            f" levels but the discriminant counts"
+            f" {hill_levels[j, ls == l].tolist()}")
     n2 = counted.totals[0]
     multiplicity = counted.totals[1] - counted.totals[0]
     n2_expected = expected_n2(r)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from otsuki_bipolar import cli, hill
-from otsuki_bipolar.errors import ConvergenceFailure, DomainError
+from otsuki_bipolar.errors import ConvergenceFailure, CountMismatch, DomainError
 from otsuki_bipolar.geodesic import (
     RotationNumber,
     radial_coefficients,
@@ -17,6 +17,7 @@ from otsuki_bipolar.spectrum import (
     assemble,
     expected_n2,
     solve_radial,
+    verify_theorem3,
     weyl_N,
 )
 
@@ -107,25 +108,27 @@ def test_half_cell_is_the_full_cell(pq, steps):
 
 @pytest.mark.parametrize("pq", [(3, 5), (41, 58), (126, 251)])
 def test_one_pass_is_each_size_alone(pq):
-    """``count``'s first pass takes 256 and 512 steps per cell together:
-    one coefficient evaluation, one Magnus evaluation and one prefix
-    product, the 256-step products led by identity steps.  Delta, theta_d
-    and theta_n are bit for bit those of ``monodromy`` at each size."""
+    """``count``'s first pass takes 64 and 128 steps per cell together
+    (and a pass may take any sizes): one coefficient evaluation, one
+    Magnus evaluation and one prefix product, the shorter size's products
+    led by identity steps.  Delta, theta_d and theta_n are bit for bit
+    those of ``monodromy`` at each size."""
     lams = [0.5, 2.0 - DELTA, 2.0 + DELTA, 3.5]
     l = np.repeat([0, 1], len(lams))
     lam = np.tile(lams, 2)
-    together = hill._monodromies(_coefficients(pq), l, lam, (256, 512))
-    for i, steps in enumerate((256, 512)):
-        alone = hill.monodromy(_coefficients(pq), l, lam, steps)
-        for got, want in zip(together, alone):
-            assert np.array_equal(got[i], want), (steps, got[i] - want)
+    for sizes in ((64, 128), (256, 512)):
+        together = hill._monodromies(_coefficients(pq), l, lam, sizes)
+        for i, steps in enumerate(sizes):
+            alone = hill.monodromy(_coefficients(pq), l, lam, steps)
+            for got, want in zip(together, alone):
+                assert np.array_equal(got[i], want), (steps, got[i] - want)
 
 
-@pytest.mark.parametrize("pq, calls", [((3, 5), 1), ((1000, 1999), 2)])
+@pytest.mark.parametrize("pq, calls", [((3, 5), 1), ((1000, 1999), 4)])
 def test_count_evaluates_the_coefficients_once_per_pass(pq, calls):
     """The first pass evaluates the coefficients once for both of its
-    sizes, and each later pass once for its own: 3/5 resolves at 512
-    steps in one call, 1000/1999 at 1024 in two."""
+    sizes, 64 and 128 steps, and each later pass once for its own: 3/5
+    resolves at 128 steps in one call, 1000/1999 at 1024 in four."""
     coefficients = _coefficients(pq)
     nodes = []
 
@@ -135,7 +138,7 @@ def test_count_evaluates_the_coefficients_once_per_pass(pq, calls):
 
     counted = hill.count(spy, pq[1], (2.0 - DELTA, 2.0 + DELTA))
     assert len(nodes) == calls, nodes
-    assert counted.steps == 512 * calls
+    assert counted.steps == 64 * 2 ** calls
 
 
 def test_monodromy_needs_coefficients_even_about_half_the_cell():
@@ -247,31 +250,35 @@ def test_surface_sectors_follow_the_parity_of_q():
                                                            11, 13, 15])
 
 
-def _count_is_the_closed_form(pq, steps=512):
-    """The count at 2 -+ DELTA, resolved at ``steps`` against half as many."""
+def _count_is_the_closed_form(pq):
+    """The count at 2 -+ DELTA; returns the step count per cell at which
+    it resolved against half as many."""
     counted = hill.count(_coefficients(pq), pq[1], (2.0 - DELTA, 2.0 + DELTA))
     below, above = counted.totals
     assert below == expected_n2(RotationNumber(*pq)), counted
     assert above - below == 5, counted
-    assert counted.steps == steps, counted
+    return counted.steps
 
 
 @pytest.mark.parametrize("pq", _reduced_fractions(16)
                          + [(41, 58), (70, 99), (50, 99), (126, 251)])
 def test_count_is_the_closed_form(pq):
     """N(2 - delta) = 2q + 4p - 2 (odd q) or q + 2p - 2 (even q) and
-    N(2 + delta) - N(2 - delta) = 5.  At 41/58 and 70/99 the l = 0 gap
-    below 2 nearly closes (2.4e-3 and 4.1e-4)."""
-    _count_is_the_closed_form(pq)
+    N(2 + delta) - N(2 - delta) = 5, resolved at 128 steps per cell, or
+    at 256 nearer 1/2.  At 41/58 and 70/99 the l = 0 gap below 2 nearly
+    closes (2.4e-3 and 4.1e-4)."""
+    steps = 256 if pq in ((50, 99), (126, 251)) else 128
+    assert _count_is_the_closed_form(pq) == steps, pq
 
 
 @pytest.mark.sweep
 def test_count_is_the_closed_form_q_up_to_300():
-    """All 5,675 reduced p/q with q <= 300, in one test."""
+    """All 5,675 reduced p/q with q <= 300, in one test, each resolved
+    by 512 steps per cell."""
     fractions = _reduced_fractions(300)
     assert len(fractions) == 5675
     for pq in fractions:
-        _count_is_the_closed_form(pq)
+        assert _count_is_the_closed_form(pq) <= 512, pq
 
 
 @pytest.mark.sweep
@@ -303,7 +310,7 @@ def test_count_is_the_closed_form_past_512_steps(pq, steps):
     """Near 1/2 the count doubles its steps past 512, through the same
     half-cell monodromy: 1024 at 1000/1999 and 2500/4999, 2048 at
     5000/9999."""
-    _count_is_the_closed_form(pq, steps)
+    assert _count_is_the_closed_form(pq) == steps, pq
 
 
 def test_count_stops_at_the_step_cap():
@@ -348,3 +355,51 @@ def test_count_mismatch_is_exit_3(monkeypatch, capsys):
     assert code == 3
     assert err.startswith("error: CountMismatch: Hill count: below ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_count_mismatch_at_one_l_and_lambda_alone(monkeypatch):
+    """The consistency check compares every (l, lambda), not only the
+    first: theta_d shifted by pi/2 at l = 1 and 2 + delta alone, which
+    moves the count of sector p + 1 there (at 3/5, Galerkin [1, 1, 0]
+    against [1, 1, 1]), still raises CountMismatch, naming that l, lambda
+    and sectors."""
+    import otsuki_bipolar.spectrum as spec_mod
+    count = hill.count
+
+    def shifted(*args, **kwargs):
+        counted = count(*args, **kwargs)
+        theta_d = counted.theta_d.copy()
+        theta_d[1, 1] += 0.5 * math.pi
+        return dataclasses.replace(counted, theta_d=theta_d)
+
+    monkeypatch.setattr(spec_mod.hill, "count", shifted)
+    with pytest.raises(CountMismatch,
+                       match=r"below 2\.\d+ at l = 1, sectors \[2, 3, 4\] "):
+        verify_theorem3((3, 5))
+
+
+def test_verify_counts_q_up_to_16_in_one_pass(monkeypatch):
+    """At verify's own delta, each reduced p/q with q <= 16 resolves its
+    count in the first pass: one coefficient evaluation, at 128 steps per
+    cell."""
+    import otsuki_bipolar.spectrum as spec_mod
+    count = hill.count
+    passes = []
+
+    def spy(coefficients, q, lams):
+        calls = []
+
+        def counted_calls(x):
+            calls.append(np.size(x))
+            return coefficients(x)
+
+        counted = count(counted_calls, q, lams)
+        passes.append((len(calls), counted.steps))
+        return counted
+
+    monkeypatch.setattr(spec_mod.hill, "count", spy)
+    fractions = _reduced_fractions(16)
+    assert len(fractions) == 16
+    for pq in fractions:
+        verify_theorem3(pq)
+    assert dict(zip(fractions, passes)) == {pq: (1, 128) for pq in fractions}
