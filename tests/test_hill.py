@@ -274,11 +274,11 @@ def test_count_is_the_closed_form(pq):
 @pytest.mark.sweep
 def test_count_is_the_closed_form_q_up_to_300():
     """All 5,675 reduced p/q with q <= 300, in one test, each resolved
-    by 512 steps per cell."""
+    by 256 steps per cell."""
     fractions = _reduced_fractions(300)
     assert len(fractions) == 5675
     for pq in fractions:
-        assert _count_is_the_closed_form(pq) <= 512, pq
+        assert _count_is_the_closed_form(pq) <= 256, pq
 
 
 @pytest.mark.sweep

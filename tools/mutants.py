@@ -1,13 +1,13 @@
 """Run the committed mutants: each must make its named tests fail.
 
-    python3 tools/mutants.py [--list FILE] [NAME ...]
+    python3 tools/mutants.py
 
-Reads a JSON list of entries (default ``tools/mutants.json`` next to this
-file).  Each entry has a ``name``, a line ``what`` saying what the
+Runs every entry of ``tools/mutants.json``, the JSON list next to this
+file.  Each entry has a ``name``, a line ``what`` saying what the
 mutant breaks, a ``file`` relative to the repository root, the exact
 ``old`` text, which must occur once in that file, the ``new`` text that
 replaces it, and the pytest node ids in ``tests`` that the replacement
-must make fail.  NAME arguments run only those entries.
+must make fail.
 
 The tree (without ``.git`` and caches) is copied once into a temporary
 directory, and the working tree is never written.  The union of the named
@@ -26,7 +26,6 @@ takes ~35 s on a 2-core host.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -36,6 +35,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MUTANTS = os.path.join(ROOT, "tools", "mutants.json")
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                  ".bench_out", "*.egg-info")
 
@@ -73,19 +73,9 @@ def try_mutant(entry: dict, tree: str) -> tuple[str, list[str]]:
     return ("SURVIVED", passed) if passed else ("caught", [])
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--list", default=os.path.join(ROOT, "tools",
-                                                       "mutants.json"))
-    parser.add_argument("names", nargs="*")
-    args = parser.parse_args(argv)
-    with open(args.list, encoding="utf-8") as f:
+def main() -> int:
+    with open(MUTANTS, encoding="utf-8") as f:
         entries = json.load(f)
-    unknown = set(args.names) - {e["name"] for e in entries}
-    if unknown:
-        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
-    if args.names:
-        entries = [e for e in entries if e["name"] in args.names]
     failed = False
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = os.path.join(tmp, "tree")
