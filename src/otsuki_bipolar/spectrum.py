@@ -269,7 +269,7 @@ class _RadialChart:
     ``geodesic.bipolar_chart``), built on first use, so a solve that
     samples no row in t never builds it.  One chart may serve the radial
     solves of every l (see ``solve_radial``) and the one ladder of
-    ``_named_levels``; it keeps the pencil of the reduced matrices per
+    ``verify_theorem3``; it keeps the pencil of the reduced matrices per
     M (``_pencil``: four n x n matrices and L^-1, for n = 2M + 1) and the
     x of the sampling grid per ``per_half``, so each is computed once
     however many l it serves.
@@ -373,39 +373,53 @@ class _RadialChart:
         return mats, l_inv
 
 
-def _settle_modes(ls, solve):
-    """Step the Fourier modes per sector M through ``_MODE_LADDER`` (8,
-    16, 24, 32, 48, ... 256: each power of two and 1.5 times it), for
-    every angular index of ``ls`` at once, until each l's leading
-    eigenvalues move by less than 1e-10 from its previous M; an l that
-    has stopped is solved no more.
+def _settle_modes(chart: _RadialChart, requests) -> list[tuple]:
+    """Values-only Galerkin levels of Bloch sectors, settled in M.
 
-    ``solve(M, active)`` solves the l of ``active``, those of ``ls`` not
-    yet stopped, in their order, and returns for each (sorted
-    eigenvalues, how many of the lowest must settle, whatever the caller
-    keeps of that solve).  Returns, for each l of ``ls``, its stop M and
-    what its last solve kept.  Raises ConvergenceFailure, naming the
-    lowest l that still moves and M, if any still moves at M = 256.  The
-    Galerkin spaces are nested, so each value falls with M, and up to
-    rounding each l stops at no larger M than doubling from 8 would.
+    Each request (l, kappa, copies, least) names the sectors ``kappa`` at
+    angular index l; ``copies`` (per sector, or one for all) is how often
+    each sector's levels count, 2 where a sector stands for its conjugate
+    partner too.  The Fourier modes per sector M step through
+    ``_MODE_LADDER`` (8, 16, 24, 32, 48, ... 256: each power of two and
+    1.5 times it); each M forms the sectors of every request still
+    moving in one ``sector_matrices`` call and solves them in one stacked
+    ``np.linalg.eigvalsh``.  A request stops when its lowest ``count``
+    levels, copies counted, move by less than 1e-10 from the previous M:
+    those below 4 and the first at or above it, or ``least`` if more.  A
+    sector's matrix is the same bits whatever is formed with it, so each
+    request stops where a ladder of its own would.  Returns, per request
+    in order, (its stop M, its levels there, one ascending row per
+    sector, ``count``).  Raises ConvergenceFailure, naming the lowest l
+    still moving and M, if any still moves at M = 256.  The Galerkin
+    spaces are nested, so each value falls with M, and up to rounding
+    each request stops at no larger M than doubling from 8 would.
     """
     prev, change, stops = {}, {}, {}
     for modes in _MODE_LADDER:
-        active = [l for l in ls if l not in stops]
-        for l, (vals, count, kept) in zip(active, solve(modes, active)):
-            if l in prev:
-                change[l] = float(np.max(np.abs(vals[:count]
-                                                - prev[l][:count])))
-                if change[l] < _MODE_TOL:
-                    stops[l] = modes, kept
-            prev[l] = vals
-        if len(stops) == len(ls):
-            return [stops[l] for l in ls]
+        active = [i for i in range(len(requests)) if i not in stops]
+        sizes = [requests[i][1].size for i in active]
+        lam = np.linalg.eigvalsh(chart.sector_matrices(
+            np.concatenate([requests[i][1] for i in active]),
+            np.repeat([requests[i][0] for i in active], sizes), modes)[0])
+        lo = 0
+        for i, size in zip(active, sizes):
+            _, _, copies, least = requests[i]
+            levels, lo = lam[lo:lo + size], lo + size
+            vals = np.sort(np.repeat(levels, copies, axis=0).ravel())
+            count = max(least, int(np.searchsorted(vals, 4.0)) + 1)
+            if i in prev:
+                change[i] = float(np.max(np.abs(vals[:count]
+                                                - prev[i][:count])))
+                if change[i] < _MODE_TOL:
+                    stops[i] = modes, levels, count
+            prev[i] = vals
+        if len(stops) == len(requests):
+            return [stops[i] for i in range(len(requests))]
         if modes >= _MAX_MODES:
-            l = min(l for l in ls if l not in stops)
+            l, i = min((requests[i][0], i) for i in active if i not in stops)
             raise ConvergenceFailure(
                 f"radial eigenvalues at l = {l} still move by"
-                f" {change[l]:.1e} at M = {modes} Fourier modes per sector")
+                f" {change[i]:.1e} at M = {modes} Fourier modes per sector")
 
 
 # Inverse iteration, see _inverse_vectors.
@@ -495,6 +509,27 @@ def _inverse_step(a, rhs, nudge):
     return z / size[:, None], np.sqrt(np.einsum("ij,ij->i", rhs, rhs)) / size
 
 
+def _galerkin_vectors(chart: _RadialChart, l: int, kappa: np.ndarray,
+                      modes: int, sector: np.ndarray, shifts: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Galerkin vectors of settled levels, and their Rayleigh quotients.
+
+    Row r is the level of sector ``kappa[sector[r]]`` at angular index l
+    whose ``np.linalg.eigvalsh`` value at M = ``modes`` is ``shifts[r]``,
+    as ``_settle_modes`` returns it; the rows come grouped per sector, in
+    ascending shifts.  Each row's sector matrix is formed at that M, the
+    same bits as the ladder's (``sector_matrices``), and its vector y
+    comes by inverse iteration (``_inverse_vectors``).  Returns the
+    coefficient vectors c = L^-T y, one row each, and the Rayleigh
+    quotients of c in the unreduced problem (``_RadialChart.rayleigh``),
+    which are free of the reduced eigensolve's rounding.
+    """
+    mats, l_inv = chart.sector_matrices(kappa[sector], l, modes)
+    y = _inverse_vectors(mats, sector, shifts)
+    coef = np.array([l_inv.T @ v for v in y])
+    return coef, chart.rayleigh(kappa[sector], l, coef)
+
+
 def _sample_rows(chart: _RadialChart, kappa: np.ndarray, coef: np.ndarray,
                  imag: np.ndarray, real: np.ndarray, x_loc: np.ndarray,
                  anti: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -559,10 +594,11 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     complex conjugate of sector k, so only half of them are solved, in
     one batched Hermitian eigensolve.  Each sector is a Fourier-Galerkin
     problem with 2M + 1 modes; M steps through ``_MODE_LADDER`` (8, 16,
-    24, 32, 48, ... 256) until the lowest eigenvalues move by less than
-    1e-10 from the previous M (``_settle_modes``), and ``eps_grid`` is
-    that stop tolerance, 1e-10.  The returned window holds at least
-    2 max(p, q) + 8 eigenvalues and reaches 4.
+    24, 32, 48, ... 256) until the lowest eigenvalues, each pair's
+    counted twice, move by less than 1e-10 from the previous M
+    (``_settle_modes``, one request of every solved sector), and
+    ``eps_grid`` is that stop tolerance, 1e-10.  The returned window
+    holds at least 2 max(p, q) + 8 eigenvalues and reaches 4.
 
     Eigenfunctions are sampled on the uniform t-grid of
     ``pipeline_grid_size(grid_size, q)`` points, which only sets the
@@ -579,9 +615,8 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     values-only (``np.linalg.eigvalsh``).  Unless ``sampled_sectors`` is
     empty, each level of the window gets its vector by inverse iteration
     at the M where the ladder stops, shifted by its ``eigvalsh`` value
-    (``_inverse_vectors``, on its own copy of its sector's matrix, formed
-    again there), and each window row reports the Rayleigh quotient of
-    its Galerkin vector in the unreduced form
+    (``_galerkin_vectors``), and each window row reports the Rayleigh
+    quotient of its Galerkin vector in the unreduced form
     (``_RadialChart.rayleigh``), which is free of the reduced
     eigensolve's rounding: the values are the same bits whichever
     sectors are sampled, and the same bits as ``verify_theorem3``'s
@@ -606,40 +641,28 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     kappa = (ks + (0.5 if anti else 0.0)) / q
     partner = (2 * q - 1 - ks) if anti else (2 * q - ks) % (2 * q)
     paired = partner != ks
-    base = 2 * max(q, r.p) + 8
     vectors = sampled_sectors is None or len(sampled_sectors) > 0
-
-    def solve(modes, active):
-        lam = np.linalg.eigvalsh(chart.sector_matrices(kappa, l, modes)[0])
-        vals = np.sort(np.concatenate([lam.ravel(), lam[paired].ravel()]))
-        count = max(base, int(np.searchsorted(vals, 4.0)) + 1)
-        return [(vals, count, (lam, count))]
-
-    ((modes, (lam, count)),) = _settle_modes((l,), solve)
+    ((modes, lam, count),) = _settle_modes(
+        chart, ((l, kappa, np.where(paired, 2, 1), 2 * max(q, r.p) + 8),))
 
     # Every level with its multiplicity; the second copy of a conjugate
     # pair becomes the imaginary part of h and carries the partner sector.
     flat = np.concatenate([np.arange(lam.size),
                            np.flatnonzero(np.repeat(paired, lam.shape[1]))])
-    src, idx = np.divmod(flat, lam.shape[1])
+    src = flat // lam.shape[1]
     level_lam = lam.ravel()[flat]
     imag = np.arange(flat.size) >= lam.size
     order = np.lexsort((imag, level_lam))[:count]
-    src, idx, imag = src[order], idx[order], imag[order]
+    src, imag = src[order], imag[order]
     values = level_lam[order]
     if vectors:
         # Each window level reports the Rayleigh quotient of its Galerkin
-        # vector c = L^-T y, by inverse iteration on its sector's matrix,
-        # formed again at the stop M, one copy per level; the two copies
-        # of a conjugate pair share one vector.
+        # vector; the two copies of a conjugate pair share one vector.
         levels, copy = np.unique(flat[order], return_inverse=True)
-        sector = levels // lam.shape[1]
-        mats, l_inv = chart.sector_matrices(kappa[sector], l, modes)
-        y = _inverse_vectors(mats, sector, lam.ravel()[levels])
-        del mats
-        coef = np.array([l_inv.T @ v for v in y])
-        values = chart.rayleigh(kappa[sector], l, coef)[copy]
-        coef = coef[copy]
+        coef, values = _galerkin_vectors(chart, l, kappa, modes,
+                                         levels // lam.shape[1],
+                                         lam.ravel()[levels])
+        values, coef = values[copy], coef[copy]
     # The operator is positive semidefinite: a negative value (the
     # constant mode at l = 0) is rounding.
     values = np.maximum(values, 0.0)
@@ -661,58 +684,6 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
                       eigenvalues=values, eigenfunctions=funcs,
                       zero_counts=zero_counts, labels=np.arange(count),
                       eps_grid=_MODE_TOL, sectors=sectors)
-
-
-def _named_levels(chart: _RadialChart, requests) -> list[tuple]:
-    """Levels of named periodic Bloch sectors, every l in one ladder.
-
-    Each request (l, ks, k_vector, count) names the sectors ``ks`` at l,
-    and the sector ``k_vector`` among them whose lowest ``count`` levels
-    are reported with their vectors; the requests have distinct l.  At
-    each M of ``_MODE_LADDER`` the sectors of every l not yet stopped are
-    formed in one ``sector_matrices`` call and solved values-only in one
-    stacked ``np.linalg.eigvalsh``; each l stops, by ``_settle_modes``,
-    when its sectors' levels below 4, and the first at or above it, move
-    by less than 1e-10 from the previous M (``solve_radial``'s stop rule
-    on these sectors alone), at the M a ladder of that l alone would
-    reach.  At its stop M, the ``count`` vectors of ``k_vector`` come by
-    inverse iteration from the matrices that M formed
-    (``_inverse_vectors``), and those levels become the Rayleigh
-    quotients of their Galerkin vectors c = L^-T y
-    (``_RadialChart.rayleigh``).  Returns, per request in order, (the
-    levels, one row per sector of ``ks``, in order; those ``count``
-    vectors, one row each).
-    """
-    kappa = {l: np.array(ks, dtype=float) / chart.q for l, ks, *_ in requests}
-    # Row j of l's sectors is its vector sector, once per reported level.
-    rows = {l: np.full(count, ks.index(k_vector))
-            for l, ks, k_vector, count in requests}
-
-    def solve(modes, active):
-        sizes = [kappa[l].size for l in active]
-        mats, l_inv = chart.sector_matrices(
-            np.concatenate([kappa[l] for l in active]),
-            np.repeat(active, sizes), modes)
-        lam = np.linalg.eigvalsh(mats)
-        solved, lo = [], 0
-        for l, hi in zip(active, np.cumsum(sizes)):
-            vals = np.sort(lam[lo:hi].ravel())
-            # Keeps copies of the vector sector's matrix, one per level.
-            solved.append((vals, int(np.searchsorted(vals, 4.0)) + 1,
-                           (lam[lo:hi], mats[lo + rows[l]], l_inv)))
-            lo = hi
-        return solved
-
-    levels = []
-    settled = _settle_modes([l for l, *_ in requests], solve)
-    for (l, *_), (_, (lam, mats, l_inv)) in zip(requests, settled):
-        j, count = rows[l][0], rows[l].size
-        y = _inverse_vectors(mats, rows[l], lam[j, :count])
-        coef = np.array([l_inv.T @ v for v in y])
-        lam = lam.copy()
-        lam[j, :count] = chart.rayleigh(np.full(count, kappa[l][j]), l, coef)
-        levels.append((lam, coef))
-    return levels
 
 
 @dataclass(frozen=True)
@@ -835,19 +806,20 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     The route, on one ``_RadialChart``:
 
     * **Named sectors.**  Band theory names the periodic Bloch sectors
-      that hold the certified levels, and ``_named_levels`` solves each
-      l in those alone: q - 1 and q at l = 0 (positions 2q - 1 and 2q
-      are levels 1 and 2 of sector q; level 2 of sector q - 1 is the
-      next above 2), p - 1, p and p + 1 at l = 1 (level 1 of each;
-      sector p holds positions 2p - 1 and 2p), and sector 0 at l = 2,
-      which holds the positive, unique ground state (Eastham, *The
-      Spectral Theory of Periodic Differential Equations*).  One ladder
-      serves all three l, each M in one stacked eigensolve, and each l
-      stops by the 1e-10 rule of ``solve_radial``, which at l = 2, where
-      every level is at least 4, settles the ground alone.  Sectors q, p
-      and 0 get vectors by inverse iteration at their l's stop M: their
-      certified levels are Rayleigh quotients, and the rows at 2 of
-      sectors q and p give the zero counts, sampled
+      that hold the certified levels, and each l is solved in those
+      alone: q - 1 and q at l = 0 (positions 2q - 1 and 2q are levels 1
+      and 2 of sector q; level 2 of sector q - 1 is the next above 2),
+      p - 1, p and p + 1 at l = 1 (level 1 of each; sector p holds
+      positions 2p - 1 and 2p), and sector 0 at l = 2, which holds the
+      positive, unique ground state (Eastham, *The Spectral Theory of
+      Periodic Differential Equations*).  One ladder (``_settle_modes``,
+      one request per l) serves all three l, each M in one stacked
+      eigensolve, and each l stops by the 1e-10 rule of
+      ``solve_radial``, which at l = 2, where every level is at least 4,
+      settles the ground alone.  Sectors q, p and 0 get vectors by
+      inverse iteration at their l's stop M (``_galerkin_vectors``, one
+      call per l): their certified levels are Rayleigh quotients, and
+      the rows at 2 of sectors q and p give the zero counts, sampled
       together on the uniform x-grid of ``pipeline_grid_size(2048, q)``
       points: a zero count does not depend on the parametrization, so no
       x(t) is needed, and the geodesic's t-chart is never built (the
@@ -888,9 +860,21 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     p, q = r.p, r.q
     per_half = pipeline_grid_size(_SAMPLE_GRID, q) // (2 * q)
     chart = _RadialChart(sol.b, q)
-    named = {0: (q - 1, q), 1: (p - 1, p, p + 1)}
-    (levels0, vectors0), (levels1, vectors1), (levels2, _) = _named_levels(
-        chart, ((0, named[0], q, 2), (1, named[1], p, 1), (2, (0,), 0, 1)))
+    named = {0: (q - 1, q), 1: (p - 1, p, p + 1), 2: (0,)}
+    kappa = {l: np.array(ks) / q for l, ks in named.items()}
+    levels, vectors = [], []
+    # Levels 1 and 2 of sector q at l = 0, level 1 of sector p at l = 1 and
+    # the ground at l = 2 get vectors at their l's stop M and become the
+    # Rayleigh quotients of those vectors.
+    for l, j, count, (modes, lam, _) in zip(
+            named, (1, 1, 0), (2, 1, 1),
+            _settle_modes(chart, [(l, kappa[l], 1, 0) for l in named])):
+        coef, rho = _galerkin_vectors(chart, l, kappa[l], modes,
+                                      np.full(count, j), lam[j, :count])
+        levels.append(lam.copy())
+        levels[-1][j, :count] = rho
+        vectors.append(coef)
+    (levels0, levels1, levels2), (vectors0, vectors1, _) = levels, vectors
     ground_l2 = float(levels2[0, 0])
     # Zero counts of the rows at 2, level 2 of sector q (self-conjugate, h
     # turned real) and Re h of level 1 of sector p, in one sampling on the

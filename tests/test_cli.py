@@ -601,29 +601,30 @@ def test_grid_size_flag_and_key_are_ignored(tmp_path, capsys):
 ], ids=["spectrum", "cross-check", "spectrum-cut-4.04", "verify"])
 def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
     """Each command solves each l with l^2 below the cut once, all on one
-    chart: spectrum and cross-check by the all-sector solve, verify in
-    its named sectors alone, in one ladder over every l, where it adds
-    the ground sector at l = 2 for its ground-state certificates."""
+    chart: spectrum and cross-check by the all-sector solve, one ladder
+    per l, verify in its named sectors alone, in one ladder over every
+    l, where it adds the ground sector at l = 2 for its ground-state
+    certificates."""
     solve, seen, charts = spectrum.solve_radial, [], set()
-    named, named_seen = spectrum._named_levels, []
+    settle, ladders = spectrum._settle_modes, []
 
     def spy(sol, profile, l, *args, **kwargs):
         seen.append(l)
         charts.add(id(kwargs["chart"]))
         return solve(sol, profile, l, *args, **kwargs)
 
-    def named_spy(chart, requests):
-        named_seen.extend(l for l, *_ in requests)
+    def settle_spy(chart, requests):
+        ladders.append([l for l, *_ in requests])
         charts.add(id(chart))
-        return named(chart, requests)
+        return settle(chart, requests)
 
     monkeypatch.setattr(spectrum, "solve_radial", spy)
-    monkeypatch.setattr(spectrum, "_named_levels", named_spy)
+    monkeypatch.setattr(spectrum, "_settle_modes", settle_spy)
     code, out, err = run(argv, capsys)
     assert code == 0, err
     verify = argv[0] == "verify"
-    assert (named_seen if verify else seen) == ls and len(charts) == 1
-    assert (seen if verify else named_seen) == []
+    assert seen == ([] if verify else ls) and len(charts) == 1
+    assert ladders == ([ls] if verify else [[l] for l in ls])
     if "4.04" in argv:
         rows = list(csv.DictReader(out.splitlines()[1:]))
         assert {row["l"] for row in rows} == {"0", "1", "2"}

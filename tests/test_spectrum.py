@@ -19,10 +19,11 @@ from otsuki_bipolar.immersion import area
 from otsuki_bipolar.spectrum import (
     Certificate,
     VerificationReport,
+    _galerkin_vectors,
     _inverse_vectors,
-    _named_levels,
     _RadialChart,
     _sample_rows,
+    _settle_modes,
     assemble,
     expected_n2,
     lambda_functional,
@@ -234,16 +235,16 @@ def test_verify_theorem3_ignores_lambda_cut(cut, monkeypatch):
     not raise.  No all-sector solve runs."""
     import otsuki_bipolar.spectrum as spec_mod
     default = verify_theorem3(RotationNumber(3, 5))
-    named, seen = spec_mod._named_levels, []
+    settle, seen = spec_mod._settle_modes, []
 
     def spy(chart, requests):
         seen.append([l for l, *_ in requests])
-        return named(chart, requests)
+        return settle(chart, requests)
 
     def refuse(*args, **kwargs):
         raise AssertionError("verify ran an all-sector solve")
 
-    monkeypatch.setattr(spec_mod, "_named_levels", spy)
+    monkeypatch.setattr(spec_mod, "_settle_modes", spy)
     monkeypatch.setattr(spec_mod, "solve_radial", refuse)
     monkeypatch.setattr(spec_mod, "assemble", refuse)
     assert verify_theorem3(RotationNumber(3, 5), lambda_cut=cut) == default
@@ -324,7 +325,7 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     """verify solves the named sectors alone, q - 1 and q at l = 0,
     p - 1, p and p + 1 at l = 1 and the ground sector 0 at l = 2, in one
     ladder, with vectors only in sectors q (two levels), p and 0 (one
-    each).  Against
+    each, at its l's stop M, shifted by that M's levels).  Against
     the full solve: the certified levels are the rows at positions
     2q - 1, 2q (the same bits) and 2q + 1 at l = 0, and 2p - 2, 2p - 1
     (the same bits) and 2p + 1 at l = 1; the sampled rows, and so the
@@ -335,32 +336,53 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     the multiplicity its count at 2; the ground level at l = 2 is the
     full solve's lowest to rounding."""
     import otsuki_bipolar.spectrum as spec_mod
-    named, seen = spec_mod._named_levels, {}
+    settle, ladders = spec_mod._settle_modes, []
+    vectors, vector_calls = spec_mod._galerkin_vectors, []
     sample, sampled = spec_mod._sample_rows, []
 
-    def spy(chart, requests):
-        levels = named(chart, requests)
-        for (l, ks, k_vector, count), got in zip(requests, levels):
-            seen[l] = (ks, k_vector, count, got)
-        return levels
+    def settle_spy(chart, requests):
+        settled = settle(chart, requests)
+        ladders.append((requests, settled))
+        return settled
+
+    def vectors_spy(*args):
+        got = vectors(*args)
+        vector_calls.append((args[1:], got))
+        return got
 
     def sample_spy(*args):
         rows = sample(*args)
         sampled.append((args, rows[1]))
         return rows
 
-    monkeypatch.setattr(spec_mod, "_named_levels", spy)
+    monkeypatch.setattr(spec_mod, "_settle_modes", settle_spy)
+    monkeypatch.setattr(spec_mod, "_galerkin_vectors", vectors_spy)
     monkeypatch.setattr(spec_mod, "_sample_rows", sample_spy)
     report = verify_theorem3(RotationNumber(*pq))
-    calls = list(sampled)   # the full solves below sample through the spy too
+    # The full solves below solve, and sample, through the spies too.
+    calls, vector_calls = list(sampled), list(vector_calls)
+    (requests, settled), = ladders
     p, q = pq
-    assert {l: v[:3] for l, v in seen.items()} == {
-        0: ((q - 1, q), q, 2), 1: ((p - 1, p, p + 1), p, 1), 2: ((0,), 0, 1)}
+    named = {l: rest for l, *rest in _named_requests(p, q)}
+    assert [l for l, *_ in requests] == [0, 1, 2]
+    assert [l for (l, *_), _ in vector_calls] == [0, 1, 2]
+    levels, vector_rows = [], []
+    for (l, kappa, copies, least), (modes, lam, _), call in zip(
+            requests, settled, vector_calls):
+        ks, j, count = named[l]
+        assert np.array_equal(kappa, np.array(ks) / q)
+        assert (copies, least) == (1, 0)
+        (_, kappa_v, modes_v, sector, shifts), (coef, rho) = call
+        assert np.array_equal(kappa_v, kappa) and modes_v == modes
+        assert sector.tolist() == [j] * count
+        assert np.array_equal(shifts, lam[j, :count])
+        assert coef.shape == (count, 2 * modes + 1)
+        levels.append(lam.copy())
+        levels[-1][j, :count] = rho
+        vector_rows.append(coef)
+    levels0, levels1, levels2 = levels
+    vectors0, vectors1, _ = vector_rows
     full0, full1 = cases.spectrum(pq, 0), cases.spectrum(pq, 1)
-    levels0, vectors0 = seen[0][3]
-    levels1, vectors1 = seen[1][3]
-    levels2, vectors2 = seen[2][3]
-    assert [v.shape[0] for v in (vectors0, vectors1, vectors2)] == [2, 1, 1]
     got = [levels0[1, 0], levels0[1, 1], levels0[0, 1],
            levels1[0, 0], levels1[1, 0], levels1[2, 0]]
     want = [full0.eigenvalues[2 * q - 1], full0.eigenvalues[2 * q],
@@ -506,7 +528,7 @@ def test_sin_phi_row_is_cos_x(pq, monkeypatch):
     def parity(coef):
         return (coef[:-1] @ coef[-2::-1]) / (coef @ coef)
 
-    partner = _named_levels(args[0], ((0, (q - 1, q), q, 2),))[0][1][0]
+    partner = _certified_levels(args[0], ((0, (q - 1, q), 1, 2),))[0][2][0]
     assert distance(args[2][0]) <= 1e-12
     assert distance(partner) > 1e-3
     assert abs(parity(args[2][0]) - 1.0) <= 1e-14
@@ -611,9 +633,9 @@ def test_rows_of_vector_sectors_are_rayleigh_quotients(pq, l, monkeypatch):
     import otsuki_bipolar.spectrum as spec_mod
     settle, last = spec_mod._settle_modes, []
 
-    def spy(ls, solve):
-        stops = settle(ls, solve)
-        last.extend(modes for modes, _ in stops)
+    def spy(chart, requests):
+        stops = settle(chart, requests)
+        last.extend(modes for modes, *_ in stops)
         return stops
 
     monkeypatch.setattr(spec_mod, "_settle_modes", spy)
@@ -696,8 +718,7 @@ def test_eigenvectors_only_at_the_stop_m(pq, monkeypatch):
     that l's stop M, one per row, at each matrix's own eigenvalues (in a
     full solve one row per window level, fewer than the window's rows;
     under verify two rows of sector q at l = 0, one of sector p at l = 1
-    and one of the ground sector 0 at l = 2, copied from the matrices
-    the ladder solved)."""
+    and one of the ground sector 0 at l = 2, formed again at that M)."""
     import otsuki_bipolar.spectrum as spec_mod
     inverse, settle = spec_mod._inverse_vectors, spec_mod._settle_modes
     calls, stops = [], []
@@ -711,9 +732,9 @@ def test_eigenvectors_only_at_the_stop_m(pq, monkeypatch):
         calls.append((mats.shape, sector.tolist()))
         return inverse(mats, sector, shifts)
 
-    def settle_spy(ls, solve):
-        settled = settle(ls, solve)
-        stops.extend(modes for modes, _ in settled)
+    def settle_spy(chart, requests):
+        settled = settle(chart, requests)
+        stops.extend(modes for modes, *_ in settled)
         return settled
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
@@ -738,12 +759,15 @@ def test_pencil_is_built_once_per_m_per_chart(monkeypatch):
     """verify's named-sector solves at l = 0 and 1 and the ground level at
     l = 2 share one chart and one ladder: each M forms the sectors of
     every l still moving in one call, and the chart's pencil, with the
-    one Cholesky factorization of T_W, is built once at each M."""
+    one Cholesky factorization of T_W, is built once at each M.  Then
+    each l forms its vector rows at its stop M from the pencil kept
+    there: two rows of sector q at l = 0, one each at l = 1 and 2."""
     import otsuki_bipolar.spectrum as spec_mod
     chart_cls = spec_mod._RadialChart
     cholesky, pencil = np.linalg.cholesky, chart_cls._pencil
     sector_matrices = chart_cls.sector_matrices
-    factored, pencils, used = [], [], []
+    settle = spec_mod._settle_modes
+    factored, pencils, used, stops = [], [], [], []
 
     def cholesky_spy(a):
         factored.append(a.shape[0])
@@ -757,15 +781,24 @@ def test_pencil_is_built_once_per_m_per_chart(monkeypatch):
         used.append((np.broadcast_to(l, kappa.shape).tolist(), modes))
         return sector_matrices(self, kappa, l, modes)
 
+    def settle_spy(chart, requests):
+        settled = settle(chart, requests)
+        stops.extend(modes for modes, *_ in settled)
+        return settled
+
     monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
     monkeypatch.setattr(chart_cls, "_pencil", pencil_spy)
     monkeypatch.setattr(chart_cls, "sector_matrices", sector_spy)
+    monkeypatch.setattr(spec_mod, "_settle_modes", settle_spy)
     verify_theorem3(RotationNumber(7, 11))
+    assert used[-3:] == [(ls, m) for ls, m in zip(([0, 0], [1], [2]), stops)]
+    del used[-3:]
     ladder = [m for _, m in used]
     assert ladder == list(spec_mod._MODE_LADDER[:len(ladder)])
+    assert ladder[-1] == max(stops)
     assert used[0] == ([0, 0, 1, 1, 1, 2], 8)
     assert factored == [2 * m + 1 for m in ladder]
-    assert pencils == ladder
+    assert pencils == ladder + stops
 
 
 # The doubling ladder that the 1.5x steps refine.
@@ -774,16 +807,17 @@ _DOUBLING = (8, 16, 32, 64, 128, 256)
 
 def test_ladder_visits_powers_of_two_and_one_and_a_half_times():
     """M runs 8, 16, 24, 32, 48, ... 256 and stops at the cap with
-    ConvergenceFailure naming l and M, if the values never settle."""
-    import otsuki_bipolar.spectrum as spec_mod
+    ConvergenceFailure naming l and M, if the values never settle: here
+    a chart whose one sector is the 1 x 1 matrix 1/M."""
     seen = []
 
-    def solve(modes):
-        seen.append(modes)
-        return np.array([1.0 / modes]), 1, None
+    class Moving:
+        def sector_matrices(self, kappa, l, modes):
+            seen.append(modes)
+            return np.full((kappa.size, 1, 1), 1.0 / modes), None
 
     with pytest.raises(ConvergenceFailure, match=r"at l = 3 .* at M = 256 "):
-        spec_mod._settle_modes((3,), lambda modes, active: [solve(modes)])
+        _settle_modes(Moving(), ((3, np.zeros(1), 1, 1),))
     assert seen == [8, 16, 24, 32, 48, 64, 96, 128, 192, 256]
 
 
@@ -794,9 +828,10 @@ def test_ladder_ends_no_later_than_doubling(monkeypatch):
     import otsuki_bipolar.spectrum as spec_mod
     settle, last = spec_mod._settle_modes, []
 
-    def spy(ls, solve):
-        stops = settle(ls, solve)
-        last.extend((l, modes) for l, (modes, _) in zip(ls, stops))
+    def spy(chart, requests):
+        stops = settle(chart, requests)
+        last.extend((l, modes)
+                    for (l, *_), (modes, *_) in zip(requests, stops))
         return stops
 
     monkeypatch.setattr(spec_mod, "_settle_modes", spy)
@@ -854,15 +889,15 @@ def test_verify_sweep_q_up_to_100(pq):
 def _ground_levels_clear_the_floor(pq):
     """Radial eigenvalues at l are at least l^2 min(S/W) = l^2, the floor
     by which ``assemble`` solves only the l with l^2 below its cutoff.
-    ``_named_levels`` on Bloch sector 0 alone, verify's l = 2 ground
-    solve, finds the same lowest eigenvalue."""
+    The ladder and vector on Bloch sector 0 alone, verify's l = 2 ground
+    solve, find the same lowest eigenvalue."""
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, pq[1])
     for l in (2, 3):
         spec = solve_radial(sol, None, l, 8 * pq[1], chart=chart,
                             sampled_sectors=())
         assert spec.eigenvalues[0] >= l * l
-        ground = _named_levels(chart, ((l, (0,), 0, 1),))[0][0][0, 0]
+        ground = _certified_levels(chart, ((l, (0,), 0, 1),))[0][1][0, 0]
         assert abs(ground - spec.eigenvalues[0]) <= 1e-11
         assert ground >= l * l
 
@@ -881,45 +916,70 @@ def test_ground_levels_clear_the_floor_sweep(pq):
 
 
 def test_unsettled_ground_level_names_l_and_modes(monkeypatch):
-    """verify's ground solve at l = 2, ``_named_levels`` on sector 0,
-    stops at the Fourier-mode cap as ``solve_radial`` does:
-    ConvergenceFailure naming l and M."""
+    """verify's ground ladder at l = 2, on sector 0 alone, stops at the
+    Fourier-mode cap as ``solve_radial``'s does: ConvergenceFailure
+    naming l and M."""
     import otsuki_bipolar.spectrum as spec_mod
     monkeypatch.setattr(spec_mod, "_MODE_TOL", 0.0)
     monkeypatch.setattr(spec_mod, "_MAX_MODES", 16)
     sol = solve_rotation(RotationNumber(3, 5))
     with pytest.raises(ConvergenceFailure, match=r"at l = 2 .* at M = 16 "):
-        _named_levels(_RadialChart(sol.b, 5), ((2, (0,), 0, 1),))
+        _settle_modes(_RadialChart(sol.b, 5), ((2, np.zeros(1), 1, 0),))
 
 
 def _named_requests(p, q):
-    """verify's requests to ``_named_levels``."""
-    return ((0, (q - 1, q), q, 2), (1, (p - 1, p, p + 1), p, 1),
+    """verify's named sectors: per l, (l, its sectors, the row of the one
+    that gets vectors, how many of its lowest levels get them)."""
+    return ((0, (q - 1, q), 1, 2), (1, (p - 1, p, p + 1), 1, 1),
             (2, (0,), 0, 1))
+
+
+def _certified_levels(chart, requests):
+    """verify's route through named sectors: one ladder over the l of
+    ``requests`` (see ``_named_requests``), then at each l's stop M the
+    vectors of the asked levels, which become their Rayleigh quotients.
+    Per request: (stop M, levels, one row per sector, the vectors)."""
+    kappa = [np.array(ks) / chart.q for _, ks, _, _ in requests]
+    settled = _settle_modes(chart, [(l, k, 1, 0) for (l, *_), k
+                                    in zip(requests, kappa)])
+    named = []
+    for (l, _, j, count), k, (modes, lam, _) in zip(requests, kappa,
+                                                    settled):
+        coef, rho = _galerkin_vectors(chart, l, k, modes, np.full(count, j),
+                                      lam[j, :count])
+        lam = lam.copy()
+        lam[j, :count] = rho
+        named.append((modes, lam, coef))
+    return named
 
 
 def _one_pass_against_per_l_ladders(pq):
     """The one ladder over l = 0, 1 and 2 gives each l what a ladder of
-    that l alone gives, to the bit: the same stop M (the vectors' 2M + 1
-    entries), levels and vectors."""
+    that l alone gives, to the bit: the same stop M, levels and
+    vectors."""
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, pq[1])
     requests = _named_requests(*pq)
-    together = _named_levels(chart, requests)
-    for request, (levels, vectors) in zip(requests, together):
-        (alone_levels, alone_vectors), = _named_levels(chart, (request,))
-        assert vectors.shape == alone_vectors.shape, request[0]
+    together = _certified_levels(chart, requests)
+    for request, (modes, levels, vectors) in zip(requests, together):
+        (alone_modes, alone_levels, alone_vectors), = _certified_levels(
+            chart, (request,))
+        assert modes == alone_modes, request[0]
         assert np.array_equal(levels, alone_levels)
         assert np.array_equal(vectors, alone_vectors)
-    return [vectors.shape[1] // 2 for _, vectors in together]
+    return [modes for modes, _, _ in together]
 
 
 def test_one_ladder_stops_each_l_where_its_own_ladder_does():
     """On the 16 reduced p/q with q <= 16, where the l do not all stop at
-    one M: at 4/7, l = 0 and 1 stop at M = 24 and l = 2 at M = 16."""
+    one M (at 4/7, l = 0 and 1 stop at M = 24 and l = 2 at M = 16), and
+    on 9/17 and 15/29, where l = 0 and 1 stop two rungs or more after
+    l = 2, and l = 0 and 1 stop apart on 15/29."""
     stops = {pq: _one_pass_against_per_l_ladders(pq)
-             for pq in _reduced_fractions(16)}
+             for pq in _reduced_fractions(16) + [(9, 17), (15, 29)]}
     assert stops[(4, 7)] == [24, 24, 16]
+    assert stops[(9, 17)] == [32, 32, 16]
+    assert stops[(15, 29)] == [48, 32, 16]
 
 
 @pytest.mark.sweep

@@ -15,10 +15,11 @@ NumericalFailure is recorded as its class and message instead.  Where
 resolved Magnus ``steps`` per cell and delta (the count's lambdas are
 2 -+ delta), taken by wrapping ``hill.count`` while the dump runs; and
 ``ladder``: the M at which the named-sector ladder of each l stopped
-(``l0``, ``l1``, ``l2``), read off the width 2M + 1 of the vectors that
-``spectrum._named_levels`` returns, whether it takes every l in one call
-or, as in earlier trees, one l per call.  Floats are written with all
-their digits.
+(``l0``, ``l1``, ``l2``), the stop M that ``spectrum._settle_modes``
+returns for each request's l.  Floats are written with all their digits.
+A tree whose ``_settle_modes`` takes a ``solve`` callback (before verify
+and ``solve_radial`` shared it) is dumped with that tree's copy of this
+tool.
 
 ``--compare`` prints, for every key and every certificate field, how many
 fractions changed, the largest relative change and the largest absolute
@@ -27,7 +28,8 @@ other, or whose certificates differ by name.  It exits 1 if any of these,
 or any N2, N2_expected, threshold_multiplicity, Hill step count or pass
 flag, or any ladder stop M, differs.  A fraction whose ``hill`` or
 ``ladder`` field one dump lacks (a dump made before the field existed)
-is counted as not recorded, not as a difference.  A dump takes about 11 s on a 2-core host.
+is counted as not recorded, not as a difference.  A dump takes about 5 s
+on a 2-core host.
 """
 
 from __future__ import annotations
@@ -68,19 +70,16 @@ def dump(path: str) -> None:
         counts.append(count(*args, **kwargs))
         return counts[-1]
 
-    named, ladders = spectrum._named_levels, {}
+    settle, ladders = spectrum._settle_modes, {}
 
-    def recording_named(chart, *args):
-        levels = named(chart, *args)
-        if len(args) == 1:      # (l, ks, k_vector, count) of every l at once
-            for (l, *_), (_, vectors) in zip(args[0], levels):
-                ladders[f"l{l}"] = vectors.shape[1] // 2
-        else:                   # one l per call
-            ladders[f"l{args[0]}"] = levels[1].shape[1] // 2
-        return levels
+    def recording_settle(chart, requests):
+        settled = settle(chart, requests)
+        for (l, *_), (modes, *_) in zip(requests, settled):
+            ladders[f"l{l}"] = modes
+        return settled
 
     hill.count = recording
-    spectrum._named_levels = recording_named
+    spectrum._settle_modes = recording_settle
     out = {}
     for p, q in fractions(100) + list(NEAR_ONE_HALF):
         r = geodesic.RotationNumber(p, q)
