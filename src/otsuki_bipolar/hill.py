@@ -51,7 +51,7 @@ counted without solving for them:
 
 ``count`` totals the levels of the bipolar surface's sectors
 (``surface_sectors``) at l = 0 and 1, with the step count resolved from
-the run's own two sizes, n and 2n.  The coefficients come in as a
+one pass's own two sizes, n and 2n.  The coefficients come in as a
 callable x -> (P, S, W), so any analytic triple that is even and of
 period pi can be counted; ``monodromy`` checks the evenness
 (DomainError).
@@ -68,8 +68,8 @@ from .errors import ConvergenceFailure, DomainError, in_interval
 
 # Gauss-Legendre nodes of one Magnus step, as fractions of the step.
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
-_FIRST_STEPS = 64       # Magnus steps per cell of the first pass's coarser
-                        # size; the finer is twice it
+_FIRST_STEPS = 64       # Magnus steps per cell n of the first pass, which
+                        # measures n and 2n; each later pass doubles both
 _MAX_STEPS = 2 ** 14    # the finer size at which an unresolved count stops
 _RESOLVED = 10.0        # distance to a half-cell level, in its changes
 _ROUNDING = 1e-12       # the angles' rounding, added to each change
@@ -254,17 +254,16 @@ def count(coefficients, q: int, lams) -> HillCount:
 
     Every lambda must be a number of at most 4, else DomainError: no level
     of l >= 2 lies below 4 (S/W >= 1), and N counts strictly below lambda.
-    Steps per cell start at 64 and double until the totals at n and 2n
-    steps agree and, at every (l, lambda), the distance of theta_d and of
-    theta_n from a multiple of pi/2 exceeds ten times their change
-    between n and 2n plus a rounding floor, 1e-12: on a level of a
-    half-cell problem both are rounding.  ConvergenceFailure if that does
-    not happen by 2n = 16384.  The first pass measures 64 and 128 steps
-    together, in one evaluation of ``coefficients`` and one Magnus step
-    and prefix product over both sizes (the 64-step products led by
-    identity steps); each later pass measures 2n alone against n.  At
-    2 -+ 1e-8, every reduced p/q in (1/2, sqrt(2)/2) with q <= 300
-    resolves at 128 or 256 steps.
+    Each pass measures n and 2n steps per cell together, in one
+    evaluation of ``coefficients`` and one Magnus step and prefix product
+    over both sizes (the n-step products led by identity steps), and is
+    read alone.  n starts at 64 and doubles until, in one pass, the
+    totals at n and 2n agree and, at every (l, lambda), the distance of
+    theta_d and of theta_n from a multiple of pi/2 exceeds ten times
+    their change between n and 2n plus a rounding floor, 1e-12: on a
+    level of a half-cell problem both are rounding.  ConvergenceFailure
+    if that does not happen by 2n = 16384.  At 2 -+ 1e-8, every reduced
+    p/q in (1/2, sqrt(2)/2) with q <= 300 resolves at 128 or 256 steps.
     """
     lams = tuple(in_interval(v, "lambda", -math.inf, 4.0, hi_closed=True)
                  for v in lams)
@@ -274,20 +273,15 @@ def count(coefficients, q: int, lams) -> HillCount:
     sectors = np.array([surface_sectors(q, l) for l in (0, 1)])[:, None]
     weights = np.array([1, 2])[:, None]
 
-    def measure(*sizes):
-        """Delta, theta_d and theta_n of shape (3, 2, lambdas), and the
-        totals, of each size."""
-        data = _monodromies(coefficients, *pairs, sizes).reshape(
-            3, len(sizes), 2, len(lams))
-        levels = level_counts(sectors, *data[..., None])
-        totals = (weights * levels.sum(axis=-1)).sum(axis=1)
-        return zip(data.swapaxes(0, 1), map(tuple, totals.tolist()))
-
-    (coarse, coarse_totals), (fine, fine_totals) = measure(
-        _FIRST_STEPS, 2 * _FIRST_STEPS)
-    steps = 2 * _FIRST_STEPS
+    steps = 2 * _FIRST_STEPS                # the finer size, 2n
     quarter = 0.5 * math.pi
     while True:
+        data = _monodromies(coefficients, *pairs,
+                            (steps // 2, steps)).reshape(3, 2, 2, len(lams))
+        levels = level_counts(sectors, *data[..., None])
+        coarse_totals, fine_totals = map(
+            tuple, (weights * levels.sum(axis=-1)).sum(axis=1).tolist())
+        coarse, fine = data.swapaxes(0, 1)
         angles = fine[1:]
         change = np.abs(angles - coarse[1:])
         edge = np.abs(angles - quarter * np.round(angles / quarter))
@@ -299,5 +293,3 @@ def count(coefficients, q: int, lams) -> HillCount:
                 f"Hill count at q = {q} not resolved at {steps} Magnus"
                 f" steps per cell: totals {coarse_totals} and {fine_totals}")
         steps *= 2
-        coarse, coarse_totals = fine, fine_totals
-        ((fine, fine_totals),) = measure(steps)

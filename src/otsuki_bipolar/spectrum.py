@@ -673,9 +673,9 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     size = pipeline_grid_size(grid_size, q)
     funcs = np.full((count, size), np.nan)
     zero_counts = np.full(count, -1)
-    if vectors:
-        rows = (np.arange(count) if sampled_sectors is None
-                else np.flatnonzero(np.isin(sectors, list(sampled_sectors))))
+    rows = (np.arange(count) if sampled_sectors is None
+            else np.flatnonzero(np.isin(sectors, list(sampled_sectors))))
+    if rows.size:
         funcs[rows], zero_counts[rows] = _sample_rows(
             chart, kappa[src[rows]], coef[resort[rows]], imag[rows],
             ~paired[src[rows]], chart.x_samples(size // (2 * q)), anti)

@@ -108,15 +108,16 @@ def test_half_cell_is_the_full_cell(pq, steps):
 
 @pytest.mark.parametrize("pq", [(3, 5), (41, 58), (126, 251)])
 def test_one_pass_is_each_size_alone(pq):
-    """``count``'s first pass takes 64 and 128 steps per cell together
-    (and a pass may take any sizes): one coefficient evaluation, one
-    Magnus evaluation and one prefix product, the shorter size's products
-    led by identity steps.  Delta, theta_d and theta_n are bit for bit
-    those of ``monodromy`` at each size."""
+    """Each pass of ``count`` takes n and 2n steps per cell together, 64
+    and 128 first, then 128 and 256, 256 and 512, ... (and a pass may take
+    any sizes): one coefficient evaluation, one Magnus evaluation and one
+    prefix product, the shorter size's products led by identity steps.
+    Delta, theta_d and theta_n are bit for bit those of ``monodromy`` at
+    each size."""
     lams = [0.5, 2.0 - DELTA, 2.0 + DELTA, 3.5]
     l = np.repeat([0, 1], len(lams))
     lam = np.tile(lams, 2)
-    for sizes in ((64, 128), (256, 512)):
+    for sizes in ((64, 128), (128, 256), (256, 512), (512, 1024)):
         together = hill._monodromies(_coefficients(pq), l, lam, sizes)
         for i, steps in enumerate(sizes):
             alone = hill.monodromy(_coefficients(pq), l, lam, steps)
@@ -126,9 +127,12 @@ def test_one_pass_is_each_size_alone(pq):
 
 @pytest.mark.parametrize("pq, calls", [((3, 5), 1), ((1000, 1999), 4)])
 def test_count_evaluates_the_coefficients_once_per_pass(pq, calls):
-    """The first pass evaluates the coefficients once for both of its
-    sizes, 64 and 128 steps, and each later pass once for its own: 3/5
-    resolves at 128 steps in one call, 1000/1999 at 1024 in four."""
+    """Each pass evaluates the coefficients once for both of its sizes, n
+    and 2n steps, on 6n + 6 nodes: three Gauss nodes on each of the n
+    steps of the finer size's half cell, once per size (the coarser
+    size's n/2 steps led by n/2 of length 0), and the mirrors of each
+    size's first step.  3/5 resolves at 128 steps in one call, 1000/1999
+    at 1024 in four, n = 64, 128, 256 and 512."""
     coefficients = _coefficients(pq)
     nodes = []
 
@@ -137,7 +141,7 @@ def test_count_evaluates_the_coefficients_once_per_pass(pq, calls):
         return coefficients(x)
 
     counted = hill.count(spy, pq[1], (2.0 - DELTA, 2.0 + DELTA))
-    assert len(nodes) == calls, nodes
+    assert nodes == [6 * 64 * 2 ** k + 6 for k in range(calls)], nodes
     assert counted.steps == 64 * 2 ** calls
 
 

@@ -34,6 +34,7 @@ from otsuki_bipolar.spectrum import (
     weyl_N,
 )
 from otsuki_bipolar.sturm import (
+    Boundary,
     build_problem,
     eigen,
     orient_rows,
@@ -671,6 +672,24 @@ def test_sampling_one_sector_keeps_its_rows(pq, l):
         assert np.array_equal(got[named], want[named])
     assert np.all(np.isnan(part.eigenfunctions[~named]))
     assert np.all(part.zero_counts[~named] == -1)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.PERIODIC,
+                                      Boundary.ANTIPERIODIC])
+def test_sampling_a_sector_of_no_row_samples_nothing(boundary):
+    """``sampled_sectors`` that names no row of the window (at 3/5, 2q =
+    10 is not a sector) leaves every row with NaN samples and zero count
+    -1, and its values and sectors are the same bits as the full
+    solve's."""
+    sol = solve_rotation(RotationNumber(3, 5))
+    chart = _RadialChart(sol.b, 5)
+    full = solve_radial(sol, None, 0, 2048, boundary, chart=chart)
+    part = solve_radial(sol, None, 0, 2048, boundary, chart=chart,
+                        sampled_sectors={10})
+    assert np.array_equal(part.sectors, full.sectors)
+    assert np.array_equal(part.eigenvalues, full.eigenvalues)
+    assert np.all(np.isnan(part.eigenfunctions))
+    assert np.all(part.zero_counts == -1)
 
 
 def _direct_sector_matrices(chart, kappa, l, modes):

@@ -21,7 +21,7 @@ caught, SURVIVED or an error, with the tests that passed or erred.
 
 Exits 1 if a mutant survives, an old text is missing or not unique, a
 test errs, or an unmutated test fails; 0 otherwise.  The committed list
-(9 mutants) takes ~45 s on a 2-core host; the ``sweep`` test
+(15 mutants) takes ~90 s on a 2-core host; the ``sweep`` test
 ``tests/test_mutants.py`` runs it and requires exit 0.
 """
 
