@@ -47,7 +47,8 @@ counted without solving for them:
   and that turn rises across odd bands and falls across even ones.
   With a + b edges below lambda, it holds floor((a + b)/2) levels, and
   one more if a + b is odd (lambda inside band n = (a + b + 1)/2) and
-  the turn at lambda has passed kappa.
+  the turn at lambda has passed kappa.  ``rotation`` reads the same
+  data as the rotation number, the zeros per cell of a real solution.
 
 ``count`` totals the levels of the bipolar surface's sectors
 (``surface_sectors``) at l = 0 and 1, with the step count resolved from
@@ -201,14 +202,37 @@ def level_counts(kappa, delta, theta_d, theta_n) -> np.ndarray:
     of a pass."""
     kappa = np.asarray(kappa, dtype=float)
     folded = np.minimum(kappa, 2.0 - kappa)
-    a = np.floor(2.0 * np.asarray(theta_d) / math.pi).astype(int)
-    b = np.floor(2.0 * np.asarray(theta_n) / math.pi).astype(int)
+    a, b, turn = _edges(delta, theta_d, theta_n)
     bands, inside = np.divmod(a + b, 2)
-    turn = np.arccos((0.5 * np.asarray(delta)).clip(-1.0, 1.0)) / math.pi
     passed = np.where(bands % 2, folded > turn, folded < turn)
     return np.where(folded == 0.0, (b + 1) // 2 + a // 2,
                     np.where(folded == 1.0, b // 2 + (a + 1) // 2,
                              bands + (inside & passed)))
+
+
+def rotation(delta, theta_d, theta_n) -> np.ndarray:
+    """Zeros per cell of the real solutions at lambda, the rotation number
+    alpha, from Delta(lambda) = ``delta`` and the Pruefer angles at pi/2
+    (``monodromy``); the three broadcast.  With n = floor((a + b)/2)
+    bands below lambda (``level_counts``' a and b), alpha is n plus the
+    turn arccos(Delta/2)/pi for even n, where the turn rises across band
+    n + 1, and n + 1 less it for odd n; in a gap the turn is 0 or 1, so
+    alpha = n.  So alpha is continuous in lambda, and level n of sector
+    kappa has alpha = n - 1 + kappa (odd n) or n - kappa (even n): each
+    real row of it has 2 q alpha zeros on the 2q cells of the bipolar
+    surface's period."""
+    a, b, turn = _edges(delta, theta_d, theta_n)
+    bands = (a + b) // 2
+    return bands + np.where(bands % 2, 1.0 - turn, turn)
+
+
+def _edges(delta, theta_d, theta_n):
+    """a = floor(2 theta_d/pi) and b = floor(2 theta_n/pi), the D-N and D-D
+    and the N-N and N-D levels below lambda, and the turn
+    arccos(Delta/2)/pi, of ``level_counts`` and ``rotation``."""
+    a, b = (np.floor(2.0 * np.asarray(theta) / math.pi).astype(int)
+            for theta in (theta_d, theta_n))
+    return a, b, np.arccos((0.5 * np.asarray(delta)).clip(-1.0, 1.0)) / math.pi
 
 
 def surface_sectors(q: int, l: int) -> np.ndarray:

@@ -244,8 +244,7 @@ _FFT_POINTS = 2048      # coefficient samples per half-oscillation x in [0, pi)
 _MODE_LADDER = (8, 16, 24, 32, 48, 64, 96, 128, 192, 256)
 _MAX_MODES = _MODE_LADDER[-1]   # lags up to 2M stay below _FFT_POINTS / 2
 _MODE_TOL = 1e-10       # change from the previous M that stops the ladder
-_SAMPLE_GRID = 2048     # points of assemble's t-grid and verify's x-grid,
-                        # before pipeline_grid_size
+_SAMPLE_GRID = 2048     # points of assemble's t-grid, before pipeline_grid_size
 # Decides "at 2" on every route: verify's close_to certificates and the rows
 # assemble counts at 2 (spectrum, cross-check).  Fixed, not resolved against
 # the run's error; ROADMAP item 3's residual-based intervals will replace it.
@@ -619,11 +618,10 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     quotient of its Galerkin vector in the unreduced form
     (``_RadialChart.rayleigh``), which is free of the reduced
     eigensolve's rounding: the values are the same bits whichever
-    sectors are sampled, and the same bits as ``verify_theorem3``'s
-    certified levels where both stop at one M.  With ``sampled_sectors``
-    empty no eigenvector is taken, and each row is values-only: it
-    reports the reduced eigenvalue, which may differ from the Rayleigh
-    quotient by that rounding (up to ~1e-11 at q <= 100).  The window is
+    sectors are sampled.  With ``sampled_sectors`` empty no eigenvector
+    is taken, and each row is values-only: it reports the reduced
+    eigenvalue, which may differ from the Rayleigh quotient by that
+    rounding (up to ~1e-11 at q <= 100).  The window is
     sorted by the reported values.  ``chart`` is the ``_RadialChart`` of
     b and q, built here when None; one chart shared across l shares its
     coefficients and its pencil per M.
@@ -814,18 +812,9 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
       positive, unique ground state (Eastham, *The Spectral Theory of
       Periodic Differential Equations*).  One ladder (``_settle_modes``,
       one request per l) serves all three l, each M in one stacked
-      eigensolve, and each l stops by the 1e-10 rule of
-      ``solve_radial``, which at l = 2, where every level is at least 4,
-      settles the ground alone.  Sectors q, p and 0 get vectors by
-      inverse iteration at their l's stop M (``_galerkin_vectors``, one
-      call per l): their certified levels are Rayleigh quotients, and
-      the rows at 2 of sectors q and p give the zero counts, sampled
-      together on the uniform x-grid of ``pipeline_grid_size(2048, q)``
-      points: a zero count does not depend on the parametrization, so no
-      x(t) is needed, and the geodesic's t-chart is never built (the
-      chart's ``t0`` comes from the mean of W).  The sector-q vector's
-      parity, the sign of sum_m c_m c_{-1-m}, tells sin(phi) (+1) from
-      its band partner (-1).
+      eigensolve, and each l stops by the 1e-10 rule of ``solve_radial``
+      (at l = 2, where every level is at least 4, the ground alone).  Its
+      values-only levels set delta and seed the Hill pass.
     * **Count.**  ``hill.count`` takes N(2 - delta) and N(2 + delta) from
       the Hill discriminant at l = 0 and 1 over every sector of the
       surface (l >= 2 has no level below 4), integrating half a cell and
@@ -833,71 +822,48 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
       first, and ``threshold_multiplicity`` the difference.  delta is
       half the smallest of the five gaps at 2 that the named sectors
       measure (the levels either side of 2 at l = 0 and 1, and the l = 2
-      ground).
-      The rule counts edges crossed: every band edge is a level of one
-      of the four Dirichlet/Neumann problems on [0, pi/2], and the
-      Pruefer angles at pi/2 of the solutions from (h, P h') = (0, 1)
-      and (1, 0) cross a multiple of pi/2 at each of them.  The edges
-      below lambda fill sectors 0 and 1 and name the band that holds
-      lambda; in any other sector that band's level is below lambda once
-      arccos(Delta/2)/pi has passed kappa.  The angles also count a zero
-      inside the last step, which sign changes of h at the step points
-      miss, where the l = 0 gap below 2 nearly closes (41/58 and 70/99).
+      ground).  It counts the band edges below lambda, the levels of the
+      four Dirichlet/Neumann problems on [0, pi/2], by Pruefer angles
+      (``hill``).
+    * **Hill pass.**  One more ``hill.monodromy`` call, at four times
+      the count's steps (sixth-order steps: ~4096 times below the
+      count's own change), makes each certified level one Newton step.
+      sin(phi), the first N-D level at l = 0 (theta_n = pi), and the l = 1
+      pair (Delta = 2 cos(pi p/q)) step from 2 by the slopes of the
+      count's columns at 2 -+ delta; below0, the first D-N level
+      (theta_d = pi/2), and the l = 2 ground, the first N-N level
+      (theta_n = pi/2), step from their ladder values by a secant over
+      1e-7.  The zero counts are 2q times the rotation at 2
+      (``hill.rotation``).  ``sin_phi_row_is_even``: the N-D problem,
+      whose levels are even about 0, holds the l = 0 level at 2 within
+      the window, and the D-N one, whose levels are odd, does not.
     * **Consistency.**  Each named sector's Galerkin count below 2 - delta
-      and below 2 + delta must equal the Hill count of its kappa, else
-      CountMismatch (exit 3).
+      and below 2 + delta must equal the Hill count of its kappa, and
+      each certified level's Hill root must lie within 1e-9 of its
+      ladder value, else CountMismatch (exit 3).
 
-    No sampled profile is built, no other sector is solved and
-    ``assemble`` is not called, so ``grid_size``, ``l_max``,
-    ``samples_per_half_period`` and ``lambda_cut`` are ignored.  ``r``
-    may be any (p, q) pair.  The cost no longer grows as q (2M + 1)^2
-    (README, "Cost").  1000/1999 stops with ConvergenceFailure at l = 0:
-    its named sectors still move at M = 256.
+    No row is sampled (nor the geodesic's t-chart built), no other
+    sector is solved and ``assemble`` is not called, so ``grid_size``,
+    ``l_max``, ``samples_per_half_period`` and ``lambda_cut`` are
+    ignored.  ``r`` may be any (p, q) pair.  The cost no longer grows as
+    q (2M + 1)^2 (README, "Cost").  1000/1999 stops with
+    ConvergenceFailure at l = 0: its named sectors still move at M = 256.
     """
     if not isinstance(r, RotationNumber):
         r = RotationNumber(*r)
     sol = solve_rotation(r)
     p, q = r.p, r.q
-    per_half = pipeline_grid_size(_SAMPLE_GRID, q) // (2 * q)
-    chart = _RadialChart(sol.b, q)
     named = {0: (q - 1, q), 1: (p - 1, p, p + 1), 2: (0,)}
-    kappa = {l: np.array(ks) / q for l, ks in named.items()}
-    levels, vectors = [], []
-    # Levels 1 and 2 of sector q at l = 0, level 1 of sector p at l = 1 and
-    # the ground at l = 2 get vectors at their l's stop M and become the
-    # Rayleigh quotients of those vectors.
-    for l, j, count, (modes, lam, _) in zip(
-            named, (1, 1, 0), (2, 1, 1),
-            _settle_modes(chart, [(l, kappa[l], 1, 0) for l in named])):
-        coef, rho = _galerkin_vectors(chart, l, kappa[l], modes,
-                                      np.full(count, j), lam[j, :count])
-        levels.append(lam.copy())
-        levels[-1][j, :count] = rho
-        vectors.append(coef)
-    (levels0, levels1, levels2), (vectors0, vectors1, _) = levels, vectors
-    ground_l2 = float(levels2[0, 0])
-    # Zero counts of the rows at 2, level 2 of sector q (self-conjugate, h
-    # turned real) and Re h of level 1 of sector p, in one sampling on the
-    # uniform x-grid: a zero count does not depend on the chart.  The
-    # shorter vector is padded with zero modes where the ladders stopped
-    # at different M.
-    sin_phi = vectors0[1]
-    width = max(sin_phi.size, vectors1.shape[1])
-    coef = np.array([np.pad(c, (width - c.size) // 2)
-                     for c in (sin_phi, vectors1[0])])
-    x_grid = np.arange(per_half) * (math.pi / per_half)
-    zeros0, zeros1 = (int(v) for v in _sample_rows(
-        chart, np.array([1.0, p / q]), coef, np.zeros(2, bool),
-        np.array([True, False]), x_grid, False)[1])
-    # In sector q, h = sum_m c_m e^{i(2m + 1)x}: sin(phi) ~ cos x has
-    # c_m = c_{-1-m}, its band partner (level 1) c_m = -c_{-1-m}.
-    even0 = int(np.sign(sin_phi[:-1] @ sin_phi[-2::-1]))
+    levels0, levels1, levels2 = (lam for _, lam, _ in _settle_modes(
+        _RadialChart(sol.b, q),
+        [(l, np.array(ks) / q, 1, 0) for l, ks in named.items()]))
     below0, two0, above0 = levels0[1, 0], levels0[1, 1], levels0[0, 1]
     below1, two1, above1 = levels1[0, 0], levels1[1, 0], levels1[2, 0]
+    ground_l2 = levels2[0, 0]
     delta = 0.5 * min(abs(v - 2.0) for v in (below0, above0, below1, above1,
                                              ground_l2))
-    counted = hill.count(lambda x: radial_coefficients(sol.b, x), q,
-                         (2.0 - delta, 2.0 + delta))
+    coefficients = functools.partial(radial_coefficients, sol.b)
+    counted = hill.count(coefficients, q, (2.0 - delta, 2.0 + delta))
     # Levels below each lambda (rows) in every named sector (columns, l = 0's
     # then l = 1's), by the discriminant and by Galerkin, in one comparison.
     ls = np.repeat((0, 1), (len(named[0]), len(named[1])))
@@ -914,6 +880,40 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
             f" {list(named[l])} hold {galerkin[j, ls == l].tolist()} Galerkin"
             f" levels but the discriminant counts"
             f" {hill_levels[j, ls == l].tolist()}")
+    # The Hill pass: sin(phi) and the l = 1 pair at 2, below0 and the l = 2
+    # ground at their ladder values and 1e-7 above; one Newton step each.
+    trace, theta_d, theta_n = hill.monodromy(
+        coefficients, (0, 1, 0, 0, 2, 2),
+        (2.0, 2.0, below0, below0 + 1e-7, ground_l2, ground_l2 + 1e-7),
+        4 * counted.steps)
+    ladder = np.array([two0, two1, below0, ground_l2])
+    miss = np.array([theta_n[0] - math.pi,
+                     trace[1] - 2.0 * math.cos(math.pi * p / q),
+                     theta_d[2] - 0.5 * math.pi, theta_n[4] - 0.5 * math.pi])
+    run = np.array([2.0 * delta, 2.0 * delta, 1e-7, 1e-7])
+    rise = np.array([counted.theta_n[0, 1] - counted.theta_n[0, 0],
+                     counted.delta[1, 1] - counted.delta[1, 0],
+                     theta_d[3] - theta_d[2], theta_n[5] - theta_n[4]])
+    roots = np.array([2.0, 2.0, below0, ground_l2]) - miss * run / rise
+    off = np.flatnonzero(np.abs(roots - ladder) > 1e-9)
+    if off.size:
+        i = off[0]
+        l, k, n = ((0, q, 2), (1, p, 1), (0, q, 1), (2, 0, 1))[i]
+        raise CountMismatch(
+            f"Hill levels: level {n} of sector {k} at l = {l} is"
+            f" {float(roots[i])!r} by the Hill pass but"
+            f" {float(ladder[i])!r} by the Galerkin ladder")
+    two0, two1, below0, ground_l2 = roots.tolist()
+    zeros0, zeros1 = (int(v) for v in np.rint(
+        2 * q * hill.rotation(trace[:2], theta_d[:2], theta_n[:2])))
+    # Does the N-D problem (theta_n^0 at a multiple of pi) hold the level at
+    # 2, within the window, and does the D-N one (theta_d^0 at pi/2 mod pi)?
+    nd, dn = (abs(math.remainder(angle, math.pi))
+              <= _THRESHOLD_WINDOW * abs(column[1] - column[0]) / run[0]
+              for angle, column in ((theta_n[0], counted.theta_n[0]),
+                                    (theta_d[0] - 0.5 * math.pi,
+                                     counted.theta_d[0])))
+    even0 = int(nd) - int(dn)
     n2 = counted.totals[0]
     multiplicity = counted.totals[1] - counted.totals[0]
     n2_expected = expected_n2(r)

@@ -12,6 +12,7 @@ from otsuki_bipolar.geodesic import (
     RotationNumber,
     radial_coefficients,
     solve_rotation,
+    xi,
 )
 from otsuki_bipolar.spectrum import (
     assemble,
@@ -243,6 +244,37 @@ def test_level_counts_of_constant_coefficients(l):
             got = hill.level_counts(kappa, delta[j], theta_d[j], theta_n[j])
             assert np.array_equal(got, np.sum(exact < lam, axis=1)), (
                 kappa, lam)
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_rotation_of_constant_coefficients(l):
+    """With P = S = W = 1 the real solutions at lambda are cos and sin of
+    k x, k = sqrt(lambda - l^2), so ``rotation`` from ``monodromy`` at 512
+    steps is k zeros per cell of length pi (0 below l^2), to 1e-10
+    (measured: 1.2e-12), on a lambda grid of step 0.075 in (0, 30] less
+    the points within 1e-3 of a band edge, where arccos(Delta/2) is
+    steep."""
+    grid = np.linspace(0.0, 30.0, 401)[1:]
+    edges = np.arange(6.0) ** 2 + l * l
+    lams = grid[np.min(np.abs(grid[:, None] - edges), axis=1) >= 1e-3]
+    alpha = hill.rotation(*hill.monodromy(_constant, [l] * lams.size, lams,
+                                          512))
+    want = np.sqrt(np.maximum(lams - l * l, 0.0))
+    assert np.max(np.abs(alpha - want)) <= 1e-10
+
+
+def test_identities_at_two_across_b():
+    """The two exact solutions at lambda = 2 hold along the whole curve
+    of b, not only at rational p/q: sin(phi) ~ cos x makes 2 the first
+    N-D level at l = 0, theta_n(2) = pi, and the l = 1 coordinate pair has
+    the multipliers e^{+-i xi(b)}, Delta(2) = 2 cos(xi(b)).  At 20 values
+    of b in [0.05, 1.4], ``monodromy`` at 1024 steps gives both to 1e-13
+    (measured: 0 and 1.3e-14)."""
+    for b in np.linspace(0.05, 1.4, 20):
+        delta, _, theta_n = hill.monodromy(
+            lambda x: radial_coefficients(b, x), [0, 1], [2.0, 2.0], 1024)
+        assert abs(theta_n[0] - math.pi) <= 1e-13, b
+        assert abs(delta[1] - 2.0 * math.cos(xi(b))) <= 1e-13, b
 
 
 def test_surface_sectors_follow_the_parity_of_q():

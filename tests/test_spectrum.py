@@ -7,8 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from otsuki_bipolar import oracle
-from otsuki_bipolar.errors import ConvergenceFailure, VerificationFailed
+from otsuki_bipolar import hill, oracle
+from otsuki_bipolar import cli
+from otsuki_bipolar.errors import (
+    ConvergenceFailure,
+    CountMismatch,
+    VerificationFailed,
+)
 from otsuki_bipolar.geodesic import (
     RotationNumber,
     bipolar_chart,
@@ -25,6 +30,7 @@ from otsuki_bipolar.spectrum import (
     _sample_rows,
     _settle_modes,
     assemble,
+    json_ready,
     expected_n2,
     lambda_functional,
     lambda_functional_bound,
@@ -325,98 +331,138 @@ def test_rows_are_normalized_independently_of_the_grid():
 def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     """verify solves the named sectors alone, q - 1 and q at l = 0,
     p - 1, p and p + 1 at l = 1 and the ground sector 0 at l = 2, in one
-    ladder, with vectors only in sectors q (two levels), p and 0 (one
-    each, at its l's stop M, shifted by that M's levels).  Against
-    the full solve: the certified levels are the rows at positions
-    2q - 1, 2q (the same bits) and 2q + 1 at l = 0, and 2p - 2, 2p - 1
-    (the same bits) and 2p + 1 at l = 1; the sampled rows, and so the
-    zero counts, are the vectors of rows 2q and 2p - 1 (rows 2q - 1 and
-    2q have the same zero count), both in one sampling: sampled on the
-    uniform t-grid they are those rows, and their counts on verify's
-    uniform x-grid are those rows' counts; N(2) is the full table's and
-    the multiplicity its count at 2; the ground level at l = 2 is the
-    full solve's lowest to rounding."""
+    values-only ladder.  Against the full solves: the ladder's levels are
+    the rows at positions 2q - 1, 2q and 2q + 1 at l = 0, 2p - 2, 2p - 1
+    and 2p + 1 at l = 1, and the lowest at l = 2, to 1e-11; the certified
+    levels, Hill roots, are the Rayleigh quotients of rows 2q - 1, 2q and
+    2p - 1 and of the l = 2 ground to 2e-14; the zero counts are the ones
+    the full solves sample on rows 2q and 2p - 1; N(2) is the full
+    table's and the multiplicity its count at 2."""
     import otsuki_bipolar.spectrum as spec_mod
     settle, ladders = spec_mod._settle_modes, []
-    vectors, vector_calls = spec_mod._galerkin_vectors, []
-    sample, sampled = spec_mod._sample_rows, []
 
     def settle_spy(chart, requests):
         settled = settle(chart, requests)
         ladders.append((requests, settled))
         return settled
 
-    def vectors_spy(*args):
-        got = vectors(*args)
-        vector_calls.append((args[1:], got))
-        return got
-
-    def sample_spy(*args):
-        rows = sample(*args)
-        sampled.append((args, rows[1]))
-        return rows
-
     monkeypatch.setattr(spec_mod, "_settle_modes", settle_spy)
-    monkeypatch.setattr(spec_mod, "_galerkin_vectors", vectors_spy)
-    monkeypatch.setattr(spec_mod, "_sample_rows", sample_spy)
     report = verify_theorem3(RotationNumber(*pq))
-    # The full solves below solve, and sample, through the spies too.
-    calls, vector_calls = list(sampled), list(vector_calls)
     (requests, settled), = ladders
     p, q = pq
-    named = {l: rest for l, *rest in _named_requests(p, q)}
+    named = {l: ks for l, ks, _, _ in _named_requests(p, q)}
     assert [l for l, *_ in requests] == [0, 1, 2]
-    assert [l for (l, *_), _ in vector_calls] == [0, 1, 2]
-    levels, vector_rows = [], []
-    for (l, kappa, copies, least), (modes, lam, _), call in zip(
-            requests, settled, vector_calls):
-        ks, j, count = named[l]
-        assert np.array_equal(kappa, np.array(ks) / q)
+    for l, kappa, copies, least in requests:
+        assert np.array_equal(kappa, np.array(named[l]) / q)
         assert (copies, least) == (1, 0)
-        (_, kappa_v, modes_v, sector, shifts), (coef, rho) = call
-        assert np.array_equal(kappa_v, kappa) and modes_v == modes
-        assert sector.tolist() == [j] * count
-        assert np.array_equal(shifts, lam[j, :count])
-        assert coef.shape == (count, 2 * modes + 1)
-        levels.append(lam.copy())
-        levels[-1][j, :count] = rho
-        vector_rows.append(coef)
-    levels0, levels1, levels2 = levels
-    vectors0, vectors1, _ = vector_rows
-    full0, full1 = cases.spectrum(pq, 0), cases.spectrum(pq, 1)
-    got = [levels0[1, 0], levels0[1, 1], levels0[0, 1],
-           levels1[0, 0], levels1[1, 0], levels1[2, 0]]
+    (_, levels0, _), (_, levels1, _), (_, levels2, _) = settled
+    full0, full1, full2 = (cases.spectrum(pq, l) for l in (0, 1, 2))
+    got = [levels0[1, 0], levels0[1, 1], levels0[0, 1], levels1[0, 0],
+           levels1[1, 0], levels1[2, 0], levels2[0, 0]]
     want = [full0.eigenvalues[2 * q - 1], full0.eigenvalues[2 * q],
             full0.eigenvalues[2 * q + 1], full1.eigenvalues[2 * p - 2],
-            full1.eigenvalues[2 * p - 1], full1.eigenvalues[2 * p + 1]]
+            full1.eigenvalues[2 * p - 1], full1.eigenvalues[2 * p + 1],
+            full2.eigenvalues[0]]
     assert np.max(np.abs(np.subtract(got, want))) <= 1e-11
-    assert [got[i] for i in (0, 1, 4)] == [want[i] for i in (0, 1, 4)]
-    (args, x_counts), = calls
-    assert args[2].shape[0] == 2
-    for row, c in zip(args[2], (vectors0[1], vectors1[0])):
-        pad = (row.size - c.size) // 2    # zero modes pad the shorter vector
-        assert np.array_equal(row[pad:pad + c.size], c)
-        assert not np.any(row[:pad]) and not np.any(row[pad + c.size:])
-    full_rows = np.array([full0.eigenfunctions[2 * q],
-                          full1.eigenfunctions[2 * p - 1]])
-    per_half = full0.grid.size // (2 * q)
-    assert np.array_equal(args[5], np.arange(per_half) * (math.pi / per_half))
-    in_t = sample(*args[:5], args[0].x_samples(per_half), args[6])[0]
-    assert np.max(np.abs(in_t - full_rows)) <= 1e-14
-    assert x_counts.tolist() == [full0.zero_counts[2 * q],
-                                 full1.zero_counts[2 * p - 1]]
-
+    certs = {c.name: c for c in report.certificates}
+    certified = [certs["subcritical_radial_mode_below_two"].lhs,
+                 certs["radial_eigenvalue_two_at_l0_position_2q"].lhs,
+                 certs["radial_eigenvalue_two_at_l1_position_2p_minus_1"].lhs,
+                 certs["ground_l2_above_two"].rhs]
+    assert np.max(np.abs(np.subtract(certified,
+                                     [want[i] for i in (0, 1, 4, 6)]))) <= 2e-14
+    assert certs["ground_l2_above_potential_floor"].rhs == certified[3]
+    assert certs["sin_phi_zero_count"].lhs == full0.zero_counts[2 * q]
+    assert certs["l1_pair_zero_count"].lhs == full1.zero_counts[2 * p - 1]
     full_table = cases.table(pq)
     assert report.n2_computed == weyl_N(full_table, 2.0)
     assert report.threshold_multiplicity == full_table.threshold_multiplicity()
-    certs = {c.name: c.lhs for c in report.certificates}
-    assert certs["sin_phi_zero_count"] == full0.zero_counts[2 * q]
-    assert certs["l1_pair_zero_count"] == full1.zero_counts[2 * p - 1]
-    ground = cases.spectrum(pq, 2).eigenvalues[0]
-    assert levels2.shape[0] == 1 and abs(levels2[0, 0] - ground) <= 1e-11
-    for name in ("ground_l2_above_two", "ground_l2_above_potential_floor"):
-        cert = next(c for c in report.certificates if c.name == name)
-        assert cert.rhs == levels2[0, 0]
+
+
+@pytest.mark.parametrize("pq", [(3, 5), (5, 8), (70, 99), (126, 251)])
+def test_verify_takes_no_vector_and_one_hill_pass(pq, monkeypatch):
+    """verify takes its certified levels, zero counts and parity from one
+    Hill pass after the count, at four times the count's steps: l = 0
+    and 1 at 2, then l = 0, 0, 2, 2 at below0's and the ground's ladder
+    values and 1e-7 above them.  It calls neither ``_galerkin_vectors``
+    nor ``_sample_rows``, and inverse iteration never runs."""
+    import otsuki_bipolar.spectrum as spec_mod
+    count, monodromy, seen = hill.count, hill.monodromy, []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify took a Galerkin vector or sampled a row")
+
+    def count_spy(*args):
+        counted = count(*args)
+        seen.append(counted.steps)
+        return counted
+
+    def monodromy_spy(coefficients, l, lam, steps):
+        seen.append((tuple(l), tuple(lam), steps))
+        return monodromy(coefficients, l, lam, steps)
+
+    for name in ("_galerkin_vectors", "_sample_rows", "_inverse_vectors"):
+        monkeypatch.setattr(spec_mod, name, refuse)
+    monkeypatch.setattr(spec_mod.hill, "count", count_spy)
+    monkeypatch.setattr(spec_mod.hill, "monodromy", monodromy_spy)
+    assert verify_theorem3(RotationNumber(*pq)).passed
+    steps, (l, lam, pass_steps) = seen
+    assert l == (0, 1, 0, 0, 2, 2) and pass_steps == 4 * steps
+    assert lam[:2] == (2.0, 2.0)
+    assert (lam[3] - lam[2], lam[5] - lam[4]) == pytest.approx((1e-7, 1e-7))
+
+
+def test_modes_at_two_are_two_in_the_json():
+    """On the 16 reduced p/q with q <= 16, the three certified levels at 2
+    (sin(phi) and the l = 1 pair) print as exactly 2 at 15 significant
+    digits: each is within 5e-15 of 2."""
+    fractions = _reduced_fractions(16)
+    assert len(fractions) == 16
+    for pq in fractions:
+        report = verify_theorem3(RotationNumber(*pq), raise_on_failure=False)
+        pinned = [c.lhs for c in report.certificates if c.name in _PINNED]
+        assert json_ready(pinned) == [2.0, 2.0, 2.0], (pq, pinned)
+
+
+def test_l1_pair_at_17_33_is_two():
+    """At 17/33 the l = 1 pair, a Rayleigh quotient 1.9e-14 above 2 before
+    the Hill pass, is within 5e-15 of 2."""
+    certs = {c.name: c.lhs for c in verify_theorem3((17, 33)).certificates}
+    for name in _PINNED[1:]:
+        assert abs(certs[name] - 2.0) <= 5e-15
+
+
+@pytest.mark.parametrize("row, where", [
+    ((0, 1, 1), "level 2 of sector 5 at l = 0"),
+    ((1, 1, 0), "level 1 of sector 3 at l = 1"),
+    ((0, 1, 0), "level 1 of sector 5 at l = 0"),
+    ((2, 0, 0), "level 1 of sector 0 at l = 2")],
+    ids=["two0", "two1", "below0", "ground_l2"])
+def test_hill_level_off_its_ladder_value_is_a_mismatch(row, where,
+                                                       monkeypatch, capsys):
+    """Each certified level is a Hill root and a Galerkin ladder value
+    too.  At 3/5, the ladder's value moved by 2e-9 stops verify with
+    CountMismatch, exit 3, naming the level, sector and l; moved by
+    5e-10 it passes."""
+    import otsuki_bipolar.spectrum as spec_mod
+    settle, shift = spec_mod._settle_modes, []
+    l, j, k = row
+
+    def moved(chart, requests):
+        settled = settle(chart, requests)
+        settled[l][1][j, k] += shift[0]
+        return settled
+
+    monkeypatch.setattr(spec_mod, "_settle_modes", moved)
+    shift[:] = [5e-10]
+    assert verify_theorem3((3, 5)).passed
+    shift[:] = [2e-9]
+    with pytest.raises(CountMismatch, match=f"Hill levels: {where} is [0-9.]+"
+                       " by the Hill pass but [0-9.]+ by the Galerkin ladder$"):
+        verify_theorem3((3, 5))
+    assert cli.main(["verify", "--p", "3", "--q", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: CountMismatch: Hill levels: ")
 
 
 def _record_sample_rows(monkeypatch):
@@ -434,9 +480,9 @@ def _record_sample_rows(monkeypatch):
 
 
 def test_verify_and_the_values_only_table_build_no_t_chart(monkeypatch):
-    """verify takes t0 from the mean of W and counts zeros on the uniform
-    x-grid, and cross-check's values-only table samples no row, so
-    neither builds the geodesic's t-chart x(t): with it refused, both
+    """verify takes t0 from the mean of W and samples no row, and
+    cross-check's values-only table samples none either, so neither
+    builds the geodesic's t-chart x(t): with it refused, both
     give what they gave with it.  A solve that samples its rows in t
     builds it once, on first use, for every l its chart serves."""
     import otsuki_bipolar.spectrum as spec_mod
@@ -470,8 +516,9 @@ def test_verify_and_the_values_only_table_build_no_t_chart(monkeypatch):
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8), (41, 58), (50, 99)])
 def test_zero_counts_do_not_depend_on_the_grid(pq, monkeypatch):
     """Every row of the full l = 0 and l = 1 solves has the same zero
-    count on the uniform x-grid, where verify counts, as on the uniform
-    t-grid (``chart.x_samples``), where ``solve_radial`` samples."""
+    count on the uniform x-grid, where the sweep's second route counts
+    verify's rows, as on the uniform t-grid (``chart.x_samples``), where
+    ``solve_radial`` samples."""
     sample, calls = _record_sample_rows(monkeypatch)
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, pq[1])
@@ -504,36 +551,44 @@ def test_t_half_is_the_bipolar_chart_length(pq):
 @pytest.mark.parametrize("pq", [(2, 3), (3, 5), (5, 8), (7, 13), (41, 58),
                                 (70, 99), (50, 99), (126, 251)])
 def test_sin_phi_row_is_cos_x(pq, monkeypatch):
-    """On the uniform x-grid sin(phi) = sin(b) cos(x), so the row verify
-    counts at l = 0, unit-normalized, is cos x / |cos x| up to sign, to
-    1e-12 (measured: 8.4e-15 or less).  Its band partner, level 1 of
-    sector q, has the same 2q zeros but lies farther than 1e-3 from it
-    (measured: 3.4e-2 or more), so this tells the two apart where the
-    ``sin_phi_zero_count`` certificate cannot.  So does the parity of
-    their vectors, sum_m c_m c_{-1-m} / sum_m c_m^2, +1 for sin(phi) and
-    -1 for the partner to 1e-14, which verify certifies as
-    ``sin_phi_row_is_even``."""
+    """On the uniform x-grid sin(phi) = sin(b) cos(x), so row 2q of the
+    full l = 0 solve, sampled there and unit-normalized, is cos x / |cos x|
+    up to sign, to 1e-12.  Its band partner, row 2q - 1 (level 1 of sector
+    q), has the same 2q zeros but lies farther than 1e-3 from it, so this
+    tells the two apart where the ``sin_phi_zero_count`` certificate
+    cannot.  So does the parity of their vectors, sum_m c_m c_{-1-m} /
+    sum_m c_m^2, +1 for sin(phi) and -1 for the partner to 1e-14.  verify
+    certifies that parity as ``sin_phi_row_is_even`` from its Hill pass:
+    the N-D problem, whose levels are even about 0, holds its level at 2
+    and the D-N problem does not."""
     sample, calls = _record_sample_rows(monkeypatch)
-    report = verify_theorem3(RotationNumber(*pq))
-    args = calls[0]     # row 0: sector q at l = 0; row 1: sector p at l = 1
-    q, x_loc = pq[1], args[5]
-    cos_x = np.cos(np.arange(2 * q * x_loc.size) * (math.pi / x_loc.size))
+    p, q = pq
+    spec = solve_radial(solve_rotation(RotationNumber(*pq)), None, 0, 2048,
+                        sampled_sectors={q})
+    (chart, _, coef, _, _, _, anti), = calls
+    rows = np.flatnonzero(spec.sectors == q)    # the sampled rows, in order
+    sin_phi, partner = (coef[np.searchsorted(rows, i)]
+                        for i in (2 * q, 2 * q - 1))
+    assert spec.sectors[2 * q - 1] == spec.sectors[2 * q] == q
+    per_half = spec.grid.size // (2 * q)
+    x_loc = np.arange(per_half) * (math.pi / per_half)
+    cos_x = np.cos(np.arange(2 * q * per_half) * (math.pi / per_half))
     cos_x /= np.linalg.norm(cos_x)
 
-    def distance(coef):
-        row = sample(args[0], args[1][:1], coef[None], args[3][:1],
-                     args[4][:1], *args[5:])[0][0]
+    def distance(c):
+        row = sample(chart, np.ones(1), c[None], np.zeros(1, bool),
+                     np.ones(1, bool), x_loc, anti)[0][0]
         row /= np.linalg.norm(row)
         return min(np.max(np.abs(row - cos_x)), np.max(np.abs(row + cos_x)))
 
-    def parity(coef):
-        return (coef[:-1] @ coef[-2::-1]) / (coef @ coef)
+    def parity(c):
+        return (c[:-1] @ c[-2::-1]) / (c @ c)
 
-    partner = _certified_levels(args[0], ((0, (q - 1, q), 1, 2),))[0][2][0]
-    assert distance(args[2][0]) <= 1e-12
+    assert distance(sin_phi) <= 1e-12
     assert distance(partner) > 1e-3
-    assert abs(parity(args[2][0]) - 1.0) <= 1e-14
+    assert abs(parity(sin_phi) - 1.0) <= 1e-14
     assert abs(parity(partner) + 1.0) <= 1e-14
+    report = verify_theorem3(RotationNumber(*pq))
     cert = next(c for c in report.certificates
                 if c.name == "sin_phi_row_is_even")
     assert (cert.lhs, cert.rhs, cert.passed) == (1.0, 1.0, True)
@@ -592,8 +647,9 @@ _PINNED = ("radial_eigenvalue_two_at_l0_position_2q",
 
 def _verify_passes_with_the_closed_form(pq):
     """verify passes, and the three exact eigenvalue-2 modes (positions 2q,
-    2p - 1 and 2p), reported as Rayleigh quotients, lie within 1e-13 of 2
-    (as reduced eigenvalues they missed it by up to 2.7e-12 on q <= 40)."""
+    2p - 1 and 2p), reported as Hill roots, lie within 2e-14 of 2 (as
+    reduced eigenvalues they missed it by up to 2.7e-12 on q <= 40, and as
+    Rayleigh quotients by up to 1.9e-14)."""
     report = verify_theorem3(RotationNumber(*pq), raise_on_failure=False)
     assert report.passed, report.first_failure()
     assert report.n2_computed == expected_n2(RotationNumber(*pq))
@@ -601,7 +657,7 @@ def _verify_passes_with_the_closed_form(pq):
     assert report.eps_grid == 1e-10     # the stop tolerance of the M ladder
     pinned = [c.lhs for c in report.certificates if c.name in _PINNED]
     assert len(pinned) == 3
-    assert max(abs(lam - 2.0) for lam in pinned) <= 1e-13, pinned
+    assert max(abs(lam - 2.0) for lam in pinned) <= 2e-14, pinned
 
 
 def _rayleigh_reference(chart, l, q, modes):
@@ -735,9 +791,9 @@ def test_eigenvectors_only_at_the_stop_m(pq, monkeypatch):
     """Each rung of the ladder solves values-only, and no full eigensolve
     runs: vectors come by inverse iteration, once per l, on matrices of
     that l's stop M, one per row, at each matrix's own eigenvalues (in a
-    full solve one row per window level, fewer than the window's rows;
-    under verify two rows of sector q at l = 0, one of sector p at l = 1
-    and one of the ground sector 0 at l = 2, formed again at that M)."""
+    full solve one row per window level, fewer than the window's rows).
+    verify's ladder stops l = 0, 1 and 2 and takes no vector: its
+    certified levels are Hill roots."""
     import otsuki_bipolar.spectrum as spec_mod
     inverse, settle = spec_mod._inverse_vectors, spec_mod._settle_modes
     calls, stops = [], []
@@ -770,17 +826,15 @@ def test_eigenvectors_only_at_the_stop_m(pq, monkeypatch):
     stops.clear()
     verify_theorem3(RotationNumber(*pq))
     assert len(stops) == 3          # l = 0, 1 and 2, in one ladder
-    assert calls == [((len(rows), 2 * m + 1, 2 * m + 1), rows)
-                     for m, rows in zip(stops, ([1, 1], [1], [0]))]
+    assert calls == []
 
 
 def test_pencil_is_built_once_per_m_per_chart(monkeypatch):
     """verify's named-sector solves at l = 0 and 1 and the ground level at
     l = 2 share one chart and one ladder: each M forms the sectors of
     every l still moving in one call, and the chart's pencil, with the
-    one Cholesky factorization of T_W, is built once at each M.  Then
-    each l forms its vector rows at its stop M from the pencil kept
-    there: two rows of sector q at l = 0, one each at l = 1 and 2."""
+    one Cholesky factorization of T_W, is built once at each M.  No
+    sector is formed again after the ladder: verify takes no vector."""
     import otsuki_bipolar.spectrum as spec_mod
     chart_cls = spec_mod._RadialChart
     cholesky, pencil = np.linalg.cholesky, chart_cls._pencil
@@ -810,14 +864,12 @@ def test_pencil_is_built_once_per_m_per_chart(monkeypatch):
     monkeypatch.setattr(chart_cls, "sector_matrices", sector_spy)
     monkeypatch.setattr(spec_mod, "_settle_modes", settle_spy)
     verify_theorem3(RotationNumber(7, 11))
-    assert used[-3:] == [(ls, m) for ls, m in zip(([0, 0], [1], [2]), stops)]
-    del used[-3:]
     ladder = [m for _, m in used]
     assert ladder == list(spec_mod._MODE_LADDER[:len(ladder)])
     assert ladder[-1] == max(stops)
     assert used[0] == ([0, 0, 1, 1, 1, 2], 8)
     assert factored == [2 * m + 1 for m in ladder]
-    assert pencils == ladder + stops
+    assert pencils == ladder
 
 
 # The doubling ladder that the 1.5x steps refine.
@@ -908,8 +960,8 @@ def test_verify_sweep_q_up_to_100(pq):
 def _ground_levels_clear_the_floor(pq):
     """Radial eigenvalues at l are at least l^2 min(S/W) = l^2, the floor
     by which ``assemble`` solves only the l with l^2 below its cutoff.
-    The ladder and vector on Bloch sector 0 alone, verify's l = 2 ground
-    solve, find the same lowest eigenvalue."""
+    The ladder and vector on Bloch sector 0 alone (the ladder seeds
+    verify's l = 2 ground) find the same lowest eigenvalue."""
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, pq[1])
     for l in (2, 3):
@@ -948,13 +1000,13 @@ def test_unsettled_ground_level_names_l_and_modes(monkeypatch):
 
 def _named_requests(p, q):
     """verify's named sectors: per l, (l, its sectors, the row of the one
-    that gets vectors, how many of its lowest levels get them)."""
+    whose levels are certified, how many of its lowest levels are)."""
     return ((0, (q - 1, q), 1, 2), (1, (p - 1, p, p + 1), 1, 1),
             (2, (0,), 0, 1))
 
 
 def _certified_levels(chart, requests):
-    """verify's route through named sectors: one ladder over the l of
+    """The Galerkin route through named sectors: one ladder over the l of
     ``requests`` (see ``_named_requests``), then at each l's stop M the
     vectors of the asked levels, which become their Rayleigh quotients.
     Per request: (stop M, levels, one row per sector, the vectors)."""
@@ -970,6 +1022,45 @@ def _certified_levels(chart, requests):
         lam[j, :count] = rho
         named.append((modes, lam, coef))
     return named
+
+
+def _sampled_zero_counts_and_parity(pq):
+    """The Galerkin route's zero counts and parity, with no Hill pass:
+    rows 2q (level 2 of sector q at l = 0) and 2p - 1 (level 1 of sector
+    p at l = 1, Re h) by vectors in their named sectors, sampled on the
+    uniform x-grid, and the sign of sum_m c_m c_{-1-m} of row 2q."""
+    p, q = pq
+    chart = _RadialChart(solve_rotation(RotationNumber(*pq)).b, q)
+    per_half = pipeline_grid_size(2048, q) // (2 * q)
+    x_grid = np.arange(per_half) * (math.pi / per_half)
+    requests = _named_requests(p, q)[:2]
+    counts = []
+    for (l, _, j, _), (_, _, vectors) in zip(
+            requests, _certified_levels(chart, requests)):
+        coef = vectors[-1:]     # level 2 of sector q; level 1 of sector p
+        counts.append(int(_sample_rows(
+            chart, np.array([(q, p)[l] / q]), coef, np.zeros(1, bool),
+            np.array([l == 0]), x_grid, False)[1][0]))
+        if l == 0:
+            parity = int(np.sign(coef[0, :-1] @ coef[0, -2::-1]))
+    return counts, parity
+
+
+@pytest.mark.sweep
+@pytest.mark.parametrize("pq", _reduced_fractions(100) + [
+    (101, 201), (126, 251), (250, 499), (500, 999)])
+def test_hill_zero_counts_and_parity_match_the_sampled_rows_sweep(pq):
+    """The 634 fractions of ``tools/compare_verify.py``: verify's zero
+    counts and ``sin_phi_row_is_even``, from its Hill pass, equal the
+    sign changes of the Galerkin rows 2q and 2p - 1 and the coefficient
+    parity of row 2q.  The rows are taken in their named sectors alone:
+    a full ``solve_radial`` at 500/999 would hold every sector's matrices
+    at M = 256, over 2 GB."""
+    certs = {c.name: c.lhs for c in verify_theorem3(pq).certificates}
+    (zeros0, zeros1), parity = _sampled_zero_counts_and_parity(pq)
+    assert (certs["sin_phi_zero_count"], certs["l1_pair_zero_count"]) == (
+        zeros0, zeros1)
+    assert certs["sin_phi_row_is_even"] == parity == 1
 
 
 def _one_pass_against_per_l_ladders(pq):

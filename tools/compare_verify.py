@@ -16,7 +16,12 @@ resolved Magnus ``steps`` per cell and delta (the count's lambdas are
 2 -+ delta), taken by wrapping ``hill.count`` while the dump runs; and
 ``ladder``: the M at which the named-sector ladder of each l stopped
 (``l0``, ``l1``, ``l2``), the stop M that ``spectrum._settle_modes``
-returns for each request's l.  Floats are written with all their digits.
+returns for each request's l.  Where ``verify`` reached the Hill pass
+that follows its count, the entry holds ``pass``: that
+``hill.monodromy`` call's ``steps`` per cell and the two identity
+residuals at lambda = 2 of its first two columns, ``theta_n0_minus_pi``
+(l = 0, theta_n(2) - pi) and ``delta1_minus_2cos`` (l = 1,
+Delta(2) - 2 cos(pi p/q)).  Floats are written with all their digits.
 A tree whose ``_settle_modes`` takes a ``solve`` callback (before verify
 and ``solve_radial`` shared it) is dumped with that tree's copy of this
 tool.
@@ -26,9 +31,10 @@ fractions changed, the largest relative change and the largest absolute
 change, and lists each fraction whose stage raised in one dump but not the
 other, or whose certificates differ by name.  It exits 1 if any of these,
 or any N2, N2_expected, threshold_multiplicity, Hill step count or pass
-flag, or any ladder stop M, differs.  A fraction whose ``hill`` or
-``ladder`` field one dump lacks (a dump made before the field existed)
-is counted as not recorded, not as a difference.  A dump takes about 5 s
+flag, or any ladder stop M or Hill pass step count, differs.  A
+fraction whose ``hill``, ``ladder`` or ``pass`` field one dump lacks (a
+dump made before the field existed) is counted as not recorded, not as
+a difference.  A dump takes about 5 s
 on a 2-core host.
 """
 
@@ -44,9 +50,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy is first imported
 
 EXACT = ("N2", "N2_expected", "threshold_multiplicity", "hill.steps",
-         "ladder.l0", "ladder.l1", "ladder.l2")
+         "ladder.l0", "ladder.l1", "ladder.l2", "pass.steps")
 STAGES = ("solve", "verify")
-RECORDED = ("hill", "ladder")   # fields an older dump may lack
+RECORDED = ("hill", "ladder", "pass")   # fields an older dump may lack
 SOLVE_FIELDS = ("a", "b", "t0", "s_total", "omega_residual")
 NEAR_ONE_HALF = ((101, 201), (126, 251), (250, 499), (500, 999))
 
@@ -78,14 +84,22 @@ def dump(path: str) -> None:
             ladders[f"l{l}"] = modes
         return settled
 
+    monodromy, passes = hill.monodromy, []
+
+    def recording_pass(coefficients, l, lam, steps):
+        passes.append((steps, monodromy(coefficients, l, lam, steps)))
+        return passes[-1][1]
+
     hill.count = recording
     spectrum._settle_modes = recording_settle
+    hill.monodromy = recording_pass
     out = {}
     for p, q in fractions(100) + list(NEAR_ONE_HALF):
         r = geodesic.RotationNumber(p, q)
         entry = {}
         counts.clear()
         ladders.clear()
+        passes.clear()
         for stage, run in (
                 ("solve", lambda: {k: getattr(geodesic.solve_rotation(r), k)
                                    for k in SOLVE_FIELDS}),
@@ -100,6 +114,12 @@ def dump(path: str) -> None:
             entry["hill"] = {"steps": counts[-1].steps,
                              "delta": 0.5 * (above - below)}
             entry["ladder"] = dict(sorted(ladders.items()))
+        if passes:
+            steps, (trace, _, theta_n) = passes[-1]
+            entry["pass"] = {
+                "steps": steps,
+                "theta_n0_minus_pi": theta_n[0] - math.pi,
+                "delta1_minus_2cos": trace[1] - 2.0 * math.cos(math.pi * p / q)}
         out[f"{p}/{q}"] = entry
     with open(path, "w") as fh:
         json.dump(out, fh)
