@@ -49,6 +49,8 @@ counted without solving for them:
   one more if a + b is odd (lambda inside band n = (a + b + 1)/2) and
   the turn at lambda has passed kappa.  ``rotation`` reads the same
   data as the rotation number, the zeros per cell of a real solution.
+* **Levels.**  ``_roots`` steps a level to the root of its condition,
+  and ``_rows`` samples its solution from the same pass.
 
 ``count`` totals the levels of the bipolar surface's sectors
 (``surface_sectors``) at l = 0 and 1, with the step count resolved from
@@ -103,6 +105,13 @@ def _steps(coefficients, l, lam, sizes):
                           " the half-cell monodromy needs P, S and W"
                           " even and of period pi")
     p, s, w = ends[..., None]               # (3 nodes, steps, sizes, 1)
+    return _exp_omega(p, s, w, h, l, lam).reshape(4, h.shape[0], -1)
+
+
+def _exp_omega(p, s, w, h, l, lam):
+    """exp(Omega) of sixth-order Magnus steps of lengths h (broadcast) from
+    P, S and W at each step's three Gauss points (first axis), for every
+    pair (l, lambda): entries (E11, E12, E21, E22), steps, pairs."""
     # A = [[0, 1/P], [l^2 S - lambda W, 0]] at the three nodes of each
     # step; alpha_1, alpha_2 and alpha_3 share its zero diagonal and are
     # held as their (1, 2) and (2, 1) entries, stacked first: u and v.
@@ -119,7 +128,7 @@ def _steps(coefficients, l, lam, sizes):
     # C_2 = -[alpha_1, 2 alpha_3 + C_1]/60.  C_1 = diag(c, -c), and
     # C_2 has the diagonal (g, -g) and the corners u1 c/30, -v1 c/30.
     # The (2, 1) entries take the opposite sign of each corner term.
-    sign = np.array((1.0, -1.0))[:, None, None, None]
+    sign = np.array((1.0, -1.0)).reshape((2,) + (1,) * (a.ndim - 2))
     c = u1 * v2 - v1 * u2
     g = (v1 * u3 - u1 * v3) / 30.0
     x = -20.0 * a1 - a3
@@ -135,7 +144,7 @@ def _steps(coefficients, l, lam, sizes):
     hyper = mu2 > 0.0
     e *= (np.where(hyper, np.sinh(mu), np.sin(mu)) + zero) / (mu + zero)
     e[::3] += np.where(hyper, np.cosh(mu), np.cos(mu))
-    return e.reshape(4, e.shape[1], -1)
+    return e
 
 
 def _prefix_products(m):
@@ -177,9 +186,17 @@ def _monodromies(coefficients, l, lam, sizes):
     leading identity steps add no turn, so each value is the one that size
     alone gives."""
     m = _prefix_products(_steps(coefficients, l, lam, sizes))
-    out = np.empty((3, m.shape[2]))
+    return _half_cell(m)[:3].reshape(3, len(sizes), -1)
+
+
+def _half_cell(m):
+    """Delta, theta_d, theta_n, n11 n22 = (Delta + 2)/4 and n12 n21 =
+    (Delta - 2)/4 of every column of the prefix products m."""
+    out = np.empty((5, m.shape[2]))
     n11, n12, n21, n22 = m[:, -1]
-    np.multiply(2.0, n11 * n22 + n12 * n21, out=out[0])
+    np.multiply(n11, n22, out=out[3])
+    np.multiply(n12, n21, out=out[4])
+    np.multiply(2.0, out[3] + out[4], out=out[0])
     # (h, P h') of the solutions from (0, 1) and from (1, 0), at every
     # step point: theta at pi/2 is the last angle, less 2 pi for each
     # step whose angle wrapped.
@@ -190,8 +207,8 @@ def _monodromies(coefficients, l, lam, sizes):
     np.subtract(angle[:, 1:], angle[:, :-1], out=turn[:, 1:])
     wraps = np.round(turn / (2.0 * math.pi))
     np.subtract(angle[:, -1], 2.0 * math.pi * wraps.sum(axis=1),
-                out=out[1:])
-    return out.reshape(3, len(sizes), -1)
+                out=out[1:3])
+    return out
 
 
 def level_counts(kappa, delta, theta_d, theta_n) -> np.ndarray:
@@ -233,6 +250,124 @@ def _edges(delta, theta_d, theta_n):
     a, b = (np.floor(2.0 * np.asarray(theta) / math.pi).astype(int)
             for theta in (theta_d, theta_n))
     return a, b, np.arccos((0.5 * np.asarray(delta)).clip(-1.0, 1.0)) / math.pi
+
+
+def _integrals(coefficients, m):
+    """Integrals from 0 to every step end of W a^2, W a b and W b^2, a and
+    b the h of the solutions from (1, 0) and (0, 1) (the first row of m,
+    Phi at every step end from 0), by the trapezoid rule on them: exact to
+    rounding over the half cell where the integrand is even about 0 and
+    pi/2 (Trefethen & Weideman, *SIAM Rev.* 56, 2014), else second order."""
+    x = np.arange(m.shape[1]) * (0.5 * math.pi / (m.shape[1] - 1))
+    w = x[1] * np.asarray(coefficients(x)[2], dtype=float)[:, None]
+    f = w * np.stack((m[0] * m[0], m[0] * m[1], m[1] * m[1]))
+    return np.cumsum(f, axis=1) - 0.5 * (f + f[:, :1])
+
+
+def _roots(coefficients, l, kappa, level, lam, steps: int):
+    """Each level's Hill root, one Newton step from ``lam``.
+
+    Row r is level ``level[r]`` (from 0) of the sector ``kappa[r]`` (in
+    [0, 2)) at ``l[r]``, near ``lam[r]``; the four broadcast.  In an edge
+    sector (kappa folded to c = 0 or 1) level i is an edge of gap g = i +
+    (i + c) mod 2, where theta_d = g pi/2 or theta_n = (g + 1) pi/2 (gap 0:
+    the lowest N-N level alone); a gap's roots are sorted onto its rows,
+    each stepped from the row nearer to it (one row takes the nearer
+    root).  Elsewhere Delta = 2 cos(pi kappa), as n11 n22 = cos^2(pi
+    kappa/2) or n12 n21 = -sin^2(pi kappa/2), whichever vanishes at the
+    nearer band edge, to keep its relative precision there.  The slopes
+    come from the same pass at ``steps`` per cell: dPhi/dlambda = Phi K,
+    K the running integral of [[W a b, W b^2], [-W a^2, -W a b]], so
+    theta_n' = I_aa/r_n^2, theta_d' = I_bb/r_d^2 and (n11 n22)' = Delta'/4
+    = n11 n21 I_bb - n12 n22 I_aa (``_integrals``; even about 0 and pi/2
+    at a level, and for Delta' across a band).  Returns the roots; each
+    row's start: 0 for the N solution (h, P h')(0) = (1, 0), 1 for the D
+    solution (0, 1), -1 for the Floquet vector (``_rows``); (Delta,
+    theta_d, theta_n) at lam and the slopes, shape (2, 3, rows); and the
+    pass: Phi at every step end from 0, the running integrals, and each
+    row's step to its root, an interior level's Newton step itself, not
+    a rounded difference.
+    """
+    l, kappa, level, lam = np.broadcast_arrays(l, kappa, level,
+                                               np.asarray(lam, dtype=float))
+    m = _prefix_products(_steps(coefficients, l, lam, (steps,)))
+    m = np.concatenate((np.eye(2).reshape(4, 1, 1).repeat(lam.size, 2), m), 1)
+    at = _half_cell(m)
+    run = _integrals(coefficients, m)
+    i_aa, _, i_bb = run[:, -1]
+    n11, n12, n21, n22 = m[:, -1]
+    slope = np.stack((n11 * n21 * i_bb - n12 * n22 * i_aa,
+                      i_bb / (n12 ** 2 + n22 ** 2),
+                      i_aa / (n11 ** 2 + n21 ** 2)))
+    folded = np.minimum(kappa, 2.0 - kappa)
+    gap = level + (level + folded.astype(int)) % 2
+    miss = np.stack((np.where(folded > 0.5,
+                              at[3] - np.cos(0.5 * math.pi * kappa) ** 2,
+                              at[4] + np.sin(0.5 * math.pi * kappa) ** 2),
+                     at[1] - 0.5 * math.pi * gap,
+                     at[2] - 0.5 * math.pi * (gap + 1)))
+    newton = miss / slope
+    root = lam - newton
+    roots, start = root[0].copy(), np.full(lam.shape, -1)
+    gaps = {}
+    for r in np.flatnonzero(folded % 1.0 == 0.0):
+        gaps.setdefault((l[r], folded[r], gap[r]), []).append(r)
+    for rows in gaps.values():
+        # (root, start) of the gap's edges: theta_d's (D) and theta_n's (N).
+        near = {j: min(rows, key=lambda r: abs(root[j, r] - lam[r]))
+                for j in ((1, 2) if gap[rows[0]] else (2,))}
+        found = sorted((root[j, r], 2 - j) for j, r in near.items())
+        if len(rows) < len(found):
+            found = [min(found, key=lambda f: abs(f[0] - lam[rows[0]]))]
+        rows.sort(key=lambda r: level[r])
+        roots[rows], start[rows] = zip(*found)
+    # In a narrow band the multiplier turns by (root - lam)/bandwidth, so an
+    # interior row takes the unrounded step.
+    return roots, start, np.stack((at[:3], slope)), (
+        m, run, np.where(start < 0, -newton[0], roots - lam))
+
+
+def _rows(coefficients, l, kappa, lam, start, pass_, x):
+    """Each level's solution h at the points ``x`` of one cell [0, pi),
+    and the integral of |h|^2 W over the cell.
+
+    Row r is the solution at the root ``lam[r]`` in the sector
+    ``kappa[r]`` at ``l[r]``, from ``start[r]``, with ``pass_`` as
+    ``_roots`` returns them; its Phi moves to the roots at first order,
+    Phi + (root - lam) Phi K.  Any level but an edge one starts from
+    v = (m12, i s), M v = mu v for mu = m11 + i s, s^2 = -m12 m21 = 1 -
+    m11^2, so h(0) = m12 is real.  A point in [0, pi/2] is one Magnus
+    step from the step end below it, one in (pi/2, pi) the reflection
+    (h, P h')(x) = mu R Phi(pi - x) R v.  |h|^2 = a^2 v1^2 + b^2 |v2|^2
+    (``_integrals``) is even about 0 and pi/2, so the integral is twice
+    the trapezoid rule's over the half cell.  Returns h, of shape
+    (rows, x.size), and the integrals.
+    """
+    m, (j_aa, j_ab, j_bb), shift = pass_
+    drift = np.stack((j_ab, j_bb, -j_aa, -j_ab)).reshape((2, 2) + m.shape[1:])
+    phi = m + shift * np.einsum("ik...,kj...->ij...", m.reshape(drift.shape),
+                                drift).reshape(m.shape)     # Phi + dlam Phi K
+    step = 0.5 * math.pi / (phi.shape[1] - 1)
+    n11, n12, n21, n22 = phi[:, -1]
+    sine = np.copysign(2.0 * np.sqrt(np.abs(n11 * n12 * n21 * n22)),
+                       np.sin(math.pi * kappa))
+    mu = np.where(start < 0, n11 * n22 + n12 * n21 + 1j * sine,
+                  np.cos(math.pi * kappa))
+    v1 = np.where(start < 0, 2.0 * n12 * n22, start == 0)
+    v2 = np.where(start < 0, 1j * sine, start == 1)
+    points = np.minimum(x, math.pi - x)
+    k = np.minimum(points // step, phi.shape[1] - 2).astype(int)
+    length = points - k * step
+    f = np.array(coefficients(k * step + np.multiply.outer(_GAUSS, length)),
+                 dtype=float)
+    e = _exp_omega(*f[..., None], length[:, None], l, lam)
+    below = phi[:, k]                        # Phi at the step end below
+    a = e[0] * below[0] + e[1] * below[2]   # h from (1, 0) and from (0, 1)
+    b = e[0] * below[1] + e[1] * below[3]
+    h = np.where((x > 0.5 * math.pi)[:, None], mu * (a * v1 - b * v2),
+                 a * v1 + b * v2)
+    i_aa, _, i_bb = _integrals(coefficients, phi)[:, -1]
+    return h.T, 2.0 * (v1 ** 2 * i_aa + np.abs(v2) ** 2 * i_bb)
 
 
 def surface_sectors(q: int, l: int) -> np.ndarray:

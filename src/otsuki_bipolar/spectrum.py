@@ -12,7 +12,7 @@ Three radial eigenfunctions are known in closed form at eigenvalue 2
 (the immersed coordinates): sin(phi) ~ cos x, level 2 of Bloch sector q
 at l = 0 (position 2q), and cos(phi)sin(theta), cos(phi)cos(theta), level
 1 of sectors p and 2q - p at l = 1 (positions 2p - 1 and 2p).  Computed
-eigenvalues are Rayleigh quotients, within about 3e-12 of 2 at q <= 100
+eigenvalues are Hill roots (``hill``), within 1.8e-14 of 2 at q <= 100
 but not exactly 2.  ``assemble`` measures them: a row within
 ``_THRESHOLD_WINDOW`` of 2, the window by which ``verify_theorem3``
 certifies its levels at 2, counts as exactly 2, whatever its position or
@@ -37,7 +37,6 @@ import functools
 import itertools
 import json
 import math
-import random
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
@@ -266,12 +265,12 @@ class _RadialChart:
     does to a profile.  x(t), for ``cos2_phi_at`` and ``x_samples`` only,
     comes from the bipolar geodesic's own chart (``geodesic``:
     ``geodesic.bipolar_chart``), built on first use, so a solve that
-    samples no row in t never builds it.  One chart may serve the radial
-    solves of every l (see ``solve_radial``) and the one ladder of
-    ``verify_theorem3``; it keeps the pencil of the reduced matrices per
-    M (``_pencil``: four n x n matrices and L^-1, for n = 2M + 1) and the
-    x of the sampling grid per ``per_half``, so each is computed once
-    however many l it serves.
+    samples no row in t never builds it; ``hill`` reads x -> (P, S, W)
+    from ``coefficients``.  One chart may serve the radial solves of every
+    l (see ``solve_radial``) and the one ladder of ``verify_theorem3``; it
+    keeps the pencil of the reduced matrices per M (``_pencil``: four
+    n x n matrices, n = 2M + 1) and the x of the sampling grid per
+    ``per_half``, so each is computed once however many l it serves.
     """
 
     def __init__(self, b: float, q: int):
@@ -283,6 +282,7 @@ class _RadialChart:
             np.array(radial_coefficients(b, x))).real / _FFT_POINTS
         self.t_half = math.pi * self.w_hat[0]
         self.t0 = 2 * q * self.t_half
+        self.coefficients = functools.partial(radial_coefficients, b)
 
     @functools.cached_property
     def geodesic(self):
@@ -300,27 +300,6 @@ class _RadialChart:
             self._x_samples[per_half] = x
         return x
 
-    def rayleigh(self, kappa: np.ndarray, l: int, coef: np.ndarray
-                 ) -> np.ndarray:
-        """Rayleigh quotients c^T A c / c^T T_W c of Galerkin vectors.
-
-        Row r of ``coef`` is the coefficient vector c (2M + 1 entries) of
-        a level of the sector ``kappa[r]``; the forms are taken in the
-        unreduced problem (see ``sector_matrices``), with c^T D T_P D c
-        as u^T T_P u for u = D c.  Each row is its own matrix-vector
-        products, so its quotient does not depend on the other rows.  The
-        error of the quotient is second order in that of c (Parlett, *The
-        Symmetric Eigenvalue Problem*, ch. 4), so it drops the rounding
-        of the reduced eigensolve.
-        """
-        modes = (coef.shape[1] - 1) // 2
-        m = np.arange(-modes, modes + 1)
-        lag = np.abs(m[:, None] - m[None, :])
-        t_p, t_s, t_w = self.p_hat[lag], self.s_hat[lag], self.w_hat[lag]
-        u = (kappa[:, None] + 2.0 * m) * coef
-        return np.array([(du @ t_p @ du + float(l * l) * (c @ t_s @ c))
-                         / (c @ t_w @ c) for c, du in zip(coef, u)])
-
     def _pencil(self, modes: int) -> tuple:
         """The sector-independent parts of the reduced matrices at M.
 
@@ -328,7 +307,7 @@ class _RadialChart:
         factor of T_W, every sector's L^-1 (D T_P D + l^2 T_S) L^-T is
         kappa^2 P0 + kappa (P1 + P1^T) + P2 + l^2 S0 for P0 = L^-1 T_P L^-T,
         P1 = L^-1 T_P G^T, P2 = G T_P G^T and S0 = L^-1 T_S L^-T.  Built
-        once per M and kept with L^-1.
+        once per M and kept.
         """
         pencil = self._pencils.get(modes)
         if pencil is None:
@@ -340,7 +319,7 @@ class _RadialChart:
             lp = l_inv @ t_p
             p1 = lp @ g.T
             pencil = (lp @ l_inv.T, p1 + p1.T, g @ t_p @ g.T,
-                      l_inv @ self.s_hat[lag] @ l_inv.T, l_inv)
+                      l_inv @ self.s_hat[lag] @ l_inv.T)
             self._pencils[modes] = pencil
         return pencil
 
@@ -351,15 +330,15 @@ class _RadialChart:
         -(P h')' + l^2 S h = lambda W h becomes A c = lambda T_W c with
         A = D T_P D + l^2 T_S, D = diag(kappa + 2m) and T_f the Toeplitz
         matrix of f_j.  T_W, the same for every sector and l, is reduced
-        by its Cholesky factor L: returns (L^-1 A L^-T per sector, L^-1),
-        and the coefficient vectors are c = L^-T y.  ``l`` is one angular
+        by its Cholesky factor L: returns L^-1 A L^-T per sector, whose
+        eigenvalues are the problem's.  ``l`` is one angular
         index for every sector, or one per sector.  Each sector's matrix
         is (kappa P0 + (P1 + P1^T)) kappa + P2 + l^2 S0, formed element by
         element from the chart's pencil at M (``_pencil``, built on the
         first call at that M for any l), so it does not depend on which
         other sectors, or l, are formed with it.
         """
-        p0, p1_sym, p2, s0, l_inv = self._pencil(modes)
+        p0, p1_sym, p2, s0 = self._pencil(modes)
         mats = np.multiply.outer(kappa, p0)
         mats += p1_sym
         mats *= kappa[:, None, None]
@@ -369,7 +348,7 @@ class _RadialChart:
             hi = lo + len(list(run))
             mats[lo:hi] += p2 + float(value * value) * s0
             lo = hi
-        return mats, l_inv
+        return mats
 
 
 def _settle_modes(chart: _RadialChart, requests) -> list[tuple]:
@@ -399,7 +378,7 @@ def _settle_modes(chart: _RadialChart, requests) -> list[tuple]:
         sizes = [requests[i][1].size for i in active]
         lam = np.linalg.eigvalsh(chart.sector_matrices(
             np.concatenate([requests[i][1] for i in active]),
-            np.repeat([requests[i][0] for i in active], sizes), modes)[0])
+            np.repeat([requests[i][0] for i in active], sizes), modes))
         lo = 0
         for i, size in zip(active, sizes):
             _, _, copies, least = requests[i]
@@ -421,159 +400,54 @@ def _settle_modes(chart: _RadialChart, requests) -> list[tuple]:
                 f" {change[i]:.1e} at M = {modes} Fourier modes per sector")
 
 
-# Inverse iteration, see _inverse_vectors.
-_EPS = np.finfo(float).eps
-_CLUSTER = 1e3          # shifts this many residuals apart share an eigenspace
-# Start vectors: row r starts from entries rank..rank + n - 1, rank its place
-# in its cluster; uniform in [-1, 1), fixed by a seed, with no symmetry.  The
-# standard library draws them: importing numpy.random costs ~15 ms a start.
-_START = np.frombuffer(
-    random.Random(20120528).randbytes(8 * (4 * _MAX_MODES + 2)), "<u8"
-) / 2.0 ** 63 - 1.0
+# Hill roots and rows, see solve_radial.
+_HILL_STEPS = 512       # Magnus steps per cell of the pass to roots and rows
+_ROOT_TOL = 1e-9        # largest distance of a Hill root from its ladder value
 
 
-def _inverse_vectors(mats: np.ndarray, sector: np.ndarray,
-                     shifts: np.ndarray) -> np.ndarray:
-    """Unit eigenvectors of symmetric matrices by inverse iteration.
-
-    Row r is the eigenvector y of ``mats[r]`` at its eigenvalue
-    ``shifts[r]``, a value the caller took from ``np.linalg.eigvalsh`` of
-    that matrix (Parlett, *The Symmetric Eigenvalue Problem*, ch. 4).
-    ``sector[r]`` names the matrix that ``mats[r]`` is a copy of, and the
-    rows come grouped per sector, in ascending shifts.  Each matrix is
-    shifted in place, so ``mats`` is spent.
-
-    One step solves (A - sigma I) z = b for every row in one batched
-    ``np.linalg.solve`` and takes y = z / |z|.  The start b is fixed by a
-    seed and has no symmetry (a symmetric start is orthogonal to every
-    odd level); its entry for mode m is scaled by 1/(1 + |m|), since the
-    levels asked for are smooth and their coefficients fall off with
-    |m|.  The residual |(A - sigma I) y| is then |b| / |z|, up to the
-    solve's rounding; a row whose residual exceeds n eps times the
-    largest entry of its n x n matrix, the scale of that rounding, takes
-    a second step from y.  A shift that leaves a matrix exactly singular
-    is moved up by that much.  Rows of one matrix whose shifts lie
-    within 1000 such residuals of each other span one eigenspace: each
-    starts from its own vector, and they are orthonormalized in the
-    order of their shifts (QR), so no vector is returned twice;
-    ConvergenceFailure if one keeps less than 1e-3 of its norm.  Every
-    row is its own solve, so its vector does not depend on the others.
-    """
-    rows, n = mats.shape[:2]
-    diag = mats.reshape(rows, n * n)[:, ::n + 1]
-    tol = n * _EPS * diag.max(axis=1)
-    diag -= shifts[:, None]
-    # rank: a row's place in its cluster, a run of rows of one matrix whose
-    # shifts are closer than _CLUSTER residuals.
-    rank, clusters = np.zeros(rows, int), []
-    if rows > 1:
-        for r in np.flatnonzero((sector[1:] == sector[:-1]) & (
-                shifts[1:] - shifts[:-1] <= _CLUSTER * tol[1:])) + 1:
-            rank[r] = rank[r - 1] + 1
-            if rank[r] == 1:
-                clusters.append([r - 1])
-            clusters[-1].append(r)
-
-    m = np.arange(n)
-    start = _START[rank[:, None] + m] / (1.0 + np.abs(m - n // 2))
-    y, residual = _inverse_step(mats, start, tol)
-    again = np.flatnonzero(residual > tol)
-    if again.size:
-        y[again] = _inverse_step(mats[again], y[again], tol[again])[0]
-    for cluster in clusters:
-        basis, tri = np.linalg.qr(y[cluster].T)
-        if np.min(np.abs(np.diag(tri))) < 1e-3:
-            raise ConvergenceFailure("inverse iteration found dependent"
-                                     " vectors in one eigenspace")
-        y[cluster] = basis.T
-    return y
+def _hill_roots(coefficients, l, ks, kappa, level, lam, ladder, steps):
+    """``hill._roots`` of the levels named by l, sector k and level (from
+    0); CountMismatch (exit 3), naming the first, if a root lies more than
+    1e-9 from its Galerkin ladder value."""
+    found = hill._roots(coefficients, l, kappa, level, lam, steps)
+    off = np.flatnonzero(np.abs(found[0] - ladder) > _ROOT_TOL)
+    if off.size:
+        l, k, n, root, value = (float(v[off[0]])
+                                for v in (l, ks, level, found[0], ladder))
+        raise CountMismatch(
+            f"Hill levels: level {n + 1:g} of sector {k:g} at l = {l:g} is"
+            f" {root!r} by the Hill pass but {value!r} by the Galerkin ladder")
+    return found
 
 
-def _inverse_step(a, rhs, nudge):
-    """One step of inverse iteration: z = a[r]^-1 rhs[r] for every row in
-    one batched solve, returned as (z / |z|, the residuals |rhs| / |z|).
-    A matrix that is exactly singular has its shift moved up by
-    ``nudge[r]``, in place, and is solved again alone."""
-    try:
-        z = np.linalg.solve(a, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        z = np.empty_like(rhs)
-        for r in range(len(a)):
-            try:
-                z[r] = np.linalg.solve(a[r], rhs[r])
-            except np.linalg.LinAlgError:
-                a[r].flat[::a.shape[-1] + 1] -= nudge[r]
-                z[r] = np.linalg.solve(a[r], rhs[r])
-    size = np.sqrt(np.einsum("ij,ij->i", z, z))
-    return z / size[:, None], np.sqrt(np.einsum("ij,ij->i", rhs, rhs)) / size
-
-
-def _galerkin_vectors(chart: _RadialChart, l: int, kappa: np.ndarray,
-                      modes: int, sector: np.ndarray, shifts: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Galerkin vectors of settled levels, and their Rayleigh quotients.
-
-    Row r is the level of sector ``kappa[sector[r]]`` at angular index l
-    whose ``np.linalg.eigvalsh`` value at M = ``modes`` is ``shifts[r]``,
-    as ``_settle_modes`` returns it; the rows come grouped per sector, in
-    ascending shifts.  Each row's sector matrix is formed at that M, the
-    same bits as the ladder's (``sector_matrices``), and its vector y
-    comes by inverse iteration (``_inverse_vectors``).  Returns the
-    coefficient vectors c = L^-T y, one row each, and the Rayleigh
-    quotients of c in the unreduced problem (``_RadialChart.rayleigh``),
-    which are free of the reduced eigensolve's rounding.
-    """
-    mats, l_inv = chart.sector_matrices(kappa[sector], l, modes)
-    y = _inverse_vectors(mats, sector, shifts)
-    coef = np.array([l_inv.T @ v for v in y])
-    return coef, chart.rayleigh(kappa[sector], l, coef)
-
-
-def _sample_rows(chart: _RadialChart, kappa: np.ndarray, coef: np.ndarray,
-                 imag: np.ndarray, real: np.ndarray, x_loc: np.ndarray,
+def _sample_rows(chart: _RadialChart, l: int, kappa: np.ndarray,
+                 lam: np.ndarray, start: np.ndarray, pass_: list,
+                 copy: np.ndarray, imag: np.ndarray, x_loc: np.ndarray,
                  anti: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Galerkin levels sampled on the caller's grid, and their zero counts.
+    """Hill rows sampled on the caller's grid, and their zero counts.
 
-    Row r is the level of sector ``kappa[r]`` with coefficient vector
-    ``coef[r]`` (2M + 1 entries): Im h where ``imag[r]``, else Re h, and
-    h turned real by half the phase of sum h^2 where ``real[r]`` (a
-    self-conjugate sector).  ``x_loc`` holds the x in [0, pi) of one
-    half-oscillation's samples, and its shifts by j pi, j = 0..2q-1, make
-    the grid of the period: ``chart.x_samples`` for the uniform t-grid,
-    or the uniform x-grid, which needs no x(t).  Each row has unit norm
-    in t by its Galerkin coefficients and is signed by
-    ``sturm.orient_rows``; its zeros are its sign changes around the
-    period (antiperiodic when ``anti``), the same on any grid that
-    resolves them.
+    Level j is the solution at the root ``lam[j]`` of the sector
+    ``kappa[j]`` at l, from ``start[j]`` and its columns of ``pass_``
+    (``hill._roots``); row r is level ``copy[r]``, Im h where ``imag[r]``,
+    else Re h.  ``x_loc`` holds the x in [0, pi) of one cell's samples:
+    ``chart.x_samples`` for the uniform t-grid, or the uniform x-grid.
+    Cell j is turned by e^{i pi kappa j}.  Each row has unit norm in t
+    and is signed by ``sturm.orient_rows``; its zeros are its sign
+    changes around the period (antiperiodic when ``anti``).
     """
-    q = chart.q
-    rows, modes = coef.shape[0], (coef.shape[1] - 1) // 2
-    # h(x + j pi) = e^{i kappa (x + j pi)} sum_m c_m e^{2imx}, c real, on the
-    # x of one half-oscillation and j = 0..2q-1: rows of re h and im h.  The
-    # sum is taken over m >= 0, with c_m + c_-m on cos 2mx, c_m - c_-m on sin.
-    c_cos = coef[:, modes:].copy()
-    c_cos[:, 1:] += coef[:, modes - 1::-1]
-    mx = np.multiply.outer(2.0 * np.arange(modes + 1), x_loc)
-    sum_cos = c_cos @ np.cos(mx)
-    sum_sin = (coef[:, modes + 1:] - coef[:, modes - 1::-1]) @ np.sin(mx[1:])
-    kx = np.multiply.outer(kappa, x_loc)
-    cos_kx, sin_kx = np.cos(kx), np.sin(kx)
-    re_loc = cos_kx * sum_cos - sin_kx * sum_sin
-    im_loc = sin_kx * sum_cos + cos_kx * sum_sin
-    turn = math.pi * np.multiply.outer(kappa, np.arange(2 * q))[:, :, None]
-    cos_t, sin_t = np.cos(turn), np.sin(turn)
-    re = (cos_t * re_loc[:, None] - sin_t * im_loc[:, None]).reshape(rows, -1)
-    im = (sin_t * re_loc[:, None] + cos_t * im_loc[:, None]).reshape(rows, -1)
-    sampled = np.where(imag[:, None], im, re)
-    # h of a self-conjugate sector is turned real by half the phase of sum h^2.
-    half = 0.5 * np.arctan2(2.0 * np.sum(re[real] * im[real], axis=1),
-                            np.sum(re[real] ** 2 - im[real] ** 2, axis=1))
-    sampled[real] = (re[real] * np.cos(half)[:, None]
-                     + im[real] * np.sin(half)[:, None])
-
-    # c^H T_W c = 1: |h|^2 integrates to 2 q pi in t, q pi in Re h and Im h.
-    sampled /= np.sqrt(np.where(real, 2.0, 1.0) * q * math.pi)[:, None]
-    sampled = orient_rows(sampled)
+    h, integral = hill._rows(chart.coefficients, np.full(lam.size, l), kappa,
+                             lam, start, pass_, x_loc)
+    # Row r of cell j is Re(turn h) or Im(turn h) = Re(-i turn h), for the
+    # cell's turn e^{i pi kappa j}.  |h|^2 W integrates to 2q times the
+    # cell's over the period: all of it in h of an edge level, half in
+    # each of Re h and Im h of the others.
+    turn = (np.exp(1j * math.pi * np.multiply.outer(kappa,
+                                                    np.arange(2 * chart.q)))
+            / np.sqrt(np.where(start < 0, 1.0, 2.0) * chart.q * integral
+                      )[:, None])[copy] * np.where(imag, -1j, 1.0)[:, None]
+    sampled = orient_rows((np.stack((turn.real, -turn.imag), axis=2)
+                           @ np.stack((h.real, h.imag), axis=1)[copy]
+                           ).reshape(copy.size, -1))
     return sampled, count_sign_changes(sampled, antiperiodic=anti)
 
 
@@ -590,38 +464,34 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     splits into 2q Bloch sectors h(x + pi) = e^{i pi kappa} h(x) with
     kappa = k/q (periodic) or (k + 1/2)/q (antiperiodic),
     k = 0..2q-1; sector 2q-k (periodic) or 2q-1-k (antiperiodic) is the
-    complex conjugate of sector k, so only half of them are solved, in
-    one batched Hermitian eigensolve.  Each sector is a Fourier-Galerkin
-    problem with 2M + 1 modes; M steps through ``_MODE_LADDER`` (8, 16,
-    24, 32, 48, ... 256) until the lowest eigenvalues, each pair's
-    counted twice, move by less than 1e-10 from the previous M
-    (``_settle_modes``, one request of every solved sector), and
-    ``eps_grid`` is that stop tolerance, 1e-10.  The returned window
-    holds at least 2 max(p, q) + 8 eigenvalues and reaches 4.
+    complex conjugate of sector k, so only half of them are solved.  A
+    values-only Fourier-Galerkin ladder (``_settle_modes``) gives the
+    levels: M modes per sector step through ``_MODE_LADDER`` (8, 16, 24,
+    32, 48, ... 256) until the lowest, each pair's counted twice, move by
+    less than 1e-10 from the previous M, and ``eps_grid`` is that stop
+    tolerance.  The window holds at least 2 max(p, q) + 8 eigenvalues and
+    reaches 4.
 
-    Eigenfunctions are sampled on the uniform t-grid of
+    Unless ``sampled_sectors`` is empty, each window level becomes the
+    root of its Hill condition, one Newton step from its ladder value in
+    one pass at 512 Magnus steps per cell (``hill._roots``; CountMismatch,
+    exit 3, naming l, the sector and the level, if more than 1e-9 from
+    it), and its rows come from the same pass (``_sample_rows``): the
+    real half-cell solution of an edge level (kappa = 0 or 1), the
+    Floquet solution of any other, on the uniform t-grid of
     ``pipeline_grid_size(grid_size, q)`` points, which only sets the
-    sampling: the real and imaginary parts of h for a conjugate pair, h
-    turned real for a self-conjugate sector, each of unit norm in t by
-    its Galerkin coefficients and with its first sample at half its peak
+    sampling: Re h and Im h for a conjugate pair, h for an edge sector,
+    each of unit norm in t and with its first sample at 0.6 of its peak
     magnitude or more positive (``sturm.orient_rows``).  ``sectors``
-    holds each row's k.
-    ``profile`` is ignored; the chart needs only b and q.
+    holds each row's k.  ``profile`` is ignored.
 
-    By default every row is sampled.  ``sampled_sectors`` names the
-    sectors whose rows are sampled instead; every other row gets NaN
-    samples and zero count -1.  Every M of the ladder solves all sectors
-    values-only (``np.linalg.eigvalsh``).  Unless ``sampled_sectors`` is
-    empty, each level of the window gets its vector by inverse iteration
-    at the M where the ladder stops, shifted by its ``eigvalsh`` value
-    (``_galerkin_vectors``), and each window row reports the Rayleigh
-    quotient of its Galerkin vector in the unreduced form
-    (``_RadialChart.rayleigh``), which is free of the reduced
-    eigensolve's rounding: the values are the same bits whichever
-    sectors are sampled.  With ``sampled_sectors`` empty no eigenvector
-    is taken, and each row is values-only: it reports the reduced
-    eigenvalue, which may differ from the Rayleigh quotient by that
-    rounding (up to ~1e-11 at q <= 100).  The window is
+    By default every row is sampled; ``sampled_sectors`` names the
+    sectors whose rows are, and every other row gets NaN samples and zero
+    count -1.  A row's value and samples come from its own columns of
+    the pass, the same bits whichever sectors are sampled.  With
+    ``sampled_sectors`` empty no Hill pass runs, and each row reports the
+    ladder's reduced eigenvalue, which differs from the Hill root by that
+    eigensolve's rounding (up to ~1.4e-11 at q <= 251).  The window is
     sorted by the reported values.  ``chart`` is the ``_RadialChart`` of
     b and q, built here when None; one chart shared across l shares its
     coefficients and its pencil per M.
@@ -639,34 +509,37 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     kappa = (ks + (0.5 if anti else 0.0)) / q
     partner = (2 * q - 1 - ks) if anti else (2 * q - ks) % (2 * q)
     paired = partner != ks
-    vectors = sampled_sectors is None or len(sampled_sectors) > 0
-    ((modes, lam, count),) = _settle_modes(
+    ((_, lam, count),) = _settle_modes(
         chart, ((l, kappa, np.where(paired, 2, 1), 2 * max(q, r.p) + 8),))
 
     # Every level with its multiplicity; the second copy of a conjugate
     # pair becomes the imaginary part of h and carries the partner sector.
+    width = lam.shape[1]
     flat = np.concatenate([np.arange(lam.size),
-                           np.flatnonzero(np.repeat(paired, lam.shape[1]))])
-    src = flat // lam.shape[1]
-    level_lam = lam.ravel()[flat]
+                           np.flatnonzero(np.repeat(paired, width))])
     imag = np.arange(flat.size) >= lam.size
-    order = np.lexsort((imag, level_lam))[:count]
-    src, imag = src[order], imag[order]
-    values = level_lam[order]
-    if vectors:
-        # Each window level reports the Rayleigh quotient of its Galerkin
-        # vector; the two copies of a conjugate pair share one vector.
-        levels, copy = np.unique(flat[order], return_inverse=True)
-        coef, values = _galerkin_vectors(chart, l, kappa, modes,
-                                         levels // lam.shape[1],
-                                         lam.ravel()[levels])
-        values, coef = values[copy], coef[copy]
+    order = np.lexsort((imag, lam.ravel()[flat]))[:count]
+    flat, imag = flat[order], imag[order]
+    values = lam.ravel()[flat]
+    if sampled_sectors is None or len(sampled_sectors) > 0:
+        # Each window level becomes its Hill root, with the levels next to
+        # each edge level, among them the other edge of its gap.
+        levels = np.unique(flat)
+        edge = levels[np.isin(kappa[levels // width], (0.0, 1.0))]
+        levels = np.union1d(levels, np.concatenate((edge[edge % width > 0] - 1,
+                                                    edge + 1)))
+        sector, level = np.divmod(levels, width)
+        roots, start, _, found = _hill_roots(
+            chart.coefficients, np.full(level.size, l), ks[sector],
+            kappa[sector], level, lam.ravel()[levels], lam.ravel()[levels],
+            _HILL_STEPS)
+        values = roots[np.searchsorted(levels, flat)]
     # The operator is positive semidefinite: a negative value (the
     # constant mode at l = 0) is rounding.
     values = np.maximum(values, 0.0)
     resort = np.lexsort((imag, values))
-    values, src, imag = values[resort], src[resort], imag[resort]
-    sectors = np.where(imag, partner[src], ks[src])
+    values, flat, imag = values[resort], flat[resort], imag[resort]
+    sectors = np.where(imag, partner[flat // width], ks[flat // width])
 
     size = pipeline_grid_size(grid_size, q)
     funcs = np.full((count, size), np.nan)
@@ -674,9 +547,13 @@ def solve_radial(sol: OtsukiSolution, profile: GeodesicProfile | None,
     rows = (np.arange(count) if sampled_sectors is None
             else np.flatnonzero(np.isin(sectors, list(sampled_sectors))))
     if rows.size:
+        # The two rows of a conjugate pair share one Hill solution.
+        use, copy = np.unique(np.searchsorted(levels, flat[rows]),
+                              return_inverse=True)
         funcs[rows], zero_counts[rows] = _sample_rows(
-            chart, kappa[src[rows]], coef[resort[rows]], imag[rows],
-            ~paired[src[rows]], chart.x_samples(size // (2 * q)), anti)
+            chart, l, kappa[sector[use]], roots[use], start[use],
+            [v[..., use] for v in found], copy, imag[rows],
+            chart.x_samples(size // (2 * q)), anti)
     return SLSpectrum(problem=build_problem(chart, l, boundary),
                       grid=np.arange(size) * (chart.t0 / size),
                       eigenvalues=values, eigenfunctions=funcs,
@@ -825,18 +702,19 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
       ground).  It counts the band edges below lambda, the levels of the
       four Dirichlet/Neumann problems on [0, pi/2], by Pruefer angles
       (``hill``).
-    * **Hill pass.**  One more ``hill.monodromy`` call, at four times
-      the count's steps (sixth-order steps: ~4096 times below the
-      count's own change), makes each certified level one Newton step.
-      sin(phi), the first N-D level at l = 0 (theta_n = pi), and the l = 1
-      pair (Delta = 2 cos(pi p/q)) step from 2 by the slopes of the
-      count's columns at 2 -+ delta; below0, the first D-N level
+    * **Hill pass.**  One more pass, ``hill._roots`` at four times the
+      count's steps (sixth-order steps: ~4096 times below the count's
+      own change), makes each certified level one Newton step, by the
+      rule ``solve_radial`` roots its rows with.  sin(phi), the first
+      N-D level at l = 0 (theta_n = pi), and the l = 1 pair
+      (Delta = 2 cos(pi p/q)) step from 2; below0, the first D-N level
       (theta_d = pi/2), and the l = 2 ground, the first N-N level
-      (theta_n = pi/2), step from their ladder values by a secant over
-      1e-7.  The zero counts are 2q times the rotation at 2
-      (``hill.rotation``).  ``sin_phi_row_is_even``: the N-D problem,
-      whose levels are even about 0, holds the l = 0 level at 2 within
-      the window, and the D-N one, whose levels are odd, does not.
+      (theta_n = pi/2), step from their ladder values.  The zero counts
+      are 2q times the rotation at 2 (``hill.rotation``).
+      ``sin_phi_row_is_even``: the N-D problem, whose levels are even
+      about 0, holds the l = 0 level at 2 within the window (scaled by
+      the pass's slope of theta_n at 2), and the D-N one, whose levels
+      are odd, does not.
     * **Consistency.**  Each named sector's Galerkin count below 2 - delta
       and below 2 + delta must equal the Hill count of its kappa, and
       each certified level's Hill root must lie within 1e-9 of its
@@ -854,16 +732,15 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
     sol = solve_rotation(r)
     p, q = r.p, r.q
     named = {0: (q - 1, q), 1: (p - 1, p, p + 1), 2: (0,)}
+    chart = _RadialChart(sol.b, q)
     levels0, levels1, levels2 = (lam for _, lam, _ in _settle_modes(
-        _RadialChart(sol.b, q),
-        [(l, np.array(ks) / q, 1, 0) for l, ks in named.items()]))
+        chart, [(l, np.array(ks) / q, 1, 0) for l, ks in named.items()]))
     below0, two0, above0 = levels0[1, 0], levels0[1, 1], levels0[0, 1]
     below1, two1, above1 = levels1[0, 0], levels1[1, 0], levels1[2, 0]
     ground_l2 = levels2[0, 0]
     delta = 0.5 * min(abs(v - 2.0) for v in (below0, above0, below1, above1,
                                              ground_l2))
-    coefficients = functools.partial(radial_coefficients, sol.b)
-    counted = hill.count(coefficients, q, (2.0 - delta, 2.0 + delta))
+    counted = hill.count(chart.coefficients, q, (2.0 - delta, 2.0 + delta))
     # Levels below each lambda (rows) in every named sector (columns, l = 0's
     # then l = 1's), by the discriminant and by Galerkin, in one comparison.
     ls = np.repeat((0, 1), (len(named[0]), len(named[1])))
@@ -880,39 +757,22 @@ def verify_theorem3(r: RotationNumber, *, grid_size: int | None = None,
             f" {list(named[l])} hold {galerkin[j, ls == l].tolist()} Galerkin"
             f" levels but the discriminant counts"
             f" {hill_levels[j, ls == l].tolist()}")
-    # The Hill pass: sin(phi) and the l = 1 pair at 2, below0 and the l = 2
-    # ground at their ladder values and 1e-7 above; one Newton step each.
-    trace, theta_d, theta_n = hill.monodromy(
-        coefficients, (0, 1, 0, 0, 2, 2),
-        (2.0, 2.0, below0, below0 + 1e-7, ground_l2, ground_l2 + 1e-7),
-        4 * counted.steps)
-    ladder = np.array([two0, two1, below0, ground_l2])
-    miss = np.array([theta_n[0] - math.pi,
-                     trace[1] - 2.0 * math.cos(math.pi * p / q),
-                     theta_d[2] - 0.5 * math.pi, theta_n[4] - 0.5 * math.pi])
-    run = np.array([2.0 * delta, 2.0 * delta, 1e-7, 1e-7])
-    rise = np.array([counted.theta_n[0, 1] - counted.theta_n[0, 0],
-                     counted.delta[1, 1] - counted.delta[1, 0],
-                     theta_d[3] - theta_d[2], theta_n[5] - theta_n[4]])
-    roots = np.array([2.0, 2.0, below0, ground_l2]) - miss * run / rise
-    off = np.flatnonzero(np.abs(roots - ladder) > 1e-9)
-    if off.size:
-        i = off[0]
-        l, k, n = ((0, q, 2), (1, p, 1), (0, q, 1), (2, 0, 1))[i]
-        raise CountMismatch(
-            f"Hill levels: level {n} of sector {k} at l = {l} is"
-            f" {float(roots[i])!r} by the Hill pass but"
-            f" {float(ladder[i])!r} by the Galerkin ladder")
+    # The Hill pass: sin(phi) and the l = 1 pair from 2, below0 and the l = 2
+    # ground from their ladder values; one Newton step each.
+    roots, _, ((trace, theta_d, theta_n), (_, slope_d, slope_n)), _ = (
+        _hill_roots(chart.coefficients, (0, 1, 0, 2), (q, p, q, 0),
+                    (1.0, p / q, 1.0, 0.0), (1, 0, 0, 0),
+                    (2.0, 2.0, below0, ground_l2),
+                    (two0, two1, below0, ground_l2), 4 * counted.steps))
     two0, two1, below0, ground_l2 = roots.tolist()
     zeros0, zeros1 = (int(v) for v in np.rint(
         2 * q * hill.rotation(trace[:2], theta_d[:2], theta_n[:2])))
     # Does the N-D problem (theta_n^0 at a multiple of pi) hold the level at
     # 2, within the window, and does the D-N one (theta_d^0 at pi/2 mod pi)?
     nd, dn = (abs(math.remainder(angle, math.pi))
-              <= _THRESHOLD_WINDOW * abs(column[1] - column[0]) / run[0]
-              for angle, column in ((theta_n[0], counted.theta_n[0]),
-                                    (theta_d[0] - 0.5 * math.pi,
-                                     counted.theta_d[0])))
+              <= _THRESHOLD_WINDOW * abs(slope)
+              for angle, slope in ((theta_n[0], slope_n[0]),
+                                   (theta_d[0] - 0.5 * math.pi, slope_d[0])))
     even0 = int(nd) - int(dn)
     n2 = counted.totals[0]
     multiplicity = counted.totals[1] - counted.totals[0]

@@ -163,16 +163,17 @@ def count_sign_changes(values, antiperiodic: bool = False,
 
 def orient_rows(rows: np.ndarray) -> np.ndarray:
     """Each row times +1 or -1, so that its first sample of magnitude at
-    least half the row's peak is positive.
+    least 0.6 of the row's peak is positive.
 
     A sampled eigenfunction may reach its peak magnitude at several
     samples with both signs (the Bloch turns of one level), and then
-    rounding would pick the sign; a sample at half the peak or more is
-    far from a sign change, so which sign it has is stable.  A zero row
-    stays as it is.
+    rounding would pick the sign; a sample at 0.6 of the peak or more is
+    far from a sign change, and no |cos(r pi)|, r rational, is 0.6 (Niven:
+    the cos(pi k j/q) samples of a row that peaks at x = 0 sit on 1/2).
+    A zero row stays as it is.
     """
     mag = np.abs(rows)
-    first = np.argmax(mag >= 0.5 * mag.max(axis=1, keepdims=True), axis=1)
+    first = np.argmax(mag >= 0.6 * mag.max(axis=1, keepdims=True), axis=1)
     flip = rows[np.arange(rows.shape[0]), first] < 0.0
     return rows * np.where(flip, -1.0, 1.0)[:, None]
 
@@ -265,7 +266,7 @@ def eigen(prob: SLProblem, count: int, grid_size: int = 2048) -> SLSpectrum:
     One shift-invert Lanczos with a deterministic start vector serves
     every grid size; it needs ``count`` below ``grid_size - 1``.
     Eigenfunctions are normalized to unit L2 norm over the period, each
-    with its first sample at half its peak magnitude or more positive
+    with its first sample at 0.6 of its peak magnitude or more positive
     (``orient_rows``).  A degenerate pair comes back in
     whatever basis the solver returns; its zero counts do not depend on
     that basis (oscillation theorem).

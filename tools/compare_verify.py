@@ -17,11 +17,13 @@ resolved Magnus ``steps`` per cell and delta (the count's lambdas are
 ``ladder``: the M at which the named-sector ladder of each l stopped
 (``l0``, ``l1``, ``l2``), the stop M that ``spectrum._settle_modes``
 returns for each request's l.  Where ``verify`` reached the Hill pass
-that follows its count, the entry holds ``pass``: that
-``hill.monodromy`` call's ``steps`` per cell and the two identity
-residuals at lambda = 2 of its first two columns, ``theta_n0_minus_pi``
-(l = 0, theta_n(2) - pi) and ``delta1_minus_2cos`` (l = 1,
-Delta(2) - 2 cos(pi p/q)).  Floats are written with all their digits.
+that follows its count, the entry holds ``pass``: that ``hill._roots``
+call's ``steps`` per cell and the two identity residuals at lambda = 2
+of its first two rows, ``theta_n0_minus_pi`` (l = 0, theta_n(2) - pi)
+and ``delta1_minus_2cos`` (l = 1, Delta(2) - 2 cos(pi p/q)).  A tree
+whose verify takes its pass from ``hill.monodromy`` (before the pass
+moved into ``hill._roots``) is dumped with that tree's copy of this
+tool.  Floats are written with all their digits.
 A tree whose ``_settle_modes`` takes a ``solve`` callback (before verify
 and ``solve_radial`` shared it) is dumped with that tree's copy of this
 tool.
@@ -84,15 +86,16 @@ def dump(path: str) -> None:
             ladders[f"l{l}"] = modes
         return settled
 
-    monodromy, passes = hill.monodromy, []
+    roots, passes = hill._roots, []
 
-    def recording_pass(coefficients, l, lam, steps):
-        passes.append((steps, monodromy(coefficients, l, lam, steps)))
-        return passes[-1][1]
+    def recording_pass(coefficients, l, kappa, level, lam, steps):
+        found = roots(coefficients, l, kappa, level, lam, steps)
+        passes.append((steps, found[2][0]))
+        return found
 
     hill.count = recording
     spectrum._settle_modes = recording_settle
-    hill.monodromy = recording_pass
+    hill._roots = recording_pass
     out = {}
     for p, q in fractions(100) + list(NEAR_ONE_HALF):
         r = geodesic.RotationNumber(p, q)

@@ -13,7 +13,9 @@ The tree (without ``.git`` and caches) is copied once into a temporary
 directory, and the working tree is never written.  The union of the named
 tests first runs there unmutated and must pass.  Then, for each entry,
 the copy's file is mutated, its named tests run in one pytest process
-(``PYTHONPATH=src``, one BLAS thread), each test's outcome is read from
+(``PYTHONPATH=src``, one BLAS thread, and ``-o addopts=``, so that
+``pyproject.toml``'s ``-m 'not sweep'`` does not deselect a ``sweep``
+test named by its node id), each test's outcome is read from
 that run's ``--junitxml`` report, and the file is restored.  A mutant is
 caught when every one of its tests fails (a failure or an error in the
 report); a test that passes or is skipped lets it survive, and a test
@@ -23,7 +25,7 @@ that did not fail.
 
 Exits 1 if a mutant survives, an old text is missing or not unique, a
 test errs, or an unmutated test fails; 0 otherwise.  The committed list
-(17 mutants) takes ~60 s on a 2-core host; the ``sweep`` test
+(21 mutants) takes ~80 s on a 2-core host; the ``sweep`` test
 ``tests/test_mutants.py`` runs it and requires exit 0.
 """
 
@@ -52,7 +54,8 @@ def run_tests(tree: str, tests: list[str], report: str | None = None) -> int:
     xml = [f"--junitxml={report}"] if report else []
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         *xml, *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+         "-o", "addopts=", *xml, *tests], cwd=tree, env=env,
+        stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL).returncode
 
 
