@@ -43,13 +43,16 @@ class IntegrationFailure(NumericalFailure):
 
 
 class ConvergenceFailure(NumericalFailure):
-    """An iteration did not converge: an eigensolver, a radial solve's
-    mode ladder, or a chart's Newton inversion (``_HalfChart.x_of``)."""
+    """An iteration did not converge: an eigensolver, the step or node
+    count of the Hill count or levels (``hill``), or a chart's Newton
+    inversion (``_HalfChart.x_of``)."""
 
 
 class CountMismatch(NumericalFailure):
-    """Two routes to one eigenvalue count disagree: a Bloch sector's
-    Galerkin levels and the Hill-discriminant count of that sector."""
+    """Two routes to one eigenvalue count or level disagree: a Bloch
+    sector's interpolant roots and its Hill-discriminant count, a level's
+    interpolant value and its Hill root, or the table's multiplicity at 2
+    and the five immersed coordinates."""
 
 
 class DegenerateGrid(NumericalFailure):

@@ -49,8 +49,12 @@ counted without solving for them:
   one more if a + b is odd (lambda inside band n = (a + b + 1)/2) and
   the turn at lambda has passed kappa.  ``rotation`` reads the same
   data as the rotation number, the zeros per cell of a real solution.
-* **Levels.**  ``_roots`` steps a level to the root of its condition,
-  and ``_rows`` samples its solution from the same pass.
+* **Levels.**  ``levels`` roots Chebyshev interpolants in lambda of n11,
+  n12, n21 and n22, which are entire: a level of kappa = 0 is a zero of
+  n21 (N-N) or n12 (D-D), of kappa = 1 one of n11 (N-D) or n22 (D-N), of
+  any other sector a root of Delta = 2 cos(pi kappa) in each band.
+  ``_roots`` steps a level to the root of its condition, and ``_rows``
+  samples its solution from the same pass.
 
 ``count`` totals the levels of the bipolar surface's sectors
 (``surface_sectors``) at l = 0 and 1, with the step count resolved from
@@ -62,12 +66,13 @@ period pi can be counted; ``monodromy`` checks the evenness
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, in_interval
+from .errors import ConvergenceFailure, CountMismatch, DomainError, in_interval
 
 # Gauss-Legendre nodes of one Magnus step, as fractions of the step.
 _GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
@@ -76,6 +81,17 @@ _FIRST_STEPS = 64       # Magnus steps per cell n of the first pass, which
 _MAX_STEPS = 2 ** 14    # the finer size at which an unresolved count stops
 _RESOLVED = 10.0        # distance to a half-cell level, in its changes
 _ROUNDING = 1e-12       # the angles' rounding, added to each change
+# Chebyshev interpolants in lambda, see levels.
+_LEVEL_TOL = 1e-10      # largest error of an angle at a cut, at n steps
+_NODES = 16             # Chebyshev nodes of the first interpolant
+_MAX_NODES = 256        # the node count at which an unresolved tail stops
+_TAIL = 1e-13           # the last three coefficients, of the largest
+_GRID = 8               # grid points per node that bracket the roots
+# The half-cell problem of the zeros of n11, n12, n21 and n22 (N-D, D-D,
+# N-N, D-N): its Bloch sector kappa, and the solution that holds it, N
+# ((h, P h')(0) = (1, 0)) as 0 or D ((0, 1)) as 1.
+_EDGE_KAPPA = np.array([1.0, 0.0, 0.0, 1.0])
+_EDGE_START = np.array([0, 1, 0, 1])
 
 
 def _steps(coefficients, l, lam, sizes):
@@ -90,22 +106,35 @@ def _steps(coefficients, l, lam, sizes):
     for n in sizes:
         if n < 2 or n % 2:
             raise DomainError(f"Magnus steps per cell must be even, got {n}")
-    n = np.array(sizes)
-    first = max(sizes) // 2 - n // 2        # the first step of each size
-    k = np.arange(max(sizes) // 2)[:, None] - first
-    h = np.where(k >= 0, math.pi / n, 0.0)[..., None]
-    nodes = (np.maximum(k, 0) + np.array(_GAUSS)[:, None, None]) * h[..., 0]
-    mirrors = math.pi - nodes[:, first, np.arange(n.size)]
-    f = np.array(coefficients(np.concatenate((nodes.reshape(3, -1), mirrors),
-                                             axis=1)), dtype=float)
-    ends = f[:, :, :-n.size].reshape(f.shape[:2] + nodes.shape[1:])
-    mismatch = abs(f[:, :, -n.size:] - ends[:, :, first, np.arange(n.size)])
+    first, h, x, shape = _nodes(tuple(sizes))
+    f = np.array(coefficients(x), dtype=float)
+    ends = f[:, :, :-first.size].reshape(f.shape[:2] + shape)
+    mismatch = abs(f[:, :, -first.size:]
+                   - ends[:, :, first, np.arange(first.size)])
     if (mismatch.max(axis=(1, 2)) > 1e-12 * abs(f).max(axis=(1, 2))).any():
         raise DomainError("the coefficients are not even about pi/2:"
                           " the half-cell monodromy needs P, S and W"
                           " even and of period pi")
     p, s, w = ends[..., None]               # (3 nodes, steps, sizes, 1)
     return _exp_omega(p, s, w, h, l, lam).reshape(4, h.shape[0], -1)
+
+
+@functools.lru_cache
+def _nodes(sizes):
+    """For ``_steps`` at ``sizes``: the first step of each size, the step
+    lengths h (0 before a size's first step), and the x at which the
+    coefficients are taken: the three Gauss nodes of every step, then the
+    mirrors pi - x of each size's first step's nodes."""
+    n = np.array(sizes)
+    first = max(sizes) // 2 - n // 2
+    k = np.arange(max(sizes) // 2)[:, None] - first
+    h = np.where(k >= 0, math.pi / n, 0.0)[..., None]
+    nodes = (np.maximum(k, 0) + np.array(_GAUSS)[:, None, None]) * h[..., 0]
+    mirrors = math.pi - nodes[:, first, np.arange(n.size)]
+    cached = first, h, np.concatenate((nodes.reshape(3, -1), mirrors), axis=1)
+    for a in cached:
+        a.flags.writeable = False
+    return cached + (nodes.shape[1:],)
 
 
 def _exp_omega(p, s, w, h, l, lam):
@@ -264,32 +293,32 @@ def _integrals(coefficients, m):
     return np.cumsum(f, axis=1) - 0.5 * (f + f[:, :1])
 
 
-def _roots(coefficients, l, kappa, level, lam, steps: int):
+def _roots(coefficients, l, kappa, level, start, lam, steps: int):
     """Each level's Hill root, one Newton step from ``lam``.
 
     Row r is level ``level[r]`` (from 0) of the sector ``kappa[r]`` (in
-    [0, 2)) at ``l[r]``, near ``lam[r]``; the four broadcast.  In an edge
-    sector (kappa folded to c = 0 or 1) level i is an edge of gap g = i +
-    (i + c) mod 2, where theta_d = g pi/2 or theta_n = (g + 1) pi/2 (gap 0:
-    the lowest N-N level alone); a gap's roots are sorted onto its rows,
-    each stepped from the row nearer to it (one row takes the nearer
-    root).  Elsewhere Delta = 2 cos(pi kappa), as n11 n22 = cos^2(pi
-    kappa/2) or n12 n21 = -sin^2(pi kappa/2), whichever vanishes at the
-    nearer band edge, to keep its relative precision there.  The slopes
-    come from the same pass at ``steps`` per cell: dPhi/dlambda = Phi K,
-    K the running integral of [[W a b, W b^2], [-W a^2, -W a b]], so
-    theta_n' = I_aa/r_n^2, theta_d' = I_bb/r_d^2 and (n11 n22)' = Delta'/4
-    = n11 n21 I_bb - n12 n22 I_aa (``_integrals``; even about 0 and pi/2
-    at a level, and for Delta' across a band).  Returns the roots; each
-    row's start: 0 for the N solution (h, P h')(0) = (1, 0), 1 for the D
-    solution (0, 1), -1 for the Floquet vector (``_rows``); (Delta,
+    [0, 2)) at ``l[r]``, near ``lam[r]``, from ``start[r]``; the five
+    broadcast.  In an edge sector (kappa folded to c = 0 or 1) level i is
+    an edge of gap g = i + (i + c) mod 2: start 1 takes the D solution,
+    (h, P h')(0) = (0, 1), at theta_d = g pi/2, and start 0 the N
+    solution, (1, 0), at theta_n = (g + 1) pi/2 (gap 0: the lowest N-N
+    level alone); ``levels`` tells which problem holds each edge level.
+    Start -1 is any other level, the Floquet vector (``_rows``), at Delta
+    = 2 cos(pi kappa), as n11 n22 = cos^2(pi kappa/2) or n12 n21 =
+    -sin^2(pi kappa/2), whichever vanishes at the nearer band edge, to
+    keep its relative precision there.  The slopes come from the same
+    pass at ``steps`` per cell: dPhi/dlambda = Phi K, K the running
+    integral of [[W a b, W b^2], [-W a^2, -W a b]], so theta_n' =
+    I_aa/r_n^2, theta_d' = I_bb/r_d^2 and (n11 n22)' = Delta'/4 = n11 n21
+    I_bb - n12 n22 I_aa (``_integrals``; even about 0 and pi/2 at a
+    level, and for Delta' across a band).  Returns the roots; (Delta,
     theta_d, theta_n) at lam and the slopes, shape (2, 3, rows); and the
     pass: Phi at every step end from 0, the running integrals, and each
     row's step to its root, an interior level's Newton step itself, not
     a rounded difference.
     """
-    l, kappa, level, lam = np.broadcast_arrays(l, kappa, level,
-                                               np.asarray(lam, dtype=float))
+    l, kappa, level, start, lam = np.broadcast_arrays(
+        l, kappa, level, start, np.asarray(lam, dtype=float))
     m = _prefix_products(_steps(coefficients, l, lam, (steps,)))
     m = np.concatenate((np.eye(2).reshape(4, 1, 1).repeat(lam.size, 2), m), 1)
     at = _half_cell(m)
@@ -306,25 +335,14 @@ def _roots(coefficients, l, kappa, level, lam, steps: int):
                               at[4] + np.sin(0.5 * math.pi * kappa) ** 2),
                      at[1] - 0.5 * math.pi * gap,
                      at[2] - 0.5 * math.pi * (gap + 1)))
-    newton = miss / slope
-    root = lam - newton
-    roots, start = root[0].copy(), np.full(lam.shape, -1)
-    gaps = {}
-    for r in np.flatnonzero(folded % 1.0 == 0.0):
-        gaps.setdefault((l[r], folded[r], gap[r]), []).append(r)
-    for rows in gaps.values():
-        # (root, start) of the gap's edges: theta_d's (D) and theta_n's (N).
-        near = {j: min(rows, key=lambda r: abs(root[j, r] - lam[r]))
-                for j in ((1, 2) if gap[rows[0]] else (2,))}
-        found = sorted((root[j, r], 2 - j) for j, r in near.items())
-        if len(rows) < len(found):
-            found = [min(found, key=lambda f: abs(f[0] - lam[rows[0]]))]
-        rows.sort(key=lambda r: level[r])
-        roots[rows], start[rows] = zip(*found)
+    # The condition of each row: Delta, theta_d (D) or theta_n (N).
+    rows = np.where(start < 0, 0, 2 - start), np.arange(lam.size)
+    newton = (miss / slope)[rows]
+    roots = lam - newton
     # In a narrow band the multiplier turns by (root - lam)/bandwidth, so an
     # interior row takes the unrounded step.
-    return roots, start, np.stack((at[:3], slope)), (
-        m, run, np.where(start < 0, -newton[0], roots - lam))
+    return roots, np.stack((at[:3], slope)), (
+        m, run, np.where(start < 0, -newton, roots - lam))
 
 
 def _rows(coefficients, l, kappa, lam, start, pass_, x):
@@ -452,3 +470,231 @@ def count(coefficients, q: int, lams) -> HillCount:
                 f"Hill count at q = {q} not resolved at {steps} Magnus"
                 f" steps per cell: totals {coarse_totals} and {fine_totals}")
         steps *= 2
+
+
+def levels(coefficients, requests):
+    """The levels of Bloch sectors at several l, each below its cut.
+
+    A request (l, kappa, weights, least, reach) names sectors ``kappa``
+    (in [0, 2)) at l and how often each one's levels count.  Its cut is
+    the first rung c_0 (7/4)^j, j >= 1, c_0 = max(4, l^2), below which
+    ``level_counts`` finds ``least`` weighted levels and, if ``reach``,
+    more than below c_0.  One pass at n/2 and n Magnus steps per cell
+    takes c_0 and two rungs (one, without ``reach``); n starts at 128 and
+    doubles until the angles' sixth-order error at each cut, their change
+    over 63, is at most 1e-10 (ConvergenceFailure past 16384).  One more
+    pass at n takes the half-cell entries at N Chebyshev points of the
+    first kind on [l^2 - 1/4, cut], below every level (S/W >= 1).  They
+    are entire in lambda (Magnus & Winkler, *Hill's Equation*), so their
+    interpolants converge geometrically (Trefethen, *Approximation
+    Theory and Approximation Practice*, ch. 8): N starts at 16 and
+    doubles until the last three coefficients of each are at most 1e-13
+    of its largest (ConvergenceFailure past 256).  ``_sector_roots``
+    roots them, and each sector's count must be its ``level_counts`` at
+    the cut, else CountMismatch, naming l and kappa.  Returns, per
+    request, the arrays (sector, level, lam, start) of every level below
+    its cut, by sector (an index into its kappa) and level (from 0),
+    start as ``_roots`` takes it; and n.
+    """
+    ls = np.array([l for l, *_ in requests])
+    kappa = np.concatenate([np.atleast_1d(k) for _, k, *_ in requests]
+                           ).astype(float)
+    owner = np.repeat(np.arange(ls.size),
+                      [np.size(k) for _, k, *_ in requests])
+    weight = np.concatenate([np.broadcast_to(w, np.shape(k))
+                             for _, k, w, *_ in requests])
+    least, reach = (np.array(v) for v in zip(*(r[3:] for r in requests)))
+    base, each = np.maximum(4.0, ls ** 2.0), np.arange(ls.size)
+    steps, first = 2 * _FIRST_STEPS, np.ones(ls.size)
+    # The rungs c_0, c_first, c_first+1 of each request; those that need
+    # not reach c_0 take c_first alone.
+    taken = np.stack((reach, np.ones(ls.size, dtype=bool), reach), axis=1)
+    while True:
+        rungs = base[:, None] * 1.75 ** np.stack((0 * first, first,
+                                                   first + 1), axis=1)
+        data = np.zeros((3, 2, ls.size, 3))
+        data[:, :, taken] = _monodromies(
+            coefficients, np.repeat(ls, taken.sum(axis=1)), rungs[taken],
+            (steps // 2, steps)).reshape(3, 2, -1)
+        counts = level_counts(kappa[:, None], *data[:, 1, owner])
+        held = (owner == each[:, None]) @ (weight[:, None] * counts)
+        need = np.where(reach, np.maximum(least, held[:, 0] + 1), least)
+        enough = (held[:, 1:] >= need[:, None]) & taken[:, 1:]
+        if not enough.any(axis=1).all():
+            first += 2 * ~enough.any(axis=1)
+            continue
+        rung = 1 + enough.argmax(axis=1)
+        cuts = rungs[each, rung]
+        angles = data[1:, :, each, rung]        # (angle, size, request)
+        error = np.abs(angles[:, 1] - angles[:, 0]).max(axis=0) / 63
+        if error.max() <= _LEVEL_TOL:
+            break
+        if steps >= _MAX_STEPS:
+            raise ConvergenceFailure(
+                f"Hill levels at l = {ls[error.argmax()]} not resolved at"
+                f" {steps} Magnus steps per cell")
+        steps *= 2
+    counted = counts[np.arange(kappa.size), rung[owner]]
+
+    lo, nodes = ls ** 2 - 0.25, _NODES
+    while True:
+        points, transform, *_ = _chebyshev(nodes)
+        lam = 0.5 * ((cuts + lo)[:, None]
+                     + np.multiply.outer(cuts - lo, points))
+        coef = _product(_steps(coefficients, np.repeat(ls, nodes),
+                               lam.ravel(), (steps,))).reshape(
+            4, ls.size, nodes) @ transform
+        tail = np.abs(coef[..., -3:]).max(axis=-1)
+        if (tail <= _TAIL * np.abs(coef).max(axis=-1)).all():
+            break
+        if nodes >= _MAX_NODES:
+            raise ConvergenceFailure(
+                f"Hill levels at l = {ls[tail.max(axis=0).argmax()]}: the"
+                f" half-cell entries need more than {nodes} nodes in lambda")
+        nodes *= 2
+
+    sector, u, start = _sector_roots(coef, kappa, owner)
+    r = owner[sector]
+    lam = lo[r] + 0.5 * (cuts - lo)[r] * (u + 1.0)
+    order = np.lexsort((lam, sector))
+    sector, lam, start = sector[order], lam[order], start[order]
+    held = np.bincount(sector, minlength=kappa.size)
+    off = np.flatnonzero(held != counted)
+    if off.size:
+        k, r = off[0], owner[off[0]]
+        raise CountMismatch(
+            f"Hill levels: below {float(cuts[r])!r} at l = {ls[r]}, sector"
+            f" kappa = {float(kappa[k])!r} holds {held[k]} interpolant"
+            f" roots but the discriminant counts {counted[k]}")
+    level = np.arange(sector.size) - np.repeat(np.cumsum(held) - held, held)
+    offset = np.searchsorted(owner, each)       # each request's first sector
+    bounds = np.searchsorted(sector, np.append(offset, kappa.size))
+    return [(sector[i:j] - k, level[i:j], lam[i:j], start[i:j])
+            for k, i, j in zip(offset, bounds[:-1], bounds[1:])], steps
+
+
+def _product(m):
+    """E_n ... E_1 of the steps m, entries (E11, E12, E21, E22) of shape
+    (steps, columns), a power of two of steps, by halving: each pass
+    multiplies every later step onto the one before it."""
+    rows = m.reshape((2, 2) + m.shape[1:])
+    while rows.shape[2] > 1:
+        a, b = rows[:, :, 1::2], rows[:, :, ::2]    # the later, the earlier
+        rows = a[:, :1] * b[0] + a[:, 1:] * b[1]
+    return rows.reshape(4, -1)
+
+
+@functools.lru_cache
+def _chebyshev(terms: int):
+    """For ``terms`` Chebyshev points of the first kind u_j: the points;
+    the matrix that takes values there (a row) to the coefficients of
+    their interpolant in T_0 ... T_{terms-1}; the matrix that takes those
+    to the derivative's; and a grid of ``_GRID`` points per node on
+    [-1, 1] with T_0 ... T_{terms-1} on it."""
+    k, j = np.ogrid[:terms, :terms]
+    theta = math.pi * (np.arange(terms) + 0.5) / terms
+    transform = np.cos(np.outer(theta, np.arange(terms))) * (2.0 / terms)
+    transform[:, 0] *= 0.5
+    grid = np.linspace(-1.0, 1.0, _GRID * terms + 1)
+    derivative = np.where((k > j) & ((k - j) % 2 == 1), (2.0 - (j == 0)) * k,
+                          0.0)
+    cached = (np.cos(theta), transform, derivative, grid,
+              np.cos(k * np.arccos(grid)))
+    for a in cached:
+        a.flags.writeable = False
+    return cached
+
+
+def _polish(series, one, two, target, a, b, below, u):
+    """Roots of f = ``target`` in [a, b], where f - target has the sign bit
+    ``below`` at a, by Newton steps from u, each kept inside the bracket it
+    narrows (else its midpoint).  f is the entry ``one`` (n11, n12, n21,
+    n22), or its product with the entry ``two``, from ``series``: the
+    Chebyshev coefficients of the entries and of their derivatives, shape
+    (8, points, terms), with T_k(u) = cos(k arccos u).  A root is done
+    once its step is at most 1e-7 in u, when the next is at rounding."""
+    points, terms = np.arange(u.size), np.arange(series.shape[-1])[:, None]
+    done = np.zeros(u.size, dtype=bool)
+    for _ in range(30):
+        v = np.einsum("epk,kp->ep", series, np.cos(terms * np.arccos(u)))
+        f, df = v[one, points], v[one + 4, points]
+        if two is not None:
+            g, dg = v[two, points], v[two + 4, points]
+            f, df = f * g, df * g + f * dg
+        miss = f - target
+        right = np.signbit(miss) == below       # the root lies above u
+        a, b = np.where(right, u, a), np.where(right, b, u)
+        step = np.where(done, 0.0, miss / df)
+        u = u - step
+        done |= np.abs(step) <= 1e-7
+        if done.all():
+            break
+        stray = ~(done | ((u >= a) & (u <= b)))
+        u[stray] = 0.5 * (a + b)[stray]
+    return u
+
+
+def _sector_roots(coef, kappa, owner):
+    """(sector, u, start) of every level of the sectors ``kappa`` on [-1, 1]
+    (``levels``' flat sectors: sector k belongs to request ``owner[k]``),
+    from the Chebyshev coefficients ``coef[:, r]`` of (n11, n12, n21, n22)
+    of each request r.  The arrays are in no order."""
+    *_, derivative, grid, basis = _chebyshev(coef.shape[-1])
+    series = np.concatenate((coef, coef @ derivative))
+    entries = np.einsum("erk,kg->reg", coef, basis)
+    p = entries[:, 0] * entries[:, 3]           # n11 n22 on the grid
+    # The edges: zeros of n11 (N-D), n12 (D-D), n21 (N-N) and n22 (D-N),
+    # bracketed by sign changes on the grid; each is a level of every
+    # sector of its request of its kappa (``_EDGE_KAPPA``).
+    req, which, i = np.nonzero(np.signbit(entries[..., :-1])
+                               != np.signbit(entries[..., 1:]))
+    lo, hi = entries[req, which, i], entries[req, which, i + 1]
+    edges = _polish(series[:, req], which, None, 0.0, grid[i], grid[i + 1],
+                    np.signbit(lo),
+                    grid[i] - lo * (grid[i + 1] - grid[i]) / (hi - lo))
+    folded = np.minimum(kappa, 2.0 - kappa)
+    e, edge_sector = np.nonzero((req[:, None] == owner)
+                                & (_EDGE_KAPPA[which][:, None] == folded))
+    # The bands of each request run from each even-numbered edge to the
+    # next, the last to the cut (u = 1); n11 n22 is 1 at a kappa = 0 edge
+    # and 0 at a kappa = 1 one.  A sector whose target n11 n22 =
+    # cos^2(pi kappa/2) lies between a band's ends has one level in it.
+    order = np.lexsort((edges, req))
+    req, ends, at = req[order], edges[order], 1.0 - _EDGE_KAPPA[which[order]]
+    bottom = np.flatnonzero((np.arange(req.size)
+                             - np.searchsorted(req, req)) % 2 == 0)
+    up = np.minimum(bottom + 1, req.size - 1)
+    inside = (bottom + 1 < req.size) & (req[up] == req[bottom])
+    req, a, b = req[bottom], ends[bottom], np.where(inside, ends[up], 1.0)
+    at_a, at_b = at[bottom], np.where(inside, at[up], p[req, -1])
+    inner = np.flatnonzero((folded > 0.0) & (folded < 1.0))
+    target = np.cos(0.5 * math.pi * folded[inner]) ** 2
+    band, k = np.nonzero((req[:, None] == owner[inner])
+                         & (np.signbit(at_a[:, None] - target)
+                            != np.signbit(at_b[:, None] - target)))
+    r, a, b, at_a, at_b = (v[band] for v in (req, a, b, at_a, at_b))
+    sector, target = inner[k], target[k]
+    # Each level's bracket narrows to the grid points either side of it.
+    below = np.signbit(at_a - target)
+    inside = (grid > a[:, None]) & (grid < b[:, None])
+    before = np.signbit(p[r] - target[:, None]) == below[:, None]
+    last = np.where(inside & before, np.arange(grid.size), -1).max(
+        axis=1, initial=-1)
+    after = np.where(inside & ~before, np.arange(grid.size), grid.size).min(
+        axis=1, initial=grid.size)
+    nearer = last >= 0
+    a = np.where(nearer, grid[last], a)
+    at_a = np.where(nearer, p[r, last], at_a)
+    nearer, after = after < grid.size, np.minimum(after, grid.size - 1)
+    b = np.where(nearer, grid[after], b)
+    at_b = np.where(nearer, p[r, after], at_b)
+    # n11 n22 = cos^2(pi kappa/2) near kappa = 1, else n12 n21 =
+    # -sin^2(pi kappa/2), whichever vanishes at the nearer band edge.
+    near_one = target < 0.5
+    u = _polish(series[:, r], np.where(near_one, 0, 1),
+                np.where(near_one, 3, 2),
+                np.where(near_one, target, target - 1.0), a, b, below,
+                a + (target - at_a) * (b - a) / (at_b - at_a))
+    return (np.concatenate((edge_sector, sector)),
+            np.concatenate((edges[e], u)),
+            np.concatenate((_EDGE_START[which[e]], np.full(u.size, -1))))

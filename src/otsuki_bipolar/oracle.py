@@ -48,7 +48,7 @@ from .errors import ConvergenceFailure, in_interval
 from .geodesic import GeodesicProfile, radial_coefficients
 from .immersion import immerse_bipolar
 from .spectrum import ModeTable
-from .sturm import flux_stencil
+from .sturm import Boundary, flux_stencil
 
 
 @dataclass(frozen=True)
@@ -279,11 +279,12 @@ def _coarser(n: int) -> int:
 def cross_check(sol, n_alpha: int, n_t: int, lambda_cut: float) -> dict:
     """The oracle at n_alpha x n_t against ``spectrum.assemble``'s table.
 
-    The table is assembled from values-only radial spectra: one
-    ``spectrum._RadialChart`` serves ``solve_radial`` at each l of
-    ``spectrum._angular_indices``, with no sector sampled, since the match
-    reads only eigenvalues and Bloch sectors.  Its eigenvalues are those
-    of the default table up to eigensolver rounding.  The profile samples
+    The table is assembled from values-only radial spectra: every l of
+    ``spectrum._angular_indices`` is solved at once, on one chart and in
+    one ``hill.levels`` call, with no sector sampled, since the match
+    reads only eigenvalues and Bloch sectors.  Its eigenvalues are the
+    interpolant roots of ``hill.levels``, those of the default table (Hill
+    roots) to about 1e-10.  The profile samples
     nothing; the oracle reads only its charts.  The oracle error is
     estimated from the kept eigenvalues on this grid and on the
     ``_coarser`` one; twice it, floored, sets the threshold window and the
@@ -292,11 +293,10 @@ def cross_check(sol, n_alpha: int, n_t: int, lambda_cut: float) -> dict:
     a finite number of at least 2 raises DomainError.
     """
     prof = geodesic.profile(sol, 16)
-    chart = spectrum._RadialChart(sol.b, sol.rotation.q)
     # No row is sampled, so the t-grid is moot: the least one, 8q points.
-    spectra = {l: spectrum.solve_radial(sol, None, l, 0, chart=chart,
-                                        sampled_sectors=())
-               for l in spectrum._angular_indices(lambda_cut)}
+    ls = spectrum._angular_indices(lambda_cut)
+    spectra = dict(zip(ls, spectrum._radial_spectra(
+        sol, ls, 0, Boundary.PERIODIC, None, ())))
     table = spectrum.assemble(sol, None, lambda_cut=lambda_cut, spectra=spectra)
     fine, coarse = (dense_spectrum(TorusGrid(prof, na, nt), lambda_cut) for na, nt
                     in ((n_alpha, n_t), (_coarser(n_alpha), _coarser(n_t))))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import otsuki_bipolar
-from otsuki_bipolar import cli, geodesic, oracle, spectrum
+from otsuki_bipolar import cli, geodesic, hill, oracle, spectrum
 from otsuki_bipolar.cli import main
 from otsuki_bipolar.errors import ConvergenceFailure
 from otsuki_bipolar.immersion import read_mesh_csv
@@ -517,9 +517,11 @@ def test_table_checks_every_fraction_before_solving(monkeypatch, capsys):
 
 
 def test_numerical_failure_exit_code(monkeypatch, capsys):
-    """A radial solve that does not converge within its Fourier-mode cap
-    is exit 3, with one line naming the class."""
-    monkeypatch.setattr(spectrum, "_MAX_MODES", 16)
+    """Radial levels that do not resolve within their Magnus step cap are
+    exit 3, with one line naming the class (here no change is small
+    enough, and the cap is 256 steps per cell)."""
+    monkeypatch.setattr(hill, "_LEVEL_TOL", 0.0)
+    monkeypatch.setattr(hill, "_MAX_STEPS", 256)
     code, _, err = run(["verify", "--p", "9", "--q", "17"], capsys)
     assert code == 3
     assert err.startswith("error: ConvergenceFailure: ")
@@ -538,14 +540,16 @@ def test_verify_near_one_half(p, q, capsys):
     assert report["threshold_multiplicity"] == 5
 
 
-def test_verify_beyond_the_mode_cap_names_l0(capsys):
-    """At 1000/1999 the l = 0 named sectors still move at M = 256: exit 3,
-    ConvergenceFailure naming l = 0, before any other stage."""
-    code, _, err = run(["verify", "--p", "1000", "--q", "1999"], capsys)
-    assert code == 3
-    assert err.startswith("error: ConvergenceFailure: radial eigenvalues at"
-                          " l = 0 ")
-    assert len(err.strip().splitlines()) == 1
+def test_verify_passes_at_1000_1999(capsys):
+    """Near 1/2 the named sectors' levels come from Hill interpolants with
+    no mode cap: 1000/1999 passes with N2 = 2q + 4p - 2 = 7996 and five
+    modes at 2."""
+    code, out, err = run(["verify", "--p", "1000", "--q", "1999",
+                          "--format", "json"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["N2"] == report["N2_expected"] == 7996
+    assert report["threshold_multiplicity"] == 5
 
 
 def test_quadrature_failure_exit_code(monkeypatch, capsys):
@@ -601,30 +605,33 @@ def test_grid_size_flag_and_key_are_ignored(tmp_path, capsys):
 ], ids=["spectrum", "cross-check", "spectrum-cut-4.04", "verify"])
 def test_radial_solves_follow_the_cut(argv, ls, monkeypatch, capsys):
     """Each command solves each l with l^2 below the cut once, all on one
-    chart: spectrum and cross-check by the all-sector solve, one ladder
-    per l, verify in its named sectors alone, in one ladder over every
-    l, where it adds the ground sector at l = 2 for its ground-state
+    chart and in one ``hill.levels`` call: spectrum and cross-check by the
+    all-sector solve of every l together, verify in its named sectors
+    alone, where it adds the ground sector at l = 2 for its ground-state
     certificates."""
-    solve, seen, charts = spectrum.solve_radial, [], set()
-    settle, ladders = spectrum._settle_modes, []
+    radial, levels, seen, calls = spectrum._radial_spectra, hill.levels, [], []
+    chart, charts = spectrum._RadialChart, []
 
-    def spy(sol, profile, l, *args, **kwargs):
-        seen.append(l)
-        charts.add(id(kwargs["chart"]))
-        return solve(sol, profile, l, *args, **kwargs)
+    def spy(sol, ls, *args):
+        seen.append(list(ls))
+        return radial(sol, ls, *args)
 
-    def settle_spy(chart, requests):
-        ladders.append([l for l, *_ in requests])
-        charts.add(id(chart))
-        return settle(chart, requests)
+    def levels_spy(coefficients, requests):
+        calls.append([l for l, *_ in requests])
+        return levels(coefficients, requests)
 
-    monkeypatch.setattr(spectrum, "solve_radial", spy)
-    monkeypatch.setattr(spectrum, "_settle_modes", settle_spy)
+    def chart_spy(*args):
+        charts.append(chart(*args))
+        return charts[-1]
+
+    monkeypatch.setattr(spectrum, "_radial_spectra", spy)
+    monkeypatch.setattr(hill, "levels", levels_spy)
+    monkeypatch.setattr(spectrum, "_RadialChart", chart_spy)
     code, out, err = run(argv, capsys)
     assert code == 0, err
     verify = argv[0] == "verify"
-    assert seen == ([] if verify else ls) and len(charts) == 1
-    assert ladders == ([ls] if verify else [[l] for l in ls])
+    assert seen == ([] if verify else [ls]) and len(charts) == 1
+    assert calls == [ls]
     if "4.04" in argv:
         rows = list(csv.DictReader(out.splitlines()[1:]))
         assert {row["l"] for row in rows} == {"0", "1", "2"}

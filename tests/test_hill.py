@@ -439,3 +439,30 @@ def test_verify_counts_q_up_to_16_in_one_pass(monkeypatch):
     for pq in fractions:
         verify_theorem3(pq)
     assert dict(zip(fractions, passes)) == {pq: (1, 128) for pq in fractions}
+
+
+def test_dropped_interpolant_root_is_a_mismatch(monkeypatch, capsys):
+    """Each sector's roots of the half-cell interpolants must number what
+    the Pruefer angles count at the cut: a root dropped from the edge
+    sector kappa = 1 at l = 0 (3/5) stops ``hill.levels`` with
+    CountMismatch, naming the cut, l, the sector and both counts, and
+    ``verify`` with exit 3."""
+    sector_roots = hill._sector_roots
+
+    def dropped(coef, kappa, owner):
+        sector, u, start = sector_roots(coef, kappa, owner)
+        first = np.flatnonzero((owner[sector] == 0)
+                               & (kappa[sector] == 1.0))[0]
+        keep = np.arange(sector.size) != first
+        return sector[keep], u[keep], start[keep]
+
+    monkeypatch.setattr(hill, "_sector_roots", dropped)
+    b = solve_rotation(RotationNumber(3, 5)).b
+    with pytest.raises(CountMismatch, match=r"^Hill levels: below [0-9.]+ at"
+                       r" l = 0, sector kappa = 1\.0 holds 1 interpolant roots"
+                       r" but the discriminant counts 2$"):
+        hill.levels(lambda x: radial_coefficients(b, x),
+                    [(0, np.array([0.8, 1.0]), 1, 4, False)])
+    assert cli.main(["verify", "--p", "3", "--q", "5"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: CountMismatch: Hill levels: below ")

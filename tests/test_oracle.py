@@ -19,7 +19,7 @@ from otsuki_bipolar.oracle import (
     theorem2_residual,
 )
 from otsuki_bipolar.spectrum import ModeEntry, ModeTable, weyl_N
-from otsuki_bipolar.sturm import flux_stencil
+from otsuki_bipolar.sturm import Boundary, flux_stencil
 
 CASES = [(3, 5), (5, 8), (4, 7), (5, 9), (7, 10)]
 
@@ -298,11 +298,10 @@ def test_theorem2_residual_v_coordinate_alone(cases):
 
 
 def values_only_table(sol, lambda_cut):
-    """The table from l = 0, 1 solved on one chart with no row sampled."""
-    chart = spectrum._RadialChart(sol.b, sol.rotation.q)
-    spectra = {l: spectrum.solve_radial(sol, None, l, 0, chart=chart,
-                                        sampled_sectors=())
-               for l in range(2)}
+    """The table from l = 0, 1 solved together, as ``cross_check`` solves
+    them (one chart, one ``hill.levels`` call), with no row sampled."""
+    spectra = dict(enumerate(spectrum._radial_spectra(
+        sol, range(2), 0, Boundary.PERIODIC, None, ())))
     return spectrum.assemble(sol, None, lambda_cut=lambda_cut, spectra=spectra)
 
 
@@ -349,17 +348,19 @@ def test_values_only_table_checks_as_the_session_table(pq, cases):
 
 
 def test_cross_check_samples_no_radial_row(cases, monkeypatch):
-    """Each l below the cut is solved once, values-only: no row sampled."""
-    solve, calls = spectrum.solve_radial, []
+    """Each l below the cut is solved once, values-only, all l in one
+    call: no row sampled."""
+    solve, calls = spectrum._radial_spectra, []
 
-    def spy(sol, profile, l, *args, **kwargs):
-        calls.append((l, solve(sol, profile, l, *args, **kwargs)))
+    def spy(sol, ls, *args):
+        calls.append((list(ls), solve(sol, ls, *args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(spectrum, "solve_radial", spy)
+    monkeypatch.setattr(spectrum, "_radial_spectra", spy)
     oracle.cross_check(cases.solution((3, 5)), 32, 64, 2.2)
-    assert [l for l, _ in calls] == [0, 1]
-    for _, spec in calls:
+    ((ls, spectra),) = calls
+    assert ls == [0, 1]
+    for spec in spectra:
         assert np.all(spec.zero_counts == -1)
         assert np.all(np.isnan(spec.eigenfunctions))
 

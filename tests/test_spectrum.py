@@ -18,6 +18,7 @@ from otsuki_bipolar.geodesic import (
     RotationNumber,
     bipolar_chart,
     i2,
+    radial_coefficients,
     solve_rotation,
 )
 from otsuki_bipolar.immersion import area
@@ -25,7 +26,6 @@ from otsuki_bipolar.spectrum import (
     Certificate,
     VerificationReport,
     _RadialChart,
-    _settle_modes,
     assemble,
     json_ready,
     expected_n2,
@@ -127,15 +127,15 @@ def test_threshold_multiplicity_is_five(cases):
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
-@pytest.mark.parametrize("l, shift, multiplicity, rise", [
-    (0, 1e-3, 4, 0), (1, -1e-3, 1, 4)], ids=["l0-up", "l1-down"])
-def test_table_measures_the_modes_at_two(pq, l, shift, multiplicity, rise,
-                                         cases):
+@pytest.mark.parametrize("l, shift, multiplicity", [
+    (0, 1e-3, 4), (1, -1e-3, 1)], ids=["l0-up", "l1-down"])
+def test_table_measures_the_modes_at_two(pq, l, shift, multiplicity, cases):
     """The table's modes at 2 are its rows within the threshold window of
     2, by value, not by position: the l = 0 row at 2q moved up by 1e-3,
     or the l = 1 pair at 2p - 1 and 2p moved down by 1e-3, leaves the
-    window, so the multiplicity at 2 drops to 4 or 1, and N(2) rises by 4
-    for the l = 1 pair that now lies below 2."""
+    window, so the multiplicity at 2 drops to 4 or 1.  Every admissible
+    p/q has 5, so ``assemble`` refuses such a table with CountMismatch,
+    naming the l, sector and value of each row left at 2."""
     p, q = pq
     spectra = {k: cases.spectrum(pq, k) for k in range(2)}
     moved = [2 * q] if l == 0 else [2 * p - 1, 2 * p]
@@ -143,10 +143,45 @@ def test_table_measures_the_modes_at_two(pq, l, shift, multiplicity, rise,
     assert np.all(np.abs(lams[moved] - 2.0) <= 1e-11)
     lams[moved] += shift
     spectra[l] = dataclasses.replace(spectra[l], eigenvalues=lams)
-    table = assemble(cases.solution(pq), None, grid_size=cases.grid(pq),
-                     spectra=spectra)
-    assert table.threshold_multiplicity() == multiplicity
-    assert weyl_N(table, 2.0) == expected_n2(RotationNumber(*pq)) + rise
+    kept = 1 - l
+    sectors = [spectra[kept].sectors[i]
+               for i in ([2 * q] if kept == 0 else [2 * p - 1, 2 * p])]
+    with pytest.raises(CountMismatch, match=(
+            f"^Table: the kept modes within the threshold window of 2 have"
+            f" multiplicity {multiplicity}, not 5: l = {kept}, sector"
+            f" {sectors[0]}, lambda = ")) as err:
+        assemble(cases.solution(pq), None, grid_size=cases.grid(pq),
+                 spectra=spectra)
+    assert str(err.value).count(f"l = {kept}, sector ") == len(sectors)
+
+
+def test_table_refuses_a_sixth_row_at_two(cases, monkeypatch, capsys):
+    """A row 1e-7 from 2 that is none of the five immersed coordinates
+    (here level 1 of sector p + 1 at l = 1, the pair above 2, moved there
+    at 3/5) would be counted at 2 and drop N(2) by its multiplicity, as
+    the l = 1 neighbours of 2 at 1000/1999, 3.8e-7 away, would.  The
+    multiplicity at 2 is then 7, not 5, and ``assemble`` raises
+    CountMismatch, naming the rows at 2; through the CLI, ``spectrum``
+    exits 3."""
+    import otsuki_bipolar.spectrum as spec_mod
+    p, q = 3, 5
+    spectra = {k: cases.spectrum((p, q), k) for k in range(2)}
+    lams = spectra[1].eigenvalues.copy()
+    above = 2 * p + 1
+    assert spectra[1].sectors[above] in (p + 1, 2 * q - p - 1)
+    lams[above] = 2.0 + 1e-7
+    spectra[1] = dataclasses.replace(spectra[1], eigenvalues=lams)
+    with pytest.raises(CountMismatch, match=(
+            "multiplicity 7, not 5: .*"
+            f"l = 1, sector {spectra[1].sectors[above]},"
+            r" lambda = 2\.0000001")):
+        assemble(cases.solution((p, q)), None, spectra=spectra)
+    monkeypatch.setattr(spec_mod, "_radial_spectra",
+                        lambda sol, ls, *args: [spectra[l] for l in ls])
+    assert cli.main(["spectrum", "--p", "3", "--q", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: CountMismatch: Table: the kept modes ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_table_sorted_and_reasons(cases):
@@ -235,22 +270,23 @@ def test_verify_theorem3_ignores_grid_size():
 def test_verify_theorem3_ignores_lambda_cut(cut, monkeypatch):
     """The report counts below 2, so any cut gives the default report and
     the same solves: l = 0 and 1, each in its named sectors alone, and
-    the ground sector at l = 2, all in one ladder.  4.5 solves no other
-    l = 2 rows, and 6.0, past the end of the l = 0 radial window, does
-    not raise.  No all-sector solve runs."""
+    the ground sector at l = 2, all in one ``hill.levels`` call.  4.5
+    solves no other l = 2 rows, and 6.0, past the end of the l = 0 radial
+    window, does not raise.  No all-sector solve runs."""
     import otsuki_bipolar.spectrum as spec_mod
     default = verify_theorem3(RotationNumber(3, 5))
-    settle, seen = spec_mod._settle_modes, []
+    levels, seen = hill.levels, []
 
-    def spy(chart, requests):
+    def spy(coefficients, requests):
         seen.append([l for l, *_ in requests])
-        return settle(chart, requests)
+        return levels(coefficients, requests)
 
     def refuse(*args, **kwargs):
         raise AssertionError("verify ran an all-sector solve")
 
-    monkeypatch.setattr(spec_mod, "_settle_modes", spy)
+    monkeypatch.setattr(spec_mod.hill, "levels", spy)
     monkeypatch.setattr(spec_mod, "solve_radial", refuse)
+    monkeypatch.setattr(spec_mod, "_radial_spectra", refuse)
     monkeypatch.setattr(spec_mod, "assemble", refuse)
     assert verify_theorem3(RotationNumber(3, 5), lambda_cut=cut) == default
     assert seen == [[0, 1, 2]]
@@ -329,34 +365,41 @@ def test_rows_are_normalized_independently_of_the_grid():
 def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     """verify solves the named sectors alone, q - 1 and q at l = 0,
     p - 1, p and p + 1 at l = 1 and the ground sector 0 at l = 2, in one
-    values-only ladder.  Against the full solves: the ladder's levels are
-    the rows at positions 2q - 1, 2q and 2q + 1 at l = 0, 2p - 2, 2p - 1
-    and 2p + 1 at l = 1, and the lowest at l = 2, to 1e-11; the certified
-    levels, Hill roots, are the full solves' Hill roots of rows 2q - 1, 2q
-    and 2p - 1 and of the l = 2 ground to 2e-14; the zero counts are the ones
-    the full solves sample on rows 2q and 2p - 1; N(2) is the full
-    table's and the multiplicity its count at 2."""
+    ``hill.levels`` call, each l below the first cut that holds its
+    lowest four, three and one levels.  Against the full solves: those
+    levels are the rows at positions 2q - 1, 2q and 2q + 1 at l = 0,
+    2p - 2, 2p - 1 and 2p + 1 at l = 1, and the lowest at l = 2, to 1e-11;
+    the certified levels, Hill roots, are the full solves' Hill roots of
+    rows 2q - 1, 2q, 2p - 2 and 2p - 1 and of the l = 2 ground to 2e-14;
+    the zero counts are the ones the full solves sample on rows 2q and
+    2p - 1; N(2) is the full table's and the multiplicity its count at
+    2."""
     import otsuki_bipolar.spectrum as spec_mod
-    settle, ladders = spec_mod._settle_modes, []
+    levels, calls = hill.levels, []
 
-    def settle_spy(chart, requests):
-        settled = settle(chart, requests)
-        ladders.append((requests, settled))
-        return settled
+    def levels_spy(coefficients, requests):
+        found = levels(coefficients, requests)
+        calls.append((requests, found))
+        return found
 
-    monkeypatch.setattr(spec_mod, "_settle_modes", settle_spy)
+    monkeypatch.setattr(spec_mod.hill, "levels", levels_spy)
     report = verify_theorem3(RotationNumber(*pq))
-    (requests, settled), = ladders
+    (requests, (found, _)), = calls
     p, q = pq
     named = {l: ks for l, ks, _, _ in _named_requests(p, q)}
     assert [l for l, *_ in requests] == [0, 1, 2]
-    for l, kappa, copies, least in requests:
+    for (l, kappa, weights, least, reach), want in zip(requests, (4, 3, 1)):
         assert np.array_equal(kappa, np.array(named[l]) / q)
-        assert (copies, least) == (1, 0)
-    (_, levels0, _), (_, levels1, _), (_, levels2, _) = settled
+        assert (weights, least, reach) == (1, want, False)
+
+    def level(l, j, n):
+        sector, index, lam, _ = found[l]
+        (value,) = lam[(sector == j) & (index == n)]
+        return value
+
     full0, full1, full2 = (cases.spectrum(pq, l) for l in (0, 1, 2))
-    got = [levels0[1, 0], levels0[1, 1], levels0[0, 1], levels1[0, 0],
-           levels1[1, 0], levels1[2, 0], levels2[0, 0]]
+    got = [level(0, 1, 0), level(0, 1, 1), level(0, 0, 1), level(1, 0, 0),
+           level(1, 1, 0), level(1, 2, 0), level(2, 0, 0)]
     want = [full0.eigenvalues[2 * q - 1], full0.eigenvalues[2 * q],
             full0.eigenvalues[2 * q + 1], full1.eigenvalues[2 * p - 2],
             full1.eigenvalues[2 * p - 1], full1.eigenvalues[2 * p + 1],
@@ -365,11 +408,12 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
     certs = {c.name: c for c in report.certificates}
     certified = [certs["subcritical_radial_mode_below_two"].lhs,
                  certs["radial_eigenvalue_two_at_l0_position_2q"].lhs,
+                 certs["l1_predecessor_below_two"].lhs,
                  certs["radial_eigenvalue_two_at_l1_position_2p_minus_1"].lhs,
                  certs["ground_l2_above_two"].rhs]
-    assert np.max(np.abs(np.subtract(certified,
-                                     [want[i] for i in (0, 1, 4, 6)]))) <= 2e-14
-    assert certs["ground_l2_above_potential_floor"].rhs == certified[3]
+    assert np.max(np.abs(np.subtract(
+        certified, [want[i] for i in (0, 1, 3, 4, 6)]))) <= 2e-14
+    assert certs["ground_l2_above_potential_floor"].rhs == certified[4]
     assert certs["sin_phi_zero_count"].lhs == full0.zero_counts[2 * q]
     assert certs["l1_pair_zero_count"].lhs == full1.zero_counts[2 * p - 1]
     full_table = cases.table(pq)
@@ -381,10 +425,12 @@ def test_verify_samples_only_the_threshold_sectors(pq, cases, monkeypatch):
 def test_verify_takes_no_vector_and_one_hill_pass(pq, monkeypatch):
     """verify takes its certified levels, zero counts and parity from one
     Hill pass after the count, ``hill._roots`` at four times the count's
-    steps: sin(phi) (level 2 of sector q at l = 0) and the l = 1 pair
-    (level 1 of sector p) from 2, below0 (level 1 of sector q) and the
-    l = 2 ground (level 1 of sector 0) from their ladder values.  It
-    samples no row: neither ``_sample_rows`` nor ``hill._rows`` runs."""
+    steps: sin(phi) (level 2 of sector q at l = 0, the N solution) and
+    the l = 1 pair (level 1 of sector p) from 2, below0 (level 1 of
+    sector q, the D solution), the l = 2 ground (level 1 of sector 0, the
+    N solution) and below1 (level 1 of sector p - 1 at l = 1) from their
+    interpolant values.  It samples no row: neither ``_sample_rows`` nor
+    ``hill._rows`` runs."""
     import otsuki_bipolar.spectrum as spec_mod
     count, roots, seen = hill.count, hill._roots, []
 
@@ -396,9 +442,10 @@ def test_verify_takes_no_vector_and_one_hill_pass(pq, monkeypatch):
         seen.append(counted.steps)
         return counted
 
-    def roots_spy(coefficients, l, kappa, level, lam, steps):
-        seen.append((tuple(l), tuple(kappa), tuple(level), tuple(lam), steps))
-        return roots(coefficients, l, kappa, level, lam, steps)
+    def roots_spy(coefficients, l, kappa, level, start, lam, steps):
+        seen.append((tuple(l), tuple(kappa), tuple(level), tuple(start),
+                     tuple(lam), steps))
+        return roots(coefficients, l, kappa, level, start, lam, steps)
 
     monkeypatch.setattr(spec_mod, "_sample_rows", refuse)
     monkeypatch.setattr(spec_mod.hill, "_rows", refuse)
@@ -406,9 +453,10 @@ def test_verify_takes_no_vector_and_one_hill_pass(pq, monkeypatch):
     monkeypatch.setattr(spec_mod.hill, "_roots", roots_spy)
     assert verify_theorem3(RotationNumber(*pq)).passed
     p, q = pq
-    steps, (l, kappa, level, lam, pass_steps) = seen
-    assert l == (0, 1, 0, 2) and pass_steps == 4 * steps
-    assert kappa == (1.0, p / q, 1.0, 0.0) and level == (1, 0, 0, 0)
+    steps, (l, kappa, level, start, lam, pass_steps) = seen
+    assert l == (0, 1, 0, 2, 1) and pass_steps == 4 * steps
+    assert kappa == (1.0, p / q, 1.0, 0.0, (p - 1) / q)
+    assert level == (1, 0, 0, 0, 0) and start == (0, -1, 1, 0, -1)
     assert lam[:2] == (2.0, 2.0)
 
 
@@ -440,25 +488,17 @@ def test_l1_pair_at_17_33_is_two():
     ids=["two0", "two1", "below0", "ground_l2"])
 def test_hill_level_off_its_ladder_value_is_a_mismatch(row, where,
                                                        monkeypatch, capsys):
-    """Each certified level is a Hill root and a Galerkin ladder value
-    too.  At 3/5, the ladder's value moved by 2e-9 stops verify with
-    CountMismatch, exit 3, naming the level, sector and l; moved by
-    5e-10 it passes."""
-    import otsuki_bipolar.spectrum as spec_mod
-    settle, shift = spec_mod._settle_modes, []
-    l, j, k = row
-
-    def moved(chart, requests):
-        settled = settle(chart, requests)
-        settled[l][1][j, k] += shift[0]
-        return settled
-
-    monkeypatch.setattr(spec_mod, "_settle_modes", moved)
+    """Each certified level is a Hill root and a root of the half-cell
+    interpolants of ``hill.levels`` too.  At 3/5, the interpolant's value
+    moved by 2e-9 stops verify with CountMismatch, exit 3, naming the
+    level, sector and l; moved by 5e-10 it passes."""
+    _shift_a_level(monkeypatch, *row)
+    shift = _SHIFT
     shift[:] = [5e-10]
     assert verify_theorem3((3, 5)).passed
     shift[:] = [2e-9]
     with pytest.raises(CountMismatch, match=f"Hill levels: {where} is [0-9.]+"
-                       " by the Hill pass but [0-9.]+ by the Galerkin ladder$"):
+                       " by the Hill pass but [0-9.]+ by its interpolant$"):
         verify_theorem3((3, 5))
     assert cli.main(["verify", "--p", "3", "--q", "5"]) == 3
     err = capsys.readouterr().err
@@ -466,31 +506,42 @@ def test_hill_level_off_its_ladder_value_is_a_mismatch(row, where,
 
 
 def test_row_off_its_ladder_value_is_a_mismatch(monkeypatch, capsys):
-    """Each window row of ``solve_radial`` is a Hill root and a Galerkin
-    ladder value too.  At 3/5, l = 0, level 2 of sector 1 moved by 2e-9 on
-    the ladder stops ``spectrum`` with CountMismatch, exit 3, naming the
-    level, sector and l; moved by 5e-10 it passes."""
-    import otsuki_bipolar.spectrum as spec_mod
-    settle, shift = spec_mod._settle_modes, []
-
-    def moved(chart, requests):
-        settled = settle(chart, requests)
-        if requests[0][0] == 0:
-            settled[0][1][1, 1] += shift[0]
-        return settled
-
-    monkeypatch.setattr(spec_mod, "_settle_modes", moved)
+    """Each window row of ``solve_radial`` is a Hill root and a root of
+    the half-cell interpolants too.  At 3/5, l = 0, level 2 of sector 1
+    moved by 2e-9 on the interpolant stops ``spectrum`` with
+    CountMismatch, exit 3, naming the level, sector and l; moved by 5e-10
+    it passes."""
+    _shift_a_level(monkeypatch, 0, 1, 1)
     sol = solve_rotation(RotationNumber(3, 5))
-    shift[:] = [5e-10]
+    _SHIFT[:] = [5e-10]
     solve_radial(sol, None, 0, 2048)
-    shift[:] = [2e-9]
+    _SHIFT[:] = [2e-9]
     with pytest.raises(CountMismatch, match="Hill levels: level 2 of sector 1"
                        " at l = 0 is [0-9.]+ by the Hill pass but [0-9.]+ by"
-                       " the Galerkin ladder$"):
+                       " its interpolant$"):
         solve_radial(sol, None, 0, 2048)
     assert cli.main(["spectrum", "--p", "3", "--q", "5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: CountMismatch: Hill levels: level 2 of")
+
+
+_SHIFT = []     # the shift ``_shift_a_level`` adds
+
+
+def _shift_a_level(monkeypatch, l, j, n):
+    """Patch ``hill.levels`` to add ``_SHIFT[0]`` to level n (from 0) of
+    the sector j of its request at l, wherever that request is."""
+    import otsuki_bipolar.spectrum as spec_mod
+    levels = hill.levels
+
+    def moved(coefficients, requests):
+        found, steps = levels(coefficients, requests)
+        for (at, *_), (sector, level, lam, _) in zip(requests, found):
+            if at == l:
+                lam[(sector == j) & (level == n)] += _SHIFT[0]
+        return found, steps
+
+    monkeypatch.setattr(spec_mod.hill, "levels", moved)
 
 
 def _record_sample_rows(monkeypatch):
@@ -707,20 +758,38 @@ def _verify_passes_with_the_closed_form(pq):
     assert report.passed, report.first_failure()
     assert report.n2_computed == expected_n2(RotationNumber(*pq))
     assert report.threshold_multiplicity == 5
-    assert report.eps_grid == 1e-10     # the stop tolerance of the M ladder
+    assert report.eps_grid == 1e-10     # the tolerance of hill.levels
     pinned = [c.lhs for c in report.certificates if c.name in _PINNED]
     assert len(pinned) == 3
     assert max(abs(lam - 2.0) for lam in pinned) <= 2e-14, pinned
 
 
+_FOURIER = {}   # b -> the Fourier coefficients of P, S and W
+
+
+def _fourier(b):
+    """f_j of f(x) = sum_j f_j e^{2ijx} for P, S and W of the chart of b
+    (real and even in j), j >= 0, from one real FFT of 2048 samples over
+    a cell, kept per b."""
+    if b not in _FOURIER:
+        x = np.arange(2048) * (math.pi / 2048)
+        _FOURIER[b] = np.fft.rfft(np.array(radial_coefficients(b, x))
+                                  ).real / 2048
+    return _FOURIER[b]
+
+
 def _dense_forms(chart, kappa, l, modes):
-    """A = D T_P D + l^2 T_S of each sector kappa (D = diag(kappa + 2m),
-    T_f the Toeplitz matrix of the chart's f_j) and T_W, dense, at M."""
+    """The Fourier-Galerkin reduction of the radial problem at M modes per
+    sector: h = e^{i kappa x} sum_{|m| <= M} c_m e^{2imx} turns it into
+    A c = lambda T_W c.  Returns A = D T_P D + l^2 T_S of each sector kappa
+    (D = diag(kappa + 2m), T_f the Toeplitz matrix of f_j) and T_W,
+    dense."""
+    p_hat, s_hat, w_hat = _fourier(chart.b)
     m = np.arange(-modes, modes + 1)
     lag = np.abs(m[:, None] - m[None, :])
     d = kappa[:, None] + 2.0 * m
-    return (d[:, :, None] * chart.p_hat[lag] * d[:, None, :]
-            + l * l * chart.s_hat[lag]), chart.w_hat[lag]
+    return (d[:, :, None] * p_hat[lag] * d[:, None, :]
+            + l * l * s_hat[lag]), w_hat[lag]
 
 
 def _galerkin_reference(chart, l, kappa, modes, keep=None):
@@ -781,32 +850,18 @@ def _reference_window(chart, l, q, modes, anti, count):
             coef[sector, level], imag)
 
 
-def _stop_modes(monkeypatch):
-    """Record the stop M of each request of every ``_settle_modes`` call."""
-    import otsuki_bipolar.spectrum as spec_mod
-    settle, stops = spec_mod._settle_modes, []
-
-    def spy(chart, requests):
-        settled = settle(chart, requests)
-        stops.extend(modes for modes, *_ in settled)
-        return settled
-
-    monkeypatch.setattr(spec_mod, "_settle_modes", spy)
-    return stops
-
-
 @pytest.mark.parametrize("pq", [(3, 5), (5, 8)])
 @pytest.mark.parametrize("l", [0, 1])
-def test_rows_of_vector_sectors_are_rayleigh_quotients(pq, l, monkeypatch):
+def test_rows_of_vector_sectors_are_rayleigh_quotients(pq, l):
     """With every sector sampled, each window row is its Hill root: the
-    Rayleigh quotient of the Galerkin vector at the ladder's stop M to
-    1e-13 (relative above 1), not the reduced eigensolve's value, which
-    differs from it by more than 1e-14."""
-    stops = _stop_modes(monkeypatch)
+    Rayleigh quotient of the test-local Galerkin vector at M = 16 (which
+    settles these windows to 1e-10) to 1e-13 (relative above 1), not the
+    reduced eigensolve's value, which differs from it by more than
+    1e-14."""
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, pq[1])
     spec = solve_radial(sol, None, l, 8 * pq[1], chart=chart)
-    lam, rho, *_ = _reference_window(chart, l, pq[1], stops[0], False,
+    lam, rho, *_ = _reference_window(chart, l, pq[1], 16, False,
                                      spec.eigenvalues.size)
     scale = np.maximum(rho, 1.0)
     assert np.max(np.abs(spec.eigenvalues - rho) / scale) <= 1e-13
@@ -865,154 +920,103 @@ def _direct_sector_matrices(chart, kappa, l, modes):
 
 @pytest.mark.parametrize("pq", [(3, 5), (9, 16), (50, 99)])
 def test_sector_matrices_match_the_direct_reduction(pq):
-    """At every M of the ladder and l = 0, 1, 2, the matrices formed from
-    the chart's per-M pencil lie within 8 eps max|A| of the direct
-    reduction (at most 2.6 eps max|A| measured), on the periodic sectors 0,
-    p and q and the antiperiodic sector q - 1.  A sector's matrix is the
-    same bits when it is formed alone."""
-    import otsuki_bipolar.spectrum as spec_mod
+    """At l = 0, 1 and 2, on the periodic sectors 0, p and q and the
+    antiperiodic sector q - 1 (kappa = 0, p/q, 1 and (q - 1/2)/q: both
+    edge sectors and two interior ones), ``hill.levels`` below the cut
+    that holds eight of their levels are the eigenvalues of the direct
+    reduction's sector matrices at M = 128, the second route (eigh), to
+    1e-10 relative above 1."""
     p, q = pq
-    sol = solve_rotation(RotationNumber(*pq))
-    chart = _RadialChart(sol.b, q)
+    chart = _RadialChart(solve_rotation(RotationNumber(*pq)).b, q)
     kappa = np.array([0.0, p / q, 1.0, (q - 0.5) / q])
-    eps = np.finfo(float).eps
-    for modes in spec_mod._MODE_LADDER:
-        for l in (0, 1, 2):
-            mats = chart.sector_matrices(kappa, l, modes)
-            direct = _direct_sector_matrices(chart, kappa, l, modes)
-            error = np.max(np.abs(mats - direct), axis=(1, 2))
-            scale = np.max(np.abs(direct), axis=(1, 2))
-            assert np.all(error <= 8.0 * eps * scale), (modes, l)
-            alone = chart.sector_matrices(kappa[1:2], l, modes)
-            assert np.array_equal(alone[0], mats[1])
+    for l in (0, 1, 2):
+        ((sector, level, lam, _),), _ = hill.levels(
+            chart.coefficients, [(l, kappa, 1, 8, False)])
+        direct = np.linalg.eigh(_direct_sector_matrices(chart, kappa, l,
+                                                        128))[0]
+        want = direct[sector, level]
+        assert np.max(np.abs(lam - want) / np.maximum(want, 1.0)) <= 1e-10, l
+        assert np.all(np.sum(direct < lam.max(), axis=1)
+                      <= np.bincount(sector, minlength=4) + 1)
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (7, 11)])
 def test_eigenvectors_only_at_the_stop_m(pq, monkeypatch):
-    """Each rung of the ladder solves values-only, and no full eigensolve
-    runs: the rows come from one Hill pass per l (``hill._roots``), one
-    column pair per level it roots, each started from an eigenvalue of its
-    sector's matrix at that l's stop M (in a full solve, fewer levels than
+    """No full eigensolve runs: the rows come from one Hill pass per l
+    (``hill._roots``), one column pair per level it roots, each started
+    from its value by ``hill.levels`` (in a full solve, fewer levels than
     the window has rows: a conjugate pair's two rows share one level).
-    verify's ladder stops l = 0, 1 and 2 and samples no row."""
+    verify takes l = 0, 1 and 2 from one ``hill.levels`` call and samples
+    no row."""
     import otsuki_bipolar.spectrum as spec_mod
-    roots, stops, calls = hill._roots, _stop_modes(monkeypatch), []
+    roots, levels, calls, found = hill._roots, hill.levels, [], []
 
     def refuse(*args, **kwargs):
         raise AssertionError("a full eigensolve ran")
 
-    def roots_spy(coefficients, l, kappa, level, lam, steps):
+    def roots_spy(coefficients, l, kappa, level, start, lam, steps):
         calls.append((np.array(kappa), np.array(level), np.array(lam)))
-        return roots(coefficients, l, kappa, level, lam, steps)
+        return roots(coefficients, l, kappa, level, start, lam, steps)
+
+    def levels_spy(coefficients, requests):
+        out = levels(coefficients, requests)
+        found.append(([(l, kappa) for l, kappa, *_ in requests], out[0]))
+        return out
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(spec_mod.hill, "_roots", roots_spy)
+    monkeypatch.setattr(spec_mod.hill, "levels", levels_spy)
     p, q = pq
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, q)
     spec = solve_radial(sol, None, 1, 8 * q, chart=chart)
     (kappa, level, lam), = calls
-    values = np.linalg.eigvalsh(chart.sector_matrices(kappa, 1, stops[0]))
-    assert np.array_equal(lam, values[np.arange(lam.size), level])
+    ((((_, sectors),), ((sector, index, values, _),)),) = found
+    seeds = {(k, n): v for k, n, v in zip(sectors[sector], index, values)}
+    assert lam.tolist() == [seeds[k, n] for k, n in zip(kappa, level)]
     assert set(np.rint(kappa * q).astype(int)) == set(range(q + 1))
     assert lam.size < spec.eigenvalues.size
     calls.clear()
-    stops.clear()
+    found.clear()
     monkeypatch.setattr(spec_mod, "_sample_rows", refuse)
     verify_theorem3(RotationNumber(*pq))
-    assert len(stops) == 3          # l = 0, 1 and 2, in one ladder
+    assert [[l for l, _ in requests] for requests, _ in found] == [[0, 1, 2]]
     assert len(calls) == 1
 
 
 def test_pencil_is_built_once_per_m_per_chart(monkeypatch):
     """verify's named-sector solves at l = 0 and 1 and the ground level at
-    l = 2 share one chart and one ladder: each M forms the sectors of
-    every l still moving in one call, and the chart's pencil, with the
-    one Cholesky factorization of T_W, is built once at each M.  No
-    sector is formed again after the ladder: verify's levels are Hill
-    roots."""
+    l = 2 share one chart and one ``hill.levels`` call, which takes two
+    passes of the lambda-affine Magnus steps: one over the first
+    candidate cut of each l at 64 and 128 steps per cell, and one over the 16
+    Chebyshev nodes in lambda of each l at 128.  Each pass evaluates the
+    coefficients P, S and W once, for every l and lambda it serves."""
     import otsuki_bipolar.spectrum as spec_mod
-    chart_cls = spec_mod._RadialChart
-    cholesky, pencil = np.linalg.cholesky, chart_cls._pencil
-    sector_matrices = chart_cls.sector_matrices
-    settle = spec_mod._settle_modes
-    factored, pencils, used, stops = [], [], [], []
+    steps, levels, evaluations, passes = hill._steps, hill.levels, [], []
 
-    def cholesky_spy(a):
-        factored.append(a.shape[0])
-        return cholesky(a)
+    def steps_spy(coefficients, l, lam, sizes):
+        if coefficients is counted:
+            passes.append((tuple(sizes), sorted(set(np.asarray(l).tolist())),
+                           np.size(lam)))
+        return steps(coefficients, l, lam, sizes)
 
-    def pencil_spy(self, modes):
-        pencils.append(modes)
-        return pencil(self, modes)
+    def counted(x):
+        evaluations.append(np.size(x))
+        return coefficients[0](x)
 
-    def sector_spy(self, kappa, l, modes):
-        used.append((np.broadcast_to(l, kappa.shape).tolist(), modes))
-        return sector_matrices(self, kappa, l, modes)
+    coefficients = []
 
-    def settle_spy(chart, requests):
-        settled = settle(chart, requests)
-        stops.extend(modes for modes, *_ in settled)
-        return settled
+    def levels_spy(given, requests):
+        coefficients.append(given)
+        found = levels(counted, requests)
+        passes.append(len(evaluations))
+        return found
 
-    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
-    monkeypatch.setattr(chart_cls, "_pencil", pencil_spy)
-    monkeypatch.setattr(chart_cls, "sector_matrices", sector_spy)
-    monkeypatch.setattr(spec_mod, "_settle_modes", settle_spy)
+    monkeypatch.setattr(spec_mod.hill, "_steps", steps_spy)
+    monkeypatch.setattr(spec_mod.hill, "levels", levels_spy)
     verify_theorem3(RotationNumber(7, 11))
-    ladder = [m for _, m in used]
-    assert ladder == list(spec_mod._MODE_LADDER[:len(ladder)])
-    assert ladder[-1] == max(stops)
-    assert used[0] == ([0, 0, 1, 1, 1, 2], 8)
-    assert factored == [2 * m + 1 for m in ladder]
-    assert pencils == ladder
-
-
-# The doubling ladder that the 1.5x steps refine.
-_DOUBLING = (8, 16, 32, 64, 128, 256)
-
-
-def test_ladder_visits_powers_of_two_and_one_and_a_half_times():
-    """M runs 8, 16, 24, 32, 48, ... 256 and stops at the cap with
-    ConvergenceFailure naming l and M, if the values never settle: here
-    a chart whose one sector is the 1 x 1 matrix 1/M."""
-    seen = []
-
-    class Moving:
-        def sector_matrices(self, kappa, l, modes):
-            seen.append(modes)
-            return np.full((kappa.size, 1, 1), 1.0 / modes)
-
-    with pytest.raises(ConvergenceFailure, match=r"at l = 3 .* at M = 256 "):
-        _settle_modes(Moving(), ((3, np.zeros(1), 1, 1),))
-    assert seen == [8, 16, 24, 32, 48, 64, 96, 128, 192, 256]
-
-
-def test_ladder_ends_no_later_than_doubling(monkeypatch):
-    """On the 16 reduced p/q with q <= 16 every ladder run by verify (the
-    named sectors at l = 0 and 1, and the ground at l = 2) ends at an M no
-    larger than doubling from 8 reaches, and some end earlier."""
-    import otsuki_bipolar.spectrum as spec_mod
-    settle, last = spec_mod._settle_modes, []
-
-    def spy(chart, requests):
-        stops = settle(chart, requests)
-        last.extend((l, modes)
-                    for (l, *_), (modes, *_) in zip(requests, stops))
-        return stops
-
-    monkeypatch.setattr(spec_mod, "_settle_modes", spy)
-    ends = {}
-    for ladder in (spec_mod._MODE_LADDER, _DOUBLING):
-        monkeypatch.setattr(spec_mod, "_MODE_LADDER", ladder)
-        last.clear()
-        for pq in _reduced_fractions(16):
-            verify_theorem3(RotationNumber(*pq))
-        ends[ladder] = last[:]
-    new, old = ends.values()
-    assert [l for l, _ in new] == [l for l, _ in old]
-    assert all(m <= m_old for (_, m), (_, m_old) in zip(new, old))
-    assert any(m < m_old for (_, m), (_, m_old) in zip(new, old))
+    assert passes == [((64, 128), [0, 1, 2], 3), ((128,), [0, 1, 2], 48),
+                      2]
 
 
 def _window_against_m_256(pq):
@@ -1026,9 +1030,9 @@ def _window_against_m_256(pq):
 
 
 def test_window_is_the_m_256_window():
-    """On 4/7, where the ladder stops at M = 24, the window lies within
-    1e-10 of the same Rayleigh quotients at M = 256.  (The reduced
-    eigenvalues at M = 256 carry up to 3.6e-10 of rounding on q <= 16.)"""
+    """On 4/7 the window lies within 1e-10 of the test-local Rayleigh
+    quotients at M = 256.  (The reduced eigenvalues at M = 256 carry up to
+    3.6e-10 of rounding on q <= 16.)"""
     _window_against_m_256((4, 7))
 
 
@@ -1056,17 +1060,20 @@ def test_verify_sweep_q_up_to_100(pq):
 def _ground_levels_clear_the_floor(pq):
     """Radial eigenvalues at l are at least l^2 min(S/W) = l^2, the floor
     by which ``assemble`` solves only the l with l^2 below its cutoff.
-    The ladder and vector on Bloch sector 0 alone (the ladder seeds
-    verify's l = 2 ground) find the same lowest eigenvalue."""
+    ``hill.levels`` on Bloch sector 0 alone (as verify takes its l = 2
+    ground) finds the same lowest eigenvalue as the all-sector solve, to
+    the levels' tolerance, 1e-10 (6.0e-11 apart at 51/101, l = 3, near the
+    1/2 end, where the half-cell entries grow through the barrier)."""
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, pq[1])
     for l in (2, 3):
         spec = solve_radial(sol, None, l, 8 * pq[1], chart=chart,
                             sampled_sectors=())
         assert spec.eigenvalues[0] >= l * l
-        ground = _certified_levels(chart, ((l, (0,), 0, 1),))[0][1][0, 0]
-        assert abs(ground - spec.eigenvalues[0]) <= 1e-11
-        assert ground >= l * l
+        ((_, _, lam, _),), _ = hill.levels(chart.coefficients,
+                                           [(l, np.zeros(1), 1, 1, False)])
+        assert abs(lam[0] - spec.eigenvalues[0]) <= 1e-10
+        assert lam[0] >= l * l
 
 
 @pytest.mark.parametrize("pq", [(3, 5), (12, 17), (41, 58), (50, 99)])
@@ -1083,15 +1090,16 @@ def test_ground_levels_clear_the_floor_sweep(pq):
 
 
 def test_unsettled_ground_level_names_l_and_modes(monkeypatch):
-    """verify's ground ladder at l = 2, on sector 0 alone, stops at the
-    Fourier-mode cap as ``solve_radial``'s does: ConvergenceFailure
-    naming l and M."""
-    import otsuki_bipolar.spectrum as spec_mod
-    monkeypatch.setattr(spec_mod, "_MODE_TOL", 0.0)
-    monkeypatch.setattr(spec_mod, "_MAX_MODES", 16)
+    """verify's levels at l = 2, on sector 0 alone, stop at the step cap
+    as ``solve_radial``'s do: ConvergenceFailure naming l and the Magnus
+    steps per cell (here with a cap of 512 and no change small enough)."""
+    monkeypatch.setattr(hill, "_LEVEL_TOL", 0.0)
+    monkeypatch.setattr(hill, "_MAX_STEPS", 512)
     sol = solve_rotation(RotationNumber(3, 5))
-    with pytest.raises(ConvergenceFailure, match=r"at l = 2 .* at M = 16 "):
-        _settle_modes(_RadialChart(sol.b, 5), ((2, np.zeros(1), 1, 0),))
+    with pytest.raises(ConvergenceFailure, match=r"at l = 2 not resolved at"
+                       r" 512 Magnus steps per cell"):
+        hill.levels(_RadialChart(sol.b, 5).coefficients,
+                    [(2, np.zeros(1), 1, 1, False)])
 
 
 def _named_requests(p, q):
@@ -1102,21 +1110,23 @@ def _named_requests(p, q):
 
 
 def _certified_levels(chart, requests):
-    """The Galerkin route through named sectors, apart from the Hill pass:
-    one ladder over the l of ``requests`` (see ``_named_requests``), then
-    at each l's stop M the test-local eigh of the certified sector, whose
-    asked levels become their Rayleigh quotients.  Per request: (stop M,
-    levels, one row per sector, the asked levels' coefficient vectors)."""
-    kappa = [np.array(ks) / chart.q for _, ks, _, _ in requests]
-    settled = _settle_modes(chart, [(l, k, 1, 0) for (l, *_), k
-                                    in zip(requests, kappa)])
+    """The Galerkin route through named sectors, apart from the Hill
+    route: per request (see ``_named_requests``), the test-local eigh of
+    its certified sector at the first M of 16, 32, ... 256 at which its
+    asked levels, as Rayleigh quotients, move by less than 1e-10 from the
+    M before.  Per request: (that M, the asked levels, their coefficient
+    vectors)."""
     named = []
-    for (l, _, j, count), k, (modes, lam, _) in zip(requests, kappa,
-                                                    settled):
-        _, coef, rho = _galerkin_reference(chart, l, k[j:j + 1], modes)
-        lam = lam.copy()
-        lam[j, :count] = rho[0, :count]
-        named.append((modes, lam, coef[0, :count]))
+    for l, ks, j, count in requests:
+        kappa, modes, before = np.array(ks[j:j + 1]) / chart.q, 16, None
+        while True:
+            _, coef, rho = _galerkin_reference(chart, l, kappa, modes,
+                                               keep=count)
+            if modes == 256 or (before is not None
+                                and np.max(np.abs(rho[0] - before)) < 1e-10):
+                break
+            before, modes = rho[0], 2 * modes
+        named.append((modes, rho[0], coef[0, :count]))
     return named
 
 
@@ -1161,30 +1171,28 @@ def test_hill_zero_counts_and_parity_match_the_sampled_rows_sweep(pq):
 
 
 def _one_pass_against_per_l_ladders(pq):
-    """The one ladder over l = 0, 1 and 2 gives each l what a ladder of
-    that l alone gives, to the bit: the same stop M and levels."""
-    sol = solve_rotation(RotationNumber(*pq))
-    chart = _RadialChart(sol.b, pq[1])
-    requests = [(l, np.array(ks) / pq[1], 1, 0)
-                for l, ks, _, _ in _named_requests(*pq)]
-    together = _settle_modes(chart, requests)
-    for request, (modes, levels, _) in zip(requests, together):
-        (alone_modes, alone_levels, _), = _settle_modes(chart, [request])
-        assert modes == alone_modes, request[0]
-        assert np.array_equal(levels, alone_levels)
-    return [modes for modes, _, _ in together]
+    """verify's one ``hill.levels`` call over l = 0, 1 and 2 gives each l
+    what a call of that l alone gives: the same cut, sectors, levels and
+    starts, and values to 1e-10 (a call takes the most Magnus steps and
+    Chebyshev nodes any of its l needs, so the bits may differ)."""
+    p, q = pq
+    chart = _RadialChart(solve_rotation(RotationNumber(*pq)).b, q)
+    requests = [(l, np.array(ks) / q, 1, least, False) for (l, ks, _, _), least
+                in zip(_named_requests(p, q), (4, 3, 1))]
+    together, _ = hill.levels(chart.coefficients, requests)
+    for request, (sector, level, lam, start) in zip(requests, together):
+        ((alone_sector, alone_level, alone, alone_start),), _ = hill.levels(
+            chart.coefficients, [request])
+        assert np.array_equal(sector, alone_sector), request[0]
+        assert np.array_equal(level, alone_level)
+        assert np.array_equal(start, alone_start)
+        assert np.max(np.abs(lam - alone)) <= 1e-10
 
 
 def test_one_ladder_stops_each_l_where_its_own_ladder_does():
-    """On the 16 reduced p/q with q <= 16, where the l do not all stop at
-    one M (at 4/7, l = 0 and 1 stop at M = 24 and l = 2 at M = 16), and
-    on 9/17 and 15/29, where l = 0 and 1 stop two rungs or more after
-    l = 2, and l = 0 and 1 stop apart on 15/29."""
-    stops = {pq: _one_pass_against_per_l_ladders(pq)
-             for pq in _reduced_fractions(16) + [(9, 17), (15, 29)]}
-    assert stops[(4, 7)] == [24, 24, 16]
-    assert stops[(9, 17)] == [32, 32, 16]
-    assert stops[(15, 29)] == [48, 32, 16]
+    """On the 16 reduced p/q with q <= 16, 9/17 and 15/29."""
+    for pq in _reduced_fractions(16) + [(9, 17), (15, 29)]:
+        _one_pass_against_per_l_ladders(pq)
 
 
 @pytest.mark.sweep
@@ -1194,23 +1202,29 @@ def test_one_ladder_stops_each_l_where_its_own_ladder_does_sweep(pq):
     _one_pass_against_per_l_ladders(pq)
 
 
-def _hill_rows_match_eigh(pq, l, boundary, monkeypatch, row_tol=1e-10):
+# Fourier modes per sector of the test-local reference of each (p/q, l) of
+# the row tests: twice the M that settles their windows to 1e-10, at most
+# 256, since the rows at that M can be off by more (4.5e-10 at 50/99,
+# l = 1, near the window's top).
+_ROW_MODES = {(3, 5): (32, 32, 32), (9, 17): (64, 64, 48),
+              (41, 58): (32, 32, 32), (50, 99): (192, 128, 96),
+              (126, 251): (256, 256, 128)}
+
+
+def _hill_rows_match_eigh(pq, l, boundary, row_tol=1e-10):
     """Every window row of ``solve_radial``, value and samples, against
-    the test-local eigh reference (``_reference_window``) at twice the
-    ladder's stop M, capped at 256: the stop M settles the values to
-    1e-10, and its own rows can be off by more (4.5e-10 at 50/99, l = 1,
-    near the window's top).  The values agree to 1e-13 of the reference's
+    the test-local eigh reference (``_reference_window``) at the M of
+    ``_ROW_MODES``.  The values agree to 1e-13 of the reference's
     Rayleigh quotients (relative above 1), and the rows, sampled on the
     same t-grid and signed by ``orient_rows``, to ``row_tol`` pointwise."""
     p, q = pq
     anti = boundary is Boundary.ANTIPERIODIC
-    stops = _stop_modes(monkeypatch)
     sol = solve_rotation(RotationNumber(*pq))
     chart = _RadialChart(sol.b, q)
     spec = solve_radial(sol, None, l, 2048, boundary, chart=chart)
     count = spec.eigenvalues.size
     _, rho, kappa, coef, imag = _reference_window(
-        chart, l, q, min(2 * stops[0], 256), anti, count)
+        chart, l, q, _ROW_MODES[pq][(0, 1, 3).index(l)], anti, count)
     per_half = spec.grid.size // (2 * q)
     x = (np.arange(2 * q)[:, None] * math.pi
          + chart.x_samples(per_half)).ravel()
@@ -1224,8 +1238,8 @@ def _hill_rows_match_eigh(pq, l, boundary, monkeypatch, row_tol=1e-10):
 @pytest.mark.parametrize("l", [0, 1, 3])
 @pytest.mark.parametrize("boundary", list(Boundary),
                          ids=lambda b: b.name.lower())
-def test_hill_rows_match_eigh(pq, l, boundary, monkeypatch):
-    _hill_rows_match_eigh(pq, l, boundary, monkeypatch)
+def test_hill_rows_match_eigh(pq, l, boundary):
+    _hill_rows_match_eigh(pq, l, boundary)
 
 
 @pytest.mark.sweep
@@ -1233,7 +1247,7 @@ def test_hill_rows_match_eigh(pq, l, boundary, monkeypatch):
 @pytest.mark.parametrize("l", [0, 1, 3])
 @pytest.mark.parametrize("boundary", list(Boundary),
                          ids=lambda b: b.name.lower())
-def test_hill_rows_match_eigh_sweep(pq, l, boundary, monkeypatch):
+def test_hill_rows_match_eigh_sweep(pq, l, boundary):
     """50/99 and 126/251, near the 1/2 end.  At l = 3 there a barrier at
     x = 0 splits each cell's well from the next, the bands are narrow, and
     the half-cell solutions grow through the barrier, so the small
@@ -1241,7 +1255,7 @@ def test_hill_rows_match_eigh_sweep(pq, l, boundary, monkeypatch):
     move by up to 6.8e-10 between 512, 1024, 2048 and 4096 Magnus steps
     per cell, and they are held to 1e-9 there (4.5e-10 measured; 2.4e-11
     at 50/99)."""
-    _hill_rows_match_eigh(pq, l, boundary, monkeypatch,
+    _hill_rows_match_eigh(pq, l, boundary,
                           row_tol=1e-9 if pq == (126, 251) and l == 3
                           else 1e-10)
 
@@ -1250,25 +1264,27 @@ def test_near_double_edge_pairs_are_the_even_and_odd_solutions():
     """At 41/58, near the sqrt(2)/2 end, the gaps at kappa = 0 and 1 all
     but close: levels 2 and 3 of sector 0 (near 7.995) lie 4e-6 apart at
     l = 0, and levels 3 and 4 of sector q (near 17.99) closer still.  Each
-    pair's two Hill roots are sorted onto its two levels, and its two
-    rows are the N and the D half-cell solutions, even and odd about
-    x = 0 to 1e-12 on the uniform x-grid, and orthonormal in t (the sum
-    of W h_i h_j over that grid) to 1e-12."""
+    pair's two levels are zeros of two different half-cell entries, one
+    of the N solution and one of the D one, and their two rows are the N
+    and the D half-cell solutions, even and odd about x = 0 to 1e-12 on
+    the uniform x-grid, and orthonormal in t (the sum of W h_i h_j over
+    that grid) to 1e-12."""
     import otsuki_bipolar.spectrum as spec_mod
     sol = solve_rotation(RotationNumber(41, 58))
     chart = _RadialChart(sol.b, 58)
-    ks, kappa, level = np.array([0, 0, 58, 58]), np.array([0.0, 0.0, 1.0,
-                                                          1.0]), np.array(
-        [1, 2, 2, 3])
-    ((_, lam, _),) = _settle_modes(chart, ((0, np.array([0.0, 1.0]), 1, 8),))
-    ladder = lam[(ks > 0).astype(int), level]
-    assert 0.0 < ladder[1] - ladder[0] <= 1e-5
-    assert 0.0 < ladder[3] - ladder[2] <= ladder[1] - ladder[0]
-    roots, start, _, pass_ = spec_mod._hill_roots(
-        chart.coefficients, 0, ks, kappa, level, ladder, ladder,
+    ((sector, index, lam, start),), _ = hill.levels(
+        chart.coefficients, [(0, np.array([0.0, 1.0]), 1, 8, False)])
+    pick = np.array([np.flatnonzero((sector == j) & (index == n))[0]
+                     for j, n in ((0, 1), (0, 2), (1, 2), (1, 3))])
+    ks, kappa = np.array([0, 0, 58, 58]), np.array([0.0, 0.0, 1.0, 1.0])
+    level, values, start = index[pick], lam[pick], start[pick]
+    assert 0.0 < values[1] - values[0] <= 1e-5
+    assert 0.0 < values[3] - values[2] <= values[1] - values[0]
+    assert sorted(start[:2]) == sorted(start[2:]) == [0, 1]
+    roots, _, pass_ = spec_mod._hill_roots(
+        chart.coefficients, 0, ks, kappa, level, start, values, values,
         spec_mod._HILL_STEPS)
     assert roots[0] <= roots[1] and roots[2] <= roots[3]
-    assert sorted(start[:2]) == sorted(start[2:]) == [0, 1]
     per_half = 256
     x = np.arange(per_half) * (math.pi / per_half)
     rows, _ = spec_mod._sample_rows(chart, 0, kappa, roots, start, pass_,

@@ -14,29 +14,28 @@ NumericalFailure is recorded as its class and message instead.  Where
 ``verify`` reached its Hill count, the entry also holds ``hill``: the
 resolved Magnus ``steps`` per cell and delta (the count's lambdas are
 2 -+ delta), taken by wrapping ``hill.count`` while the dump runs; and
-``ladder``: the M at which the named-sector ladder of each l stopped
-(``l0``, ``l1``, ``l2``), the stop M that ``spectrum._settle_modes``
-returns for each request's l.  Where ``verify`` reached the Hill pass
-that follows its count, the entry holds ``pass``: that ``hill._roots``
-call's ``steps`` per cell and the two identity residuals at lambda = 2
-of its first two rows, ``theta_n0_minus_pi`` (l = 0, theta_n(2) - pi)
-and ``delta1_minus_2cos`` (l = 1, Delta(2) - 2 cos(pi p/q)).  A tree
-whose verify takes its pass from ``hill.monodromy`` (before the pass
-moved into ``hill._roots``) is dumped with that tree's copy of this
-tool.  Floats are written with all their digits.
-A tree whose ``_settle_modes`` takes a ``solve`` callback (before verify
-and ``solve_radial`` shared it) is dumped with that tree's copy of this
-tool.
+``levels``: the Chebyshev ``nodes`` in lambda and the Magnus ``steps``
+per cell of the ``hill.levels`` call that gives the named sectors'
+levels at l = 0, 1 and 2 (one call serves all three l).  Where
+``verify`` reached the Hill pass that follows its count, the entry holds
+``pass``: that ``hill._roots`` call's ``steps`` per cell and the two
+identity residuals at lambda = 2 of its first two rows,
+``theta_n0_minus_pi`` (l = 0, theta_n(2) - pi) and ``delta1_minus_2cos``
+(l = 1, Delta(2) - 2 cos(pi p/q)).  Floats are written with all their
+digits.  A tree from before ``hill.levels`` (whose verify took its
+levels from a Galerkin ladder) is dumped with that tree's copy of this
+tool; its dump holds ``ladder`` (the stop M of each l) where this one
+holds ``levels``, and each counts as not recorded in the other.
 
 ``--compare`` prints, for every key and every certificate field, how many
 fractions changed, the largest relative change and the largest absolute
 change, and lists each fraction whose stage raised in one dump but not the
 other, or whose certificates differ by name.  It exits 1 if any of these,
 or any N2, N2_expected, threshold_multiplicity, Hill step count or pass
-flag, or any ladder stop M or Hill pass step count, differs.  A
-fraction whose ``hill``, ``ladder`` or ``pass`` field one dump lacks (a
-dump made before the field existed) is counted as not recorded, not as
-a difference.  A dump takes about 5 s
+flag, or any levels node or step count or Hill pass step count,
+differs.  A fraction whose ``hill``, ``ladder``, ``levels`` or ``pass``
+field one dump lacks (a dump made before or after the field existed) is
+counted as not recorded, not as a difference.  A dump takes about 5 s
 on a 2-core host.
 """
 
@@ -52,9 +51,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"      # before numpy is first imported
 
 EXACT = ("N2", "N2_expected", "threshold_multiplicity", "hill.steps",
-         "ladder.l0", "ladder.l1", "ladder.l2", "pass.steps")
+         "ladder.l0", "ladder.l1", "ladder.l2", "levels.nodes",
+         "levels.steps", "pass.steps")
 STAGES = ("solve", "verify")
-RECORDED = ("hill", "ladder", "pass")   # fields an older dump may lack
+RECORDED = ("hill", "ladder", "levels", "pass")   # fields a dump may lack
 SOLVE_FIELDS = ("a", "b", "t0", "s_total", "omega_residual")
 NEAR_ONE_HALF = ((101, 201), (126, 251), (250, 499), (500, 999))
 
@@ -78,30 +78,34 @@ def dump(path: str) -> None:
         counts.append(count(*args, **kwargs))
         return counts[-1]
 
-    settle, ladders = spectrum._settle_modes, {}
+    levels, sector_roots, grids = hill.levels, hill._sector_roots, {}
 
-    def recording_settle(chart, requests):
-        settled = settle(chart, requests)
-        for (l, *_), (modes, *_) in zip(requests, settled):
-            ladders[f"l{l}"] = modes
-        return settled
+    def recording_levels(coefficients, requests):
+        found, steps = levels(coefficients, requests)
+        grids["steps"] = steps
+        return found, steps
+
+    def recording_roots(coef, *args):
+        grids["nodes"] = coef.shape[-1]
+        return sector_roots(coef, *args)
 
     roots, passes = hill._roots, []
 
-    def recording_pass(coefficients, l, kappa, level, lam, steps):
-        found = roots(coefficients, l, kappa, level, lam, steps)
-        passes.append((steps, found[2][0]))
+    def recording_pass(coefficients, l, kappa, level, start, lam, steps):
+        found = roots(coefficients, l, kappa, level, start, lam, steps)
+        passes.append((steps, found[1][0]))
         return found
 
     hill.count = recording
-    spectrum._settle_modes = recording_settle
+    hill.levels = recording_levels
+    hill._sector_roots = recording_roots
     hill._roots = recording_pass
     out = {}
     for p, q in fractions(100) + list(NEAR_ONE_HALF):
         r = geodesic.RotationNumber(p, q)
         entry = {}
         counts.clear()
-        ladders.clear()
+        grids.clear()
         passes.clear()
         for stage, run in (
                 ("solve", lambda: {k: getattr(geodesic.solve_rotation(r), k)
@@ -116,7 +120,7 @@ def dump(path: str) -> None:
             below, above = counts[-1].lams
             entry["hill"] = {"steps": counts[-1].steps,
                              "delta": 0.5 * (above - below)}
-            entry["ladder"] = dict(sorted(ladders.items()))
+            entry["levels"] = dict(sorted(grids.items()))
         if passes:
             steps, (trace, _, theta_n) = passes[-1]
             entry["pass"] = {

@@ -25,7 +25,7 @@ that did not fail.
 
 Exits 1 if a mutant survives, an old text is missing or not unique, a
 test errs, or an unmutated test fails; 0 otherwise.  The committed list
-(21 mutants) takes ~80 s on a 2-core host; the ``sweep`` test
+(25 mutants) takes ~90 s on a 2-core host; the ``sweep`` test
 ``tests/test_mutants.py`` runs it and requires exit 0.
 """
 

@@ -5,10 +5,9 @@ this file and prints one ``sha256 command input`` line per output:
 
   * ``verify`` and ``spectrum --format json`` on every reduced p/q in
     (1/2, sqrt(2)/2) with q <= 40, and on 51/101;
-  * ``verify --format json`` on 101/201, 126/251 and 250/499, whose
-    named-sector ladders at l = 0 and 1 climb to M = 96-192, on 500/999,
-    whose ladders stop at the last rung, M = 256, and on 1000/1999, which
-    exits 3 with ConvergenceFailure at l = 0;
+  * ``verify --format json`` on 101/201, 126/251, 250/499, 500/999 and
+    1000/1999, near 1/2, where the named sectors' levels take 128 or 256
+    Magnus steps per cell (``hill.levels``);
   * ``spectrum --format json`` on 101/201, where a row other than the
     five at 2 lies 5.1e-5 from 2, the nearest any fraction here comes to
     the threshold window that decides which rows are at 2;
@@ -39,7 +38,7 @@ this file and prints one ``sha256 command input`` line per output:
 
 Each digest covers the exit code and the bytes written: stdout and
 stderr, or the mesh file for ``export-mesh``.  So a changed error or
-warning line shows, such as the exit-3 message of 1000/1999.  Meshes are
+warning line shows, such as an exit-3 message.  Meshes are
 written to relative paths in a temporary working directory, so the paths
 that export-mesh prints do not change between runs.  Two trees produce
 the same outputs when their listings are identical:
